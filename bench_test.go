@@ -359,8 +359,8 @@ func BenchmarkCoreForecasterClone(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreForecast measures one full cautious forecast (8 evolved
-// ticks, mixture quantiles).
+// BenchmarkCoreForecast measures one full cautious forecast (mixture
+// quantiles at 8 horizon ticks against the folded table).
 func BenchmarkCoreForecast(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {
@@ -374,10 +374,9 @@ func BenchmarkCoreForecast(b *testing.B) {
 }
 
 // BenchmarkForecastSweep measures the §5.5 five-confidence sweep through
-// ForecastAll: one shared evolution per tick, every quantile answered from
-// a single warm-started monotone walk. Compare against
-// BenchmarkForecastSweepNaive (five independent ForecastAt calls, five
-// evolutions) — the shared sweep must be ≥ 3× cheaper.
+// ForecastAll: every quantile answered from a single warm-started monotone
+// walk up the count axis. Compare against BenchmarkForecastSweepNaive
+// (five independent ForecastAt calls, each walking from zero).
 func BenchmarkForecastSweep(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {
@@ -392,7 +391,7 @@ func BenchmarkForecastSweep(b *testing.B) {
 }
 
 // BenchmarkForecastSweepNaive is the pre-ForecastAll cost of the same
-// sweep: five independent forecasts, each paying the full evolution.
+// sweep: five independent forecasts.
 func BenchmarkForecastSweepNaive(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {
@@ -410,9 +409,9 @@ func BenchmarkForecastSweepNaive(b *testing.B) {
 }
 
 // BenchmarkForecastBatch measures 16 co-scheduled forecasters answered in
-// one ForecastBatch call — per-tick evolutions interleaved over the shared
-// immutable Poisson table, as the CellWorld scheduler will consume them.
-// ns/op is for the whole batch (divide by 16 for per-flow cost).
+// one ForecastBatch call over the shared immutable table, as the cell
+// world's Hub consumes them. ns/op is for the whole batch (divide by 16
+// for per-flow cost).
 func BenchmarkForecastBatch(b *testing.B) {
 	const flows = 16
 	fs := make([]*sprout.DeliveryForecaster, flows)
@@ -426,21 +425,6 @@ func BenchmarkForecastBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = sprout.ForecastBatch(buf[:0], fs)
-	}
-}
-
-// BenchmarkCoreForecastFast is BenchmarkCoreForecast in the opt-in
-// quantized (float32 lookahead) mode, for the earn-its-keep comparison
-// recorded in DESIGN.md §12.4.
-func BenchmarkCoreForecastFast(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{FastForecast: true}))
-	for i := 0; i < 200; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-	var buf []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Forecast(buf[:0])
 	}
 }
 

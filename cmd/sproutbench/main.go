@@ -46,8 +46,10 @@ func labeled(name string, fn func()) {
 
 // warnTableCache prints a one-time warning when forecast-table builds have
 // outgrown the process-wide cache: every further forecaster at an uncached
-// parameter set silently rebuilds its own ~2.4 MB table, which turns a
-// parameter sweep's setup cost from one build into one per run.
+// parameter set silently rebuilds its own ~2 MB table (tens of CPU-ms now
+// that the lookahead evolution is folded into it; σ and λz shape it too),
+// which turns a parameter sweep's setup cost from one build into one per
+// run.
 var warnedTableCache bool
 
 func warnTableCache() {

@@ -13,9 +13,8 @@ import (
 // Defer report themselves at each feedback-due tick instead of forecasting
 // inline; the hub's own tick — armed after every initial receiver, so it
 // fires after the member ticks at the same instant — collects the due
-// Bayesian forecasters, answers them all from one interleaved pass over
-// the shared CDF table, and emits each member's feedback packet in report
-// order. Forecast vectors are bit-identical to inline per-receiver calls
+// Bayesian forecasters, answers them all from that one call, and emits
+// each member's feedback packet in report order. Forecast vectors are bit-identical to inline per-receiver calls
 // (ForecastBatch's contract); only the emission instant of receivers whose
 // ticks are not phase-aligned with the hub (flows churned in mid-run)
 // shifts, by less than one tick.

@@ -61,11 +61,15 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	return c
 }
 
-// NewAdaptiveForecaster wraps a model with online σ adaptation.
+// NewAdaptiveForecaster wraps a model with online σ adaptation. Its σ
+// moves at run time, so no table folded for one σ fits it: it forecasts by
+// the evolve-then-mix lookahead over the unfolded table from the start.
 func NewAdaptiveForecaster(m *Model, cfg AdaptiveConfig) *AdaptiveForecaster {
 	cfg = cfg.withDefaults()
+	f := &DeliveryForecaster{model: m}
+	f.unfold()
 	return &AdaptiveForecaster{
-		DeliveryForecaster: NewDeliveryForecaster(m),
+		DeliveryForecaster: f,
 		z2:                 stats.NewEWMA(0.05),
 		every:              cfg.Every,
 		gain:               cfg.Gain,

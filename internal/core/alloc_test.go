@@ -18,18 +18,22 @@ func TestModelTickAllocs(t *testing.T) {
 }
 
 // TestForecastAllocs: a full cautious forecast into a reused buffer must
-// not allocate.
+// not allocate, on the folded path or on the evolve path.
 func TestForecastAllocs(t *testing.T) {
-	f := NewDeliveryForecaster(NewModel(Params{}))
-	for i := 0; i < 50; i++ {
-		f.Tick(6, ObsExact)
-	}
-	buf := f.Forecast(nil) // size the buffer
-	allocs := testing.AllocsPerRun(200, func() {
-		buf = f.Forecast(buf[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("Forecast allocates %v allocs/op, want 0", allocs)
+	for name, f := range map[string]Forecaster{
+		"folded": NewDeliveryForecaster(NewModel(Params{})),
+		"evolve": NewAdaptiveForecaster(NewModel(Params{}), AdaptiveConfig{}),
+	} {
+		for i := 0; i < 50; i++ {
+			f.Tick(6, ObsExact)
+		}
+		buf := f.Forecast(nil) // size the buffer
+		allocs := testing.AllocsPerRun(200, func() {
+			buf = f.Forecast(buf[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s Forecast allocates %v allocs/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestForecasterCloneIdenticalForecasts(t *testing.T) {
 	f := trainedForecaster(t, 300, 21)
 	c := f.Clone()
 	if c.tbl != f.tbl {
-		t.Error("clone should share the immutable CDF table")
+		t.Error("clone should share the immutable table")
 	}
 	a := f.Forecast(nil)
 	b := c.Forecast(nil)
@@ -94,26 +94,51 @@ func TestForecasterCloneIdenticalForecasts(t *testing.T) {
 	}
 }
 
+// TestForecastTableSharedAcrossForecasters: the cache key is exactly what
+// shapes the table. The grid does, and so do σ and λz, whose evolution is
+// folded into the rows; confidence shapes only the quantile, so the §5.5
+// sweep shares one table; and the unfolded table is shared across σ.
 func TestForecastTableSharedAcrossForecasters(t *testing.T) {
-	f1 := NewDeliveryForecaster(NewModel(Params{}))
-	f2 := NewDeliveryForecaster(NewModel(Params{}))
-	if f1.tbl != f2.tbl {
-		t.Error("same parameters should share one CDF table")
+	freshTableCache(t)
+	tbl := func(p Params) *forecastTable {
+		p.NumBins = 32
+		return NewDeliveryForecaster(NewModel(p)).tbl
 	}
-	f3 := NewDeliveryForecaster(NewModel(Params{NumBins: 64}))
-	if f3.tbl == f1.tbl {
-		t.Error("different parameters must not share a table")
+	base := tbl(Params{})
+	if tbl(Params{}) != base {
+		t.Error("same parameters should share one table")
 	}
-	// Confidence shapes the quantile, not the table.
-	f4 := NewDeliveryForecaster(NewModel(Params{Confidence: 0.5}))
-	if f4.tbl != f1.tbl {
-		t.Error("confidence sweep should reuse the table")
+	if NewDeliveryForecaster(NewModel(Params{NumBins: 64})).tbl == base {
+		t.Error("different grids must not share a table")
+	}
+	for _, c := range []float64{0.95, 0.75, 0.50, 0.25, 0.05} {
+		if tbl(Params{Confidence: c}) != base {
+			t.Errorf("confidence %v should reuse the table", c)
+		}
+	}
+	s1, s2 := tbl(Params{Sigma: 100}), tbl(Params{Sigma: 400})
+	if s1 == base || s2 == base || s1 == s2 {
+		t.Error("two sigmas must get distinct tables")
+	}
+	if tbl(Params{Sigma: 100}) != s1 {
+		t.Error("a sigma's table should be cached")
+	}
+	z1, z2 := tbl(Params{OutageEscape: 0.5}), tbl(Params{OutageEscape: 3})
+	if z1 == base || z2 == base || z1 == z2 {
+		t.Error("two outage-escape rates must get distinct tables")
+	}
+	a1 := NewAdaptiveForecaster(NewModel(Params{NumBins: 32, Sigma: 100}), AdaptiveConfig{})
+	a2 := NewAdaptiveForecaster(NewModel(Params{NumBins: 32, Sigma: 400}), AdaptiveConfig{})
+	if a1.tbl != a2.tbl || a1.tbl.sigma != 0 {
+		t.Error("adaptive forecasters should share the one unfolded table")
 	}
 }
 
 func TestForecastTableCacheBounded(t *testing.T) {
 	// Sweeping a table-shaping parameter past the cache limit must keep
 	// working (uncached builds), not retain a table per value forever.
+	freshTableCache(t)
+	_, _, before := TableCacheStats()
 	var fs []*DeliveryForecaster
 	for i := 0; i < TableCacheLimit+4; i++ {
 		f := NewDeliveryForecaster(NewModel(Params{NumBins: 32, MaxRate: 100 + float64(i)}))
@@ -128,6 +153,10 @@ func TestForecastTableCacheBounded(t *testing.T) {
 	tableMu.Unlock()
 	if n > TableCacheLimit {
 		t.Errorf("table cache grew to %d entries, limit %d", n, TableCacheLimit)
+	}
+	// The overflow is what sproutbench's one-time warning reads.
+	if _, _, after := TableCacheStats(); after-before != 4 {
+		t.Errorf("uncached builds = %d, want 4", after-before)
 	}
 	_ = fs
 }

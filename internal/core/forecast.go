@@ -2,23 +2,34 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sprout/internal/stats"
 )
 
-// forecastTable is the precomputed Poisson CDF table behind the cautious
-// forecast. It is immutable once built, so one table is shared by every
-// forecaster (and every Clone) whose model has the same table-shaping
-// parameters; a process running thousands of parallel experiments builds
-// it exactly once per parameter set.
+// forecastTable is the precomputed table behind the cautious forecast. It
+// is immutable once built, so one table is shared by every forecaster (and
+// every Clone) whose model has the same table-shaping parameters; a
+// process running thousands of parallel experiments builds it exactly
+// once per parameter set.
 //
-// The entries are stored in a single contiguous slice laid out so that a
-// mixture-CDF evaluation at a fixed (tick, count) reads the bin dimension
+// Row (i, k) starts from the Poisson CDF cdf_i[k][j] = P(C <= k | λ = bin
+// j for (i+1)·τ). A folded table stores G_i[k] = (Eᵀ)^(i+1)·cdf_i[k],
+// where E is the model's one-tick evolution (see evolveAdjoint): the
+// lookahead the forecast would otherwise run on the posterior p is linear,
+// ⟨cdf_i[k], E^(i+1)·p⟩ = ⟨G_i[k], p⟩, so it is applied to the rows once
+// and a runtime forecast is the paper's "weighted sum over each λ" (§3.3)
+// against the current posterior. An unfolded table keeps the raw CDF rows
+// for the forecaster whose σ moves at run time and so has no fixed E.
+//
+// The entries are one contiguous slice laid out so that a mixture
+// evaluation at a fixed (tick, count) reads the bin dimension
 // consecutively:
 //
-//	flat[off[i] + k*bins + j] = P(C <= k | λ = bin j at tick i+1)
+//	flat[off[i] + k*bins + j] = row (i, k) at bin j
 //
 // Each tick has its own count bound maxK[i] ≈ MaxRate·(i+1)·τ (padded 25%
 // plus a constant so quantile scans never clip): early ticks store and
@@ -29,167 +40,169 @@ type forecastTable struct {
 	off  []int
 	maxK []int
 
-	// flat32 is the lazily built float32 copy backing the opt-in fast
-	// forecast mode (Params.FastForecast); exact-mode users never pay
-	// for it. Same layout as flat, with entries below tableCut32 zeroed
-	// (see tiny32: float32 subnormals cost ~100-cycle assists on x86, so
-	// fast mode keeps every operand well clear of the underflow floor).
-	// rowEnd32[rowOff32[tick]+k] is the bin index where row (tick, k)
-	// goes to zero and stays there — the mixture scans stop early since
-	// everything beyond contributes exact +0.
-	once32   sync.Once
-	flat32   []float32
-	rowEnd32 []int32
-	rowOff32 []int
+	// sigma is the Brownian noise power whose evolution is folded into
+	// the rows; 0 marks an unfolded table. A forecaster may mix a folded
+	// table against its posterior only while its model's σ equals this.
+	sigma float64
 }
 
-// row returns the bins-long CDF slice at (tick, count k).
+// row returns the bins-long slice at (tick, count k).
 func (t *forecastTable) row(tick, k int) []float64 {
 	base := t.off[tick] + k*t.bins
 	return t.flat[base : base+t.bins]
 }
 
-// tableCut32 is the flush floor applied to the float32 table copy: CDF
-// entries below it become exact zeros. Combined with the posterior floor
-// tiny32 this keeps every mixture product ≥ tiny32·tableCut32 = 1e-35 —
-// normal float32 range — so no multiply ever takes the subnormal assist.
-// An entry ≤ 1e-20 contributes less than 1e-20 to a sum compared against
-// p ≥ 1e-9 in ~7-digit arithmetic: nothing.
-const tableCut32 = 1e-20
-
-// fast32 returns the float32 copy of the table, building it on first use
-// together with the per-row scan bounds.
-func (t *forecastTable) fast32() []float32 {
-	t.once32.Do(func() {
-		f := make([]float32, len(t.flat))
-		for i, v := range t.flat {
-			// Compare in float64 so sub-floor values are never even
-			// converted (the conversion itself would pay the assist).
-			if v >= tableCut32 {
-				f[i] = float32(v)
-			}
-		}
-		t.flat32 = f
-		// Row (tick, k) is P(C <= k | λ = bin j): nonincreasing in j, so
-		// once it falls below the cut the rest of the row is zero. Record
-		// where, so the mixture scans skip the dead tail.
-		t.rowOff32 = make([]int, len(t.off))
-		rows := 0
-		for i := range t.off {
-			t.rowOff32[i] = t.off[i] / t.bins
-			rows += t.maxK[i] + 1
-		}
-		t.rowEnd32 = make([]int32, rows)
-		for i := range t.off {
-			for k := 0; k <= t.maxK[i]; k++ {
-				row := t.flat[t.off[i]+k*t.bins : t.off[i]+(k+1)*t.bins]
-				end := len(row)
-				for end > 0 && row[end-1] < tableCut32 {
-					end--
-				}
-				t.rowEnd32[t.rowOff32[i]+k] = int32(end)
-			}
-		}
-	})
-	return t.flat32
-}
-
-func buildForecastTable(binRate []float64, tau float64, ticks int, maxRate float64) *forecastTable {
+// buildForecastTable builds the table for m's parameters, folding m's
+// evolution into the rows when fold is set. It only reads m.
+func buildForecastTable(m *Model, fold bool) *forecastTable {
+	tau, ticks := m.p.Tick.Seconds(), m.p.ForecastTicks
 	t := &forecastTable{
-		bins: len(binRate),
+		bins: len(m.binRate),
 		off:  make([]int, ticks),
 		maxK: make([]int, ticks),
 	}
 	total := 0
 	for i := 0; i < ticks; i++ {
 		t.off[i] = total
-		t.maxK[i] = int(maxRate*tau*float64(i+1)*1.25) + 10
+		t.maxK[i] = int(m.p.MaxRate*tau*float64(i+1)*1.25) + 10
 		total += (t.maxK[i] + 1) * t.bins
 	}
 	t.flat = make([]float64, total)
 	for i := 0; i < ticks; i++ {
 		horizon := float64(i+1) * tau
-		for j, r := range binRate {
+		for j, r := range m.binRate {
 			cdf := stats.PoissonCDFTable(r*horizon, t.maxK[i])
 			for k, v := range cdf {
 				t.flat[t.off[i]+k*t.bins+j] = v
 			}
 		}
 	}
+	if fold {
+		t.sigma = m.p.Sigma
+		t.fold(m.evolveAdjoint())
+	}
 	return t
 }
 
+// fold replaces every row (i, k) by (Eᵀ)^(i+1) applied to it, in place, so
+// only one table's worth of memory is ever resident. Rows are independent,
+// so they are handed out to GOMAXPROCS workers and the resulting bits do
+// not depend on how many there are.
+func (t *forecastTable) fold(adj *evolveAdjoint) {
+	rows := len(t.flat) / t.bins
+	var next atomic.Int64
+	work := func() {
+		tmp := make([]float64, t.bins)
+		for {
+			r := int(next.Add(1)) - 1
+			if r >= rows {
+				return
+			}
+			tick := 0
+			for tick+1 < len(t.off) && t.off[tick+1] <= r*t.bins {
+				tick++
+			}
+			row := t.flat[r*t.bins : (r+1)*t.bins]
+			for n := 0; n <= tick; n++ {
+				adj.apply(tmp, row)
+				copy(row, tmp)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := runtime.GOMAXPROCS(0); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // tableKey captures exactly the parameters the table depends on: the bin
-// grid (NumBins + MaxRate determine binRate), the tick length and the
-// horizon. Confidence does not shape the table, so the §5.5 sweep shares
-// one table across all its runs.
+// grid (NumBins + MaxRate determine binRate), the tick length, the horizon
+// and — because the evolution is folded into the rows — the two parameters
+// that shape E, Sigma and OutageEscape (both zero in the key of the
+// unfolded table, which neither shapes). Confidence does not shape the
+// table, so the §5.5 sweep shares one table across all its runs.
 type tableKey struct {
-	bins    int
-	ticks   int
-	maxRate float64
-	tick    time.Duration
+	bins         int
+	ticks        int
+	maxRate      float64
+	tick         time.Duration
+	sigma        float64
+	outageEscape float64
 }
 
 // TableCacheLimit bounds the process-wide forecast-table cache: a table at
-// the default parameters holds ~300k float64s (~2.4 MB), and entries are
-// never evicted, so a library consumer sweeping a table-shaping parameter
-// past this many distinct values gets uncached (per-forecaster) tables
-// rather than unbounded retained memory. TableCacheStats makes that
-// degradation observable.
+// the default parameters holds ~250k float64s (~2 MB) and takes ~35 CPU-ms
+// to fold, and entries are never evicted, so a library consumer sweeping a
+// table-shaping parameter (now including Sigma and OutageEscape) past this
+// many distinct values gets uncached (per-forecaster) tables rather than
+// unbounded retained memory. TableCacheStats makes that degradation
+// observable.
 const TableCacheLimit = 16
+
+// tableEntry is one cache slot; once makes the build single-flight.
+type tableEntry struct {
+	once sync.Once
+	tbl  *forecastTable
+}
 
 var (
 	tableMu       sync.Mutex
-	tableCache    = map[tableKey]*forecastTable{}
+	tableCache    = map[tableKey]*tableEntry{}
 	tableHits     int64
 	tableMisses   int64
 	tableUncached int64
 )
 
 // TableCacheStats reports the process-wide forecast-table cache counters:
-// hits (a forecaster reused a cached table), misses (a fresh build that
-// was — or raced another builder that was — stored), and uncached builds
-// (the cache was already at its size limit, so the build could not be
-// stored and every further forecaster at those parameters rebuilds its
-// own ~2.4 MB table). A nonzero uncached count means a parameter sweep
-// has silently outgrown the cache.
+// hits (a forecaster reused a cached table, waiting for its one builder if
+// the build was still running), misses (a build that was stored — one per
+// key, however many forecasters asked at once), and uncached builds (the
+// cache was already at its size limit, so the build could not be stored
+// and every further forecaster at those parameters rebuilds its own ~2 MB
+// table). A nonzero uncached count means a parameter sweep has silently
+// outgrown the cache.
 func TableCacheStats() (hits, misses, uncached int64) {
 	tableMu.Lock()
 	defer tableMu.Unlock()
 	return tableHits, tableMisses, tableUncached
 }
 
-func forecastTableFor(m *Model) *forecastTable {
+// forecastTableFor returns the table for m's parameters: folded with m's
+// evolution, or the unfolded CDF table. The first user of a key builds it
+// (outside the lock, so different keys build in parallel); concurrent
+// users of the same key wait for that one build.
+func forecastTableFor(m *Model, fold bool) *forecastTable {
 	key := tableKey{
 		bins:    m.NumBins(),
 		ticks:   m.p.ForecastTicks,
 		maxRate: m.p.MaxRate,
 		tick:    m.p.Tick,
 	}
+	if fold {
+		key.sigma, key.outageEscape = m.p.Sigma, m.p.OutageEscape
+	}
 	tableMu.Lock()
-	if t, ok := tableCache[key]; ok {
+	e, ok := tableCache[key]
+	switch {
+	case ok:
 		tableHits++
-		tableMu.Unlock()
-		return t
-	}
-	tableMu.Unlock()
-	// Build outside the lock so slow builds for different keys proceed in
-	// parallel; concurrent builders of the same key race benignly (both
-	// tables are identical, the first to store wins).
-	t := buildForecastTable(m.binRate, m.p.Tick.Seconds(), m.p.ForecastTicks, m.p.MaxRate)
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	if cached, ok := tableCache[key]; ok {
-		tableMisses++ // this build lost the benign race; the table is cached
-		return cached
-	}
-	if len(tableCache) < TableCacheLimit {
-		tableCache[key] = t
+	case len(tableCache) < TableCacheLimit:
+		e = &tableEntry{}
+		tableCache[key] = e
 		tableMisses++
-	} else {
+	default:
+		e = &tableEntry{} // this caller's own, never stored
 		tableUncached++
 	}
-	return t
+	tableMu.Unlock()
+	e.once.Do(func() { e.tbl = buildForecastTable(m, fold) })
+	return e.tbl
 }
 
 // DeliveryForecaster produces Sprout's cautious packet-delivery forecast
@@ -197,16 +210,24 @@ func forecastTableFor(m *Model) *forecastTable {
 // that the cumulative number of packets delivered by tick i meets or
 // exceeds Q_i with probability at least Confidence.
 //
-// As in the paper, nearly everything is precomputed: the Poisson CDF table
-// indexed by (tick, count, rate bin) is built once per parameter set and
-// shared process-wide, so a runtime forecast is only a kernel evolution of
-// the current posterior plus weighted sums over the 256 bins.
+// As in the paper, the steps are precomputed: the table indexed by (tick,
+// count, rate bin) holds the Poisson CDFs with the observation-free
+// evolution of the posterior already folded in, built once per parameter
+// set (including σ and λz, which shape the evolution) and shared
+// process-wide, so a runtime forecast is only weighted sums of table rows
+// over the live bins of the current posterior.
 //
 // The cumulative count by future tick i, conditioned on the rate path, is a
 // Poisson with mean ∫λ dt. Following the paper's "sum over each λ" step we
 // approximate the path integral by λ_i · i·τ where λ_i is the rate at tick
 // i drawn from the evolved (observation-free) posterior; the Brownian
 // evolution itself carries the uncertainty between ticks.
+//
+// A forecaster whose model's σ no longer matches its table's — SetSigma
+// was called, as AdaptiveForecaster does continually — has no precomputed
+// fold to use: it evolves a copy of the posterior tick by tick and mixes
+// each against the unfolded table instead. Both lookaheads compute the
+// same F up to rounding.
 //
 // A DeliveryForecaster is not safe for concurrent use, but Clone returns
 // an independent copy (sharing only the immutable table) so each worker in
@@ -215,11 +236,14 @@ type DeliveryForecaster struct {
 	model *Model
 	tbl   *forecastTable
 
-	// scratch buffers for the observation-free evolution, plus the
-	// support window of cur (see Model.lo/hi): the mixture sums scan
-	// only live bins.
+	// w[lo:hi] is the weight vector the mixture sums run against and its
+	// support window: the model's posterior itself over a folded table,
+	// the evolving scratch copy cur over an unfolded one.
+	w      []float64
+	lo, hi int
+
+	// cur and next are the evolve path's scratch; nil until unfold.
 	cur, next []float64
-	lo, hi    int
 
 	// Sweep scratch for ForecastAll: the requested confidences as
 	// p-values sorted ascending, each remembering its caller slot, plus
@@ -229,57 +253,30 @@ type DeliveryForecaster struct {
 	sweepIdx  []int
 	sweepPrev []int
 	one       [1]float64 // ForecastAt's single-confidence view
-
-	// Fast-mode state (Params.FastForecast): float32 mirrors of the
-	// evolution scratch and the model's kernel, plus the shared float32
-	// table copy. kernelFrom identifies the float64 kernel the mirrors
-	// were built from, so SetSigma's kernel swap triggers a rebuild.
-	cur32, next32         []float32
-	kernel32, kernelPad32 []float32
-	kernelFrom            *float64
-	tblFlat32             []float32
 }
 
 // NewDeliveryForecaster builds the forecaster for the model, reusing the
-// process-wide CDF table when one with matching parameters exists.
+// process-wide folded table when one with matching parameters exists.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
-	f := &DeliveryForecaster{
-		model: m,
-		tbl:   forecastTableFor(m),
-	}
-	if m.p.FastForecast {
-		f.cur32 = make([]float32, m.NumBins())
-		f.next32 = make([]float32, m.NumBins())
-		f.tblFlat32 = f.tbl.fast32()
-		f.syncFastKernel()
-	} else {
-		f.cur = make([]float64, m.NumBins())
-		f.next = make([]float64, m.NumBins())
-	}
-	return f
+	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m, true)}
+}
+
+// unfold moves the forecaster to the evolve-then-mix lookahead over the
+// unfolded table, for good.
+func (f *DeliveryForecaster) unfold() {
+	f.tbl = forecastTableFor(f.model, false)
+	f.cur = make([]float64, f.model.NumBins())
+	f.next = make([]float64, f.model.NumBins())
 }
 
 // Clone returns an independent forecaster whose model and scratch state
-// are deep-copied while the immutable CDF table is shared. The clone may
-// be Ticked concurrently with the original.
+// are deep-copied while the immutable table is shared. The clone may be
+// Ticked concurrently with the original.
 func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
-	c := &DeliveryForecaster{
-		model:     f.model.Clone(),
-		tbl:       f.tbl,
-		tblFlat32: f.tblFlat32,
-		// The float32 kernel mirrors are immutable once built (a sigma
-		// change installs fresh slices), so the clone shares them.
-		kernel32:    f.kernel32,
-		kernelPad32: f.kernelPad32,
-		kernelFrom:  f.kernelFrom,
-	}
+	c := &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
 	if f.cur != nil {
 		c.cur = make([]float64, len(f.cur))
 		c.next = make([]float64, len(f.next))
-	}
-	if f.cur32 != nil {
-		c.cur32 = make([]float32, len(f.cur32))
-		c.next32 = make([]float32, len(f.next32))
 	}
 	return c
 }
@@ -288,8 +285,8 @@ func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
 func (f *DeliveryForecaster) Model() *Model { return f.model }
 
 // Reset implements Forecaster: the model returns to its uniform prior; the
-// shared CDF table and the scratch buffers (overwritten by every Forecast)
-// are retained, so reuse allocates nothing.
+// shared table and the scratch buffers (overwritten by every Forecast) are
+// retained, so reuse allocates nothing.
 func (f *DeliveryForecaster) Reset() { f.model.Reset() }
 
 // Tick implements Forecaster: evolve one tick, then apply the observation
@@ -312,9 +309,9 @@ func (f *DeliveryForecaster) HorizonTicks() int { return f.model.p.ForecastTicks
 // TickDuration implements Forecaster.
 func (f *DeliveryForecaster) TickDuration() time.Duration { return f.model.p.Tick }
 
-// Forecast implements Forecaster: it evolves a copy of the posterior
-// forward tick by tick (without observations) and, at each tick, returns
-// the (1−Confidence) quantile of the cumulative-delivery mixture.
+// Forecast implements Forecaster: at each horizon tick it returns the
+// (1−Confidence) quantile of the cumulative-delivery mixture under the
+// posterior evolved that many ticks without observations.
 // The result is nondecreasing across ticks.
 func (f *DeliveryForecaster) Forecast(dst []float64) []float64 {
 	return f.ForecastAt(dst, f.model.p.Confidence)
@@ -345,20 +342,20 @@ func clampP(confidence float64) float64 {
 // confidences[1]'s, and so on — each block exactly what ForecastAt at
 // that confidence appends (bit-identical, any order, duplicates allowed).
 //
-// This is the §5.5 sweep entry point, and the reason it exists: every
-// confidence reads the same evolved posterior, so the evolution — by far
-// the dominant cost — runs once per tick for the whole sweep instead of
-// once per confidence. Within a tick the quantile searches share one
-// monotone walk up the count axis: the p-values are visited in ascending
-// order and each search warm-starts at the previous answer (provably its
-// lower bound), so later confidences usually cost a handful of extra CDF
-// probes. A k-confidence sweep is therefore close to the price of one.
+// This is the §5.5 sweep entry point. Within a tick the quantile searches
+// share one monotone walk up the count axis: the p-values are visited in
+// ascending order and each search warm-starts at the previous answer
+// (provably its lower bound), so later confidences usually cost a handful
+// of extra mixture probes, and on the evolve path the evolution runs once
+// per tick for the whole sweep. A k-confidence sweep is therefore close to
+// the price of one.
 func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) []float64 {
 	nc := len(confidences)
 	if nc == 0 {
 		return dst
 	}
-	ticks := f.model.p.ForecastTicks
+	m := f.model
+	ticks := m.p.ForecastTicks
 	base := len(dst)
 	dst = extendFloats(dst, nc*ticks)
 
@@ -378,9 +375,22 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 		f.sweepPrev = append(f.sweepPrev, 0)
 	}
 
-	f.beginEvolve()
+	// Rows folded for another σ would silently answer for the wrong
+	// evolution, so a SetSigma since the table was fetched retires it.
+	if f.tbl.sigma != 0 && f.tbl.sigma != m.p.Sigma {
+		f.unfold()
+	}
+	evolve := f.tbl.sigma == 0
+	f.w, f.lo, f.hi = m.probs, m.lo, m.hi
+	if evolve {
+		copy(f.cur, m.probs)
+	}
 	for i := 0; i < ticks; i++ {
-		f.stepEvolve()
+		if evolve {
+			f.lo, f.hi = evolveWindow(f.next, f.cur, m.kernel, m.kernelPad, m.radius, m.outageStay, f.lo, f.hi)
+			f.cur, f.next = f.next, f.cur
+			f.w = f.cur
+		}
 		// One monotone walk answers every confidence: ascending p means
 		// ascending quantile, so each search starts at the larger of its
 		// own previous-tick bound and the preceding confidence's answer
@@ -394,7 +404,7 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 			if walk > from {
 				from = walk
 			}
-			q := f.quantileFrom(i, f.sweepP[s], from)
+			q := f.mixtureQuantileFrom(i, f.sweepP[s], from)
 			f.sweepPrev[ci] = q
 			walk = q
 			dst[base+ci*ticks+i] = float64(q)
@@ -407,47 +417,12 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 // at its own configured confidence — fs[0]'s HorizonTicks values, then
 // fs[1]'s, and so on — exactly as if each had run Forecast independently
 // (bit-identical). The forecasters must be distinct (they keep per-call
-// scratch); they may differ in parameters, including horizon.
-//
-// The evolutions are interleaved tick by tick, so when the forecasters
-// share a table the batch walks each per-tick CDF region once for all N
-// flows while it is cache-hot, instead of N full passes over the whole
-// table. This is the inference API for a shared-cell scheduler that
-// forecasts many co-scheduled flows at the same instant.
+// scratch); they may differ in parameters, including horizon. This is the
+// inference call of a shared-cell scheduler that forecasts many
+// co-scheduled flows at the same instant.
 func ForecastBatch(dst []float64, fs []*DeliveryForecaster) []float64 {
-	if len(fs) == 0 {
-		return dst
-	}
-	base := len(dst)
-	total, maxTicks := 0, 0
 	for _, f := range fs {
-		t := f.model.p.ForecastTicks
-		total += t
-		if t > maxTicks {
-			maxTicks = t
-		}
-	}
-	dst = extendFloats(dst, total)
-	for _, f := range fs {
-		f.beginEvolve()
-	}
-	for i := 0; i < maxTicks; i++ {
-		off := base
-		for _, f := range fs {
-			ticks := f.model.p.ForecastTicks
-			if i < ticks {
-				f.stepEvolve()
-				prev := 0
-				if i > 0 {
-					// The previous tick's bound is already in dst;
-					// reading it back keeps the batch allocation-free.
-					prev = int(dst[off+i-1])
-				}
-				q := f.quantileFrom(i, clampP(f.model.p.Confidence), prev)
-				dst[off+i] = float64(q)
-			}
-			off += ticks
-		}
+		dst = f.Forecast(dst)
 	}
 	return dst
 }
@@ -461,95 +436,7 @@ func extendFloats(dst []float64, n int) []float64 {
 		copy(g, dst)
 		dst = g
 	}
-	return dst[: len(dst)+n]
-}
-
-// tiny32 is fast mode's deterministic flush-to-zero floor. float32
-// products underflow into subnormals below ~1.2e-38 — mass the forecast
-// cannot see (float32 carries ~7 digits against a total of 1.0) but that
-// x86 punishes with ~100-cycle microcode assists, which is what made a
-// naive float32 port slower than the exact float64 path. Flushing the
-// posterior below 1e-15 after each evolution keeps every later product
-// normal: ≥ 1e-15·tableCut32 = 1e-35 in the mixtures, ≥ 1e-15·(smallest
-// kernel weight ~1e-6) in the evolutions. The flush is an explicit
-// threshold comparison, so fast mode stays deterministic across platforms
-// and its golden hash stays pinned.
-const tiny32 = 1e-15
-
-// flushTiny32 zeroes sub-floor entries of v inside [lo, hi) and tightens
-// the support window to the surviving mass.
-func flushTiny32(v []float32, lo, hi int) (int, int) {
-	for i := lo; i < hi; i++ {
-		if v[i] < tiny32 {
-			v[i] = 0
-		}
-	}
-	for lo < hi && v[lo] == 0 {
-		lo++
-	}
-	for hi > lo && v[hi-1] == 0 {
-		hi--
-	}
-	return lo, hi
-}
-
-// beginEvolve copies the model's posterior into the lookahead scratch.
-func (f *DeliveryForecaster) beginEvolve() {
-	m := f.model
-	f.lo, f.hi = m.lo, m.hi
-	if m.p.FastForecast {
-		f.syncFastKernel()
-		// Compare before converting: converting a sub-floor float64
-		// would itself produce (and pay for) a subnormal float32.
-		for j, v := range m.probs {
-			if v >= tiny32 {
-				f.cur32[j] = float32(v)
-			} else {
-				f.cur32[j] = 0
-			}
-		}
-		f.lo, f.hi = flushTiny32(f.cur32, f.lo, f.hi)
-		return
-	}
-	copy(f.cur, m.probs)
-}
-
-// stepEvolve advances the lookahead posterior one observation-free tick.
-func (f *DeliveryForecaster) stepEvolve() {
-	m := f.model
-	if m.p.FastForecast {
-		f.lo, f.hi = evolveWindow(f.next32, f.cur32, f.kernel32, f.kernelPad32, m.radius, float32(m.outageStay), f.lo, f.hi)
-		f.lo, f.hi = flushTiny32(f.next32, f.lo, f.hi)
-		f.cur32, f.next32 = f.next32, f.cur32
-		return
-	}
-	f.lo, f.hi = evolveWindow(f.next, f.cur, m.kernel, m.kernelPad, m.radius, m.outageStay, f.lo, f.hi)
-	f.cur, f.next = f.next, f.cur
-}
-
-// quantileFrom dispatches the per-tick quantile search to the exact or
-// fast-mode mixture.
-func (f *DeliveryForecaster) quantileFrom(tick int, p float64, lo0 int) int {
-	if f.model.p.FastForecast {
-		return f.mixtureQuantileFrom32(tick, p, lo0)
-	}
-	return f.mixtureQuantileFrom(tick, p, lo0)
-}
-
-// syncFastKernel (re)builds the float32 kernel mirrors when the model's
-// kernel has been replaced (SetSigma); a no-op otherwise.
-func (f *DeliveryForecaster) syncFastKernel() {
-	m := f.model
-	if f.kernelFrom == &m.kernel[0] {
-		return
-	}
-	k32 := make([]float32, len(m.kernel))
-	for i, w := range m.kernel {
-		k32[i] = float32(w)
-	}
-	f.kernel32 = k32
-	f.kernelPad32 = padKernel(k32)
-	f.kernelFrom = &m.kernel[0]
+	return dst[:len(dst)+n]
 }
 
 // mixtureQuantileFrom returns max(lo0, q) where q is the smallest count
@@ -559,11 +446,13 @@ func (f *DeliveryForecaster) syncFastKernel() {
 // bound.
 //
 // Search strategy cannot change the result: F is a pure nondecreasing
-// function of k (every evaluation an independent windowed dot product),
-// so any probe order finds the same first count with F(k) > p. The shape
-// below exists purely for speed — each CDF evaluation is a latency-bound
-// chain of dependent adds, so probing four counts per pass (mixtureCDF4's
-// independent accumulators) costs about the same as probing one.
+// function of k (every evaluation an independent windowed dot product
+// against rows that are pointwise nondecreasing in k — the raw CDFs are,
+// and evolveAdjoint.apply preserves it), so any probe order finds the same
+// first count with F(k) > p. The shape below exists purely for speed —
+// each evaluation is a latency-bound chain of dependent adds, so probing
+// four counts per pass (mixtureCDF4's independent accumulators) costs
+// about the same as probing one.
 func (f *DeliveryForecaster) mixtureQuantileFrom(tick int, p float64, lo0 int) int {
 	hi := f.tbl.maxK[tick]
 	if lo0 >= hi {
@@ -619,26 +508,25 @@ func (f *DeliveryForecaster) mixtureQuantileFrom(tick int, p float64, lo0 int) i
 	return hi
 }
 
-// mixtureCDF evaluates F(k) = Σ_j w_j · cdf[k][j] over the support window
-// only; bins outside it are exactly zero (and were skipped by the w != 0
-// guard before windowing existed, so the sum is bit-identical).
+// mixtureCDF evaluates F(k) = Σ_j w_j · row(tick, k)[j] over the support
+// window only; weights outside it are exactly zero.
 func (f *DeliveryForecaster) mixtureCDF(tick, k int) float64 {
 	lo, hi := f.lo, f.hi
 	// Slice both operands to the support window so the indexed loop runs
-	// bounds-check-free; visit order and arithmetic are unchanged.
+	// bounds-check-free.
 	row := f.tbl.row(tick, k)[lo:hi]
-	cur := f.cur[lo:hi]
+	w := f.w[lo:hi]
 	var s float64
-	for j, w := range cur {
-		if w != 0 {
-			s += w * row[j]
+	for j, wj := range w {
+		if wj != 0 {
+			s += wj * row[j]
 		}
 	}
 	return s
 }
 
 // mixtureCDF4 evaluates F at four counts in one pass over the support
-// window: the four dot products share the posterior loads and accumulate
+// window: the four dot products share the weight loads and accumulate
 // independently, so the pass costs roughly one latency-bound mixtureCDF
 // chain instead of four. Each sum receives the same terms in the same
 // order as mixtureCDF (whose zero-weight guard only ever skips exact +0
@@ -650,124 +538,15 @@ func (f *DeliveryForecaster) mixtureCDF4(tick, k1, k2, k3, k4 int) (float64, flo
 	r2 := f.tbl.row(tick, k2)[lo:hi]
 	r3 := f.tbl.row(tick, k3)[lo:hi]
 	r4 := f.tbl.row(tick, k4)[lo:hi]
-	cur := f.cur[lo:hi]
+	w := f.w[lo:hi]
 	var s1, s2, s3, s4 float64
-	for j, w := range cur {
-		s1 += w * r1[j]
-		s2 += w * r2[j]
-		s3 += w * r3[j]
-		s4 += w * r4[j]
+	for j, wj := range w {
+		s1 += wj * r1[j]
+		s2 += wj * r2[j]
+		s3 += wj * r3[j]
+		s4 += wj * r4[j]
 	}
 	return s1, s2, s3, s4
-}
-
-// --- fast mode (float32 mixture) ---
-
-// row32 returns the float32 CDF row at (tick, count k).
-func (f *DeliveryForecaster) row32(tick, k int) []float32 {
-	base := f.tbl.off[tick] + k*f.tbl.bins
-	return f.tblFlat32[base : base+f.tbl.bins]
-}
-
-// mixtureQuantileFrom32 is mixtureQuantileFrom over the float32 posterior
-// and table. F stays nondecreasing in k (float32 rounding is monotone),
-// so the warm-started shared walk remains exact for fast mode too — fast
-// results differ from exact ones only through the reduced precision of
-// the mixture values themselves.
-func (f *DeliveryForecaster) mixtureQuantileFrom32(tick int, p float64, lo0 int) int {
-	hi := f.tbl.maxK[tick]
-	if lo0 >= hi {
-		return lo0
-	}
-	if f.mixtureCDF32(tick, lo0) > p {
-		return lo0
-	}
-	lo := lo0
-	if lo+4 <= hi {
-		f1, f2, f3, f4 := f.mixtureCDF432(tick, lo+1, lo+2, lo+3, lo+4)
-		switch {
-		case f1 > p:
-			return lo + 1
-		case f2 > p:
-			return lo + 2
-		case f3 > p:
-			return lo + 3
-		case f4 > p:
-			return lo + 4
-		}
-		lo += 4
-	}
-	for hi-lo > 5 {
-		step := (hi - lo) / 5
-		m1 := lo + step
-		m2 := m1 + step
-		m3 := m2 + step
-		m4 := m3 + step
-		f1, f2, f3, f4 := f.mixtureCDF432(tick, m1, m2, m3, m4)
-		switch {
-		case f1 > p:
-			hi = m1
-		case f2 > p:
-			lo, hi = m1, m2
-		case f3 > p:
-			lo, hi = m2, m3
-		case f4 > p:
-			lo, hi = m3, m4
-		default:
-			lo = m4
-		}
-	}
-	for k := lo + 1; k < hi; k++ {
-		if f.mixtureCDF32(tick, k) > p {
-			return k
-		}
-	}
-	return hi
-}
-
-// scanHi32 bounds a fast-mode mixture scan: beyond row k's recorded end
-// the table holds exact zeros, so the dot product can stop there.
-func (f *DeliveryForecaster) scanHi32(tick, k int) int {
-	hi := f.hi
-	if end := int(f.tbl.rowEnd32[f.tbl.rowOff32[tick]+k]); end < hi {
-		hi = end
-	}
-	if hi < f.lo {
-		hi = f.lo
-	}
-	return hi
-}
-
-func (f *DeliveryForecaster) mixtureCDF32(tick, k int) float64 {
-	lo, hi := f.lo, f.scanHi32(tick, k)
-	row := f.row32(tick, k)[lo:hi]
-	cur := f.cur32[lo:hi]
-	var s float32
-	for j, w := range cur {
-		s += w * row[j]
-	}
-	return float64(s)
-}
-
-// mixtureCDF432 shares one scan across four probes. Callers pass
-// k1 < k2 < k3 < k4, and row ends are nondecreasing in k (the CDF is
-// pointwise nondecreasing in k), so k4's bound covers all four; the
-// shorter rows' overhang is exact zeros.
-func (f *DeliveryForecaster) mixtureCDF432(tick, k1, k2, k3, k4 int) (float64, float64, float64, float64) {
-	lo, hi := f.lo, f.scanHi32(tick, k4)
-	r1 := f.row32(tick, k1)[lo:hi]
-	r2 := f.row32(tick, k2)[lo:hi]
-	r3 := f.row32(tick, k3)[lo:hi]
-	r4 := f.row32(tick, k4)[lo:hi]
-	cur := f.cur32[lo:hi]
-	var s1, s2, s3, s4 float32
-	for j, w := range cur {
-		s1 += w * r1[j]
-		s2 += w * r2[j]
-		s3 += w * r3[j]
-		s4 += w * r4[j]
-	}
-	return float64(s1), float64(s2), float64(s3), float64(s4)
 }
 
 // EWMAForecaster is the Sprout-EWMA variant (§5.3): it tracks the observed

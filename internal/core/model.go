@@ -149,17 +149,12 @@ func (m *Model) Distribution(dst []float64) []float64 {
 
 // Evolve advances the posterior one tick of Brownian motion with the
 // outage-stickiness bias (§3.2 step 1). evolveWindow is shared with the
-// forecaster, which evolves a scratch copy.
+// forecast side: evolveAdjoint folds it into the forecast table, and the
+// evolve-path forecaster applies it to a scratch copy.
 func (m *Model) Evolve() {
 	m.lo, m.hi = evolveWindow(m.scratch, m.probs, m.kernel, m.kernelPad, m.radius, m.outageStay, m.lo, m.hi)
 	m.probs, m.scratch = m.scratch, m.probs
 	m.ticks++
-}
-
-// binFloat is the element type of the evolution and mixture arithmetic:
-// float64 on the exact path, float32 in the opt-in fast forecast mode.
-type binFloat interface {
-	~float32 | ~float64
 }
 
 // gatherLanes is how many destination bins one fused gather pass computes.
@@ -175,8 +170,8 @@ const gatherLanes = 8
 // source bin in the group's union window without an in-range branch. The
 // padding only ever contributes exact +0 terms, which leave the
 // non-negative lane sums bit-identical.
-func padKernel[F binFloat](kernel []F) []F {
-	pad := make([]F, len(kernel)+2*(gatherLanes-1))
+func padKernel(kernel []float64) []float64 {
+	pad := make([]float64, len(kernel)+2*(gatherLanes-1))
 	copy(pad[gatherLanes-1:], kernel)
 	return pad
 }
@@ -202,7 +197,7 @@ func padKernel[F binFloat](kernel []F) []F {
 // the scatter form (TestEvolveGatherMatchesScatter pins this). The two
 // boundary bins keep dedicated loops because their sums also fold in the
 // out-of-grid kernel tail, again in the scatter's ascending-offset order.
-func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outageStay F, lo, hi int) (int, int) {
+func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay float64, lo, hi int) (int, int) {
 	n := len(src)
 	// dst's support is src's support widened by one radius; any mass that
 	// would land below bin 1 folds into bin 0, so the window snaps to 0.
@@ -232,7 +227,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 		if jmax > hi-1 {
 			jmax = hi - 1
 		}
-		var d0 F
+		var d0 float64
 		for j := jlo; j <= jmax; j++ {
 			pj := src[j]
 			row := kernel[:radius-j+1]
@@ -263,7 +258,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 			j1 = hi - 1
 		}
 		base := k + radius + gatherLanes - 1
-		var a0, a1, a2, a3, a4, a5, a6, a7 F
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		j := j0
 		for ; j+1 <= j1; j += 2 {
 			pj := src[j]
@@ -312,7 +307,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 			j1 = hi - 1
 		}
 		base := k + radius
-		var acc F
+		var acc float64
 		for j := j0; j <= j1; j++ {
 			acc += src[j] * kernel[base-j]
 		}
@@ -326,7 +321,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 		if j0 < jlo {
 			j0 = jlo
 		}
-		var dn F
+		var dn float64
 		for j := j0; j < hi; j++ {
 			pj := src[j]
 			row := kernel[n-1-j+radius:]
@@ -356,6 +351,59 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 		}
 	}
 	return newLo, newHi
+}
+
+// evolveAdjoint is Eᵀ, the transpose of the one-tick evolution E that
+// evolveWindow applies on the full grid. Column j of E — where a unit of
+// mass at bin j goes in one tick — is evolveWindow's own output for that
+// unit mass (so every boundary rule is E's by construction: the
+// below-grid fold into bin 0, the above-grid fold into the top bin, the
+// sticky-outage stay/escape of bin 0), and it is nonzero only on
+// [lo[j], hi[j]), at most one kernel radius either side of j.
+type evolveAdjoint struct {
+	lo, hi []int
+	w      []float64 // column j's band starts at w[j*stride]
+	stride int
+}
+
+func (m *Model) evolveAdjoint() *evolveAdjoint {
+	n := len(m.probs)
+	a := &evolveAdjoint{lo: make([]int, n), hi: make([]int, n), stride: 2*m.radius + 1}
+	a.w = make([]float64, n*a.stride)
+	unit, col := make([]float64, n), make([]float64, n)
+	for j := range unit {
+		unit[j] = 1
+		a.lo[j], a.hi[j] = evolveWindow(col, unit, m.kernel, m.kernelPad, m.radius, m.outageStay, j, j+1)
+		copy(a.w[j*a.stride:], col[a.lo[j]:a.hi[j]])
+		unit[j] = 0
+	}
+	return a
+}
+
+// apply sets dst = Eᵀ·c, that is dst[j] = Σ_k E[k][j]·c[k], so that
+// ⟨dst, p⟩ = ⟨c, E·p⟩ for every posterior p: mixing c against the evolved
+// posterior equals mixing Eᵀ·c against the current one. The weights are
+// non-negative and each dst[j] sums its terms in an order that does not
+// depend on c, so c ≤ c' pointwise implies dst ≤ dst' pointwise in
+// floating point too (multiply and add are monotone). The four partial
+// sums only break the serial add chain.
+func (a *evolveAdjoint) apply(dst, c []float64) {
+	for j := range dst {
+		col := a.w[j*a.stride:][:a.hi[j]-a.lo[j]]
+		cc := c[a.lo[j]:a.hi[j]]
+		var s0, s1, s2, s3 float64
+		k := 0
+		for ; k+3 < len(col); k += 4 {
+			s0 += col[k] * cc[k]
+			s1 += col[k+1] * cc[k+1]
+			s2 += col[k+2] * cc[k+2]
+			s3 += col[k+3] * cc[k+3]
+		}
+		for ; k < len(col); k++ {
+			s0 += col[k] * cc[k]
+		}
+		dst[j] = (s0 + s1) + (s2 + s3)
+	}
 }
 
 // Observe multiplies in the Poisson likelihood of seeing `packets`

@@ -13,10 +13,11 @@
 //  3. renormalizes,
 //
 // which is exact Bayesian filtering on the discretized state space. The
-// forecaster then evolves a copy of the distribution forward without
-// observations and reports, for each of the next 8 ticks, a cautious
+// forecaster then reports, for each of the next 8 ticks, a cautious
 // (default 5th-percentile) lower bound on the cumulative number of packets
-// the link will deliver (§3.3).
+// the link will deliver under the distribution evolved that far forward
+// without observations (§3.3) — an evolution precomputed into the forecast
+// table, so the runtime work is a weighted sum over each λ.
 package core
 
 import "time"
@@ -52,15 +53,6 @@ type Params struct {
 	Confidence float64
 	// ForecastTicks is the forecast horizon in ticks.
 	ForecastTicks int
-	// FastForecast opts the forecaster's lookahead (evolution and
-	// mixture quantiles) into float32 arithmetic. The inference ticks —
-	// and therefore the posterior every forecast starts from — stay
-	// exact float64; only the observation-free lookahead is quantized.
-	// The default (false) is the exact mode guarded by the repository's
-	// bit-identical golden hashes; fast mode trades that exactness for
-	// speed and carries its own pinned golden hash instead
-	// (DESIGN.md §12.4).
-	FastForecast bool
 }
 
 // withDefaults fills zero fields with the paper's frozen constants.

@@ -1,12 +1,7 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,7 +9,7 @@ import (
 // TestForecastAllMatchesForecastAt: ForecastAll must append, per
 // confidence, exactly the block a standalone ForecastAt call appends —
 // bit-identical, for any order, duplicates and extreme values included.
-// This is the contract that lets Fig9's §5.5 sweep share one evolution.
+// This is the contract that lets Fig9's §5.5 sweep share one walk.
 func TestForecastAllMatchesForecastAt(t *testing.T) {
 	forecasters := []*DeliveryForecaster{
 		trainedForecaster(t, 6, 11),
@@ -130,70 +125,5 @@ func TestForecastBatchAllocs(t *testing.T) {
 		buf = ForecastBatch(buf[:0], fs)
 	}); n != 0 {
 		t.Errorf("ForecastBatch allocates %.1f per run, want 0", n)
-	}
-}
-
-// goldenFastForecastHash pins the quantized (FastForecast) mode bit for
-// bit. Exact FP equality with the float64 path cannot hold there, so fast
-// mode carries its own hash instead of the figure hashes: the float32
-// arithmetic is IEEE-exact with no FMA contraction and the flush floors
-// are explicit comparisons, so this digest is platform-independent. Any
-// change to tiny32, tableCut32, the evolution or the mixture arithmetic
-// shows up here (DESIGN.md §12.4).
-const goldenFastForecastHash = "d3460b12728de35cb5f99d6288e454c3880aedf18f72d93e26421699de341bd6"
-
-func TestFastForecastGolden(t *testing.T) {
-	m := NewModel(Params{FastForecast: true})
-	f := NewDeliveryForecaster(m)
-	rng := rand.New(rand.NewSource(99))
-	tau := m.Params().Tick.Seconds()
-	confs := []float64{0.95, 0.75, 0.50, 0.25, 0.05}
-	var b strings.Builder
-	var buf []float64
-	for i := 0; i < 300; i++ {
-		rate := []float64{6, 250, 0, 900}[(i/75)%4]
-		mode := []Observation{ObsExact, ObsExact, ObsAtLeast, ObsSkip}[i%4]
-		f.Tick(float64(poissonSample(rng, rate*tau)), mode)
-		if i%25 == 0 {
-			buf = f.ForecastAll(buf[:0], confs)
-			for _, v := range buf {
-				fmt.Fprintf(&b, "%016x\n", math.Float64bits(v))
-			}
-		}
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	if got := hex.EncodeToString(sum[:]); got != goldenFastForecastHash {
-		t.Errorf("fast-mode golden hash drifted:\n got  %s\n want %s", got, goldenFastForecastHash)
-	}
-}
-
-// TestFastForecastAccuracy bounds the quantization error: the fast-mode
-// cautious bound may differ from the exact one by at most one packet at
-// any tick. (float32 carries ~7 digits; the mixture CDF near a quantile
-// has slope well above the rounding noise, so the crossing count moves by
-// at most one.)
-func TestFastForecastAccuracy(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		exact := NewDeliveryForecaster(NewModel(Params{}))
-		fast := NewDeliveryForecaster(NewModel(Params{FastForecast: true}))
-		rng := rand.New(rand.NewSource(seed))
-		tau := exact.Model().Params().Tick.Seconds()
-		for i := 0; i < 300; i++ {
-			rate := []float64{6, 400, 0}[rng.Intn(3)]
-			obs := float64(poissonSample(rng, rate*tau))
-			exact.Tick(obs, ObsExact)
-			fast.Tick(obs, ObsExact)
-			if i%10 != 0 {
-				continue
-			}
-			fe := exact.Forecast(nil)
-			ff := fast.Forecast(nil)
-			for k := range fe {
-				if math.Abs(fe[k]-ff[k]) > 1 {
-					t.Fatalf("seed %d tick %d horizon %d: exact %v fast %v",
-						seed, i, k, fe[k], ff[k])
-				}
-			}
-		}
 	}
 }

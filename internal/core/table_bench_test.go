@@ -2,15 +2,18 @@ package core
 
 import "testing"
 
-// BenchmarkBuildForecastTable is the cold cost of the flattened CDF
-// table — paid once per process per parameter set, where it used to be
-// paid by every NewDeliveryForecaster.
+// BenchmarkBuildForecastTable is the cold cost of the folded table (CDF
+// rows plus the adjoint evolution applied to each) — paid once per process
+// per parameter set. The unfolded sub-benchmark is the CDF share of it.
 func BenchmarkBuildForecastTable(b *testing.B) {
-	p := DefaultParams()
 	m := NewModel(Params{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildForecastTable(m.binRate, p.Tick.Seconds(), p.ForecastTicks, p.MaxRate)
+	for _, fold := range []bool{true, false} {
+		name := map[bool]string{true: "folded", false: "unfolded"}[fold]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buildForecastTable(m, fold)
+			}
+		})
 	}
 }
 
@@ -18,7 +21,7 @@ func BenchmarkBuildForecastTable(b *testing.B) {
 // Forecast performs once per horizon tick.
 func BenchmarkMixtureQuantile(b *testing.B) {
 	f := trainedForecaster(b, 300, 12)
-	copy(f.cur, f.model.probs)
+	f.w, f.lo, f.hi = f.model.probs, f.model.lo, f.model.hi
 	p := 1 - DefaultConfidence
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

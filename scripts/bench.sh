@@ -49,7 +49,7 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 echo "bench: micro (benchtime $BENCHTIME)..." >&2
-go test -run '^$' -bench 'BenchmarkCoreTick$|BenchmarkCoreForecast$|BenchmarkCoreForecastFast$|BenchmarkForecastSweep$|BenchmarkForecastBatch$' \
+go test -run '^$' -bench 'BenchmarkCoreTick$|BenchmarkCoreForecast$|BenchmarkForecastSweep$|BenchmarkForecastBatch$' \
     -benchmem -benchtime "$BENCHTIME" . | tee -a "$TMP" >&2
 go test -run '^$' -bench 'BenchmarkLoopThroughput$|BenchmarkLoopTimerReuse$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/sim/ | tee -a "$TMP" >&2
@@ -76,7 +76,6 @@ END {
     printf "    \"comment\": \"PR-7 recorded numbers (BENCH_7.json) on the shared dev machine; no cell-world benchmark existed before PR 10, so BenchmarkCellWorld records its own first baseline here\",\n"
     printf "    \"BenchmarkCoreTick\": {\"ns_per_op\": 13116, \"allocs_per_op\": 0},\n"
     printf "    \"BenchmarkCoreForecast\": {\"ns_per_op\": 67778, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkCoreForecastFast\": {\"ns_per_op\": 61565, \"allocs_per_op\": 0},\n"
     printf "    \"BenchmarkForecastSweep\": {\"ns_per_op\": 107364, \"allocs_per_op\": 0},\n"
     printf "    \"BenchmarkForecastBatch\": {\"ns_per_op\": 1222912, \"allocs_per_op\": 0},\n"
     printf "    \"BenchmarkLoopThroughput\": {\"ns_per_op\": 12.43, \"allocs_per_op\": 0},\n"

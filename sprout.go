@@ -88,22 +88,22 @@ const (
 func NewModel(p Params) *Model { return core.NewModel(p) }
 
 // NewDeliveryForecaster builds Sprout's forecaster over a model,
-// precomputing its Poisson tables.
+// precomputing (once per process per parameter set) its forecast table.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return core.NewDeliveryForecaster(m)
 }
 
-// ForecastBatch runs several forecasters' cautious forecasts with their
-// per-tick evolutions interleaved over the shared immutable Poisson table
-// — the cache-friendly entry point a co-scheduled fleet world consumes.
+// ForecastBatch appends several forecasters' cautious forecasts, each
+// exactly what its own Forecast appends — the one call a world that
+// forecasts many co-scheduled flows at the same instant makes.
 func ForecastBatch(dst []float64, fs []*DeliveryForecaster) []float64 {
 	return core.ForecastBatch(dst, fs)
 }
 
 // TableCacheStats reports the process-wide forecast-table cache counters:
-// cache hits, misses that built and stored a table, and uncached builds
-// forced by cache overflow (each of which silently costs a full table
-// rebuild per forecaster).
+// cache hits, misses that built and stored a table (one per parameter
+// set), and uncached builds forced by cache overflow (each of which
+// silently costs a full table rebuild per forecaster).
 func TableCacheStats() (hits, misses, uncached int64) {
 	return core.TableCacheStats()
 }
