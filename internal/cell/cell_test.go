@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -300,6 +301,66 @@ func TestTowerFIFOAndCounters(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Errorf("stale packet was delivered: %v", got)
+	}
+}
+
+// TestTowerReleasesEveryPacket is the tower's half of the ownership rule:
+// delivered packets, random losses, arrivals to a vacated slot and the
+// queue a Detach flushes (including a half-transmitted head) all go back
+// to the pool exactly once — a second release would panic.
+func TestTowerReleasesEveryPacket(t *testing.T) {
+	loop := sim.New()
+	var pool network.Pool
+	delivered := 0
+	tw := NewTower(loop, Config{
+		Process:          &periodicProc{period: time.Millisecond},
+		PropagationDelay: time.Millisecond,
+		LossRate:         0.2,
+		Rand:             rand.New(rand.NewSource(2)),
+		Scheduler:        NewRoundRobin(),
+		Pool:             &pool,
+	}, func(p *network.Packet) {
+		if p.Size != 1000 {
+			t.Fatalf("handler got a released packet: %+v", p)
+		}
+		delivered++
+	})
+	send := func(slot, n int) {
+		for i := 0; i < n; i++ {
+			p := pool.Get()
+			p.Flow, p.Size = uint32(slot), 1000
+			tw.Send(slot, p)
+		}
+	}
+	s0, s1 := tw.Attach(), tw.Attach()
+	send(s0, 40)
+	send(s1, 40)
+	// 1000-byte packets on 1500-byte opportunities: by now one slot holds
+	// a half-transmitted head, and both still have a backlog.
+	loop.Run(10*time.Millisecond + 500*time.Microsecond)
+	if tw.QueueBytes(s1) == 0 {
+		t.Fatal("slot 1 drained before the detach; nothing to flush")
+	}
+	send(s1, 5) // in flight when the slot goes: stale on arrival
+	tw.Detach(s1)
+	loop.Run(200 * time.Millisecond)
+
+	loss, stale := tw.Drops()
+	if loss == 0 || stale != 5 || delivered == 0 {
+		t.Fatalf("want every fate exercised: %d lost, %d stale, %d delivered", loss, stale, delivered)
+	}
+	if got := pool.InUse(); got != 0 {
+		t.Errorf("%d packets still live after the tower drained, want 0", got)
+	}
+
+	// Reset forgets what is queued without releasing it.
+	send(s0, 3)
+	loop.Run(loop.Now() + 1500*time.Microsecond)
+	live := pool.InUse()
+	loop.Reset()
+	tw.Reset(Config{Process: &periodicProc{period: time.Millisecond}, Scheduler: NewRoundRobin(), Pool: &pool}, nil)
+	if got := pool.InUse(); got != live || live == 0 {
+		t.Errorf("tower Reset released packets: %d live before, %d after", live, got)
 	}
 }
 

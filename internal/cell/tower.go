@@ -29,6 +29,12 @@ type Config struct {
 	Rand *rand.Rand
 	// Scheduler apportions opportunities among attached slots. Required.
 	Scheduler Scheduler
+	// Pool, if non-nil, is the arena the tower's packets came from. As
+	// with link.Config.Pool, the tower releases each packet when it leaves
+	// the network: after the delivery handler returns, at a loss or
+	// stale-generation drop, and when Detach flushes a vacated slot's
+	// queue. Reset releases nothing.
+	Pool *network.Pool
 }
 
 // Tower is one shared cell: per-slot FIFO queues (the base station's
@@ -98,7 +104,8 @@ func NewTower(clock sim.Clock, cfg Config, deliver network.Handler) *Tower {
 
 // Reset re-arms the tower for a fresh run on the same clock, retaining
 // every queue ring and slot array. Like link.Reset it must be called at a
-// world boundary; a reset tower is byte-identical to a fresh one.
+// world boundary (queued packets are forgotten, not released: Pool.Reset
+// reclaims them); a reset tower is byte-identical to a fresh one.
 func (t *Tower) Reset(cfg Config, deliver network.Handler) {
 	if cfg.Process == nil {
 		panic("cell: Config requires a Process opportunity source")
@@ -148,14 +155,20 @@ func (t *Tower) Attach() int {
 
 // Detach releases a slot: queued and partially transmitted packets are
 // dropped (a handed-over or departed user's downlink queue does not
-// follow it), in-flight arrivals to the slot are invalidated, and the
-// slot returns to the free list.
+// follow it) and released to the pool, in-flight arrivals to the slot are
+// invalidated, and the slot returns to the free list.
 func (t *Tower) Detach(slot int) {
 	if t.backlogged(slot) {
 		t.sched.Backlog(slot, false)
 	}
 	t.sched.Detach(slot)
-	t.queues[slot].Reset()
+	q := &t.queues[slot]
+	for pkt := q.Pop(); pkt != nil; pkt = q.Pop() {
+		t.cfg.Pool.Put(pkt)
+	}
+	if pkt := t.txPkt[slot]; pkt != nil {
+		t.cfg.Pool.Put(pkt)
+	}
 	t.txPkt[slot], t.txSent[slot] = nil, 0
 	t.gen[slot]++
 	t.free = append(t.free, int32(slot))
@@ -231,10 +244,12 @@ func (t *Tower) enqueue(slot int, gen uint32, pkt *network.Packet) {
 		// The slot was detached (handover or departure) while the packet
 		// was in flight: the radio bearer it was destined for is gone.
 		t.dropsStale++
+		t.cfg.Pool.Put(pkt)
 		return
 	}
 	if t.cfg.LossRate > 0 && t.cfg.Rand.Float64() < t.cfg.LossRate {
 		t.dropsLoss++
+		t.cfg.Pool.Put(pkt)
 		return
 	}
 	pkt.EnqueuedAt = t.clock.Now()
@@ -258,7 +273,6 @@ func (t *Tower) scheduleNextOpportunity() {
 // drains or the budget ends; a drained slot hands the remaining budget to
 // the next pick.
 func (t *Tower) opportunity() {
-	defer t.scheduleNextOpportunity()
 	budget := network.MTU
 	now := t.clock.Now()
 	if t.onOpportunity != nil {
@@ -309,6 +323,7 @@ func (t *Tower) opportunity() {
 		if t.deliver != nil {
 			t.deliver(pkt)
 		}
+		t.cfg.Pool.Put(pkt)
 		if !t.backlogged(slot) {
 			t.sched.Backlog(slot, false)
 			slot = -1
@@ -317,6 +332,7 @@ func (t *Tower) opportunity() {
 	if !progress {
 		t.wasted++
 	}
+	t.scheduleNextOpportunity()
 }
 
 // ring is the power-of-two FIFO ring backing the arrival queue (the

@@ -33,6 +33,7 @@ type CoDel struct {
 	dropping       bool
 
 	drops int64
+	pool  *network.Pool
 }
 
 // New returns a CoDel instance with the given target and interval; zero
@@ -46,6 +47,10 @@ func New(target, interval time.Duration) *CoDel {
 	}
 	return &CoDel{target: target, interval: interval}
 }
+
+// UsePool directs CoDel's head drops to the given arena (the one the
+// link's packets come from); nil leaves them to the garbage collector.
+func (c *CoDel) UsePool(p *network.Pool) { c.pool = p }
 
 // Drops returns the number of packets CoDel has dropped.
 func (c *CoDel) Drops() int64 { return c.drops }
@@ -89,7 +94,8 @@ func (c *CoDel) Next(now time.Duration, q *link.FIFO) *network.Packet {
 			c.dropping = false
 		}
 		for now >= c.dropNext && c.dropping {
-			c.drops++ // drop r.pkt
+			c.drops++
+			c.pool.Put(r.pkt)
 			c.count++
 			r = c.doDequeue(now, q)
 			if !r.okToDrop {
@@ -99,7 +105,8 @@ func (c *CoDel) Next(now time.Duration, q *link.FIFO) *network.Packet {
 			}
 		}
 	} else if r.okToDrop {
-		c.drops++ // drop r.pkt
+		c.drops++
+		c.pool.Put(r.pkt)
 		r = c.doDequeue(now, q)
 		c.dropping = true
 		// Start the next drop cycle near the rate that controlled the

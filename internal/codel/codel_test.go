@@ -132,3 +132,34 @@ func TestCoDelControlLawAccelerates(t *testing.T) {
 		t.Errorf("controlLaw(4) = %v, want half of controlLaw(1) = %v", t4, t1)
 	}
 }
+
+// TestCoDelReleasesDrops: CoDel takes its head drops out of the network,
+// so it is the one to release them. Every packet of a standing queue ends
+// up either returned by Next (the link's to release) or back in the pool.
+func TestCoDelReleasesDrops(t *testing.T) {
+	var pool network.Pool
+	c := New(0, 0)
+	c.UsePool(&pool)
+	var q link.FIFO
+	now := time.Duration(0)
+	var returned int64
+	for i := 0; i < 400; i++ {
+		for q.Len() < 50 {
+			p := pool.Get()
+			p.Size, p.EnqueuedAt = network.MTU, now-200*time.Millisecond
+			q.Push(p)
+		}
+		if p := c.Next(now, &q); p != nil {
+			returned++
+			pool.Put(p) // what the link does once it has delivered it
+		}
+		now += 10 * time.Millisecond
+	}
+	if c.Drops() < 10 {
+		t.Fatalf("only %d drops; the standing queue should keep CoDel dropping", c.Drops())
+	}
+	if got := pool.InUse(); got != q.Len() {
+		t.Errorf("%d packets live with %d queued after %d drops and %d dequeues: drops leak",
+			got, q.Len(), c.Drops(), returned)
+	}
+}

@@ -52,22 +52,27 @@ func TestLinkDeliverySteadyStateAllocs(t *testing.T) {
 // TestLinkProcessSteadyStateAllocs is the streaming counterpart of the
 // test above: a link driven by an on-demand DeliveryProcess (here the §3.1
 // model itself) must also carry packets with zero steady-state
-// allocations — the pull path adds no per-opportunity garbage.
+// allocations — the pull path adds no per-opportunity garbage, and neither
+// does the packet arena: every packet is drawn from a pool and released by
+// the link.
 func TestLinkProcessSteadyStateAllocs(t *testing.T) {
 	m, ok := trace.CanonicalLink("Verizon-LTE-down")
 	if !ok {
 		t.Fatal("canonical link missing")
 	}
 	loop := sim.New()
+	var pool network.Pool
 	delivered := 0
 	l := New(loop, Config{
 		Process:          m.Process(),
 		ProcessSeed:      7,
 		PropagationDelay: 5 * time.Millisecond,
+		Pool:             &pool,
 	}, func(p *network.Packet) { delivered++ })
 
-	pkt := &network.Packet{Size: network.MTU, Payload: make([]byte, 0)}
 	step := func() {
+		pkt := pool.Get() // the link releases it on delivery
+		pkt.Size = network.MTU
 		pkt.SentAt = loop.Now()
 		l.Send(pkt)
 		for before := delivered; delivered == before; {
@@ -82,6 +87,9 @@ func TestLinkProcessSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, step)
 	if allocs != 0 {
 		t.Errorf("steady-state process-driven delivery allocates %v allocs/op, want 0", allocs)
+	}
+	if pool.InUse() != 0 || pool.Allocated() != 64 {
+		t.Errorf("pool holds %d live packets in an arena of %d, want 0 of 64", pool.InUse(), pool.Allocated())
 	}
 }
 

@@ -45,7 +45,8 @@ func (f *FIFO) Pop() *network.Packet {
 }
 
 // Reset empties the queue, dropping all packet references while keeping the
-// ring storage for reuse.
+// ring storage for reuse. It does not release the packets to a pool: it
+// runs at a world boundary, where Pool.Reset reclaims the whole arena.
 func (f *FIFO) Reset() {
 	f.q.reset()
 	f.bytes = 0

@@ -24,7 +24,9 @@ import (
 
 // Dequeuer selects the next packet to transmit from the bottleneck queue.
 // Implementations may drop packets by popping and discarding them (CoDel
-// drops at the head). The default is plain FIFO order.
+// drops at the head); one that does releases each discarded packet to the
+// link's pool, since it is the one taking it out of the network. The
+// default is plain FIFO order.
 type Dequeuer interface {
 	// Next pops the next packet to transmit, or returns nil if the queue
 	// is (effectively) empty. now is the current virtual time.
@@ -77,6 +79,13 @@ type Config struct {
 	Dequeuer Dequeuer
 	// Rand is the randomness source for loss; required if LossRate > 0.
 	Rand *rand.Rand
+	// Pool, if non-nil, is the arena the link's packets came from. The
+	// link releases each packet when it leaves the network — after the
+	// delivery handler returns, or where it is dropped (random loss, tail
+	// drop) — so the handler must not keep the packet or its payload. An
+	// AQM Dequeuer releases its own drops. Reset releases nothing:
+	// Pool.Reset reclaims the arena at the world boundary.
+	Pool *network.Pool
 }
 
 // Link is one direction of an emulated cellular path.
@@ -144,6 +153,8 @@ func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 // and delivery handler replace the old, every queue, counter and log is
 // cleared, and the delivery schedule restarts from the trace's first
 // opportunity — all without freeing the retained rings and log capacity.
+// Packets still queued or in flight are forgotten, not released to the
+// pool: Pool.Reset reclaims them at the same boundary.
 // It must be called at a world boundary, after the clock itself has been
 // reset (or while no link event is pending): a reset link then behaves
 // byte-identically to one freshly built with New.
@@ -283,10 +294,12 @@ type arrival struct {
 func (l *Link) enqueue(pkt *network.Packet) {
 	if l.cfg.LossRate > 0 && l.cfg.Rand.Float64() < l.cfg.LossRate {
 		l.dropsLoss++
+		l.cfg.Pool.Put(pkt)
 		return
 	}
 	if l.cfg.QueueBytes > 0 && l.QueueBytes()+pkt.Size > l.cfg.QueueBytes {
 		l.dropsQueue++
+		l.cfg.Pool.Put(pkt)
 		return
 	}
 	pkt.EnqueuedAt = l.clock.Now()
@@ -307,7 +320,6 @@ func (l *Link) scheduleNextOpportunity() {
 
 // opportunity releases up to MTU bytes from the queue (per-byte accounting).
 func (l *Link) opportunity() {
-	defer l.scheduleNextOpportunity()
 	budget := network.MTU
 	now := l.clock.Now()
 	if l.onOpportunity != nil {
@@ -356,8 +368,10 @@ func (l *Link) opportunity() {
 		if l.deliver != nil {
 			l.deliver(pkt)
 		}
+		l.cfg.Pool.Put(pkt)
 	}
 	if !progress {
 		l.wasted++
 	}
+	l.scheduleNextOpportunity()
 }

@@ -254,3 +254,96 @@ func TestLinkPanicsLossWithoutRand(t *testing.T) {
 	}()
 	New(sim.New(), Config{Trace: mkTrace(time.Millisecond), LossRate: 0.1}, nil)
 }
+
+// TestLinkReleasesEveryPacket is the link's half of the ownership rule:
+// every packet it takes — delivered, lost at random or tail-dropped —
+// goes back to the pool exactly once (a second release would panic), and
+// delivered packets are still live while their handler runs.
+func TestLinkReleasesEveryPacket(t *testing.T) {
+	ops := make([]time.Duration, 2000)
+	for i := range ops {
+		ops[i] = time.Duration(i+1) * time.Millisecond
+	}
+	loop := sim.New()
+	var pool network.Pool
+	var sent, delivered int64
+	l := New(loop, Config{
+		Trace:            mkTrace(ops...),
+		PropagationDelay: 5 * time.Millisecond,
+		LossRate:         0.2,
+		Rand:             rand.New(rand.NewSource(3)),
+		QueueBytes:       20 * network.MTU,
+		Pool:             &pool,
+	}, func(p *network.Packet) {
+		if p.Size != 700 || len(p.Payload) != 4 {
+			t.Fatalf("handler got a released or foreign packet: %+v", p)
+		}
+		delivered++
+	})
+	// Bursts of 60 packets every 25 ms: 700-byte packets leave two per
+	// opportunity, so each burst overflows the 20-MTU queue.
+	var burst func()
+	burst = func() {
+		for i := 0; i < 60; i++ {
+			p := pool.Get()
+			p.Size, p.Seq, p.SentAt = 700, sent, loop.Now()
+			p.Payload = append(p.Payload, "data"...)
+			sent++
+			l.Send(p)
+		}
+		if loop.Now() < time.Second {
+			loop.After(25*time.Millisecond, burst)
+		}
+	}
+	burst()
+	loop.Run(1900 * time.Millisecond) // the last burst has long drained
+
+	loss, queue, _ := l.Drops()
+	if loss == 0 || queue == 0 || delivered == 0 {
+		t.Fatalf("want all three fates exercised: %d lost, %d tail-dropped, %d delivered", loss, queue, delivered)
+	}
+	if loss+queue+delivered != sent {
+		t.Errorf("%d sent != %d lost + %d tail-dropped + %d delivered", sent, loss, queue, delivered)
+	}
+	if got := pool.InUse(); got != 0 {
+		t.Errorf("%d packets still live after the link drained, want 0", got)
+	}
+	if got := pool.Allocated(); got > 128 {
+		t.Errorf("arena grew to %d packets for %d sent; at most 60 in flight + 43 queued are ever live", got, sent)
+	}
+}
+
+// TestLinkResetDoesNotRelease: Reset forgets queued and in-flight packets
+// without releasing them, leaving the arena to Pool.Reset — after both,
+// every packet is handed out exactly once.
+func TestLinkResetDoesNotRelease(t *testing.T) {
+	loop := sim.New()
+	var pool network.Pool
+	cfg := Config{Trace: mkTrace(time.Hour), PropagationDelay: 5 * time.Millisecond, Pool: &pool}
+	l := New(loop, cfg, nil)
+	for i := 0; i < 10; i++ {
+		p := pool.Get()
+		p.Size = network.MTU
+		l.Send(p)
+		if i == 4 {
+			loop.Run(10 * time.Millisecond) // five queued, five to stay in flight
+		}
+	}
+	if l.QueueLen() != 5 {
+		t.Fatalf("QueueLen = %d, want 5", l.QueueLen())
+	}
+	loop.Reset()
+	l.Reset(cfg, nil)
+	if got := pool.InUse(); got != 10 {
+		t.Errorf("link Reset released packets: %d live, want 10", got)
+	}
+	pool.Reset()
+	seen := map[*network.Packet]bool{}
+	for i := 0; i < 64; i++ {
+		p := pool.Get()
+		if seen[p] {
+			t.Fatalf("packet handed out twice after the world boundary")
+		}
+		seen[p] = true
+	}
+}

@@ -10,69 +10,118 @@ const (
 	poolPayloadCap = 128
 )
 
-// Pool is an arena of Packets for one simulation world. Endpoints draw
-// every wire packet from it instead of the heap, so a 150-second run costs
-// a handful of block allocations instead of one per packet — and a *reused*
-// world (engine worker-state reuse) costs none at all, because Reset
-// returns every packet to the pool while retaining the arena.
+// deadSize marks a released packet. No live packet has a negative wire
+// size, so a second Put — or a write to a packet after its release that
+// happens to touch Size — is caught at the next Put or Get.
+const deadSize = -1
+
+// Pool is the packet arena of one simulation world: it holds what is in
+// flight, not everything a run ever sent. Endpoints draw every wire packet
+// from it with Get; whoever takes a packet out of the network hands it
+// back with Put, and the next Get reuses it (LIFO, so a recycled packet is
+// cache-warm). The arena therefore grows to a run's high-water mark of
+// simultaneously live packets and no further, whatever the run's duration;
+// a *reused* world (engine worker-state reuse) allocates nothing at all.
 //
-// The pool never frees individual packets: a packet handed out by Get stays
-// valid (and may be referenced by queues, rings or pending buffers) until
-// the next Reset. Reset is therefore only safe at a world boundary, when
-// every component that could hold a packet has itself been reset or
-// discarded. Pools are not safe for concurrent use; each engine worker owns
-// its own.
+// The ownership rule: a packet belongs to whoever holds it — the endpoint
+// that built it until Conn.Send, then the network. The component that
+// takes it out of the network releases it, exactly once: a link or tower
+// after its delivery handler returns and at every drop site, the tunnel
+// ingress once the packet is copied into a frame, the tunnel egress after
+// its handler returns. A delivery handler must therefore not keep pkt or
+// pkt.Payload after it returns. Put marks the packet dead (Size -1,
+// payload truncated); releasing a dead packet panics, and so does Get when
+// a free-list packet is no longer dead.
 //
-// A nil *Pool is valid and degenerates to plain heap allocation, so
-// components can take an optional pool without branching at every call
-// site.
+// Reset reclaims everything at a world boundary, when every component that
+// could hold a packet has itself been reset or discarded. Component Reset
+// paths (link, tower, FIFO) drop their references without Put: a release
+// there, followed by Pool.Reset handing the same arena slot out again,
+// would put one packet in two hands. Pools are not safe for concurrent
+// use; each engine worker owns its own.
+//
+// A nil *Pool is valid: Get allocates from the heap, Put does nothing and
+// the garbage collector reclaims the packet, so components take an
+// optional pool without branching at every call site (and handlers of
+// pool-less links, as in the realtime tools, may keep or re-send what
+// they are given).
 type Pool struct {
 	blocks [][]Packet
-	used   int // packets handed out since the last Reset
+	used   int       // arena packets handed out since the last Reset
+	free   []*Packet // released packets awaiting reuse, LIFO
 }
 
 // Get returns a packet with zeroed metadata and an empty payload (retained
-// capacity). On a nil pool it allocates from the heap.
+// capacity): the most recently released one if any, else the next from the
+// arena. On a nil pool it allocates from the heap.
 func (p *Pool) Get() *Packet {
 	if p == nil {
 		return &Packet{}
 	}
-	bi, pi := p.used/poolBlock, p.used%poolBlock
-	if bi == len(p.blocks) {
-		block := make([]Packet, poolBlock)
-		slab := make([]byte, poolBlock*poolPayloadCap)
-		for i := range block {
-			lo := i * poolPayloadCap
-			block[i].Payload = slab[lo:lo : lo+poolPayloadCap]
+	var pkt *Packet
+	if n := len(p.free); n > 0 {
+		pkt = p.free[n-1]
+		p.free = p.free[:n-1]
+		if pkt.Size != deadSize {
+			panic("network: packet written after its release")
 		}
-		p.blocks = append(p.blocks, block)
+	} else {
+		bi, pi := p.used/poolBlock, p.used%poolBlock
+		if bi == len(p.blocks) {
+			block := make([]Packet, poolBlock)
+			slab := make([]byte, poolBlock*poolPayloadCap)
+			for i := range block {
+				lo := i * poolPayloadCap
+				block[i].Payload = slab[lo : lo : lo+poolPayloadCap]
+			}
+			p.blocks = append(p.blocks, block)
+		}
+		pkt = &p.blocks[bi][pi]
+		p.used++
 	}
-	pkt := &p.blocks[bi][pi]
-	p.used++
 	pkt.Flow, pkt.Seq, pkt.Size = 0, 0, 0
 	pkt.SentAt, pkt.EnqueuedAt = 0, 0
 	pkt.Payload = pkt.Payload[:0]
 	return pkt
 }
 
-// Reset reclaims every packet at once, retaining the arena (and each
-// packet's payload capacity) for the next run. See the type comment for
-// when this is safe.
+// Put releases a packet that has left the network; the caller must not
+// touch it again. Releasing the same packet twice panics. A packet that
+// did not come from this pool (a scheme that ignores the arena) is adopted
+// into the free list like any other. On a nil pool Put does nothing.
+func (p *Pool) Put(pkt *Packet) {
+	if p == nil {
+		return
+	}
+	if pkt.Size == deadSize {
+		panic("network: packet released twice")
+	}
+	pkt.Size = deadSize
+	pkt.Payload = pkt.Payload[:0]
+	p.free = append(p.free, pkt)
+}
+
+// Reset reclaims every packet at once, live or released, retaining the
+// arena (and each packet's payload capacity) for the next run. See the
+// type comment for when this is safe.
 func (p *Pool) Reset() {
 	if p != nil {
 		p.used = 0
+		p.free = p.free[:0]
 	}
 }
 
-// InUse returns how many packets are currently handed out.
+// InUse returns the live count: packets handed out and not yet released.
 func (p *Pool) InUse() int {
 	if p == nil {
 		return 0
 	}
-	return p.used
+	return p.used - len(p.free)
 }
 
-// Allocated returns the arena capacity in packets.
+// Allocated returns the arena size in packets: the high-water mark of
+// InUse over the pool's life (Reset retains the arena), rounded up to a
+// whole block.
 func (p *Pool) Allocated() int {
 	if p == nil {
 		return 0

@@ -182,28 +182,37 @@ func TestResetReplaysFreshRun(t *testing.T) {
 	var rcv *Receiver
 	var snd *Sender
 	fwd := link.New(loop, link.Config{
-		Trace: ground, PropagationDelay: 20 * time.Millisecond,
+		Trace: ground, PropagationDelay: 20 * time.Millisecond, Pool: &pool,
 	}, func(p *network.Packet) { rcv.Receive(p) })
 	fb := link.New(loop, link.Config{
-		Trace: fbTrace, PropagationDelay: 10 * time.Millisecond,
+		Trace: fbTrace, PropagationDelay: 10 * time.Millisecond, Pool: &pool,
 	}, func(p *network.Packet) { snd.Receive(p) })
 	rcv = NewReceiver(1, loop, fb)
 	rcv.UsePool(&pool)
 	snd = NewSender(SenderConfig{Clock: loop, Conn: fwd, Flow: 1, Pool: &pool})
 	loop.Run(dur)
 	fresh := rcv.Trace("fresh")
+	// The links release what they deliver, so the arena holds the packets
+	// in flight (a window's worth), not the thousands the run sent.
+	arena := pool.Allocated()
+	if live := pool.InUse(); live <= 0 || live > arena || arena > fresh.Count()/4 {
+		t.Errorf("pool: %d live in an arena of %d after %d deliveries", live, arena, fresh.Count())
+	}
 
 	// World boundary: reset everything in construction order, rerun.
 	loop.Reset()
 	pool.Reset()
-	fwd.Reset(link.Config{Trace: ground, PropagationDelay: 20 * time.Millisecond},
+	fwd.Reset(link.Config{Trace: ground, PropagationDelay: 20 * time.Millisecond, Pool: &pool},
 		func(p *network.Packet) { rcv.Receive(p) })
-	fb.Reset(link.Config{Trace: fbTrace, PropagationDelay: 10 * time.Millisecond},
+	fb.Reset(link.Config{Trace: fbTrace, PropagationDelay: 10 * time.Millisecond, Pool: &pool},
 		func(p *network.Packet) { snd.Receive(p) })
 	rcv.Reset(1, loop, fb)
 	snd.Reset(SenderConfig{Clock: loop, Conn: fwd, Flow: 1, Pool: &pool})
 	loop.Run(dur)
 	reused := rcv.Trace("reused")
+	if got := pool.Allocated(); got != arena {
+		t.Errorf("rerun grew the arena from %d to %d packets", arena, got)
+	}
 
 	if fresh.Count() == 0 {
 		t.Fatal("fresh run recorded nothing")

@@ -70,8 +70,8 @@ type cellState struct {
 // cellPort routes one flow's packets to its *current* cell, giving
 // endpoints a stable Conn across handovers: down ports feed the flow's
 // tower slot, up ports its cell's uplink. Sends while unattached (the flow
-// departed, or churned endpoints outliving their span) are dropped — the
-// radio bearer is gone.
+// departed, or churned endpoints outliving their span) are dropped and
+// released — the radio bearer is gone.
 type cellPort struct {
 	cs *cellState
 	fi int32
@@ -81,6 +81,7 @@ type cellPort struct {
 func (p *cellPort) Send(pkt *network.Packet) {
 	ci := p.cs.cellOf[p.fi]
 	if ci < 0 {
+		p.cs.w.pool.Put(pkt)
 		return
 	}
 	if p.up {
@@ -361,11 +362,12 @@ func runCell(spec Spec, w *world) (Result, error) {
 			LossRate:         spec.Loss,
 			Rand:             reseed(&cs.fwdRands[ci], lossFwd),
 			Scheduler:        cs.scheds[ci],
+			Pool:             &w.pool,
 		}
 		if cs.towers[ci] == nil {
-			cs.towers[ci] = cell.NewTower(w.loop, tc, cs.dataFn)
+			cs.towers[ci] = cell.NewTower(w.loop, tc, w.tapped(cs.dataFn))
 		} else {
-			cs.towers[ci].Reset(tc, cs.dataFn)
+			cs.towers[ci].Reset(tc, w.tapped(cs.dataFn))
 		}
 		lc := link.Config{
 			Process:          cs.fbProcs[ci],

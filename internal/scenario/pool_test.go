@@ -1,0 +1,162 @@
+package scenario
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"sprout/internal/network"
+)
+
+// poolHighWater runs the spec on a fresh world and returns the packet
+// arena's size afterwards, in packets.
+func poolHighWater(t *testing.T, spec Spec) int {
+	t.Helper()
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld()
+	if _, err := runNormalized(norm, nil, w); err != nil {
+		t.Fatal(err)
+	}
+	return w.pool.Allocated()
+}
+
+// TestPoolHighWaterIndependentOfDuration pins the arena's contract: it
+// holds what is in flight, so a fixed-roster run's high-water mark does
+// not grow with its duration. A release site that is missed (a CoDel head
+// drop, a random loss) leaks one packet per drop and shows up here as
+// growth between the 30 s and the 300 s run.
+//
+// What bounds the packets in flight differs by scheme. A TCP flow is
+// bounded by its window (Cubic on the unbounded queue: MaxWindow, 2 800
+// segments) or by the AQM, whatever the link does. Sprout and the
+// open-loop app senders are bounded by the longest outage they meet, and a
+// longer run gets more draws at a long one; their specs therefore force
+// one 6 s outage inside the first 30 s, which both runs share (a run's
+// first 30 s do not depend on its duration), and the test asks that
+// nothing after it pushes the arena further.
+func TestPoolHighWaterIndependentOfDuration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight 300-second simulations")
+	}
+	const block = 64 // network.Pool's allocation granule
+	cases := []struct {
+		scheme string
+		loss   float64
+		outage bool
+		bound  int // packets; 0 = none
+	}{
+		{scheme: "cubic", bound: 4096},
+		{scheme: "cubic-codel"},
+		{scheme: "cubic", loss: 0.02},
+		{scheme: "cubic-codel", loss: 0.02},
+		{scheme: "sprout", outage: true},
+		{scheme: "skype", outage: true},
+		{scheme: "sprout", loss: 0.02, outage: true},
+		{scheme: "skype", loss: 0.02, outage: true},
+	}
+	for _, c := range cases {
+		spec := func(d time.Duration) Spec {
+			s := streamSpec(c.scheme, d, d/4, 1)
+			s.Loss = c.loss
+			if c.outage {
+				s.Process.Outages = []OutageWindow{{Start: Duration(10 * time.Second), End: Duration(16 * time.Second)}}
+			}
+			return s
+		}
+		short := poolHighWater(t, spec(30*time.Second))
+		long := poolHighWater(t, spec(300*time.Second))
+		t.Logf("%-11s loss %-4v forced outage %-5v 30 s: %4d packets   300 s: %4d packets",
+			c.scheme, c.loss, c.outage, short, long)
+		if long-short > block || short-long > block {
+			t.Errorf("%s (loss %v): pool high-water %d packets after 30 s, %d after 300 s; want equal within one %d-packet block",
+				c.scheme, c.loss, short, long, block)
+		}
+		if c.bound > 0 && long > c.bound {
+			t.Errorf("%s: pool high-water %d packets, want <= %d", c.scheme, long, c.bound)
+		}
+	}
+}
+
+// scribbleAfter is the delivery tap of TestHandlersDoNotRetainPackets:
+// once the real handler has returned, the packet's metadata and every byte
+// of its payload buffer are overwritten. A handler that kept the packet,
+// or a slice of its payload, reads garbage from then on.
+func scribbleAfter(h network.Handler) network.Handler {
+	return func(p *network.Packet) {
+		h(p)
+		p.Flow, p.Seq, p.Size = 0xdeadbeef, -0x5a5a5a5a, 0x5a5a5a
+		p.SentAt, p.EnqueuedAt = -time.Hour, -time.Hour
+		buf := p.Payload[:cap(p.Payload)]
+		for i := range buf {
+			buf[i] = 0xa5
+		}
+	}
+}
+
+// TestHandlersDoNotRetainPackets enforces the ownership rule from the
+// handlers' side: a delivery handler may not keep pkt or pkt.Payload after
+// it returns, because the network releases the packet for reuse right
+// then. Every registered scheme, a tunnel spec and a churning two-cell
+// spec run once plainly and once with every delivered packet scribbled
+// over as its handler returns; the results must be equal field for field.
+func TestHandlersDoNotRetainPackets(t *testing.T) {
+	type tc struct {
+		name string
+		spec Spec
+	}
+	var cases []tc
+	for _, name := range AllSchemes() {
+		cases = append(cases, tc{name, Spec{
+			Scheme:   name,
+			Link:     "Verizon LTE",
+			Duration: Duration(30 * time.Second),
+			Skip:     Duration(8 * time.Second),
+		}})
+	}
+	cases = append(cases,
+		tc{"tunnel", Spec{
+			Link:     "Verizon LTE",
+			Tunnel:   true,
+			Groups:   []FlowGroup{{Scheme: "cubic", Count: 1}, {Scheme: "skype", Count: 1}},
+			Duration: Duration(20 * time.Second),
+			Skip:     Duration(5 * time.Second),
+			Loss:     0.01,
+			Seed:     2,
+		}},
+		tc{"cell", cellSpec(&CellSpec{
+			Scheduler:    "proportional-fair",
+			Cells:        2,
+			Groups:       []CellGroup{{Scheme: "sprout", Flows: 3}, {Scheme: "cubic", Flows: 3, Cell: 1}, {Scheme: "skype", Flows: 2}},
+			Churn:        &ChurnSpec{Scheme: "vegas", ArrivalRate: 1, MeanLifetime: Duration(3 * time.Second)},
+			HandoverRate: 0.5,
+		}, 12*time.Second, 3*time.Second, 4)},
+	)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			norm, err := c.spec.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := runNormalized(norm, nil, newWorld())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newWorld()
+			w.tap = scribbleAfter
+			scribbled, err := runNormalized(norm, nil, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, scribbled) {
+				t.Errorf("results differ once delivered packets are scribbled over:\nplain     %+v\nscribbled %+v", plain, scribbled)
+			}
+			if len(plain.Flows) == 0 || plain.Delay95 == 0 {
+				t.Errorf("run delivered nothing: %+v", plain)
+			}
+		})
+	}
+}

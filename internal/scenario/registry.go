@@ -34,7 +34,9 @@ type Conn = transport.Conn
 // Endpoint is one flow's pair of packet handlers, as returned by a scheme
 // constructor: Data handles packets delivered over the data link (the
 // receiver side) and Feedback handles packets delivered over the feedback
-// link (the sender side).
+// link (the sender side). A handler must not keep the packet or its
+// payload after it returns: the network releases the packet to the
+// worker's arena right then (DESIGN.md §10).
 type Endpoint struct {
 	Data     network.Handler
 	Feedback network.Handler
@@ -59,8 +61,8 @@ type AttachConfig struct {
 	MSS int
 	// Packets, if non-nil, is the worker's packet arena; endpoints that
 	// honour it draw every wire packet from the arena instead of the
-	// heap. nil (e.g. for externally registered schemes that ignore it)
-	// just means heap allocation.
+	// heap. A scheme that ignores it sends heap packets, which the arena
+	// adopts when the network releases them.
 	Packets *network.Pool
 	// DeferFeedback, if non-nil, is handed to Sprout-family receivers as
 	// their transport.ReceiverConfig.DeferFeedback: the cell world's hub

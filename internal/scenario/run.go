@@ -236,7 +236,10 @@ func runDirect(spec Spec, w *world) (Result, error) {
 
 	var fwdDeq, revDeq link.Dequeuer
 	if spec.useCoDel() {
-		fwdDeq, revDeq = codel.New(0, 0), codel.New(0, 0)
+		f, r := codel.New(0, 0), codel.New(0, 0)
+		f.UsePool(&w.pool)
+		r.UsePool(&w.pool)
+		fwdDeq, revDeq = f, r
 	}
 	// All randomness is job-local: each link's loss RNG is freshly
 	// re-seeded from the spec seed here, inside the job, so concurrent
@@ -330,16 +333,18 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	})
 
 	ingressDown := tunnel.NewIngress() // at A, feeds tunnelSessionDown
-	ingressUp := tunnel.NewIngress()   // at B, feeds tunnelSessionUp
+	ingressDown.UsePool(&w.pool)
+	ingressUp := tunnel.NewIngress() // at B, feeds tunnelSessionUp
+	ingressUp.UsePool(&w.pool)
 
 	// Client endpoints attach after the tunnel machinery, so the egress
 	// handlers late-bind exactly like the direct path's links.
-	egressDown := tunnel.NewEgress(loop, w.fwdHandler)
+	egressDown := tunnel.NewEgress(loop, w.tapped(w.fwdHandler))
 	egressDown.UsePool(&w.pool)
 	trackFlows(spec, w)
 	egressDown.OnDelivery(w.observe)
 	egressDown.RecordDeliveries(spec.KeepDeliveries)
-	egressUp := tunnel.NewEgress(loop, w.revHandler)
+	egressUp := tunnel.NewEgress(loop, w.tapped(w.revHandler))
 	egressUp.UsePool(&w.pool)
 
 	rcvDown = transport.NewReceiver(transport.ReceiverConfig{

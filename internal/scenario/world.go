@@ -43,6 +43,11 @@ type world struct {
 	fwdHandler, revHandler network.Handler
 	observe                func(link.Delivery) // standing acc.Observe ref
 
+	// tap, when set, wraps every delivery handler the world hands to a
+	// link, tower or tunnel egress. Only tests set it (to scribble over
+	// each packet once its handler has returned).
+	tap func(network.Handler) network.Handler
+
 	fwdRand, revRand *rand.Rand
 
 	eps     []flowEndpoint
@@ -134,8 +139,8 @@ func worldFor(ws *engine.WorkerState) *world {
 	return ws.Value(worldKey, func() any { return newWorld() }).(*world)
 }
 
-// begin opens a new run: virtual time rewinds to zero, every packet
-// returns to the arena, per-run wiring clears. Endpoint and link storage
+// begin opens a new run: virtual time rewinds to zero, every packet —
+// live or released — returns to the arena, per-run wiring clears. Endpoint and link storage
 // is retained for the resets that follow.
 func (w *world) begin() {
 	w.loop.Reset()
@@ -145,16 +150,27 @@ func (w *world) begin() {
 	w.flowIDs = w.flowIDs[:0]
 }
 
-// resetLink builds or re-arms one of the world's links. The call schedules
-// the link's first delivery opportunity, so call order (forward before
-// reverse) is part of the determinism contract.
+// resetLink builds or re-arms one of the world's links on the world's
+// packet arena: the link releases every packet it delivers or drops. The
+// call schedules the link's first delivery opportunity, so call order
+// (forward before reverse) is part of the determinism contract.
 func (w *world) resetLink(lp **link.Link, cfg link.Config, deliver network.Handler) *link.Link {
+	cfg.Pool = &w.pool
+	deliver = w.tapped(deliver)
 	if *lp == nil {
 		*lp = link.New(w.loop, cfg, deliver)
 	} else {
 		(*lp).Reset(cfg, deliver)
 	}
 	return *lp
+}
+
+// tapped passes a delivery handler through the world's tap, if one is set.
+func (w *world) tapped(h network.Handler) network.Handler {
+	if w.tap == nil {
+		return h
+	}
+	return w.tap(h)
 }
 
 // reseed returns the retained RNG re-seeded in place (building it on first

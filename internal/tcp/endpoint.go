@@ -50,10 +50,12 @@ type Sender struct {
 	sndUna  segnum // oldest unacknowledged segment
 	dupAcks int
 
-	inRecovery  bool
-	recoverSeq  segnum // nextSeq at the time recovery began
-	sentAt      map[segnum]time.Duration
-	retransmits map[segnum]bool
+	inRecovery bool
+	recoverSeq segnum // nextSeq at the time recovery began
+	// segs holds per-segment state for the outstanding window, based at
+	// sndUna: the first-transmission time (for RTT samples) and whether
+	// the segment was ever retransmitted (Karn's algorithm).
+	segs seqRing[segState]
 
 	// RFC 6298 state.
 	srtt, rttvar time.Duration
@@ -71,12 +73,16 @@ type Sender struct {
 	fastRecov    int64
 }
 
+// segState is one outstanding segment's entry in Sender.segs.
+type segState struct {
+	sentAt time.Duration // valid when sent
+	sent   bool          // transmitted as new data (not only as a retransmission)
+	retx   bool          // retransmitted, or presumed lost by a timeout
+}
+
 // NewSender creates the sender and begins transmitting immediately.
 func NewSender(cfg SenderConfig) *Sender {
-	s := &Sender{
-		sentAt:      make(map[segnum]time.Duration),
-		retransmits: make(map[segnum]bool),
-	}
+	s := &Sender{}
 	s.timeoutFn = s.onTimeout
 	s.startFn = s.trySend
 	s.Reset(cfg)
@@ -84,7 +90,8 @@ func NewSender(cfg SenderConfig) *Sender {
 }
 
 // Reset restores the sender to its freshly constructed state under a new
-// configuration (typically with a fresh CC instance), retaining its maps.
+// configuration (typically with a fresh CC instance), retaining its
+// segment table.
 // Must be called at a world boundary — clock reset, produced packets
 // unreferenced; the initial transmit event is scheduled exactly as
 // NewSender schedules it.
@@ -98,8 +105,7 @@ func (s *Sender) Reset(cfg SenderConfig) {
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.recoverSeq = 0
-	clear(s.sentAt)
-	clear(s.retransmits)
+	s.segs.reset()
 	s.srtt, s.rttvar = 0, 0
 	s.rto = time.Second // RFC 6298 initial RTO
 	s.minRTT = time.Hour
@@ -139,7 +145,7 @@ func (s *Sender) effectiveWindow() float64 {
 func (s *Sender) trySend() {
 	now := s.cfg.Clock.Now()
 	for float64(s.InFlight()) < s.effectiveWindow() {
-		s.transmit(s.nextSeq, now, s.retransmits[s.nextSeq])
+		s.transmit(s.nextSeq, now, s.segs.get(s.sndUna, s.nextSeq).retx)
 		s.nextSeq++
 	}
 	s.armRTO()
@@ -147,11 +153,16 @@ func (s *Sender) trySend() {
 
 func (s *Sender) transmit(seq segnum, now time.Duration, isRetx bool) {
 	pkt := dataPacket(s.cfg.Pool, s.cfg.Flow, seq, s.cfg.MSS, now)
+	// After a timeout rewind a cumulative ACK can carry sndUna past
+	// nextSeq; segments resent from below sndUna have no table entry.
+	st := s.segs.at(s.sndUna, seq)
 	if isRetx {
-		s.retransmits[seq] = true
+		if st != nil {
+			st.retx = true
+		}
 		s.retxSent++
-	} else {
-		s.sentAt[seq] = now
+	} else if st != nil {
+		st.sentAt, st.sent = now, true
 	}
 	s.segmentsSent++
 	s.cfg.Conn.Send(pkt)
@@ -185,7 +196,7 @@ func (s *Sender) onTimeout() {
 	// let slow start resend from the cumulative ACK point. Cumulative
 	// ACKs fast-forward over segments the receiver already holds.
 	for seq := s.sndUna; seq < s.nextSeq; seq++ {
-		s.retransmits[seq] = true
+		s.segs.at(s.sndUna, seq).retx = true
 	}
 	s.nextSeq = s.sndUna
 	s.trySend()
@@ -206,18 +217,16 @@ func (s *Sender) Receive(pkt *network.Packet) {
 		// was not retransmitted (Karn's algorithm).
 		var rtt time.Duration
 		for seq := ack - 1; seq >= s.sndUna; seq-- {
-			if s.retransmits[seq] {
+			st := s.segs.get(s.sndUna, seq)
+			if st.retx {
 				continue
 			}
-			if t0, ok := s.sentAt[seq]; ok {
-				rtt = now - t0
+			if st.sent {
+				rtt = now - st.sentAt
 			}
 			break
 		}
-		for seq := s.sndUna; seq < ack; seq++ {
-			delete(s.sentAt, seq)
-			delete(s.retransmits, seq)
-		}
+		s.segs.clearRange(s.sndUna, ack)
 		s.sndUna = ack
 		s.dupAcks = 0
 		s.backoff = 0
@@ -276,7 +285,7 @@ type Receiver struct {
 	conn    Conn
 	pool    *network.Pool
 	rcvNxt  segnum
-	ooo     map[segnum]bool
+	ooo     seqRing[bool] // segments held above rcvNxt, based at rcvNxt
 	acks    int64
 	segsIn  int64
 	dupsIn  int64
@@ -285,7 +294,7 @@ type Receiver struct {
 
 // NewReceiver creates a TCP receiver; conn carries ACKs back to the sender.
 func NewReceiver(flow uint32, clock sim.Clock, conn Conn) *Receiver {
-	r := &Receiver{ooo: make(map[segnum]bool)}
+	r := &Receiver{}
 	r.Reset(flow, clock, conn)
 	return r
 }
@@ -295,14 +304,14 @@ func NewReceiver(flow uint32, clock sim.Clock, conn Conn) *Receiver {
 func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
 
 // Reset restores the receiver to its freshly constructed state for a new
-// run, retaining its map storage. Must be called at a world boundary.
+// run, retaining its reorder table. Must be called at a world boundary.
 func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn Conn) {
 	if clock == nil || conn == nil {
 		panic("tcp: Receiver requires clock and conn")
 	}
 	r.flow, r.clock, r.conn = flow, clock, conn
 	r.rcvNxt = 0
-	clear(r.ooo)
+	r.ooo.reset()
 	r.acks, r.segsIn, r.dupsIn = 0, 0, 0
 	r.highest = 0
 }
@@ -325,12 +334,12 @@ func (r *Receiver) Receive(pkt *network.Packet) {
 	switch {
 	case h.seq == r.rcvNxt:
 		r.rcvNxt++
-		for r.ooo[r.rcvNxt] {
-			delete(r.ooo, r.rcvNxt)
+		for r.ooo.get(r.rcvNxt, r.rcvNxt) {
+			*r.ooo.at(r.rcvNxt, r.rcvNxt) = false
 			r.rcvNxt++
 		}
 	case h.seq > r.rcvNxt:
-		r.ooo[h.seq] = true
+		*r.ooo.at(r.rcvNxt, h.seq) = true
 	default:
 		r.dupsIn++
 	}

@@ -46,17 +46,38 @@ type modelState struct {
 	inOutage bool
 }
 
+// stepper is a LinkModel prepared for stepping: the model plus the three
+// per-step constants that depend only on it and on modelStep, computed
+// once at set-up instead of on every 10 ms step (two exponentials and a
+// square root per step otherwise).
+type stepper struct {
+	LinkModel
+	pEscape float64 // 1-exp(-λz·dt): chance one step ends an outage
+	pOutage float64 // 1-exp(-OutageRate·dt): chance one step starts one
+	noise   float64 // σ·√dt: the Brownian increment's scale
+}
+
+func (m LinkModel) stepper() stepper {
+	dtSec := modelStep.Seconds()
+	return stepper{
+		LinkModel: m,
+		pEscape:   1 - math.Exp(-m.OutageEscape*dtSec),
+		pOutage:   1 - math.Exp(-m.OutageRate*dtSec),
+		noise:     m.Sigma * math.Sqrt(dtSec),
+	}
+}
+
 // stepOnce advances the rate process by one modelStep and returns the
 // sorted fractional offsets (in [0,1) of the step) of the deliveries drawn
 // for it, reusing the scratch slice. The RNG consumption order is frozen:
 // Generate and ModelProcess both run exactly this sequence, so a given
 // (model, seed) yields one opportunity stream no matter which form pulls
 // it.
-func (m LinkModel) stepOnce(st *modelState, rng *rand.Rand, scratch []float64) []float64 {
+func (m *stepper) stepOnce(st *modelState, rng *rand.Rand, scratch []float64) []float64 {
 	dtSec := modelStep.Seconds()
 	if st.inOutage {
 		// Escape with probability 1-exp(-λz·dt).
-		if rng.Float64() < 1-math.Exp(-m.OutageEscape*dtSec) {
+		if rng.Float64() < m.pEscape {
 			st.inOutage = false
 			// Resume at a fraction of the mean rate: links come back
 			// weak and recover.
@@ -64,12 +85,12 @@ func (m LinkModel) stepOnce(st *modelState, rng *rand.Rand, scratch []float64) [
 		} else {
 			return scratch[:0] // no deliveries during outage
 		}
-	} else if m.OutageRate > 0 && rng.Float64() < 1-math.Exp(-m.OutageRate*dtSec) {
+	} else if m.OutageRate > 0 && rng.Float64() < m.pOutage {
 		st.inOutage = true
 		return scratch[:0]
 	}
 	// OU step: mean reversion plus Brownian noise.
-	st.lambda += m.Reversion*(m.MeanRate-st.lambda)*dtSec + m.Sigma*math.Sqrt(dtSec)*rng.NormFloat64()
+	st.lambda += m.Reversion*(m.MeanRate-st.lambda)*dtSec + m.noise*rng.NormFloat64()
 	if st.lambda < 0 {
 		st.lambda = 0
 	}
@@ -103,10 +124,11 @@ func (m LinkModel) Generate(d time.Duration, rng *rand.Rand) *Trace {
 	steps := int(d / modelStep)
 	st := modelState{lambda: m.MeanRate}
 	t := &Trace{Name: m.Name}
+	sp := m.stepper()
 	var offsets []float64
 	for s := 0; s < steps; s++ {
 		start := time.Duration(s) * modelStep
-		offsets = m.stepOnce(&st, rng, offsets)
+		offsets = sp.stepOnce(&st, rng, offsets)
 		for _, o := range offsets {
 			t.Opportunities = append(t.Opportunities, start+time.Duration(o*float64(modelStep)))
 		}

@@ -77,7 +77,7 @@ const maxDrySteps = 1 << 22
 // TestModelProcessMatchesGenerate). Steady-state pulls are allocation-free
 // once the per-step buffers have warmed.
 type ModelProcess struct {
-	m    LinkModel
+	m    stepper
 	rng  *rand.Rand
 	st   modelState
 	step int64 // next 10 ms grid step to advance
@@ -91,7 +91,7 @@ type ModelProcess struct {
 // Process returns a streaming form of the model. The process starts Reset
 // with seed 1; callers normally Reset it with their own seed before use.
 func (m LinkModel) Process() *ModelProcess {
-	p := &ModelProcess{m: m}
+	p := &ModelProcess{m: m.stepper()}
 	p.Reset(1)
 	return p
 }

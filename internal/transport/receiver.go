@@ -289,6 +289,7 @@ func (r *Receiver) emitFeedback(now time.Duration, forecast []float64) {
 	pkt := r.cfg.Pool.Get()
 	payload, err := h.Marshal(pkt.Payload[:0])
 	if err != nil {
+		r.cfg.Pool.Put(pkt)
 		return
 	}
 	pkt.Flow = r.cfg.Flow

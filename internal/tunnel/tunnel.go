@@ -66,6 +66,7 @@ type Ingress struct {
 	backlog int // total queued bytes (frame sizes)
 
 	sender *transport.Sender
+	pool   *network.Pool
 
 	dropsHead int64
 	submitted int64
@@ -86,6 +87,11 @@ func NewIngress() *Ingress {
 // Bind attaches the Sprout sender whose forecast bounds the backlog.
 func (in *Ingress) Bind(s *transport.Sender) { in.sender = s }
 
+// UsePool names the arena client packets come from: Submit copies each
+// packet into a frame and releases it there. nil leaves submitted packets
+// to the garbage collector.
+func (in *Ingress) UsePool(p *network.Pool) { in.pool = p }
+
 // HeadDrops returns how many client packets were dropped from queue heads.
 func (in *Ingress) HeadDrops() int64 { return in.dropsHead }
 
@@ -94,7 +100,9 @@ func (in *Ingress) Backlog() int { return in.backlog }
 
 // Submit enqueues a client packet for carriage through the tunnel.
 // The client packet's wire size (pkt.Size) is what the tunnel accounts and
-// what the egress reproduces.
+// what the egress reproduces. The packet leaves the client's network here:
+// its bytes travel on as a frame, and the packet itself is released to the
+// pool.
 func (in *Ingress) Submit(pkt *network.Packet) {
 	q := in.queues[pkt.Flow]
 	if q == nil {
@@ -107,6 +115,7 @@ func (in *Ingress) Submit(pkt *network.Packet) {
 	q.bytes += pkt.Size
 	in.backlog += pkt.Size
 	in.submitted++
+	in.pool.Put(pkt)
 	in.enforceLimit()
 	// Wake the sender: client arrivals may fill a currently open window.
 	if in.sender != nil {
@@ -217,7 +226,8 @@ func (e *Egress) RecordDeliveries(on bool) { e.record = on }
 func (e *Egress) OnDelivery(fn func(link.Delivery)) { e.onDelivery = fn }
 
 // UsePool directs reconstructed client packets to the given arena (world
-// reuse); nil reverts to heap allocation.
+// reuse); nil reverts to heap allocation. Each packet is released again
+// once the handler returns, so the handler must not keep it.
 func (e *Egress) UsePool(p *network.Pool) { e.pool = p }
 
 // Deliveries returns the recorded client-packet delivery log.
@@ -259,4 +269,5 @@ func (e *Egress) Deliver(payload []byte) {
 	if e.handler != nil {
 		e.handler(pkt)
 	}
+	e.pool.Put(pkt)
 }

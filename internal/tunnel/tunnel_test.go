@@ -153,6 +153,48 @@ func TestEgressRecordsDeliveries(t *testing.T) {
 	}
 }
 
+// TestTunnelReleasesPackets: the ingress releases each client packet once
+// it is copied into a frame; the egress draws the reconstructed packet
+// from the pool and releases it when the handler returns.
+func TestTunnelReleasesPackets(t *testing.T) {
+	var pool network.Pool
+	in := NewIngress()
+	in.UsePool(&pool)
+	for i := 0; i < 3; i++ {
+		p := pool.Get()
+		p.Flow, p.Seq, p.Size = 5, int64(i), 1200
+		p.Payload = append(p.Payload, "client header"...)
+		in.Submit(p)
+	}
+	if got := pool.InUse(); got != 0 {
+		t.Errorf("%d client packets live after Submit, want 0 (their bytes travel on as frames)", got)
+	}
+
+	loop := sim.New()
+	eg := NewEgress(loop, func(p *network.Packet) {
+		if p.Flow != 5 || p.Size != 1200 || string(p.Payload) != "client header" {
+			t.Errorf("reconstructed packet = %+v", p)
+		}
+		if pool.InUse() != 1 {
+			t.Errorf("%d packets live inside the handler, want the one it was given", pool.InUse())
+		}
+	})
+	eg.UsePool(&pool)
+	for {
+		frame, _ := in.NextPayload(network.MTU)
+		if frame == nil {
+			break
+		}
+		eg.Deliver(frame)
+	}
+	if got := pool.InUse(); got != 0 {
+		t.Errorf("%d packets live after the egress handlers returned, want 0", got)
+	}
+	if got := pool.Allocated(); got != 64 {
+		t.Errorf("arena holds %d packets, want one block", got)
+	}
+}
+
 // TestTunnelEndToEnd runs a full Sprout session carrying two client flows
 // across an emulated link and verifies both flows arrive.
 func TestTunnelEndToEnd(t *testing.T) {
