@@ -114,8 +114,8 @@ func (a *AdaptiveForecaster) observeInnovation(observed float64) {
 	// gains (evolution shifts the variance by one tick of diffusion).
 	tau := m.p.Tick.Seconds()
 	var mean, second float64
-	for j, p := range m.probs {
-		lt := m.binRate[j] * tau
+	for j := m.lo; j < m.hi; j++ { // bins outside the window are exact zeros
+		p, lt := m.probs[j], m.binRate[j]*tau
 		mean += p * lt
 		second += p * lt * lt
 	}

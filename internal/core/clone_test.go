@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,6 +53,65 @@ func TestModelCloneMatchesOriginalEvolution(t *testing.T) {
 	for j := range da {
 		if da[j] != db[j] {
 			t.Fatalf("posteriors diverged at bin %d: %v vs %v", j, da[j], db[j])
+		}
+	}
+}
+
+// TestClonesFillObservationRowsOnce: eight clones ticking the same history
+// at once from a cold table (run under -race in CI) must each end bit-equal
+// to a model ticked alone, and the table must hold exactly the rows the
+// history asked for, each filled by one of them.
+func TestClonesFillObservationRowsOnce(t *testing.T) {
+	freshTableCache(t)
+	rng := rand.New(rand.NewSource(7))
+	type obs struct {
+		count float64
+		mode  Observation
+	}
+	history := make([]obs, 300)
+	asked := map[[2]int]bool{}
+	for i := range history {
+		o := obs{float64(poissonSample(rng, 8)), Observation(rng.Intn(3))}
+		if rng.Intn(4) == 0 {
+			o.count += 0.5
+		}
+		history[i] = o
+		switch {
+		case o.mode == ObsExact && o.count == math.Floor(o.count):
+			asked[[2]int{int(ObsExact), int(o.count)}] = true
+		case o.mode == ObsAtLeast && o.count > 0:
+			asked[[2]int{int(ObsAtLeast), int(math.Ceil(o.count)) - 1}] = true
+		}
+	}
+	src := NewModel(Params{})
+	clones := make([]*Model, 8)
+	var wg sync.WaitGroup
+	for i := range clones {
+		clones[i] = src.Clone()
+		wg.Add(1)
+		go func(c *Model) {
+			defer wg.Done()
+			for _, o := range history {
+				c.tick(o.count, o.mode)
+			}
+		}(clones[i])
+	}
+	wg.Wait()
+	for _, o := range history {
+		src.tick(o.count, o.mode)
+	}
+	for i, c := range clones {
+		for j := range c.probs {
+			if c.probs[j] != src.probs[j] {
+				t.Fatalf("clone %d bin %d = %x, alone %x", i, j, c.probs[j], src.probs[j])
+			}
+		}
+	}
+	for mode := range src.obs.rows {
+		for k := range src.obs.rows[mode] {
+			if built, want := src.obs.rows[mode][k].w != nil, asked[[2]int{mode, k}]; built != want {
+				t.Errorf("row (mode %d, count %d): built %v, asked for %v", mode, k, built, want)
+			}
 		}
 	}
 }
@@ -153,6 +213,12 @@ func TestForecastTableCacheBounded(t *testing.T) {
 	tableMu.Unlock()
 	if n > TableCacheLimit {
 		t.Errorf("table cache grew to %d entries, limit %d", n, TableCacheLimit)
+	}
+	obsMu.Lock()
+	n = len(obsTables)
+	obsMu.Unlock()
+	if n > TableCacheLimit {
+		t.Errorf("observation-row cache grew to %d grids, limit %d", n, TableCacheLimit)
 	}
 	// The overflow is what sproutbench's one-time warning reads.
 	if _, _, after := TableCacheStats(); after-before != 4 {

@@ -8,18 +8,26 @@ import (
 	"testing"
 )
 
-// freshTableCache gives the test an empty process-wide table cache and
-// puts the old one back afterwards, so what it asserts about sharing does
-// not depend on which tests filled the 16 slots before it.
+// freshTableCache gives the test empty process-wide caches (forecast tables
+// and observation rows) and puts the old ones back afterwards, so what it
+// asserts about sharing does not depend on which tests filled the 16 slots
+// of either before it.
 func freshTableCache(t *testing.T) {
 	tableMu.Lock()
 	saved := tableCache
 	tableCache = map[tableKey]*tableEntry{}
 	tableMu.Unlock()
+	obsMu.Lock()
+	savedObs := obsTables
+	obsTables = map[obsKey]*obsTable{}
+	obsMu.Unlock()
 	t.Cleanup(func() {
 		tableMu.Lock()
 		tableCache = saved
 		tableMu.Unlock()
+		obsMu.Lock()
+		obsTables = savedObs
+		obsMu.Unlock()
 	})
 }
 

@@ -292,15 +292,7 @@ func (f *DeliveryForecaster) Reset() { f.model.Reset() }
 // Tick implements Forecaster: evolve one tick, then apply the observation
 // in the requested mode.
 func (f *DeliveryForecaster) Tick(observed float64, mode Observation) {
-	f.model.Evolve()
-	switch mode {
-	case ObsExact:
-		f.model.Observe(observed)
-	case ObsAtLeast:
-		f.model.ObserveAtLeast(observed)
-	case ObsSkip:
-		// evolution only
-	}
+	f.model.tick(observed, mode)
 }
 
 // HorizonTicks implements Forecaster.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"sync"
+	"time"
 
 	"sprout/internal/stats"
 )
@@ -13,6 +15,14 @@ import (
 // stray fraction of a packet arrives during an apparent outage.
 const likelihoodRateFloor = 0.5
 
+// trimMass is the mass under which an edge bin of the support window is
+// dropped at the end of every tick. Everything one tick drops is under
+// NumBins·2⁻⁸⁰ < 2⁻⁶⁰, below the rounding (2⁻⁵³) of a sum that equals 1, so
+// the posterior is not renormalized for it. The dropped tail could matter
+// only to later observations 2⁸⁰ times likelier under it than under the
+// mass kept; DESIGN §6.3 measures that case.
+const trimMass = 0x1p-80
+
 // Model is the discretized Bayesian filter over the link rate λ.
 // It is not safe for concurrent use.
 type Model struct {
@@ -20,25 +30,19 @@ type Model struct {
 	binRate  []float64 // λ value of each bin, packets/s
 	binWidth float64   // packets/s between adjacent bins
 	probs    []float64 // current posterior over bins, sums to 1
-	scratch  []float64
-	logw     []float64
-
-	// Per-bin observation constants, precomputed once so Observe is a
-	// single fused pass with one Lgamma per observation instead of one
-	// per bin: the Poisson log-likelihood of k packets under bin j is
-	// k·logRateTau[j] − rateTau[j] − lgamma(k+1).
-	rateTau    []float64 // max(binRate[j], likelihoodRateFloor)·τ
-	logRateTau []float64 // log of the same
+	scratch  []float64 // Evolve's destination; between evolutions, Observe's own row
+	obs      *obsTable // observation rows of this λ grid, shared process-wide
 
 	kernel     []float64 // Brownian transition kernel per tick, by bin offset
 	kernelPad  []float64 // kernel zero-padded for the multi-lane gather (padKernel)
 	radius     int       // kernel half-width in bins
 	outageStay float64   // exp(-λz τ): probability an outage persists a tick
 
-	// [lo, hi) bounds the posterior's nonzero support: probs[j] == 0 for
-	// every j outside the window, always. Evolution widens the window by
-	// the kernel radius; observation tightens it to the surviving mass.
-	// The evolution and mixture-CDF inner loops scan only live bins.
+	// [lo, hi) bounds the posterior's support: probs[j] == 0 for every j
+	// outside the window, always. Evolution widens the window by the kernel
+	// radius; every tick ends by trimming it back to the bins that hold
+	// mass (trim). The evolution, observation and mixture-CDF inner loops
+	// scan only the window.
 	lo, hi int
 
 	ticks int64 // ticks processed (diagnostics)
@@ -54,23 +58,13 @@ func NewModel(p Params) *Model {
 		binRate:  make([]float64, n),
 		probs:    make([]float64, n),
 		scratch:  make([]float64, n),
-		logw:     make([]float64, n),
 		binWidth: p.MaxRate / float64(n-1),
 	}
 	for j := 0; j < n; j++ {
 		m.binRate[j] = float64(j) * m.binWidth
 	}
 	tau := p.Tick.Seconds()
-	m.rateTau = make([]float64, n)
-	m.logRateTau = make([]float64, n)
-	for j := 0; j < n; j++ {
-		rate := m.binRate[j]
-		if rate < likelihoodRateFloor {
-			rate = likelihoodRateFloor
-		}
-		m.rateTau[j] = rate * tau
-		m.logRateTau[j] = math.Log(rate * tau)
-	}
+	m.obs = obsTableFor(p, m.binRate)
 	stdBins := p.Sigma * math.Sqrt(tau) // packets/s of diffusion per tick
 	m.radius = int(math.Ceil(4*stdBins/m.binWidth)) + 1
 	if m.radius >= n {
@@ -84,15 +78,14 @@ func NewModel(p Params) *Model {
 }
 
 // Clone returns an independent copy of the filter: the posterior and
-// scratch buffers are deep-copied, while the bin grid, the precomputed
-// observation constants and the transition kernel — which are never
-// mutated in place (SetSigma installs a fresh kernel) — are shared.
-// Clones may be Ticked concurrently.
+// scratch buffers are deep-copied, while the bin grid, the observation
+// rows (filled single-flight, never rewritten) and the transition kernel —
+// which is never mutated in place (SetSigma installs a fresh kernel) — are
+// shared. Clones may be Ticked concurrently.
 func (m *Model) Clone() *Model {
 	c := *m
 	c.probs = append([]float64(nil), m.probs...)
 	c.scratch = make([]float64, len(m.scratch))
-	c.logw = make([]float64, len(m.logw))
 	return &c
 }
 
@@ -406,105 +399,184 @@ func (a *evolveAdjoint) apply(dst, c []float64) {
 	}
 }
 
+// obsTable holds what an observation needs of one λ grid: the per-bin
+// Poisson means and, per integral count k, the factor each bin's mass is
+// multiplied by — the likelihood of exactly k packets in a tick under
+// ObsExact, the survival P(C > k) under ObsAtLeast. All of it depends on
+// (NumBins, MaxRate, Tick, k) and on nothing a run changes (σ and λz shape
+// the evolution, not the observation, so SetSigma leaves it alone): one
+// table per grid is shared process-wide by every Model and clone, and each
+// row is filled by its first user, single-flight, and never written again.
+// A grid retains at most 2·rows·NumBins·8 bytes (~0.23 MB at the defaults).
+type obsTable struct {
+	rateTau    []float64   // max(binRate[j], likelihoodRateFloor)·τ
+	logRateTau []float64   // log of the same
+	rows       [2][]obsRow // by mode (ObsExact, ObsAtLeast), then by count
+}
+
+type obsRow struct {
+	once sync.Once
+	w    []float64
+}
+
+type obsKey struct {
+	bins    int
+	maxRate float64
+	tick    time.Duration
+}
+
+var (
+	obsMu     sync.Mutex
+	obsTables = map[obsKey]*obsTable{}
+)
+
+// obsTableFor returns the process-wide table of p's grid. Rows cover counts
+// up to twice what the top bin delivers per tick; rarer counts are computed
+// per observation. Like the forecast-table cache it stops storing at
+// TableCacheLimit grids, past which each model gets a table of its own.
+func obsTableFor(p Params, binRate []float64) *obsTable {
+	key := obsKey{p.NumBins, p.MaxRate, p.Tick}
+	obsMu.Lock()
+	defer obsMu.Unlock()
+	t, ok := obsTables[key]
+	if ok {
+		return t
+	}
+	tau := p.Tick.Seconds()
+	t = &obsTable{rateTau: make([]float64, len(binRate)), logRateTau: make([]float64, len(binRate))}
+	for j, rate := range binRate {
+		if rate < likelihoodRateFloor {
+			rate = likelihoodRateFloor
+		}
+		t.rateTau[j] = rate * tau
+		t.logRateTau[j] = math.Log(rate * tau)
+	}
+	for mode := range t.rows {
+		t.rows[mode] = make([]obsRow, int(2*p.MaxRate*tau)+16)
+	}
+	if len(obsTables) < TableCacheLimit {
+		obsTables[key] = t
+	}
+	return t
+}
+
+// fill computes dst[lo:hi] of the row for count k. The likelihood
+// k·log(λτ) − λτ − lgamma(k+1) is stored as exp(· − max over [lo, hi)): the
+// k-dependent constant cancels in the normalization, and the largest entry
+// is exactly 1, so a row never overflows and underflows only where the
+// count is e⁷⁰⁰ times less likely than under the best bin.
+func (t *obsTable) fill(dst []float64, mode Observation, k float64, lo, hi int) {
+	if mode == ObsAtLeast {
+		for j := lo; j < hi; j++ {
+			dst[j] = 1 - stats.PoissonCDF(t.rateTau[j], int(k))
+		}
+		return
+	}
+	max := math.Inf(-1)
+	for j := lo; j < hi; j++ {
+		dst[j] = k*t.logRateTau[j] - t.rateTau[j]
+		if dst[j] > max {
+			max = dst[j]
+		}
+	}
+	for j := lo; j < hi; j++ {
+		dst[j] = math.Exp(dst[j] - max)
+	}
+}
+
+// row returns the factors for count k >= 0, valid on the support window at
+// least: the shared row when k is integral and inside the table, else the
+// model's scratch (free between evolutions) filled by the same function.
+func (m *Model) row(mode Observation, k float64) []float64 {
+	t := m.obs
+	if i := int(k); float64(i) == k && i < len(t.rows[mode]) {
+		r := &t.rows[mode][i]
+		r.once.Do(func() {
+			r.w = make([]float64, len(t.rateTau))
+			t.fill(r.w, mode, k, 0, len(r.w))
+		})
+		return r.w
+	}
+	t.fill(m.scratch, mode, k, m.lo, m.hi)
+	return m.scratch
+}
+
 // Observe multiplies in the Poisson likelihood of seeing `packets`
 // MTU-equivalents during one tick and renormalizes (§3.2 steps 2–3).
 // packets may be fractional (bytes divided by the MTU).
-//
-// The per-bin log-likelihood uses the precomputed log(λτ) table and hoists
-// the single k-dependent lgamma out of the loop, and every pass scans only
-// the support window. The arithmetic (operand values, operation order) is
-// unchanged, so the posterior is bit-identical to the unfused form.
 func (m *Model) Observe(packets float64) {
 	if packets < 0 {
 		packets = 0
 	}
-	lg, _ := math.Lgamma(packets + 1)
-	lo, hi := m.lo, m.hi
-	maxLog := math.Inf(-1)
-	for j := lo; j < hi; j++ {
-		pj := m.probs[j]
-		if pj == 0 {
-			m.logw[j] = math.Inf(-1)
-			continue
-		}
-		lw := math.Log(pj) + (packets*m.logRateTau[j] - m.rateTau[j] - lg)
-		m.logw[j] = lw
-		if lw > maxLog {
-			maxLog = lw
-		}
-	}
-	if math.IsInf(maxLog, -1) {
-		// Observation is impossible under every hypothesis (can only
-		// happen after numerical collapse): fall back to the prior.
-		m.Reset()
-		return
-	}
-	var sum float64
-	for j := lo; j < hi; j++ {
-		w := math.Exp(m.logw[j] - maxLog)
-		m.probs[j] = w
-		sum += w
-	}
-	inv := 1 / sum
-	// Normalize and tighten the window to the bins whose mass survived
-	// (exp underflow can zero the far tails).
-	nlo, nhi := -1, lo
-	for j := lo; j < hi; j++ {
-		p := m.probs[j] * inv
-		m.probs[j] = p
-		if p != 0 {
-			if nlo < 0 {
-				nlo = j
-			}
-			nhi = j + 1
-		}
-	}
-	m.lo, m.hi = nlo, nhi
+	m.multiply(m.row(ObsExact, packets))
 }
 
 // ObserveAtLeast multiplies in the censored likelihood P(C >= packets) and
 // renormalizes. This is the correct update when the bottleneck queue may
 // have underflowed: the link delivered everything offered, so the count
 // only lower-bounds what the service process could have delivered.
-// A count of zero is a no-op (P(C >= 0) = 1 for every rate).
+// A count of zero multiplies nothing in (P(C >= 0) = 1 for every rate).
 func (m *Model) ObserveAtLeast(packets float64) {
 	if packets <= 0 {
+		m.trim()
 		return
 	}
-	k := int(math.Ceil(packets)) - 1 // survival = 1 - CDF(ceil(k)-1)
-	lo, hi := m.lo, m.hi
+	m.multiply(m.row(ObsAtLeast, math.Ceil(packets)-1)) // P(C >= n) = 1 − CDF(n−1)
+}
+
+// multiply is the observation step: one pass multiplies the window by the
+// row and sums, one normalizes, and trim drops the edges the observation
+// emptied. An observation that leaves no representable mass — impossible
+// under every live hypothesis — falls back to the prior.
+func (m *Model) multiply(row []float64) {
+	p := m.probs[m.lo:m.hi]
+	row = row[m.lo:m.hi]
 	var sum float64
-	for j := lo; j < hi; j++ {
-		if m.probs[j] == 0 {
-			continue
-		}
-		surv := 1 - stats.PoissonCDF(m.rateTau[j], k)
-		m.probs[j] *= surv
-		sum += m.probs[j]
+	for j, w := range row {
+		p[j] *= w
+		sum += p[j]
 	}
-	if sum == 0 {
+	if !(sum >= 0x1p-1022) { // zero, subnormal (1/sum may overflow) or NaN
 		m.Reset()
 		return
 	}
 	inv := 1 / sum
-	nlo, nhi := -1, lo
-	for j := lo; j < hi; j++ {
-		p := m.probs[j] * inv
-		m.probs[j] = p
-		if p != 0 {
-			if nlo < 0 {
-				nlo = j
-			}
-			nhi = j + 1
-		}
+	for j := range p {
+		p[j] *= inv
 	}
-	m.lo, m.hi = nlo, nhi
+	m.trim()
+}
+
+// trim shortens the window from both edges while the edge bin holds less
+// than trimMass, zeroing what it drops so the window invariant holds. The
+// posterior sums to 1, so some bin stays.
+func (m *Model) trim() {
+	lo, hi := m.lo, m.hi
+	for ; lo < hi && m.probs[lo] < trimMass; lo++ {
+		m.probs[lo] = 0
+	}
+	for ; hi > lo && m.probs[hi-1] < trimMass; hi-- {
+		m.probs[hi-1] = 0
+	}
+	m.lo, m.hi = lo, hi
 }
 
 // Tick performs one full inference update: evolve then observe.
-func (m *Model) Tick(packets float64) {
+func (m *Model) Tick(packets float64) { m.tick(packets, ObsExact) }
+
+// tick evolves one tick, then applies the observation in the given mode.
+// Every mode ends in trim — a tick that multiplies nothing in (a skip, or
+// a censored count of zero) too, so the window never grows on idle links.
+func (m *Model) tick(packets float64, mode Observation) {
 	m.Evolve()
-	m.Observe(packets)
+	switch mode {
+	case ObsExact:
+		m.Observe(packets)
+	case ObsAtLeast:
+		m.ObserveAtLeast(packets)
+	case ObsSkip:
+		m.trim()
+	}
 }
 
 // Mean returns the posterior mean rate in packets/s. Bins outside the
@@ -529,11 +601,11 @@ func (m *Model) MAP() float64 {
 	return m.binRate[best]
 }
 
-// Quantile returns the smallest rate r such that P(λ <= r) >= p.
+// Quantile returns the smallest rate r with mass such that P(λ <= r) >= p.
 func (m *Model) Quantile(p float64) float64 {
 	var c float64
-	for j, pj := range m.probs {
-		c += pj
+	for j := m.lo; j < m.hi; j++ {
+		c += m.probs[j]
 		if c >= p {
 			return m.binRate[j]
 		}

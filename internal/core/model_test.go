@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"sprout/internal/stats"
 )
 
 func almostOne(s float64) bool { return math.Abs(s-1) < 1e-9 }
@@ -215,6 +217,65 @@ func TestModelRecoversFromImpossibleObservation(t *testing.T) {
 	m.Observe(1e6)
 	if s := sum(m.Distribution(nil)); !almostOne(s) {
 		t.Errorf("distribution sums to %v after absurd observation", s)
+	}
+}
+
+// TestObservationRows pins what the shared rows hold: survival row k is,
+// bit for bit, the per-bin 1 − PoissonCDF loop the censored update used to
+// run, and likelihood row k is the Poisson likelihood of k scaled so its
+// largest entry is exactly 1.
+func TestObservationRows(t *testing.T) {
+	freshTableCache(t)
+	m := NewModel(Params{})
+	last := len(m.obs.rows[ObsExact]) - 1
+	for _, k := range []int{0, 1, 7, 20, last} {
+		surv := m.row(ObsAtLeast, float64(k))
+		like := m.row(ObsExact, float64(k))
+		lg, _ := math.Lgamma(float64(k) + 1)
+		pmf := make([]float64, len(like))
+		var peak, scale float64
+		for j, rt := range m.obs.rateTau {
+			if want := 1 - stats.PoissonCDF(rt, k); surv[j] != want {
+				t.Fatalf("survival row %d bin %d = %x, want %x", k, j, surv[j], want)
+			}
+			pmf[j] = math.Exp(float64(k)*math.Log(rt) - rt - lg)
+			scale = math.Max(scale, pmf[j])
+			peak = math.Max(peak, like[j])
+		}
+		if peak != 1 {
+			t.Errorf("likelihood row %d peaks at %v, want exactly 1", k, peak)
+		}
+		for j := range like {
+			if math.Abs(like[j]-pmf[j]/scale) > 1e-13 {
+				t.Fatalf("likelihood row %d bin %d = %g, want %g", k, j, like[j], pmf[j]/scale)
+			}
+		}
+	}
+	// Rows are the table's, not the model's: a second model of the grid
+	// reads the same memory, whatever its σ, and SetSigma keeps it.
+	other := NewModel(Params{Sigma: 50, OutageEscape: 3})
+	other.SetSigma(400)
+	if &other.row(ObsExact, 7)[0] != &m.row(ObsExact, 7)[0] {
+		t.Error("models of one grid should share observation rows")
+	}
+	if NewModel(Params{MaxRate: 500}).obs == m.obs || NewModel(Params{NumBins: 64}).obs == m.obs {
+		t.Error("different grids must not share observation rows")
+	}
+	// A fractional count and one past the last row fill the model's own
+	// scratch instead, by the same function.
+	for _, k := range []float64{2.5, float64(last + 1)} {
+		if row := m.row(ObsExact, k); &row[0] != &m.scratch[0] {
+			t.Errorf("count %v should use the model's scratch row", k)
+		}
+	}
+	// Nothing is built until it is used.
+	cold := NewModel(Params{MaxRate: 900})
+	for mode := range cold.obs.rows {
+		for k := range cold.obs.rows[mode] {
+			if cold.obs.rows[mode][k].w != nil {
+				t.Fatalf("row (%d, %d) of an unused grid is already built", mode, k)
+			}
+		}
 	}
 }
 

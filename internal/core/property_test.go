@@ -82,14 +82,16 @@ func TestEvolveMatchesNaiveReference(t *testing.T) {
 
 // TestModelInvariantsUnderRandomOps drives the filter with arbitrary
 // operation sequences and checks the distribution invariants hold at every
-// step: nonnegative, sums to one, and summary statistics within range.
+// step: nonnegative, sums to one, exactly zero outside the support window,
+// summary statistics within range — and that a trim drops no more than
+// NumBins·trimMass, all of it from bins under trimMass at the edges.
 func TestModelInvariantsUnderRandomOps(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(2))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewModel(Params{NumBins: 128})
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(6) {
 			case 0:
 				m.Evolve()
 			case 1:
@@ -98,11 +100,40 @@ func TestModelInvariantsUnderRandomOps(t *testing.T) {
 				m.ObserveAtLeast(rng.Float64() * 10)
 			case 3:
 				m.Tick(float64(rng.Intn(25)))
+			case 4:
+				m.tick(float64(rng.Intn(12)), Observation(rng.Intn(3)))
+			case 5:
+				// Evolve alone does not trim, so the trim can be watched.
+				m.Evolve()
+				before := m.Distribution(nil)
+				m.trim()
+				var dropped float64
+				for j, p := range before {
+					if m.probs[j] == p {
+						continue
+					}
+					if m.probs[j] != 0 || p >= trimMass || (j >= m.lo && j < m.hi) {
+						t.Logf("trim rewrote bin %d: %g -> %g, window [%d,%d)", j, p, m.probs[j], m.lo, m.hi)
+						return false
+					}
+					dropped += p
+				}
+				if dropped > float64(m.NumBins())*trimMass {
+					t.Logf("trim dropped %g", dropped)
+					return false
+				}
+				if m.probs[m.lo] < trimMass || m.probs[m.hi-1] < trimMass {
+					t.Logf("trim left an edge bin under trimMass")
+					return false
+				}
 			}
 			var sum float64
-			d := m.Distribution(nil)
-			for _, p := range d {
+			for j, p := range m.probs {
 				if p < 0 || math.IsNaN(p) {
+					return false
+				}
+				if (j < m.lo || j >= m.hi) && p != 0 {
+					t.Logf("op %d: bin %d = %g outside window [%d,%d)", op, j, p, m.lo, m.hi)
 					return false
 				}
 				sum += p
@@ -121,6 +152,38 @@ func TestModelInvariantsUnderRandomOps(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTrainedWindowNarrowerThanGrid: a filter that has seen traffic scans
+// fewer bins than the grid holds (before the trim the window only ever
+// tightened on exact zeros and stayed at the full grid), and a tick that
+// observes nothing — a skip, or a censored count of zero — widens it by
+// what the diffusion carries over trimMass, not by the kernel radius.
+func TestTrainedWindowNarrowerThanGrid(t *testing.T) {
+	m := NewModel(Params{})
+	for i := 0; i < 200; i++ {
+		m.Tick(6)
+	}
+	if w := m.hi - m.lo; w >= m.NumBins() {
+		t.Errorf("trained window spans %d of %d bins", w, m.NumBins())
+	}
+	for _, mode := range []Observation{ObsSkip, ObsAtLeast} {
+		m.Reset()
+		for i := 0; i < 200; i++ {
+			m.Tick(1)
+		}
+		untrimmed := m.hi
+		for i := 0; i < 3; i++ {
+			m.tick(0, mode)
+			untrimmed += m.radius
+		}
+		if untrimmed >= m.NumBins() {
+			t.Fatalf("mode %d: the untrimmed window would reach the grid edge; train lower", mode)
+		}
+		if m.hi >= untrimmed {
+			t.Errorf("mode %d: three empty ticks widened the window to %d, as far as no trim at all (%d)", mode, m.hi, untrimmed)
+		}
 	}
 }
 
