@@ -45,7 +45,7 @@ type Config struct {
 // over the dedicated link's hot path.
 //
 // With one attached slot under round-robin, a Tower performs exactly the
-// clock-visible operation sequence of link.Link (same reservation, timer
+// clock-visible operation sequence of link.Link (same reservation, event
 // and RNG consumption), so the degenerate one-user cell is byte-identical
 // to the dedicated-link path.
 type Tower struct {
@@ -64,11 +64,11 @@ type Tower struct {
 	nslots int
 	free   []int32 // detached slots available for reuse, LIFO
 
-	// Propagation delay: like link.Link, pending arrivals wait in a ring
-	// drained by one standing timer at reservation priorities, so the
-	// arrival order and tie-break ranks match a per-packet event exactly.
+	// Propagation delay: like link.Link, a packet in flight is a ring
+	// entry holding the priority its arrival event would have had, not an
+	// event; admit moves in the entries whose reservation has passed
+	// before anything reads or changes slot or scheduler state.
 	arrivals ring[towerArrival]
-	arriveFn func()
 
 	opTimer sim.Timer
 	opFn    func()
@@ -96,7 +96,6 @@ type towerArrival struct {
 func NewTower(clock sim.Clock, cfg Config, deliver network.Handler) *Tower {
 	t := &Tower{clock: clock}
 	t.seqr, _ = clock.(sim.Sequencer)
-	t.arriveFn = t.arrive
 	t.opFn = t.opportunity
 	t.Reset(cfg, deliver)
 	return t
@@ -135,6 +134,7 @@ func (t *Tower) Reset(cfg Config, deliver network.Handler) {
 // Attach claims a slot for a flow (reusing the most recently detached
 // slot, else growing the arrays) and returns its index.
 func (t *Tower) Attach() int {
+	t.admit()
 	var slot int
 	if n := len(t.free); n > 0 {
 		slot = int(t.free[n-1])
@@ -158,6 +158,7 @@ func (t *Tower) Attach() int {
 // follow it) and released to the pool, in-flight arrivals to the slot are
 // invalidated, and the slot returns to the free list.
 func (t *Tower) Detach(slot int) {
+	t.admit()
 	if t.backlogged(slot) {
 		t.sched.Backlog(slot, false)
 	}
@@ -190,7 +191,10 @@ func (t *Tower) DeliveredBytes() int64 { return t.delivered }
 
 // Drops returns packets dropped by random loss and by mid-flight slot
 // detach (handover/departure).
-func (t *Tower) Drops() (loss, stale int64) { return t.dropsLoss, t.dropsStale }
+func (t *Tower) Drops() (loss, stale int64) {
+	t.admit()
+	return t.dropsLoss, t.dropsStale
+}
 
 // WastedOpportunities returns opportunities that found no backlogged slot.
 func (t *Tower) WastedOpportunities() int64 { return t.wasted }
@@ -198,6 +202,7 @@ func (t *Tower) WastedOpportunities() int64 { return t.wasted }
 // QueueBytes returns slot's queued bytes including any partially
 // transmitted packet's remainder.
 func (t *Tower) QueueBytes(slot int) int {
+	t.admit()
 	b := t.queues[slot].Bytes()
 	if t.txPkt[slot] != nil {
 		b += t.txPkt[slot].Size - t.txSent[slot]
@@ -207,39 +212,38 @@ func (t *Tower) QueueBytes(slot int) int {
 
 // Send submits a packet toward slot at the current virtual time. The
 // packet crosses the propagation delay, then joins the slot's queue (if
-// the slot is still attached when it lands).
+// the slot is still attached when it lands). As with link.Link.Send, on a
+// virtual-time loop this schedules nothing: the packet lands — queued,
+// lost or stale, and in the last two cases released to the pool — when the
+// tower next looks at its queues.
 func (t *Tower) Send(slot int, pkt *network.Packet) {
 	if t.seqr == nil {
 		// Real-time clock: no priority reservations, one timer per packet.
 		g := t.gen[slot]
-		t.clock.After(t.cfg.PropagationDelay, func() { t.enqueue(slot, g, pkt) })
+		t.clock.After(t.cfg.PropagationDelay, func() { t.enqueue(slot, g, pkt, t.clock.Now()) })
 		return
 	}
 	res := t.seqr.Reserve(t.cfg.PropagationDelay)
-	wasEmpty := t.arrivals.empty()
 	t.arrivals.push(towerArrival{res: res, pkt: pkt, slot: int32(slot), gen: t.gen[slot]})
-	if wasEmpty {
-		t.armArrival()
-	}
 }
 
-func (t *Tower) armArrival() {
-	t.seqr.ScheduleReserved(t.arrivals.peek().res, t.arriveFn)
-}
-
-func (t *Tower) arrive() {
-	a := t.arrivals.pop()
-	if !t.arrivals.empty() {
-		t.armArrival()
+// admit lands every in-flight packet whose arrival event would already
+// have fired, oldest first (link.Link's rule): loss draws, stale drops and
+// Backlog edges then happen in the order, and against the slot state, one
+// event per arrival would have produced.
+func (t *Tower) admit() {
+	for !t.arrivals.empty() && t.seqr.Passed(t.arrivals.peek().res) {
+		a := t.arrivals.pop()
+		t.enqueue(int(a.slot), a.gen, a.pkt, a.res.Time())
 	}
-	t.enqueue(int(a.slot), a.gen, a.pkt)
 }
 
 func (t *Tower) backlogged(slot int) bool {
 	return t.txPkt[slot] != nil || t.queues[slot].Len() > 0
 }
 
-func (t *Tower) enqueue(slot int, gen uint32, pkt *network.Packet) {
+// enqueue lands a packet that finished its propagation delay at instant at.
+func (t *Tower) enqueue(slot int, gen uint32, pkt *network.Packet, at time.Duration) {
 	if gen != t.gen[slot] {
 		// The slot was detached (handover or departure) while the packet
 		// was in flight: the radio bearer it was destined for is gone.
@@ -252,7 +256,7 @@ func (t *Tower) enqueue(slot int, gen uint32, pkt *network.Packet) {
 		t.cfg.Pool.Put(pkt)
 		return
 	}
-	pkt.EnqueuedAt = t.clock.Now()
+	pkt.EnqueuedAt = at
 	was := t.backlogged(slot)
 	t.queues[slot].Push(pkt)
 	if !was {
@@ -273,6 +277,7 @@ func (t *Tower) scheduleNextOpportunity() {
 // drains or the budget ends; a drained slot hands the remaining budget to
 // the next pick.
 func (t *Tower) opportunity() {
+	t.admit()
 	budget := network.MTU
 	now := t.clock.Now()
 	if t.onOpportunity != nil {

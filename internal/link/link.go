@@ -106,15 +106,17 @@ type Link struct {
 	looped *trace.Loop
 
 	// The propagation delay is constant, so packets emerge from it in the
-	// order they were submitted. On a virtual-time loop, instead of one
-	// heap event (and one closure) per in-flight packet, pending arrivals
-	// wait in a ring drained by a single standing timer. Each Send
-	// reserves its (time, sequence) priority up front, so the arrival
-	// fires at exactly the instant and tie-break rank a per-packet event
-	// would have had — experiment outputs are byte-identical.
+	// order they were submitted, and the queue they join drains only at
+	// opportunities: nothing can tell when, between two looks at the
+	// queue, an arrival joined it. On a virtual-time loop a packet in
+	// flight is therefore not an event. Send reserves the (time, sequence)
+	// priority its arrival event would have had and parks the packet in a
+	// ring; admit, run before anything reads or changes the queue, moves
+	// in every packet whose reservation has passed — the same packets, in
+	// the same order, against the same queue state as one event per
+	// packet, so experiment outputs are byte-identical (DESIGN.md §9).
 	seqr     sim.Sequencer // nil on real-time clocks: fall back to After
 	arrivals ring[arrival]
-	arriveFn func() // built once; re-armed for each ring head
 
 	opTimer sim.Timer
 	opFn    func() // built once for the delivery-opportunity schedule
@@ -143,7 +145,6 @@ type Link struct {
 func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 	l := &Link{clock: clock}
 	l.seqr, _ = clock.(sim.Sequencer)
-	l.arriveFn = l.arrive
 	l.opFn = l.opportunity
 	l.Reset(cfg, deliver)
 	return l
@@ -232,6 +233,7 @@ func (l *Link) DeliveredBytes() int64 { return l.delivered }
 // Drops returns packet drop counts by cause (random loss, queue overflow,
 // AQM decision).
 func (l *Link) Drops() (loss, queue, aqm int64) {
+	l.admit()
 	return l.dropsLoss, l.dropsQueue, l.dropsAQM
 }
 
@@ -242,6 +244,11 @@ func (l *Link) WastedOpportunities() int64 { return l.wasted }
 // QueueBytes returns the current queue occupancy in bytes (including any
 // partially transmitted packet's untransmitted remainder).
 func (l *Link) QueueBytes() int {
+	l.admit()
+	return l.queuedBytes()
+}
+
+func (l *Link) queuedBytes() int {
 	b := l.queue.Bytes()
 	if l.txPkt != nil {
 		b += l.txPkt.Size - l.txSent
@@ -250,39 +257,34 @@ func (l *Link) QueueBytes() int {
 }
 
 // QueueLen returns the number of fully queued packets.
-func (l *Link) QueueLen() int { return l.queue.Len() }
+func (l *Link) QueueLen() int {
+	l.admit()
+	return l.queue.Len()
+}
 
 // Send submits a packet to the link at the current virtual time. The packet
-// experiences the propagation delay, then joins the queue.
+// experiences the propagation delay, then joins the queue. On a
+// virtual-time loop this schedules nothing: the packet joins the queue
+// (or is lost, or tail-dropped, and only then released to the pool) when
+// the queue is next looked at, as if at its arrival instant.
 func (l *Link) Send(pkt *network.Packet) {
 	if l.seqr == nil {
 		// Real-time clock: no priority reservations, one timer per packet.
-		l.clock.After(l.cfg.PropagationDelay, func() { l.enqueue(pkt) })
+		l.clock.After(l.cfg.PropagationDelay, func() { l.enqueue(pkt, l.clock.Now()) })
 		return
 	}
-	res := l.seqr.Reserve(l.cfg.PropagationDelay)
-	wasEmpty := l.arrivals.empty()
-	l.arrivals.push(arrival{res: res, pkt: pkt})
-	if wasEmpty {
-		l.armArrival()
-	}
+	l.arrivals.push(arrival{res: l.seqr.Reserve(l.cfg.PropagationDelay), pkt: pkt})
 }
 
-// armArrival points the standing timer at the ring head's reserved
-// priority.
-func (l *Link) armArrival() {
-	l.seqr.ScheduleReserved(l.arrivals.peek().res, l.arriveFn)
-}
-
-// arrive fires at the ring head's reserved instant: exactly one packet
-// completes its propagation delay per firing (matching the one-event-per-
-// packet schedule it replaces), then the timer is re-armed for the next.
-func (l *Link) arrive() {
-	a := l.arrivals.pop()
-	if !l.arrivals.empty() {
-		l.armArrival()
+// admit enqueues every in-flight packet whose arrival event would already
+// have fired, oldest first. It runs before anything reads or changes queue
+// state, so that state is always what one event per arrival would have
+// left.
+func (l *Link) admit() {
+	for !l.arrivals.empty() && l.seqr.Passed(l.arrivals.peek().res) {
+		a := l.arrivals.pop()
+		l.enqueue(a.pkt, a.res.Time())
 	}
-	l.enqueue(a.pkt)
 }
 
 // arrival is one packet in flight across the propagation delay.
@@ -291,18 +293,19 @@ type arrival struct {
 	pkt *network.Packet
 }
 
-func (l *Link) enqueue(pkt *network.Packet) {
+// enqueue lands a packet that finished its propagation delay at instant at.
+func (l *Link) enqueue(pkt *network.Packet, at time.Duration) {
 	if l.cfg.LossRate > 0 && l.cfg.Rand.Float64() < l.cfg.LossRate {
 		l.dropsLoss++
 		l.cfg.Pool.Put(pkt)
 		return
 	}
-	if l.cfg.QueueBytes > 0 && l.QueueBytes()+pkt.Size > l.cfg.QueueBytes {
+	if l.cfg.QueueBytes > 0 && l.queuedBytes()+pkt.Size > l.cfg.QueueBytes {
 		l.dropsQueue++
 		l.cfg.Pool.Put(pkt)
 		return
 	}
-	pkt.EnqueuedAt = l.clock.Now()
+	pkt.EnqueuedAt = at
 	l.queue.Push(pkt)
 }
 
@@ -320,6 +323,7 @@ func (l *Link) scheduleNextOpportunity() {
 
 // opportunity releases up to MTU bytes from the queue (per-byte accounting).
 func (l *Link) opportunity() {
+	l.admit()
 	budget := network.MTU
 	now := l.clock.Now()
 	if l.onOpportunity != nil {

@@ -126,7 +126,7 @@ func TestLinkWastedOpportunityDoesNotBank(t *testing.T) {
 	var at time.Duration
 	l := New(loop, Config{Trace: mkTrace(10*time.Millisecond, 40*time.Millisecond)},
 		func(p *network.Packet) { at = loop.Now() })
-	loop.After(20*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1)) })
+	loop.After(20*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1), loop.Now()) })
 	loop.Run(45 * time.Millisecond)
 	if at != 40*time.Millisecond {
 		t.Errorf("delivered at %v, want 40ms", at)
@@ -143,8 +143,8 @@ func TestLinkTraceRepeats(t *testing.T) {
 		func(p *network.Packet) { got = append(got, loop.Now()) })
 	// Packet enqueued at 25ms: first wrap gives opportunities at
 	// 30ms (=20+10) and 40ms.
-	loop.After(25*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1)) })
-	loop.After(35*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 2)) })
+	loop.After(25*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1), loop.Now()) })
+	loop.After(35*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 2), loop.Now()) })
 	loop.Run(60 * time.Millisecond)
 	if len(got) != 2 || got[0] != 30*time.Millisecond || got[1] != 40*time.Millisecond {
 		t.Errorf("deliveries = %v, want [30ms 40ms]", got)

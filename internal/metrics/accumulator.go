@@ -22,6 +22,11 @@ type flowStream struct {
 	maxSent time.Duration
 	cursor  time.Duration
 	segs    []stats.Segment
+
+	// delay95 is the sealed stream's 95th-percentile delay: a ~31-pass
+	// bisection over segs that the aggregate result, Delay95 and Flow all
+	// ask for. Valid from finish until reset.
+	delay95 time.Duration
 }
 
 func (f *flowStream) reset(from time.Duration) {
@@ -29,6 +34,7 @@ func (f *flowStream) reset(from time.Duration) {
 	f.maxSent = -1
 	f.cursor = from
 	f.segs = f.segs[:0]
+	f.delay95 = 0
 }
 
 // observe folds one delivery into the stream. Deliveries must arrive in
@@ -63,14 +69,18 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 	f.cursor = d.DeliveredAt
 }
 
-// finish appends the tail segment up to the window end. Must be called
-// exactly once, after the last observe.
+// finish appends the tail segment up to the window end and fixes the
+// stream's 95th-percentile delay. Must be called exactly once, after the
+// last observe.
 func (f *flowStream) finish(to time.Duration) {
 	if f.maxSent >= 0 && to > f.cursor {
 		f.segs = append(f.segs, stats.Segment{
 			Start: (f.cursor - f.maxSent).Seconds(),
 			Width: (to - f.cursor).Seconds(),
 		})
+	}
+	if len(f.segs) > 0 {
+		f.delay95 = secondsToDuration(stats.SegmentPercentile(f.segs, 0.95))
 	}
 }
 
@@ -79,13 +89,6 @@ func (f *flowStream) throughputBps(from, to time.Duration) float64 {
 		return 0
 	}
 	return float64(f.bits) / (to - from).Seconds()
-}
-
-func (f *flowStream) delay(p float64) time.Duration {
-	if len(f.segs) == 0 {
-		return 0
-	}
-	return secondsToDuration(stats.SegmentPercentile(f.segs, p))
 }
 
 func (f *flowStream) meanDelay() time.Duration {
@@ -308,7 +311,7 @@ func (a *Accumulator) Evaluate(tr *trace.Trace, prop time.Duration) Result {
 func (a *Accumulator) finishResult(prop time.Duration, capBits int64) Result {
 	r := Result{
 		ThroughputBps: a.agg.throughputBps(a.from, a.to),
-		Delay95:       a.agg.delay(0.95),
+		Delay95:       a.agg.delay95,
 		MeanDelay:     a.agg.meanDelay(),
 	}
 	if len(a.omniSegs) == 0 {
@@ -344,7 +347,7 @@ func (a *Accumulator) EvaluateStreaming() Result {
 // Delay95 returns the aggregate 95% end-to-end delay over all deliveries.
 func (a *Accumulator) Delay95() time.Duration {
 	a.seal()
-	return a.agg.delay(0.95)
+	return a.agg.delay95
 }
 
 // FlowCount returns how many flows Start was asked to track.
@@ -363,5 +366,5 @@ func (a *Accumulator) Flow(i int) (flow uint32, throughputBps float64, delay95 t
 			from, to = a.flowFrom[i], a.flowTo[i]
 		}
 	}
-	return a.flowIDs[i], s.throughputBps(from, to), s.delay(0.95)
+	return a.flowIDs[i], s.throughputBps(from, to), s.delay95
 }

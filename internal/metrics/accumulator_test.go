@@ -180,6 +180,30 @@ func TestAccumulatorSingleFlowUsesAggregate(t *testing.T) {
 	}
 }
 
+// TestAccumulatorDelay95NotCarriedOver: the percentile fixed when a run's
+// streams are sealed belongs to that run — a reused accumulator whose next
+// run delivers nothing reports no delay, in aggregate and per flow.
+func TestAccumulatorDelay95NotCarriedOver(t *testing.T) {
+	flows := []uint32{1, 2}
+	var a Accumulator
+	a.Start(0, 10*time.Second, flows)
+	for _, d := range randomLog(rand.New(rand.NewSource(9)), 300, flows) {
+		a.Observe(d)
+	}
+	if a.Delay95() == 0 {
+		t.Fatal("first run measured no delay")
+	}
+	a.Start(0, 10*time.Second, flows)
+	if got := a.Delay95(); got != 0 {
+		t.Errorf("aggregate Delay95 = %v on a run with no deliveries", got)
+	}
+	for i := range flows {
+		if _, _, got := a.Flow(i); got != 0 {
+			t.Errorf("flow %d delay95 = %v on a run with no deliveries", i, got)
+		}
+	}
+}
+
 // TestAccumulatorObserveAllocs asserts steady-state Observe is
 // allocation-free once the accumulator's buffers have warmed up (the
 // world-reuse contract: a reused accumulator adds nothing to the per-packet

@@ -38,21 +38,32 @@ func TestRescheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReserveScheduleSteadyStateAllocs covers the link's standing-timer
-// pattern: reserve, schedule, fire.
-func TestReserveScheduleSteadyStateAllocs(t *testing.T) {
+// TestReservePassedSteadyStateAllocs covers the link's in-flight pattern:
+// reserve at submission, ask Passed from a later event.
+func TestReservePassedSteadyStateAllocs(t *testing.T) {
 	l := New()
-	fn := func() {}
+	var res Reservation
+	passed := 0
+	var tick func()
+	tick = func() {
+		if l.Passed(res) {
+			passed++
+		}
+		res = l.Reserve(time.Microsecond)
+		l.After(2*time.Microsecond, tick)
+	}
+	l.After(0, tick)
 	for i := 0; i < 100; i++ { // warm the arena
-		l.ScheduleReserved(l.Reserve(0), fn)
 		l.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		l.ScheduleReserved(l.Reserve(time.Microsecond), fn)
 		l.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("Reserve+ScheduleReserved+Step allocates %v allocs/op, want 0", allocs)
+		t.Errorf("Reserve+Passed+Step allocates %v allocs/op, want 0", allocs)
+	}
+	if passed < 1000 {
+		t.Errorf("passed = %d reservations, want one per tick", passed)
 	}
 }
 
@@ -107,17 +118,25 @@ func TestRescheduleInvalidatesOldHandle(t *testing.T) {
 	}
 }
 
-// TestReservedPriorityOrder: an event scheduled later from a reservation
-// fires in the position its reservation was taken, not its scheduling time.
+// TestReservedPriorityOrder: a reservation holds the position in the event
+// order at which it was taken — after the events scheduled for its instant
+// before it, ahead of those scheduled after it.
 func TestReservedPriorityOrder(t *testing.T) {
 	l := New()
-	var order []int
-	res := l.Reserve(time.Millisecond) // reserve first...
-	l.At(time.Millisecond, func() { order = append(order, 2) })
-	l.ScheduleReserved(res, func() { order = append(order, 1) }) // ...schedule second
+	var res Reservation
+	var before, after bool
+	l.At(time.Millisecond, func() { before = l.Passed(res) })
+	res = l.Reserve(time.Millisecond)
+	l.At(time.Millisecond, func() { after = l.Passed(res) })
+	if l.Passed(res) {
+		t.Error("reservation passed before its instant")
+	}
 	l.Run(time.Second)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Errorf("order = %v, want [1 2] (reservation outranks later At)", order)
+	if before || !after {
+		t.Errorf("Passed = %v inside the earlier event, %v inside the later; want false, true", before, after)
+	}
+	if !l.Passed(res) {
+		t.Error("reservation not passed after Run went beyond it")
 	}
 }
 

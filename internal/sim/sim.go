@@ -101,12 +101,13 @@ type slot struct {
 // runs dry. Steady-state experiments stop growing after warmup.
 const slotBlock = 64
 
-// Reservation is a pre-allocated position in the loop's total event order:
-// the (time, sequence) priority an event scheduled now would receive.
-// Components whose callbacks are known to fire in FIFO order (e.g. the
-// link's constant propagation delay) can Reserve at submission time and
-// ScheduleReserved later from a single standing timer, preserving exactly
-// the tie-break order that per-event scheduling would have produced.
+// Reservation is a position in the loop's total event order: the (time,
+// sequence) priority an event scheduled now would receive. A component
+// whose callbacks would only move work into a queue that nothing can look
+// at between two of its own events (the link's propagation delay, DESIGN.md
+// §9) can Reserve at submission time, schedule nothing, and ask Passed
+// when it next looks: it then acts on exactly the work whose per-item
+// events would have fired by now, in the order they would have fired.
 type Reservation struct {
 	at  time.Duration
 	seq uint64
@@ -119,8 +120,12 @@ func (r Reservation) Time() time.Duration { return r.at }
 // (the virtual-time Loop). Real-time clocks do not; callers fall back to
 // per-event After.
 type Sequencer interface {
+	// Reserve consumes the priority an event scheduled d from now would
+	// get, without scheduling anything.
 	Reserve(d time.Duration) Reservation
-	ScheduleReserved(r Reservation, fn func()) Timer
+	// Passed reports whether an event scheduled at r would already have
+	// fired.
+	Passed(r Reservation) bool
 }
 
 // Loop is a discrete-event simulation loop. The zero value is ready to use.
@@ -129,6 +134,13 @@ type Loop struct {
 	seq  uint64
 	heap []*slot // min-heap on (at, seq); every entry is live
 	free []*slot // retired slots awaiting reuse
+
+	// firing bounds the events of the current instant that have fired:
+	// those with a smaller sequence number. It is the firing event's own
+	// number while its handler runs (and after Step returns), seq once
+	// Run has reached its horizon, 0 after Reset. See Passed.
+	firing uint64
+	fired  uint64 // events run since Reset
 }
 
 // New returns a Loop starting at virtual time zero.
@@ -222,19 +234,16 @@ func (l *Loop) Reserve(d time.Duration) Reservation {
 	return r
 }
 
-// ScheduleReserved implements Sequencer: it schedules fn at exactly the
-// reserved priority. The reservation must not be in the past (reserving
-// with d >= 0 and scheduling no later than the reserved time guarantees
-// this); a stale reservation is clamped to the current instant.
-func (l *Loop) ScheduleReserved(r Reservation, fn func()) Timer {
-	at := r.at
-	if at < l.now {
-		at = l.now
+// Passed implements Sequencer: it reports whether an event scheduled at
+// r's priority would already have fired. Inside a handler that is "r sorts
+// before the event now firing"; once Run has returned it is every
+// reservation up to Run's horizon, but not one taken since (its event
+// would wait for the next Run); on a Reset loop it is nothing.
+func (l *Loop) Passed(r Reservation) bool {
+	if r.at != l.now {
+		return r.at < l.now
 	}
-	s := l.alloc()
-	s.at, s.seq, s.fn = at, r.seq, fn
-	l.push(s)
-	return Timer{s: s, gen: s.gen}
+	return r.seq < l.firing
 }
 
 // stopSlot cancels the event in s if the handle generation still matches.
@@ -257,7 +266,8 @@ func (l *Loop) Step() bool {
 	}
 	s := l.heap[0]
 	l.remove(0)
-	l.now = s.at
+	l.now, l.firing = s.at, s.seq
+	l.fired++
 	fn := s.fn
 	l.retire(s) // before fn so a re-arm inside fn can reuse the hot slot
 	fn()
@@ -292,25 +302,32 @@ func (l *Loop) Run(until time.Duration) {
 		if n > 1 {
 			l.siftDown(0)
 		}
-		l.now = s.at
+		l.now, l.firing = s.at, s.seq
+		l.fired++
 		fn := s.fn
 		l.retire(s) // before fn so a re-arm inside fn can reuse the hot slot
 		fn()
 	}
-	if until > l.now {
-		l.now = until
+	if until >= l.now {
+		// Every event up to the horizon has fired, whatever its sequence
+		// number. (An earlier horizon than the clock ran nothing.)
+		l.now, l.firing = until, l.seq
 	}
 }
+
+// Fired returns the number of events run since Reset (or New).
+func (l *Loop) Fired() uint64 { return l.fired }
 
 // Pending returns the number of scheduled events. Cancellation removes
 // events from the heap eagerly, so this is an exact O(1) count.
 func (l *Loop) Pending() int { return len(l.heap) }
 
 // Reset restores the loop to its initial state — virtual time zero, empty
-// event queue, sequence counter zero — without freeing the slot arena, so a
-// reused loop schedules its first events with no allocation. Every pending
-// event is cancelled and every outstanding Timer handle invalidated (Stop
-// on one returns false, exactly as after firing). A reset loop is
+// event queue, sequence and fired-event counters zero — without freeing the
+// slot arena, so a reused loop schedules its first events with no
+// allocation. Every pending event is cancelled and every outstanding Timer
+// handle invalidated (Stop on one returns false, exactly as after firing),
+// and no reservation has passed. A reset loop is
 // indistinguishable from a fresh one to its callers: the (time, sequence)
 // priorities handed out after Reset replay those of a new Loop, which is
 // what keeps reused-world experiment runs byte-identical to fresh-world
@@ -324,6 +341,7 @@ func (l *Loop) Reset() {
 	}
 	l.heap = l.heap[:0]
 	l.now, l.seq = 0, 0
+	l.firing, l.fired = 0, 0
 }
 
 // --- min-heap on (at, seq), indices tracked in the slots ---

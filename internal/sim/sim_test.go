@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -161,4 +162,146 @@ func BenchmarkLoopThroughput(b *testing.B) {
 	l.After(0, tick)
 	b.ResetTimer()
 	l.Run(time.Duration(b.N+1) * time.Microsecond)
+}
+
+func TestFiredCountsEvents(t *testing.T) {
+	l := New()
+	for i := 0; i < 5; i++ {
+		l.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	l.After(time.Millisecond, func() {}).Stop() // a cancelled event never runs
+	l.Reserve(time.Millisecond)                 // nor does a reservation
+	l.Step()
+	l.Run(2 * time.Millisecond)
+	if got := l.Fired(); got != 3 {
+		t.Errorf("Fired = %d after one Step and a Run over two events, want 3", got)
+	}
+	l.Run(time.Second)
+	if got := l.Fired(); got != 5 {
+		t.Errorf("Fired = %d, want 5", got)
+	}
+	l.Reset()
+	if got := l.Fired(); got != 0 {
+		t.Errorf("Fired = %d after Reset, want 0", got)
+	}
+}
+
+// passedProgram runs a seeded random program of loop operations — At,
+// Reschedule, Stop and Reserve with delays small enough to tie, from
+// inside handlers and from outside — and returns the answer to every "has
+// this reservation passed?" it asks: inside handlers, after Run, after a
+// Run whose horizon is behind the clock, after Step, and on a Reset loop.
+// With markers the reservation is a real event scheduled in its place
+// (After consumes the sequence number Reserve would) and the answer is
+// whether that event has fired; without, it is Loop.Passed.
+func passedProgram(seed int64, markers bool) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	l := New()
+	var (
+		answers []bool
+		asks    []func() bool
+		timers  []Timer
+		budget  int
+		handled int
+		handler func()
+	)
+	delay := func() time.Duration {
+		return []time.Duration{-1, 0, 0, 1, 1, 2, 3}[rng.Intn(7)] * time.Millisecond
+	}
+	reserve := func() {
+		d := delay()
+		if markers {
+			fired := false
+			l.After(d, func() { fired = true })
+			asks = append(asks, func() bool { return fired })
+			return
+		}
+		r := l.Reserve(d)
+		asks = append(asks, func() bool { return l.Passed(r) })
+	}
+	ask := func() {
+		for _, a := range asks {
+			answers = append(answers, a())
+		}
+	}
+	act := func(n int) {
+		for ; n > 0 && budget > 0; n-- {
+			budget--
+			switch rng.Intn(6) {
+			case 0, 1:
+				timers = append(timers, l.At(l.Now()+delay(), handler))
+			case 2, 3:
+				reserve()
+			case 4:
+				if len(timers) > 0 {
+					i := rng.Intn(len(timers))
+					timers[i] = l.Reschedule(timers[i], delay(), handler)
+				}
+			case 5:
+				if len(timers) > 0 {
+					timers[rng.Intn(len(timers))].Stop()
+				}
+			}
+		}
+	}
+	handler = func() {
+		handled++
+		ask()
+		act(rng.Intn(4))
+		ask() // reservations taken inside this handler have not passed
+	}
+	for round := 0; round < 2; round++ {
+		asks, timers, budget = asks[:0], timers[:0], 150
+		for phase := 0; budget > 0; phase++ {
+			act(8)
+			ask()
+			switch phase % 3 {
+			case 0:
+				l.Run(l.Now() + delay())
+			case 1:
+				// One program event; the markers sorted before it go with it.
+				l.After(2*time.Millisecond, handler)
+				for before := handled; handled == before; {
+					l.Step()
+				}
+			case 2:
+				l.Run(l.Now() - time.Millisecond) // runs nothing
+			}
+			ask()
+		}
+		l.Run(l.Now() + time.Second)
+		ask()
+		// Nothing has passed on a reset loop, whatever fired before it.
+		l.Reset()
+		asks = asks[:0]
+		reserve()
+		ask()
+	}
+	return answers
+}
+
+// TestPassedMatchesMarkerEvents is Passed's definition as a property: at
+// every point a program can ask, Passed(r) equals "an event scheduled at r
+// has fired".
+func TestPassedMatchesMarkerEvents(t *testing.T) {
+	var yes, no int
+	for seed := int64(1); seed <= 200; seed++ {
+		got, want := passedProgram(seed, false), passedProgram(seed, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d answers from Passed, %d from marker events", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: answer %d: Passed = %v, marker event fired = %v", seed, i, got[i], want[i])
+			}
+			if got[i] {
+				yes++
+			} else {
+				no++
+			}
+		}
+	}
+	if yes < 1000 || no < 1000 {
+		t.Errorf("program asked %d passed and %d pending reservations; want plenty of both", yes, no)
+	}
 }

@@ -78,7 +78,7 @@ const maxDrySteps = 1 << 22
 // once the per-step buffers have warmed.
 type ModelProcess struct {
 	m    stepper
-	rng  *rand.Rand
+	rng  *rand.Rand // nil until the first Reset
 	st   modelState
 	step int64 // next 10 ms grid step to advance
 
@@ -89,11 +89,11 @@ type ModelProcess struct {
 }
 
 // Process returns a streaming form of the model. The process starts Reset
-// with seed 1; callers normally Reset it with their own seed before use.
+// with seed 1; callers normally Reset it with their own seed before use,
+// so no generator is seeded until Reset, or until the first Next of a
+// process that was never Reset.
 func (m LinkModel) Process() *ModelProcess {
-	p := &ModelProcess{m: m.stepper()}
-	p.Reset(1)
-	return p
+	return &ModelProcess{m: m.stepper()}
 }
 
 // Reset implements DeliveryProcess: the stream restarts as
@@ -122,6 +122,9 @@ func (p *ModelProcess) Next() (time.Duration, bool) {
 			v := p.buf[p.pos]
 			p.pos++
 			return v, true
+		}
+		if p.rng == nil {
+			p.Reset(1) // never Reset: the documented default seed
 		}
 		start := time.Duration(p.step) * modelStep
 		p.step++

@@ -58,6 +58,24 @@ func TestModelProcessMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestModelProcessDefaultsToSeedOne: Process seeds nothing, and a process
+// pulled without ever being Reset streams what Reset(1) would.
+func TestModelProcessDefaultsToSeedOne(t *testing.T) {
+	m, _ := CanonicalLink("Verizon-LTE-down")
+	fresh := m.Process()
+	if fresh.rng != nil {
+		t.Error("Process seeded a generator its caller is about to re-seed")
+	}
+	seeded := m.Process()
+	seeded.Reset(1)
+	got, want := pull(t, fresh, 2000), pull(t, seeded, 2000)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("opportunity %d: never-reset process %v, Reset(1) %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestReplayOfGenerateMatchesProcess pins the satellite equivalence:
 // Replay(Generate(m)) and m.Process() are the same stream.
 func TestReplayOfGenerateMatchesProcess(t *testing.T) {
