@@ -408,10 +408,11 @@ func BenchmarkForecastSweepNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkForecastBatch measures 16 co-scheduled forecasters answered in
-// one ForecastBatch call over the shared immutable table, as the cell
-// world's Hub consumes them. ns/op is for the whole batch (divide by 16
-// for per-flow cost).
+// BenchmarkForecastBatch measures 16 forecasters answered in one
+// ForecastBatch call over the shared immutable table — what 16 cell
+// receivers' forecasts cost per tick, each of which a run makes inside
+// the receiver's own tick. ns/op is for the whole batch (divide by 16 for
+// per-flow cost).
 func BenchmarkForecastBatch(b *testing.B) {
 	const flows = 16
 	fs := make([]*sprout.DeliveryForecaster, flows)

@@ -296,8 +296,8 @@ func TestTowerFIFOAndCounters(t *testing.T) {
 	tw.Send(s1, &pkts[3])
 	tw.Detach(s1)
 	loop.Run(20 * time.Millisecond)
-	if loss, stale := tw.Drops(); loss != 0 || stale != 1 {
-		t.Errorf("drops = (%d, %d), want (0, 1)", loss, stale)
+	if loss, _, _ := tw.Drops(); loss != 0 || tw.StaleDrops() != 1 {
+		t.Errorf("drops = (%d, %d), want (0, 1)", loss, tw.StaleDrops())
 	}
 	if len(got) != 3 {
 		t.Errorf("stale packet was delivered: %v", got)
@@ -338,14 +338,15 @@ func TestTowerReleasesEveryPacket(t *testing.T) {
 	// 1000-byte packets on 1500-byte opportunities: by now one slot holds
 	// a half-transmitted head, and both still have a backlog.
 	loop.Run(10*time.Millisecond + 500*time.Microsecond)
-	if tw.QueueBytes(s1) == 0 {
+	if tw.SlotBytes(s1) == 0 {
 		t.Fatal("slot 1 drained before the detach; nothing to flush")
 	}
 	send(s1, 5) // in flight when the slot goes: stale on arrival
 	tw.Detach(s1)
 	loop.Run(200 * time.Millisecond)
 
-	loss, stale := tw.Drops()
+	loss, _, _ := tw.Drops()
+	stale := tw.StaleDrops()
 	if loss == 0 || stale != 5 || delivered == 0 {
 		t.Fatalf("want every fate exercised: %d lost, %d stale, %d delivered", loss, stale, delivered)
 	}

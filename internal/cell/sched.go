@@ -1,51 +1,15 @@
-// Package cell simulates a shared cellular tower: ONE delivery process
-// (the §3.1 stochastic link model, streamed on demand) whose delivery
-// opportunities are apportioned across every attached flow by a pluggable
-// opportunity scheduler, instead of the paper's one-private-link-per-flow
-// layout. A World composes several towers with their uplinks, Poisson
-// flow arrival/departure churn and handover of users between cells, and
-// is engineered as a hot path: flat struct-of-arrays per-flow state, an
-// O(1)/O(log N) scheduler pick, one batched forecast pass per tick for
-// all Sprout flows, and full Reset integration so a pooled world re-runs
-// cell experiments without allocating.
+// Package cell holds what a shared cellular tower adds to a link: the
+// opportunity schedulers that apportion ONE delivery process (the §3.1
+// stochastic link model, streamed on demand) across every attached flow,
+// instead of the paper's one-private-link-per-flow layout, and the
+// precomputed timeline of Poisson flow arrival/departure churn and
+// handover of users between cells. The per-user queues are link.Link's
+// slots. Everything here sits on a hot path: an O(1)/O(log N) scheduler
+// pick over flat per-slot arrays, and full Reset integration so a pooled
+// world re-runs cell experiments without allocating.
 package cell
 
 import "math/bits"
-
-// Scheduler apportions one tower's delivery opportunities among its
-// attached slots. The tower drives it with the slot lifecycle
-// (Attach/Detach), queue-occupancy transitions (Backlog), and the grant
-// loop (Opportunity, then Pick/Grant until the per-opportunity budget or
-// the backlog is exhausted). Implementations must be deterministic: given
-// the same call sequence they must produce the same picks, with ties
-// broken by ascending slot index.
-type Scheduler interface {
-	// Reset clears every slot and restores construction state, keeping
-	// buffers (world reuse).
-	Reset()
-	// Attach introduces slot (growing internal state as needed); the
-	// slot starts idle (not backlogged) with no service history.
-	Attach(slot int)
-	// Detach removes slot; a detached slot is never picked.
-	Detach(slot int)
-	// Backlog reports slot's transition into (true) or out of (false)
-	// the backlogged state. The tower only reports transitions, never
-	// repeats the current state.
-	Backlog(slot int, backlogged bool)
-	// Opportunity marks the start of one delivery opportunity (one
-	// MTU's worth of budget), before any Pick. Proportional-fair decays
-	// every flow's served-throughput EWMA here.
-	Opportunity()
-	// Pick returns the backlogged slot to serve next, or -1 if none is
-	// backlogged. Pick does not consume the slot: the tower serves it
-	// until its queue drains or the budget ends, reporting bytes via
-	// Grant.
-	Pick() int
-	// Grant reports bytes of the current opportunity served to slot.
-	Grant(slot int, bytes int)
-	// Name returns the registry name ("round-robin", ...).
-	Name() string
-}
 
 // SchedulerNames lists the built-in opportunity schedulers in
 // presentation order.

@@ -85,14 +85,18 @@ type Schedule struct {
 // Build (re)computes the timeline. The same config always yields the same
 // schedule, regardless of what the Schedule held before.
 func (s *Schedule) Build(cfg ScheduleConfig) {
+	s.Spans = s.Spans[:0]
+	s.Events = s.Events[:0]
+	s.handoffs = s.handoffs[:0]
+	handover := cfg.HandoverRate > 0 && cfg.Cells > 1
+	if cfg.ArrivalRate <= 0 && !handover {
+		return // a static roster draws nothing: spare it the seeding
+	}
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(cfg.Seed))
 	} else {
 		s.rng.Seed(cfg.Seed)
 	}
-	s.Spans = s.Spans[:0]
-	s.Events = s.Events[:0]
-	s.handoffs = s.handoffs[:0]
 
 	// Draw order is frozen: all arrivals (gap, lifetime, cell per flow),
 	// then all handover instants, then the handover picks in time order.
@@ -121,7 +125,7 @@ func (s *Schedule) Build(cfg ScheduleConfig) {
 	}
 	sort.Stable((*eventsByTime)(&s.Events))
 
-	if cfg.HandoverRate > 0 && cfg.Cells > 1 {
+	if handover {
 		t := time.Duration(0)
 		for {
 			t += time.Duration(s.rng.ExpFloat64() / cfg.HandoverRate * float64(time.Second))

@@ -11,9 +11,16 @@
 //   - optionally, arriving packets are dropped with a fixed probability
 //     (the stochastic-loss mode of §5.6), or the queue is governed by an
 //     AQM such as CoDel consulted at dequeue time (§5.4).
+//
+// A base station keeps one such queue per user (§2.1) and apportions the
+// shared opportunities among them. That is the same mechanism with more
+// slots, so it is the same type: a Link holds one FIFO per attached slot
+// and asks a Scheduler which backlogged slot each opportunity serves. The
+// dedicated link of Cellsim is the one-slot case.
 package link
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -22,22 +29,17 @@ import (
 	"sprout/internal/trace"
 )
 
-// Dequeuer selects the next packet to transmit from the bottleneck queue.
+// Dequeuer selects the next packet to transmit from a slot's queue.
 // Implementations may drop packets by popping and discarding them (CoDel
 // drops at the head); one that does releases each discarded packet to the
-// link's pool, since it is the one taking it out of the network. The
-// default is plain FIFO order.
+// link's pool, since it is the one taking it out of the network. Without
+// one the queue drains in plain FIFO order. A Dequeuer that keeps per-queue state, as
+// CoDel does, governs a one-slot link only.
 type Dequeuer interface {
-	// Next pops the next packet to transmit, or returns nil if the queue
-	// is (effectively) empty. now is the current virtual time.
+	// Next pops the next packet to transmit, or returns nil once the
+	// queue is empty. now is the current virtual time.
 	Next(now time.Duration, q *FIFO) *network.Packet
 }
-
-// DropTail is the default Dequeuer: plain FIFO with no AQM.
-type DropTail struct{}
-
-// Next implements Dequeuer.
-func (DropTail) Next(_ time.Duration, q *FIFO) *network.Packet { return q.Pop() }
 
 // Delivery records one packet delivered by the link, for metrics.
 type Delivery struct {
@@ -65,36 +67,70 @@ type Config struct {
 	Process trace.DeliveryProcess
 	// ProcessSeed seeds Process at New/Reset; ignored for Trace configs.
 	ProcessSeed int64
-	// PropagationDelay is applied to each packet before it joins the
-	// queue. The paper measures ≈20 ms each way on its cellular paths.
+	// PropagationDelay is applied to each packet before it joins its
+	// slot's queue. The paper measures ≈20 ms each way on its cellular
+	// paths.
 	PropagationDelay time.Duration
 	// LossRate, if positive, drops each arriving packet with this
 	// probability before it joins the queue (§5.6).
 	LossRate float64
-	// QueueBytes, if positive, bounds the queue; packets arriving to a
-	// full queue are dropped (tail drop). Zero means unbounded
+	// QueueBytes, if positive, bounds each slot's queue; packets arriving
+	// to a full queue are dropped (tail drop). Zero means unbounded
 	// ("bufferbloated" base station).
 	QueueBytes int
-	// Dequeuer selects packets at transmission time; nil means DropTail.
+	// Dequeuer selects packets at transmission time; nil means plain FIFO
+	// order with no AQM.
 	Dequeuer Dequeuer
+	// Scheduler apportions the opportunities among slots claimed with
+	// Attach (a shared cell). Nil means the dedicated link: one standing
+	// slot, attached at New/Reset, that Send feeds.
+	Scheduler Scheduler
 	// Rand is the randomness source for loss; required if LossRate > 0.
 	Rand *rand.Rand
 	// Pool, if non-nil, is the arena the link's packets came from. The
 	// link releases each packet when it leaves the network — after the
-	// delivery handler returns, or where it is dropped (random loss, tail
-	// drop) — so the handler must not keep the packet or its payload. An
-	// AQM Dequeuer releases its own drops. Reset releases nothing:
-	// Pool.Reset reclaims the arena at the world boundary.
+	// delivery handler returns, where it is dropped (random loss, tail
+	// drop, arrival at a slot detached mid-flight), or when Detach
+	// flushes a vacated slot's queue — so the handler must not keep the
+	// packet or its payload. An AQM Dequeuer releases its own drops.
+	// Reset releases nothing: Pool.Reset reclaims the arena at the world
+	// boundary.
 	Pool *network.Pool
 }
 
-// Link is one direction of an emulated cellular path.
+// userSlot is one user's queue: the FIFO, the packet mid-transmission across
+// opportunities (per-byte accounting, held inline so partial
+// transmissions do not allocate), and the generation in-flight arrivals
+// are checked against.
+type userSlot struct {
+	queue  FIFO
+	txPkt  *network.Packet // nil when no transmission is in progress
+	txSent int             // bytes of txPkt already transmitted
+	gen    uint32          // bumped at Detach
+}
+
+func (s *userSlot) backlogged() bool { return s.txPkt != nil || s.queue.Len() > 0 }
+
+// bytes is the slot's occupancy, including a partially transmitted
+// packet's untransmitted remainder.
+func (s *userSlot) bytes() int {
+	b := s.queue.Bytes()
+	if s.txPkt != nil {
+		b += s.txPkt.Size - s.txSent
+	}
+	return b
+}
+
+// Link is one direction of an emulated cellular path: per-slot FIFO
+// queues drained by a single delivery-opportunity schedule. All per-slot
+// state lives in one flat array indexed by slot — no per-flow goroutines,
+// timers or heap nodes.
 type Link struct {
-	cfg     Config
-	clock   sim.Clock
-	queue   FIFO
-	deq     Dequeuer
-	deliver network.Handler
+	cfg      Config
+	clock    sim.Clock
+	sched    Scheduler
+	standing standing // the scheduler of a link configured without one
+	deliver  network.Handler
 
 	// proc is the active opportunity source. Trace configs stream through
 	// the retained Loop(Replay) below — the same mahimahi wrap semantics
@@ -105,15 +141,20 @@ type Link struct {
 	replay trace.Replay
 	looped *trace.Loop
 
+	slots      []userSlot // slots[:nslots] have been attached at least once
+	nslots     int
+	free       []int32 // detached slots available for reuse, LIFO
+	backlogged int     // how many slots are backlogged
+
 	// The propagation delay is constant, so packets emerge from it in the
-	// order they were submitted, and the queue they join drains only at
+	// order they were submitted, and the queues they join drain only at
 	// opportunities: nothing can tell when, between two looks at the
-	// queue, an arrival joined it. On a virtual-time loop a packet in
+	// queues, an arrival joined one. On a virtual-time loop a packet in
 	// flight is therefore not an event. Send reserves the (time, sequence)
 	// priority its arrival event would have had and parks the packet in a
-	// ring; admit, run before anything reads or changes the queue, moves
-	// in every packet whose reservation has passed — the same packets, in
-	// the same order, against the same queue state as one event per
+	// ring; admit, run before anything reads or changes slot or scheduler
+	// state, moves in every packet whose reservation has passed — the same
+	// packets, in the same order, against the same state as one event per
 	// packet, so experiment outputs are byte-identical (DESIGN.md §9).
 	seqr     sim.Sequencer // nil on real-time clocks: fall back to After
 	arrivals ring[arrival]
@@ -130,18 +171,23 @@ type Link struct {
 	dropsLoss     int64                  // packets dropped by random loss
 	dropsQueue    int64                  // packets dropped by the queue bound
 	dropsAQM      int64                  // packets dropped by the AQM
-	wasted        int64                  // opportunities that found an empty queue
+	dropsStale    int64                  // arrivals whose slot was detached mid-flight
+	wasted        int64                  // opportunities that found no backlog
+}
 
-	// Packet mid-transmission across opportunities (per-byte accounting),
-	// held inline so partial transmissions do not allocate.
-	txPkt  *network.Packet // nil when no transmission is in progress
-	txSent int             // bytes of txPkt already transmitted
+// arrival is one packet in flight across the propagation delay.
+type arrival struct {
+	res  sim.Reservation
+	pkt  *network.Packet
+	slot int32
+	gen  uint32
 }
 
 // New creates a link on the given clock and starts its delivery schedule.
 // deliver is invoked, at the instant each packet fully crosses the link,
-// with the delivered packet. The clock may be a virtual-time sim.Loop or
-// the wall-clock adapter in internal/realtime.
+// with the delivered packet; on a shared link the caller demuxes on the
+// packet's flow id. The clock may be a virtual-time sim.Loop or the
+// wall-clock adapter in internal/realtime.
 func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 	l := &Link{clock: clock}
 	l.seqr, _ = clock.(sim.Sequencer)
@@ -151,11 +197,11 @@ func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 }
 
 // Reset re-arms the link for a fresh run on the same clock: the new config
-// and delivery handler replace the old, every queue, counter and log is
-// cleared, and the delivery schedule restarts from the trace's first
-// opportunity — all without freeing the retained rings and log capacity.
-// Packets still queued or in flight are forgotten, not released to the
-// pool: Pool.Reset reclaims them at the same boundary.
+// and delivery handler replace the old, every slot, queue, counter and log
+// is cleared, and the delivery schedule restarts from the source's first
+// opportunity — all without freeing the retained rings, slot array and log
+// capacity. Packets still queued or in flight are forgotten, not released
+// to the pool: Pool.Reset reclaims them at the same boundary.
 // It must be called at a world boundary, after the clock itself has been
 // reset (or while no link event is pending): a reset link then behaves
 // byte-identically to one freshly built with New.
@@ -182,20 +228,73 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	if cfg.LossRate > 0 && cfg.Rand == nil {
 		panic("link: LossRate requires a Rand source")
 	}
-	deq := cfg.Dequeuer
-	if deq == nil {
-		deq = DropTail{}
+	l.cfg, l.deliver = cfg, deliver
+	if l.sched = cfg.Scheduler; l.sched == nil {
+		l.sched = &l.standing
 	}
-	l.cfg, l.deq, l.deliver = cfg, deq, deliver
-	l.queue.Reset()
+	l.sched.Reset()
+	for i := range l.slots[:l.nslots] {
+		s := &l.slots[i]
+		s.queue.Reset()
+		s.txPkt, s.txSent, s.gen = nil, 0, 0
+	}
+	l.nslots, l.backlogged = 0, 0
+	l.free = l.free[:0]
 	l.arrivals.reset()
 	l.deliveries = l.deliveries[:0]
 	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
-	l.delivered, l.dropsLoss, l.dropsQueue, l.dropsAQM, l.wasted = 0, 0, 0, 0, 0
-	l.txPkt, l.txSent = nil, 0
+	l.delivered, l.dropsLoss, l.dropsQueue, l.dropsAQM, l.dropsStale, l.wasted = 0, 0, 0, 0, 0, 0
+	if cfg.Scheduler == nil {
+		l.Attach() // the standing slot
+	}
 	l.opTimer = sim.Timer{} // any old handle is stale on the reset clock
 	l.scheduleNextOpportunity()
 }
+
+// Attach claims a slot for a user (reusing the most recently detached
+// slot, else growing the array) and returns its index.
+func (l *Link) Attach() int {
+	l.admit()
+	var slot int
+	if n := len(l.free); n > 0 {
+		slot = int(l.free[n-1])
+		l.free = l.free[:n-1]
+	} else {
+		slot = l.nslots
+		l.nslots++
+		if l.nslots > len(l.slots) {
+			l.slots = append(l.slots, userSlot{})
+		}
+	}
+	l.sched.Attach(slot)
+	return slot
+}
+
+// Detach releases a slot: queued and partially transmitted packets are
+// dropped (a handed-over or departed user's queue does not follow it) and
+// released to the pool, in-flight arrivals to the slot are invalidated,
+// and the slot returns to the free list. A delivery handler must not
+// detach the slot whose packet it was handed.
+func (l *Link) Detach(slot int) {
+	l.admit()
+	s := &l.slots[slot]
+	if s.backlogged() {
+		l.setBacklog(slot, false)
+	}
+	l.sched.Detach(slot)
+	for pkt := s.queue.Pop(); pkt != nil; pkt = s.queue.Pop() {
+		l.cfg.Pool.Put(pkt)
+	}
+	if s.txPkt != nil {
+		l.cfg.Pool.Put(s.txPkt)
+	}
+	s.txPkt, s.txSent = nil, 0
+	s.gen++
+	l.free = append(l.free, int32(slot))
+}
+
+// Slots returns the high-water slot count.
+func (l *Link) Slots() int { return l.nslots }
 
 // RecordDeliveries turns on the per-packet delivery log (used by the
 // timeseries experiments that need the raw log after the run).
@@ -227,7 +326,8 @@ func (l *Link) TakeDeliveries() []Delivery {
 	return d
 }
 
-// DeliveredBytes returns the total bytes delivered so far.
+// DeliveredBytes returns the total bytes delivered so far, across all
+// slots.
 func (l *Link) DeliveredBytes() int64 { return l.delivered }
 
 // Drops returns packet drop counts by cause (random loss, queue overflow,
@@ -237,76 +337,95 @@ func (l *Link) Drops() (loss, queue, aqm int64) {
 	return l.dropsLoss, l.dropsQueue, l.dropsAQM
 }
 
-// WastedOpportunities returns how many delivery opportunities found an
-// empty queue.
+// StaleDrops returns how many packets arrived at a slot detached while
+// they were in flight (handover or departure: the radio bearer they were
+// destined for is gone).
+func (l *Link) StaleDrops() int64 {
+	l.admit()
+	return l.dropsStale
+}
+
+// WastedOpportunities returns how many delivery opportunities found no
+// backlogged slot.
 func (l *Link) WastedOpportunities() int64 { return l.wasted }
 
-// QueueBytes returns the current queue occupancy in bytes (including any
+// SlotBytes returns slot's queue occupancy in bytes (including any
 // partially transmitted packet's untransmitted remainder).
-func (l *Link) QueueBytes() int {
+func (l *Link) SlotBytes(slot int) int {
 	l.admit()
-	return l.queuedBytes()
+	return l.slots[slot].bytes()
 }
 
-func (l *Link) queuedBytes() int {
-	b := l.queue.Bytes()
-	if l.txPkt != nil {
-		b += l.txPkt.Size - l.txSent
-	}
-	return b
-}
+// QueueBytes is SlotBytes of the standing slot.
+func (l *Link) QueueBytes() int { return l.SlotBytes(0) }
 
-// QueueLen returns the number of fully queued packets.
+// QueueLen returns the number of packets fully queued at the standing
+// slot.
 func (l *Link) QueueLen() int {
 	l.admit()
-	return l.queue.Len()
+	return l.slots[0].queue.Len()
 }
 
-// Send submits a packet to the link at the current virtual time. The packet
-// experiences the propagation delay, then joins the queue. On a
-// virtual-time loop this schedules nothing: the packet joins the queue
-// (or is lost, or tail-dropped, and only then released to the pool) when
-// the queue is next looked at, as if at its arrival instant.
-func (l *Link) Send(pkt *network.Packet) {
+// Send submits a packet to the standing slot of a dedicated link.
+func (l *Link) Send(pkt *network.Packet) { l.SendTo(0, pkt) }
+
+// SendTo submits a packet toward slot at the current virtual time. The
+// packet experiences the propagation delay, then joins the slot's queue.
+// On a virtual-time loop this schedules nothing: the packet lands — queued,
+// or lost, tail-dropped or stale and only then released to the pool — when
+// the queues are next looked at, as if at its arrival instant.
+func (l *Link) SendTo(slot int, pkt *network.Packet) {
+	gen := l.slots[slot].gen
 	if l.seqr == nil {
 		// Real-time clock: no priority reservations, one timer per packet.
-		l.clock.After(l.cfg.PropagationDelay, func() { l.enqueue(pkt, l.clock.Now()) })
+		l.clock.After(l.cfg.PropagationDelay, func() { l.enqueue(slot, gen, pkt, l.clock.Now()) })
 		return
 	}
-	l.arrivals.push(arrival{res: l.seqr.Reserve(l.cfg.PropagationDelay), pkt: pkt})
+	l.arrivals.push(arrival{res: l.seqr.Reserve(l.cfg.PropagationDelay), pkt: pkt, slot: int32(slot), gen: gen})
 }
 
-// admit enqueues every in-flight packet whose arrival event would already
-// have fired, oldest first. It runs before anything reads or changes queue
-// state, so that state is always what one event per arrival would have
-// left.
+// admit lands every in-flight packet whose arrival event would already
+// have fired, oldest first. It runs before anything reads or changes slot
+// or scheduler state, so loss draws, drops and Backlog edges happen in the
+// order, and against the state, one event per arrival would have produced.
 func (l *Link) admit() {
 	for !l.arrivals.empty() && l.seqr.Passed(l.arrivals.peek().res) {
 		a := l.arrivals.pop()
-		l.enqueue(a.pkt, a.res.Time())
+		l.enqueue(int(a.slot), a.gen, a.pkt, a.res.Time())
 	}
-}
-
-// arrival is one packet in flight across the propagation delay.
-type arrival struct {
-	res sim.Reservation
-	pkt *network.Packet
 }
 
 // enqueue lands a packet that finished its propagation delay at instant at.
-func (l *Link) enqueue(pkt *network.Packet, at time.Duration) {
-	if l.cfg.LossRate > 0 && l.cfg.Rand.Float64() < l.cfg.LossRate {
+func (l *Link) enqueue(slot int, gen uint32, pkt *network.Packet, at time.Duration) {
+	s := &l.slots[slot]
+	switch {
+	case gen != s.gen:
+		l.dropsStale++
+	case l.cfg.LossRate > 0 && l.cfg.Rand.Float64() < l.cfg.LossRate:
 		l.dropsLoss++
-		l.cfg.Pool.Put(pkt)
-		return
-	}
-	if l.cfg.QueueBytes > 0 && l.queuedBytes()+pkt.Size > l.cfg.QueueBytes {
+	case l.cfg.QueueBytes > 0 && s.bytes()+pkt.Size > l.cfg.QueueBytes:
 		l.dropsQueue++
-		l.cfg.Pool.Put(pkt)
+	default:
+		pkt.EnqueuedAt = at
+		was := s.backlogged()
+		s.queue.Push(pkt)
+		if !was {
+			l.setBacklog(slot, true)
+		}
 		return
 	}
-	pkt.EnqueuedAt = at
-	l.queue.Push(pkt)
+	l.cfg.Pool.Put(pkt)
+}
+
+// setBacklog reports slot's backlog transition to the scheduler and keeps
+// the count that lets an opportunity with nothing to serve skip the Pick.
+func (l *Link) setBacklog(slot int, on bool) {
+	if on {
+		l.backlogged++
+	} else {
+		l.backlogged--
+	}
+	l.sched.Backlog(slot, on)
 }
 
 // scheduleNextOpportunity pulls the next delivery opportunity from the
@@ -321,7 +440,10 @@ func (l *Link) scheduleNextOpportunity() {
 	l.opTimer = sim.Reschedule(l.clock, l.opTimer, at-l.clock.Now(), l.opFn)
 }
 
-// opportunity releases up to MTU bytes from the queue (per-byte accounting).
+// opportunity releases up to MTU bytes (per-byte accounting, footnote 6)
+// to scheduler-picked slots: the picked slot is served until its queue
+// drains or the budget ends; a drained slot hands the remaining budget to
+// the next pick.
 func (l *Link) opportunity() {
 	l.admit()
 	budget := network.MTU
@@ -329,31 +451,46 @@ func (l *Link) opportunity() {
 	if l.onOpportunity != nil {
 		l.onOpportunity(now)
 	}
+	l.sched.Opportunity()
 	progress := false
-	for budget > 0 {
-		if l.txPkt == nil {
-			before := l.queue.Len()
-			pkt := l.deq.Next(now, &l.queue)
-			popped := before - l.queue.Len()
-			if pkt == nil {
-				l.dropsAQM += int64(popped)
-				break
-			}
-			l.dropsAQM += int64(popped - 1)
-			l.txPkt, l.txSent = pkt, 0
+	slot := -1
+	for budget > 0 && l.backlogged > 0 {
+		if slot < 0 {
+			slot = l.sched.Pick()
 		}
-		need := l.txPkt.Size - l.txSent
+		s := &l.slots[slot]
+		if s.txPkt == nil {
+			before := s.queue.Len()
+			if before == 0 {
+				panic(fmt.Sprintf("link: scheduler %s picked slot %d, which has no backlog", l.sched.Name(), slot))
+			}
+			if l.cfg.Dequeuer == nil {
+				s.txPkt = s.queue.Pop()
+			} else {
+				s.txPkt = l.cfg.Dequeuer.Next(now, &s.queue)
+				l.dropsAQM += int64(before - s.queue.Len())
+				if s.txPkt == nil {
+					// The AQM dropped everything the slot held.
+					l.setBacklog(slot, false)
+					slot = -1
+					continue
+				}
+				l.dropsAQM-- // the packet it returned is no drop
+			}
+			s.txSent = 0
+		}
+		progress = true
+		need := s.txPkt.Size - s.txSent
 		if need > budget {
-			l.txSent += budget
-			budget = 0
-			progress = true
+			s.txSent += budget
+			l.sched.Grant(slot, budget)
 			break
 		}
 		budget -= need
-		pkt := l.txPkt
-		l.txPkt, l.txSent = nil, 0
+		l.sched.Grant(slot, need)
+		pkt := s.txPkt
+		s.txPkt, s.txSent = nil, 0
 		l.delivered += int64(pkt.Size)
-		progress = true
 		if l.recordLog || l.onDelivery != nil {
 			d := Delivery{
 				SentAt:      pkt.SentAt,
@@ -373,6 +510,11 @@ func (l *Link) opportunity() {
 			l.deliver(pkt)
 		}
 		l.cfg.Pool.Put(pkt)
+		// The handler may have attached slots and so moved the array.
+		if !l.slots[slot].backlogged() {
+			l.setBacklog(slot, false)
+			slot = -1
+		}
 	}
 	if !progress {
 		l.wasted++

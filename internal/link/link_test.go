@@ -126,7 +126,7 @@ func TestLinkWastedOpportunityDoesNotBank(t *testing.T) {
 	var at time.Duration
 	l := New(loop, Config{Trace: mkTrace(10*time.Millisecond, 40*time.Millisecond)},
 		func(p *network.Packet) { at = loop.Now() })
-	loop.After(20*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1), loop.Now()) })
+	loop.After(20*time.Millisecond, func() { l.enqueue(0, 0, pkt(network.MTU, 1), loop.Now()) })
 	loop.Run(45 * time.Millisecond)
 	if at != 40*time.Millisecond {
 		t.Errorf("delivered at %v, want 40ms", at)
@@ -143,8 +143,8 @@ func TestLinkTraceRepeats(t *testing.T) {
 		func(p *network.Packet) { got = append(got, loop.Now()) })
 	// Packet enqueued at 25ms: first wrap gives opportunities at
 	// 30ms (=20+10) and 40ms.
-	loop.After(25*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 1), loop.Now()) })
-	loop.After(35*time.Millisecond, func() { l.enqueue(pkt(network.MTU, 2), loop.Now()) })
+	loop.After(25*time.Millisecond, func() { l.enqueue(0, 0, pkt(network.MTU, 1), loop.Now()) })
+	loop.After(35*time.Millisecond, func() { l.enqueue(0, 0, pkt(network.MTU, 2), loop.Now()) })
 	loop.Run(60 * time.Millisecond)
 	if len(got) != 2 || got[0] != 30*time.Millisecond || got[1] != 40*time.Millisecond {
 		t.Errorf("deliveries = %v, want [30ms 40ms]", got)
@@ -253,6 +253,28 @@ func TestLinkPanicsLossWithoutRand(t *testing.T) {
 		}
 	}()
 	New(sim.New(), Config{Trace: mkTrace(time.Millisecond), LossRate: 0.1}, nil)
+}
+
+// idlePick is a scheduler that picks slot 0 whether or not the link ever
+// reported it backlogged.
+type idlePick struct{ standing }
+
+func (*idlePick) Pick() int { return 0 }
+
+// TestLinkPanicsOnIdlePick: a scheduler may only pick a slot the link
+// reported backlogged; one that picks an idle slot fails loudly instead of
+// being papered over on the per-packet path.
+func TestLinkPanicsOnIdlePick(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a pick of an idle slot")
+		}
+	}()
+	loop := sim.New()
+	l := New(loop, Config{Trace: mkTrace(time.Millisecond), Scheduler: &idlePick{}}, nil)
+	l.Attach()
+	l.SendTo(l.Attach(), pkt(network.MTU, 1)) // slot 1 has the backlog
+	loop.Run(time.Millisecond)
 }
 
 // TestLinkReleasesEveryPacket is the link's half of the ownership rule:

@@ -38,6 +38,48 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledWorldRerunAllocsMultiFlow: sharing the path costs a warm world
+// nothing — the flow table and the demux are retained like everything
+// else — so a multi-group roster allocates exactly what its schemes'
+// constructors do per flow: nothing for Sprout (the memoized forecaster
+// is Reset in place), two per TCP flow (tcpConstructor asks tcp.NewCC for
+// a fresh congestion controller bound to the clock's Now) and two per
+// application flow (appConstructor's app.ProfileByName rebuilds and
+// lower-cases the profile list).
+func TestPooledWorldRerunAllocsMultiFlow(t *testing.T) {
+	cases := []struct {
+		groups []FlowGroup
+		want   float64
+	}{
+		{[]FlowGroup{{Scheme: "sprout", Count: 3}}, 0},
+		{[]FlowGroup{{Scheme: "cubic", Count: 2}, {Scheme: "skype", Count: 1}}, 2*2 + 2},
+	}
+	for _, c := range cases {
+		norm, err := Spec{
+			Groups:   c.groups,
+			Link:     "Verizon LTE",
+			Duration: Duration(2 * time.Second),
+			Skip:     Duration(500 * time.Millisecond),
+			Seed:     3,
+		}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := engine.NewCache()
+		w := newWorld()
+		run := func() {
+			if _, err := runNormalized(norm, traces, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		run()
+		if avg := testing.AllocsPerRun(5, run); avg != c.want {
+			t.Errorf("%s: warm re-run allocates %.1f times per run, want %.0f", norm.Label(), avg, c.want)
+		}
+	}
+}
+
 // TestPooledWorldRerunMatchesFresh asserts reuse changes nothing: the same
 // normalized spec run on a warm world and on a fresh world produce
 // identical results.

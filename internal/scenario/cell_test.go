@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sprout/internal/core"
+	"sprout/internal/network"
+	"sprout/internal/protocol"
 )
 
 // cellSpec builds a streaming cell spec on the canonical Verizon LTE
@@ -88,10 +92,23 @@ func cellGridSpecs(t *testing.T) []Spec {
 // stream. Pinning the bytes (not just cross-decomposition equality) means
 // any future change to cell semantics is a conscious decision that updates
 // this constant.
-const cellGridHash = "c8af43ee6147ca8eef5b16807a049d8a0174b19cf2a6ece47785fbe46cb4a745"
+const cellGridHash = "f116dbca5b8b4a78d606040c074e07e592a9006f119e19f0d38555325dccb9c7"
+
+// cellRowHashes pins each grid row's merged stream run alone, so a moved
+// grid hash names the row that moved. The three static-roster rows have
+// hashed to these values since before every receiver forecast on its own
+// tick; "pf churn" was 58e98d6e… while churned receivers' feedback waited
+// for the next tick of the run's first receivers.
+var cellRowHashes = map[string]string{
+	"rr 3-up":     "0588c70fa568fd55480dc21d0363476452a969accb556020916a1159b4c4112a",
+	"pf mixed":    "44f05f3a140a4653c0638f7aa145813a72e30e540f73c8b2753c459a400d3fe4",
+	"pf churn":    "078e22c5ca6e02c471043ecc01a5e9fa67bd5da1d8c26438e63cf0509301e832",
+	"rr handover": "488278c3bbec85ac21850b037ce85c4bdd4e86908f48bdba0c0707c4b022cb45",
+}
 
 // TestCellShardedDeterminism pins the cell grid's merged stream across
-// workers {1,4} × shards {1,3} and against the pinned golden hash.
+// workers {1,4} × shards {1,3}, against the pinned golden hash, and row by
+// row.
 func TestCellShardedDeterminism(t *testing.T) {
 	specs := cellGridSpecs(t)
 	direct, _, err := RunAll(context.Background(), specs, 1)
@@ -102,6 +119,12 @@ func TestCellShardedDeterminism(t *testing.T) {
 	sum := sha256.Sum256(want)
 	if got := hex.EncodeToString(sum[:]); got != cellGridHash {
 		t.Errorf("cell grid hash %s, want %s", got, cellGridHash)
+	}
+	for i, spec := range specs {
+		sum := sha256.Sum256(mergedBytes(t, direct[i:i+1]))
+		if got := hex.EncodeToString(sum[:]); got != cellRowHashes[spec.Name] {
+			t.Errorf("row %q hash %s, want %s", spec.Name, got, cellRowHashes[spec.Name])
+		}
 	}
 	for _, shards := range []int{1, 3} {
 		for _, workers := range []int{1, 4} {
@@ -115,6 +138,53 @@ func TestCellShardedDeterminism(t *testing.T) {
 				t.Errorf("shards=%d workers=%d: merged cell stream differs from direct run", shards, workers)
 			}
 		}
+	}
+}
+
+// TestChurnedReceiverFeedsBackOnItsOwnTick: §3.3–3.4 has every receiver
+// forecast on its own tick, so a Sprout flow churned in between two ticks
+// of the run's first receivers sends every feedback packet a whole number
+// of ticks after its own attach instant — not on their grid.
+func TestChurnedReceiverFeedsBackOnItsOwnTick(t *testing.T) {
+	spec := cellSpec(&CellSpec{
+		Scheduler: "proportional-fair",
+		Groups:    []CellGroup{{Scheme: "sprout", Flows: 2}},
+		Churn:     &ChurnSpec{ArrivalRate: 2, MeanLifetime: Duration(2 * time.Second)},
+	}, 4*time.Second, time.Second, 7)
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld()
+	sent := map[uint32][]time.Duration{}
+	w.tap = func(h network.Handler) network.Handler {
+		return func(p *network.Packet) {
+			var hdr protocol.Header
+			if p.Flow >= churnFlowBase && hdr.Unmarshal(p.Payload) == nil && hdr.HasForecast() {
+				sent[p.Flow] = append(sent[p.Flow], p.SentAt)
+			}
+			h(p)
+		}
+	}
+	if _, err := runNormalized(norm, nil, w); err != nil {
+		t.Fatal(err)
+	}
+	offGrid, packets := 0, 0
+	for i, sp := range w.schedule.Spans {
+		if sp.Start%core.DefaultTick != 0 {
+			offGrid++
+		}
+		for _, at := range sent[churnFlowBase+uint32(i)] {
+			packets++
+			if since := at - sp.Start; since <= 0 || since%core.DefaultTick != 0 {
+				t.Fatalf("flow %d attached at %v sent feedback at %v, %v after: not a whole number of %v ticks",
+					i, sp.Start, at, since, core.DefaultTick)
+			}
+		}
+	}
+	if offGrid == 0 || packets < 100 {
+		t.Errorf("%d of %d churned flows arrived mid-tick and %d of their feedback packets crossed; the run shows nothing",
+			offGrid, len(w.schedule.Spans), packets)
 	}
 }
 

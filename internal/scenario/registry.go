@@ -64,11 +64,6 @@ type AttachConfig struct {
 	// heap. A scheme that ignores it sends heap packets, which the arena
 	// adopts when the network releases them.
 	Packets *network.Pool
-	// DeferFeedback, if non-nil, is handed to Sprout-family receivers as
-	// their transport.ReceiverConfig.DeferFeedback: the cell world's hub
-	// answers every co-scheduled flow's forecast from one batched pass per
-	// tick. Schemes without forecast feedback ignore it.
-	DeferFeedback func(*transport.Receiver)
 
 	// world is the attaching worker's pooled world, nil outside engine
 	// world reuse. Constructors access it through Memoize/Memoized.

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"sprout/internal/codel"
+	"sprout/internal/cell"
 	"sprout/internal/engine"
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
+	"sprout/internal/sim"
 	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
@@ -89,45 +90,10 @@ func runNormalized(norm Spec, traces *engine.Cache, w *world) (Result, error) {
 		}
 		norm.DataTrace, norm.FeedbackTrace = data, feedback
 	}
-	if norm.Cell != nil {
-		return runCell(norm, w)
-	}
 	if norm.Tunnel {
 		return runTunnel(norm, w)
 	}
-	return runDirect(norm, w)
-}
-
-// Streaming-process seed derivation, frozen like GenerateTracePair's: the
-// data direction draws the stream a "down" trace generation would, the
-// feedback direction the "up" one. A pure-model process spec is therefore
-// byte-identical to the equivalent materialized down-direction link spec
-// (TestStreamingMatchesMaterialized); an "up" materialized spec swaps
-// which model gets which stream, so its streaming counterpart matches in
-// distribution but not bit-for-bit.
-func processSeeds(seed int64) (data, feedback int64) {
-	return seed*31 + 7, seed*31 + 8
-}
-
-// linkSources resolves the spec's two opportunity sources into link
-// configs: either the materialized trace pair or the world's reusable
-// compiled process instances with their frozen per-direction seeds.
-func linkSources(spec Spec, w *world) (fwd, rev link.Config, err error) {
-	if spec.Process == nil {
-		fwd.Trace, rev.Trace = spec.DataTrace, spec.FeedbackTrace
-		return fwd, rev, nil
-	}
-	dataProc, err := w.processFor(spec.Process)
-	if err != nil {
-		return fwd, rev, err
-	}
-	fbProc, err := w.processFor(spec.FeedbackProcess)
-	if err != nil {
-		return fwd, rev, err
-	}
-	fwd.Process, rev.Process = dataProc, fbProc
-	fwd.ProcessSeed, rev.ProcessSeed = processSeeds(spec.Seed)
-	return fwd, rev, nil
+	return runFlows(norm, w)
 }
 
 // useCoDel resolves the spec's AQM choice: an explicit override wins,
@@ -144,139 +110,188 @@ func (s Spec) useCoDel() bool {
 	return false
 }
 
-// flowEndpoint pairs a flow id with its endpoints for demux.
-type flowEndpoint struct {
-	flow uint32
-	ep   Endpoint
+// buildRoster fills the flow table and draws the churn timeline. The
+// static flows come from whichever grammar declared them, in group order,
+// ids ascending within a group; churned flows follow in arrival order.
+//
+// The complete churn/handover timeline is drawn before any flow attaches:
+// the flow roster, every lifetime and every handover pick are fixed at
+// run start from one dedicated seed, independent of engine worker or
+// shard count. A roster without churn or handover draws nothing.
+func (w *world) buildRoster(spec Spec) {
+	for _, g := range spec.Groups {
+		w.addFlows(g.Scheme, g.BaseFlow, g.Count, 0)
+	}
+	scfg := cell.ScheduleConfig{Duration: time.Duration(spec.Duration)}
+	if c := spec.Cell; c != nil {
+		for _, g := range c.Groups {
+			w.addFlows(g.Scheme, g.BaseFlow, g.Flows, int32(g.Cell))
+		}
+		scfg.Seed = engine.DeriveSeed(spec.Seed, "cell-churn")
+		scfg.Cells = c.Cells
+		scfg.HandoverRate = c.HandoverRate
+		scfg.InitialCells = w.initCells
+		if c.Churn != nil {
+			scfg.ArrivalRate = c.Churn.ArrivalRate
+			scfg.MeanLifetime = time.Duration(c.Churn.MeanLifetime)
+		}
+	}
+	w.schedule.Build(scfg)
+	if len(w.schedule.Spans) > 0 {
+		w.addFlows(spec.Cell.Churn.Scheme, churnFlowBase, len(w.schedule.Spans), -1)
+	}
 }
 
-// dispatch returns a link delivery handler over the attached endpoints,
-// with side selecting each flow's handler (data or feedback direction). A
-// single flow dispatches directly (the historical single-flow fast path);
-// multiple flows demux on the packet's flow id in O(1), dropping unknown
-// ids — this sits on the innermost per-packet path of every multi-flow
-// run.
-func dispatch(eps []flowEndpoint, side func(Endpoint) network.Handler) network.Handler {
-	if len(eps) == 1 {
-		return side(eps[0].ep)
-	}
-	byFlow := make(map[uint32]network.Handler, len(eps))
-	for _, fe := range eps {
-		byFlow[fe.flow] = side(fe.ep)
-	}
-	return func(p *network.Packet) {
-		if h, ok := byFlow[p.Flow]; ok {
-			h(p)
+// addFlows appends n rows of one scheme (validated at Normalize) to the
+// flow table; ci >= 0 is the cell the flows attach to at run start.
+func (w *world) addFlows(name string, base uint32, n int, ci int32) {
+	scheme, _ := Lookup(name)
+	for i := 0; i < n; i++ {
+		w.flows = append(w.flows, flow{scheme: scheme})
+		w.flowIDs = append(w.flowIDs, base+uint32(i))
+		if ci >= 0 {
+			w.initCells = append(w.initCells, ci)
 		}
 	}
 }
 
-func dispatchData(eps []flowEndpoint) network.Handler {
-	return dispatch(eps, func(ep Endpoint) network.Handler { return ep.Data })
-}
-
-func dispatchFeedback(eps []flowEndpoint) network.Handler {
-	return dispatch(eps, func(ep Endpoint) network.Handler { return ep.Feedback })
-}
-
-// attachGroups constructs every group's flows in spec order, flow ids
-// ascending within a group. Construction order is part of the determinism
+// attachRoster arms the accumulator for the roster and constructs every
+// static flow's endpoints in table order, then binds the demux and arms
+// the churn timer. Construction order is part of the determinism
 // contract: endpoints schedule their first events at construction (or
-// Reset, which schedules identically), and the event loop breaks timestamp
-// ties by insertion order.
-func attachGroups(spec Spec, w *world, dataConn, feedbackConn Conn, mss int) ([]flowEndpoint, error) {
-	eps := w.eps[:0]
-	for _, g := range spec.Groups {
-		scheme, ok := Lookup(g.Scheme)
-		if !ok {
-			return nil, unknownSchemeError(g.Scheme)
-		}
-		for i := 0; i < g.Count; i++ {
-			ep, err := scheme.New(AttachConfig{
-				Flow:         g.BaseFlow + uint32(i),
-				Clock:        w.loop,
-				DataConn:     dataConn,
-				FeedbackConn: feedbackConn,
-				Confidence:   spec.Confidence,
-				MSS:          mss,
-				Packets:      &w.pool,
-				world:        w,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("scenario: attach %s: %w", g.Scheme, err)
-			}
-			eps = append(eps, flowEndpoint{flow: g.BaseFlow + uint32(i), ep: ep})
-		}
-	}
-	w.eps = eps
-	return eps, nil
-}
-
-// trackFlows arms the world's accumulator with the spec's flow ids in
-// attachment order.
-func trackFlows(spec Spec, w *world) {
-	for _, g := range spec.Groups {
-		for i := 0; i < g.Count; i++ {
-			w.flowIDs = append(w.flowIDs, g.BaseFlow+uint32(i))
-		}
-	}
+// Reset, which schedules identically), and the event loop breaks
+// timestamp ties by insertion order. cfg carries what the flows share: the
+// path they all send on (DataConn/FeedbackConn), or none when each flow is
+// a cell user with a slot of its own.
+func (w *world) attachRoster(spec Spec, cfg AttachConfig) error {
+	cfg.Clock, cfg.Confidence, cfg.Packets, cfg.world = w.loop, spec.Confidence, &w.pool, w
+	w.attach = cfg
+	// Every flow registers up front; churned flows clip their accumulation
+	// to their lifetime window.
 	w.acc.Start(time.Duration(spec.Skip), time.Duration(spec.Duration), w.flowIDs)
+	for i, sp := range w.schedule.Spans {
+		w.acc.SetFlowWindow(len(w.initCells)+i, sp.Start, sp.End)
+	}
+	for fi, ci := range w.initCells {
+		if err := w.attachFlow(fi, ci); err != nil {
+			return err
+		}
+	}
+	if len(w.flows) == 1 {
+		// A lone flow owns both links: no demux on the per-packet path.
+		w.onFwd, w.onRev = w.byData[w.flowIDs[0]], w.byFB[w.flowIDs[0]]
+	} else {
+		w.onFwd, w.onRev = w.demuxData, w.demuxFB
+	}
+	if evs := w.schedule.Events; len(evs) > 0 {
+		w.evTimer = w.loop.After(evs[0].At, w.evFn)
+	}
+	return nil
 }
 
-// runDirect places the flows straight on the emulated path: the layout of
-// every figure and table except §5.7's tunnel comparison.
-func runDirect(spec Spec, w *world) (Result, error) {
-	fwdCfg, revCfg, err := linkSources(spec, w)
+// attachFlow constructs (or Reset-reuses, via the endpoint memo) flow
+// fi's endpoints on cell ci.
+func (w *world) attachFlow(fi int, ci int32) error {
+	f := &w.flows[fi]
+	cfg := w.attach
+	cfg.Flow = w.flowIDs[fi]
+	if cfg.DataConn == nil {
+		c := &w.cells[ci]
+		f.down = port{pool: &w.pool, link: c.down, slot: c.down.Attach()}
+		f.up = port{pool: &w.pool, link: c.up}
+		cfg.DataConn, cfg.FeedbackConn = &f.down, &f.up
+	}
+	ep, err := f.scheme.New(cfg)
 	if err != nil {
+		return fmt.Errorf("scenario: attach %s: %w", f.scheme.Name, err)
+	}
+	w.byData[cfg.Flow], w.byFB[cfg.Flow] = ep.Data, ep.Feedback
+	return nil
+}
+
+// runEvents executes every due churn-timeline event, then re-arms the
+// standing timer for the next one. A departing user's endpoints keep
+// ticking (stopping them mid-run would disturb event-queue priorities for
+// nothing); their sends through the detached ports are dropped. A handover
+// drops the user's queued downlink packets with the old bearer and
+// re-attaches it at the new tower.
+func (w *world) runEvents() {
+	now := w.loop.Now()
+	evs := w.schedule.Events
+	for w.evIdx < len(evs) && evs[w.evIdx].At <= now {
+		ev := evs[w.evIdx]
+		w.evIdx++
+		f := &w.flows[ev.Flow]
+		switch ev.Kind {
+		case cell.EvArrive:
+			if err := w.attachFlow(int(ev.Flow), ev.Cell); err != nil && w.attachErr == nil {
+				w.attachErr = err
+			}
+		case cell.EvDepart:
+			f.down.link.Detach(f.down.slot)
+			f.down.link, f.up.link = nil, nil
+		case cell.EvHandover:
+			dst := &w.cells[ev.Cell]
+			f.down.link.Detach(f.down.slot)
+			f.down.link, f.down.slot = dst.down, dst.down.Attach()
+			f.up.link = dst.up
+		}
+	}
+	if w.evIdx < len(evs) {
+		w.evTimer = sim.Reschedule(w.loop, w.evTimer, evs[w.evIdx].At-now, w.evFn)
+	}
+}
+
+// runFlows places the flows straight on the emulated network: C cells of
+// one downlink and one uplink each. A dedicated-path spec — the layout of
+// every figure and table except §5.7's tunnel comparison — is one cell
+// whose flows all share each link's standing slot, the paper's single
+// Cellsim queue; a cell spec gives every user a downlink slot of its own,
+// apportioned by the cell's scheduler, with precomputed churn and
+// handover. Both run this one sequence (links, metrics, then endpoints in
+// table order), so the one-user round-robin cell replays the dedicated
+// path's event stream byte for byte.
+func runFlows(spec Spec, w *world) (Result, error) {
+	cells := 1
+	if spec.Cell != nil {
+		cells = spec.Cell.Cells
+	}
+	if err := w.openCells(spec, cells, w.fwdHandler, w.revHandler); err != nil {
 		return Result{}, err
 	}
-	w.begin()
-	duration := time.Duration(spec.Duration)
-	streaming := spec.Process != nil
-
-	var fwdDeq, revDeq link.Dequeuer
-	if spec.useCoDel() {
-		f, r := codel.New(0, 0), codel.New(0, 0)
-		f.UsePool(&w.pool)
-		r.UsePool(&w.pool)
-		fwdDeq, revDeq = f, r
+	var shared AttachConfig
+	if spec.Cell == nil {
+		shared.DataConn, shared.FeedbackConn = w.cells[0].down, w.cells[0].up
 	}
-	// All randomness is job-local: each link's loss RNG is freshly
-	// re-seeded from the spec seed here, inside the job, so concurrent
-	// experiment jobs never share a *rand.Rand (see internal/engine's
-	// package doc for the determinism contract). The +1000/+2000 offsets
-	// are frozen: they are part of the regenerated figures' byte
-	// identity.
-	fwdCfg.PropagationDelay = time.Duration(spec.PropDelay)
-	fwdCfg.LossRate = spec.Loss
-	fwdCfg.Dequeuer = fwdDeq
-	fwdCfg.Rand = reseed(&w.fwdRand, spec.Seed+1000)
-	fwd := w.resetLink(&w.fwd, fwdCfg, w.fwdHandler)
-	revCfg.PropagationDelay = time.Duration(spec.PropDelay)
-	revCfg.LossRate = spec.Loss
-	revCfg.Dequeuer = revDeq
-	revCfg.Rand = reseed(&w.revRand, spec.Seed+2000)
-	rev := w.resetLink(&w.rev, revCfg, w.revHandler)
+	w.buildRoster(spec)
 
-	// Metrics accumulate as packets cross the link; the raw log is kept
-	// only when the spec asks for it. Streaming runs also accumulate the
-	// omniscient bound and offered capacity online, from the opportunity
-	// instants the link services — there is no trace to consult later.
-	trackFlows(spec, w)
+	// Metrics accumulate as packets cross the downlinks; the raw log is
+	// kept only when the spec asks for it. Streaming runs also accumulate
+	// the omniscient bound and offered capacity online, from the
+	// opportunity instants the links service — there is no trace to
+	// consult later. The instants arrive from every cell in one globally
+	// nondecreasing stream (event-loop order), so the bound and the
+	// utilization are fleet-wide.
+	streaming := spec.Process != nil
+	for i := range w.cells[:cells] {
+		down := w.cells[i].down
+		if streaming {
+			down.OnOpportunity(w.observeOp)
+		}
+		down.OnDelivery(w.observe)
+	}
+	w.cells[0].down.RecordDeliveries(spec.KeepDeliveries)
+	if err := w.attachRoster(spec, shared); err != nil {
+		return Result{}, err
+	}
 	if streaming {
 		w.acc.TrackOpportunities(time.Duration(spec.PropDelay))
-		fwd.OnOpportunity(w.observeOp)
 	}
-	fwd.OnDelivery(w.observe)
-	fwd.RecordDeliveries(spec.KeepDeliveries)
 
-	eps, err := attachGroups(spec, w, fwd, rev, 0)
-	if err != nil {
-		return Result{}, err
+	w.loop.Run(time.Duration(spec.Duration))
+	if w.attachErr != nil {
+		return Result{}, w.attachErr
 	}
-	w.onFwd, w.onRev = dispatchData(eps), dispatchFeedback(eps)
-
-	w.loop.Run(duration)
 	res := Result{Spec: spec}
 	if streaming {
 		res.Metrics = w.acc.EvaluateStreaming()
@@ -284,9 +299,9 @@ func runDirect(spec Spec, w *world) (Result, error) {
 		res.Metrics = w.acc.Evaluate(spec.DataTrace, time.Duration(spec.PropDelay))
 	}
 	if spec.KeepDeliveries {
-		res.Deliveries = fwd.TakeDeliveries()
+		res.Deliveries = w.cells[0].down.TakeDeliveries()
 	}
-	res.finishFlows(spec, w)
+	res.finishFlows(w)
 	return res, nil
 }
 
@@ -294,36 +309,20 @@ func runDirect(spec Spec, w *world) (Result, error) {
 // Sprout session per direction, per-flow queues with round-robin service
 // and forecast-bounded head drops at the ingress.
 func runTunnel(spec Spec, w *world) (Result, error) {
-	fwdCfg, revCfg, err := linkSources(spec, w)
-	if err != nil {
-		return Result{}, err
-	}
-	w.begin()
-	loop := w.loop
-	duration := time.Duration(spec.Duration)
-
 	// Sprout session 1 carries client data A->B on the data trace;
 	// session 2 carries client feedback B->A on the feedback trace.
 	// The data link also carries session 2's forecast packets, and the
 	// feedback link session 1's; endpoints demux on the Sprout flow id.
 	var rcvDown, rcvUp *transport.Receiver
 	var sndDown, sndUp *transport.Sender
-
-	fwdCfg.PropagationDelay = time.Duration(spec.PropDelay)
-	fwdCfg.LossRate = spec.Loss
-	fwdCfg.Rand = reseed(&w.fwdRand, spec.Seed+1000)
-	fwd := w.resetLink(&w.fwd, fwdCfg, func(p *network.Packet) {
+	err := w.openCells(spec, 1, func(p *network.Packet) {
 		switch p.Flow {
 		case tunnelSessionDown:
 			rcvDown.Receive(p)
 		case tunnelSessionUp:
 			sndUp.Receive(p)
 		}
-	})
-	revCfg.PropagationDelay = time.Duration(spec.PropDelay)
-	revCfg.LossRate = spec.Loss
-	revCfg.Rand = reseed(&w.revRand, spec.Seed+2000)
-	rev := w.resetLink(&w.rev, revCfg, func(p *network.Packet) {
+	}, func(p *network.Packet) {
 		switch p.Flow {
 		case tunnelSessionDown:
 			sndDown.Receive(p)
@@ -331,6 +330,11 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 			rcvUp.Receive(p)
 		}
 	})
+	if err != nil {
+		return Result{}, err
+	}
+	loop := w.loop
+	fwd, rev := w.cells[0].down, w.cells[0].up
 
 	ingressDown := tunnel.NewIngress() // at A, feeds tunnelSessionDown
 	ingressDown.UsePool(&w.pool)
@@ -341,7 +345,6 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	// handlers late-bind exactly like the direct path's links.
 	egressDown := tunnel.NewEgress(loop, w.tapped(w.fwdHandler))
 	egressDown.UsePool(&w.pool)
-	trackFlows(spec, w)
 	egressDown.OnDelivery(w.observe)
 	egressDown.RecordDeliveries(spec.KeepDeliveries)
 	egressUp := tunnel.NewEgress(loop, w.tapped(w.revHandler))
@@ -369,13 +372,12 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	submitDown := transport.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) })
 	submitUp := transport.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) })
 
-	eps, err := attachGroups(spec, w, submitDown, submitUp, TunnelClientMSS)
-	if err != nil {
+	w.buildRoster(spec)
+	if err := w.attachRoster(spec, AttachConfig{DataConn: submitDown, FeedbackConn: submitUp, MSS: TunnelClientMSS}); err != nil {
 		return Result{}, err
 	}
-	w.onFwd, w.onRev = dispatchData(eps), dispatchFeedback(eps)
 
-	loop.Run(duration)
+	loop.Run(time.Duration(spec.Duration))
 	res := Result{
 		Spec:      spec,
 		HeadDrops: ingressDown.HeadDrops(),
@@ -383,33 +385,27 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	if spec.KeepDeliveries {
 		res.Deliveries = egressDown.TakeDeliveries()
 	}
-	res.finishFlows(spec, w)
+	res.finishFlows(w)
 	return res, nil
 }
 
 // finishFlows derives the per-flow and cross-flow aggregates from the
 // accumulator's streams.
-func (r *Result) finishFlows(spec Spec, w *world) {
+func (r *Result) finishFlows(w *world) {
 	n := w.acc.FlowCount()
 	if n == 0 {
 		return
 	}
 	r.Flows = w.takeFlowResults(n)
 	var sum, sumSq float64
-	gi, gc := 0, 0 // walk groups in step with the flow order
 	for i := 0; i < n; i++ {
-		for gc >= spec.Groups[gi].Count {
-			gi++
-			gc = 0
-		}
 		flow, tput, d95 := w.acc.Flow(i)
 		r.Flows[i] = FlowResult{
 			Flow:          flow,
-			Scheme:        spec.Groups[gi].Scheme,
+			Scheme:        w.flows[i].scheme.Name,
 			ThroughputBps: tput,
 			Delay95:       d95,
 		}
-		gc++
 		sum += tput
 		sumSq += tput * tput
 	}

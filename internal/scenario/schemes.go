@@ -111,7 +111,7 @@ func sproutConstructor(kind string, forecaster func(core.Params) core.Forecaster
 	return func(cfg AttachConfig) (Endpoint, error) {
 		rcfg := transport.ReceiverConfig{
 			Flow: cfg.Flow, Clock: cfg.Clock, Conn: cfg.FeedbackConn,
-			Pool: cfg.Packets, DeferFeedback: cfg.DeferFeedback,
+			Pool: cfg.Packets,
 		}
 		scfg := transport.SenderConfig{
 			Flow: cfg.Flow, Clock: cfg.Clock, Conn: cfg.DataConn,

@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"math/rand"
+	"strconv"
 	"time"
 
+	"sprout/internal/cell"
+	"sprout/internal/codel"
 	"sprout/internal/engine"
 	"sprout/internal/link"
 	"sprout/internal/metrics"
@@ -18,9 +21,10 @@ type worldKeyType struct{}
 var worldKey worldKeyType
 
 // world is the reusable simulation substrate one engine worker owns: the
-// event loop (slot arena), the two directional links (rings, schedules),
-// the packet arena, the streaming-metrics accumulator, the loss RNGs and a
-// memo of resettable endpoints. A worker's jobs reset and reuse this state
+// event loop (slot arena), the cells' links (rings, slots, schedules), the
+// packet arena, the streaming-metrics accumulator, the flat flow table
+// with its demux, the precomputed churn timeline and a memo of resettable
+// endpoints. A worker's jobs reset and reuse this state
 // (see DESIGN.md §10) instead of rebuilding a simulation world per job —
 // the difference between ~14k allocations per experiment and roughly none.
 //
@@ -35,25 +39,45 @@ type world struct {
 	pool network.Pool
 	acc  metrics.Accumulator
 
-	fwd, rev *link.Link // built lazily on the first run
+	// cells is the emulated network: a downlink and an uplink per cell,
+	// grown lazily. A dedicated-path or tunnel spec uses cells[0] alone.
+	cells     []cellNet
+	schedName string // what the cells' schedulers were built from
+	schedGain float64
 
 	// Per-run dispatch targets, late-bound so links and endpoints can
 	// reference each other; the standing handler closures are built once.
+	// Every downlink delivers to fwdHandler, every uplink to revHandler.
 	onFwd, onRev           network.Handler
 	fwdHandler, revHandler network.Handler
 	observe                func(link.Delivery) // standing acc.Observe ref
 
+	// flows and flowIDs are the run's flat flow table: static flows in
+	// group order, then churned flows in arrival order. byData and byFB
+	// demux delivered packets on their flow id to the flow's endpoints;
+	// demuxData and demuxFB are the standing closures over them.
+	flows              []flow
+	flowIDs            []uint32
+	byData, byFB       map[uint32]network.Handler
+	demuxData, demuxFB network.Handler
+	attach             AttachConfig // this run's template; attachFlow fills in the flow
+	attachErr          error        // first failure attaching a churned flow
+
+	// schedule is the run's churn/handover timeline (empty for a static
+	// roster), executed by the standing evFn timer.
+	schedule  cell.Schedule
+	initCells []int32 // initial cell per static flow
+	evIdx     int
+	evTimer   sim.Timer
+	evFn      func()
+
 	// tap, when set, wraps every delivery handler the world hands to a
-	// link, tower or tunnel egress. Only tests set it (to scribble over
+	// link or tunnel egress. Only tests set it (to scribble over
 	// each packet once its handler has returned).
 	tap func(network.Handler) network.Handler
 
-	fwdRand, revRand *rand.Rand
-
-	eps     []flowEndpoint
-	flowIDs []uint32
-	memo    map[endpointKey]any
-	keyBuf  []byte // trace-cache key scratch
+	memo   map[endpointKey]any
+	keyBuf []byte // trace-cache key scratch
 
 	// traceMemo short-circuits the shared engine.Cache for trace pairs
 	// this worker has already resolved: the shared lookup costs a
@@ -62,16 +86,14 @@ type world struct {
 
 	// procMemo holds this worker's compiled streaming-process instances,
 	// keyed by the normalized spec's *ProcessSpec identity (stable across
-	// every run of one compiled job). The link Resets the instance with
-	// the spec seed at run start, so reuse replays the exact stream a
+	// every run of one compiled job) and the cell that pulls from it: each
+	// link must own a private instance, since interleaved pulls from a
+	// shared one would corrupt both streams. The link Resets the instance
+	// with its seed at run start, so reuse replays the exact stream a
 	// fresh instance would produce — the process-world analogue of the
 	// trace cache, holding state machines instead of opportunity arrays.
-	procMemo  map[*ProcessSpec]trace.DeliveryProcess
+	procMemo  map[procKey]trace.DeliveryProcess
 	observeOp func(time.Duration) // standing acc.ObserveOpportunity ref
-
-	// cellst is the cell-world half of the pooled state (towers, uplinks,
-	// schedulers, flow tables), built lazily by the first cell run.
-	cellst *cellState
 
 	// flowArena amortizes Result.Flows allocations: each result takes a
 	// fresh sub-slice (results outlive the world's runs, so slices are
@@ -89,12 +111,56 @@ type endpointKey struct {
 	mss  int
 }
 
+// cellNet is one cell's share of the world: its two links, its
+// opportunity scheduler (built when a cell spec first needs one) and the
+// retained loss RNGs.
+type cellNet struct {
+	down, up         *link.Link
+	sched            cell.Scheduler
+	fwdRand, revRand *rand.Rand
+	name             string // strconv.Itoa of the cell index, for seed derivation
+}
+
+// flow is one row of the flow table. The ports are the Conns of a user
+// with a slot of its own (cell specs); flows sharing a path leave them
+// unused.
+type flow struct {
+	scheme   Scheme
+	down, up port
+}
+
+// port routes one cell user's packets to its *current* cell, giving
+// endpoints a stable Conn across handovers: the down port feeds the
+// user's slot at its tower, the up port its cell's uplink. Sends while
+// unattached (the user departed, its endpoints outliving it) are dropped
+// and released — the radio bearer is gone.
+type port struct {
+	pool *network.Pool
+	link *link.Link // nil while unattached
+	slot int
+}
+
+func (p *port) Send(pkt *network.Packet) {
+	if p.link == nil {
+		p.pool.Put(pkt)
+		return
+	}
+	p.link.SendTo(p.slot, pkt)
+}
+
+type procKey struct {
+	spec *ProcessSpec
+	cell int
+}
+
 func newWorld() *world {
 	w := &world{
 		loop:      sim.New(),
 		memo:      map[endpointKey]any{},
 		traceMemo: map[string]tracePair{},
-		procMemo:  map[*ProcessSpec]trace.DeliveryProcess{},
+		procMemo:  map[procKey]trace.DeliveryProcess{},
+		byData:    map[uint32]network.Handler{},
+		byFB:      map[uint32]network.Handler{},
 	}
 	w.fwdHandler = func(p *network.Packet) {
 		if w.onFwd != nil {
@@ -106,8 +172,19 @@ func newWorld() *world {
 			w.onRev(p)
 		}
 	}
+	w.demuxData = func(p *network.Packet) {
+		if h, ok := w.byData[p.Flow]; ok {
+			h(p)
+		}
+	}
+	w.demuxFB = func(p *network.Packet) {
+		if h, ok := w.byFB[p.Flow]; ok {
+			h(p)
+		}
+	}
 	w.observe = w.acc.Observe
 	w.observeOp = w.acc.ObserveOpportunity
+	w.evFn = w.runEvents
 	return w
 }
 
@@ -115,11 +192,12 @@ func newWorld() *world {
 // memo is dropped wholesale (instances are cheap to recompile).
 const worldProcessMemoLimit = 64
 
-// processFor returns the worker's compiled instance for the spec,
-// compiling on first use. Reuse is safe because the link Resets the
+// processFor returns the worker's compiled instance of the spec for cell
+// ci, compiling on first use. Reuse is safe because the link Resets the
 // instance with the run's seed before pulling from it.
-func (w *world) processFor(ps *ProcessSpec) (trace.DeliveryProcess, error) {
-	if p, ok := w.procMemo[ps]; ok {
+func (w *world) processFor(ps *ProcessSpec, ci int) (trace.DeliveryProcess, error) {
+	key := procKey{ps, ci}
+	if p, ok := w.procMemo[key]; ok {
 		return p, nil
 	}
 	p, err := ps.compile()
@@ -129,7 +207,7 @@ func (w *world) processFor(ps *ProcessSpec) (trace.DeliveryProcess, error) {
 	if len(w.procMemo) >= worldProcessMemoLimit {
 		clear(w.procMemo)
 	}
-	w.procMemo[ps] = p
+	w.procMemo[key] = p
 	return p, nil
 }
 
@@ -140,29 +218,122 @@ func worldFor(ws *engine.WorkerState) *world {
 }
 
 // begin opens a new run: virtual time rewinds to zero, every packet —
-// live or released — returns to the arena, per-run wiring clears. Endpoint and link storage
-// is retained for the resets that follow.
+// live or released — returns to the arena, per-run wiring and the flow
+// table clear. Endpoint and link storage is retained for the resets that
+// follow.
 func (w *world) begin() {
 	w.loop.Reset()
 	w.pool.Reset()
 	w.onFwd, w.onRev = nil, nil
-	w.eps = w.eps[:0]
+	w.flows = w.flows[:0]
 	w.flowIDs = w.flowIDs[:0]
+	w.initCells = w.initCells[:0]
+	clear(w.byData)
+	clear(w.byFB)
+	w.attachErr = nil
+	w.evIdx, w.evTimer = 0, sim.Timer{}
 }
 
-// resetLink builds or re-arms one of the world's links on the world's
-// packet arena: the link releases every packet it delivers or drops. The
-// call schedules the link's first delivery opportunity, so call order
-// (forward before reverse) is part of the determinism contract.
-func (w *world) resetLink(lp **link.Link, cfg link.Config, deliver network.Handler) *link.Link {
-	cfg.Pool = &w.pool
-	deliver = w.tapped(deliver)
+// Streaming-process seed derivation, frozen like GenerateTracePair's: the
+// data direction draws the stream a "down" trace generation would, the
+// feedback direction the "up" one. A pure-model process spec is therefore
+// byte-identical to the equivalent materialized down-direction link spec
+// (TestStreamingMatchesMaterialized); an "up" materialized spec swaps
+// which model gets which stream, so its streaming counterpart matches in
+// distribution but not bit-for-bit.
+func processSeeds(seed int64) (data, feedback int64) {
+	return seed*31 + 7, seed*31 + 8
+}
+
+// openCells opens a run on n cells: begin, then each cell's downlink and
+// uplink reset from the spec — its trace pair or a private instance of
+// its process pair, propagation delay, loss, CoDel if the spec asks for
+// it and, for a cell spec, the cell's scheduler on the downlink — to
+// deliver to the given handlers. The resets go in cell order, downlink
+// before uplink — each schedules the link's first delivery opportunity,
+// so this order is part of the determinism contract.
+//
+// All randomness is job-local: each link's process and loss RNG are
+// re-seeded from the spec seed here, inside the job, so concurrent
+// experiment jobs never share a *rand.Rand (see internal/engine's package
+// doc for the determinism contract). Cell 0's derivations (processSeeds,
+// the +1000/+2000 loss offsets) are frozen: they are part of the
+// regenerated figures' byte identity. Further cells draw independent
+// streams via DeriveSeed.
+func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handler) error {
+	for len(w.cells) < n {
+		w.cells = append(w.cells, cellNet{name: strconv.Itoa(len(w.cells))})
+	}
+	if c := spec.Cell; c != nil {
+		if w.schedName != c.Scheduler || w.schedGain != c.PFGain {
+			for i := range w.cells {
+				w.cells[i].sched = nil
+			}
+			w.schedName, w.schedGain = c.Scheduler, c.PFGain
+		}
+		for i := range w.cells[:n] {
+			if w.cells[i].sched == nil {
+				w.cells[i].sched = cell.NewScheduler(c.Scheduler, c.PFGain) // named at Normalize
+			}
+		}
+	}
+	w.begin()
+	aqm := spec.useCoDel()
+	for ci := range w.cells[:n] {
+		c := &w.cells[ci]
+		dataSeed, fbSeed := processSeeds(spec.Seed)
+		lossFwd, lossRev := spec.Seed+1000, spec.Seed+2000
+		if ci > 0 {
+			dataSeed = engine.DeriveSeed(spec.Seed, "cell-data", c.name)
+			fbSeed = engine.DeriveSeed(spec.Seed, "cell-feedback", c.name)
+			lossFwd = engine.DeriveSeed(spec.Seed, "cell-loss-fwd", c.name)
+			lossRev = engine.DeriveSeed(spec.Seed, "cell-loss-rev", c.name)
+		}
+		down := link.Config{
+			Trace:            spec.DataTrace,
+			ProcessSeed:      dataSeed,
+			PropagationDelay: time.Duration(spec.PropDelay),
+			LossRate:         spec.Loss,
+			Rand:             reseed(&c.fwdRand, lossFwd),
+			Pool:             &w.pool,
+		}
+		up := down
+		up.Trace, up.ProcessSeed, up.Rand = spec.FeedbackTrace, fbSeed, reseed(&c.revRand, lossRev)
+		if spec.Process != nil {
+			var err error
+			if down.Process, err = w.processFor(spec.Process, ci); err != nil {
+				return err
+			}
+			if up.Process, err = w.processFor(spec.FeedbackProcess, ci); err != nil {
+				return err
+			}
+		}
+		if spec.Cell != nil {
+			down.Scheduler = c.sched
+		}
+		if aqm {
+			down.Dequeuer, up.Dequeuer = w.newCoDel(), w.newCoDel()
+		}
+		resetLink(w.loop, &c.down, down, w.tapped(deliverDown))
+		resetLink(w.loop, &c.up, up, w.tapped(deliverUp))
+	}
+	return nil
+}
+
+// newCoDel builds a CoDel AQM that releases its drops to the world's arena.
+func (w *world) newCoDel() *codel.CoDel {
+	c := codel.New(0, 0)
+	c.UsePool(&w.pool)
+	return c
+}
+
+// resetLink builds the link on first use and re-arms it thereafter.
+func resetLink(clock sim.Clock, lp **link.Link, cfg link.Config, deliver network.Handler) {
 	if *lp == nil {
-		*lp = link.New(w.loop, cfg, deliver)
+		*lp = link.New(clock, cfg, deliver)
 	} else {
 		(*lp).Reset(cfg, deliver)
 	}
-	return *lp
 }
 
 // tapped passes a delivery handler through the world's tap, if one is set.

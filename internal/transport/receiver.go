@@ -43,13 +43,6 @@ type ReceiverConfig struct {
 	// Pool, if non-nil, is the packet arena feedback packets draw from
 	// (world reuse); nil allocates from the heap.
 	Pool *network.Pool
-	// DeferFeedback, if non-nil, redirects each feedback-due tick to a
-	// coordinator instead of forecasting and emitting inline: the
-	// receiver reports itself and the coordinator later supplies the
-	// forecast through EmitFeedback. The cell world uses this to answer
-	// every co-scheduled flow's forecast from one core.ForecastBatch
-	// pass per tick.
-	DeferFeedback func(*Receiver)
 }
 
 func (c ReceiverConfig) withDefaults() ReceiverConfig {
@@ -244,11 +237,7 @@ func (r *Receiver) tick() {
 	r.ticksSinceFB++
 	if r.ticksSinceFB >= r.cfg.FeedbackEvery {
 		r.ticksSinceFB = 0
-		if r.cfg.DeferFeedback != nil {
-			r.cfg.DeferFeedback(r)
-		} else {
-			r.sendFeedback(now)
-		}
+		r.sendFeedback(now)
 	}
 }
 
@@ -257,20 +246,8 @@ func (r *Receiver) tick() {
 // it is a small dedicated packet.
 func (r *Receiver) sendFeedback(now time.Duration) {
 	r.forecastBuf = r.cfg.Forecaster.Forecast(r.forecastBuf[:0])
-	r.emitFeedback(now, r.forecastBuf)
-}
-
-// EmitFeedback sends a feedback packet carrying the supplied forecast
-// (MTU-packet units per tick, this receiver's forecaster's horizon), on
-// behalf of a DeferFeedback coordinator that already ran the inference.
-// The slice is not retained.
-func (r *Receiver) EmitFeedback(forecast []float64) {
-	r.emitFeedback(r.cfg.Clock.Now(), forecast)
-}
-
-func (r *Receiver) emitFeedback(now time.Duration, forecast []float64) {
 	fc := r.fcWireBuf[:0] // scratch; Marshal copies it into the payload
-	for _, pkts := range forecast {
+	for _, pkts := range r.forecastBuf {
 		b := pkts * float64(r.cfg.MTU)
 		if b < 0 {
 			b = 0
