@@ -1,28 +1,21 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5), plus microbenchmarks of the inference engine and ablations of the
-// design choices called out in DESIGN.md §5.
+// (§5), plus ablations of the design choices called out in DESIGN.md §5.
 //
-// Each macro-benchmark executes the corresponding experiment in virtual
-// time and reports the headline numbers as custom metrics (kbps,
-// delay-ms), so `go test -bench` output doubles as a compact results
-// table. Durations are shorter than cmd/sproutbench's defaults to keep the
-// full bench run in minutes; the shapes are the same.
+// Each benchmark executes the corresponding experiment in virtual time and
+// reports the headline numbers as custom metrics (kbps, delay-ms), so
+// `go test -bench` output doubles as a compact results table. Durations
+// are shorter than cmd/sproutbench's defaults to keep the full bench run
+// in minutes; the shapes are the same. How fast any of it runs is not
+// recorded here: that is bench/ and BENCHMARK.json (DESIGN.md §9).
 package sprout_test
 
 import (
-	"context"
 	"math/rand"
-	"strconv"
 	"testing"
 	"time"
 
 	"sprout"
-	"sprout/internal/cell"
-	"sprout/internal/engine"
 	"sprout/internal/harness"
-	"sprout/internal/network"
-	"sprout/internal/scenario"
-	"sprout/internal/sim"
 )
 
 // benchOpt keeps macro-bench runs short but past warmup. Workers: 0 runs
@@ -178,220 +171,11 @@ func BenchmarkTunnelIsolation(b *testing.B) {
 	b.ReportMetric(res.SkypeDelay95Tunnel.Seconds()*1000, "skype-tunnel-delay-ms")
 }
 
-// BenchmarkMatrixSerial and BenchmarkMatrixParallel run a reduced matrix
-// (three schemes × eight links) with one worker and with every core, so
-// `go test -bench Matrix` reports the engine's wall-clock speedup on this
-// machine. On a single-core container the two are equal.
-func benchmarkMatrix(b *testing.B, workers int) {
-	opt := benchOpt
-	opt.Duration, opt.Skip, opt.Workers = 30*time.Second, 8*time.Second, workers
-	var m *harness.Matrix
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = harness.RunMatrix(opt, []string{"sprout", "cubic", "skype"})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Stats.Engine.Workers), "workers")
-	b.ReportMetric(float64(m.Stats.TracesGenerated), "traces-generated")
-}
-
-func BenchmarkMatrixSerial(b *testing.B)   { benchmarkMatrix(b, 1) }
-func BenchmarkMatrixParallel(b *testing.B) { benchmarkMatrix(b, 0) }
-
-// BenchmarkShardedMatrix runs the same reduced matrix as
-// BenchmarkMatrixParallel decomposed over two in-process shards: two
-// engines splitting the cores, per-shard JSONL streams, index-ordered
-// merge and decode. The delta against BenchmarkMatrixParallel is the
-// whole shard layer's overhead (codec + merge + second engine); the
-// merged results are byte-identical (TestMatrixGoldenHashSharded).
-// Tracked in BENCH_7.json with an allocs/op guard. On multi-process
-// deployments the same decomposition spreads across hosts, where each
-// shard's wall-clock is its own grid share — that is the ≥1.5× scaling
-// path on ≥4 cores; in-process on one box it is at parity with the
-// already work-conserving parallel engine.
-func BenchmarkShardedMatrix(b *testing.B) {
-	opt := benchOpt
-	opt.Duration, opt.Skip = 30*time.Second, 8*time.Second
-	var m *harness.Matrix
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = harness.RunMatrixSharded(opt, []string{"sprout", "cubic", "skype"}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Stats.Engine.Shards), "shards")
-	b.ReportMetric(float64(m.Stats.Engine.Workers), "workers")
-	b.ReportMetric(float64(m.Stats.TracesGenerated), "traces-generated")
-}
-
-// BenchmarkStreamingMatrix pushes the same reduced grid through streaming
-// delivery processes instead of materialized traces: 3 schemes × 4
-// downlinks at 30 s, every opportunity pulled on demand. Tracked in
-// BENCH_5.json with an allocs/op guard like BenchmarkMatrixParallel — the
-// streaming path must stay allocation-flat as it evolves.
-func BenchmarkStreamingMatrix(b *testing.B) {
-	pairs := [][2]string{
-		{"Verizon-LTE-down", "Verizon-LTE-up"},
-		{"Verizon-3G-down", "Verizon-3G-up"},
-		{"ATT-LTE-down", "ATT-LTE-up"},
-		{"TMobile-3G-down", "TMobile-3G-up"},
-	}
-	var specs []scenario.Spec
-	for _, scheme := range []string{"sprout", "cubic", "skype"} {
-		for _, p := range pairs {
-			specs = append(specs, scenario.Spec{
-				Scheme:          scheme,
-				Process:         &scenario.ProcessSpec{Model: p[0]},
-				FeedbackProcess: &scenario.ProcessSpec{Model: p[1]},
-				Duration:        scenario.Duration(30 * time.Second),
-				Skip:            scenario.Duration(8 * time.Second),
-				Seed:            1,
-			})
-		}
-	}
-	var stats engine.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, stats, err = scenario.RunAll(context.Background(), specs, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(stats.Workers), "workers")
-}
-
-// cellBenchProc is a deterministic delivery process: one opportunity
-// every period, forever, so the tower stays saturated and every
-// opportunity serves a full MTU.
-type cellBenchProc struct {
-	period time.Duration
-	t      time.Duration
-}
-
-func (p *cellBenchProc) Next() (time.Duration, bool) {
-	p.t += p.period
-	return p.t, true
-}
-
-func (p *cellBenchProc) Reset(int64) { p.t = 0 }
-
-// benchmarkCellWorld drives one tower with n backlogged flows under
-// proportional fairness in a closed loop — every delivered packet
-// re-enters its own slot's queue — and measures whole 100 ms event-loop
-// windows. One op is one window: ~1000 opportunities apportioned over n
-// flows through the scheduler heap, so ns/op tracks the per-opportunity
-// scheduling cost as n grows. The steady state must stay at 0 allocs/op
-// at every n (the flat per-flow tables and reused rings never touch the
-// heap once sized); BENCH_10.json guards the n=1024 figure.
-func benchmarkCellWorld(b *testing.B, n int) {
-	loop := sim.New()
-	var tw *cell.Tower
-	tw = cell.NewTower(loop, cell.Config{
-		Process:          &cellBenchProc{period: 100 * time.Microsecond},
-		PropagationDelay: time.Millisecond,
-		Scheduler:        cell.NewPropFair(0),
-	}, func(p *network.Packet) { tw.Send(int(p.Flow), p) })
-	pkts := make([]network.Packet, n)
-	for i := 0; i < n; i++ {
-		slot := tw.Attach()
-		pkts[i] = network.Packet{Flow: uint32(slot), Size: network.MTU}
-		tw.Send(slot, &pkts[i])
-	}
-	end := 200 * time.Millisecond
-	loop.Run(end) // warm up: rings, heap and scheduler arrays reach steady size
-	start := tw.DeliveredBytes()
-	const window = 100 * time.Millisecond
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		end += window
-		loop.Run(end)
-	}
-	b.StopTimer()
-	delivered := tw.DeliveredBytes() - start
-	b.ReportMetric(float64(delivered)*8/1000/(float64(b.N)*window.Seconds()), "sim-kbps")
-	b.ReportMetric(float64(delivered)/float64(network.MTU)/float64(b.N), "pkts/op")
-}
-
-// BenchmarkCellWorld is the ISSUE-10 macro: the shared-cell hot path at
-// 16, 256 and 1024 concurrent flows.
-func BenchmarkCellWorld(b *testing.B) {
-	for _, n := range []int{16, 256, 1024} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) { benchmarkCellWorld(b, n) })
-	}
-}
-
-// BenchmarkCoreTick measures one inference update (evolve+observe), the
-// work Sprout does every 20 ms. The paper reports <5% of a 2012 core.
-func BenchmarkCoreTick(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-}
-
-// BenchmarkCoreForecasterReuse measures standing up a forecaster when the
-// flattened CDF table already exists in the process-wide cache — the cost
-// every experiment job after the first pays per run (formerly a full
-// ~1 ms table build per run).
-func BenchmarkCoreForecasterReuse(b *testing.B) {
-	sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{})) // warm the table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-	}
-}
-
-// BenchmarkCoreForecasterClone measures the per-worker cost of giving a
-// parallel job its own filter state.
-func BenchmarkCoreForecasterClone(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-	for i := 0; i < 200; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Clone()
-	}
-}
-
-// BenchmarkCoreForecast measures one full cautious forecast (mixture
-// quantiles at 8 horizon ticks against the folded table).
-func BenchmarkCoreForecast(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-	for i := 0; i < 200; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-	var buf []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Forecast(buf[:0])
-	}
-}
-
-// BenchmarkForecastSweep measures the §5.5 five-confidence sweep through
-// ForecastAll: every quantile answered from a single warm-started monotone
-// walk up the count axis. Compare against BenchmarkForecastSweepNaive
-// (five independent ForecastAt calls, each walking from zero).
-func BenchmarkForecastSweep(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-	for i := 0; i < 200; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-	confidences := []float64{0.95, 0.75, 0.50, 0.25, 0.05}
-	var buf []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.ForecastAll(buf[:0], confidences)
-	}
-}
-
-// BenchmarkForecastSweepNaive is the pre-ForecastAll cost of the same
-// sweep: five independent forecasts.
+// BenchmarkForecastSweepNaive is the one benchmark here that reports time:
+// the §5.5 five-confidence sweep as five independent ForecastAt calls, each
+// walking the count axis from zero. It is the reference DESIGN.md §12.2
+// holds ForecastAll's shared walk against, and bench/probes times only the
+// fused side (core.forecast_all5_us).
 func BenchmarkForecastSweepNaive(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {
@@ -405,27 +189,6 @@ func BenchmarkForecastSweepNaive(b *testing.B) {
 		for _, c := range confidences {
 			buf = f.ForecastAt(buf, c)
 		}
-	}
-}
-
-// BenchmarkForecastBatch measures 16 forecasters answered in one
-// ForecastBatch call over the shared immutable table — what 16 cell
-// receivers' forecasts cost per tick, each of which a run makes inside
-// the receiver's own tick. ns/op is for the whole batch (divide by 16 for
-// per-flow cost).
-func BenchmarkForecastBatch(b *testing.B) {
-	const flows = 16
-	fs := make([]*sprout.DeliveryForecaster, flows)
-	for i := range fs {
-		fs[i] = sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
-		for t := 0; t < 200; t++ {
-			fs[i].Tick(float64(2+i%8), sprout.ObsExact)
-		}
-	}
-	var buf []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = sprout.ForecastBatch(buf[:0], fs)
 	}
 }
 

@@ -87,7 +87,6 @@ func main() {
 	partialFlag := flag.Bool("partial", false, "with -shards: merge whatever completed and report the exact missing job indexes instead of failing")
 	rescueFlag := flag.Bool("rescue", true, "with -shards: recompute dead shards' remaining jobs in-process instead of failing the sweep")
 	abFlag := flag.String("ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; sharded sweeps with p50/p95/p99 rollups and a verdict")
-	repeat := flag.Int("repeat", 1, "rerun the selected workload this many times in-process (repeats reuse the engine's pooled per-worker worlds; aggregate stats print at the end)")
 	listSchemes := flag.Bool("list-schemes", false, "list every registered scheme and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -143,15 +142,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
 		fatalExit(exitUsage)
 	}
-	if *repeat < 1 {
-		*repeat = 1
-	}
-	// One engine for every repetition: its per-worker simulation worlds
-	// (event loop arenas, links, packet pools, memoized endpoints)
-	// persist across runs, so repetitions after the first are
-	// allocation-flat — the world-reuse win, observable from the CLI.
-	eng := engine.New(*parallel)
-	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed, Workers: *parallel, Engine: eng}
+	// One engine for every experiment of the invocation: its per-worker
+	// simulation worlds (event loop arenas, links, packet pools, memoized
+	// endpoints) persist across the experiments' Run calls.
+	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed, Workers: *parallel, Engine: engine.New(*parallel)}
 
 	if mode.Shard != nil {
 		labeled("shard", func() { runShardWorker(*scenarioFile, *mode.Shard, mode.Out, opt) })
@@ -166,96 +160,83 @@ func main() {
 		return
 	}
 
-	runOnce := func() {
-		if *scenarioFile != "" {
-			labeled("scenario", func() { runScenarioFile(*scenarioFile, opt) })
-			return
-		}
-		if *downFile != "" || *upFile != "" {
-			if *downFile == "" || *upFile == "" {
-				fmt.Fprintln(os.Stderr, "sproutbench: -down and -up must be given together")
-				fatalExit(2)
-			}
-			labeled("custom", func() { runCustomTraces(*downFile, *upFile, opt) })
-			return
-		}
-		want := map[string]bool{}
-		for _, name := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		all := want["all"]
-		ran := false
-
-		var matrix *harness.Matrix
-		needMatrix := all || want["table1"] || want["table2"] || want["fig7"] || want["fig8"]
-		if needMatrix {
-			fmt.Fprintf(os.Stderr, "running %d schemes x 8 links (duration %v)...\n",
-				len(harness.Schemes()), *duration)
-			var m *harness.Matrix
-			var err error
-			labeled("matrix", func() { m, err = harness.RunMatrix(opt, nil) })
-			check(err)
-			matrix = m
-			fmt.Fprintf(os.Stderr, "matrix: %s; trace pairs: %d generated, %d served from cache\n",
-				m.Stats.Engine, m.Stats.TracesGenerated, m.Stats.TracesReused)
-		}
-
-		if all || want["fig1"] {
-			ran = true
-			labeled("fig1", func() { runFig1(opt) })
-		}
-		if all || want["fig2"] {
-			ran = true
-			labeled("fig2", func() { runFig2(opt) })
-		}
-		if all || want["table1"] {
-			ran = true
-			runTable1(matrix)
-		}
-		if all || want["table2"] {
-			ran = true
-			runTable2(matrix)
-		}
-		if all || want["fig7"] {
-			ran = true
-			runFig7(matrix)
-		}
-		if all || want["fig8"] {
-			ran = true
-			runFig8(matrix)
-		}
-		if all || want["fig9"] {
-			ran = true
-			labeled("fig9", func() { runFig9(opt) })
-		}
-		if all || want["loss"] {
-			ran = true
-			labeled("loss", func() { runLoss(opt) })
-		}
-		if all || want["tunnel"] {
-			ran = true
-			labeled("tunnel", func() { runTunnel(opt) })
-		}
-		if all || want["multi"] {
-			ran = true
-			labeled("multi", func() { runMulti(opt) })
-		}
-		if !ran {
-			fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *runFlag)
+	defer warnTableCache()
+	if *scenarioFile != "" {
+		labeled("scenario", func() { runScenarioFile(*scenarioFile, opt) })
+		return
+	}
+	if *downFile != "" || *upFile != "" {
+		if *downFile == "" || *upFile == "" {
+			fmt.Fprintln(os.Stderr, "sproutbench: -down and -up must be given together")
 			fatalExit(2)
 		}
+		labeled("custom", func() { runCustomTraces(*downFile, *upFile, opt) })
+		return
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(*runFlag, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	all := want["all"]
+	ran := false
+
+	var matrix *harness.Matrix
+	needMatrix := all || want["table1"] || want["table2"] || want["fig7"] || want["fig8"]
+	if needMatrix {
+		fmt.Fprintf(os.Stderr, "running %d schemes x 8 links (duration %v)...\n",
+			len(harness.Schemes()), *duration)
+		var m *harness.Matrix
+		var err error
+		labeled("matrix", func() { m, err = harness.RunMatrix(opt, nil) })
+		check(err)
+		matrix = m
+		fmt.Fprintf(os.Stderr, "matrix: %s; trace pairs: %d generated, %d served from cache\n",
+			m.Stats.Engine, m.Stats.TracesGenerated, m.Stats.TracesReused)
 	}
 
-	for rep := 1; rep <= *repeat; rep++ {
-		start := time.Now()
-		runOnce()
-		warnTableCache()
-		if *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "repeat %d/%d: %v\n", rep, *repeat, time.Since(start).Round(time.Millisecond))
-		}
+	if all || want["fig1"] {
+		ran = true
+		labeled("fig1", func() { runFig1(opt) })
 	}
-	if *repeat > 1 {
-		fmt.Fprintf(os.Stderr, "repeat: %d runs; engine total: %s\n", *repeat, eng.Total())
+	if all || want["fig2"] {
+		ran = true
+		labeled("fig2", func() { runFig2(opt) })
+	}
+	if all || want["table1"] {
+		ran = true
+		runTable1(matrix)
+	}
+	if all || want["table2"] {
+		ran = true
+		runTable2(matrix)
+	}
+	if all || want["fig7"] {
+		ran = true
+		runFig7(matrix)
+	}
+	if all || want["fig8"] {
+		ran = true
+		runFig8(matrix)
+	}
+	if all || want["fig9"] {
+		ran = true
+		labeled("fig9", func() { runFig9(opt) })
+	}
+	if all || want["loss"] {
+		ran = true
+		labeled("loss", func() { runLoss(opt) })
+	}
+	if all || want["tunnel"] {
+		ran = true
+		labeled("tunnel", func() { runTunnel(opt) })
+	}
+	if all || want["multi"] {
+		ran = true
+		labeled("multi", func() { runMulti(opt) })
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *runFlag)
+		fatalExit(2)
 	}
 }
 

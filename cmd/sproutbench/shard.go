@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -239,24 +238,6 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 	check(err)
 	fmt.Fprintf(os.Stderr, "shard %s: %d of %d jobs (%d resumed); %s\n",
 		sh, sh.Size(len(specs)), len(specs), len(done), st)
-}
-
-// childWorkers splits the machine width across n children the same way
-// the in-process runner does, so a fan-out saturates the host without
-// oversubscribing it n times.
-func childWorkers(parallel, shard, shards int) int {
-	if parallel != 0 {
-		return parallel
-	}
-	procs := runtime.GOMAXPROCS(0)
-	w := procs / shards
-	if shard < procs%shards {
-		w++
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // runShardParent runs a supervised multi-process sweep: stamp the

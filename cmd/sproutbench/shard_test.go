@@ -169,27 +169,3 @@ func TestVerdict(t *testing.T) {
 		}
 	}
 }
-
-// TestChildWorkers checks the fan-out splits the machine width instead of
-// oversubscribing it once per child.
-func TestChildWorkers(t *testing.T) {
-	// Explicit -parallel forwards unchanged.
-	if got := childWorkers(3, 0, 2); got != 3 {
-		t.Fatalf("explicit parallel: got %d, want 3", got)
-	}
-	// Auto mode: shares sum to the machine width (or shards, whichever is
-	// larger — every child gets at least one worker).
-	for shards := 1; shards <= 5; shards++ {
-		sum := 0
-		for i := 0; i < shards; i++ {
-			w := childWorkers(0, i, shards)
-			if w < 1 {
-				t.Fatalf("shard %d/%d: %d workers", i, shards, w)
-			}
-			sum += w
-		}
-		if sum < shards {
-			t.Fatalf("shards=%d: shares sum to %d", shards, sum)
-		}
-	}
-}

@@ -249,7 +249,7 @@ func supervise(ctx context.Context, cfg superviseConfig) (superviseSummary, erro
 	if err != nil {
 		return sum, err
 	}
-	results, missing, err := scenario.MergeResultsPartial(streams, rescue, cfg.Specs)
+	results, missing, err := scenario.MergeResults(streams, rescue, cfg.Specs)
 	if err != nil {
 		return sum, err
 	}
@@ -263,7 +263,7 @@ func supervise(ctx context.Context, cfg superviseConfig) (superviseSummary, erro
 		if err != nil {
 			return sum, err
 		}
-		results, missing, err = scenario.MergeResultsPartial(streams, rescue, cfg.Specs)
+		results, missing, err = scenario.MergeResults(streams, rescue, cfg.Specs)
 		if err != nil {
 			return sum, err
 		}
@@ -415,7 +415,7 @@ func (cfg *superviseConfig) runAttempt(ctx context.Context, shard, attempt int, 
 	env := append(append([]string{}, cfg.ExtraEnv...), fault.EnvVar+"="+injected)
 	argv := dispatch.WorkerArgv(cfg.Exe, cfg.Scenario, sh, remotePath,
 		cfg.Opt.Duration.String(), cfg.Opt.Skip.String(), cfg.Opt.Seed,
-		childWorkers(cfg.Parallel, shard, cfg.Shards))
+		scenario.ShardWorkers(cfg.Parallel, shard, cfg.Shards))
 	proc, err := tr.Start(ctx, host, argv, env, cfg.Log)
 	if err != nil {
 		cfg.pool.StartError(host)

@@ -1,31 +1,8 @@
 package app
 
-import "strings"
-
-// builtinProfiles returns the measured application personalities in the
-// order the paper's figures list them.
-func builtinProfiles() []Profile {
+// Profiles returns the measured application personalities in the order
+// the paper's figures list them. The scenario registry builds one app
+// scheme per profile, named by the profile's lower-cased Name.
+func Profiles() []Profile {
 	return []Profile{Skype(), Hangout(), Facetime()}
-}
-
-// ProfileByName looks up a built-in profile by its lower-case scheme name
-// ("skype", "hangout", "facetime"), reporting false for an unknown name.
-// The scenario registry's app schemes are built on this lookup.
-func ProfileByName(name string) (Profile, bool) {
-	for _, p := range builtinProfiles() {
-		if strings.ToLower(p.Name) == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
-
-// ProfileNames lists the built-in profiles' scheme names in paper order.
-func ProfileNames() []string {
-	ps := builtinProfiles()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = strings.ToLower(p.Name)
-	}
-	return names
 }

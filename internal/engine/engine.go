@@ -57,8 +57,9 @@ type Job struct {
 // time, so values stored here are free of data races by construction — but
 // they are reused across jobs, so anything cached must be reset (or be
 // reset-able) at job start. States persist across Run calls on the same
-// Engine, which is what makes back-to-back suite runs (cmd/sproutbench
-// -repeat) reuse their worlds instead of rebuilding them.
+// Engine, which is what makes back-to-back runs (the experiments of one
+// cmd/sproutbench invocation, the bench child's repeated passes) reuse
+// their worlds instead of rebuilding them.
 type WorkerState struct {
 	id   int
 	vals map[any]any
@@ -87,8 +88,8 @@ func (ws *WorkerState) Value(key any, mk func() any) any {
 	return v
 }
 
-// Stats summarizes one Run call, or — after Merge — an aggregate over
-// several runs (repeats on one engine, or the shards of a sharded sweep).
+// Stats summarizes one Run call, or — after Merge — the shards of a
+// sharded sweep.
 type Stats struct {
 	// Jobs is how many jobs were submitted; Completed how many actually
 	// ran (cancellation can skip the tail of the queue).
@@ -115,8 +116,8 @@ type Stats struct {
 
 // Merge folds another run's stats into s: the aggregation for sharded
 // sweeps, where every shard ran on its own engine (possibly in its own
-// child process) and no single engine's Total sees the whole grid. Jobs
-// and Completed sum without double-counting because each shard owns a
+// child process) and no single engine sees the whole grid. Jobs and
+// Completed sum without double-counting because each shard owns a
 // disjoint index set; Workers and Wall sum into aggregate concurrency
 // and aggregate compute time (see the field docs); Shards counts the
 // merged runs.
@@ -150,7 +151,6 @@ func (s Stats) String() string {
 type Engine struct {
 	workers int
 	states  []*WorkerState // one per worker index, persisted across Runs
-	total   Stats          // cumulative across Runs
 }
 
 // New returns an engine with the given pool size. workers <= 0 selects
@@ -164,12 +164,6 @@ func New(workers int) *Engine {
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Total returns cumulative stats over every Run call on this engine
-// (Wall is the summed run wall-clock, Workers the largest pool used).
-// Back-to-back suite runs — cmd/sproutbench -repeat — report it so the
-// cross-run world-reuse win is visible from the CLI.
-func (e *Engine) Total() Stats { return e.total }
 
 // Run executes the jobs and blocks until all have finished or been
 // skipped. The first error in job order is returned, wrapped with the
@@ -227,12 +221,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (Stats, error) {
 		}
 	}
 	stats.Wall = time.Since(start)
-	e.total.Jobs += stats.Jobs
-	e.total.Completed += stats.Completed
-	e.total.Wall += stats.Wall
-	if stats.Workers > e.total.Workers {
-		e.total.Workers = stats.Workers
-	}
 	// Report the root cause, not the fallout: a job that honours ctx and
 	// returns context.Canceled after another job's failure triggered the
 	// cancellation must not mask the real error just because it sits

@@ -276,10 +276,3 @@ func CompletedIndexes(recs []Record) []int {
 	sort.Ints(out)
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

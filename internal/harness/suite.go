@@ -28,9 +28,9 @@ type Options struct {
 	Workers int
 	// Engine, if non-nil, executes the runs instead of a fresh
 	// engine.New(Workers) per call. A persistent engine keeps its
-	// per-worker simulation worlds across calls (cmd/sproutbench
-	// -repeat), so repeated suites run allocation-flat. Results are
-	// identical either way.
+	// per-worker simulation worlds across calls (cmd/sproutbench runs
+	// every experiment of an invocation on one), so later suites run
+	// allocation-flat. Results are identical either way.
 	Engine *engine.Engine
 }
 

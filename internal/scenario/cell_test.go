@@ -62,11 +62,9 @@ func TestCellDegenerateMatchesDirect(t *testing.T) {
 	}
 }
 
-// cellGridSpecs is the determinism grid: multi-flow round-robin and
+// cellGridJSON is the determinism grid: multi-flow round-robin and
 // proportional-fair cells, churn, and a two-cell handover layout.
-func cellGridSpecs(t *testing.T) []Spec {
-	t.Helper()
-	specs, err := Parse(strings.NewReader(`{
+const cellGridJSON = `{
 	  "defaults": {"process": {"model": "Verizon-LTE-down"},
 	               "feedback_process": {"model": "Verizon-LTE-up"},
 	               "duration": "4s", "skip": "1s", "seed": 7},
@@ -81,7 +79,11 @@ func cellGridSpecs(t *testing.T) []Spec {
 	      {"scheme": "sprout", "flows": 2, "cell": 0},
 	      {"scheme": "sprout", "flows": 1, "cell": 1, "base_flow": 100}]}}
 	  ]
-	}`))
+	}`
+
+func cellGridSpecs(t *testing.T) []Spec {
+	t.Helper()
+	specs, err := Parse(strings.NewReader(cellGridJSON))
 	if err != nil {
 		t.Fatal(err)
 	}

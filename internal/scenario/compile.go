@@ -9,40 +9,20 @@ import (
 
 // CompileJobs turns specs into engine jobs that write into the returned
 // result slice by index, so assembled output never depends on scheduling
-// order. traces may be shared across calls; nil allocates a private cache.
-//
-// Specs are normalized here, at compile time, so the job bodies do only
-// simulation work; each job runs on its worker's pooled world (see
-// world.go), reusing the event loop, links, packet arena and endpoints of
-// the previous job on that worker.
+// order: indexJob over the whole grid, with the slice as the sink. traces
+// may be shared across calls; nil allocates a private cache.
 func CompileJobs(specs []Spec, traces *engine.Cache) ([]engine.Job, []Result, *engine.Cache) {
 	if traces == nil {
 		traces = engine.NewCache()
 	}
 	results := make([]Result, len(specs))
+	sink := func(i int, res Result) error {
+		results[i] = res
+		return nil
+	}
 	jobs := make([]engine.Job, len(specs))
 	for i, spec := range specs {
-		i := i
-		name := spec.Label()
-		norm, err := spec.Normalize()
-		if err != nil {
-			err := err
-			jobs[i] = engine.Job{Name: name, Run: func(context.Context, *engine.WorkerState) error {
-				return err
-			}}
-			continue
-		}
-		jobs[i] = engine.Job{
-			Name: name,
-			Run: func(_ context.Context, ws *engine.WorkerState) error {
-				res, err := runNormalized(norm, traces, worldFor(ws))
-				if err != nil {
-					return err
-				}
-				results[i] = res
-				return nil
-			},
-		}
+		jobs[i] = indexJob(spec, i, traces, sink)
 	}
 	return jobs, results, traces
 }
@@ -54,9 +34,8 @@ func RunAll(ctx context.Context, specs []Spec, workers int) ([]Result, engine.St
 }
 
 // RunAllOn is RunAll on a caller-supplied engine: a persistent engine
-// keeps its per-worker simulation worlds across calls (cmd/sproutbench
-// -repeat), so repeated sweeps run allocation-flat. Results are identical
-// to RunAll's.
+// keeps its per-worker simulation worlds across calls, so repeated sweeps
+// run allocation-flat. Results are identical to RunAll's.
 func RunAllOn(ctx context.Context, eng *engine.Engine, specs []Spec) ([]Result, engine.Stats, error) {
 	results, stats, _, err := RunAllCached(ctx, eng, specs)
 	return results, stats, err

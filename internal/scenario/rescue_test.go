@@ -19,8 +19,7 @@ func TestRunIndexesMatchesShardRecords(t *testing.T) {
 	// Reference: shard 1 of 2 run normally.
 	var shardBuf bytes.Buffer
 	sh := engine.Shard{Index: 1, Count: 2}
-	jobs, _ := CompileShardJobs(specs, traces, sh, nil, lockedSink(engine.NewRecordWriter(&shardBuf)))
-	if _, err := engine.New(2).Run(context.Background(), jobs); err != nil {
+	if _, err := RunShard(context.Background(), engine.New(2), specs, sh, nil, engine.NewRecordWriter(&shardBuf)); err != nil {
 		t.Fatal(err)
 	}
 	want, err := engine.ReadRecords(bytes.NewReader(shardBuf.Bytes()))
@@ -29,12 +28,7 @@ func TestRunIndexesMatchesShardRecords(t *testing.T) {
 	}
 
 	// Rescue pass over the same indexes.
-	var owned []int
-	for i := range specs {
-		if sh.Owns(i) {
-			owned = append(owned, i)
-		}
-	}
+	owned := ownedIndexes(len(specs), sh, nil)
 	var rescueBuf bytes.Buffer
 	if _, err := RunIndexes(context.Background(), engine.New(1), specs, traces, owned, engine.NewRecordWriter(&rescueBuf)); err != nil {
 		t.Fatal(err)
@@ -58,16 +52,16 @@ func TestRunIndexesMatchesShardRecords(t *testing.T) {
 
 func TestCompileIndexJobsRejectsOutOfRange(t *testing.T) {
 	specs := shardTestSpecs(t)
-	if _, _, err := CompileIndexJobs(specs, nil, []int{len(specs)}, func(int, Result) error { return nil }); err == nil {
+	if _, err := compileIndexJobs(specs, nil, []int{len(specs)}, func(int, Result) error { return nil }); err == nil {
 		t.Fatal("out-of-range rescue index must error")
 	}
-	if _, _, err := CompileIndexJobs(specs, nil, []int{-1}, func(int, Result) error { return nil }); err == nil {
+	if _, err := compileIndexJobs(specs, nil, []int{-1}, func(int, Result) error { return nil }); err == nil {
 		t.Fatal("negative rescue index must error")
 	}
 }
 
-// TestMergeResultsPartial: the degraded merge surfaces exactly the
-// missing indexes and decodes everything present.
+// TestMergeResultsPartial: a merge of incomplete streams surfaces exactly
+// the missing indexes and decodes everything present.
 func TestMergeResultsPartial(t *testing.T) {
 	specs := shardTestSpecs(t)
 	results, _, err := RunSharded(context.Background(), specs, ShardedOptions{Shards: 2, Workers: 1})
@@ -104,7 +98,7 @@ func TestMergeResultsPartial(t *testing.T) {
 		wantMissing = append(wantMissing, rec.Index)
 	}
 
-	partial, missing, err := MergeResultsPartial(streams, rescue, specs)
+	partial, missing, err := MergeResults(streams, rescue, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +109,9 @@ func TestMergeResultsPartial(t *testing.T) {
 		t.Fatalf("partial merge decoded %d results, want %d", len(partial), len(specs)-len(wantMissing))
 	}
 
-	// The complete variants must refuse the same incomplete input.
-	if _, err := MergeResultsRescued(streams, rescue, specs); err == nil {
-		t.Fatal("MergeResultsRescued accepted an incomplete merge")
+	// Callers that need the whole grid must refuse the same input.
+	if incompleteErr(missing, len(specs)) == nil {
+		t.Fatal("incompleteErr accepted an incomplete merge")
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 
 	"sprout/internal/app"
 	"sprout/internal/core"
@@ -14,7 +15,7 @@ import (
 // plain Reno). Each family shares one constructor shape: Sprout variants
 // differ only in their Forecaster, TCP baselines in their
 // CongestionControl (via tcp.NewCC), and the interactive applications in
-// their app.Profile (via app.ProfileByName).
+// their app.Profile (from app.Profiles).
 
 func init() {
 	// Sprout family.
@@ -30,13 +31,13 @@ func init() {
 	})
 
 	// Interactive applications (the measured commercial programs).
-	for _, name := range app.ProfileNames() {
-		profile, _ := app.ProfileByName(name)
+	for _, profile := range app.Profiles() {
+		name := strings.ToLower(profile.Name)
 		Register(Scheme{
 			Name:        name,
 			Description: fmt.Sprintf("%s-like videoconference model (measured §5.2 personality)", profile.Name),
 			BaseFlow:    1,
-			New:         appConstructor(name),
+			New:         appConstructor(name, profile),
 		})
 	}
 
@@ -191,14 +192,12 @@ type appEndpoints struct {
 }
 
 // appConstructor builds an interactive-application constructor around a
-// named profile.
-func appConstructor(profile string) Constructor {
-	kind := "app/" + profile
+// profile, resolved once when the scheme registers: an attach copies the
+// struct and allocates nothing.
+func appConstructor(name string, profile app.Profile) Constructor {
+	kind := "app/" + name
 	return func(cfg AttachConfig) (Endpoint, error) {
-		p, ok := app.ProfileByName(profile)
-		if !ok {
-			return Endpoint{}, fmt.Errorf("scenario: no app profile %q (have %v)", profile, app.ProfileNames())
-		}
+		p := profile
 		if cfg.MSS > 0 {
 			p.PacketSize = cfg.MSS
 		}

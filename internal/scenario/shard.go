@@ -148,60 +148,41 @@ func Fingerprint(specs []Spec, shards int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CompileShardJobs compiles the sub-grid a shard owns, preserving global
-// job indexes: job k of the returned slice is the k-th owned index, its
-// closure writes through sink(globalIndex, result). Specs are normalized
-// at compile time exactly as CompileJobs does — position in the full
-// grid, not position within the shard, determines a job's identity, name
-// and seed derivation. skip (nil = run everything) drops already-
-// checkpointed indexes without running them. sink is called from engine
-// workers concurrently; writers behind it must lock (see lockedSink).
-func CompileShardJobs(specs []Spec, traces *engine.Cache, shard engine.Shard, skip func(int) bool, sink func(int, Result) error) ([]engine.Job, *engine.Cache) {
+// compileIndexJobs compiles jobs for an explicit list of global indexes —
+// a shard's owned partition (ownedIndexes), or the jobs a supervisor
+// recomputes for a dead shard. Job k of the returned slice is indexes[k];
+// its closure writes through sink(globalIndex, result). Position in the
+// full grid, not in the list, determines a job's identity, name and seed
+// derivation (indexJob), so a record is byte-identical whichever shard or
+// rescue pass produced it. sink is called from engine workers
+// concurrently; writers behind it must lock (see lockedSink). traces may
+// be shared across calls; nil allocates a private cache. Out-of-range
+// indexes are an error: the lists are computed from the grid or from the
+// merge, so a bad index means a broken caller, not a recoverable
+// condition.
+func compileIndexJobs(specs []Spec, traces *engine.Cache, indexes []int, sink func(int, Result) error) ([]engine.Job, error) {
 	if traces == nil {
 		traces = engine.NewCache()
 	}
-	var jobs []engine.Job
-	for i := range specs {
-		if !shard.Owns(i) || (skip != nil && skip(i)) {
-			continue
-		}
-		jobs = append(jobs, indexJob(specs, i, traces, sink))
-	}
-	return jobs, traces
-}
-
-// CompileIndexJobs compiles jobs for an explicit set of global indexes —
-// the rescue path: a supervisor recomputing a dead shard's missing jobs
-// in-process. Job identity follows CompileShardJobs exactly (label,
-// normalization and seed derivation hang off the global index), so a
-// rescued record is byte-identical to the one the dead shard would have
-// written. Out-of-range indexes are an error: the missing-index list is
-// computed from the merge, so a bad index means a broken caller, not a
-// recoverable condition.
-func CompileIndexJobs(specs []Spec, traces *engine.Cache, indexes []int, sink func(int, Result) error) ([]engine.Job, *engine.Cache, error) {
-	if traces == nil {
-		traces = engine.NewCache()
-	}
-	jobs := make([]engine.Job, 0, len(indexes))
-	for _, i := range indexes {
+	jobs := make([]engine.Job, len(indexes))
+	for k, i := range indexes {
 		if i < 0 || i >= len(specs) {
-			return nil, nil, fmt.Errorf("scenario: rescue index %d outside spec grid [0, %d)", i, len(specs))
+			return nil, fmt.Errorf("scenario: job index %d outside spec grid [0, %d)", i, len(specs))
 		}
-		jobs = append(jobs, indexJob(specs, i, traces, sink))
+		jobs[k] = indexJob(specs[i], i, traces, sink)
 	}
-	return jobs, traces, nil
+	return jobs, nil
 }
 
-// indexJob compiles the job for one global index. Specs are normalized
-// at compile time exactly as CompileJobs does — position in the full
-// grid determines a job's identity, name and seed derivation, regardless
-// of which shard (or rescue pass) runs it.
-func indexJob(specs []Spec, i int, traces *engine.Cache, sink func(int, Result) error) engine.Job {
-	spec := specs[i]
+// indexJob compiles the job for one global index: the one body every
+// compiler shares. The spec is normalized here, at compile time, so the
+// job body does only simulation work; it runs on its worker's pooled
+// world (see world.go), reusing the event loop, links, packet arena and
+// endpoints of the previous job on that worker.
+func indexJob(spec Spec, i int, traces *engine.Cache, sink func(int, Result) error) engine.Job {
 	name := spec.Label()
 	norm, err := spec.Normalize()
 	if err != nil {
-		err := err
 		return engine.Job{Name: name, Run: func(context.Context, *engine.WorkerState) error {
 			return err
 		}}
@@ -216,6 +197,22 @@ func indexJob(specs []Spec, i int, traces *engine.Cache, sink func(int, Result) 
 			return sink(i, res)
 		},
 	}
+}
+
+// ownedIndexes lists the global indexes of an n-job grid that shard owns,
+// ascending, minus those in done (a resumed checkpoint's completed jobs).
+func ownedIndexes(n int, shard engine.Shard, done []int) []int {
+	skip := make(map[int]bool, len(done))
+	for _, i := range done {
+		skip[i] = true
+	}
+	owned := make([]int, 0, shard.Size(n))
+	for i := 0; i < n; i++ {
+		if shard.Owns(i) && !skip[i] {
+			owned = append(owned, i)
+		}
+	}
+	return owned
 }
 
 // lockedSink serializes record emission from one shard's concurrent
@@ -241,34 +238,27 @@ func RunShard(ctx context.Context, eng *engine.Engine, specs []Spec, shard engin
 	if err := shard.Validate(); err != nil {
 		return engine.Stats{}, err
 	}
-	doneSet := make(map[int]bool, len(done))
-	for _, i := range done {
-		doneSet[i] = true
-	}
-	var skip func(int) bool
-	if len(doneSet) > 0 {
-		skip = func(i int) bool { return doneSet[i] }
-	}
-	jobs, _ := CompileShardJobs(specs, nil, shard, skip, lockedSink(w))
-	st, err := eng.Run(ctx, jobs)
-	if err != nil {
-		return st, fmt.Errorf("scenario: shard %s: %w", shard, err)
-	}
-	return st, nil
+	return runIndexes(ctx, eng, specs, nil, ownedIndexes(len(specs), shard, done), w, "shard "+shard.String())
 }
 
 // RunIndexes recomputes an explicit set of global job indexes, streaming
 // each record to w as it completes — the supervisor's rescue engine for
 // jobs whose shard died. Records are byte-identical to what the owning
-// shard would have produced (see CompileIndexJobs).
+// shard would have produced (see compileIndexJobs).
 func RunIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache, indexes []int, w *engine.RecordWriter) (engine.Stats, error) {
-	jobs, _, err := CompileIndexJobs(specs, traces, indexes, lockedSink(w))
+	return runIndexes(ctx, eng, specs, traces, indexes, w, "rescue")
+}
+
+// runIndexes compiles and runs the listed jobs into w; what names the
+// pass in its error.
+func runIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache, indexes []int, w *engine.RecordWriter, what string) (engine.Stats, error) {
+	jobs, err := compileIndexJobs(specs, traces, indexes, lockedSink(w))
 	if err != nil {
 		return engine.Stats{}, err
 	}
 	st, err := eng.Run(ctx, jobs)
 	if err != nil {
-		return st, fmt.Errorf("scenario: rescue: %w", err)
+		return st, fmt.Errorf("scenario: %s: %w", what, err)
 	}
 	return st, nil
 }
@@ -277,9 +267,8 @@ func RunIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *e
 type ShardedOptions struct {
 	// Shards is the decomposition width; 0 or 1 runs a single shard.
 	Shards int
-	// Workers is the engine pool size per shard. Zero splits GOMAXPROCS
-	// evenly across the shards (minimum one worker each), keeping the
-	// sweep's aggregate worker count at the machine width.
+	// Workers is the engine pool size per shard; zero splits the machine
+	// width across the shards (ShardWorkers).
 	Workers int
 	// Checkpoint, when non-empty, is the checkpoint directory: shard
 	// records append to <dir>/shard-<i>.jsonl as jobs finish, and a
@@ -291,11 +280,14 @@ type ShardedOptions struct {
 	Traces *engine.Cache
 }
 
-// workersFor splits the machine width across shards: shard i of n gets
-// its even share, with the remainder spread over the low shards.
-func (o ShardedOptions) workersFor(shard, shards int) int {
-	if o.Workers != 0 {
-		return o.Workers
+// ShardWorkers is the engine pool size of shard i of n, in this process
+// or a child: an explicit workers forwards unchanged; zero splits
+// GOMAXPROCS evenly (the remainder spread over the low shards, minimum
+// one worker each), so a fan-out saturates the host without
+// oversubscribing it n times.
+func ShardWorkers(workers, shard, shards int) int {
+	if workers != 0 {
+		return workers
 	}
 	procs := runtime.GOMAXPROCS(0)
 	w := procs / shards
@@ -360,13 +352,9 @@ func RunSharded(ctx context.Context, specs []Spec, opt ShardedOptions) ([]Result
 		go func() {
 			defer wg.Done()
 			sh := engine.Shard{Index: i, Count: shards}
-			skip := ios[i].done
-			jobs, _ := CompileShardJobs(specs, traces, sh, memberOf(skip), lockedSink(ios[i].w))
-			eng := engine.New(opt.workersFor(i, shards))
-			st, err := eng.Run(ctx, jobs)
-			stats[i] = st
-			if err != nil {
-				errs[i] = fmt.Errorf("scenario: shard %s: %w", sh, err)
+			eng := engine.New(ShardWorkers(opt.Workers, i, shards))
+			stats[i], errs[i] = runIndexes(ctx, eng, specs, traces, ownedIndexes(len(specs), sh, ios[i].done), ios[i].w, "shard "+sh.String())
+			if errs[i] != nil {
 				cancel()
 			}
 		}()
@@ -400,8 +388,14 @@ func RunSharded(ctx context.Context, specs []Spec, opt ShardedOptions) ([]Result
 			return nil, merged, err
 		}
 	}
-	results, err := MergeResults(streams, specs)
-	return results, merged, err
+	results, missing, err := MergeResults(streams, nil, specs)
+	if err == nil {
+		err = incompleteErr(missing, len(specs))
+	}
+	if err != nil {
+		return nil, merged, err
+	}
+	return results, merged, nil
 }
 
 // shardIO is one shard's record destination inside RunSharded: a
@@ -422,47 +416,14 @@ func closeShardFiles(ios []shardIO) {
 	}
 }
 
-func memberOf(idxs []int) func(int) bool {
-	if len(idxs) == 0 {
-		return nil
-	}
-	set := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		set[i] = true
-	}
-	return func(i int) bool { return set[i] }
-}
-
 // MergeResults merges per-shard record streams (stream i = shard i of
-// len(streams)) into index-ordered Results, verifying completeness and
-// shard ownership.
-func MergeResults(streams [][]engine.Record, specs []Spec) ([]Result, error) {
-	return MergeResultsRescued(streams, nil, specs)
-}
-
-// MergeResultsRescued is MergeResults plus an ownership-exempt rescue
-// stream (records a supervisor recomputed for dead shards). The merge
-// must still be complete.
-func MergeResultsRescued(streams [][]engine.Record, rescue []engine.Record, specs []Spec) ([]Result, error) {
-	results, missing, err := MergeResultsPartial(streams, rescue, specs)
-	if err != nil {
-		return nil, err
-	}
-	if len(missing) > 0 {
-		n := len(missing)
-		if n > 8 {
-			missing = missing[:8]
-		}
-		return nil, fmt.Errorf("scenario: merge incomplete: %d of %d jobs missing (first: %v)", n, len(specs), missing)
-	}
-	return results, nil
-}
-
-// MergeResultsPartial merges whatever completed, decoding the present
-// records and reporting the sorted missing global indexes instead of
-// failing — the -partial graceful-degradation path. Decomposition errors
-// (ownership violations, out-of-range indexes) remain hard failures.
-func MergeResultsPartial(streams [][]engine.Record, rescue []engine.Record, specs []Spec) ([]Result, []int, error) {
+// len(streams)) plus an ownership-exempt rescue stream (records a
+// supervisor recomputed for dead shards; nil for none) into index-ordered
+// Results, decoding whatever completed and reporting the sorted missing
+// global indexes — callers that need the whole grid check them with
+// incompleteErr, the -partial path prints them. Decomposition errors
+// (ownership violations, out-of-range indexes) are hard failures.
+func MergeResults(streams [][]engine.Record, rescue []engine.Record, specs []Spec) ([]Result, []int, error) {
 	recs, missing, err := engine.MergePartial(streams, rescue, len(specs))
 	if err != nil {
 		return nil, nil, err
@@ -474,6 +435,15 @@ func MergeResultsPartial(streams [][]engine.Record, rescue []engine.Record, spec
 		}
 	}
 	return results, missing, nil
+}
+
+// incompleteErr is the error of a merge that had to be complete and is
+// missing these indexes; nil when none are.
+func incompleteErr(missing []int, total int) error {
+	if len(missing) == 0 {
+		return nil
+	}
+	return fmt.Errorf("scenario: merge incomplete: %d of %d jobs missing (first: %v)", len(missing), total, missing[:min(len(missing), 8)])
 }
 
 // ReadShardStreams reads a checkpoint directory's per-shard logs plus
@@ -529,7 +499,14 @@ func MergeShardLogs(dir string, specs []Spec, shards int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MergeResultsRescued(streams, rescue, specs)
+	results, missing, err := MergeResults(streams, rescue, specs)
+	if err == nil {
+		err = incompleteErr(missing, len(specs))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // WriteMergedRecords encodes results (a full grid, in index order) as

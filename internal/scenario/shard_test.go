@@ -213,3 +213,27 @@ func TestDecodeResultErrors(t *testing.T) {
 		t.Fatal("corrupt payload: want error")
 	}
 }
+
+// TestShardWorkers checks a fan-out, in-process or of child processes,
+// splits the machine width instead of oversubscribing it once per shard.
+func TestShardWorkers(t *testing.T) {
+	// An explicit pool size forwards unchanged.
+	if got := ShardWorkers(3, 0, 2); got != 3 {
+		t.Fatalf("explicit workers: got %d, want 3", got)
+	}
+	// Auto mode: shares sum to the machine width (or shards, whichever is
+	// larger — every shard gets at least one worker).
+	for shards := 1; shards <= 5; shards++ {
+		sum := 0
+		for i := 0; i < shards; i++ {
+			w := ShardWorkers(0, i, shards)
+			if w < 1 {
+				t.Fatalf("shard %d/%d: %d workers", i, shards, w)
+			}
+			sum += w
+		}
+		if sum < shards {
+			t.Fatalf("shards=%d: shares sum to %d", shards, sum)
+		}
+	}
+}

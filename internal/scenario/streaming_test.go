@@ -110,10 +110,8 @@ func TestStreamingBeyondCanonicalLength(t *testing.T) {
 	}
 }
 
-// TestProcessSpecJSON exercises the grammar end to end: a handover spec
-// with outages and scaling parses, normalizes, labels and runs.
-func TestProcessSpecJSON(t *testing.T) {
-	const js = `{
+// processSpecJSON is a handover spec with outages and scaling.
+const processSpecJSON = `{
 	  "defaults": {"duration": "4s", "skip": "1s", "seed": 5},
 	  "scenarios": [
 	    {"scheme": "sprout",
@@ -124,7 +122,11 @@ func TestProcessSpecJSON(t *testing.T) {
 	     "feedback_process": {"model": "Verizon-LTE-up"}}
 	  ]
 	}`
-	specs, err := Parse(strings.NewReader(js))
+
+// TestProcessSpecJSON exercises the grammar end to end: processSpecJSON
+// parses, normalizes, labels and runs.
+func TestProcessSpecJSON(t *testing.T) {
+	specs, err := Parse(strings.NewReader(processSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
