@@ -441,91 +441,95 @@ func extendFloats(dst []float64, n int) []float64 {
 // function of k (every evaluation an independent windowed dot product
 // against rows that are pointwise nondecreasing in k — the raw CDFs are,
 // and evolveAdjoint.apply preserves it), so any probe order finds the same
-// first count with F(k) > p. The shape below exists purely for speed —
-// each evaluation is a latency-bound chain of dependent adds, so probing
-// four counts per pass (mixtureCDF4's independent accumulators) costs
-// about the same as probing one.
+// first count with F(k) > p. The shape below exists purely for speed. An
+// evaluation is a chain of dependent adds, so a pass over two counts costs
+// no more than a pass over one, a pass over four about half as much again,
+// and a pass over five up to twice as much (so none is that wide). The
+// cumulative bound usually advances little from tick to tick — not at all
+// in nine searches of ten for a flow sharing a cell, by under six counts
+// in three of four for a flow that has a link to itself — so the first
+// pass probes the warm start and its successor, the second the four counts
+// after them, and only then does the search split the range.
 func (f *DeliveryForecaster) mixtureQuantileFrom(tick int, p float64, lo0 int) int {
 	hi := f.tbl.maxK[tick]
 	if lo0 >= hi {
 		return lo0
 	}
-	if f.mixtureCDF(tick, lo0) > p {
-		return lo0
-	}
 	lo := lo0
-	// The cumulative bound usually advances only a few counts per tick,
-	// so probe the next four counts in one pass before searching.
-	if lo+4 <= hi {
-		f1, f2, f3, f4 := f.mixtureCDF4(tick, lo+1, lo+2, lo+3, lo+4)
+	if lo+5 <= hi {
+		f0, f1 := f.mixtureCDF2(tick, lo, lo+1)
 		switch {
+		case f0 > p:
+			return lo
 		case f1 > p:
 			return lo + 1
+		}
+		f2, f3, f4, f5 := f.mixtureCDF4(tick, lo+2, lo+3, lo+4, lo+5)
+		switch {
 		case f2 > p:
 			return lo + 2
 		case f3 > p:
 			return lo + 3
 		case f4 > p:
 			return lo + 4
+		case f5 > p:
+			return lo + 5
 		}
-		lo += 4
+		lo += 5
+		// Quinary search: four interior probes per pass split (lo, hi]
+		// five ways, maintaining F(lo) <= p < F at (or beyond) hi.
+		for hi-lo > 5 {
+			step := (hi - lo) / 5
+			m1 := lo + step
+			m2 := m1 + step
+			m3 := m2 + step
+			m4 := m3 + step
+			f1, f2, f3, f4 := f.mixtureCDF4(tick, m1, m2, m3, m4)
+			switch {
+			case f1 > p:
+				hi = m1
+			case f2 > p:
+				lo, hi = m1, m2
+			case f3 > p:
+				lo, hi = m2, m3
+			case f4 > p:
+				lo, hi = m3, m4
+			default:
+				lo = m4
+			}
+		}
+		lo++
 	}
-	// Quinary search: four interior probes per pass split (lo, hi] five
-	// ways, maintaining F(lo) <= p < F at (or beyond) hi.
-	for hi-lo > 5 {
-		step := (hi - lo) / 5
-		m1 := lo + step
-		m2 := m1 + step
-		m3 := m2 + step
-		m4 := m3 + step
-		f1, f2, f3, f4 := f.mixtureCDF4(tick, m1, m2, m3, m4)
+	// F <= p below lo, and at most four candidates lo…hi-1 remain: one
+	// pass decides among them. Probes past the last are clamped to hi,
+	// whose row exists; whatever F is there, the answer it gives is hi.
+	if lo < hi {
+		k2, k3, k4 := min(lo+1, hi), min(lo+2, hi), min(lo+3, hi)
+		f1, f2, f3, f4 := f.mixtureCDF4(tick, lo, k2, k3, k4)
 		switch {
 		case f1 > p:
-			hi = m1
+			return lo
 		case f2 > p:
-			lo, hi = m1, m2
+			return k2
 		case f3 > p:
-			lo, hi = m2, m3
+			return k3
 		case f4 > p:
-			lo, hi = m3, m4
-		default:
-			lo = m4
-		}
-	}
-	for k := lo + 1; k < hi; k++ {
-		if f.mixtureCDF(tick, k) > p {
-			return k
+			return k4
 		}
 	}
 	return hi
 }
 
-// mixtureCDF evaluates F(k) = Σ_j w_j · row(tick, k)[j] over the support
-// window only; weights outside it are exactly zero.
-func (f *DeliveryForecaster) mixtureCDF(tick, k int) float64 {
-	lo, hi := f.lo, f.hi
-	// Slice both operands to the support window so the indexed loop runs
-	// bounds-check-free.
-	row := f.tbl.row(tick, k)[lo:hi]
-	w := f.w[lo:hi]
-	var s float64
-	for j, wj := range w {
-		if wj != 0 {
-			s += wj * row[j]
-		}
-	}
-	return s
-}
-
-// mixtureCDF4 evaluates F at four counts in one pass over the support
-// window: the four dot products share the weight loads and accumulate
-// independently, so the pass costs roughly one latency-bound mixtureCDF
-// chain instead of four. Each sum receives the same terms in the same
-// order as mixtureCDF (whose zero-weight guard only ever skips exact +0
-// additions to a non-negative sum), so all four values are bit-identical
-// to four separate evaluations.
+// mixtureCDF4 evaluates the mixture CDF F(k) = Σ_j w_j · row(tick, k)[j]
+// at four counts in one pass over the support window (weights outside it
+// are exactly zero): the four dot products share the weight loads and
+// accumulate independently. Each sum takes its terms in ascending bin
+// order from +0, so all four values are bit-identical to four separate
+// evaluations.
 func (f *DeliveryForecaster) mixtureCDF4(tick, k1, k2, k3, k4 int) (float64, float64, float64, float64) {
 	lo, hi := f.lo, f.hi
+	// Slice every operand to the support window so the indexed loop runs
+	// bounds-check-free.
 	r1 := f.tbl.row(tick, k1)[lo:hi]
 	r2 := f.tbl.row(tick, k2)[lo:hi]
 	r3 := f.tbl.row(tick, k3)[lo:hi]
@@ -539,6 +543,20 @@ func (f *DeliveryForecaster) mixtureCDF4(tick, k1, k2, k3, k4 int) (float64, flo
 		s4 += wj * r4[j]
 	}
 	return s1, s2, s3, s4
+}
+
+// mixtureCDF2 is mixtureCDF4 at two counts.
+func (f *DeliveryForecaster) mixtureCDF2(tick, k1, k2 int) (float64, float64) {
+	lo, hi := f.lo, f.hi
+	r1 := f.tbl.row(tick, k1)[lo:hi]
+	r2 := f.tbl.row(tick, k2)[lo:hi]
+	w := f.w[lo:hi]
+	var s1, s2 float64
+	for j, wj := range w {
+		s1 += wj * r1[j]
+		s2 += wj * r2[j]
+	}
+	return s1, s2
 }
 
 // EWMAForecaster is the Sprout-EWMA variant (§5.3): it tracks the observed

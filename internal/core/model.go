@@ -150,23 +150,42 @@ func (m *Model) Evolve() {
 	m.ticks++
 }
 
-// gatherLanes is how many destination bins one fused gather pass computes.
-// The lane accumulators live in registers and share a single scan of the
-// source window, made branch-free by the zero-padded kernel. Eight lanes
-// matter because each lane is a serial float add chain: with fewer lanes
-// the pass is latency-bound on the accumulator adds rather than
+// gatherLanes is how many destination bins one pass of the portable gather
+// computes. The lane accumulators live in registers and share a single scan
+// of the source window, made branch-free by the zero-padded kernel. Eight
+// lanes matter because each lane is a serial float add chain: with fewer
+// lanes the pass is latency-bound on the accumulator adds rather than
 // throughput-bound, and the measured cost nearly doubles.
 const gatherLanes = 8
 
-// padKernel returns kernel zero-padded by gatherLanes-1 entries on each
-// side, so lane m of a gather group can read kernelPad[base-j+m] for every
-// source bin in the group's union window without an in-range branch. The
-// padding only ever contributes exact +0 terms, which leave the
-// non-negative lane sums bit-identical.
+// simdLanes is how many destination bins one call of the SIMD kernel
+// (gather16) computes: four 4-wide vector accumulators.
+const simdLanes = 16
+
+// kernelPadding is how many zeros padKernel puts on each side of the
+// kernel: one less than the widest gather group.
+const kernelPadding = simdLanes - 1
+
+// padKernel returns kernel zero-padded by kernelPadding entries on each
+// side, so lane m of a gather group starting at destination k can read
+// kernelPad[k+radius+kernelPadding-j+m] for every source bin j in the
+// group's union window without an in-range branch. The padding only ever
+// contributes exact +0 terms, which leave the non-negative lane sums
+// bit-identical.
 func padKernel(kernel []float64) []float64 {
-	pad := make([]float64, len(kernel)+2*(gatherLanes-1))
-	copy(pad[gatherLanes-1:], kernel)
+	pad := make([]float64, len(kernel)+2*kernelPadding)
+	copy(pad[kernelPadding:], kernel)
 	return pad
+}
+
+// gatherGroup computes the simdLanes interior destinations from k on with
+// the SIMD kernel. The three slice expressions are the kernel's bounds
+// checks: it reads and writes exactly these spans and nothing else.
+func gatherGroup(dst, src, kernelPad []float64, k, radius, jlo, hi int) {
+	j0 := max(k-radius, jlo)
+	j1 := min(k+simdLanes-1+radius, hi-1)
+	base := k + radius + kernelPadding
+	gather16(dst[k:k+simdLanes], src[j0:j1+1], kernelPad[base-j1:base-j0+simdLanes])
 }
 
 // evolveWindow computes one evolution step from src into dst. dst and src
@@ -181,15 +200,24 @@ func padKernel(kernel []float64) []float64 {
 // The pass is a gather: each destination bin's convolution sum accumulates
 // in a register and is stored exactly once, instead of the classic scatter
 // that read-modify-writes every bin under the kernel once per source bin.
-// Interior destinations are computed gatherLanes at a time against the
-// zero-padded kernel, so one scan of the shared source window feeds four
-// independent register accumulators. Every destination still receives its
-// terms in ascending source-bin order — exactly the order the scatter
-// produced — and the only extra terms are the padding's exact zeros added
-// to non-negative sums, so every floating-point result is bit-identical to
-// the scatter form (TestEvolveGatherMatchesScatter pins this). The two
-// boundary bins keep dedicated loops because their sums also fold in the
-// out-of-grid kernel tail, again in the scatter's ascending-offset order.
+// Interior destinations are computed a group at a time against the
+// zero-padded kernel, so one scan of the group's shared source window feeds
+// every lane. Where gatherSIMD is set a group is simdLanes (sixteen) vector
+// lanes, and the last group is the interior's final sixteen bins again:
+// overlapping the group before it recomputes the same values, so no scalar
+// remainder runs. The portable loop — gatherLanes (eight) register
+// accumulators per group, then one bin at a time — is every other
+// platform's path, what an interior narrower than one SIMD group runs, and
+// the oracle the kernel is tested against. On both paths every destination
+// receives its terms in ascending source-bin order — exactly the order the
+// scatter produced — each term a multiply rounded before its add (unfused
+// by contract: the kernel has no FMA, and the Go compiler fuses none on
+// amd64), and the only extra terms are the padding's exact zeros added to
+// non-negative sums, so every floating-point result is bit-identical to
+// the scatter form (TestEvolveGatherMatchesScatter and
+// TestGatherSIMDMatchesPortable pin this). The two boundary bins keep
+// dedicated loops because their sums also fold in the out-of-grid kernel
+// tail, again in the scatter's ascending-offset order.
 func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay float64, lo, hi int) (int, int) {
 	n := len(src)
 	// dst's support is src's support widened by one radius; any mass that
@@ -231,7 +259,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		dst[0] = d0
 	}
 
-	// Interior bins: pure convolution, four register lanes at a time.
+	// Interior bins: pure convolution, a group of lanes at a time.
 	kLo := newLo
 	if kLo < 1 {
 		kLo = 1
@@ -241,6 +269,15 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		kHi = n - 1
 	}
 	k := kLo
+	if gatherSIMD && kHi-kLo >= simdLanes {
+		for ; k+simdLanes <= kHi; k += simdLanes {
+			gatherGroup(dst, src, kernelPad, k, radius, jlo, hi)
+		}
+		if k < kHi {
+			gatherGroup(dst, src, kernelPad, kHi-simdLanes, radius, jlo, hi)
+		}
+		k = kHi
+	}
 	for ; k+gatherLanes-1 < kHi; k += gatherLanes {
 		j0 := k - radius
 		if j0 < jlo {
@@ -250,7 +287,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		if j1 > hi-1 {
 			j1 = hi - 1
 		}
-		base := k + radius + gatherLanes - 1
+		base := k + radius + kernelPadding
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		j := j0
 		for ; j+1 <= j1; j += 2 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash"
 	"math"
 	"math/rand"
 	"testing"
@@ -138,13 +139,23 @@ func agreement(f, refF *DeliveryForecaster, ref *referenceFilter) (worst float64
 // rows and the window trim answer to: on links that move the way the model
 // assumes, the optimized tick stays within rounding of the oracle in every
 // bin, stays normalized, and yields the same forecast integers at the five
-// Fig. 9 confidences, tick after tick.
+// Fig. 9 confidences, tick after tick — with the gather this machine ships
+// with and with the portable loop, every posterior of the two runs equal
+// as bytes.
 func TestTickMatchesNaiveReference(t *testing.T) {
-	for name, p := range map[string]Params{
-		"defaults": {},
-		"64 bins":  {NumBins: 64, MaxRate: 250},
-		"sigma 50": {Sigma: 50},
+	eachGather(t, testTickMatchesNaiveReference)
+}
+
+func testTickMatchesNaiveReference(t *testing.T, digest hash.Hash) {
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"defaults", Params{}},
+		{"64 bins", Params{NumBins: 64, MaxRate: 250}},
+		{"sigma 50", Params{Sigma: 50}},
 	} {
+		name, p := c.name, c.p
 		var seen struct {
 			modes                                   [3]int
 			fractional, zero, pastLastRow, narrowed int
@@ -168,6 +179,7 @@ func TestTickMatchesNaiveReference(t *testing.T) {
 				if s := sum(m.probs); math.Abs(s-1) > 1e-12 {
 					t.Fatalf("%s seed %d step %d: posterior sums to 1%+g", name, seed, step, s-1)
 				}
+				hashFloats(digest, m.probs)
 				seen.modes[mode]++
 				switch {
 				case count == 0:

@@ -56,6 +56,72 @@ func TestForecastAllMatchesForecastAt(t *testing.T) {
 	}
 }
 
+// mixtureCDF is F(k) = Σ_j w_j · row(tick, k)[j] written the plain way, one
+// count per pass: the oracle the multi-count passes of the quantile search
+// are held to.
+func (f *DeliveryForecaster) mixtureCDF(tick, k int) float64 {
+	row := f.tbl.row(tick, k)
+	var s float64
+	for j := f.lo; j < f.hi; j++ {
+		s += f.w[j] * row[j]
+	}
+	return s
+}
+
+// TestQuantileSearchMatchesLinearScan: mixtureQuantileFrom's multi-count
+// passes and quinary search return exactly what a linear scan from lo0
+// returns — the first count at or after lo0 whose mixture CDF exceeds p —
+// on random trained posteriors, at every horizon tick and the five Fig. 9
+// confidences, from warm starts that reach every branch: the bottom, the
+// previous tick's answer, a random count, past the tick's bound, and every
+// count within six of it (with fewer than five counts left the first pass
+// is the last). Near the bound F is all but 1, so no confidence sends a
+// search there: each start is also searched at thresholds taken from F
+// itself, which put the answer at chosen counts, and at one F never
+// exceeds.
+func TestQuantileSearchMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 40; trial++ {
+		p := []Params{{}, {NumBins: 64, MaxRate: 250}, {MaxRate: 60, ForecastTicks: 3}}[trial%3]
+		f := NewDeliveryForecaster(NewModel(p))
+		rate := rng.Float64() * 1.2 * f.model.p.MaxRate * f.model.p.Tick.Seconds()
+		for i := 20 + rng.Intn(200); i > 0; i-- {
+			f.Tick(float64(poissonSample(rng, rate)), Observation(rng.Intn(3)))
+		}
+		f.w, f.lo, f.hi = f.model.probs, f.model.lo, f.model.hi
+		for _, conf := range []float64{0.05, 0.25, 0.50, 0.75, 0.95} {
+			prev := 0
+			for tick := 0; tick < f.HorizonTicks(); tick++ {
+				hi := f.tbl.maxK[tick]
+				starts := []int{0, prev, rng.Intn(hi + 1), hi + 2}
+				for d := 0; d <= 6; d++ {
+					starts = append(starts, max(0, hi-d))
+				}
+				for _, lo0 := range starts {
+					ps := []float64{clampP(conf), 2}
+					for k := lo0; k <= min(lo0+6, hi); k++ {
+						ps = append(ps, f.mixtureCDF(tick, k))
+					}
+					for _, pv := range ps {
+						want := max(lo0, hi)
+						for k := lo0; k < hi; k++ {
+							if f.mixtureCDF(tick, k) > pv {
+								want = k
+								break
+							}
+						}
+						if got := f.mixtureQuantileFrom(tick, pv, lo0); got != want {
+							t.Fatalf("trial %d tick %d p %v from %d (bound %d): search %d, linear scan %d",
+								trial, tick, pv, lo0, hi, got, want)
+						}
+					}
+				}
+				prev = f.mixtureQuantileFrom(tick, clampP(conf), prev)
+			}
+		}
+	}
+}
+
 // TestForecastAllAppendSemantics: ForecastAll appends after an existing
 // prefix, like every other dst-appending API in the package.
 func TestForecastAllAppendSemantics(t *testing.T) {

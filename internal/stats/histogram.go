@@ -121,9 +121,6 @@ func linearFit(x, y []float64) (slope, intercept float64) {
 	return slope, intercept
 }
 
-// LinearFit is exported for tests and the fig2 harness.
-func LinearFit(x, y []float64) (slope, intercept float64) { return linearFit(x, y) }
-
 // Quantiles returns the q-quantiles of a sample (convenience wrapper around
 // Percentile for several probabilities at once, sorting only once).
 func Quantiles(sample []float64, ps ...float64) []float64 {

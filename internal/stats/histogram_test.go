@@ -74,7 +74,7 @@ func TestPowerLawTailFitRecoversExponent(t *testing.T) {
 func TestLinearFit(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 2x+1
-	slope, intercept := LinearFit(x, y)
+	slope, intercept := linearFit(x, y)
 	if math.Abs(slope-2) > 1e-9 || math.Abs(intercept-1) > 1e-9 {
 		t.Errorf("fit = (%v,%v), want (2,1)", slope, intercept)
 	}

@@ -1,5 +1,5 @@
 // Package stats provides the numerical substrate for Sprout's stochastic
-// model: log-space Poisson likelihoods, Gaussian transition kernels,
+// model: Poisson distribution functions, Gaussian transition kernels,
 // time-weighted percentiles, exponentially weighted moving averages and a
 // byte-interval set used for received-or-lost accounting.
 //
@@ -9,32 +9,6 @@
 package stats
 
 import "math"
-
-// PoissonLogPMF returns log P(K = k) for K ~ Poisson(mean).
-//
-// k is a float64 because Sprout observes byte counts normalized by the MTU,
-// which are not integral; the continuous extension uses lgamma(k+1) in place
-// of log k!. mean must be >= 0. A mean of exactly zero returns 0 for k == 0
-// and -Inf otherwise.
-func PoissonLogPMF(mean, k float64) float64 {
-	if k < 0 {
-		return math.Inf(-1)
-	}
-	if mean <= 0 {
-		if k == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(k + 1)
-	return k*math.Log(mean) - mean - lg
-}
-
-// PoissonPMF returns P(K = k) for K ~ Poisson(mean), with the same
-// continuous-k extension as PoissonLogPMF.
-func PoissonPMF(mean, k float64) float64 {
-	return math.Exp(PoissonLogPMF(mean, k))
-}
 
 // PoissonCDF returns P(K <= k) for K ~ Poisson(mean) and integral k >= 0.
 // It sums the pmf directly, which is exact to within float64 rounding for
@@ -98,60 +72,10 @@ func PoissonCDFTable(mean float64, maxK int) []float64 {
 	return out
 }
 
-// PoissonQuantile returns the smallest k such that P(K <= k) >= p for
-// K ~ Poisson(mean).
-func PoissonQuantile(mean, p float64) int {
-	if p <= 0 {
-		return 0
-	}
-	if mean <= 0 {
-		return 0
-	}
-	// Walk up from 0; the means Sprout uses are small (<= ~200/tick·8).
-	term := math.Exp(-mean)
-	if term == 0 {
-		// Normal approximation for very large means.
-		k := int(mean + math.Sqrt(mean)*normalQuantile(p))
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	sum := 0.0
-	for k := 0; ; k++ {
-		sum += term
-		if sum >= p {
-			return k
-		}
-		term *= mean / float64(k+1)
-		if k > 1<<20 {
-			return k // unreachable for sane inputs; defensive bound
-		}
-	}
-}
-
 // normalCDF is the standard normal cumulative distribution function.
 func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
-
-// normalQuantile inverts normalCDF by bisection. p must be in (0, 1).
-func normalQuantile(p float64) float64 {
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if normalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// NormalCDF is the standard normal CDF, exported for the transition-kernel
-// construction (bin mass = Φ(b) − Φ(a)).
-func NormalCDF(x float64) float64 { return normalCDF(x) }
 
 // GaussianKernel returns the probability mass a Gaussian with the given
 // standard deviation assigns to each integer offset in [-radius, radius],
