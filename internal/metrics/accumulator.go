@@ -102,8 +102,11 @@ func (f *flowStream) meanDelay() time.Duration {
 // delivered, in place of retaining an unbounded []link.Delivery and
 // reducing it after the run. It produces bit-identical results to
 // Evaluate/Throughput/EndToEndDelay on the equivalent log (Evaluate is now
-// a thin adapter over it), while a steady-state experiment run holds only
-// the O(deliveries-per-gap) segment list and a handful of counters.
+// a thin adapter over it). What it holds still grows with the run: one
+// 16-byte sawtooth segment per in-window delivery in each stream that sees
+// it (the aggregate, and the delivery's own flow when flows are tracked),
+// plus one per in-window opportunity when the omniscient bound is tracked
+// online — the percentile needs every segment, so none can be folded away.
 //
 // All buffers are retained across Start calls, so a reused accumulator
 // (engine worker-state reuse) runs whole experiments with zero steady-state

@@ -1,14 +1,25 @@
 package network
 
-// poolBlock is how many Packets the pool allocates at once; poolPayloadCap
-// is the payload capacity pre-carved for each of them. 128 bytes covers
-// every steady-state header this repository marshals (Sprout's 76-byte
-// header plus forecast, TCP's 21, the app and saturator formats); a packet
-// whose payload outgrows it keeps its grown buffer for later reuses.
+// poolBlock is how many packets the pool allocates at once; poolPayloadCap
+// is the payload capacity each of them carries inline, next to its
+// metadata, so a queued packet is 96 contiguous bytes. 32 bytes holds the
+// headers that sit in deep queues — an app scheme's 9-byte media and
+// 25-byte report formats, TCP's 21-byte header, the saturator's 17. A
+// packet whose payload outgrows it (Sprout's 76-byte header plus forecast,
+// a frame the tunnel egress reconstructs) keeps the buffer append grew for
+// it: that arena slot carries the larger buffer through every later reuse
+// and allocates no more.
 const (
 	poolBlock      = 64
-	poolPayloadCap = 128
+	poolPayloadCap = 32
 )
+
+// pooled is one arena element: a packet and the storage its fresh Payload
+// points into.
+type pooled struct {
+	Packet
+	buf [poolPayloadCap]byte
+}
 
 // deadSize marks a released packet. No live packet has a negative wire
 // size, so a second Put — or a write to a packet after its release that
@@ -46,7 +57,7 @@ const deadSize = -1
 // pool-less links, as in the realtime tools, may keep or re-send what
 // they are given).
 type Pool struct {
-	blocks [][]Packet
+	blocks [][]pooled
 	used   int       // arena packets handed out since the last Reset
 	free   []*Packet // released packets awaiting reuse, LIFO
 }
@@ -68,15 +79,13 @@ func (p *Pool) Get() *Packet {
 	} else {
 		bi, pi := p.used/poolBlock, p.used%poolBlock
 		if bi == len(p.blocks) {
-			block := make([]Packet, poolBlock)
-			slab := make([]byte, poolBlock*poolPayloadCap)
+			block := make([]pooled, poolBlock)
 			for i := range block {
-				lo := i * poolPayloadCap
-				block[i].Payload = slab[lo : lo : lo+poolPayloadCap]
+				block[i].Payload = block[i].buf[:0]
 			}
 			p.blocks = append(p.blocks, block)
 		}
-		pkt = &p.blocks[bi][pi]
+		pkt = &p.blocks[bi][pi].Packet
 		p.used++
 	}
 	pkt.Flow, pkt.Seq, pkt.Size = 0, 0, 0

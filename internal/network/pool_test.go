@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -120,14 +121,37 @@ func TestPoolReset(t *testing.T) {
 	}
 }
 
-// TestPoolKeepsGrownPayload: a payload that outgrew the pre-carved
-// capacity keeps its buffer through Put/Get and through Reset.
+// TestPoolElementLayout pins what a queued packet costs: 96 bytes, metadata
+// and inline payload buffer together (a field added to Packet fails this),
+// with every fresh packet's payload storage inside its own arena element —
+// across a block boundary too — and nowhere else.
+func TestPoolElementLayout(t *testing.T) {
+	if got := unsafe.Sizeof(pooled{}); got != 96 {
+		t.Fatalf("arena element is %d bytes, want 96", got)
+	}
+	var p Pool
+	for i := 0; i < poolBlock+2; i++ {
+		pkt := p.Get()
+		el := &p.blocks[i/poolBlock][i%poolBlock]
+		if pkt != &el.Packet {
+			t.Fatalf("packet %d is not arena element %d's", i, i)
+		}
+		if cap(pkt.Payload) != poolPayloadCap {
+			t.Fatalf("packet %d: fresh payload capacity %d, want %d", i, cap(pkt.Payload), poolPayloadCap)
+		}
+		pkt.Payload = pkt.Payload[:poolPayloadCap]
+		if &pkt.Payload[0] != &el.buf[0] {
+			t.Fatalf("packet %d: payload storage lies outside its own element", i)
+		}
+	}
+}
+
+// TestPoolKeepsGrownPayload: a payload that outgrew the inline buffer
+// keeps the buffer append grew for it, on the same arena slot, through
+// Put/Get and through Reset.
 func TestPoolKeepsGrownPayload(t *testing.T) {
 	var p Pool
 	pkt := p.Get()
-	if cap(pkt.Payload) != poolPayloadCap {
-		t.Fatalf("fresh payload capacity %d, want %d", cap(pkt.Payload), poolPayloadCap)
-	}
 	big := bytes.Repeat([]byte{0xab}, 4*poolPayloadCap)
 	pkt.Payload = append(pkt.Payload, big...)
 	grown := cap(pkt.Payload)

@@ -80,6 +80,29 @@ func TestPoolHighWaterIndependentOfDuration(t *testing.T) {
 	}
 }
 
+// TestPoolHighWaterCrowdPinned pins the arena's exact size after one small
+// crowded two-cell run: Facetime senders filling their queues, window-bound
+// TCP, churn and handover. Packets in flight are simulated, so the count
+// repeats exactly on every machine; a change that leaks a packet per drop
+// or per handover, or holds packets longer than the queue does, moves it.
+func TestPoolHighWaterCrowdPinned(t *testing.T) {
+	spec := cellSpec(&CellSpec{
+		Scheduler: "proportional-fair",
+		Cells:     2,
+		Groups: []CellGroup{
+			{Scheme: "vegas", Flows: 32, Cell: 0},
+			{Scheme: "ledbat", Flows: 16, Cell: 1},
+			{Scheme: "facetime", Flows: 16, Cell: 1},
+		},
+		Churn:        &ChurnSpec{ArrivalRate: 2, MeanLifetime: Duration(30 * time.Second)},
+		HandoverRate: 2,
+	}, 6*time.Second, 1500*time.Millisecond, 23)
+	const want = 1280
+	if got := poolHighWater(t, spec); got != want {
+		t.Errorf("pool high-water %d packets, want exactly %d", got, want)
+	}
+}
+
 // scribbleAfter is the delivery tap of TestHandlersDoNotRetainPackets:
 // once the real handler has returned, the packet's metadata and every byte
 // of its payload buffer are overwritten. A handler that kept the packet,

@@ -73,28 +73,24 @@ func SegmentPercentile(segs []Segment, p float64) float64 {
 		return hi
 	}
 	target := p * total
-	// measureBelow(x) = total time during which value <= x.
-	measureBelow := func(x float64) float64 {
-		var m float64
-		for _, s := range segs {
-			if s.Width <= 0 {
-				continue
-			}
-			switch {
-			case x <= s.Start:
-				// nothing
-			case x >= s.Start+s.Width:
-				m += s.Width
-			default:
-				m += x - s.Start
-			}
-		}
-		return m
-	}
-	// Bisection on x; the measure is continuous and nondecreasing.
-	for i := 0; i < 200; i++ {
+	// Bisection on x, at most 200 levels; the measure is continuous and
+	// nondecreasing. One pass over the segments measures this level's mid
+	// and both mids the next level can ask for, so two levels cost one pass;
+	// each measure is the sum a pass probing that point alone makes, in the
+	// same segment order.
+	for pass := 0; pass < 100; pass++ {
 		mid := (lo + hi) / 2
-		if measureBelow(mid) < target {
+		low, high := (lo+mid)/2, (mid+hi)/2
+		mLow, mMid, mHigh := measureBelow3(segs, low, mid, high)
+		if mMid < target {
+			lo, mid, mMid = mid, high, mHigh
+		} else {
+			hi, mid, mMid = mid, low, mLow
+		}
+		if hi-lo < 1e-9 {
+			break
+		}
+		if mMid < target {
 			lo = mid
 		} else {
 			hi = mid
@@ -104,6 +100,57 @@ func SegmentPercentile(segs []Segment, p float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// measureBelow3 returns, for each of three probes, the total time during
+// which the sawtooth's value is <= the probe: per probe, the sum a pass
+// probing it alone makes, in the same segment order. The sums are three
+// independent scalars so that each stays in a register for the whole pass.
+//
+// Bisection's probes come ordered, low <= mid <= high, and most segments lie
+// wholly under or wholly over all three, where the outer probe's comparison
+// answers for the other two: once low is past a segment's start (so that no
+// probe is at or under it) and at or past its end, all three measure its
+// whole width; while high is at or under its start, none measures anything.
+func measureBelow3(segs []Segment, low, mid, high float64) (mLow, mMid, mHigh float64) {
+	bottom, top := low, high
+	if !(low <= mid && mid <= high) {
+		// A NaN among the probes: no comparison may answer for another's.
+		bottom, top = math.NaN(), math.NaN()
+	}
+	for _, s := range segs {
+		if s.Width <= 0 {
+			continue
+		}
+		end := s.Start + s.Width
+		if bottom > s.Start {
+			if bottom >= end {
+				mLow += s.Width
+				mMid += s.Width
+				mHigh += s.Width
+				continue
+			}
+		} else if top <= s.Start {
+			continue
+		}
+		mLow += s.below(end, low)
+		mMid += s.below(end, mid)
+		mHigh += s.below(end, high)
+	}
+	return mLow, mMid, mHigh
+}
+
+// below returns how long the segment, which ends at value end, spends at
+// or under x.
+func (s Segment) below(end, x float64) float64 {
+	switch {
+	case x <= s.Start:
+		return 0
+	case x >= end:
+		return s.Width
+	default:
+		return x - s.Start
+	}
 }
 
 // SegmentMean returns the time-weighted mean of a piecewise-linear sawtooth
