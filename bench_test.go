@@ -1,179 +1,52 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5), plus ablations of the design choices called out in DESIGN.md §5.
+// (§5), plus ablations of the design choices called out in DESIGN.md §5.5.
 //
-// Each benchmark executes the corresponding experiment in virtual time and
-// reports the headline numbers as custom metrics (kbps, delay-ms), so
-// `go test -bench` output doubles as a compact results table. Durations
-// are shorter than cmd/sproutbench's defaults to keep the full bench run
-// in minutes; the shapes are the same. How fast any of it runs is not
-// recorded here: that is bench/ and BENCHMARK.json (DESIGN.md §9).
+// BenchmarkSuite executes each row of harness.Suite in virtual time and
+// logs the section sproutbench would print for it; the ablations report
+// their headline numbers as custom metrics (kbps, delay-ms), so `go test
+// -bench` output doubles as a compact results table. Durations are shorter
+// than cmd/sproutbench's defaults to keep the full bench run in minutes;
+// the shapes are the same. How fast any of it runs is not recorded here:
+// that is bench/ and BENCHMARK.json.
 package sprout_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"sprout"
+	"sprout/internal/engine"
 	"sprout/internal/harness"
 )
 
-// benchOpt keeps macro-bench runs short but past warmup. Workers: 0 runs
-// each experiment's grid through the parallel engine on every core; the
-// reported metrics are identical at any worker count (the engine's
-// determinism guarantee), only the wall-clock changes.
-var benchOpt = harness.Options{Duration: 60 * time.Second, Skip: 15 * time.Second, Workers: 0}
+// benchOpt keeps macro-bench runs short but past warmup.
+var benchOpt = harness.Options{Duration: 60 * time.Second, Skip: 15 * time.Second}
 
-// BenchmarkFig1SkypeVsSprout regenerates the Figure 1 timeseries.
-func BenchmarkFig1SkypeVsSprout(b *testing.B) {
-	var pts []harness.Fig1Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = harness.Fig1(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSuite regenerates the paper's tables and figures, one
+// sub-benchmark per row of the suite table, on every core; the text is
+// identical at any worker count (the engine's determinism guarantee).
+func BenchmarkSuite(b *testing.B) {
+	eng := engine.New(0)
+	for _, row := range harness.Suite {
+		b.Run(row.Key, func(b *testing.B) {
+			var sections []string
+			for i := 0; i < b.N; i++ {
+				var err error
+				sections, _, err = harness.Run(context.Background(), eng, engine.NewCache(), []harness.Experiment{row}, benchOpt)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log(sections[0])
+		})
 	}
-	var sproutAvg, skypeAvg, worstSkypeDelay float64
-	for _, p := range pts[15:] {
-		sproutAvg += p.SproutKbps
-		skypeAvg += p.SkypeKbps
-		if p.SkypeDelayMs > worstSkypeDelay {
-			worstSkypeDelay = p.SkypeDelayMs
-		}
-	}
-	n := float64(len(pts) - 15)
-	b.ReportMetric(sproutAvg/n, "sprout-kbps")
-	b.ReportMetric(skypeAvg/n, "skype-kbps")
-	b.ReportMetric(worstSkypeDelay, "skype-worst-delay-ms")
-}
-
-// BenchmarkFig2Interarrivals regenerates the Figure 2 distribution fit.
-func BenchmarkFig2Interarrivals(b *testing.B) {
-	var d harness.Fig2Data
-	for i := 0; i < b.N; i++ {
-		var err error
-		d, err = harness.Fig2(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(d.FracWithin20*100, "pct-within-20ms")
-	b.ReportMetric(d.TailExponent, "tail-exponent")
-}
-
-// runMatrix is shared by the Table 1 / Table 2 / Fig 7 / Fig 8 benches.
-func runMatrix(b *testing.B, schemes []string) *harness.Matrix {
-	b.Helper()
-	var m *harness.Matrix
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = harness.RunMatrix(benchOpt, schemes)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return m
-}
-
-// BenchmarkTable1Summary regenerates the intro table: Sprout vs every
-// scheme, averaged over the eight links.
-func BenchmarkTable1Summary(b *testing.B) {
-	m := runMatrix(b, nil)
-	for _, r := range m.Summarize("sprout", harness.Schemes()) {
-		b.ReportMetric(r.AvgSpeedup, r.Scheme+"-speedup-x")
-		b.ReportMetric(r.AvgDelaySec*1000, r.Scheme+"-delay-ms")
-	}
-}
-
-// BenchmarkTable2EWMA regenerates the Sprout-EWMA intro table.
-func BenchmarkTable2EWMA(b *testing.B) {
-	m := runMatrix(b, []string{"sprout-ewma", "sprout", "cubic", "cubic-codel"})
-	for _, r := range m.Summarize("sprout-ewma", []string{"sprout-ewma", "sprout", "cubic", "cubic-codel"}) {
-		b.ReportMetric(r.AvgSpeedup, r.Scheme+"-speedup-x")
-		b.ReportMetric(r.AvgDelaySec*1000, r.Scheme+"-delay-ms")
-	}
-}
-
-// BenchmarkFig7PerLink regenerates the eight per-link charts; it reports
-// the Verizon LTE downlink chart's Sprout and Cubic points as exemplars.
-func BenchmarkFig7PerLink(b *testing.B) {
-	m := runMatrix(b, nil)
-	lte := m.Cells["Verizon LTE Downlink"]
-	b.ReportMetric(lte["sprout"].ThroughputKbps, "lte-down-sprout-kbps")
-	b.ReportMetric(lte["sprout"].SelfInflictedMs, "lte-down-sprout-delay-ms")
-	b.ReportMetric(lte["cubic"].ThroughputKbps, "lte-down-cubic-kbps")
-	b.ReportMetric(lte["cubic"].SelfInflictedMs, "lte-down-cubic-delay-ms")
-}
-
-// BenchmarkFig8Utilization regenerates the utilization-vs-delay averages.
-func BenchmarkFig8Utilization(b *testing.B) {
-	m := runMatrix(b, []string{"sprout", "sprout-ewma", "cubic", "cubic-codel"})
-	for _, r := range m.Fig8([]string{"sprout", "sprout-ewma", "cubic", "cubic-codel"}) {
-		b.ReportMetric(r.AvgUtilizationPct, r.Scheme+"-util-pct")
-		b.ReportMetric(r.AvgSelfInflictedMs, r.Scheme+"-delay-ms")
-	}
-}
-
-// BenchmarkFig9Confidence regenerates the §5.5 confidence sweep.
-func BenchmarkFig9Confidence(b *testing.B) {
-	var cells []harness.Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = harness.Fig9(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range cells {
-		switch c.Scheme {
-		case "sprout-95%", "sprout-50%", "sprout-5%":
-			b.ReportMetric(c.ThroughputKbps, c.Scheme+"-kbps")
-			b.ReportMetric(c.SelfInflictedMs, c.Scheme+"-delay-ms")
-		}
-	}
-}
-
-// BenchmarkLossResilience regenerates the §5.6 loss table.
-func BenchmarkLossResilience(b *testing.B) {
-	var rows []harness.LossRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.LossTable(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Direction == "Downlink" {
-			suffix := map[int]string{0: "0pct", 5: "5pct", 10: "10pct"}[r.LossPct]
-			b.ReportMetric(r.ThroughputKbps, "down-"+suffix+"-kbps")
-			b.ReportMetric(r.SelfInflictedMs, "down-"+suffix+"-delay-ms")
-		}
-	}
-}
-
-// BenchmarkTunnelIsolation regenerates the §5.7 tunnel table.
-func BenchmarkTunnelIsolation(b *testing.B) {
-	var res harness.TunnelResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunTunnelComparison(benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.CubicKbpsDirect, "cubic-direct-kbps")
-	b.ReportMetric(res.CubicKbpsTunnel, "cubic-tunnel-kbps")
-	b.ReportMetric(res.SkypeKbpsDirect, "skype-direct-kbps")
-	b.ReportMetric(res.SkypeKbpsTunnel, "skype-tunnel-kbps")
-	b.ReportMetric(res.SkypeDelay95Direct.Seconds()*1000, "skype-direct-delay-ms")
-	b.ReportMetric(res.SkypeDelay95Tunnel.Seconds()*1000, "skype-tunnel-delay-ms")
 }
 
 // BenchmarkForecastSweepNaive is the one benchmark here that reports time:
 // the §5.5 five-confidence sweep as five independent ForecastAt calls, each
-// walking the count axis from zero. It is the reference DESIGN.md §12.2
+// walking the count axis from zero. It is the reference DESIGN.md §5.3
 // holds ForecastAll's shared walk against, and bench/probes times only the
 // fused side (core.forecast_all5_us).
 func BenchmarkForecastSweepNaive(b *testing.B) {
@@ -192,7 +65,7 @@ func BenchmarkForecastSweepNaive(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (DESIGN.md §5.5) ---
 
 // ablate runs Sprout on the Verizon LTE downlink with custom model
 // parameters and reports throughput and delay.
@@ -253,52 +126,6 @@ func BenchmarkAblateSigma800(b *testing.B) { ablate(b, sprout.Params{Sigma: 800}
 func BenchmarkAblateLookahead3(b *testing.B) { ablate(b, sprout.Params{}, 3) }
 func BenchmarkAblateLookahead5(b *testing.B) { ablate(b, sprout.Params{}, 5) }
 func BenchmarkAblateLookahead8(b *testing.B) { ablate(b, sprout.Params{}, 8) }
-
-// --- Extensions ---
-
-// BenchmarkMultiSprout measures two Sprout sessions sharing one bottleneck
-// queue — the case §7 of the paper leaves unevaluated.
-func BenchmarkMultiSprout(b *testing.B) {
-	var res harness.MultiSproutResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = harness.RunMultiSprout(benchOpt, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.SoloKbps, "solo-kbps")
-	b.ReportMetric(res.AggregateKbps, "shared-agg-kbps")
-	b.ReportMetric(res.JainIndex, "jain")
-	b.ReportMetric(res.Delay95.Seconds()*1000, "shared-delay-ms")
-	b.ReportMetric(res.SoloDelay95.Seconds()*1000, "solo-delay-ms")
-}
-
-// BenchmarkAblateAdaptiveSigma compares the frozen-σ model with the
-// adaptive-σ extension (§3.1's future work) on the Verizon LTE downlink.
-func BenchmarkAblateAdaptiveSigma(b *testing.B) {
-	nets := sprout.CanonicalNetworks()
-	data, fb := sprout.GenerateTracePair(nets[0], "down", benchOpt.Duration, 1)
-	run := func(scheme string) sprout.ExperimentResult {
-		res, err := sprout.RunExperiment(sprout.ExperimentConfig{
-			Scheme: scheme, DataTrace: data, FeedbackTrace: fb,
-			Duration: benchOpt.Duration, Skip: benchOpt.Skip,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	var frozen, adaptive sprout.ExperimentResult
-	for i := 0; i < b.N; i++ {
-		frozen = run("sprout")
-		adaptive = run("sprout-adaptive")
-	}
-	b.ReportMetric(frozen.ThroughputBps/1000, "frozen-kbps")
-	b.ReportMetric(adaptive.ThroughputBps/1000, "adaptive-kbps")
-	b.ReportMetric(float64(frozen.SelfInflicted95)/1e6, "frozen-delay-ms")
-	b.ReportMetric(float64(adaptive.SelfInflicted95)/1e6, "adaptive-delay-ms")
-}
 
 // BenchmarkAblateObservationRule compares the censored-observation update
 // (this implementation's default; DESIGN.md §6.1) against the paper's

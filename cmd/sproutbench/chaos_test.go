@@ -74,10 +74,12 @@ func chaosMergedBytes(t *testing.T, results []scenario.Result) []byte {
 }
 
 // chaosConfig is the supervision setup every chaos test shares: the test
-// binary as child, fast polling and backoff, a deadline that detects
-// stalls quickly. Stall kills triggered spuriously on a slow machine are
-// safe — they classify transient, and a shard lost to them routes
-// through rescue, which preserves the byte-identity being asserted.
+// binary as child, fast polling and backoff. The stall deadline must
+// outlast a healthy child's time to its first record, and a race-built
+// child on a 2-CPU box spends seconds folding the forecast table before
+// it writes one: at 1 s every healthy child was stall-killed three times
+// and rescued, which fails the tests asserting Rescued == 0. Tests that
+// assert a stall kill set their own short deadline.
 func chaosConfig(t *testing.T, scenarioPath string, specs []scenario.Spec, dir string, plan fault.Plan) superviseConfig {
 	t.Helper()
 	return superviseConfig{
@@ -88,7 +90,7 @@ func chaosConfig(t *testing.T, scenarioPath string, specs []scenario.Spec, dir s
 		Dir:         dir,
 		Shards:      2,
 		Retries:     3,
-		Stall:       time.Second,
+		Stall:       15 * time.Second,
 		Poll:        25 * time.Millisecond,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffCap:  40 * time.Millisecond,

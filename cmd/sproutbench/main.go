@@ -1,7 +1,7 @@
 // Command sproutbench regenerates every table and figure of the paper's
 // evaluation (§5) from the trace-driven emulator. Each experiment prints
 // an aligned text table; figures are emitted as their underlying data
-// series. See DESIGN.md §7 for the experiment index.
+// series. See DESIGN.md §11 for the experiment index.
 //
 // Beyond the paper's grid, -scenario runs arbitrary experiment specs from
 // a JSON file through the same parallel engine, and -list-schemes
@@ -34,10 +34,9 @@ import (
 )
 
 // labeled runs fn with a pprof "experiment" label, so -cpuprofile output
-// attributes forecast and event-loop samples to the experiment that drove
-// them (`pprof -tagfocus experiment=fig9`, or Graph > Tag views). Engine
-// workers are spawned inside harness calls, so goroutines started under
-// fn inherit the label.
+// attributes forecast and event-loop samples to the mode that drove them
+// (`pprof -tagfocus experiment=suite`, or Graph > Tag views). Engine
+// workers are spawned under fn, so their goroutines inherit the label.
 func labeled(name string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
 		fn()
@@ -142,17 +141,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
 		fatalExit(exitUsage)
 	}
-	// One engine for every experiment of the invocation: its per-worker
-	// simulation worlds (event loop arenas, links, packet pools, memoized
-	// endpoints) persist across the experiments' Run calls.
-	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed, Workers: *parallel, Engine: engine.New(*parallel)}
+	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed}
+	eng := engine.New(*parallel)
 
 	if mode.Shard != nil {
-		labeled("shard", func() { runShardWorker(*scenarioFile, *mode.Shard, mode.Out, opt) })
+		labeled("shard", func() { runShardWorker(*scenarioFile, *mode.Shard, mode.Out, opt, eng) })
 		return
 	}
 	if len(mode.AB) == 2 {
-		labeled("ab", func() { runAB(mode, opt) })
+		labeled("ab", func() { runAB(mode, opt, *parallel) })
 		return
 	}
 	if mode.Shards > 1 {
@@ -162,7 +159,7 @@ func main() {
 
 	defer warnTableCache()
 	if *scenarioFile != "" {
-		labeled("scenario", func() { runScenarioFile(*scenarioFile, opt) })
+		labeled("scenario", func() { runScenarioFile(*scenarioFile, opt, eng) })
 		return
 	}
 	if *downFile != "" || *upFile != "" {
@@ -170,80 +167,36 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sproutbench: -down and -up must be given together")
 			fatalExit(2)
 		}
-		labeled("custom", func() { runCustomTraces(*downFile, *upFile, opt) })
+		labeled("custom", func() { runCustomTraces(*downFile, *upFile, opt, eng) })
 		return
 	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(*runFlag, ",") {
-		want[strings.TrimSpace(name)] = true
+	rows, err := harness.Select(*runFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sproutbench:", err)
+		fatalExit(exitUsage)
 	}
-	all := want["all"]
-	ran := false
+	labeled("suite", func() { runSuite(rows, opt, eng) })
+}
 
-	var matrix *harness.Matrix
-	needMatrix := all || want["table1"] || want["table2"] || want["fig7"] || want["fig8"]
-	if needMatrix {
-		fmt.Fprintf(os.Stderr, "running %d schemes x 8 links (duration %v)...\n",
-			len(harness.Schemes()), *duration)
-		var m *harness.Matrix
-		var err error
-		labeled("matrix", func() { m, err = harness.RunMatrix(opt, nil) })
-		check(err)
-		matrix = m
-		fmt.Fprintf(os.Stderr, "matrix: %s; trace pairs: %d generated, %d served from cache\n",
-			m.Stats.Engine, m.Stats.TracesGenerated, m.Stats.TracesReused)
+// runSuite runs the selected rows of the paper's evaluation as one job set
+// on the invocation's engine and prints their sections in suite order.
+func runSuite(rows []harness.Experiment, opt harness.Options, eng *engine.Engine) {
+	traces := engine.NewCache()
+	sections, stats, err := harness.Run(context.Background(), eng, traces, rows, opt)
+	check(err)
+	if stats.Jobs > 0 { // Figure 2 alone runs none
+		hits, misses := traces.Counts()
+		fmt.Fprintf(os.Stderr, "suite: %s; trace pairs: %d generated, %d served from cache\n", stats, misses, hits)
 	}
-
-	if all || want["fig1"] {
-		ran = true
-		labeled("fig1", func() { runFig1(opt) })
-	}
-	if all || want["fig2"] {
-		ran = true
-		labeled("fig2", func() { runFig2(opt) })
-	}
-	if all || want["table1"] {
-		ran = true
-		runTable1(matrix)
-	}
-	if all || want["table2"] {
-		ran = true
-		runTable2(matrix)
-	}
-	if all || want["fig7"] {
-		ran = true
-		runFig7(matrix)
-	}
-	if all || want["fig8"] {
-		ran = true
-		runFig8(matrix)
-	}
-	if all || want["fig9"] {
-		ran = true
-		labeled("fig9", func() { runFig9(opt) })
-	}
-	if all || want["loss"] {
-		ran = true
-		labeled("loss", func() { runLoss(opt) })
-	}
-	if all || want["tunnel"] {
-		ran = true
-		labeled("tunnel", func() { runTunnel(opt) })
-	}
-	if all || want["multi"] {
-		ran = true
-		labeled("multi", func() { runMulti(opt) })
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q\n", *runFlag)
-		fatalExit(2)
+	for _, section := range sections {
+		fmt.Print(section)
 	}
 }
 
 // runCustomTraces runs the full scheme comparison over a user-supplied
 // trace pair (e.g. real Saturator captures), printing one Figure 7-style
 // chart.
-func runCustomTraces(downPath, upPath string, opt harness.Options) {
+func runCustomTraces(downPath, upPath string, opt harness.Options, eng *engine.Engine) {
 	load := func(path string) *trace.Trace {
 		f, err := os.Open(path)
 		check(err)
@@ -255,8 +208,20 @@ func runCustomTraces(downPath, upPath string, opt harness.Options) {
 	data, fb := load(downPath), load(upPath)
 	fmt.Fprintf(os.Stderr, "sproutbench: %s (%.0f kbps mean) with feedback on %s (%.0f kbps mean)\n",
 		data.Name, data.MeanRateBps()/1000, fb.Name, fb.MeanRateBps()/1000)
-	cells, err := harness.RunSchemesOnPair(opt, data, fb)
+	schemes := harness.Schemes()
+	specs := make([]scenario.Spec, len(schemes))
+	for i, s := range schemes {
+		specs[i] = scenario.Spec{
+			Name: s + " on " + data.Name, Scheme: s, DataTrace: data, FeedbackTrace: fb,
+			Duration: scenario.Duration(opt.Duration), Skip: scenario.Duration(opt.Skip), Seed: opt.Seed,
+		}
+	}
+	results, _, err := scenario.RunOn(context.Background(), eng, specs, nil)
 	check(err)
+	cells := make([]harness.Cell, len(schemes))
+	for i, s := range schemes {
+		cells[i] = harness.CellOf(results[i], s)
+	}
 	fmt.Print(harness.FormatCells(data.Name, cells))
 }
 
@@ -286,10 +251,11 @@ func runListSchemes() {
 // leaves unset. Streaming specs (a "process" stanza) may exceed any
 // canonical trace length: -duration 1h costs the same trace memory as
 // -duration 150s, which the trace-memory summary line makes visible.
-func runScenarioFile(path string, opt harness.Options) {
+func runScenarioFile(path string, opt harness.Options, eng *engine.Engine) {
 	specs, streaming, err := loadScenarioSpecs(path, opt)
 	check(err)
-	results, stats, cache, err := scenario.RunAllCached(context.Background(), opt.Engine, specs)
+	cache := engine.NewCache()
+	results, stats, err := scenario.RunOn(context.Background(), eng, specs, cache)
 	check(err)
 	fmt.Fprintf(os.Stderr, "scenarios: %s\n", stats)
 	pairs, ops, bytes := scenario.TraceMemory(cache)
@@ -319,122 +285,4 @@ func check(err error) {
 
 func header(title string) {
 	fmt.Printf("\n==== %s ====\n", title)
-}
-
-func runFig1(opt harness.Options) {
-	header("Figure 1: Skype vs Sprout on the Verizon LTE downlink (per-second series)")
-	pts, err := harness.Fig1(opt)
-	check(err)
-	fmt.Printf("%4s %10s %10s %10s %12s %12s\n",
-		"sec", "capacity", "sprout", "skype", "sproutDelay", "skypeDelay")
-	for _, p := range pts {
-		fmt.Printf("%4d %10.0f %10.0f %10.0f %12.0f %12.0f\n",
-			p.Second, p.CapacityKbps, p.SproutKbps, p.SkypeKbps, p.SproutDelayMs, p.SkypeDelayMs)
-	}
-}
-
-func runFig2(opt harness.Options) {
-	header("Figure 2: interarrival distribution, saturated Verizon LTE downlink")
-	d, err := harness.Fig2(opt)
-	check(err)
-	fmt.Printf("interarrivals analysed:        %d\n", d.Count)
-	fmt.Printf("median interarrival:           %.0f us\n", d.P50us)
-	fmt.Printf("99th percentile interarrival:  %.0f us\n", d.P99us)
-	fmt.Printf("fraction within 20 ms:         %.4f (paper: 99.99%%)\n", d.FracWithin20)
-	fmt.Printf("power-law tail exponent:       %.2f over %d bins (paper: -3.27)\n",
-		d.TailExponent, d.TailBinsUsed)
-	fmt.Printf("longest gap (outage):          %.2f s\n", d.MaxGapSeconds)
-}
-
-func summaryTable(title, ref string, rows []harness.SummaryRow) {
-	header(title)
-	fmt.Printf("%-14s %18s %18s %14s\n", "scheme",
-		"avg speedup vs "+ref, "delay reduction", "avg delay (s)")
-	for _, r := range rows {
-		fmt.Printf("%-14s %18.2f %18.2f %14.2f\n",
-			r.Scheme, r.AvgSpeedup, r.DelayReduction, r.AvgDelaySec)
-	}
-}
-
-func runTable1(m *harness.Matrix) {
-	rows := m.Summarize("sprout", harness.Schemes())
-	summaryTable("Table 1: average speedup and delay reduction of Sprout vs each scheme", "sprout", rows)
-}
-
-func runTable2(m *harness.Matrix) {
-	rows := m.Summarize("sprout-ewma", []string{"sprout-ewma", "sprout", "cubic", "cubic-codel"})
-	summaryTable("Table 2: Sprout-EWMA vs Sprout, Cubic, Cubic-CoDel", "sprout-ewma", rows)
-}
-
-func runFig7(m *harness.Matrix) {
-	header("Figure 7: throughput vs self-inflicted delay per link")
-	for _, l := range m.Links {
-		var cells []harness.Cell
-		for _, c := range m.Cells[l] {
-			cells = append(cells, c)
-		}
-		fmt.Println()
-		fmt.Print(harness.FormatCells(l, cells))
-	}
-}
-
-func runFig8(m *harness.Matrix) {
-	header("Figure 8: average utilization vs average self-inflicted delay")
-	rows := m.Fig8([]string{"sprout", "sprout-ewma", "cubic", "cubic-codel"})
-	fmt.Printf("%-14s %12s %18s\n", "scheme", "util (%)", "self-delay (ms)")
-	for _, r := range rows {
-		fmt.Printf("%-14s %12.0f %18.0f\n", r.Scheme, r.AvgUtilizationPct, r.AvgSelfInflictedMs)
-	}
-}
-
-func runFig9(opt harness.Options) {
-	header("Figure 9: confidence-parameter sweep on the T-Mobile 3G uplink")
-	cells, err := harness.Fig9(opt)
-	check(err)
-	fmt.Print(harness.FormatCells("", cells))
-}
-
-func runLoss(opt harness.Options) {
-	header("Section 5.6: Sprout loss resilience on Verizon LTE")
-	rows, err := harness.LossTable(opt)
-	check(err)
-	fmt.Printf("%-10s %6s %14s %16s\n", "direction", "loss", "tput (kbps)", "self-delay (ms)")
-	for _, r := range rows {
-		fmt.Printf("%-10s %5d%% %14.0f %16.0f\n",
-			r.Direction, r.LossPct, r.ThroughputKbps, r.SelfInflictedMs)
-	}
-}
-
-func runTunnel(opt harness.Options) {
-	header("Section 5.7: Cubic + Skype, direct vs via SproutTunnel (Verizon LTE downlink)")
-	res, err := harness.RunTunnelComparison(opt)
-	check(err)
-	pct := func(a, b float64) float64 {
-		if a == 0 {
-			return 0
-		}
-		return (b - a) / a * 100
-	}
-	fmt.Printf("%-18s %12s %12s %8s\n", "metric", "direct", "via sprout", "change")
-	fmt.Printf("%-18s %12.0f %12.0f %+7.0f%%\n", "cubic tput (kbps)",
-		res.CubicKbpsDirect, res.CubicKbpsTunnel, pct(res.CubicKbpsDirect, res.CubicKbpsTunnel))
-	fmt.Printf("%-18s %12.0f %12.0f %+7.0f%%\n", "skype tput (kbps)",
-		res.SkypeKbpsDirect, res.SkypeKbpsTunnel, pct(res.SkypeKbpsDirect, res.SkypeKbpsTunnel))
-	fmt.Printf("%-18s %12.2f %12.2f %+7.0f%%\n", "skype 95% delay (s)",
-		res.SkypeDelay95Direct.Seconds(), res.SkypeDelay95Tunnel.Seconds(),
-		pct(res.SkypeDelay95Direct.Seconds(), res.SkypeDelay95Tunnel.Seconds()))
-	fmt.Printf("tunnel head drops: %d\n", res.TunnelHeadDrops)
-}
-
-func runMulti(opt harness.Options) {
-	header("Extension (§7 open question): two Sprouts sharing one queue (Verizon LTE downlink)")
-	res, err := harness.RunMultiSprout(opt, 2)
-	check(err)
-	fmt.Printf("%-26s %10.0f kbps   95%% delay %v\n", "solo session",
-		res.SoloKbps, res.SoloDelay95.Round(time.Millisecond))
-	for i, kbps := range res.PerFlowKbps {
-		fmt.Printf("%-26s %10.0f kbps\n", fmt.Sprintf("shared, flow %d", i+1), kbps)
-	}
-	fmt.Printf("%-26s %10.0f kbps   95%% delay %v   Jain fairness %.3f\n",
-		"shared, aggregate", res.AggregateKbps, res.Delay95.Round(time.Millisecond), res.JainIndex)
 }

@@ -3,7 +3,7 @@
 // processes (liveness tracking, classified retries, rescue of dead
 // shards' jobs) and merges their logs; -ab a.json,b.json fans two
 // variant grids across shards and reports per-variant p50/p95/p99
-// rollups with a verdict. See DESIGN.md §13–14.
+// rollups with a verdict. See DESIGN.md §9–10.
 package main
 
 import (
@@ -210,7 +210,7 @@ func loadScenarioSpecs(path string, opt harness.Options) ([]scenario.Spec, int, 
 // Faults a chaos supervisor injected via SPROUT_FAULT are wired around
 // the log writer here — the recovery machinery upstream cannot tell an
 // injected failure from a real one.
-func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harness.Options) {
+func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harness.Options, eng *engine.Engine) {
 	inj, err := fault.FromEnv()
 	check(err)
 	inj.Start()
@@ -234,7 +234,7 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 		done = engine.CompletedIndexes(recs)
 		w = engine.NewRecordWriterSynced(inj.Writer(f), f.Sync)
 	}
-	st, err := scenario.RunShard(context.Background(), opt.Engine, specs, sh, done, w)
+	st, err := scenario.RunShard(context.Background(), eng, specs, sh, done, w)
 	check(err)
 	fmt.Fprintf(os.Stderr, "shard %s: %d of %d jobs (%d resumed); %s\n",
 		sh, sh.Size(len(specs)), len(specs), len(done), st)
@@ -251,7 +251,7 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 // change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly: every
 // child is terminated, the fsynced logs are merged, and the parent
 // exits through the partial-report path with the exact missing-index
-// list. See DESIGN.md §14–15.
+// list. See DESIGN.md §10.
 func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, parallel int) {
 	specs, streaming, err := loadScenarioSpecs(scenarioFile, opt)
 	check(err)
@@ -414,7 +414,7 @@ func pctDelta(a, b float64) float64 {
 // shards; each variant's records round-trip the same JSONL codec the
 // multi-process path uses) and prints the p50/p95/p99 rollup plus the
 // verdict line.
-func runAB(mode shardMode, opt harness.Options) {
+func runAB(mode shardMode, opt harness.Options, workers int) {
 	shards := mode.Shards
 	if shards < 2 {
 		shards = 2
@@ -426,7 +426,7 @@ func runAB(mode shardMode, opt harness.Options) {
 		check(err)
 		start := time.Now()
 		results, st, err := scenario.RunSharded(context.Background(), specs, scenario.ShardedOptions{
-			Shards: shards, Workers: opt.Workers,
+			Shards: shards, Workers: workers,
 		})
 		check(err)
 		elapsed := time.Since(start)

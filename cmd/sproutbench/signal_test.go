@@ -38,7 +38,7 @@ func TestShardParentInterruptPartial(t *testing.T) {
 
 	cmd := exec.Command(os.Args[0],
 		"-scenario", scenarioPath, "-shards", "2", "-checkpoint", dir,
-		"-partial", "-duration", "600s", "-parallel", "1")
+		"-partial", "-duration", "6000s", "-parallel", "1")
 	cmd.Env = append(os.Environ(), "SPROUTBENCH_CHILD=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -46,8 +46,10 @@ func TestShardParentInterruptPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the parent time to install its handler and launch children,
-	// then interrupt mid-sweep. 600 virtual seconds keep the children far
-	// from done this early.
+	// then interrupt mid-sweep. 6000 virtual seconds keep the children far
+	// from done this early (an idle box simulates about 3000 of them in
+	// the 600 ms below, so 600 s — the value this test once used — was
+	// finished before the signal unless something else loaded the box).
 	time.Sleep(600 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)

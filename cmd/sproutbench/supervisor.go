@@ -11,7 +11,7 @@
 // the shard's retry budget; and jobs stranded when every path is
 // exhausted are recomputed in-process from the merge's missing-index
 // list — a pure function of the surviving records, so recovery never
-// changes the merged bytes. See DESIGN.md §14–15.
+// changes the merged bytes. See DESIGN.md §10.
 package main
 
 import (

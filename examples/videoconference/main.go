@@ -15,26 +15,23 @@ import (
 )
 
 func main() {
-	nets := sprout.CanonicalNetworks()
-	lte := nets[0] // Verizon LTE
-	const dur = 60 * time.Second
+	const link = "Verizon LTE"
 
-	run := func(scheme string) sprout.ExperimentResult {
-		data, fb := sprout.GenerateTracePair(lte, "down", dur, 7)
-		res, err := sprout.RunExperiment(sprout.ExperimentConfig{
-			Scheme:        scheme,
-			DataTrace:     data,
-			FeedbackTrace: fb,
-			Duration:      dur,
-			Skip:          10 * time.Second,
+	run := func(scheme string) sprout.Metrics {
+		res, err := sprout.RunScenario(sprout.ScenarioSpec{
+			Scheme:   scheme,
+			Link:     link,
+			Duration: sprout.ScenarioDuration(60 * time.Second),
+			Skip:     sprout.ScenarioDuration(10 * time.Second),
+			Seed:     7,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
+		return res.Metrics
 	}
 
-	fmt.Printf("One minute on the %s downlink:\n\n", lte.Name)
+	fmt.Printf("One minute on the %s downlink:\n\n", link)
 	fmt.Printf("%-10s %14s %22s %12s\n", "scheme", "tput (kbps)", "self-delay p95 (ms)", "utilization")
 	for _, scheme := range []string{"sprout", "sprout-ewma", "skype", "facetime", "hangout"} {
 		r := run(scheme)

@@ -175,9 +175,6 @@ func NewPropFair(gain float64) *PropFair {
 // Name implements Scheduler.
 func (p *PropFair) Name() string { return "proportional-fair" }
 
-// Gain returns the configured EWMA gain.
-func (p *PropFair) Gain() float64 { return p.gain }
-
 // Reset implements Scheduler.
 func (p *PropFair) Reset() {
 	p.g = 1

@@ -23,22 +23,18 @@ func TestModelTickAllocs(t *testing.T) {
 }
 
 // TestForecastAllocs: a full cautious forecast into a reused buffer must
-// not allocate, on the folded path or on the evolve path.
+// not allocate.
 func TestForecastAllocs(t *testing.T) {
-	for name, f := range map[string]Forecaster{
-		"folded": NewDeliveryForecaster(NewModel(Params{})),
-		"evolve": NewAdaptiveForecaster(NewModel(Params{}), AdaptiveConfig{}),
-	} {
-		for i := 0; i < 50; i++ {
-			f.Tick(6, ObsExact)
-		}
-		buf := f.Forecast(nil) // size the buffer
-		allocs := testing.AllocsPerRun(200, func() {
-			buf = f.Forecast(buf[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("%s Forecast allocates %v allocs/op, want 0", name, allocs)
-		}
+	f := NewDeliveryForecaster(NewModel(Params{}))
+	for i := 0; i < 50; i++ {
+		f.Tick(6, ObsExact)
+	}
+	buf := f.Forecast(nil) // size the buffer
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = f.Forecast(buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("Forecast allocates %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -116,21 +116,6 @@ func TestClonesFillObservationRowsOnce(t *testing.T) {
 	}
 }
 
-func TestModelCloneSetSigmaIsolated(t *testing.T) {
-	m := NewModel(Params{})
-	c := m.Clone()
-	c.SetSigma(800)
-	if m.Sigma() != DefaultSigma {
-		t.Errorf("SetSigma on clone leaked into original: %v", m.Sigma())
-	}
-	if c.Sigma() != 800 {
-		t.Errorf("clone sigma = %v, want 800", c.Sigma())
-	}
-	// Both must still evolve without panicking (kernel not shared-mutated).
-	m.Tick(6)
-	c.Tick(6)
-}
-
 func TestForecasterCloneIdenticalForecasts(t *testing.T) {
 	f := trainedForecaster(t, 300, 21)
 	c := f.Clone()
@@ -157,7 +142,7 @@ func TestForecasterCloneIdenticalForecasts(t *testing.T) {
 // TestForecastTableSharedAcrossForecasters: the cache key is exactly what
 // shapes the table. The grid does, and so do σ and λz, whose evolution is
 // folded into the rows; confidence shapes only the quantile, so the §5.5
-// sweep shares one table; and the unfolded table is shared across σ.
+// sweep shares one table.
 func TestForecastTableSharedAcrossForecasters(t *testing.T) {
 	freshTableCache(t)
 	tbl := func(p Params) *forecastTable {
@@ -186,11 +171,6 @@ func TestForecastTableSharedAcrossForecasters(t *testing.T) {
 	z1, z2 := tbl(Params{OutageEscape: 0.5}), tbl(Params{OutageEscape: 3})
 	if z1 == base || z2 == base || z1 == z2 {
 		t.Error("two outage-escape rates must get distinct tables")
-	}
-	a1 := NewAdaptiveForecaster(NewModel(Params{NumBins: 32, Sigma: 100}), AdaptiveConfig{})
-	a2 := NewAdaptiveForecaster(NewModel(Params{NumBins: 32, Sigma: 400}), AdaptiveConfig{})
-	if a1.tbl != a2.tbl || a1.tbl.sigma != 0 {
-		t.Error("adaptive forecasters should share the one unfolded table")
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"sprout/internal/stats"
 )
 
 // freshTableCache gives the test empty process-wide caches (forecast tables
@@ -32,12 +34,65 @@ func freshTableCache(t *testing.T) {
 }
 
 // evolveForecaster is the reference the folded path is compared against:
-// a forecaster over the same model that evolves a copy of the posterior
-// tick by tick and mixes it against the unfolded CDF table.
-func evolveForecaster(m *Model) *DeliveryForecaster {
-	f := &DeliveryForecaster{model: m}
-	f.unfold()
-	return f
+// the lookahead as the paper states it. It evolves a copy of the model's
+// posterior tick by tick (evolveWindow) and, at each tick, mixes it against
+// the raw Poisson CDFs, scanning counts upward from zero.
+type evolveForecaster struct {
+	m    *Model
+	maxK []int
+	// cdf[i][j][k] = P(C <= k | λ = bin j for (i+1)·τ).
+	cdf [][][]float64
+	// w[lo:hi] is the posterior evolved to the tick last mixed.
+	w      []float64
+	lo, hi int
+}
+
+func newEvolveForecaster(m *Model, maxK []int) *evolveForecaster {
+	r := &evolveForecaster{m: m, maxK: maxK, cdf: make([][][]float64, len(maxK))}
+	tau := m.p.Tick.Seconds()
+	for i := range r.cdf {
+		r.cdf[i] = make([][]float64, m.NumBins())
+		for j, rate := range m.binRate {
+			r.cdf[i][j] = stats.PoissonCDFTable(rate*float64(i+1)*tau, maxK[i])
+		}
+	}
+	return r
+}
+
+// mixtureCDF is F_tick(k) under w, terms in ascending bin order from +0.
+func (r *evolveForecaster) mixtureCDF(tick, k int) float64 {
+	var s float64
+	for j := r.lo; j < r.hi; j++ {
+		s += r.w[j] * r.cdf[tick][j][k]
+	}
+	return s
+}
+
+// ForecastAll is DeliveryForecaster.ForecastAll's contract: per
+// confidence and tick, the first count at or after the previous tick's
+// answer whose mixture CDF exceeds 1−confidence (the tick's count bound if
+// none does).
+func (r *evolveForecaster) ForecastAll(confidences []float64) []float64 {
+	m, ticks := r.m, r.m.p.ForecastTicks
+	out := make([]float64, len(confidences)*ticks)
+	cur, next := append([]float64(nil), m.probs...), make([]float64, m.NumBins())
+	r.lo, r.hi = m.lo, m.hi
+	for i := 0; i < ticks; i++ {
+		r.lo, r.hi = evolveWindow(next, cur, m.kernel, m.kernelPad, m.radius, m.outageStay, r.lo, r.hi)
+		cur, next = next, cur
+		r.w = cur
+		for ci, conf := range confidences {
+			q := 0
+			if i > 0 {
+				q = int(out[ci*ticks+i-1])
+			}
+			for q < r.maxK[i] && r.mixtureCDF(i, q) <= clampP(conf) {
+				q++
+			}
+			out[ci*ticks+i] = float64(q)
+		}
+	}
+	return out
 }
 
 // TestEvolveAdjointIdentity: ⟨Eᵀc, p⟩ = ⟨c, E p⟩ up to rounding, where E p
@@ -102,10 +157,8 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 	} {
 		for seed := int64(0); seed < 6; seed++ {
 			m := NewModel(p)
-			fold, ref := NewDeliveryForecaster(m), evolveForecaster(m)
-			if fold.tbl.sigma == 0 || ref.tbl.sigma != 0 {
-				t.Fatal("want a folded table against an unfolded reference")
-			}
+			fold := NewDeliveryForecaster(m)
+			ref := newEvolveForecaster(m, fold.tbl.maxK)
 			rng := rand.New(rand.NewSource(100*int64(pi) + seed))
 			tau, top := m.p.Tick.Seconds(), m.p.MaxRate
 			cur, next := make([]float64, m.NumBins()), make([]float64, m.NumBins())
@@ -127,7 +180,7 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 						continue
 					}
 					got := fold.ForecastAll(nil, confs)
-					want := ref.ForecastAll(nil, confs)
+					want := ref.ForecastAll(confs)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("params %d seed %d tick %d slot %d: folded %v, evolve path %v",
@@ -164,9 +217,9 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 func TestFoldIndependentOfWorkerCount(t *testing.T) {
 	m := NewModel(Params{})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := buildForecastTable(m, true)
+	one := buildForecastTable(m)
 	runtime.GOMAXPROCS(4)
-	four := buildForecastTable(m, true)
+	four := buildForecastTable(m)
 	if len(one.flat) != len(four.flat) {
 		t.Fatalf("table sizes differ: %d vs %d", len(one.flat), len(four.flat))
 	}
@@ -181,7 +234,7 @@ func TestFoldIndependentOfWorkerCount(t *testing.T) {
 // mixtureQuantileFrom needs every bin of row (i, k) to be nondecreasing in
 // k after the fold as well as before it.
 func TestFoldedRowsMonotoneInCount(t *testing.T) {
-	tbl := buildForecastTable(NewModel(Params{NumBins: 64, Sigma: 300}), true)
+	tbl := buildForecastTable(NewModel(Params{NumBins: 64, Sigma: 300}))
 	for i := range tbl.off {
 		for k := 1; k <= tbl.maxK[i]; k++ {
 			prev, row := tbl.row(i, k-1), tbl.row(i, k)
@@ -218,43 +271,5 @@ func TestTableBuildSingleFlight(t *testing.T) {
 	h1, m1, u1 := TableCacheStats()
 	if m1-m0 != 1 || h1-h0 != users-1 || u1 != u0 {
 		t.Errorf("hits +%d misses +%d uncached +%d, want +%d +1 +0", h1-h0, m1-m0, u1-u0, users-1)
-	}
-}
-
-// TestSetSigmaRetiresFoldedTable: after SetSigma a forecaster must not
-// answer from rows folded for the old σ. It is checked against the evolve
-// path over the same model, and against a forecaster built after the
-// change (whose table is folded for the new σ).
-func TestSetSigmaRetiresFoldedTable(t *testing.T) {
-	f := trainedForecaster(t, 300, 5)
-	m := f.Model()
-	confs := []float64{0.95, 0.5, 0.05}
-	before := f.ForecastAll(nil, confs)
-	m.SetSigma(4 * DefaultSigma)
-	got := f.ForecastAll(nil, confs)
-	want := evolveForecaster(m).ForecastAll(nil, confs)
-	refolded := NewDeliveryForecaster(m)
-	if refolded.tbl.sigma != 4*DefaultSigma {
-		t.Fatalf("table built after SetSigma is folded for σ=%v", refolded.tbl.sigma)
-	}
-	again := refolded.ForecastAll(nil, confs)
-	moved := false
-	for i := range want {
-		if got[i] != want[i] || again[i] != want[i] {
-			t.Fatalf("slot %d: after SetSigma %v, refolded %v, evolve path %v", i, got[i], again[i], want[i])
-		}
-		moved = moved || got[i] != before[i]
-	}
-	if !moved {
-		t.Fatal("quadrupling σ left the forecast unchanged; the test cannot see a stale table")
-	}
-	// Setting σ back does not revive the fold: the forecaster stays on
-	// the evolve path, which is right for any σ.
-	m.SetSigma(DefaultSigma)
-	back := f.ForecastAll(nil, confs)
-	for i := range before {
-		if back[i] != before[i] {
-			t.Fatalf("slot %d: σ restored gives %v, originally %v", i, back[i], before[i])
-		}
 	}
 }

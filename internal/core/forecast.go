@@ -17,13 +17,13 @@ import (
 // once per parameter set.
 //
 // Row (i, k) starts from the Poisson CDF cdf_i[k][j] = P(C <= k | λ = bin
-// j for (i+1)·τ). A folded table stores G_i[k] = (Eᵀ)^(i+1)·cdf_i[k],
-// where E is the model's one-tick evolution (see evolveAdjoint): the
-// lookahead the forecast would otherwise run on the posterior p is linear,
+// j for (i+1)·τ) and stores G_i[k] = (Eᵀ)^(i+1)·cdf_i[k], where E is the
+// model's one-tick evolution (see evolveAdjoint): the lookahead the
+// forecast would otherwise run on the posterior p is linear,
 // ⟨cdf_i[k], E^(i+1)·p⟩ = ⟨G_i[k], p⟩, so it is applied to the rows once
 // and a runtime forecast is the paper's "weighted sum over each λ" (§3.3)
-// against the current posterior. An unfolded table keeps the raw CDF rows
-// for the forecaster whose σ moves at run time and so has no fixed E.
+// against the current posterior. σ and λz are frozen per model (§3.1), so
+// E is fixed for a table's lifetime.
 //
 // The entries are one contiguous slice laid out so that a mixture
 // evaluation at a fixed (tick, count) reads the bin dimension
@@ -39,11 +39,6 @@ type forecastTable struct {
 	flat []float64
 	off  []int
 	maxK []int
-
-	// sigma is the Brownian noise power whose evolution is folded into
-	// the rows; 0 marks an unfolded table. A forecaster may mix a folded
-	// table against its posterior only while its model's σ equals this.
-	sigma float64
 }
 
 // row returns the bins-long slice at (tick, count k).
@@ -52,9 +47,9 @@ func (t *forecastTable) row(tick, k int) []float64 {
 	return t.flat[base : base+t.bins]
 }
 
-// buildForecastTable builds the table for m's parameters, folding m's
-// evolution into the rows when fold is set. It only reads m.
-func buildForecastTable(m *Model, fold bool) *forecastTable {
+// buildForecastTable builds the table for m's parameters, m's evolution
+// folded into the rows. It only reads m.
+func buildForecastTable(m *Model) *forecastTable {
 	tau, ticks := m.p.Tick.Seconds(), m.p.ForecastTicks
 	t := &forecastTable{
 		bins: len(m.binRate),
@@ -77,10 +72,7 @@ func buildForecastTable(m *Model, fold bool) *forecastTable {
 			}
 		}
 	}
-	if fold {
-		t.sigma = m.p.Sigma
-		t.fold(m.evolveAdjoint())
-	}
+	t.fold(m.evolveAdjoint())
 	return t
 }
 
@@ -124,8 +116,7 @@ func (t *forecastTable) fold(adj *evolveAdjoint) {
 // tableKey captures exactly the parameters the table depends on: the bin
 // grid (NumBins + MaxRate determine binRate), the tick length, the horizon
 // and — because the evolution is folded into the rows — the two parameters
-// that shape E, Sigma and OutageEscape (both zero in the key of the
-// unfolded table, which neither shapes). Confidence does not shape the
+// that shape E, Sigma and OutageEscape. Confidence does not shape the
 // table, so the §5.5 sweep shares one table across all its runs.
 type tableKey struct {
 	bins         int
@@ -139,7 +130,7 @@ type tableKey struct {
 // TableCacheLimit bounds the process-wide forecast-table cache: a table at
 // the default parameters holds ~250k float64s (~2 MB) and takes ~35 CPU-ms
 // to fold, and entries are never evicted, so a library consumer sweeping a
-// table-shaping parameter (now including Sigma and OutageEscape) past this
+// table-shaping parameter (Sigma and OutageEscape among them) past this
 // many distinct values gets uncached (per-forecaster) tables rather than
 // unbounded retained memory. TableCacheStats makes that degradation
 // observable.
@@ -173,19 +164,17 @@ func TableCacheStats() (hits, misses, uncached int64) {
 	return tableHits, tableMisses, tableUncached
 }
 
-// forecastTableFor returns the table for m's parameters: folded with m's
-// evolution, or the unfolded CDF table. The first user of a key builds it
-// (outside the lock, so different keys build in parallel); concurrent
-// users of the same key wait for that one build.
-func forecastTableFor(m *Model, fold bool) *forecastTable {
+// forecastTableFor returns the table for m's parameters. The first user of
+// a key builds it (outside the lock, so different keys build in parallel);
+// concurrent users of the same key wait for that one build.
+func forecastTableFor(m *Model) *forecastTable {
 	key := tableKey{
-		bins:    m.NumBins(),
-		ticks:   m.p.ForecastTicks,
-		maxRate: m.p.MaxRate,
-		tick:    m.p.Tick,
-	}
-	if fold {
-		key.sigma, key.outageEscape = m.p.Sigma, m.p.OutageEscape
+		bins:         m.NumBins(),
+		ticks:        m.p.ForecastTicks,
+		maxRate:      m.p.MaxRate,
+		tick:         m.p.Tick,
+		sigma:        m.p.Sigma,
+		outageEscape: m.p.OutageEscape,
 	}
 	tableMu.Lock()
 	e, ok := tableCache[key]
@@ -201,7 +190,7 @@ func forecastTableFor(m *Model, fold bool) *forecastTable {
 		tableUncached++
 	}
 	tableMu.Unlock()
-	e.once.Do(func() { e.tbl = buildForecastTable(m, fold) })
+	e.once.Do(func() { e.tbl = buildForecastTable(m) })
 	return e.tbl
 }
 
@@ -223,12 +212,6 @@ func forecastTableFor(m *Model, fold bool) *forecastTable {
 // i drawn from the evolved (observation-free) posterior; the Brownian
 // evolution itself carries the uncertainty between ticks.
 //
-// A forecaster whose model's σ no longer matches its table's — SetSigma
-// was called, as AdaptiveForecaster does continually — has no precomputed
-// fold to use: it evolves a copy of the posterior tick by tick and mixes
-// each against the unfolded table instead. Both lookaheads compute the
-// same F up to rounding.
-//
 // A DeliveryForecaster is not safe for concurrent use, but Clone returns
 // an independent copy (sharing only the immutable table) so each worker in
 // a parallel experiment owns its own filter state.
@@ -237,13 +220,9 @@ type DeliveryForecaster struct {
 	tbl   *forecastTable
 
 	// w[lo:hi] is the weight vector the mixture sums run against and its
-	// support window: the model's posterior itself over a folded table,
-	// the evolving scratch copy cur over an unfolded one.
+	// support window: the model's posterior, read at each forecast.
 	w      []float64
 	lo, hi int
-
-	// cur and next are the evolve path's scratch; nil until unfold.
-	cur, next []float64
 
 	// Sweep scratch for ForecastAll: the requested confidences as
 	// p-values sorted ascending, each remembering its caller slot, plus
@@ -258,27 +237,14 @@ type DeliveryForecaster struct {
 // NewDeliveryForecaster builds the forecaster for the model, reusing the
 // process-wide folded table when one with matching parameters exists.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
-	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m, true)}
-}
-
-// unfold moves the forecaster to the evolve-then-mix lookahead over the
-// unfolded table, for good.
-func (f *DeliveryForecaster) unfold() {
-	f.tbl = forecastTableFor(f.model, false)
-	f.cur = make([]float64, f.model.NumBins())
-	f.next = make([]float64, f.model.NumBins())
+	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m)}
 }
 
 // Clone returns an independent forecaster whose model and scratch state
 // are deep-copied while the immutable table is shared. The clone may be
 // Ticked concurrently with the original.
 func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
-	c := &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
-	if f.cur != nil {
-		c.cur = make([]float64, len(f.cur))
-		c.next = make([]float64, len(f.next))
-	}
-	return c
+	return &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
 }
 
 // Model returns the underlying Bayesian filter.
@@ -338,9 +304,8 @@ func clampP(confidence float64) float64 {
 // share one monotone walk up the count axis: the p-values are visited in
 // ascending order and each search warm-starts at the previous answer
 // (provably its lower bound), so later confidences usually cost a handful
-// of extra mixture probes, and on the evolve path the evolution runs once
-// per tick for the whole sweep. A k-confidence sweep is therefore close to
-// the price of one.
+// of extra mixture probes. A k-confidence sweep is therefore close to the
+// price of one.
 func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) []float64 {
 	nc := len(confidences)
 	if nc == 0 {
@@ -367,22 +332,8 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 		f.sweepPrev = append(f.sweepPrev, 0)
 	}
 
-	// Rows folded for another σ would silently answer for the wrong
-	// evolution, so a SetSigma since the table was fetched retires it.
-	if f.tbl.sigma != 0 && f.tbl.sigma != m.p.Sigma {
-		f.unfold()
-	}
-	evolve := f.tbl.sigma == 0
 	f.w, f.lo, f.hi = m.probs, m.lo, m.hi
-	if evolve {
-		copy(f.cur, m.probs)
-	}
 	for i := 0; i < ticks; i++ {
-		if evolve {
-			f.lo, f.hi = evolveWindow(f.next, f.cur, m.kernel, m.kernelPad, m.radius, m.outageStay, f.lo, f.hi)
-			f.cur, f.next = f.next, f.cur
-			f.w = f.cur
-		}
 		// One monotone walk answers every confidence: ascending p means
 		// ascending quantile, so each search starts at the larger of its
 		// own previous-tick bound and the preceding confidence's answer

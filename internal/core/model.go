@@ -44,8 +44,6 @@ type Model struct {
 	// mass (trim). The evolution, observation and mixture-CDF inner loops
 	// scan only the window.
 	lo, hi int
-
-	ticks int64 // ticks processed (diagnostics)
 }
 
 // NewModel builds a model with the given parameters (zero fields take the
@@ -79,9 +77,9 @@ func NewModel(p Params) *Model {
 
 // Clone returns an independent copy of the filter: the posterior and
 // scratch buffers are deep-copied, while the bin grid, the observation
-// rows (filled single-flight, never rewritten) and the transition kernel —
-// which is never mutated in place (SetSigma installs a fresh kernel) — are
-// shared. Clones may be Ticked concurrently.
+// rows (filled single-flight, never rewritten) and the transition kernel
+// (never written after NewModel) are shared. Clones may be Ticked
+// concurrently.
 func (m *Model) Clone() *Model {
 	c := *m
 	c.probs = append([]float64(nil), m.probs...)
@@ -92,29 +90,6 @@ func (m *Model) Clone() *Model {
 // Params returns the (defaulted) parameters the model was built with.
 func (m *Model) Params() Params { return m.p }
 
-// Sigma returns the current Brownian noise power (packets/s/√s).
-func (m *Model) Sigma() float64 { return m.p.Sigma }
-
-// SetSigma changes the Brownian noise power and rebuilds the per-tick
-// transition kernel. The posterior is untouched; only future evolution
-// steps use the new diffusion. Used by the adaptive-σ extension (§3.1's
-// "vary slowly with time").
-func (m *Model) SetSigma(sigma float64) {
-	if sigma <= 0 {
-		panic("core: sigma must be positive")
-	}
-	m.p.Sigma = sigma
-	tau := m.p.Tick.Seconds()
-	std := sigma * math.Sqrt(tau)
-	n := len(m.probs)
-	m.radius = int(math.Ceil(4*std/m.binWidth)) + 1
-	if m.radius >= n {
-		m.radius = n - 1
-	}
-	m.kernel = stats.GaussianKernel(std, m.binWidth, m.radius)
-	m.kernelPad = padKernel(m.kernel)
-}
-
 // Reset restores the uniform prior (all rates equally probable, §3.1).
 func (m *Model) Reset() {
 	u := 1 / float64(len(m.probs))
@@ -122,11 +97,7 @@ func (m *Model) Reset() {
 		m.probs[i] = u
 	}
 	m.lo, m.hi = 0, len(m.probs)
-	m.ticks = 0
 }
-
-// Ticks returns the number of ticks processed since the last Reset.
-func (m *Model) Ticks() int64 { return m.ticks }
 
 // NumBins returns the number of λ bins.
 func (m *Model) NumBins() int { return len(m.probs) }
@@ -141,13 +112,11 @@ func (m *Model) Distribution(dst []float64) []float64 {
 }
 
 // Evolve advances the posterior one tick of Brownian motion with the
-// outage-stickiness bias (§3.2 step 1). evolveWindow is shared with the
-// forecast side: evolveAdjoint folds it into the forecast table, and the
-// evolve-path forecaster applies it to a scratch copy.
+// outage-stickiness bias (§3.2 step 1). The forecast side uses the same
+// operator transposed: evolveAdjoint folds it into the forecast table.
 func (m *Model) Evolve() {
 	m.lo, m.hi = evolveWindow(m.scratch, m.probs, m.kernel, m.kernelPad, m.radius, m.outageStay, m.lo, m.hi)
 	m.probs, m.scratch = m.scratch, m.probs
-	m.ticks++
 }
 
 // gatherLanes is how many destination bins one pass of the portable gather
@@ -441,7 +410,7 @@ func (a *evolveAdjoint) apply(dst, c []float64) {
 // multiplied by — the likelihood of exactly k packets in a tick under
 // ObsExact, the survival P(C > k) under ObsAtLeast. All of it depends on
 // (NumBins, MaxRate, Tick, k) and on nothing a run changes (σ and λz shape
-// the evolution, not the observation, so SetSigma leaves it alone): one
+// the evolution, not the observation): one
 // table per grid is shared process-wide by every Model and clone, and each
 // row is filled by its first user, single-flight, and never written again.
 // A grid retains at most 2·rows·NumBins·8 bytes (~0.23 MB at the defaults).
@@ -625,17 +594,6 @@ func (m *Model) Mean() float64 {
 		s += m.probs[j] * m.binRate[j]
 	}
 	return s
-}
-
-// MAP returns the posterior-mode rate in packets/s.
-func (m *Model) MAP() float64 {
-	best, bestP := 0, m.probs[0]
-	for j := m.lo; j < m.hi; j++ {
-		if p := m.probs[j]; p > bestP {
-			best, bestP = j, p
-		}
-	}
-	return m.binRate[best]
 }
 
 // Quantile returns the smallest rate r with mass such that P(λ <= r) >= p.

@@ -58,9 +58,6 @@ func TestEvolvePreservesProbability(t *testing.T) {
 			t.Fatalf("tick %d: distribution sums to %v", i, s)
 		}
 	}
-	if m.Ticks() != 100 {
-		t.Errorf("Ticks = %d", m.Ticks())
-	}
 }
 
 func TestObservePreservesProbability(t *testing.T) {
@@ -86,9 +83,6 @@ func TestModelConvergesToTrueRate(t *testing.T) {
 	}
 	if got := m.Mean(); math.Abs(got-truth) > 60 {
 		t.Errorf("posterior mean = %v, want ~%v", got, truth)
-	}
-	if got := m.MAP(); math.Abs(got-truth) > 60 {
-		t.Errorf("posterior MAP = %v, want ~%v", got, truth)
 	}
 }
 
@@ -252,9 +246,8 @@ func TestObservationRows(t *testing.T) {
 		}
 	}
 	// Rows are the table's, not the model's: a second model of the grid
-	// reads the same memory, whatever its σ, and SetSigma keeps it.
+	// reads the same memory, whatever its σ.
 	other := NewModel(Params{Sigma: 50, OutageEscape: 3})
-	other.SetSigma(400)
 	if &other.row(ObsExact, 7)[0] != &m.row(ObsExact, 7)[0] {
 		t.Error("models of one grid should share observation rows")
 	}

@@ -4,16 +4,11 @@ import "testing"
 
 // BenchmarkBuildForecastTable is the cold cost of the folded table (CDF
 // rows plus the adjoint evolution applied to each) — paid once per process
-// per parameter set. The unfolded sub-benchmark is the CDF share of it.
+// per parameter set.
 func BenchmarkBuildForecastTable(b *testing.B) {
 	m := NewModel(Params{})
-	for _, fold := range []bool{true, false} {
-		name := map[bool]string{true: "folded", false: "unfolded"}[fold]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				buildForecastTable(m, fold)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		buildForecastTable(m)
 	}
 }
 

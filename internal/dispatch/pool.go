@@ -136,23 +136,6 @@ func (p *HostPool) Dead(host string) bool {
 	return p.score[host] == 0
 }
 
-// AnyAlive reports whether at least one host can still take work.
-func (p *HostPool) AnyAlive() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.hosts {
-		if p.score[h] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Revive restores host to full health — the flapping-host path: a
-// machine that died, lost its shards to failover, and came back is
-// eligible for new work again.
-func (p *HostPool) Revive(host string) { p.PullOK(host) }
-
 // String renders the pool state for supervisor logs: "a:5/1 b:0/0"
 // (score/load), hosts sorted by name.
 func (p *HostPool) String() string {

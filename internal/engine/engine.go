@@ -110,7 +110,7 @@ type Stats struct {
 	// cache hit/miss counts are NOT aggregated here — in-process shards
 	// share one Cache, so summing a per-shard read of its counters would
 	// double-count every hit; read the shared cache's Counts exactly
-	// once after the sweep instead (see harness.RunMatrixSharded).
+	// once after the sweep instead.
 	Shards int
 }
 
@@ -273,7 +273,6 @@ func DeriveSeed(base int64, parts ...string) int64 {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	limit   int // 0 = unbounded
 	hits    int
 	misses  int
 }
@@ -289,20 +288,6 @@ type cacheEntry struct {
 // NewCache returns an empty, unbounded cache.
 func NewCache() *Cache { return &Cache{entries: map[string]*cacheEntry{}} }
 
-// NewCacheLimit returns a cache holding at most limit entries (limit <= 0
-// means unbounded). Like the forecast-table cache in internal/core
-// (tableCacheLimit), the bound stops admission rather than evicting: once
-// full, Gets for new keys run gen directly and retain nothing, so a
-// long-lived cache swept across unbounded key spaces (an arbitrary-spec
-// scenario server) degrades to per-call generation instead of unbounded
-// retained memory. Uncached keys lose the single-flight guarantee —
-// concurrent Gets for the same new key may each run gen.
-func NewCacheLimit(limit int) *Cache {
-	c := NewCache()
-	c.limit = limit
-	return c
-}
-
 // Get returns the cached value for key, running gen to produce it if
 // this is the first request. gen runs outside the cache lock, so slow
 // generations for different keys proceed in parallel.
@@ -311,10 +296,6 @@ func (c *Cache) Get(key string, gen func() any) any {
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		if c.limit > 0 && len(c.entries) >= c.limit {
-			c.mu.Unlock()
-			return gen() // full: serve uncached (see NewCacheLimit)
-		}
 		e = &cacheEntry{key: key}
 		c.entries[key] = e
 	} else {
@@ -326,9 +307,9 @@ func (c *Cache) Get(key string, gen func() any) any {
 
 // GetBytes is Get with the key passed as bytes: the lookup converts in
 // place (no allocation on the hit path), and only a miss materializes the
-// string and falls through to Get, so the admission bookkeeping lives in
-// one place. Hot per-job lookups build their key into a reused buffer and
-// stay allocation-free once the cache is warm.
+// string and falls through to Get, so the insertion lives in one place.
+// Hot per-job lookups build their key into a reused buffer and stay
+// allocation-free once the cache is warm.
 func (c *Cache) GetBytes(key []byte, gen func() any) any {
 	c.mu.Lock()
 	if e, ok := c.entries[string(key)]; ok {

@@ -308,32 +308,6 @@ func TestWorkerStateNilSafe(t *testing.T) {
 	}
 }
 
-func TestCacheLimitStopsAdmission(t *testing.T) {
-	c := NewCacheLimit(2)
-	gen := func(v int) func() any { return func() any { return v } }
-	if got := c.Get("a", gen(1)); got != 1 {
-		t.Fatalf("a = %v", got)
-	}
-	if got := c.Get("b", gen(2)); got != 2 {
-		t.Fatalf("b = %v", got)
-	}
-	// Full: new keys generate but are not retained.
-	if got := c.Get("c", gen(3)); got != 3 {
-		t.Fatalf("c = %v", got)
-	}
-	if got := c.Get("c", gen(4)); got != 4 {
-		t.Errorf("over-limit key was cached: %v", got)
-	}
-	// Existing keys still hit.
-	if got := c.Get("a", gen(9)); got != 1 {
-		t.Errorf("a regenerated after limit: %v", got)
-	}
-	hits, misses := c.Counts()
-	if hits != 1 || misses != 4 {
-		t.Errorf("counts = %d hits, %d misses; want 1/4", hits, misses)
-	}
-}
-
 func TestCacheGetBytesSharesNamespace(t *testing.T) {
 	c := NewCache()
 	if got := c.GetBytes([]byte("k"), func() any { return "v1" }); got != "v1" {

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sprout/internal/engine"
+	"sprout/internal/scenario"
 )
 
 // TestRunMatrixDeterministicAcrossWorkers is the engine's core guarantee:
@@ -16,31 +19,22 @@ func TestRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 		schemes = []string{"sprout", "cubic", "skype"}
 		dur, skip = 12*time.Second, 3*time.Second
 	}
-	serial, err := RunMatrix(Options{Duration: dur, Skip: skip, Seed: 6, Workers: 1}, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunMatrix(Options{Duration: dur, Skip: skip, Seed: 6, Workers: 4}, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Links, parallel.Links) {
-		t.Fatalf("link order differs:\n%v\n%v", serial.Links, parallel.Links)
-	}
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
-		for _, l := range serial.Links {
+	opt := Options{Duration: dur, Skip: skip, Seed: 6}
+	serial, st1 := runMatrix(t, opt, schemes, 1)
+	parallel, st4 := runMatrix(t, opt, schemes, 4)
+	if !reflect.DeepEqual(serial.cells, parallel.cells) {
+		for _, l := range serial.links {
 			for _, s := range schemes {
-				if serial.Cells[l][s] != parallel.Cells[l][s] {
+				if serial.cells[l][s] != parallel.cells[l][s] {
 					t.Errorf("%s on %s: serial %+v != parallel %+v",
-						s, l, serial.Cells[l][s], parallel.Cells[l][s])
+						s, l, serial.cells[l][s], parallel.cells[l][s])
 				}
 			}
 		}
 		t.Fatal("matrix differs between 1 and 4 workers")
 	}
-	if serial.Stats.Engine.Workers != 1 || parallel.Stats.Engine.Workers != 4 {
-		t.Errorf("stats workers = %d/%d, want 1/4",
-			serial.Stats.Engine.Workers, parallel.Stats.Engine.Workers)
+	if st1.Workers != 1 || st4.Workers != 4 {
+		t.Errorf("stats workers = %d/%d, want 1/4", st1.Workers, st4.Workers)
 	}
 }
 
@@ -49,86 +43,21 @@ func TestRunMatrixDeterministicAcrossWorkers(t *testing.T) {
 // schemes and directions share it (the matrix's 24 jobs — 3 schemes × 4
 // networks × 2 directions — generate exactly 4 pairs).
 func TestRunMatrixTraceCache(t *testing.T) {
-	m, err := RunMatrix(Options{Duration: 10 * time.Second, Skip: 2 * time.Second, Seed: 2},
+	specs, _ := MatrixSpecs(Options{Duration: 10 * time.Second, Skip: 2 * time.Second, Seed: 2},
 		[]string{"sprout", "sprout-ewma", "cubic"})
+	traces := engine.NewCache()
+	_, st, err := scenario.RunOn(t.Context(), engine.New(0), specs, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats.TracesGenerated != 4 {
-		t.Errorf("generated %d trace pairs, want 4 (one per network, shared across directions)", m.Stats.TracesGenerated)
+	reused, generated := traces.Counts()
+	if generated != 4 {
+		t.Errorf("generated %d trace pairs, want 4 (one per network, shared across directions)", generated)
 	}
-	if want := 24 - 4; m.Stats.TracesReused != want {
-		t.Errorf("reused %d, want %d (every other job served by reference)", m.Stats.TracesReused, want)
+	if want := 24 - 4; reused != want {
+		t.Errorf("reused %d, want %d (every other job served by reference)", reused, want)
 	}
-	if m.Stats.Engine.Completed != 24 {
-		t.Errorf("completed %d jobs, want 24", m.Stats.Engine.Completed)
-	}
-}
-
-// TestExperimentsDeterministicAcrossWorkers covers the remaining parallel
-// experiment entry points at both worker settings.
-func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
-	serial := Options{Duration: 15 * time.Second, Skip: 4 * time.Second, Seed: 3, Workers: 1}
-	parallel := serial
-	parallel.Workers = 4
-
-	l1, err := LossTable(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := LossTable(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l1, l2) {
-		t.Errorf("LossTable differs:\n%v\n%v", l1, l2)
-	}
-
-	f1, err := Fig9(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := Fig9(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f1, f2) {
-		t.Errorf("Fig9 differs:\n%v\n%v", f1, f2)
-	}
-
-	t1, err := RunTunnelComparison(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := RunTunnelComparison(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Errorf("TunnelComparison differs:\n%+v\n%+v", t1, t2)
-	}
-
-	p1, err := Fig1(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := Fig1(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p1, p2) {
-		t.Error("Fig1 series differs between worker counts")
-	}
-
-	m1, err := RunMultiSprout(serial, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := RunMultiSprout(parallel, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Errorf("MultiSprout differs:\n%+v\n%+v", m1, m2)
+	if st.Completed != 24 {
+		t.Errorf("completed %d jobs, want 24", st.Completed)
 	}
 }

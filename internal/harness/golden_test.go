@@ -25,12 +25,15 @@ var goldenLinks = []string{"Verizon LTE Downlink", "T-Mobile 3G (UMTS) Uplink"}
 
 var goldenSchemes = []string{"sprout", "cubic"}
 
+// goldenOpt is the (duration, skip, seed) tuple of goldenMatrixHash.
+var goldenOpt = Options{Duration: 8 * time.Second, Skip: 2 * time.Second, Seed: 7}
+
 // hashCells serializes cells bit-exactly (Float64bits, not decimal
 // formatting) and returns the SHA-256 hex digest.
-func hashCells(m *Matrix, links, schemes []string) string {
+func hashCells(m *matrix, links, schemes []string) string {
 	var b strings.Builder
 	for _, l := range links {
-		row, ok := m.Cells[l]
+		row, ok := m.cells[l]
 		if !ok {
 			fmt.Fprintf(&b, "%s:MISSING\n", l)
 			continue
@@ -158,15 +161,10 @@ func TestHandoverGoldenHash(t *testing.T) {
 // serial and parallel worker counts.
 func TestMatrixGoldenHash(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		m, err := RunMatrix(Options{
-			Duration: 8 * time.Second, Skip: 2 * time.Second, Seed: 7, Workers: workers,
-		}, goldenSchemes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m, _ := runMatrix(t, goldenOpt, goldenSchemes, workers)
 		for _, l := range goldenLinks {
-			if _, ok := m.Cells[l]; !ok {
-				t.Fatalf("link %q missing from matrix (links: %v)", l, m.Links)
+			if _, ok := m.cells[l]; !ok {
+				t.Fatalf("link %q missing from matrix (links: %v)", l, m.links)
 			}
 		}
 		if got := hashCells(m, goldenLinks, goldenSchemes); got != goldenMatrixHash {

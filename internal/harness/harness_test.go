@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"sprout/internal/engine"
+	"sprout/internal/scenario"
 	"sprout/internal/trace"
 )
 
@@ -12,20 +16,35 @@ import (
 // repository benchmarks).
 var shortOpt = Options{Duration: 45 * time.Second, Skip: 12 * time.Second}
 
+// runSpecs executes specs on a fresh engine of the given width.
+func runSpecs(t testing.TB, specs []scenario.Spec, workers int) ([]scenario.Result, engine.Stats) {
+	t.Helper()
+	results, st, err := scenario.RunAll(t.Context(), specs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, st
+}
+
+// runMatrix runs schemes over the eight canonical links.
+func runMatrix(t testing.TB, opt Options, schemes []string, workers int) (*matrix, engine.Stats) {
+	t.Helper()
+	specs, _ := MatrixSpecs(opt, schemes)
+	results, st := runSpecs(t, specs, workers)
+	return matrixOf(schemes, results), st
+}
+
 func runAllOnLTE(t *testing.T) map[string]Cell {
 	t.Helper()
-	pair := trace.CanonicalNetworks()[0]
-	data, fb := GenerateTracePair(pair, "down", shortOpt.Duration, 1)
+	specs := make([]scenario.Spec, len(Schemes()))
+	for i, s := range Schemes() {
+		specs[i] = shortOpt.withDefaults().baseSpec()
+		specs[i].Scheme, specs[i].Link = s, verizonLTE
+	}
+	results, _ := runSpecs(t, specs, 0)
 	out := make(map[string]Cell)
-	for _, s := range Schemes() {
-		res, err := Run(Config{
-			Scheme: s, DataTrace: data, FeedbackTrace: fb,
-			Duration: shortOpt.Duration, Skip: shortOpt.Skip,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		out[s] = toCell(res)
+	for i, s := range Schemes() {
+		out[s] = CellOf(results[i], s)
 		t.Logf("%-12s tput=%7.0f kbps self95=%7.0f ms util=%.2f",
 			s, out[s].ThroughputKbps, out[s].SelfInflictedMs, out[s].Utilization)
 	}
@@ -73,37 +92,10 @@ func TestFigure7Shape(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Scheme: "nope"}); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if _, err := Run(Config{Scheme: "sprout"}); err == nil {
-		t.Error("missing traces accepted")
-	}
-}
-
-func TestRunDeterministic(t *testing.T) {
-	pair := trace.CanonicalNetworks()[1]
-	data, fb := GenerateTracePair(pair, "up", 20*time.Second, 3)
-	cfg := Config{Scheme: "sprout", DataTrace: data, FeedbackTrace: fb,
-		Duration: 20 * time.Second, Skip: 5 * time.Second, Seed: 9}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ThroughputBps != b.ThroughputBps || a.Delay95 != b.Delay95 {
-		t.Errorf("runs differ: %+v vs %+v", a.Result, b.Result)
-	}
-}
-
 func TestGenerateTracePairDirections(t *testing.T) {
 	pair := trace.CanonicalNetworks()[0]
-	d1, f1 := GenerateTracePair(pair, "down", 10*time.Second, 5)
-	d2, f2 := GenerateTracePair(pair, "up", 10*time.Second, 5)
+	d1, f1 := scenario.GenerateTracePair(pair, "down", 10*time.Second, 5)
+	d2, f2 := scenario.GenerateTracePair(pair, "up", 10*time.Second, 5)
 	if d1.Name != f2.Name || f1.Name != d2.Name {
 		t.Errorf("directions not swapped: %q/%q vs %q/%q", d1.Name, f1.Name, d2.Name, f2.Name)
 	}
@@ -113,66 +105,60 @@ func TestGenerateTracePairDirections(t *testing.T) {
 }
 
 func TestTunnelComparisonShape(t *testing.T) {
-	res, err := RunTunnelComparison(shortOpt)
-	if err != nil {
-		t.Fatal(err)
+	results, _ := runSpecs(t, tunnelSpecs(shortOpt.withDefaults()), 0)
+	// Flows are in flow-id order: Cubic (10), Skype (20).
+	cubicDirect, skypeDirect := results[0].Flows[0], results[0].Flows[1]
+	cubicTunnel, skypeTunnel := results[1].Flows[0], results[1].Flows[1]
+	if cubicDirect.Flow != flowCubic || skypeTunnel.Flow != flowSkype {
+		t.Fatalf("flow order: %+v, %+v", results[0].Flows, results[1].Flows)
 	}
-	t.Logf("direct: cubic=%.0f skype=%.0f delay=%v", res.CubicKbpsDirect, res.SkypeKbpsDirect, res.SkypeDelay95Direct)
-	t.Logf("tunnel: cubic=%.0f skype=%.0f delay=%v drops=%d", res.CubicKbpsTunnel, res.SkypeKbpsTunnel, res.SkypeDelay95Tunnel, res.TunnelHeadDrops)
+	t.Logf("direct: cubic=%.0f skype=%.0f delay=%v", cubicDirect.ThroughputBps/1000, skypeDirect.ThroughputBps/1000, skypeDirect.Delay95)
+	t.Logf("tunnel: cubic=%.0f skype=%.0f delay=%v drops=%d", cubicTunnel.ThroughputBps/1000, skypeTunnel.ThroughputBps/1000, skypeTunnel.Delay95, results[1].HeadDrops)
 	// §5.7: the tunnel slashes Skype's delay by an order of magnitude...
-	if res.SkypeDelay95Tunnel*5 >= res.SkypeDelay95Direct {
-		t.Errorf("tunnel should slash skype delay: %v -> %v", res.SkypeDelay95Direct, res.SkypeDelay95Tunnel)
+	if skypeTunnel.Delay95*5 >= skypeDirect.Delay95 {
+		t.Errorf("tunnel should slash skype delay: %v -> %v", skypeDirect.Delay95, skypeTunnel.Delay95)
 	}
 	// ...multiplies Skype's throughput...
-	if res.SkypeKbpsTunnel <= 3*res.SkypeKbpsDirect {
-		t.Errorf("tunnel should raise skype tput: %.0f -> %.0f", res.SkypeKbpsDirect, res.SkypeKbpsTunnel)
+	if skypeTunnel.ThroughputBps <= 3*skypeDirect.ThroughputBps {
+		t.Errorf("tunnel should raise skype tput: %.0f -> %.0f", skypeDirect.ThroughputBps, skypeTunnel.ThroughputBps)
 	}
 	// ...and Cubic pays a substantial throughput penalty.
-	if res.CubicKbpsTunnel >= res.CubicKbpsDirect {
-		t.Errorf("cubic should pay: %.0f -> %.0f", res.CubicKbpsDirect, res.CubicKbpsTunnel)
+	if cubicTunnel.ThroughputBps >= cubicDirect.ThroughputBps {
+		t.Errorf("cubic should pay: %.0f -> %.0f", cubicDirect.ThroughputBps, cubicTunnel.ThroughputBps)
 	}
 	// Interactivity restored in absolute terms.
-	if res.SkypeDelay95Tunnel > time.Second {
-		t.Errorf("tunneled skype delay = %v, want interactive", res.SkypeDelay95Tunnel)
+	if skypeTunnel.Delay95 > time.Second {
+		t.Errorf("tunneled skype delay = %v, want interactive", skypeTunnel.Delay95)
 	}
 }
 
 func TestLossTableShape(t *testing.T) {
-	rows, err := LossTable(shortOpt)
-	if err != nil {
-		t.Fatal(err)
+	results, _ := runSpecs(t, lossSpecs(shortOpt.withDefaults()), 0)
+	if len(results) != 6 {
+		t.Fatalf("got %d rows, want 6", len(results))
 	}
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	byKey := map[string]LossRow{}
-	for _, r := range rows {
-		byKey[r.Direction+string(rune('0'+r.LossPct/5))] = r
-		t.Logf("%s %2d%%: %7.0f kbps %6.0f ms", r.Direction, r.LossPct, r.ThroughputKbps, r.SelfInflictedMs)
+	for _, r := range results {
+		t.Logf("%s: %7.0f kbps %6.0f ms", r.Spec.Name, r.Metrics.ThroughputBps/1000, ms(r.Metrics.SelfInflicted95))
 	}
 	// §5.6: throughput diminishes with loss but remains substantial, and
-	// delay stays low.
-	d0, d1, d2 := byKey["Downlink0"], byKey["Downlink1"], byKey["Downlink2"]
-	if !(d0.ThroughputKbps > d1.ThroughputKbps && d1.ThroughputKbps > d2.ThroughputKbps) {
-		t.Errorf("downlink throughput should decrease with loss: %v %v %v",
-			d0.ThroughputKbps, d1.ThroughputKbps, d2.ThroughputKbps)
+	// delay stays low. The first three rows are the downlink at 0/5/10%.
+	d0, d1, d2 := results[0].Metrics.ThroughputBps, results[1].Metrics.ThroughputBps, results[2].Metrics.ThroughputBps
+	if !(d0 > d1 && d1 > d2) {
+		t.Errorf("downlink throughput should decrease with loss: %v %v %v", d0, d1, d2)
 	}
-	if d2.ThroughputKbps < d0.ThroughputKbps/5 {
-		t.Errorf("10%% loss throughput %.0f collapsed (0%% = %.0f); Sprout should be loss-resilient",
-			d2.ThroughputKbps, d0.ThroughputKbps)
+	if d2 < d0/5 {
+		t.Errorf("10%% loss throughput %.0f collapsed (0%% = %.0f); Sprout should be loss-resilient", d2, d0)
 	}
-	for _, r := range rows {
-		if r.SelfInflictedMs > 800 {
-			t.Errorf("%s %d%%: delay %.0fms too high; loss should not inflate delay", r.Direction, r.LossPct, r.SelfInflictedMs)
+	for _, r := range results {
+		if d := r.Metrics.SelfInflicted95; d > 800*time.Millisecond {
+			t.Errorf("%s: delay %v too high; loss should not inflate delay", r.Spec.Name, d)
 		}
 	}
 }
 
 func TestFig9ConfidenceSweepShape(t *testing.T) {
-	cells, err := Fig9(shortOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := runSpecs(t, fig9Specs(shortOpt.withDefaults()), 0)
+	cells := fig9Cells(results)
 	byName := map[string]Cell{}
 	for _, c := range cells {
 		byName[c.Scheme] = c
@@ -193,18 +179,16 @@ func TestFig9ConfidenceSweepShape(t *testing.T) {
 }
 
 func TestFig1Timeseries(t *testing.T) {
-	pts, err := Fig1(Options{Duration: 30 * time.Second, Skip: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := runSpecs(t, fig1Specs(Options{Duration: 30 * time.Second, Skip: 5 * time.Second}.withDefaults()), 0)
+	pts := fig1Series(results)
 	if len(pts) != 30 {
 		t.Fatalf("got %d points, want 30", len(pts))
 	}
 	var sproutSum, skypeSum, capSum float64
 	for _, p := range pts[5:] {
-		sproutSum += p.SproutKbps
-		skypeSum += p.SkypeKbps
-		capSum += p.CapacityKbps
+		sproutSum += p.sproutKbps
+		skypeSum += p.skypeKbps
+		capSum += p.capacityKbps
 	}
 	if sproutSum == 0 || skypeSum == 0 || capSum == 0 {
 		t.Errorf("empty series: sprout=%v skype=%v cap=%v", sproutSum, skypeSum, capSum)
@@ -215,23 +199,23 @@ func TestFig1Timeseries(t *testing.T) {
 }
 
 func TestFig2Distribution(t *testing.T) {
-	d, err := Fig2(Options{Duration: 60 * time.Second})
+	d, err := fig2(Options{Duration: 60 * time.Second}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("fig2: n=%d p50=%.0fus p99=%.0fus frac<20ms=%.4f tail=%.2f (bins=%d) maxgap=%.1fs",
-		d.Count, d.P50us, d.P99us, d.FracWithin20, d.TailExponent, d.TailBinsUsed, d.MaxGapSeconds)
+		d.count, d.p50us, d.p99us, d.fracWithin20, d.tailExponent, d.tailBinsUsed, d.maxGapSeconds)
 	// Figure 2's qualitative content: the vast majority of interarrivals
 	// are short, but the distribution has a heavy tail with multi-second
 	// gaps and a negative power-law exponent.
-	if d.FracWithin20 < 0.95 {
-		t.Errorf("frac within 20ms = %v, want > 0.95", d.FracWithin20)
+	if d.fracWithin20 < 0.95 {
+		t.Errorf("frac within 20ms = %v, want > 0.95", d.fracWithin20)
 	}
-	if d.MaxGapSeconds < 1 {
-		t.Errorf("max gap = %vs, want outage-scale gaps", d.MaxGapSeconds)
+	if d.maxGapSeconds < 1 {
+		t.Errorf("max gap = %vs, want outage-scale gaps", d.maxGapSeconds)
 	}
-	if d.TailExponent >= -1 {
-		t.Errorf("tail exponent = %v, want steep negative slope", d.TailExponent)
+	if d.tailExponent >= -1 {
+		t.Errorf("tail exponent = %v, want steep negative slope", d.tailExponent)
 	}
 }
 
@@ -240,36 +224,33 @@ func TestMatrixAndSummaries(t *testing.T) {
 		t.Skip("matrix run is slow")
 	}
 	// A reduced matrix: three schemes over all links.
-	m, err := RunMatrix(Options{Duration: 30 * time.Second, Skip: 8 * time.Second},
-		[]string{"sprout", "cubic", "skype"})
-	if err != nil {
-		t.Fatal(err)
+	m, _ := runMatrix(t, Options{Duration: 30 * time.Second, Skip: 8 * time.Second},
+		[]string{"sprout", "cubic", "skype"}, 0)
+	if len(m.links) != 8 {
+		t.Fatalf("links = %d, want 8", len(m.links))
 	}
-	if len(m.Links) != 8 {
-		t.Fatalf("links = %d, want 8", len(m.Links))
-	}
-	rows := m.Summarize("sprout", []string{"sprout", "cubic", "skype"})
+	rows := m.summarize("sprout", []string{"sprout", "cubic", "skype"})
 	if len(rows) != 3 {
 		t.Fatalf("summary rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		t.Logf("%-8s speedup=%.2f delayred=%.2f avg=%.2fs", r.Scheme, r.AvgSpeedup, r.DelayReduction, r.AvgDelaySec)
+		t.Logf("%-8s speedup=%.2f delayred=%.2f avg=%.2fs", r.scheme, r.avgSpeedup, r.delayReduction, r.avgDelaySec)
 	}
-	if rows[0].Scheme != "sprout" || rows[0].AvgSpeedup != 1 || rows[0].DelayReduction != 1 {
+	if rows[0].scheme != "sprout" || rows[0].avgSpeedup != 1 || rows[0].delayReduction != 1 {
 		t.Errorf("reference row should be exactly 1.0x: %+v", rows[0])
 	}
 	// Cubic's delay across the 8 links dwarfs Sprout's.
 	for _, r := range rows {
-		if r.Scheme == "cubic" && r.DelayReduction < 3 {
-			t.Errorf("cubic delay reduction = %.1fx, want large", r.DelayReduction)
+		if r.scheme == "cubic" && r.delayReduction < 3 {
+			t.Errorf("cubic delay reduction = %.1fx, want large", r.delayReduction)
 		}
 	}
-	f8 := m.Fig8([]string{"sprout", "cubic"})
+	f8 := m.fig8([]string{"sprout", "cubic"})
 	if len(f8) != 2 {
 		t.Fatalf("fig8 rows = %d", len(f8))
 	}
-	if f8[1].AvgUtilizationPct <= f8[0].AvgUtilizationPct {
-		t.Errorf("cubic util %.0f%% should exceed sprout %.0f%%", f8[1].AvgUtilizationPct, f8[0].AvgUtilizationPct)
+	if f8[1].avgUtilizationPct <= f8[0].avgUtilizationPct {
+		t.Errorf("cubic util %.0f%% should exceed sprout %.0f%%", f8[1].avgUtilizationPct, f8[0].avgUtilizationPct)
 	}
 }
 
@@ -278,20 +259,50 @@ func TestFormatCells(t *testing.T) {
 		{Scheme: "b", ThroughputKbps: 100, SelfInflictedMs: 50},
 		{Scheme: "a", ThroughputKbps: 200, SelfInflictedMs: 10},
 	})
-	if out == "" {
-		t.Fatal("empty output")
-	}
 	// Sorted by delay: "a" first.
-	if idxA, idxB := indexOf(out, "\na"), indexOf(out, "\nb"); idxA > idxB {
+	if idxA, idxB := strings.Index(out, "\na"), strings.Index(out, "\nb"); idxA < 0 || idxA > idxB {
 		t.Errorf("cells not sorted by delay:\n%s", out)
 	}
 }
 
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
+// TestFig7TieOrder: two schemes with equal delay on a link (cubic-codel
+// and vegas on the 3G downlink of an 8 s run, bit for bit) print in scheme
+// order, whatever order the results reach the renderer's lookup in.
+func TestFig7TieOrder(t *testing.T) {
+	schemes, links := Schemes(), linkNames()
+	results := make([]scenario.Result, len(schemes)*len(links))
+	for si := range schemes {
+		for li := range links {
+			r := &results[si*len(links)+li]
+			r.Metrics.SelfInflicted95 = time.Duration(si+1) * time.Millisecond
 		}
 	}
-	return -1
+	// Tie schemes 4 and 6 on every link.
+	for li := range links {
+		results[6*len(links)+li].Metrics.SelfInflicted95 = results[4*len(links)+li].Metrics.SelfInflicted95
+	}
+	want, err := renderFig7(Options{}, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := strings.Index(want, "\n"+schemes[4]+" "), strings.Index(want, "\n"+schemes[6]+" "); a < 0 || a > b {
+		t.Fatalf("%s should print before %s:\n%s", schemes[4], schemes[6], want)
+	}
+	for i := 0; i < 50; i++ {
+		if got, _ := renderFig7(Options{}, results); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	// FormatCells itself: equal-delay cells keep their input order under
+	// any shuffle of the others.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		cells := []Cell{{Scheme: "x", SelfInflictedMs: 5}, {Scheme: "t1", SelfInflictedMs: 7}, {Scheme: "y", SelfInflictedMs: 9}, {Scheme: "z", SelfInflictedMs: 1}}
+		rng.Shuffle(len(cells), func(a, b int) { cells[a], cells[b] = cells[b], cells[a] })
+		cells = append(cells, Cell{Scheme: "t2", SelfInflictedMs: 7})
+		out := FormatCells("", cells)
+		if a, b := strings.Index(out, "\nt1 "), strings.Index(out, "\nt2 "); a < 0 || a > b {
+			t.Fatalf("shuffle %d: t1 should stay ahead of t2:\n%s", i, out)
+		}
+	}
 }

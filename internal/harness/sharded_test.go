@@ -4,8 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
+	"sprout/internal/engine"
 	"sprout/internal/scenario"
 	"sprout/internal/trace"
 )
@@ -17,24 +17,28 @@ import (
 func TestMatrixGoldenHashSharded(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 7} {
 		for _, workers := range []int{1, 4} {
-			m, err := RunMatrixSharded(Options{
-				Duration: 8 * time.Second, Skip: 2 * time.Second, Seed: 7, Workers: workers,
-			}, goldenSchemes, shards)
+			specs, _ := MatrixSpecs(goldenOpt, goldenSchemes)
+			traces := engine.NewCache()
+			results, st, err := scenario.RunSharded(context.Background(), specs, scenario.ShardedOptions{
+				Shards: shards, Workers: workers, Traces: traces,
+			})
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
+			m := matrixOf(goldenSchemes, results)
 			if got := hashCells(m, goldenLinks, goldenSchemes); got != goldenMatrixHash {
 				t.Errorf("shards=%d workers=%d: matrix hash = %s, want %s (sharded merge is not byte-identical)",
 					shards, workers, got, goldenMatrixHash)
 			}
-			if m.Stats.Engine.Shards != shards {
-				t.Errorf("shards=%d: stats report %d shards", shards, m.Stats.Engine.Shards)
+			if st.Shards != shards {
+				t.Errorf("shards=%d: stats report %d shards", shards, st.Shards)
 			}
 			// The shared trace cache generates each canonical network's
 			// pair once, counted once — not once per shard.
-			if want := len(trace.CanonicalNetworks()); m.Stats.TracesGenerated != want {
+			_, generated := traces.Counts()
+			if want := len(trace.CanonicalNetworks()); generated != want {
 				t.Errorf("shards=%d workers=%d: %d trace pairs generated, want %d",
-					shards, workers, m.Stats.TracesGenerated, want)
+					shards, workers, generated, want)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,75 +8,32 @@ import (
 	"time"
 
 	"sprout/internal/engine"
+	"sprout/internal/link"
 	"sprout/internal/scenario"
 	"sprout/internal/stats"
 	"sprout/internal/trace"
 )
 
-// Options parameterizes a full experiment suite run.
-type Options struct {
-	// Duration and Skip per run. Zero takes the harness defaults
-	// (150 s / 30 s).
-	Duration, Skip time.Duration
-	// Seed drives trace generation and all stochastic components.
-	Seed int64
-	// Workers bounds experiment-level parallelism: 0 uses every core
-	// (GOMAXPROCS), 1 forces serial execution. Every experiment is a
-	// self-contained simulation with job-local randomness, so results
-	// are identical at any setting.
-	Workers int
-	// Engine, if non-nil, executes the runs instead of a fresh
-	// engine.New(Workers) per call. A persistent engine keeps its
-	// per-worker simulation worlds across calls (cmd/sproutbench runs
-	// every experiment of an invocation on one), so later suites run
-	// allocation-flat. Results are identical either way.
-	Engine *engine.Engine
-}
+// The rows' links: §5.6, §5.7, Figure 1 and the §7 extension run on the
+// first canonical network, Figure 9 on the last.
+var (
+	verizonLTE = trace.CanonicalNetworks()[0].Name
+	tmobile3G  = trace.CanonicalNetworks()[3].Name
+)
 
-func (o Options) withDefaults() Options {
-	if o.Duration == 0 {
-		o.Duration = 150 * time.Second
-	}
-	if o.Skip == 0 {
-		o.Skip = 30 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// baseSpec seeds a scenario spec with the suite-wide options; builders
-// fill in scheme, link and impairments.
-func (o Options) baseSpec() scenario.Spec {
-	return scenario.Spec{
-		Duration: scenario.Duration(o.Duration),
-		Skip:     scenario.Duration(o.Skip),
-		Seed:     o.Seed,
-	}
-}
+// dirName is how the figures print a spec's direction.
+var dirName = map[string]string{"down": "Downlink", "up": "Uplink"}
 
-// runSpecs compiles specs to engine jobs and executes them on the suite's
-// worker pool. traces may be nil for a private cache.
-func runSpecs(opt Options, specs []scenario.Spec, traces *engine.Cache) ([]scenario.Result, engine.Stats, error) {
-	jobs, results, _ := scenario.CompileJobs(specs, traces)
-	eng := opt.Engine
-	if eng == nil {
-		eng = engine.New(opt.Workers)
+// linkNames lists the eight canonical (network, direction) links the way
+// Figure 7 names them, in paper order.
+func linkNames() []string {
+	var names []string
+	for _, pair := range trace.CanonicalNetworks() {
+		names = append(names, pair.Name+" "+dirName["down"], pair.Name+" "+dirName["up"])
 	}
-	st, err := eng.Run(context.Background(), jobs)
-	if err != nil {
-		return nil, st, err
-	}
-	return results, st, nil
-}
-
-// LinkName formats a (network, direction) pair the way Figure 7 does.
-func LinkName(network, direction string) string {
-	if direction == "up" {
-		return network + " Uplink"
-	}
-	return network + " Downlink"
+	return names
 }
 
 // Cell is one scheme's result on one link (a point in a Figure 7 chart).
@@ -89,27 +45,28 @@ type Cell struct {
 	MeanDelayMs     float64
 }
 
-// RunStats reports how the engine executed a suite run.
-type RunStats struct {
-	// Engine summarizes the worker-pool execution.
-	Engine engine.Stats
-	// TracesGenerated counts distinct trace pairs built;
-	// TracesReused counts jobs served from the shared cache.
-	TracesGenerated, TracesReused int
+// CellOf projects a scenario result to a figure cell under the given
+// display label.
+func CellOf(r scenario.Result, label string) Cell {
+	return Cell{
+		Scheme:          label,
+		ThroughputKbps:  r.Metrics.ThroughputBps / 1000,
+		SelfInflictedMs: ms(r.Metrics.SelfInflicted95),
+		Utilization:     r.Metrics.Utilization,
+		MeanDelayMs:     ms(r.Metrics.MeanDelay),
+	}
 }
 
-// Matrix holds the full schemes × links result grid that Figure 7,
-// Table 1, Table 2 and Figure 8 are all derived from.
-type Matrix struct {
-	Options Options
-	// Links lists the 8 (network, direction) link names in paper order.
-	Links []string
-	// Cells maps link name -> scheme -> cell.
-	Cells map[string]map[string]Cell
-	// Stats describes the execution (not part of the scientific result:
-	// two runs with different Workers produce equal Links and Cells but
-	// different Stats).
-	Stats RunStats
+// FormatCells renders cells as an aligned text table sorted by delay;
+// cells of equal delay keep the order they came in.
+func FormatCells(title string, cells []Cell) string {
+	sort.SliceStable(cells, func(i, j int) bool { return cells[i].SelfInflictedMs < cells[j].SelfInflictedMs })
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%-14s %12s %16s %6s\n", title, "scheme", "tput (kbps)", "self-delay (ms)", "util")
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%-14s %12.0f %16.0f %6.2f\n", c.Scheme, c.ThroughputKbps, c.SelfInflictedMs, c.Utilization)
+	}
+	return b.String()
 }
 
 // MatrixSpecs builds the full schemes × canonical-links spec grid and the
@@ -122,143 +79,77 @@ type Matrix struct {
 // identity.
 func MatrixSpecs(opt Options, schemes []string) ([]scenario.Spec, []string) {
 	opt = opt.withDefaults()
-	type linkSpec struct {
-		name string
-		pair trace.NetworkPair
-		dir  string
-	}
-	var links []linkSpec
-	for _, pair := range trace.CanonicalNetworks() {
-		for _, dir := range []string{"down", "up"} {
-			links = append(links, linkSpec{LinkName(pair.Name, dir), pair, dir})
-		}
-	}
-	names := make([]string, len(links))
-	for i, l := range links {
-		names[i] = l.name
-	}
-	specs := make([]scenario.Spec, 0, len(links)*len(schemes))
+	names := linkNames()
+	specs := make([]scenario.Spec, 0, len(names)*len(schemes))
 	for _, s := range schemes {
-		for _, l := range links {
-			spec := opt.baseSpec()
-			spec.Name = fmt.Sprintf("%s on %s", s, l.name)
-			spec.Scheme = s
-			spec.Link = l.pair.Name
-			spec.Direction = l.dir
-			specs = append(specs, spec)
+		for _, pair := range trace.CanonicalNetworks() {
+			for _, dir := range []string{"down", "up"} {
+				spec := opt.baseSpec()
+				spec.Name = fmt.Sprintf("%s on %s %s", s, pair.Name, dirName[dir])
+				spec.Scheme = s
+				spec.Link = pair.Name
+				spec.Direction = dir
+				specs = append(specs, spec)
+			}
 		}
 	}
 	return specs, names
 }
 
-// matrixFromResults assembles the Cells grid from index-ordered results of
-// a MatrixSpecs grid.
-func matrixFromResults(opt Options, schemes, links []string, results []scenario.Result) *Matrix {
-	m := &Matrix{Options: opt, Links: links, Cells: make(map[string]map[string]Cell)}
+// matrixGrid is the grid behind Tables 1/2 and Figures 7/8: every paper
+// scheme on every canonical link.
+func matrixGrid(opt Options) []scenario.Spec {
+	specs, _ := MatrixSpecs(opt, Schemes())
+	return specs
+}
+
+// matrix is the schemes × links result grid of a MatrixSpecs run.
+type matrix struct {
+	// links lists the (network, direction) link names in paper order.
+	links []string
+	// cells maps link name -> scheme -> cell.
+	cells map[string]map[string]Cell
+}
+
+// matrixOf assembles the grid from index-ordered results of
+// MatrixSpecs(opt, schemes).
+func matrixOf(schemes []string, results []scenario.Result) *matrix {
+	links := linkNames()
+	m := &matrix{links: links, cells: make(map[string]map[string]Cell)}
 	for li, l := range links {
 		row := make(map[string]Cell, len(schemes))
 		for si, s := range schemes {
-			row[s] = cellFromScenario(results[si*len(links)+li], s)
+			row[s] = CellOf(results[si*len(links)+li], s)
 		}
-		m.Cells[l] = row
+		m.cells[l] = row
 	}
 	return m
 }
 
-// RunMatrix executes every scheme over every canonical link (8 links ×
-// len(schemes) runs) through the parallel engine. Each scheme sees
-// identical trace pairs: one immutable pair per network is generated in a
-// shared cache and handed to every scheme and both directions by
-// reference, never copied per job. Results are independent of opt.Workers.
-func RunMatrix(opt Options, schemes []string) (*Matrix, error) {
-	opt = opt.withDefaults()
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
-	specs, links := MatrixSpecs(opt, schemes)
-	traces := engine.NewCache()
-	results, st, err := runSpecs(opt, specs, traces)
-	if err != nil {
-		return nil, err
-	}
-	hits, misses := traces.Counts()
-	m := matrixFromResults(opt, schemes, links, results)
-	m.Stats = RunStats{Engine: st, TracesGenerated: misses, TracesReused: hits}
-	return m, nil
-}
-
-func toCell(r Result) Cell {
-	return Cell{
-		Scheme:          r.Scheme,
-		ThroughputKbps:  r.ThroughputBps / 1000,
-		SelfInflictedMs: float64(r.SelfInflicted95) / float64(time.Millisecond),
-		Utilization:     r.Utilization,
-		MeanDelayMs:     float64(r.MeanDelay) / float64(time.Millisecond),
-	}
-}
-
-// cellFromScenario projects a scenario result to a figure cell under the
-// given display label.
-func cellFromScenario(r scenario.Result, label string) Cell {
-	return Cell{
-		Scheme:          label,
-		ThroughputKbps:  r.Metrics.ThroughputBps / 1000,
-		SelfInflictedMs: float64(r.Metrics.SelfInflicted95) / float64(time.Millisecond),
-		Utilization:     r.Metrics.Utilization,
-		MeanDelayMs:     float64(r.Metrics.MeanDelay) / float64(time.Millisecond),
-	}
-}
-
-// RunSchemesOnPair runs every scheme over one user-supplied trace pair
-// (sproutbench's custom-trace mode) as parallel engine jobs, returning
-// one cell per scheme in Schemes() order.
-func RunSchemesOnPair(opt Options, data, fb *trace.Trace) ([]Cell, error) {
-	opt = opt.withDefaults()
-	schemes := Schemes()
-	specs := make([]scenario.Spec, len(schemes))
-	for i, s := range schemes {
-		spec := opt.baseSpec()
-		spec.Name = fmt.Sprintf("%s on %s", s, data.Name)
-		spec.Scheme = s
-		spec.DataTrace, spec.FeedbackTrace = data, fb
-		specs[i] = spec
-	}
-	results, _, err := runSpecs(opt, specs, nil)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, len(schemes))
-	for i, s := range schemes {
-		cells[i] = cellFromScenario(results[i], s)
-	}
-	return cells, nil
-}
-
-// SummaryRow is one line of the intro tables: a scheme's average speedup
+// summaryRow is one line of the intro tables: a scheme's average speedup
 // and delay reduction relative to a reference scheme, averaged over the
 // eight links.
-type SummaryRow struct {
-	Scheme string
-	// AvgSpeedup is mean over links of ref_throughput/scheme_throughput
+type summaryRow struct {
+	scheme string
+	// avgSpeedup is mean over links of ref_throughput/scheme_throughput
 	// ("Avg speedup vs <ref>").
-	AvgSpeedup float64
-	// DelayReduction is mean over links of scheme_delay/ref_delay
+	avgSpeedup float64
+	// delayReduction is mean over links of scheme_delay/ref_delay
 	// ("Delay reduction").
-	DelayReduction float64
-	// AvgDelaySec is the scheme's own mean self-inflicted delay.
-	AvgDelaySec float64
+	delayReduction float64
+	// avgDelaySec is the scheme's own mean self-inflicted delay.
+	avgDelaySec float64
 }
 
-// Summarize derives the intro-table rows from a matrix relative to ref.
-func (m *Matrix) Summarize(ref string, schemes []string) []SummaryRow {
-	var rows []SummaryRow
+// summarize derives the intro-table rows from a matrix relative to ref.
+func (m *matrix) summarize(ref string, schemes []string) []summaryRow {
+	var rows []summaryRow
 	for _, s := range schemes {
 		var speedup, reduction, delay float64
 		n := 0
-		for _, l := range m.Links {
-			rc, ok1 := m.Cells[l][ref]
-			sc, ok2 := m.Cells[l][s]
-			if !ok1 || !ok2 || sc.ThroughputKbps == 0 || rc.SelfInflictedMs == 0 {
+		for _, l := range m.links {
+			rc, sc := m.cells[l][ref], m.cells[l][s]
+			if sc.ThroughputKbps == 0 || rc.SelfInflictedMs == 0 {
 				continue
 			}
 			speedup += rc.ThroughputKbps / sc.ThroughputKbps
@@ -269,238 +160,250 @@ func (m *Matrix) Summarize(ref string, schemes []string) []SummaryRow {
 		if n == 0 {
 			continue
 		}
-		rows = append(rows, SummaryRow{
-			Scheme:         s,
-			AvgSpeedup:     speedup / float64(n),
-			DelayReduction: reduction / float64(n),
-			AvgDelaySec:    delay / float64(n) / 1000,
+		rows = append(rows, summaryRow{
+			scheme:         s,
+			avgSpeedup:     speedup / float64(n),
+			delayReduction: reduction / float64(n),
+			avgDelaySec:    delay / float64(n) / 1000,
 		})
 	}
 	return rows
 }
 
-// Fig8Row is one scheme's point in Figure 8: utilization vs delay averaged
-// over the eight links.
-type Fig8Row struct {
-	Scheme             string
-	AvgUtilizationPct  float64
-	AvgSelfInflictedMs float64
+func renderSummary(ref string, rows []summaryRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s %18s %18s %14s\n", "scheme",
+		"avg speedup vs "+ref, "delay reduction", "avg delay (s)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-14s %18.2f %18.2f %14.2f\n",
+			r.scheme, r.avgSpeedup, r.delayReduction, r.avgDelaySec)
+	}
+	return b.String()
 }
 
-// Fig8 derives the average utilization/delay points from a matrix.
-func (m *Matrix) Fig8(schemes []string) []Fig8Row {
-	var rows []Fig8Row
+func renderTable1(_ Options, rs []scenario.Result) (string, error) {
+	m := matrixOf(Schemes(), rs)
+	return renderSummary("sprout", m.summarize("sprout", Schemes())), nil
+}
+
+func renderTable2(_ Options, rs []scenario.Result) (string, error) {
+	m := matrixOf(Schemes(), rs)
+	rows := m.summarize("sprout-ewma", []string{"sprout-ewma", "sprout", "cubic", "cubic-codel"})
+	return renderSummary("sprout-ewma", rows), nil
+}
+
+// renderFig7 prints one chart per link. Cells go to FormatCells in scheme
+// order, so schemes that tie on delay print in that order.
+func renderFig7(_ Options, rs []scenario.Result) (string, error) {
+	links, schemes := linkNames(), Schemes()
+	var b strings.Builder
+	for li, l := range links {
+		cells := make([]Cell, len(schemes))
+		for si, s := range schemes {
+			cells[si] = CellOf(rs[si*len(links)+li], s)
+		}
+		b.WriteString("\n" + FormatCells(l, cells))
+	}
+	return b.String(), nil
+}
+
+// fig8Row is one scheme's point in Figure 8: utilization vs delay averaged
+// over the eight links.
+type fig8Row struct {
+	scheme             string
+	avgUtilizationPct  float64
+	avgSelfInflictedMs float64
+}
+
+// fig8 derives the average utilization/delay points from a matrix.
+func (m *matrix) fig8(schemes []string) []fig8Row {
+	var rows []fig8Row
 	for _, s := range schemes {
 		var util, delay float64
-		n := 0
-		for _, l := range m.Links {
-			c, ok := m.Cells[l][s]
-			if !ok {
-				continue
-			}
+		for _, l := range m.links {
+			c := m.cells[l][s]
 			util += c.Utilization
 			delay += c.SelfInflictedMs
-			n++
 		}
-		if n == 0 {
-			continue
-		}
-		rows = append(rows, Fig8Row{
-			Scheme:             s,
-			AvgUtilizationPct:  util / float64(n) * 100,
-			AvgSelfInflictedMs: delay / float64(n),
+		n := float64(len(m.links))
+		rows = append(rows, fig8Row{
+			scheme:             s,
+			avgUtilizationPct:  util / n * 100,
+			avgSelfInflictedMs: delay / n,
 		})
 	}
 	return rows
 }
 
-// Fig9 runs the confidence-parameter sweep on the T-Mobile 3G uplink
-// (§5.5): Sprout at 95/75/50/25/5% confidence plus all baselines, all in
-// parallel over one shared trace pair.
-func Fig9(opt Options) ([]Cell, error) {
-	opt = opt.withDefaults()
-	var pair trace.NetworkPair
-	for _, p := range trace.CanonicalNetworks() {
-		if strings.HasPrefix(p.Name, "T-Mobile") {
-			pair = p
-		}
+func renderFig8(_ Options, rs []scenario.Result) (string, error) {
+	m := matrixOf(Schemes(), rs)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s %12s %18s\n", "scheme", "util (%)", "self-delay (ms)")
+	for _, r := range m.fig8([]string{"sprout", "sprout-ewma", "cubic", "cubic-codel"}) {
+		fmt.Fprintf(&b, "%-14s %12.0f %18.0f\n", r.scheme, r.avgUtilizationPct, r.avgSelfInflictedMs)
 	}
-	data, fb := GenerateTracePair(pair, "up", opt.Duration, opt.Seed)
+	return b.String(), nil
+}
+
+// fig9Specs is the confidence-parameter sweep on the T-Mobile 3G uplink
+// (§5.5): Sprout at 95/75/50/25/5% confidence plus all baselines.
+func fig9Specs(opt Options) []scenario.Spec {
 	sweep := opt.baseSpec()
-	sweep.Name = "sprout"
-	sweep.Scheme = "sprout"
+	sweep.Name, sweep.Scheme = "sprout", "sprout"
+	sweep.Link, sweep.Direction = tmobile3G, "up"
 	sweep.Confidences = []float64{0.95, 0.75, 0.50, 0.25, 0.05}
-	sweep.DataTrace, sweep.FeedbackTrace = data, fb
 	specs, err := sweep.Sweep()
 	if err != nil {
-		return nil, err
+		panic(err) // constants above; cannot fail
 	}
 	for _, s := range Schemes() {
 		if s == "sprout" {
 			continue
 		}
 		spec := opt.baseSpec()
-		spec.Name = s
-		spec.Scheme = s
-		spec.DataTrace, spec.FeedbackTrace = data, fb
+		spec.Name, spec.Scheme = s, s
+		spec.Link, spec.Direction = tmobile3G, "up"
 		specs = append(specs, spec)
 	}
-	results, _, err := runSpecs(opt, specs, nil)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, len(specs))
-	for i, spec := range specs {
-		cells[i] = cellFromScenario(results[i], spec.Name)
-	}
-	return cells, nil
+	return specs
 }
 
-// LossRow is one line of the §5.6 loss-resilience table.
-type LossRow struct {
-	Direction       string
-	LossPct         int
-	ThroughputKbps  float64
-	SelfInflictedMs float64
+// fig9Cells labels each result with its spec's name ("sprout-95%", …,
+// then the baselines' scheme names).
+func fig9Cells(rs []scenario.Result) []Cell {
+	cells := make([]Cell, len(rs))
+	for i, r := range rs {
+		cells[i] = CellOf(r, r.Spec.Name)
+	}
+	return cells
 }
 
-// LossTable runs Sprout over the Verizon LTE trace pair with 0%, 5% and
-// 10% Bernoulli loss in each direction (§5.6), six independent jobs over
-// two cached trace pairs.
-func LossTable(opt Options) ([]LossRow, error) {
-	opt = opt.withDefaults()
-	pair := trace.CanonicalNetworks()[0] // Verizon LTE
-	dirs := []string{"down", "up"}
-	losses := []float64{0, 0.05, 0.10}
+func renderFig9(_ Options, rs []scenario.Result) (string, error) {
+	return FormatCells("", fig9Cells(rs)), nil
+}
+
+// lossSpecs runs Sprout over the Verizon LTE trace pair with 0%, 5% and
+// 10% Bernoulli loss in each direction (§5.6).
+func lossSpecs(opt Options) []scenario.Spec {
 	var specs []scenario.Spec
-	for _, dir := range dirs {
-		for _, loss := range losses {
+	for _, dir := range []string{"down", "up"} {
+		for _, loss := range []float64{0, 0.05, 0.10} {
 			spec := opt.baseSpec()
 			spec.Name = fmt.Sprintf("sprout %s %.0f%% loss", dir, loss*100)
 			spec.Scheme = "sprout"
-			spec.Link = pair.Name
-			spec.Direction = dir
+			spec.Link, spec.Direction = verizonLTE, dir
 			spec.Loss = loss
 			specs = append(specs, spec)
 		}
 	}
-	results, _, err := runSpecs(opt, specs, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]LossRow, len(specs))
-	for i, spec := range specs {
-		rows[i] = LossRow{
-			Direction:       map[string]string{"down": "Downlink", "up": "Uplink"}[spec.Direction],
-			LossPct:         int(spec.Loss * 100),
-			ThroughputKbps:  results[i].Metrics.ThroughputBps / 1000,
-			SelfInflictedMs: float64(results[i].Metrics.SelfInflicted95) / float64(time.Millisecond),
-		}
-	}
-	return rows, nil
+	return specs
 }
 
-// Fig1Point is one second of the Figure 1 timeseries.
-type Fig1Point struct {
-	Second        int
-	CapacityKbps  float64
-	SproutKbps    float64
-	SkypeKbps     float64
-	SproutDelayMs float64 // p95 of d(t) within the second
-	SkypeDelayMs  float64
+func renderLoss(_ Options, rs []scenario.Result) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s %6s %14s %16s\n", "direction", "loss", "tput (kbps)", "self-delay (ms)")
+	for _, r := range rs {
+		fmt.Fprintf(&b, "%-10s %5d%% %14.0f %16.0f\n",
+			dirName[r.Spec.Direction], int(r.Spec.Loss*100),
+			r.Metrics.ThroughputBps/1000, ms(r.Metrics.SelfInflicted95))
+	}
+	return b.String(), nil
 }
 
-// Fig1 reproduces the paper's opening figure: Skype and Sprout run over
-// the same Verizon LTE downlink trace; per-second throughput against
-// capacity, and the evolving end-to-end delay.
-func Fig1(opt Options) ([]Fig1Point, error) {
-	opt = opt.withDefaults()
-	pair := trace.CanonicalNetworks()[0]
-	data, fb := GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
+// fig1Specs is the paper's opening figure: Sprout and Skype over the same
+// Verizon LTE downlink trace, delivery logs kept for the per-second series.
+func fig1Specs(opt Options) []scenario.Spec {
 	specs := make([]scenario.Spec, 2)
 	for i, scheme := range []string{"sprout", "skype"} {
 		spec := opt.baseSpec()
-		spec.Name = scheme
-		spec.Scheme = scheme
-		spec.DataTrace, spec.FeedbackTrace = data, fb
+		spec.Name, spec.Scheme = scheme, scheme
+		spec.Link = verizonLTE
 		spec.KeepDeliveries = true
 		specs[i] = spec
 	}
-	results, _, err := runSpecs(opt, specs, nil)
-	if err != nil {
-		return nil, err
-	}
-	series := make([][]linkDelivery, 2)
-	for i, res := range results {
-		out := make([]linkDelivery, len(res.Deliveries))
-		for k, d := range res.Deliveries {
-			out[k] = linkDelivery{sent: d.SentAt, delivered: d.DeliveredAt, size: d.Size}
-		}
-		series[i] = out
-	}
-	sprout, skype := series[0], series[1]
-	secs := int(opt.Duration / time.Second)
-	pts := make([]Fig1Point, 0, secs)
+	return specs
+}
+
+// fig1Point is one second of the Figure 1 timeseries.
+type fig1Point struct {
+	second        int
+	capacityKbps  float64
+	sproutKbps    float64
+	skypeKbps     float64
+	sproutDelayMs float64 // worst d(t) within the second
+	skypeDelayMs  float64
+}
+
+// fig1Series derives per-second throughput against the driving trace's
+// capacity, and the evolving end-to-end delay, from the two delivery logs.
+func fig1Series(rs []scenario.Result) []fig1Point {
+	sprout, skype := rs[0].Deliveries, rs[1].Deliveries
+	data := rs[0].Spec.DataTrace
+	secs := int(time.Duration(rs[0].Spec.Duration) / time.Second)
+	pts := make([]fig1Point, 0, secs)
 	for s := 0; s < secs; s++ {
 		from := time.Duration(s) * time.Second
 		to := from + time.Second
-		pts = append(pts, Fig1Point{
-			Second:        s,
-			CapacityKbps:  float64(data.CapacityBits(from, to)) / 1000,
-			SproutKbps:    perSecondKbps(sprout, from, to),
-			SkypeKbps:     perSecondKbps(skype, from, to),
-			SproutDelayMs: perSecondDelayMs(sprout, from, to),
-			SkypeDelayMs:  perSecondDelayMs(skype, from, to),
+		pts = append(pts, fig1Point{
+			second:        s,
+			capacityKbps:  float64(data.CapacityBits(from, to)) / 1000,
+			sproutKbps:    perSecondKbps(sprout, from, to),
+			skypeKbps:     perSecondKbps(skype, from, to),
+			sproutDelayMs: perSecondDelayMs(sprout, from, to),
+			skypeDelayMs:  perSecondDelayMs(skype, from, to),
 		})
 	}
-	return pts, nil
+	return pts
 }
 
-type linkDelivery struct {
-	sent, delivered time.Duration
-	size            int
+func renderFig1(_ Options, rs []scenario.Result) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%4s %10s %10s %10s %12s %12s\n",
+		"sec", "capacity", "sprout", "skype", "sproutDelay", "skypeDelay")
+	for _, p := range fig1Series(rs) {
+		fmt.Fprintf(&b, "%4d %10.0f %10.0f %10.0f %12.0f %12.0f\n",
+			p.second, p.capacityKbps, p.sproutKbps, p.skypeKbps, p.sproutDelayMs, p.skypeDelayMs)
+	}
+	return b.String(), nil
 }
 
-func perSecondKbps(dl []linkDelivery, from, to time.Duration) float64 {
+func perSecondKbps(dl []link.Delivery, from, to time.Duration) float64 {
 	var bits int64
 	for _, d := range dl {
-		if d.delivered >= from && d.delivered < to {
-			bits += int64(d.size) * 8
+		if d.DeliveredAt >= from && d.DeliveredAt < to {
+			bits += int64(d.Size) * 8
 		}
 	}
 	return float64(bits) / (to - from).Seconds() / 1000
 }
 
-func perSecondDelayMs(dl []linkDelivery, from, to time.Duration) float64 {
+func perSecondDelayMs(dl []link.Delivery, from, to time.Duration) float64 {
 	var worst time.Duration
 	for _, d := range dl {
-		if d.delivered >= from && d.delivered < to {
-			if delay := d.delivered - d.sent; delay > worst {
-				worst = delay
-			}
+		if d.DeliveredAt >= from && d.DeliveredAt < to {
+			worst = max(worst, d.DeliveredAt-d.SentAt)
 		}
 	}
-	return float64(worst) / float64(time.Millisecond)
+	return ms(worst)
 }
 
-// Fig2Data summarizes the saturated-link interarrival distribution
+// fig2Data summarizes the saturated-link interarrival distribution
 // (Figure 2): quantiles, the fraction of interarrivals under 20 ms, and
 // the fitted power-law tail exponent.
-type Fig2Data struct {
-	Count         int
-	P50us         float64
-	P99us         float64
-	FracWithin20  float64 // fraction of interarrivals < 20 ms
-	TailExponent  float64 // fitted slope of log-density vs log-time
-	TailBinsUsed  int
-	MaxGapSeconds float64
+type fig2Data struct {
+	count         int
+	p50us         float64
+	p99us         float64
+	fracWithin20  float64 // fraction of interarrivals < 20 ms
+	tailExponent  float64 // fitted slope of log-density vs log-time
+	tailBinsUsed  int
+	maxGapSeconds float64
 }
 
-// Fig2 generates a long saturated Verizon LTE downlink trace and fits its
+// fig2 generates a long saturated Verizon LTE downlink trace and fits its
 // interarrival distribution, reproducing the analysis behind Figure 2
 // (the paper fits t^-3.27 on its 1.2M-packet trace).
-func Fig2(opt Options) (Fig2Data, error) {
-	opt = opt.withDefaults()
+func fig2(opt Options) (fig2Data, error) {
 	model, _ := trace.CanonicalLink("Verizon-LTE-down")
 	// Longer than the experiment runs: Figure 2 is about distribution
 	// tails, which need samples. The trace RNG derives through
@@ -510,43 +413,127 @@ func Fig2(opt Options) (Fig2Data, error) {
 	tr := model.Generate(10*opt.Duration, rng)
 	gaps := tr.Interarrivals()
 	if len(gaps) == 0 {
-		return Fig2Data{}, fmt.Errorf("fig2: empty trace")
+		return fig2Data{}, fmt.Errorf("empty trace")
 	}
 	h := stats.NewLogHistogram(0.05, 10_000, 120) // 0.05 ms .. 10 s, log bins (ms)
 	var within20 int
 	var maxGap time.Duration
 	us := make([]float64, len(gaps))
 	for i, g := range gaps {
-		msF := float64(g) / float64(time.Millisecond)
-		h.Observe(msF)
+		h.Observe(ms(g))
 		if g < 20*time.Millisecond {
 			within20++
 		}
-		if g > maxGap {
-			maxGap = g
-		}
+		maxGap = max(maxGap, g)
 		us[i] = float64(g) / float64(time.Microsecond)
 	}
 	qs := stats.Quantiles(us, 0.5, 0.99)
 	slope, used := h.PowerLawTailFit(20) // fit the >20 ms tail as the paper does
-	return Fig2Data{
-		Count:         len(gaps),
-		P50us:         qs[0],
-		P99us:         qs[1],
-		FracWithin20:  float64(within20) / float64(len(gaps)),
-		TailExponent:  slope,
-		TailBinsUsed:  used,
-		MaxGapSeconds: maxGap.Seconds(),
+	return fig2Data{
+		count:         len(gaps),
+		p50us:         qs[0],
+		p99us:         qs[1],
+		fracWithin20:  float64(within20) / float64(len(gaps)),
+		tailExponent:  slope,
+		tailBinsUsed:  used,
+		maxGapSeconds: maxGap.Seconds(),
 	}, nil
 }
 
-// FormatCells renders cells as an aligned text table sorted by delay.
-func FormatCells(title string, cells []Cell) string {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].SelfInflictedMs < cells[j].SelfInflictedMs })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-14s %12s %16s %6s\n", title, "scheme", "tput (kbps)", "self-delay (ms)", "util")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-14s %12.0f %16.0f %6.2f\n", c.Scheme, c.ThroughputKbps, c.SelfInflictedMs, c.Utilization)
+func renderFig2(opt Options, _ []scenario.Result) (string, error) {
+	d, err := fig2(opt)
+	if err != nil {
+		return "", err
 	}
-	return b.String()
+	var b strings.Builder
+	fmt.Fprintf(&b, "interarrivals analysed:        %d\n", d.count)
+	fmt.Fprintf(&b, "median interarrival:           %.0f us\n", d.p50us)
+	fmt.Fprintf(&b, "99th percentile interarrival:  %.0f us\n", d.p99us)
+	fmt.Fprintf(&b, "fraction within 20 ms:         %.4f (paper: 99.99%%)\n", d.fracWithin20)
+	fmt.Fprintf(&b, "power-law tail exponent:       %.2f over %d bins (paper: -3.27)\n",
+		d.tailExponent, d.tailBinsUsed)
+	fmt.Fprintf(&b, "longest gap (outage):          %.2f s\n", d.maxGapSeconds)
+	return b.String(), nil
+}
+
+// Client flow identifiers inside the shared link / tunnel. The historical
+// ids are pinned in the specs so regenerated tables stay byte-identical.
+const (
+	flowCubic = 10
+	flowSkype = 20
+)
+
+// tunnelSpecs is the §5.7 comparison: a TCP Cubic bulk download competing
+// with a Skype-model videoconference over the Verizon LTE downlink, once
+// directly on the link and once through SproutTunnel.
+func tunnelSpecs(opt Options) []scenario.Spec {
+	specs := make([]scenario.Spec, 2)
+	for i, name := range []string{"direct", "tunneled"} {
+		spec := opt.baseSpec()
+		spec.Name = name
+		spec.Groups = []scenario.FlowGroup{
+			{Scheme: "cubic", Count: 1, BaseFlow: flowCubic},
+			{Scheme: "skype", Count: 1, BaseFlow: flowSkype},
+		}
+		spec.Link = verizonLTE
+		spec.Tunnel = name == "tunneled"
+		specs[i] = spec
+	}
+	return specs
+}
+
+// renderTunnel reads each run's two flows in flow-id order: Cubic, Skype.
+func renderTunnel(_ Options, rs []scenario.Result) (string, error) {
+	direct, tunneled := rs[0], rs[1]
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-18s %12s %12s %8s\n", "metric", "direct", "via sprout", "change")
+	row := func(label string, prec int, a, t float64) {
+		pct := 0.0
+		if a != 0 {
+			pct = (t - a) / a * 100
+		}
+		fmt.Fprintf(&b, "%-18s %12.*f %12.*f %+7.0f%%\n", label, prec, a, prec, t, pct)
+	}
+	row("cubic tput (kbps)", 0, direct.Flows[0].ThroughputBps/1000, tunneled.Flows[0].ThroughputBps/1000)
+	row("skype tput (kbps)", 0, direct.Flows[1].ThroughputBps/1000, tunneled.Flows[1].ThroughputBps/1000)
+	row("skype 95% delay (s)", 2, direct.Flows[1].Delay95.Seconds(), tunneled.Flows[1].Delay95.Seconds())
+	fmt.Fprintf(&b, "tunnel head drops: %d\n", tunneled.HeadDrops)
+	return b.String(), nil
+}
+
+// multiSpecs is the configuration §7 of the paper leaves unevaluated ("We
+// have not evaluated the performance of multiple Sprouts sharing a
+// queue"): one Sprout session alone on the Verizon LTE downlink, then two
+// sharing its queue.
+func multiSpecs(opt Options) []scenario.Spec {
+	specs := make([]scenario.Spec, 2)
+	for i, name := range []string{"solo", "shared"} {
+		spec := opt.baseSpec()
+		spec.Name, spec.Scheme = name, "sprout"
+		spec.Flows = i + 1
+		spec.Link = verizonLTE
+		specs[i] = spec
+	}
+	return specs
+}
+
+func renderMulti(_ Options, rs []scenario.Result) (string, error) {
+	solo, shared := rs[0], rs[1]
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-26s %10.0f kbps   95%% delay %v\n", "solo session",
+		solo.Flows[0].ThroughputBps/1000, solo.Delay95.Round(time.Millisecond))
+	var sum, sumSq float64
+	for i, f := range shared.Flows {
+		kbps := f.ThroughputBps / 1000
+		fmt.Fprintf(&b, "%-26s %10.0f kbps\n", fmt.Sprintf("shared, flow %d", i+1), kbps)
+		sum += kbps
+		sumSq += kbps * kbps
+	}
+	jain := 0.0
+	if sumSq > 0 {
+		jain = sum * sum / (float64(len(shared.Flows)) * sumSq)
+	}
+	fmt.Fprintf(&b, "%-26s %10.0f kbps   95%% delay %v   Jain fairness %.3f\n",
+		"shared, aggregate", sum, shared.Delay95.Round(time.Millisecond), jain)
+	return b.String(), nil
 }

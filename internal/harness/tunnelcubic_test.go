@@ -7,6 +7,7 @@ import (
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
+	"sprout/internal/scenario"
 	"sprout/internal/sim"
 	"sprout/internal/tcp"
 	"sprout/internal/trace"
@@ -21,7 +22,7 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 	t.Helper()
 	opt := Options{Duration: dur, Skip: skip}.withDefaults()
 	pair := trace.CanonicalNetworks()[0]
-	data, fb := GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
+	data, fb := scenario.GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
 
 	loop := sim.New()
 	const sessDown, sessUp = 1, 2
@@ -60,7 +61,7 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 	tcpSnd = tcp.NewSender(tcp.SenderConfig{
 		Flow: flowCubic, Clock: loop,
 		Conn: transport.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) }),
-		CC:   tcp.NewCubic(loop.Now), MSS: tunnelClientMSS,
+		CC:   tcp.NewCubic(loop.Now), MSS: scenario.TunnelClientMSS,
 	})
 	for ts := time.Second; ts <= 15*time.Second; ts += time.Second {
 		loop.Run(ts)

@@ -26,14 +26,6 @@ func (f *FIFO) Push(p *network.Packet) {
 	f.bytes += p.Size
 }
 
-// Head returns the packet at the head without removing it, or nil.
-func (f *FIFO) Head() *network.Packet {
-	if f.q.empty() {
-		return nil
-	}
-	return *f.q.peek()
-}
-
 // Pop removes and returns the head packet, or nil.
 func (f *FIFO) Pop() *network.Packet {
 	if f.q.empty() {

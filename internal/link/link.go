@@ -155,7 +155,7 @@ type Link struct {
 	// ring; admit, run before anything reads or changes slot or scheduler
 	// state, moves in every packet whose reservation has passed — the same
 	// packets, in the same order, against the same state as one event per
-	// packet, so experiment outputs are byte-identical (DESIGN.md §9).
+	// packet, so experiment outputs are byte-identical (DESIGN.md §3.3).
 	seqr     sim.Sequencer // nil on real-time clocks: fall back to After
 	arrivals ring[arrival]
 

@@ -20,7 +20,7 @@ func pkt(size int, seq int64) *network.Packet {
 
 func TestFIFO(t *testing.T) {
 	var f FIFO
-	if f.Pop() != nil || f.Head() != nil {
+	if f.Pop() != nil {
 		t.Error("empty FIFO should return nil")
 	}
 	a, b := pkt(100, 1), pkt(200, 2)
@@ -28,9 +28,6 @@ func TestFIFO(t *testing.T) {
 	f.Push(b)
 	if f.Len() != 2 || f.Bytes() != 300 {
 		t.Errorf("Len=%d Bytes=%d, want 2/300", f.Len(), f.Bytes())
-	}
-	if f.Head() != a {
-		t.Error("Head should be first pushed")
 	}
 	if f.Pop() != a || f.Pop() != b || f.Pop() != nil {
 		t.Error("Pop order wrong")

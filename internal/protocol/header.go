@@ -76,14 +76,8 @@ type Header struct {
 	Forecast []uint32
 }
 
-// Heartbeat reports whether the heartbeat flag is set.
-func (h *Header) Heartbeat() bool { return h.Flags&FlagHeartbeat != 0 }
-
 // HasForecast reports whether the feedback fields are meaningful.
 func (h *Header) HasForecast() bool { return h.Flags&FlagForecast != 0 }
-
-// WireSize returns the packet's total size on the wire.
-func (h *Header) WireSize() int { return HeaderSize + int(h.PayloadLen) }
 
 var (
 	errShort    = errors.New("protocol: buffer shorter than header")

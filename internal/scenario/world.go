@@ -25,7 +25,7 @@ var worldKey worldKeyType
 // packet arena, the streaming-metrics accumulator, the flat flow table
 // with its demux, the precomputed churn timeline and a memo of resettable
 // endpoints. A worker's jobs reset and reuse this state
-// (see DESIGN.md §10) instead of rebuilding a simulation world per job —
+// (see DESIGN.md §8.5) instead of rebuilding a simulation world per job —
 // the difference between ~14k allocations per experiment and roughly none.
 //
 // Reuse never changes results: sim.Loop.Reset replays the exact (time,

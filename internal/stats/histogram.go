@@ -62,22 +62,6 @@ func (h *LogHistogram) Bin(i int) (lo, hi float64, n int64) {
 // NumBins returns the number of log-spaced bins.
 func (h *LogHistogram) NumBins() int { return len(h.bins) }
 
-// TailFraction returns the fraction of observations >= v.
-func (h *LogHistogram) TailFraction(v float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	var tail int64 = h.overflow
-	for i := len(h.bins) - 1; i >= 0; i-- {
-		lo, _, n := h.Bin(i)
-		if lo < v {
-			break
-		}
-		tail += n
-	}
-	return float64(tail) / float64(h.count)
-}
-
 // PowerLawTailFit fits log(density) = a + slope*log(x) over the bins whose
 // lower edge is >= from, using least squares on the nonempty bins' midpoint
 // densities. It returns the fitted slope (the paper reports t^-3.27 for the

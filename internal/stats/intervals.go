@@ -99,15 +99,6 @@ func (s *IntervalSet) Contiguous() int64 {
 	return c
 }
 
-// Covered reports whether byte b is in the set.
-func (s *IntervalSet) Covered(b int64) bool {
-	if b < s.floor {
-		return true
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].end > b })
-	return i < len(s.ivs) && s.ivs[i].start <= b
-}
-
 // Len returns the number of disjoint intervals above the floor (useful to
 // bound memory in tests).
 func (s *IntervalSet) Len() int { return len(s.ivs) }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,15 @@ func TestIntervalSetFloorWritesOffGap(t *testing.T) {
 	if got := s.Total(); got != 2000 {
 		t.Errorf("Total = %d, want 2000", got)
 	}
+}
+
+// Covered reports whether byte b is in the set (test-only).
+func (s *IntervalSet) Covered(b int64) bool {
+	if b < s.floor {
+		return true
+	}
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].end > b })
+	return i < len(s.ivs) && s.ivs[i].start <= b
 }
 
 func TestIntervalSetCovered(t *testing.T) {
@@ -168,42 +178,4 @@ func TestIntervalSetQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Error("new EWMA should not be primed")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first observation should seed: %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-	e.Reset()
-	if e.Primed() || e.Value() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestEWMAConvergence(t *testing.T) {
-	e := NewEWMA(0.125)
-	for i := 0; i < 200; i++ {
-		e.Observe(42)
-	}
-	if got := e.Value(); got != 42 {
-		t.Errorf("converged value = %v, want 42", got)
-	}
-}
-
-func TestEWMABadGainPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for gain 0")
-		}
-	}()
-	NewEWMA(0)
 }

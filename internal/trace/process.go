@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -25,7 +24,7 @@ var (
 // any duration holds O(1) trace state instead of a full []time.Duration.
 //
 // The contract mirrors the reset/determinism contract of the simulation
-// components (DESIGN.md §10, §11):
+// components (DESIGN.md §2, §3.2):
 //
 //   - Next returns the time of the next delivery opportunity, measured
 //     from the start of the run, and true; or 0 and false when the process
@@ -242,47 +241,6 @@ func (p *Loop) Next() (time.Duration, bool) {
 	}
 }
 
-// Concat chains processes end to end: each part runs to exhaustion, and
-// the next part's times are offset by the time the stream had reached.
-// Reset hands each part an independent derived seed.
-type Concat struct {
-	parts []DeliveryProcess
-	cur   int
-	base  time.Duration // offset applied to the current part
-	last  time.Duration
-}
-
-// NewConcat chains the given parts (at least one).
-func NewConcat(parts ...DeliveryProcess) *Concat {
-	if len(parts) == 0 {
-		panic("trace: Concat needs at least one process")
-	}
-	return &Concat{parts: parts}
-}
-
-// Reset implements DeliveryProcess.
-func (p *Concat) Reset(seed int64) {
-	p.cur = 0
-	p.base, p.last = 0, 0
-	for i, part := range p.parts {
-		part.Reset(mixSeed(seed, i))
-	}
-}
-
-// Next implements DeliveryProcess.
-func (p *Concat) Next() (time.Duration, bool) {
-	for p.cur < len(p.parts) {
-		v, ok := p.parts[p.cur].Next()
-		if ok {
-			p.last = p.base + v
-			return p.last, true
-		}
-		p.cur++
-		p.base = p.last
-	}
-	return 0, false
-}
-
 // HandoverStage is one leg of a Handover schedule: Process supplies
 // opportunities from the stage's start (its times are relative to the
 // instant the stage begins, modeling a fresh cell attachment), and Until
@@ -463,24 +421,4 @@ func (p *Scale) Next() (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Duration(q), true
-}
-
-// Collect materializes the first max opportunities of a process into a
-// Trace (for tests, tooling and trace export; max <= 0 collects until the
-// process ends — do not do that on an infinite process).
-func Collect(p DeliveryProcess, name string, max int) *Trace {
-	t := &Trace{Name: name}
-	for max <= 0 || len(t.Opportunities) < max {
-		v, ok := p.Next()
-		if !ok {
-			break
-		}
-		t.Opportunities = append(t.Opportunities, v)
-	}
-	// Defensive: a misbehaving process would otherwise produce a trace
-	// that fails Validate much later.
-	if sort.SliceIsSorted(t.Opportunities, func(i, j int) bool { return t.Opportunities[i] < t.Opportunities[j] }) {
-		return t
-	}
-	panic("trace: process emitted decreasing opportunity times")
 }

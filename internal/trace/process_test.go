@@ -204,6 +204,48 @@ func TestLoopMatchesMahimahiWrap(t *testing.T) {
 	}
 }
 
+// Concat chains processes end to end: each part runs to exhaustion, and
+// the next part's times are offset by the time the stream had reached.
+// Reset hands each part an independent derived seed. No spec grammar
+// reaches it, so it lives here, beside its test.
+type Concat struct {
+	parts []DeliveryProcess
+	cur   int
+	base  time.Duration // offset applied to the current part
+	last  time.Duration
+}
+
+// NewConcat chains the given parts (at least one).
+func NewConcat(parts ...DeliveryProcess) *Concat {
+	if len(parts) == 0 {
+		panic("trace: Concat needs at least one process")
+	}
+	return &Concat{parts: parts}
+}
+
+// Reset implements DeliveryProcess.
+func (p *Concat) Reset(seed int64) {
+	p.cur = 0
+	p.base, p.last = 0, 0
+	for i, part := range p.parts {
+		part.Reset(mixSeed(seed, i))
+	}
+}
+
+// Next implements DeliveryProcess.
+func (p *Concat) Next() (time.Duration, bool) {
+	for p.cur < len(p.parts) {
+		v, ok := p.parts[p.cur].Next()
+		if ok {
+			p.last = p.base + v
+			return p.last, true
+		}
+		p.cur++
+		p.base = p.last
+	}
+	return 0, false
+}
+
 func TestConcatOffsetsParts(t *testing.T) {
 	a := &Trace{Opportunities: []time.Duration{1 * time.Millisecond, 4 * time.Millisecond}}
 	b := &Trace{Opportunities: []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}}
@@ -372,13 +414,13 @@ func TestProcessPullSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCollect sanity-checks the materialization helper used by tests and
-// tooling.
+// TestCollect: a model process's first 500 opportunities, materialized,
+// are a valid trace.
 func TestCollect(t *testing.T) {
 	m, _ := CanonicalLink("Verizon-3G-down")
 	p := m.Process()
 	p.Reset(2)
-	tr := Collect(p, "collected", 500)
+	tr := &Trace{Name: "collected", Opportunities: drain(p, 500)}
 	if tr.Count() != 500 {
 		t.Fatalf("collected %d opportunities, want 500", tr.Count())
 	}

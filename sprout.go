@@ -21,10 +21,12 @@
 //     synthetic cellular trace generator;
 //   - SproutTunnel (TunnelIngress/TunnelEgress) for carrying arbitrary
 //     flows with per-flow isolation;
-//   - the experiment harness that regenerates every table and figure of
-//     the paper (RunExperiment, RunMatrix, and friends), backed by a
-//     deterministic parallel engine: set SuiteOptions.Workers (0 = all
-//     cores) and results stay byte-identical to a serial run.
+//   - declarative experiments (ScenarioSpec, RunScenario, RunScenarios):
+//     scheme(s), link, loss, tunnel, durations and seed as data, run in
+//     virtual time on a deterministic parallel engine whose results are
+//     byte-identical at any worker count. The paper's own tables and
+//     figures are specs of this kind, listed once in internal/harness and
+//     printed by cmd/sproutbench.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture
 // and the per-experiment index.
@@ -35,7 +37,6 @@ import (
 	"time"
 
 	"sprout/internal/core"
-	"sprout/internal/harness"
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
@@ -70,11 +71,6 @@ type (
 	DeliveryForecaster = core.DeliveryForecaster
 	// EWMAForecaster is the Sprout-EWMA variant's rate tracker.
 	EWMAForecaster = core.EWMAForecaster
-	// AdaptiveForecaster adds online σ adaptation — the extension §3.1
-	// and §7 of the paper sketch ("allow σ and λz to vary slowly").
-	AdaptiveForecaster = core.AdaptiveForecaster
-	// AdaptiveConfig tunes the σ controller.
-	AdaptiveConfig = core.AdaptiveConfig
 )
 
 // Observation modes.
@@ -93,31 +89,10 @@ func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return core.NewDeliveryForecaster(m)
 }
 
-// ForecastBatch appends several forecasters' cautious forecasts, each
-// exactly what its own Forecast appends — the one call a world that
-// forecasts many co-scheduled flows at the same instant makes.
-func ForecastBatch(dst []float64, fs []*DeliveryForecaster) []float64 {
-	return core.ForecastBatch(dst, fs)
-}
-
-// TableCacheStats reports the process-wide forecast-table cache counters:
-// cache hits, misses that built and stored a table (one per parameter
-// set), and uncached builds forced by cache overflow (each of which
-// silently costs a full table rebuild per forecaster).
-func TableCacheStats() (hits, misses, uncached int64) {
-	return core.TableCacheStats()
-}
-
 // NewEWMAForecaster builds the Sprout-EWMA rate tracker; zero arguments
 // select the defaults (gain 1/8, 20 ms tick, 8-tick horizon).
 func NewEWMAForecaster(gain float64, tick time.Duration, horizon int) *EWMAForecaster {
 	return core.NewEWMAForecaster(gain, tick, horizon)
-}
-
-// NewAdaptiveForecaster wraps a model with online Brownian-noise
-// adaptation driven by predictive-coverage innovations.
-func NewAdaptiveForecaster(m *Model, cfg AdaptiveConfig) *AdaptiveForecaster {
-	return core.NewAdaptiveForecaster(m, cfg)
 }
 
 // DefaultParams returns the paper's frozen model constants.
@@ -245,28 +220,9 @@ func Evaluate(dl []Delivery, tr *Trace, prop, from, to time.Duration) Metrics {
 	return metrics.Evaluate(dl, tr, prop, from, to)
 }
 
-// Experiment harness.
-type (
-	// ExperimentConfig describes one scheme-over-trace-pair run.
-	ExperimentConfig = harness.Config
-	// ExperimentResult is its outcome.
-	ExperimentResult = harness.Result
-	// SuiteOptions parameterizes whole-suite runs.
-	SuiteOptions = harness.Options
-	// ResultMatrix is the schemes × links grid behind Figure 7 and the
-	// summary tables.
-	ResultMatrix = harness.Matrix
-)
-
 // Schemes lists the paper's scheme names in figure order, enumerated from
 // the scenario registry.
-func Schemes() []string { return harness.Schemes() }
-
-// ExtraSchemes lists registered schemes beyond the paper's set.
-func ExtraSchemes() []string { return harness.ExtraSchemes() }
-
-// RunExperiment executes one experiment run.
-func RunExperiment(cfg ExperimentConfig) (ExperimentResult, error) { return harness.Run(cfg) }
+func Schemes() []string { return scenario.PaperSchemes() }
 
 // Declarative scenarios: the registry + spec layer every experiment runs
 // through (internal/scenario).
@@ -291,7 +247,7 @@ type (
 // name from scenario specs and the canonical grids.
 func RegisterScheme(s SchemeInfo) { scenario.Register(s) }
 
-// LoadScenarios parses a JSON scenario file (see DESIGN.md §8 for the
+// LoadScenarios parses a JSON scenario file (see DESIGN.md §8.2 for the
 // format).
 func LoadScenarios(path string) ([]ScenarioSpec, error) { return scenario.LoadFile(path) }
 
@@ -305,13 +261,9 @@ func RunScenarios(ctx context.Context, specs []ScenarioSpec, workers int) ([]Sce
 	return results, err
 }
 
-// RunMatrix executes schemes × the eight canonical links.
-func RunMatrix(opt SuiteOptions, schemes []string) (*ResultMatrix, error) {
-	return harness.RunMatrix(opt, schemes)
-}
-
 // GenerateTracePair deterministically generates the data/feedback traces
-// for one network and direction ("down" or "up").
+// for one network and direction ("down" or "up"): the pair a ScenarioSpec
+// naming that Link, Direction, Duration and Seed runs on.
 func GenerateTracePair(pair NetworkPair, direction string, d time.Duration, seed int64) (data, feedback *Trace) {
-	return harness.GenerateTracePair(pair, direction, d, seed)
+	return scenario.GenerateTracePair(pair, direction, d, seed)
 }

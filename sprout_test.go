@@ -46,18 +46,29 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAPIExperiment runs one declarative spec, and checks that naming
+// a canonical link is the same experiment as injecting the pair
+// GenerateTracePair returns for it.
 func TestPublicAPIExperiment(t *testing.T) {
-	nets := sprout.CanonicalNetworks()
-	data, fb := sprout.GenerateTracePair(nets[0], "down", 20*time.Second, 3)
-	res, err := sprout.RunExperiment(sprout.ExperimentConfig{
-		Scheme: "sprout", DataTrace: data, FeedbackTrace: fb,
-		Duration: 20 * time.Second, Skip: 5 * time.Second,
-	})
+	spec := sprout.ScenarioSpec{
+		Scheme: "sprout", Link: "Verizon LTE",
+		Duration: sprout.ScenarioDuration(20 * time.Second), Skip: sprout.ScenarioDuration(5 * time.Second), Seed: 3,
+	}
+	named, err := sprout.RunScenario(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ThroughputBps == 0 {
+	if named.Metrics.ThroughputBps == 0 {
 		t.Error("no throughput")
+	}
+	spec.Link = ""
+	spec.DataTrace, spec.FeedbackTrace = sprout.GenerateTracePair(sprout.CanonicalNetworks()[0], "down", 20*time.Second, 3)
+	injected, err := sprout.RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named.Metrics != injected.Metrics {
+		t.Errorf("named link: %+v\ninjected pair: %+v", named.Metrics, injected.Metrics)
 	}
 }
 
