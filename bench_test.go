@@ -46,9 +46,9 @@ func BenchmarkSuite(b *testing.B) {
 
 // BenchmarkForecastSweepNaive is the one benchmark here that reports time:
 // the §5.5 five-confidence sweep as five independent ForecastAt calls, each
-// walking the count axis from zero. It is the reference DESIGN.md §5.3
-// holds ForecastAll's shared walk against, and bench/probes times only the
-// fused side (core.forecast_all5_us).
+// a lockstep search of its own over the ticks (the five take turns at the
+// one confidence slot's starts). bench/probes times the single ForecastAll
+// call that answers all five together (core.forecast_all5_us).
 func BenchmarkForecastSweepNaive(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {

@@ -2,9 +2,10 @@ package core
 
 import "testing"
 
-// portableGather switches evolveWindow's interior to the portable loop —
-// what a machine without AVX2 runs — and returns the call that switches
-// back. Tests that use it must not run in parallel with others.
+// portableGather switches evolveWindow's interior and mixturePass to the
+// portable loops — what a machine without AVX2 runs — and returns the call
+// that switches back. Tests that use it must not run in parallel with
+// others.
 func portableGather() (restore func()) {
 	saved := gatherSIMD
 	gatherSIMD = false

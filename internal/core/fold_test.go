@@ -14,7 +14,7 @@ import (
 // and observation rows) and puts the old ones back afterwards, so what it
 // asserts about sharing does not depend on which tests filled the 16 slots
 // of either before it.
-func freshTableCache(t *testing.T) {
+func freshTableCache(t testing.TB) {
 	tableMu.Lock()
 	saved := tableCache
 	tableCache = map[tableKey]*tableEntry{}
@@ -194,7 +194,6 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 						lo, hi = evolveWindow(next, cur, m.kernel, m.kernelPad, m.radius, m.outageStay, lo, hi)
 						cur, next = next, cur
 						ref.w, ref.lo, ref.hi = cur, lo, hi
-						fold.w, fold.lo, fold.hi = m.probs, m.lo, m.hi
 						for ci := range confs {
 							q := int(want[ci*m.p.ForecastTicks+i])
 							for k := max(0, q-1); k <= min(q+1, fold.tbl.maxK[i]); k++ {
@@ -230,9 +229,10 @@ func TestFoldIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-// TestFoldedRowsMonotoneInCount: the search-order argument in
-// mixtureQuantileFrom needs every bin of row (i, k) to be nondecreasing in
-// k after the fold as well as before it.
+// TestFoldedRowsMonotoneInCount: ForecastAll's searches need F
+// nondecreasing in the count — any probe order then finds the same first
+// count above p — so every bin of row (i, k) must be nondecreasing in k
+// after the fold as well as before it.
 func TestFoldedRowsMonotoneInCount(t *testing.T) {
 	tbl := buildForecastTable(NewModel(Params{NumBins: 64, Sigma: 300}))
 	for i := range tbl.off {

@@ -219,19 +219,17 @@ type DeliveryForecaster struct {
 	model *Model
 	tbl   *forecastTable
 
-	// w[lo:hi] is the weight vector the mixture sums run against and its
-	// support window: the model's posterior, read at each forecast.
-	w      []float64
-	lo, hi int
-
-	// Sweep scratch for ForecastAll: the requested confidences as
-	// p-values sorted ascending, each remembering its caller slot, plus
-	// each confidence's previous-tick quantile (its warm start and
-	// monotonic clamp). Retained so repeated sweeps allocate nothing.
-	sweepP    []float64
-	sweepIdx  []int
-	sweepPrev []int
-	one       [1]float64 // ForecastAt's single-confidence view
+	// Scratch for ForecastAll, retained so repeated forecasts allocate
+	// nothing: the requested confidences as p-values sorted ascending,
+	// each remembering its caller slot; one search per (sorted slot,
+	// tick), slot-major, which only ever grows, so each keeps its last
+	// answer as the next search's start whatever was asked in between;
+	// and the unresolved searches' indices.
+	sweepP   []float64
+	sweepIdx []int
+	searches []search
+	live     []int
+	one      [1]float64 // ForecastAt's single-confidence view
 }
 
 // NewDeliveryForecaster builds the forecaster for the model, reusing the
@@ -240,9 +238,10 @@ func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m)}
 }
 
-// Clone returns an independent forecaster whose model and scratch state
-// are deep-copied while the immutable table is shared. The clone may be
-// Ticked concurrently with the original.
+// Clone returns an independent forecaster: the model is deep-copied, the
+// scratch (search starts included) is the clone's own from its first
+// forecast, and the immutable table is shared. The clone may be Ticked
+// concurrently with the original.
 func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
 	return &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
 }
@@ -250,10 +249,14 @@ func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
 // Model returns the underlying Bayesian filter.
 func (f *DeliveryForecaster) Model() *Model { return f.model }
 
-// Reset implements Forecaster: the model returns to its uniform prior; the
-// shared table and the scratch buffers (overwritten by every Forecast) are
-// retained, so reuse allocates nothing.
-func (f *DeliveryForecaster) Reset() { f.model.Reset() }
+// Reset implements Forecaster: the model returns to its uniform prior and
+// the searches forget their starts, so the work of a forecast does not
+// depend on what the forecaster ran before; the shared table and the
+// scratch buffers are retained, so reuse allocates nothing.
+func (f *DeliveryForecaster) Reset() {
+	f.model.Reset()
+	clear(f.searches)
+}
 
 // Tick implements Forecaster: evolve one tick, then apply the observation
 // in the requested mode.
@@ -300,25 +303,33 @@ func clampP(confidence float64) float64 {
 // confidences[1]'s, and so on — each block exactly what ForecastAt at
 // that confidence appends (bit-identical, any order, duplicates allowed).
 //
-// This is the §5.5 sweep entry point. Within a tick the quantile searches
-// share one monotone walk up the count axis: the p-values are visited in
-// ascending order and each search warm-starts at the previous answer
-// (provably its lower bound), so later confidences usually cost a handful
-// of extra mixture probes. A k-confidence sweep is therefore close to the
-// price of one.
+// This is the §5.5 sweep entry point. The forecast at slot s of the
+// p-values sorted ascending and tick i is
+//
+//	q(s, i) = max(q(s, i−1), q(s−1, i), r(s, i))
+//
+// (a missing neighbour counts 0), where r(s, i) is the first count whose
+// mixture CDF at tick i exceeds p_s, capped at the tick's count bound:
+// the bound is nondecreasing across ticks and across confidences by
+// construction. Each r is a search of its own, independent of every
+// other, so all of them run in lockstep: every pass over the posterior's
+// window answers one probe from each unresolved search (mixturePass). A
+// search starts at its own answer in the previous forecast and gallops,
+// then bisects; F is nondecreasing in the count, so any correct search
+// finds the same r, and the start decides only how many passes it takes.
 func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) []float64 {
 	nc := len(confidences)
 	if nc == 0 {
 		return dst
 	}
-	m := f.model
+	m, tbl := f.model, f.tbl
 	ticks := m.p.ForecastTicks
 	base := len(dst)
 	dst = extendFloats(dst, nc*ticks)
 
 	// Order the p-values ascending (insertion sort into retained
 	// scratch; sweeps are tiny), remembering each one's caller slot.
-	f.sweepP, f.sweepIdx, f.sweepPrev = f.sweepP[:0], f.sweepIdx[:0], f.sweepPrev[:0]
+	f.sweepP, f.sweepIdx = f.sweepP[:0], f.sweepIdx[:0]
 	for ci, conf := range confidences {
 		p := clampP(conf)
 		at := ci
@@ -329,31 +340,112 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 			f.sweepIdx[at] = f.sweepIdx[at-1]
 		}
 		f.sweepP[at], f.sweepIdx[at] = p, ci
-		f.sweepPrev = append(f.sweepPrev, 0)
 	}
 
-	f.w, f.lo, f.hi = m.probs, m.lo, m.hi
-	for i := 0; i < ticks; i++ {
-		// One monotone walk answers every confidence: ascending p means
-		// ascending quantile, so each search starts at the larger of its
-		// own previous-tick bound and the preceding confidence's answer
-		// this tick. Both are exact lower bounds of its result, so the
-		// answer — and the appended forecast — is bit-identical to an
-		// independent per-confidence search.
-		walk := 0
-		for s := 0; s < nc; s++ {
-			ci := f.sweepIdx[s]
-			from := f.sweepPrev[ci]
-			if walk > from {
-				from = walk
+	for len(f.searches) < nc*ticks {
+		f.searches = append(f.searches, search{})
+	}
+	ss := f.searches[:nc*ticks]
+	live := f.live[:0]
+	for s, p := range f.sweepP {
+		for i := 0; i < ticks; i++ {
+			if ss[s*ticks+i].start(p, i, tbl.maxK[i]) {
+				live = append(live, s*ticks+i)
 			}
-			q := f.mixtureQuantileFrom(i, f.sweepP[s], from)
-			f.sweepPrev[ci] = q
-			walk = q
+		}
+	}
+	f.live = live
+	tbl.lockstep(ss, live, m.probs[m.lo:m.hi], m.lo)
+
+	for s := range f.sweepP {
+		ci := f.sweepIdx[s]
+		q := 0
+		for i := 0; i < ticks; i++ {
+			q = max(q, ss[s*ticks+i].hi)
+			if s > 0 {
+				q = max(q, int(dst[base+f.sweepIdx[s-1]*ticks+i]))
+			}
 			dst[base+ci*ticks+i] = float64(q)
 		}
 	}
 	return dst
+}
+
+// search is one (p, tick) search of ForecastAll for r, the first count
+// whose mixture CDF F at tick exceeds p, or the tick's count bound maxK
+// when no count below it does (F(maxK) is never evaluated). F is
+// nondecreasing in the count, so lo < r <= hi holds throughout: F(lo) <= p
+// (lo == -1 until a probe shows one), and hi == maxK or F(hi) > p. A
+// resolved search holds r in hi, which is where the next search in its
+// slot starts.
+type search struct {
+	p      float64
+	tick   int
+	lo, hi int
+	k      int // the next probe: lo < k < hi
+	stride int // the gallop's next step
+}
+
+// start begins the search for p at tick from the previous answer in hi
+// (0 after Reset; any value is only a start). It reports whether the
+// search needs a probe.
+func (s *search) start(p float64, tick, maxK int) bool {
+	*s = search{p: p, tick: tick, lo: -1, hi: maxK, k: min(max(s.hi, 0), maxK-1), stride: 1}
+	return maxK > 0
+}
+
+// observe narrows the search by v, F at its probe, and picks the next
+// probe: a gallop away from the one bound the probes have moved — strides
+// 1, 2, 4, … from the last probe — until both have moved, then bisection.
+// A start that was the answer costs two probes (one when r is 0 or maxK).
+// It reports whether the search needs another probe.
+func (s *search) observe(v float64, maxK int) bool {
+	if v > s.p {
+		s.hi = s.k
+	} else {
+		s.lo = s.k
+	}
+	switch {
+	case s.hi-s.lo <= 1:
+		return false
+	case s.lo < 0:
+		s.k = max(s.hi-s.stride, 0)
+	case s.hi == maxK:
+		s.k = min(s.lo+s.stride, maxK-1)
+	default:
+		s.k = s.lo + (s.hi-s.lo)/2
+	}
+	s.stride *= 2
+	return true
+}
+
+// lockstep runs the searches ss[j] for j in live to resolution against
+// the posterior window w, which starts at bin lo: every pass takes one
+// probe from each unresolved search, probeLanes per mixturePass. live is
+// overwritten.
+func (t *forecastTable) lockstep(ss []search, live []int, w []float64, lo int) {
+	var at [probeLanes]int
+	var sums [probeLanes]float64
+	for len(live) > 0 {
+		// The searches still unresolved after this pass are compacted to
+		// the front of live as they go; the write index never passes the
+		// read index, so no unread entry is overwritten.
+		kept := 0
+		for c := 0; c < len(live); c += probeLanes {
+			chunk := live[c:min(c+probeLanes, len(live))]
+			for x, j := range chunk {
+				at[x] = t.off[ss[j].tick] + ss[j].k*t.bins + lo
+			}
+			mixturePass(sums[:len(chunk)], w, t.flat, at[:len(chunk)])
+			for x, j := range chunk {
+				if ss[j].observe(sums[x], t.maxK[ss[j].tick]) {
+					live[kept] = j
+					kept++
+				}
+			}
+		}
+		live = live[:kept]
+	}
 }
 
 // ForecastBatch appends, for each forecaster in fs, its cautious forecast
@@ -382,132 +474,53 @@ func extendFloats(dst []float64, n int) []float64 {
 	return dst[:len(dst)+n]
 }
 
-// mixtureQuantileFrom returns max(lo0, q) where q is the smallest count
-// whose mixture CDF exceeds p — the cautious bound at the given tick,
-// already clamped to the nondecreasing cumulative forecast. The search
-// warm-starts at lo0 and is capped by the precomputed per-tick count
-// bound.
+// probeLanes is how many probes one pass of the mixture kernel evaluates:
+// two YMM accumulators of four.
+const probeLanes = 8
+
+// mixturePass sets sums[n] = Σ_j w[j]·flat[at[n]+j] for every probe n <
+// len(sums) == len(at) <= probeLanes: the mixture CDF at each probe's
+// (tick, count), whose row starts at at[n] already offset to the
+// posterior's window w (weights outside it are exactly zero). Every sum
+// takes its terms in ascending bin order from +0, each product rounded
+// before its add, so each value is bit-identical to a plain one-row loop
+// (sweep_test.go's mixtureCDF) whatever the path or the probe count.
 //
-// Search strategy cannot change the result: F is a pure nondecreasing
-// function of k (every evaluation an independent windowed dot product
-// against rows that are pointwise nondecreasing in k — the raw CDFs are,
-// and evolveAdjoint.apply preserves it), so any probe order finds the same
-// first count with F(k) > p. The shape below exists purely for speed. An
-// evaluation is a chain of dependent adds, so a pass over two counts costs
-// no more than a pass over one, a pass over four about half as much again,
-// and a pass over five up to twice as much (so none is that wide). The
-// cumulative bound usually advances little from tick to tick — not at all
-// in nine searches of ten for a flow sharing a cell, by under six counts
-// in three of four for a flow that has a link to itself — so the first
-// pass probes the warm start and its successor, the second the four counts
-// after them, and only then does the search split the range.
-func (f *DeliveryForecaster) mixtureQuantileFrom(tick int, p float64, lo0 int) int {
-	hi := f.tbl.maxK[tick]
-	if lo0 >= hi {
-		return lo0
-	}
-	lo := lo0
-	if lo+5 <= hi {
-		f0, f1 := f.mixtureCDF2(tick, lo, lo+1)
-		switch {
-		case f0 > p:
-			return lo
-		case f1 > p:
-			return lo + 1
+// Where gatherSIMD is set, the bins of w's whole four-bin blocks go to the
+// AVX2 kernel (mixture8), which holds one bin of four probes per YMM
+// register; the tail bins follow in the portable loop, which is every
+// other platform's whole pass: four probes per scan of w, each its own
+// serial add chain. Lanes past len(sums) repeat the last probe's row and
+// are dropped. Each row is sliced here, so the kernel reads only what Go
+// has bounds-checked.
+func mixturePass(sums, w, flat []float64, at []int) {
+	n := len(sums)
+	var acc [probeLanes]float64
+	done := 0
+	if gatherSIMD && len(w) >= 4 {
+		done = len(w) &^ 3
+		var rows [probeLanes]*float64
+		for i := range rows {
+			rows[i] = &flat[at[min(i, n-1)]:][:len(w)][0]
 		}
-		f2, f3, f4, f5 := f.mixtureCDF4(tick, lo+2, lo+3, lo+4, lo+5)
-		switch {
-		case f2 > p:
-			return lo + 2
-		case f3 > p:
-			return lo + 3
-		case f4 > p:
-			return lo + 4
-		case f5 > p:
-			return lo + 5
+		mixture8(&acc, w[:done], &rows)
+	}
+	tail := w[done:]
+	for g := 0; g < n; g += 4 {
+		r0 := flat[at[g]+done:][:len(tail)]
+		r1 := flat[at[min(g+1, n-1)]+done:][:len(tail)]
+		r2 := flat[at[min(g+2, n-1)]+done:][:len(tail)]
+		r3 := flat[at[min(g+3, n-1)]+done:][:len(tail)]
+		s0, s1, s2, s3 := acc[g], acc[g+1], acc[g+2], acc[g+3]
+		for j, wj := range tail {
+			s0 += wj * r0[j]
+			s1 += wj * r1[j]
+			s2 += wj * r2[j]
+			s3 += wj * r3[j]
 		}
-		lo += 5
-		// Quinary search: four interior probes per pass split (lo, hi]
-		// five ways, maintaining F(lo) <= p < F at (or beyond) hi.
-		for hi-lo > 5 {
-			step := (hi - lo) / 5
-			m1 := lo + step
-			m2 := m1 + step
-			m3 := m2 + step
-			m4 := m3 + step
-			f1, f2, f3, f4 := f.mixtureCDF4(tick, m1, m2, m3, m4)
-			switch {
-			case f1 > p:
-				hi = m1
-			case f2 > p:
-				lo, hi = m1, m2
-			case f3 > p:
-				lo, hi = m2, m3
-			case f4 > p:
-				lo, hi = m3, m4
-			default:
-				lo = m4
-			}
-		}
-		lo++
+		acc[g], acc[g+1], acc[g+2], acc[g+3] = s0, s1, s2, s3
 	}
-	// F <= p below lo, and at most four candidates lo…hi-1 remain: one
-	// pass decides among them. Probes past the last are clamped to hi,
-	// whose row exists; whatever F is there, the answer it gives is hi.
-	if lo < hi {
-		k2, k3, k4 := min(lo+1, hi), min(lo+2, hi), min(lo+3, hi)
-		f1, f2, f3, f4 := f.mixtureCDF4(tick, lo, k2, k3, k4)
-		switch {
-		case f1 > p:
-			return lo
-		case f2 > p:
-			return k2
-		case f3 > p:
-			return k3
-		case f4 > p:
-			return k4
-		}
-	}
-	return hi
-}
-
-// mixtureCDF4 evaluates the mixture CDF F(k) = Σ_j w_j · row(tick, k)[j]
-// at four counts in one pass over the support window (weights outside it
-// are exactly zero): the four dot products share the weight loads and
-// accumulate independently. Each sum takes its terms in ascending bin
-// order from +0, so all four values are bit-identical to four separate
-// evaluations.
-func (f *DeliveryForecaster) mixtureCDF4(tick, k1, k2, k3, k4 int) (float64, float64, float64, float64) {
-	lo, hi := f.lo, f.hi
-	// Slice every operand to the support window so the indexed loop runs
-	// bounds-check-free.
-	r1 := f.tbl.row(tick, k1)[lo:hi]
-	r2 := f.tbl.row(tick, k2)[lo:hi]
-	r3 := f.tbl.row(tick, k3)[lo:hi]
-	r4 := f.tbl.row(tick, k4)[lo:hi]
-	w := f.w[lo:hi]
-	var s1, s2, s3, s4 float64
-	for j, wj := range w {
-		s1 += wj * r1[j]
-		s2 += wj * r2[j]
-		s3 += wj * r3[j]
-		s4 += wj * r4[j]
-	}
-	return s1, s2, s3, s4
-}
-
-// mixtureCDF2 is mixtureCDF4 at two counts.
-func (f *DeliveryForecaster) mixtureCDF2(tick, k1, k2 int) (float64, float64) {
-	lo, hi := f.lo, f.hi
-	r1 := f.tbl.row(tick, k1)[lo:hi]
-	r2 := f.tbl.row(tick, k2)[lo:hi]
-	w := f.w[lo:hi]
-	var s1, s2 float64
-	for j, wj := range w {
-		s1 += wj * r1[j]
-		s2 += wj * r2[j]
-	}
-	return s1, s2
+	copy(sums, acc[:n])
 }
 
 // EWMAForecaster is the Sprout-EWMA variant (§5.3): it tracks the observed

@@ -10,8 +10,9 @@ import (
 )
 
 // TestScenarioBytesWithoutSIMD: a short Sprout run — every tick an
-// evolution, every forecast downstream of it — encodes to the same record
-// bytes with the SIMD kernel and with the portable loop.
+// evolution and a forecast, each a SIMD kernel's work where the machine
+// has AVX2 — encodes to the same record bytes with both kernels and with
+// the portable loops (one switch turns both off).
 func TestScenarioBytesWithoutSIMD(t *testing.T) {
 	specs, err := scenario.Parse(strings.NewReader(`{
 	  "defaults": {"link": "Verizon LTE", "duration": "3s", "skip": "500ms", "seed": 7},

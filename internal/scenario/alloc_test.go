@@ -169,6 +169,42 @@ func TestPooledWorldSchemeSwitch(t *testing.T) {
 	}
 }
 
+// TestPooledWorldLossSwitch: a lossless job leaves the world's loss RNGs
+// where the last lossy job left them (its links never draw), so a warm
+// world alternating lossy and lossless specs must still match fresh
+// worlds, job for job.
+func TestPooledWorldLossSwitch(t *testing.T) {
+	traces := engine.NewCache()
+	w := newWorld()
+	for _, c := range []struct {
+		scheme string
+		loss   float64
+	}{{"sprout", 0.05}, {"sprout", 0}, {"cubic", 0.1}, {"cubic", 0}, {"sprout", 0.05}, {"cubic", 0.02}} {
+		norm, err := Spec{
+			Scheme:   c.scheme,
+			Link:     "Verizon LTE",
+			Duration: Duration(2 * time.Second),
+			Skip:     Duration(500 * time.Millisecond),
+			Seed:     6,
+			Loss:     c.loss,
+		}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := runNormalized(norm, traces, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := runNormalized(norm, traces, newWorld())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Metrics != fresh.Metrics || !reflect.DeepEqual(warm.Flows, fresh.Flows) {
+			t.Errorf("%s loss %v: warm %+v != fresh %+v", c.scheme, c.loss, warm.Metrics, fresh.Metrics)
+		}
+	}
+}
+
 // TestRecordCodecAllocs pins what one record costs through the shard
 // codec — EncodeResult → RecordWriter → ReadRecords → DecodeResult, all a
 // sharded sweep adds to a run beside a second engine. The Result is

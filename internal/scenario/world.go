@@ -253,10 +253,12 @@ func processSeeds(seed int64) (data, feedback int64) {
 // before uplink — each schedules the link's first delivery opportunity,
 // so this order is part of the determinism contract.
 //
-// All randomness is job-local: each link's process and loss RNG are
-// re-seeded from the spec seed here, inside the job, so concurrent
-// experiment jobs never share a *rand.Rand (see internal/engine's package
-// doc for the determinism contract). Cell 0's derivations (processSeeds,
+// All randomness is job-local: each link's process and, when the spec has
+// loss, its loss RNG are re-seeded from the spec seed here, inside the
+// job, so concurrent experiment jobs never share a *rand.Rand (see
+// internal/engine's package doc for the determinism contract). A lossless
+// link never draws, so its RNG is not re-seeded: a later lossy job re-seeds
+// it before the first draw. Cell 0's derivations (processSeeds,
 // the +1000/+2000 loss offsets) are frozen: they are part of the
 // regenerated figures' byte identity. Further cells draw independent
 // streams via DeriveSeed.
@@ -294,11 +296,13 @@ func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handl
 			ProcessSeed:      dataSeed,
 			PropagationDelay: time.Duration(spec.PropDelay),
 			LossRate:         spec.Loss,
-			Rand:             reseed(&c.fwdRand, lossFwd),
 			Pool:             &w.pool,
 		}
 		up := down
-		up.Trace, up.ProcessSeed, up.Rand = spec.FeedbackTrace, fbSeed, reseed(&c.revRand, lossRev)
+		up.Trace, up.ProcessSeed = spec.FeedbackTrace, fbSeed
+		if spec.Loss > 0 {
+			down.Rand, up.Rand = reseed(&c.fwdRand, lossFwd), reseed(&c.revRand, lossRev)
+		}
 		if spec.Process != nil {
 			var err error
 			if down.Process, err = w.processFor(spec.Process, ci); err != nil {
