@@ -13,15 +13,14 @@
 //
 //	cellsim -a :9001 -b :9002 -down vzw-down.trace -up vzw-up.trace
 //	cellsim -a :9001 -b :9002 -gen "Verizon LTE" -loss 0.05 -codel
-//	cellsim -a :9001 -b :9002 -gen "Verizon LTE" -stream
 //
-// With -stream, each direction is shaped by the streaming §3.1 link model
-// itself instead of a pre-materialized trace: the emulator can run
-// indefinitely at O(1) trace memory (-gendur is ignored).
+// With -gen, each direction is shaped by the canonical network's §3.1 link
+// model itself, streamed: the opportunities are the ones the generated
+// trace at the same seed would hold, never looped, so the emulator runs
+// indefinitely at O(1) trace memory.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -42,21 +41,15 @@ func main() {
 	addrB := flag.String("b", ":9002", "UDP listen address for side B")
 	downFile := flag.String("down", "", "mahimahi trace for A->B (downlink)")
 	upFile := flag.String("up", "", "mahimahi trace for B->A (uplink)")
-	gen := flag.String("gen", "", "generate traces for a canonical network instead (e.g. \"Verizon LTE\")")
-	genDur := flag.Duration("gendur", 10*time.Minute, "generated trace length (ignored with -stream)")
-	stream := flag.Bool("stream", false, "with -gen: drive each direction by the streaming link model (unbounded runtime, O(1) trace memory) instead of materializing -gendur of trace")
+	gen := flag.String("gen", "", "shape by a canonical network's streamed link model instead (e.g. \"Verizon LTE\")")
 	prop := flag.Duration("prop", 20*time.Millisecond, "one-way propagation delay per direction")
 	loss := flag.Float64("loss", 0, "Bernoulli loss probability per direction")
 	useCodel := flag.Bool("codel", false, "apply CoDel on both queues")
-	seed := flag.Int64("seed", 1, "seed for generation and loss (each direction derives its own stream; generated traces differ from pre-engine releases at the same seed)")
+	seed := flag.Int64("seed", 1, "seed for the -gen model and loss (each direction derives its own stream)")
 	stats := flag.Duration("stats", 5*time.Second, "statistics reporting interval (0 disables)")
-	parallel := flag.Int("parallel", 0, "trace-generation workers for -gen: 0 = all cores, 1 = serial")
 	flag.Parse()
 
-	downSrc, upSrc, err := resolveShaping(shapingArgs{
-		Stream: *stream, Gen: *gen, DownFile: *downFile, UpFile: *upFile,
-		GenDur: *genDur, Seed: *seed, Parallel: *parallel,
-	})
+	downSrc, upSrc, err := resolveShaping(shapingArgs{Gen: *gen, DownFile: *downFile, UpFile: *upFile, Seed: *seed})
 	if err != nil {
 		// One-line diagnosis, non-zero exit: malformed arguments are a
 		// usage error, never a panic.
@@ -70,7 +63,7 @@ func main() {
 	connB, err := udp.Listen(clock, *addrB)
 	exitOn(err)
 	mode := ""
-	if *stream {
+	if downSrc.process != nil {
 		mode = ", streaming"
 	}
 	fmt.Fprintf(os.Stderr, "cellsim: A=%s (downlink %s, %.0f kbps%s) B=%s (uplink %s, %.0f kbps%s)\n",
@@ -89,7 +82,7 @@ func main() {
 			cfg.Rand = rand.New(rand.NewSource(*seed + seedOff))
 		}
 		if *useCodel {
-			cfg.Dequeuer = codel.New(0, 0)
+			cfg.Dequeuer = codel.New()
 		}
 		return link.New(clock, cfg, func(p *network.Packet) { out.Send(p) })
 	}
@@ -116,8 +109,8 @@ func main() {
 	select {} // run until killed
 }
 
-// shaping is one direction's opportunity source: a materialized trace,
-// or (with -stream) the streaming model pulled on demand.
+// shaping is one direction's opportunity source: a trace file, or (with
+// -gen) the canonical model pulled on demand.
 type shaping struct {
 	name    string
 	meanBps float64
@@ -128,22 +121,19 @@ type shaping struct {
 
 // shapingArgs is the flag subset that selects the opportunity sources.
 type shapingArgs struct {
-	Stream           bool
 	Gen              string
 	DownFile, UpFile string
-	GenDur           time.Duration
 	Seed             int64
-	Parallel         int
 }
 
 // resolveShaping validates the source flags and builds both directions'
 // shaping, returning a one-line error on any malformed combination so
-// main can exit non-zero without a stack trace.
+// main can exit non-zero without a stack trace. -gen wins over trace
+// files. Each -gen direction is seeded with DeriveSeed(seed, network,
+// direction), so it emits the opportunities of the trace LinkModel.Generate
+// draws from that seed.
 func resolveShaping(a shapingArgs) (downSrc, upSrc shaping, err error) {
-	if a.Stream {
-		if a.Gen == "" {
-			return shaping{}, shaping{}, fmt.Errorf("-stream requires -gen")
-		}
+	if a.Gen != "" {
 		pair, ok := findNetwork(a.Gen)
 		if !ok {
 			return shaping{}, shaping{}, fmt.Errorf("unknown network %q (see sproutbench -list-schemes for canonical links)", a.Gen)
@@ -154,7 +144,14 @@ func resolveShaping(a shapingArgs) (downSrc, upSrc shaping, err error) {
 			process: pair.Up.Process(), seed: engine.DeriveSeed(a.Seed, pair.Name, "up")}
 		return downSrc, upSrc, nil
 	}
-	down, up, err := loadTraces(a.DownFile, a.UpFile, a.Gen, a.GenDur, a.Seed, a.Parallel)
+	if a.DownFile == "" || a.UpFile == "" {
+		return shaping{}, shaping{}, fmt.Errorf("need -down and -up trace files, or -gen")
+	}
+	down, err := readTrace(a.DownFile)
+	if err != nil {
+		return shaping{}, shaping{}, err
+	}
+	up, err := readTrace(a.UpFile)
 	if err != nil {
 		return shaping{}, shaping{}, err
 	}
@@ -169,49 +166,6 @@ func findNetwork(name string) (trace.NetworkPair, bool) {
 		}
 	}
 	return trace.NetworkPair{}, false
-}
-
-func loadTraces(downFile, upFile, gen string, genDur time.Duration, seed int64, parallel int) (down, up *trace.Trace, err error) {
-	if gen != "" {
-		if p, ok := findNetwork(gen); ok {
-			return generateTraces(p, genDur, seed, parallel)
-		}
-		return nil, nil, fmt.Errorf("unknown network %q", gen)
-	}
-	if downFile == "" || upFile == "" {
-		return nil, nil, fmt.Errorf("need -down and -up trace files, or -gen")
-	}
-	down, err = readTrace(downFile)
-	if err != nil {
-		return nil, nil, err
-	}
-	up, err = readTrace(upFile)
-	return down, up, err
-}
-
-// generateTraces synthesizes the two directions as parallel engine jobs.
-// Each direction owns an RNG derived from (seed, network, direction) —
-// independent streams regardless of scheduling — so long traces for fast
-// links generate at the speed of the slower core count allows.
-func generateTraces(p trace.NetworkPair, genDur time.Duration, seed int64, parallel int) (down, up *trace.Trace, err error) {
-	jobs := []engine.Job{
-		{Name: "downlink " + p.Down.Name, Run: func(context.Context, *engine.WorkerState) error {
-			rng := rand.New(rand.NewSource(engine.DeriveSeed(seed, p.Name, "down")))
-			down = p.Down.Generate(genDur, rng)
-			return nil
-		}},
-		{Name: "uplink " + p.Up.Name, Run: func(context.Context, *engine.WorkerState) error {
-			rng := rand.New(rand.NewSource(engine.DeriveSeed(seed, p.Name, "up")))
-			up = p.Up.Generate(genDur, rng)
-			return nil
-		}},
-	}
-	st, err := engine.New(parallel).Run(context.Background(), jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "cellsim: generated %v of traces (%s)\n", genDur, st)
-	return down, up, nil
 }
 
 func readTrace(path string) (*trace.Trace, error) {

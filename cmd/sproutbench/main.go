@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"sprout/internal/cell"
-	"sprout/internal/core"
 	"sprout/internal/engine"
 	"sprout/internal/harness"
 	"sprout/internal/scenario"
@@ -41,26 +40,6 @@ func labeled(name string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
 		fn()
 	})
-}
-
-// warnTableCache prints a one-time warning when forecast-table builds have
-// outgrown the process-wide cache: every further forecaster at an uncached
-// parameter set silently rebuilds its own ~2 MB table (tens of CPU-ms now
-// that the lookahead evolution is folded into it; σ and λz shape it too),
-// which turns a parameter sweep's setup cost from one build into one per
-// run.
-var warnedTableCache bool
-
-func warnTableCache() {
-	if warnedTableCache {
-		return
-	}
-	if _, _, uncached := core.TableCacheStats(); uncached > 0 {
-		warnedTableCache = true
-		fmt.Fprintf(os.Stderr,
-			"sproutbench: warning: %d forecast-table build(s) bypassed the full table cache; a sweep is varying more than %d table-shaping parameter sets and pays a full table rebuild per run\n",
-			uncached, core.TableCacheLimit)
-	}
 }
 
 func main() {
@@ -157,7 +136,6 @@ func main() {
 		return
 	}
 
-	defer warnTableCache()
 	if *scenarioFile != "" {
 		labeled("scenario", func() { runScenarioFile(*scenarioFile, opt, eng) })
 		return

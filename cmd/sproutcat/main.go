@@ -50,7 +50,7 @@ func runReceiver(addr string, ewma bool, confidence float64, statsEvery time.Dur
 
 	var fc core.Forecaster
 	if ewma {
-		fc = core.NewEWMAForecaster(0, 0, 0)
+		fc = core.NewEWMAForecaster()
 	} else {
 		p := core.Params{}
 		if confidence != 0 {

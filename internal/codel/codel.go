@@ -13,19 +13,16 @@ import (
 	"sprout/internal/network"
 )
 
-// Default parameters from RFC 8289.
+// The parameters RFC 8289 recommends.
 const (
-	DefaultTarget   = 5 * time.Millisecond
-	DefaultInterval = 100 * time.Millisecond
+	target   = 5 * time.Millisecond
+	interval = 100 * time.Millisecond
 )
 
 // CoDel is a link.Dequeuer that drops packets at the head of the queue when
 // the standing sojourn time exceeds the target for at least one interval.
 // The zero value is not usable; construct with New.
 type CoDel struct {
-	target   time.Duration
-	interval time.Duration
-
 	firstAboveTime time.Duration // 0 means "not currently above target"
 	dropNext       time.Duration
 	count          int
@@ -36,17 +33,9 @@ type CoDel struct {
 	pool  *network.Pool
 }
 
-// New returns a CoDel instance with the given target and interval; zero
-// values select the RFC defaults.
-func New(target, interval time.Duration) *CoDel {
-	if target <= 0 {
-		target = DefaultTarget
-	}
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	return &CoDel{target: target, interval: interval}
-}
+// New returns a CoDel instance with the RFC's 5 ms target and 100 ms
+// interval.
+func New() *CoDel { return &CoDel{} }
 
 // UsePool directs CoDel's head drops to the given arena (the one the
 // link's packets come from); nil leaves them to the garbage collector.
@@ -68,14 +57,14 @@ func (c *CoDel) doDequeue(now time.Duration, q *link.FIFO) dodequeueResult {
 		return dodequeueResult{nil, false}
 	}
 	sojourn := now - pkt.EnqueuedAt
-	if sojourn < c.target || q.Bytes() <= network.MTU {
+	if sojourn < target || q.Bytes() <= network.MTU {
 		// Went below target, or the queue is nearly empty: stay out of
 		// (or leave) the above-target state.
 		c.firstAboveTime = 0
 		return dodequeueResult{pkt, false}
 	}
 	if c.firstAboveTime == 0 {
-		c.firstAboveTime = now + c.interval
+		c.firstAboveTime = now + interval
 	} else if now >= c.firstAboveTime {
 		return dodequeueResult{pkt, true}
 	}
@@ -83,7 +72,7 @@ func (c *CoDel) doDequeue(now time.Duration, q *link.FIFO) dodequeueResult {
 }
 
 func (c *CoDel) controlLaw(t time.Duration, count int) time.Duration {
-	return t + time.Duration(float64(c.interval)/math.Sqrt(float64(count)))
+	return t + time.Duration(float64(interval)/math.Sqrt(float64(count)))
 }
 
 // Next implements link.Dequeuer with the RFC 8289 deque() routine.
@@ -113,7 +102,7 @@ func (c *CoDel) Next(now time.Duration, q *link.FIFO) *network.Packet {
 		// queue last time (see RFC 8289 §5.3).
 		delta := c.count - c.lastCount
 		c.count = 1
-		if delta > 1 && now-c.dropNext < 16*c.interval {
+		if delta > 1 && now-c.dropNext < 16*interval {
 			c.count = delta
 		}
 		c.lastCount = c.count

@@ -15,7 +15,7 @@ func fill(q *link.FIFO, n int, enq time.Duration) {
 }
 
 func TestCoDelPassThroughLowDelay(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	var q link.FIFO
 	fill(&q, 10, 0)
 	// Sojourn 1ms < target: everything passes.
@@ -30,7 +30,7 @@ func TestCoDelPassThroughLowDelay(t *testing.T) {
 }
 
 func TestCoDelEmptyQueue(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	var q link.FIFO
 	if c.Next(time.Second, &q) != nil {
 		t.Error("Next on empty queue should be nil")
@@ -38,7 +38,7 @@ func TestCoDelEmptyQueue(t *testing.T) {
 }
 
 func TestCoDelDropsOnStandingQueue(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	var q link.FIFO
 	// A deep standing queue: sojourn always 200ms (> 5ms target).
 	// Dequeue once per 10ms of virtual time; CoDel should enter the
@@ -65,7 +65,7 @@ func TestCoDelDropsOnStandingQueue(t *testing.T) {
 }
 
 func TestCoDelNoDropsWhenQueueNearlyEmpty(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	var q link.FIFO
 	// One old packet, but queue bytes <= MTU: CoDel must not drop
 	// (standing queue of one packet is allowed).
@@ -83,7 +83,7 @@ func TestCoDelNoDropsWhenQueueNearlyEmpty(t *testing.T) {
 }
 
 func TestCoDelRecoversWhenDelayFalls(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	var q link.FIFO
 	now := time.Duration(0)
 	// Phase 1: standing queue to enter dropping.
@@ -113,19 +113,34 @@ func TestCoDelRecoversWhenDelayFalls(t *testing.T) {
 	}
 }
 
+// TestCoDelDefaults: New runs RFC 8289's parameters. A queue standing at
+// the 5 ms target drops its first packet once it has stayed above target
+// for the 100 ms interval; one standing just under the target never drops.
 func TestCoDelDefaults(t *testing.T) {
-	c := New(0, 0)
-	if c.target != DefaultTarget || c.interval != DefaultInterval {
-		t.Errorf("defaults = %v/%v", c.target, c.interval)
+	firstDrop := func(sojourn time.Duration) time.Duration {
+		c := New()
+		for now := time.Duration(0); now <= time.Second; now += time.Millisecond {
+			var q link.FIFO // every packet has waited exactly sojourn
+			for q.Len() < 10 {
+				q.Push(&network.Packet{Size: network.MTU, EnqueuedAt: now - sojourn})
+			}
+			c.Next(now, &q)
+			if c.Drops() > 0 {
+				return now
+			}
+		}
+		return -1
 	}
-	c2 := New(time.Millisecond, time.Second)
-	if c2.target != time.Millisecond || c2.interval != time.Second {
-		t.Errorf("explicit params not honored")
+	if got := firstDrop(5*time.Millisecond - 1); got != -1 {
+		t.Errorf("sojourn just under 5 ms: first drop at %v, want none", got)
+	}
+	if got := firstDrop(5 * time.Millisecond); got != 100*time.Millisecond {
+		t.Errorf("sojourn 5 ms: first drop at %v, want 100ms", got)
 	}
 }
 
 func TestCoDelControlLawAccelerates(t *testing.T) {
-	c := New(0, 0)
+	c := New()
 	t1 := c.controlLaw(0, 1)
 	t4 := c.controlLaw(0, 4)
 	if t4 != t1/2 {
@@ -138,7 +153,7 @@ func TestCoDelControlLawAccelerates(t *testing.T) {
 // up either returned by Next (the link's to release) or back in the pool.
 func TestCoDelReleasesDrops(t *testing.T) {
 	var pool network.Pool
-	c := New(0, 0)
+	c := New()
 	c.UsePool(&pool)
 	var q link.FIFO
 	now := time.Duration(0)

@@ -178,9 +178,9 @@ func TestForecastTableCacheBounded(t *testing.T) {
 	// Sweeping a table-shaping parameter past the cache limit must keep
 	// working (uncached builds), not retain a table per value forever.
 	freshTableCache(t)
-	_, _, before := TableCacheStats()
+	_, _, before := tableCacheStats()
 	var fs []*DeliveryForecaster
-	for i := 0; i < TableCacheLimit+4; i++ {
+	for i := 0; i < tableCacheLimit+4; i++ {
 		f := NewDeliveryForecaster(NewModel(Params{NumBins: 32, MaxRate: 100 + float64(i)}))
 		f.Tick(2, ObsExact)
 		if fc := f.Forecast(nil); len(fc) != DefaultForecastTicks {
@@ -191,17 +191,16 @@ func TestForecastTableCacheBounded(t *testing.T) {
 	tableMu.Lock()
 	n := len(tableCache)
 	tableMu.Unlock()
-	if n > TableCacheLimit {
-		t.Errorf("table cache grew to %d entries, limit %d", n, TableCacheLimit)
+	if n > tableCacheLimit {
+		t.Errorf("table cache grew to %d entries, limit %d", n, tableCacheLimit)
 	}
 	obsMu.Lock()
 	n = len(obsTables)
 	obsMu.Unlock()
-	if n > TableCacheLimit {
-		t.Errorf("observation-row cache grew to %d grids, limit %d", n, TableCacheLimit)
+	if n > tableCacheLimit {
+		t.Errorf("observation-row cache grew to %d grids, limit %d", n, tableCacheLimit)
 	}
-	// The overflow is what sproutbench's one-time warning reads.
-	if _, _, after := TableCacheStats(); after-before != 4 {
+	if _, _, after := tableCacheStats(); after-before != 4 {
 		t.Errorf("uncached builds = %d, want 4", after-before)
 	}
 	_ = fs

@@ -33,6 +33,14 @@ func freshTableCache(t testing.TB) {
 	})
 }
 
+// tableCacheStats reads the table cache's hit, miss and uncached-build
+// counters.
+func tableCacheStats() (hits, misses, uncached int64) {
+	tableMu.Lock()
+	defer tableMu.Unlock()
+	return tableHits, tableMisses, tableUncached
+}
+
 // evolveForecaster is the reference the folded path is compared against:
 // the lookahead as the paper states it. It evolves a copy of the model's
 // posterior tick by tick (evolveWindow) and, at each tick, mixes it against
@@ -252,7 +260,7 @@ func TestFoldedRowsMonotoneInCount(t *testing.T) {
 func TestTableBuildSingleFlight(t *testing.T) {
 	freshTableCache(t)
 	const users = 8
-	h0, m0, u0 := TableCacheStats()
+	h0, m0, u0 := tableCacheStats()
 	tbls := make([]*forecastTable, users)
 	var wg sync.WaitGroup
 	for i := range tbls {
@@ -268,7 +276,7 @@ func TestTableBuildSingleFlight(t *testing.T) {
 			t.Fatalf("user %d got table %p, user 0 got %p", i, tbl, tbls[0])
 		}
 	}
-	h1, m1, u1 := TableCacheStats()
+	h1, m1, u1 := tableCacheStats()
 	if m1-m0 != 1 || h1-h0 != users-1 || u1 != u0 {
 		t.Errorf("hits +%d misses +%d uncached +%d, want +%d +1 +0", h1-h0, m1-m0, u1-u0, users-1)
 	}

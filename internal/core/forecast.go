@@ -127,14 +127,13 @@ type tableKey struct {
 	outageEscape float64
 }
 
-// TableCacheLimit bounds the process-wide forecast-table cache: a table at
+// tableCacheLimit bounds the process-wide forecast-table cache: a table at
 // the default parameters holds ~250k float64s (~2 MB) and takes ~35 CPU-ms
 // to fold, and entries are never evicted, so a library consumer sweeping a
 // table-shaping parameter (Sigma and OutageEscape among them) past this
 // many distinct values gets uncached (per-forecaster) tables rather than
-// unbounded retained memory. TableCacheStats makes that degradation
-// observable.
-const TableCacheLimit = 16
+// unbounded retained memory.
+const tableCacheLimit = 16
 
 // tableEntry is one cache slot; once makes the build single-flight.
 type tableEntry struct {
@@ -142,6 +141,13 @@ type tableEntry struct {
 	tbl  *forecastTable
 }
 
+// The process-wide forecast-table cache and its counters, which the tests
+// read under tableMu: hits (a forecaster reused a cached table, waiting for
+// its one builder if the build was still running), misses (a build that
+// was stored — one per key, however many forecasters asked at once), and
+// uncached builds (the cache was already at its size limit, so the build
+// could not be stored and every further forecaster at those parameters
+// rebuilds its own ~2 MB table).
 var (
 	tableMu       sync.Mutex
 	tableCache    = map[tableKey]*tableEntry{}
@@ -149,20 +155,6 @@ var (
 	tableMisses   int64
 	tableUncached int64
 )
-
-// TableCacheStats reports the process-wide forecast-table cache counters:
-// hits (a forecaster reused a cached table, waiting for its one builder if
-// the build was still running), misses (a build that was stored — one per
-// key, however many forecasters asked at once), and uncached builds (the
-// cache was already at its size limit, so the build could not be stored
-// and every further forecaster at those parameters rebuilds its own ~2 MB
-// table). A nonzero uncached count means a parameter sweep has silently
-// outgrown the cache.
-func TableCacheStats() (hits, misses, uncached int64) {
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	return tableHits, tableMisses, tableUncached
-}
 
 // forecastTableFor returns the table for m's parameters. The first user of
 // a key builds it (outside the lock, so different keys build in parallel);
@@ -181,7 +173,7 @@ func forecastTableFor(m *Model) *forecastTable {
 	switch {
 	case ok:
 		tableHits++
-	case len(tableCache) < TableCacheLimit:
+	case len(tableCache) < tableCacheLimit:
 		e = &tableEntry{}
 		tableCache[key] = e
 		tableMisses++
@@ -526,33 +518,19 @@ func mixturePass(sums, w, flat []float64, at []int) {
 // EWMAForecaster is the Sprout-EWMA variant (§5.3): it tracks the observed
 // per-tick delivery rate with an exponentially weighted moving average and
 // simply predicts that the link will continue at that speed for the whole
-// horizon, with no caution.
+// horizon, with no caution. It runs on Sprout's 20 ms tick and 8-tick
+// horizon.
 type EWMAForecaster struct {
-	tick    time.Duration
-	horizon int
-	gain    float64
-	rate    float64 // packets per tick
-	primed  bool
+	rate   float64 // packets per tick
+	primed bool
 }
 
-// DefaultEWMAGain is the per-tick EWMA gain. One eighth per 20 ms tick
-// tracks rate increases within ~150 ms while still smoothing Poisson noise.
-const DefaultEWMAGain = 0.125
+// ewmaGain is the per-tick EWMA gain. One eighth per 20 ms tick tracks
+// rate increases within ~150 ms while still smoothing Poisson noise.
+const ewmaGain = 0.125
 
-// NewEWMAForecaster returns the Sprout-EWMA rate tracker. Zero gain,
-// tick or horizon select the defaults (DefaultEWMAGain, 20 ms, 8).
-func NewEWMAForecaster(gain float64, tick time.Duration, horizon int) *EWMAForecaster {
-	if gain == 0 {
-		gain = DefaultEWMAGain
-	}
-	if tick == 0 {
-		tick = DefaultTick
-	}
-	if horizon == 0 {
-		horizon = DefaultForecastTicks
-	}
-	return &EWMAForecaster{tick: tick, horizon: horizon, gain: gain}
-}
+// NewEWMAForecaster returns the Sprout-EWMA rate tracker.
+func NewEWMAForecaster() *EWMAForecaster { return &EWMAForecaster{} }
 
 // Tick implements Forecaster. Exact observations fold into the moving
 // average; censored (at-least) observations can only raise the estimate,
@@ -574,7 +552,7 @@ func (e *EWMAForecaster) Tick(observed float64, mode Observation) {
 		e.primed = true
 		return
 	}
-	e.rate += e.gain * (observed - e.rate)
+	e.rate += ewmaGain * (observed - e.rate)
 }
 
 // Rate returns the current smoothed rate estimate in packets per tick.
@@ -584,14 +562,14 @@ func (e *EWMAForecaster) Rate() float64 { return e.rate }
 func (e *EWMAForecaster) Reset() { e.rate, e.primed = 0, false }
 
 // HorizonTicks implements Forecaster.
-func (e *EWMAForecaster) HorizonTicks() int { return e.horizon }
+func (e *EWMAForecaster) HorizonTicks() int { return DefaultForecastTicks }
 
 // TickDuration implements Forecaster.
-func (e *EWMAForecaster) TickDuration() time.Duration { return e.tick }
+func (e *EWMAForecaster) TickDuration() time.Duration { return DefaultTick }
 
 // Forecast implements Forecaster: a straight line at the current rate.
 func (e *EWMAForecaster) Forecast(dst []float64) []float64 {
-	for i := 1; i <= e.horizon; i++ {
+	for i := 1; i <= DefaultForecastTicks; i++ {
 		dst = append(dst, math.Max(0, e.rate*float64(i)))
 	}
 	return dst

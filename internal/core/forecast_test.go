@@ -162,7 +162,7 @@ func TestForecasterInterfaceCompliance(t *testing.T) {
 }
 
 func TestEWMAForecasterTracksRate(t *testing.T) {
-	e := NewEWMAForecaster(0, 0, 0)
+	e := NewEWMAForecaster()
 	if e.TickDuration() != 20*time.Millisecond || e.HorizonTicks() != 8 {
 		t.Fatalf("defaults wrong: %v %v", e.TickDuration(), e.HorizonTicks())
 	}
@@ -184,7 +184,7 @@ func TestEWMAForecasterTracksRate(t *testing.T) {
 func TestEWMAForecasterNotCautious(t *testing.T) {
 	// Sprout-EWMA forecasts the mean; Sprout forecasts the 5th
 	// percentile. For the same observations EWMA must be higher.
-	e := NewEWMAForecaster(0, 0, 0)
+	e := NewEWMAForecaster()
 	f := trainedForecaster(t, 300, 7)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 400; i++ {
@@ -198,7 +198,7 @@ func TestEWMAForecasterNotCautious(t *testing.T) {
 }
 
 func TestEWMAForecasterSkipsInvalid(t *testing.T) {
-	e := NewEWMAForecaster(0, 0, 0)
+	e := NewEWMAForecaster()
 	e.Tick(10, ObsExact)
 	r := e.Rate()
 	e.Tick(0, ObsSkip)
@@ -210,7 +210,7 @@ func TestEWMAForecasterSkipsInvalid(t *testing.T) {
 func TestEWMAForecasterSlowToSeeOutage(t *testing.T) {
 	// The paper explains Sprout-EWMA's higher delay: an EWMA is a
 	// low-pass filter that keeps forecasting deliveries into an outage.
-	e := NewEWMAForecaster(0, 0, 0)
+	e := NewEWMAForecaster()
 	m := NewModel(Params{})
 	f := NewDeliveryForecaster(m)
 	rng := rand.New(rand.NewSource(9))

@@ -439,7 +439,7 @@ var (
 // obsTableFor returns the process-wide table of p's grid. Rows cover counts
 // up to twice what the top bin delivers per tick; rarer counts are computed
 // per observation. Like the forecast-table cache it stops storing at
-// TableCacheLimit grids, past which each model gets a table of its own.
+// tableCacheLimit grids, past which each model gets a table of its own.
 func obsTableFor(p Params, binRate []float64) *obsTable {
 	key := obsKey{p.NumBins, p.MaxRate, p.Tick}
 	obsMu.Lock()
@@ -460,7 +460,7 @@ func obsTableFor(p Params, binRate []float64) *obsTable {
 	for mode := range t.rows {
 		t.rows[mode] = make([]obsRow, int(2*p.MaxRate*tau)+16)
 	}
-	if len(obsTables) < TableCacheLimit {
+	if len(obsTables) < tableCacheLimit {
 		obsTables[key] = t
 	}
 	return t

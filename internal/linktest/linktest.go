@@ -145,7 +145,7 @@ func Run(c Case, seed int64, perArrivalEvents bool) (log []string, end End) {
 		Pool:             &pool,
 	}
 	if c.CoDel {
-		cd := codel.New(0, 0)
+		cd := codel.New()
 		cd.UsePool(&pool)
 		cfg.Dequeuer = cd
 	}

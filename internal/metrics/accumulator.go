@@ -130,11 +130,11 @@ type Accumulator struct {
 	omniSegs []stats.Segment // scratch for the omniscient bound
 	finished bool
 
-	// Online omniscient/capacity stream for runs whose opportunity
-	// schedule is never materialized (streaming delivery processes): the
-	// link reports each opportunity instant through ObserveOpportunity,
-	// and these replay exactly the cursor/base recurrence of
-	// omniscientSegments plus the CapacityBits window count.
+	// Online omniscient/capacity stream, for runs that count the
+	// opportunities the link served rather than a trace's (every scenario
+	// run): the link reports each opportunity instant through
+	// ObserveOpportunity, and these replay exactly the cursor/base
+	// recurrence of omniscientSegments plus the CapacityBits window count.
 	trackOps    bool
 	prop        time.Duration
 	omniCursor  time.Duration
@@ -235,7 +235,7 @@ func (a *Accumulator) Observe(d link.Delivery) {
 }
 
 // TrackOpportunities arms the online omniscient-bound and capacity
-// stream for a streaming run; call it after Start, before the run. prop
+// stream; call it after Start, before the run. prop
 // is the link's propagation delay (the omniscient protocol's floor).
 // Feed every opportunity instant the link services — including warmup
 // opportunities before the window, which anchor d(from) exactly as the
@@ -333,12 +333,13 @@ func (a *Accumulator) finishResult(prop time.Duration, capBits int64) Result {
 	return r
 }
 
-// EvaluateStreaming returns the full §5.1 metric set for a streaming run,
-// with the omniscient bound and offered capacity taken from the
-// opportunity stream fed through ObserveOpportunity instead of a
-// materialized trace. Fed the same opportunity instants a trace holds, it
-// returns bit-identical results to Evaluate on that trace
-// (TestStreamingOpportunitiesMatchSlicePath).
+// EvaluateStreaming returns the full §5.1 metric set with the omniscient
+// bound and offered capacity taken from the opportunity stream fed through
+// ObserveOpportunity instead of a materialized trace. Fed the same
+// opportunity instants a trace holds, it returns bit-identical results to
+// Evaluate on that trace (TestStreamingOpportunitiesMatchSlicePath); fed
+// the instants a link served, it also counts the loops of a trace shorter
+// than the run, which Evaluate cannot see.
 func (a *Accumulator) EvaluateStreaming() Result {
 	if !a.trackOps {
 		panic("metrics: EvaluateStreaming without TrackOpportunities")

@@ -100,16 +100,6 @@ func TestHeaderMarshalAppends(t *testing.T) {
 	}
 }
 
-// WireSize returns the packet's total size on the wire (test-only).
-func (h *Header) WireSize() int { return HeaderSize + int(h.PayloadLen) }
-
-func TestHeaderWireSize(t *testing.T) {
-	h := Header{PayloadLen: 100}
-	if got := h.WireSize(); got != HeaderSize+100 {
-		t.Errorf("WireSize = %d", got)
-	}
-}
-
 func TestHeaderUnmarshalReusesForecastSlice(t *testing.T) {
 	h := Header{Flags: FlagForecast, Forecast: []uint32{1, 2, 3}}
 	buf, _ := h.Marshal(nil)

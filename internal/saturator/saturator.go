@@ -32,6 +32,9 @@ const (
 	MaxRTT = 3000 * time.Millisecond
 )
 
+// initialWindow is the starting packets-in-flight target.
+const initialWindow = 10
+
 // Conn carries packets toward the peer.
 type Conn interface {
 	Send(pkt *network.Packet)
@@ -87,9 +90,6 @@ type SenderConfig struct {
 	Clock sim.Clock
 	Conn  Conn
 	Flow  uint32
-	// InitialWindow is the starting packets-in-flight target; zero
-	// means 10.
-	InitialWindow int
 	// Pool, if non-nil, is the packet arena probes draw from (world
 	// reuse); nil allocates from the heap.
 	Pool *network.Pool
@@ -111,12 +111,8 @@ func (s *Sender) Reset(cfg SenderConfig) {
 	if cfg.Clock == nil || cfg.Conn == nil {
 		panic("saturator: SenderConfig requires Clock and Conn")
 	}
-	w := cfg.InitialWindow
-	if w == 0 {
-		w = 10
-	}
 	s.clock, s.conn, s.flow, s.pool = cfg.Clock, cfg.Conn, cfg.Flow, cfg.Pool
-	s.window = w
+	s.window = initialWindow
 	s.inFlight, s.nextSeq = 0, 0
 	clear(s.sentAt)
 	s.pumpTimer.Stop() // no-op after a clock reset (stale handle)

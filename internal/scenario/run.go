@@ -266,38 +266,29 @@ func runFlows(spec Spec, w *world) (Result, error) {
 	w.buildRoster(spec)
 
 	// Metrics accumulate as packets cross the downlinks; the raw log is
-	// kept only when the spec asks for it. Streaming runs also accumulate
-	// the omniscient bound and offered capacity online, from the
-	// opportunity instants the links service — there is no trace to
-	// consult later. The instants arrive from every cell in one globally
+	// kept only when the spec asks for it. The omniscient bound and the
+	// offered capacity accumulate online too, from the opportunity
+	// instants the links service — a streamed process's and a replayed
+	// trace's alike, so a trace shorter than the run counts every loop it
+	// serves. The instants arrive from every cell in one globally
 	// nondecreasing stream (event-loop order), so the bound and the
 	// utilization are fleet-wide.
-	streaming := spec.Process != nil
 	for i := range w.cells[:cells] {
 		down := w.cells[i].down
-		if streaming {
-			down.OnOpportunity(w.observeOp)
-		}
+		down.OnOpportunity(w.observeOp)
 		down.OnDelivery(w.observe)
 	}
 	w.cells[0].down.RecordDeliveries(spec.KeepDeliveries)
 	if err := w.attachRoster(spec, shared); err != nil {
 		return Result{}, err
 	}
-	if streaming {
-		w.acc.TrackOpportunities(time.Duration(spec.PropDelay))
-	}
+	w.acc.TrackOpportunities(time.Duration(spec.PropDelay))
 
 	w.loop.Run(time.Duration(spec.Duration))
 	if w.attachErr != nil {
 		return Result{}, w.attachErr
 	}
-	res := Result{Spec: spec}
-	if streaming {
-		res.Metrics = w.acc.EvaluateStreaming()
-	} else {
-		res.Metrics = w.acc.Evaluate(spec.DataTrace, time.Duration(spec.PropDelay))
-	}
+	res := Result{Spec: spec, Metrics: w.acc.EvaluateStreaming()}
 	if spec.KeepDeliveries {
 		res.Deliveries = w.cells[0].down.TakeDeliveries()
 	}

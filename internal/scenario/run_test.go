@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sprout/internal/metrics"
+	"sprout/internal/trace"
 )
 
 // shortSpecs trims the testdata durations so the end-to-end sweep stays
@@ -137,5 +140,53 @@ func TestCoDelOverride(t *testing.T) {
 	if forcedOff.Metrics != plain.Metrics {
 		t.Errorf("cubic-codel with CoDel off = %+v, want plain cubic %+v",
 			forcedOff.Metrics, plain.Metrics)
+	}
+}
+
+// TestLoopedTraceCountsEveryCycle: an injected trace shorter than the run
+// loops, and its metrics must read as if the loops had been written out.
+// The trace is 10 s of 1 ms opportunities followed by a 6 s outage; cubic
+// runs it for 40 s, two and a half cycles. Utilization stays at most one,
+// the omniscient bound sees only the outage, and the same run on the trace
+// unrolled to cover all 40 s gives the same metrics field for field.
+func TestLoopedTraceCountsEveryCycle(t *testing.T) {
+	const period = 16 * time.Second
+	cycle := &trace.Trace{Name: "busy-then-outage"}
+	for at := time.Millisecond; at <= 10*time.Second; at += time.Millisecond {
+		cycle.Opportunities = append(cycle.Opportunities, at)
+	}
+	cycle.Opportunities = append(cycle.Opportunities, period)
+	unrolled := &trace.Trace{Name: "unrolled"}
+	for k := time.Duration(0); k < 3; k++ {
+		for _, at := range cycle.Opportunities {
+			unrolled.Opportunities = append(unrolled.Opportunities, at+k*period)
+		}
+	}
+	feedback := &trace.Trace{Name: "steady"}
+	for at := time.Millisecond; at <= 41*time.Second; at += time.Millisecond {
+		feedback.Opportunities = append(feedback.Opportunities, at)
+	}
+	run := func(data *trace.Trace) metrics.Result {
+		res, err := Run(Spec{Scheme: "cubic", DataTrace: data, FeedbackTrace: feedback,
+			Duration: Duration(40 * time.Second), Skip: Duration(5 * time.Second), Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics
+	}
+	looped := run(cycle)
+	t.Logf("looped: utilization %.3f, omniscient95 %v, self-inflicted95 %v",
+		looped.Utilization, looped.Omniscient95, looped.SelfInflicted95)
+	if looped.Utilization <= 0.5 || looped.Utilization > 1 {
+		t.Errorf("utilization %.3f, want in (0.5, 1]: every loop's opportunities are capacity", looped.Utilization)
+	}
+	if looped.Omniscient95 > 6*time.Second+20*time.Millisecond {
+		t.Errorf("omniscient95 %v exceeds the 6 s outage plus propagation: the loops are not opportunities", looped.Omniscient95)
+	}
+	if looped.SelfInflicted95 <= 0 {
+		t.Errorf("self-inflicted95 %v, want cubic's standing queue to show", looped.SelfInflicted95)
+	}
+	if want := run(unrolled); looped != want {
+		t.Errorf("looped trace:   %+v\nunrolled trace: %+v", looped, want)
 	}
 }

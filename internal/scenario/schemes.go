@@ -26,7 +26,7 @@ func init() {
 	Register(Scheme{
 		Name:        "sprout-ewma",
 		Description: "Sprout-EWMA: EWMA rate tracker in place of the Bayesian filter (§5.3)",
-		New:         sproutConstructor("sprout-ewma", func(core.Params) core.Forecaster { return core.NewEWMAForecaster(0, 0, 0) }),
+		New:         sproutConstructor("sprout-ewma", func(core.Params) core.Forecaster { return core.NewEWMAForecaster() }),
 	})
 
 	// Interactive applications (the measured commercial programs).

@@ -326,7 +326,7 @@ func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handl
 
 // newCoDel builds a CoDel AQM that releases its drops to the world's arena.
 func (w *world) newCoDel() *codel.CoDel {
-	c := codel.New(0, 0)
+	c := codel.New()
 	c.UsePool(&w.pool)
 	return c
 }

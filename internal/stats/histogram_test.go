@@ -36,36 +36,6 @@ func TestLogHistogramBinEdges(t *testing.T) {
 	}
 }
 
-// TailFraction returns the fraction of observations >= v (test-only).
-func (h *LogHistogram) TailFraction(v float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	var tail int64 = h.overflow
-	for i := len(h.bins) - 1; i >= 0; i-- {
-		lo, _, n := h.Bin(i)
-		if lo < v {
-			break
-		}
-		tail += n
-	}
-	return float64(tail) / float64(h.count)
-}
-
-func TestLogHistogramTailFraction(t *testing.T) {
-	h := NewLogHistogram(1, 1000, 30)
-	for i := 0; i < 90; i++ {
-		h.Observe(2)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(500)
-	}
-	tail := h.TailFraction(100)
-	if math.Abs(tail-0.1) > 0.02 {
-		t.Errorf("TailFraction(100) = %v, want ~0.1", tail)
-	}
-}
-
 func TestPowerLawTailFitRecoversExponent(t *testing.T) {
 	// Sample from a Pareto distribution with exponent alpha: the density
 	// is proportional to x^-(alpha+1).

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -79,30 +78,6 @@ func TestIntervalSetFloorWritesOffGap(t *testing.T) {
 	s.AdvanceFloor(1000)
 	if got := s.Total(); got != 2000 {
 		t.Errorf("Total = %d, want 2000", got)
-	}
-}
-
-// Covered reports whether byte b is in the set (test-only).
-func (s *IntervalSet) Covered(b int64) bool {
-	if b < s.floor {
-		return true
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].end > b })
-	return i < len(s.ivs) && s.ivs[i].start <= b
-}
-
-func TestIntervalSetCovered(t *testing.T) {
-	var s IntervalSet
-	s.Add(10, 20)
-	s.AdvanceFloor(5)
-	cases := []struct {
-		b    int64
-		want bool
-	}{{0, true}, {4, true}, {5, false}, {9, false}, {10, true}, {19, true}, {20, false}}
-	for _, c := range cases {
-		if got := s.Covered(c.b); got != c.want {
-			t.Errorf("Covered(%d) = %v, want %v", c.b, got, c.want)
-		}
 	}
 }
 

@@ -20,13 +20,13 @@ type SenderConfig struct {
 	// kernel's receive-buffer autotuning limit (Linux ~4 MB by default,
 	// i.e. ~2800 MTU segments). Zero means 2800.
 	MaxWindow int
-	// MinRTO is the retransmission-timer floor; zero means 200 ms
-	// (the Linux default).
-	MinRTO time.Duration
 	// Pool, if non-nil, is the packet arena segments draw from (world
 	// reuse); nil allocates from the heap.
 	Pool *network.Pool
 }
+
+// minRTO is the retransmission-timer floor, the Linux default.
+const minRTO = 200 * time.Millisecond
 
 func (c SenderConfig) withDefaults() SenderConfig {
 	if c.MSS == 0 {
@@ -34,9 +34,6 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 2800
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
 	}
 	return c
 }
@@ -271,10 +268,7 @@ func (s *Sender) updateRTT(rtt time.Duration) {
 		s.rttvar = (3*s.rttvar + d) / 4
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
-	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
-	}
+	s.rto = max(s.srtt+4*s.rttvar, minRTO)
 }
 
 // Receiver is the TCP receiving endpoint: cumulative ACKs with duplicate-ACK

@@ -187,8 +187,8 @@ func (s *mapSender) updateRTT(rtt time.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 }
 

@@ -204,65 +204,6 @@ func TestLoopMatchesMahimahiWrap(t *testing.T) {
 	}
 }
 
-// Concat chains processes end to end: each part runs to exhaustion, and
-// the next part's times are offset by the time the stream had reached.
-// Reset hands each part an independent derived seed. No spec grammar
-// reaches it, so it lives here, beside its test.
-type Concat struct {
-	parts []DeliveryProcess
-	cur   int
-	base  time.Duration // offset applied to the current part
-	last  time.Duration
-}
-
-// NewConcat chains the given parts (at least one).
-func NewConcat(parts ...DeliveryProcess) *Concat {
-	if len(parts) == 0 {
-		panic("trace: Concat needs at least one process")
-	}
-	return &Concat{parts: parts}
-}
-
-// Reset implements DeliveryProcess.
-func (p *Concat) Reset(seed int64) {
-	p.cur = 0
-	p.base, p.last = 0, 0
-	for i, part := range p.parts {
-		part.Reset(mixSeed(seed, i))
-	}
-}
-
-// Next implements DeliveryProcess.
-func (p *Concat) Next() (time.Duration, bool) {
-	for p.cur < len(p.parts) {
-		v, ok := p.parts[p.cur].Next()
-		if ok {
-			p.last = p.base + v
-			return p.last, true
-		}
-		p.cur++
-		p.base = p.last
-	}
-	return 0, false
-}
-
-func TestConcatOffsetsParts(t *testing.T) {
-	a := &Trace{Opportunities: []time.Duration{1 * time.Millisecond, 4 * time.Millisecond}}
-	b := &Trace{Opportunities: []time.Duration{2 * time.Millisecond, 3 * time.Millisecond}}
-	c := NewConcat(NewReplay(a), NewReplay(b))
-	c.Reset(1)
-	got := drain(c, 10)
-	want := []time.Duration{1 * time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond, 7 * time.Millisecond}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestHandoverSwitchesOnSchedule(t *testing.T) {
 	// Stage A would emit at 1,2,...,9 ms but hands over at 3 ms; stage B
 	// (relative times 0,5 ms) starts at the handover instant.

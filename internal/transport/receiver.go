@@ -22,23 +22,15 @@ type ReceiverConfig struct {
 	// core.DeliveryForecaster, or core.EWMAForecaster for Sprout-EWMA.
 	// Nil builds a default Bayesian forecaster.
 	Forecaster core.Forecaster
-	// MTU is the wire size used to normalize byte counts into the
-	// model's MTU-packet units. Zero means network.MTU.
-	MTU int
-	// FeedbackEvery sends feedback once per this many ticks. Zero
-	// means every tick (the paper piggybacks the forecast on every
-	// outgoing packet; at one tick per feedback the control traffic is
-	// under 4 kB/s).
-	FeedbackEvery int
 	// Deliver, if non-nil, receives each data packet's payload beyond
 	// the header (used by the tunnel).
 	Deliver func(payload []byte)
 	// LiteralSkip applies the paper's literal §3.2 rule: ticks whose
 	// newest packet declared a pending time-to-next are skipped outright
 	// instead of contributing a censored lower-bound observation. Kept
-	// for the ablation in bench_test.go; the default (false) is the
-	// information-preserving censored update (DESIGN.md §6.1), without
-	// which underflowed periods leave the estimate frozen.
+	// for the ablation table in ablation_test.go; the default (false) is
+	// the information-preserving censored update (DESIGN.md §6.1),
+	// without which underflowed periods leave the estimate frozen.
 	LiteralSkip bool
 	// Pool, if non-nil, is the packet arena feedback packets draw from
 	// (world reuse); nil allocates from the heap.
@@ -48,12 +40,6 @@ type ReceiverConfig struct {
 func (c ReceiverConfig) withDefaults() ReceiverConfig {
 	if c.Forecaster == nil {
 		c.Forecaster = core.NewDeliveryForecaster(core.NewModel(core.Params{}))
-	}
-	if c.MTU == 0 {
-		c.MTU = network.MTU
-	}
-	if c.FeedbackEvery == 0 {
-		c.FeedbackEvery = 1
 	}
 	return c
 }
@@ -72,7 +58,6 @@ type Receiver struct {
 	expectedNext  time.Duration // when the sender's declared next packet is due (with jitter slack)
 
 	feedbackSeq   uint64 // sequence space of the feedback direction
-	ticksSinceFB  int
 	forecastBuf   []float64
 	fcWireBuf     []uint32 // scratch for the outgoing forecast encoding
 	fcParseBuf    []uint32 // scratch for parsing arriving headers
@@ -121,7 +106,6 @@ func (r *Receiver) Reset(cfg ReceiverConfig) {
 	r.seenAny = false
 	r.lastTTN, r.expectedNext = 0, 0
 	r.feedbackSeq = 0
-	r.ticksSinceFB = 0
 	r.forecastBuf = r.forecastBuf[:0]
 	r.feedbackCount = 0
 	r.packetsReceived, r.bytesReceived, r.parseErrors = 0, 0, 0
@@ -196,7 +180,7 @@ func (r *Receiver) tick() {
 	r.tickTimer = sim.Reschedule(r.cfg.Clock, r.tickTimer, r.cfg.Forecaster.TickDuration(), r.tickFn)
 	now := r.cfg.Clock.Now()
 
-	observed := float64(r.bytesThisTick) / float64(r.cfg.MTU)
+	observed := float64(r.bytesThisTick) / network.MTU
 	switch {
 	case !r.seenAny:
 		// Nothing has ever arrived: the flow has not started, so an
@@ -233,22 +217,19 @@ func (r *Receiver) tick() {
 		r.ticksObserved++
 	}
 	r.bytesThisTick = 0
-
-	r.ticksSinceFB++
-	if r.ticksSinceFB >= r.cfg.FeedbackEvery {
-		r.ticksSinceFB = 0
-		r.sendFeedback(now)
-	}
+	r.sendFeedback(now)
 }
 
-// sendFeedback emits a forecast packet toward the sender (§3.4). In a
-// bidirectional session this rides on data packets; in a one-way transfer
-// it is a small dedicated packet.
+// sendFeedback emits a forecast packet toward the sender (§3.4), once per
+// tick. In a bidirectional session this rides on data packets; in a
+// one-way transfer it is a small dedicated packet (the paper piggybacks
+// the forecast on every outgoing packet; at one per tick the control
+// traffic is under 4 kB/s).
 func (r *Receiver) sendFeedback(now time.Duration) {
 	r.forecastBuf = r.cfg.Forecaster.Forecast(r.forecastBuf[:0])
 	fc := r.fcWireBuf[:0] // scratch; Marshal copies it into the payload
 	for _, pkts := range r.forecastBuf {
-		b := pkts * float64(r.cfg.MTU)
+		b := pkts * network.MTU
 		if b < 0 {
 			b = 0
 		}

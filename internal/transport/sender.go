@@ -18,49 +18,26 @@ type SenderConfig struct {
 	Conn Conn
 	// Source provides application data; nil means an infinite backlog.
 	Source Source
-	// MTU is the wire size of a full data packet. Zero means
-	// network.MTU (1500).
-	MTU int
 	// Tick is the cadence at which the sender re-derives its window and
 	// advances through the forecast. Zero means 20 ms (the paper's τ).
+	// An idle sender heartbeats once per tick, so the receiver can tell
+	// idleness from an outage (§3.2).
 	Tick time.Duration
 	// LookaheadTicks is how far into the forecast the window reaches:
 	// bytes expected to drain within Lookahead·Tick. Zero means 5
 	// (100 ms, the interactivity bound of §3.5).
 	LookaheadTicks int
-	// HeartbeatInterval is how often an idle sender emits a tiny
-	// keepalive so the receiver can distinguish idleness from an outage
-	// (§3.2). Zero means one tick.
-	HeartbeatInterval time.Duration
-	// ProbePackets is the number of packets per tick the sender may
-	// send when it has no usable window — at connection start, or after
-	// an idle period has decayed the forecast — so the feedback loop can
-	// bootstrap. The paper's evaluation always starts saturated and
-	// explicitly leaves startup-from-idle unoptimized (§7); one packet
-	// per tick is the minimal probe that restarts inference. Probing is
-	// suppressed while the queue estimate indicates backlog. Zero means
-	// 1; negative disables probing.
-	ProbePackets int
 	// Pool, if non-nil, is the packet arena outgoing packets draw from
 	// (world reuse); nil allocates from the heap.
 	Pool *network.Pool
 }
 
 func (c SenderConfig) withDefaults() SenderConfig {
-	if c.MTU == 0 {
-		c.MTU = network.MTU
-	}
 	if c.Tick == 0 {
 		c.Tick = 20 * time.Millisecond
 	}
 	if c.LookaheadTicks == 0 {
 		c.LookaheadTicks = 5
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = c.Tick
-	}
-	if c.ProbePackets == 0 {
-		c.ProbePackets = 1
 	}
 	if c.Source == nil {
 		c.Source = BulkSource{}
@@ -117,6 +94,13 @@ type sentRecord struct {
 // bootstrap probe may fire: it must exceed the couple of packets that are
 // merely in flight over the path RTT, while still suppressing probes when a
 // genuine queue is standing.
+//
+// The probe is one packet per tick, sent when the sender has no usable
+// window — at connection start, or after an idle period has decayed the
+// forecast — so the feedback loop can bootstrap. The paper's evaluation
+// always starts saturated and explicitly leaves startup-from-idle
+// unoptimized (§7); one packet per tick is the minimal probe that restarts
+// inference.
 const probeHeadroom = 4
 
 // NewSender creates the sender and starts its tick and heartbeat timers.
@@ -160,7 +144,7 @@ func (s *Sender) Reset(cfg SenderConfig) {
 	s.tickTimer.Stop() // no-ops after a clock reset (stale handles)
 	s.hbTimer.Stop()
 	s.tickTimer = s.cfg.Clock.After(cfg.Tick, s.tickFn)
-	s.hbTimer = s.cfg.Clock.After(cfg.HeartbeatInterval, s.hbFn)
+	s.hbTimer = s.cfg.Clock.After(cfg.Tick, s.hbFn)
 }
 
 // BytesSent returns the total wire bytes sent (the sequence number).
@@ -240,19 +224,19 @@ func (s *Sender) tick() {
 	s.maybeSend()
 }
 
-// heartbeat keeps the receiver informed while idle. It fires exactly
-// HeartbeatInterval after the most recent transmission, so the sender never
-// breaks the time-to-next promise carried on its packets: every declared
-// gap is covered by either the next flight or a heartbeat.
+// heartbeat keeps the receiver informed while idle. It fires exactly one
+// tick after the most recent transmission, so the sender never breaks the
+// time-to-next promise carried on its packets: every declared gap is
+// covered by either the next flight or a heartbeat.
 func (s *Sender) heartbeat() {
 	s.heartbeats++
-	s.sendPacket(nil, 0, protocol.FlagHeartbeat, s.cfg.HeartbeatInterval)
+	s.sendPacket(nil, 0, protocol.FlagHeartbeat, s.cfg.Tick)
 }
 
-// rescheduleHeartbeat pushes the idle keepalive to HeartbeatInterval after
-// the packet just sent, re-arming the standing timer in place.
+// rescheduleHeartbeat pushes the idle keepalive to one tick after the
+// packet just sent, re-arming the standing timer in place.
 func (s *Sender) rescheduleHeartbeat() {
-	s.hbTimer = sim.Reschedule(s.cfg.Clock, s.hbTimer, s.cfg.HeartbeatInterval, s.hbFn)
+	s.hbTimer = sim.Reschedule(s.cfg.Clock, s.hbTimer, s.cfg.Tick, s.hbFn)
 }
 
 // advanceForecast walks the sender's position in the 8-tick forecast
@@ -308,7 +292,7 @@ func (s *Sender) maybeSend() {
 	s.advanceForecast()
 	w := s.window()
 	sent := 0
-	maxPayload := s.cfg.MTU - protocol.HeaderSize
+	const maxPayload = network.MTU - protocol.HeaderSize
 	for w >= int64(protocol.HeaderSize) {
 		data, wireLen := s.cfg.Source.NextPayload(maxPayload)
 		if wireLen == 0 {
@@ -322,15 +306,11 @@ func (s *Sender) maybeSend() {
 		s.sendPacket(data, wireLen, 0, 0)
 		sent++
 	}
-	if sent == 0 && s.cfg.ProbePackets > 0 && s.queueEst <= probeHeadroom*int64(s.cfg.MTU) {
+	if sent == 0 && s.queueEst <= probeHeadroom*network.MTU {
 		// Bootstrap/restart probe: the forecast allows nothing, but we
 		// believe the queue is empty, so a small probe is safe and
 		// keeps the inference fed.
-		for i := 0; i < s.cfg.ProbePackets; i++ {
-			data, wireLen := s.cfg.Source.NextPayload(maxPayload)
-			if wireLen == 0 {
-				break
-			}
+		if data, wireLen := s.cfg.Source.NextPayload(maxPayload); wireLen > 0 {
 			s.sendPacket(data, wireLen, 0, 0)
 			s.probesSent++
 			sent++

@@ -229,7 +229,7 @@ func TestEWMAVariantRunsAndIsFaster(t *testing.T) {
 		return bytes
 	}
 	sprout := mk(core.NewDeliveryForecaster(core.NewModel(core.Params{})))
-	ewma := mk(core.NewEWMAForecaster(0, 0, 0))
+	ewma := mk(core.NewEWMAForecaster())
 	if ewma < sprout {
 		t.Errorf("Sprout-EWMA bytes = %d < Sprout bytes = %d; EWMA should be at least as fast", ewma, sprout)
 	}

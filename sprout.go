@@ -89,11 +89,9 @@ func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return core.NewDeliveryForecaster(m)
 }
 
-// NewEWMAForecaster builds the Sprout-EWMA rate tracker; zero arguments
-// select the defaults (gain 1/8, 20 ms tick, 8-tick horizon).
-func NewEWMAForecaster(gain float64, tick time.Duration, horizon int) *EWMAForecaster {
-	return core.NewEWMAForecaster(gain, tick, horizon)
-}
+// NewEWMAForecaster builds the Sprout-EWMA rate tracker: gain 1/8 per
+// 20 ms tick, 8-tick horizon.
+func NewEWMAForecaster() *EWMAForecaster { return core.NewEWMAForecaster() }
 
 // DefaultParams returns the paper's frozen model constants.
 func DefaultParams() Params { return core.DefaultParams() }

@@ -82,7 +82,7 @@ func TestPublicAPIForecaster(t *testing.T) {
 	if len(fc) != 8 || fc[7] <= 0 {
 		t.Errorf("forecast = %v", fc)
 	}
-	e := sprout.NewEWMAForecaster(0, 0, 0)
+	e := sprout.NewEWMAForecaster()
 	e.Tick(6, sprout.ObsExact)
 	if e.Rate() != 6 {
 		t.Errorf("ewma rate = %v", e.Rate())
