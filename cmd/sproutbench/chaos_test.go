@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sprout/internal/dispatch"
 	"sprout/internal/fault"
 	"sprout/internal/harness"
 	"sprout/internal/scenario"
@@ -74,33 +75,35 @@ func chaosMergedBytes(t *testing.T, results []scenario.Result) []byte {
 }
 
 // chaosConfig is the supervision setup every chaos test shares: the test
-// binary as child, fast polling and backoff. The stall deadline must
+// binary as child (env(1) marks it for the TestMain reroute), fast
+// polling and backoff. The stall deadline must
 // outlast a healthy child's time to its first record, and a race-built
 // child on a 2-CPU box spends seconds folding the forecast table before
 // it writes one: at 1 s every healthy child was stall-killed three times
 // and rescued, which fails the tests asserting Rescued == 0. Tests that
 // assert a stall kill set their own short deadline.
-func chaosConfig(t *testing.T, scenarioPath string, specs []scenario.Spec, dir string, plan fault.Plan) superviseConfig {
+func chaosConfig(t *testing.T, scenarioPath string, specs []scenario.Spec, dir string, plan fault.Plan) dispatch.Config {
 	t.Helper()
-	return superviseConfig{
-		Exe:         os.Args[0],
-		ExtraEnv:    []string{"SPROUTBENCH_CHILD=1"},
-		Scenario:    scenarioPath,
+	opt := chaosOptions()
+	return dispatch.Config{
+		Worker:      append([]string{"env", "SPROUTBENCH_CHILD=1"}, workerPrefix(os.Args[0], scenarioPath, opt)...),
 		Specs:       specs,
+		Seed:        opt.Seed,
 		Dir:         dir,
 		Shards:      2,
+		Parallel:    1,
 		Retries:     3,
 		Stall:       15 * time.Second,
 		Poll:        25 * time.Millisecond,
 		BackoffBase: 5 * time.Millisecond,
-		BackoffCap:  40 * time.Millisecond,
-		Opt:         chaosOptions(),
-		Parallel:    1,
-		Plan:        plan,
+		Faults:      plan,
 		Rescue:      true,
 		Log:         testLogWriter{t},
 	}
 }
+
+// shardFaults is a plan of process faults only.
+func shardFaults(fs map[int][]fault.Fault) fault.Plan { return fault.Plan{Shards: fs} }
 
 type testLogWriter struct{ t *testing.T }
 
@@ -129,12 +132,12 @@ func TestChaosSoak(t *testing.T) {
 	for seed := int64(1); seed <= soakRuns; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			plan := fault.NewPlan(seed, 2, 3, 1500*time.Millisecond)
-			if len(plan) > 0 {
+			plan := fault.NewPlan(seed, 2, nil, 3, 1500*time.Millisecond)
+			if len(plan.Shards) > 0 {
 				faulted++
 			}
 			dir := t.TempDir()
-			sum, err := supervise(context.Background(), chaosConfig(t, scenarioPath, specs, dir, plan))
+			sum, err := dispatch.Supervise(context.Background(), chaosConfig(t, scenarioPath, specs, dir, plan))
 			if err != nil {
 				t.Fatalf("seed %d (%s): %v", seed, plan, err)
 			}
@@ -165,12 +168,12 @@ func TestSuperviseRescueReassignsDeadShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := fault.Plan{0: {
+	plan := shardFaults(map[int][]fault.Fault{0: {
 		{Kind: fault.Crash, After: 0},
 		{Kind: fault.Crash, After: 0},
 		{Kind: fault.Crash, After: 0},
-	}}
-	sum, err := supervise(context.Background(), chaosConfig(t, scenarioPath, specs, t.TempDir(), plan))
+	}})
+	sum, err := dispatch.Supervise(context.Background(), chaosConfig(t, scenarioPath, specs, t.TempDir(), plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +206,14 @@ func TestSupervisePartialReportsMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := fault.Plan{0: {
+	plan := shardFaults(map[int][]fault.Fault{0: {
 		{Kind: fault.Crash, After: 0},
 		{Kind: fault.Crash, After: 0},
 		{Kind: fault.Crash, After: 0},
-	}}
+	}})
 	cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), plan)
 	cfg.Rescue = false
-	sum, err := supervise(context.Background(), cfg)
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +239,9 @@ func TestSuperviseQuarantinesCorruptLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := fault.Plan{0: {{Kind: fault.Corrupt, After: 1}}}
+	plan := shardFaults(map[int][]fault.Fault{0: {{Kind: fault.Corrupt, After: 1}}})
 	dir := t.TempDir()
-	sum, err := supervise(context.Background(), chaosConfig(t, scenarioPath, specs, dir, plan))
+	sum, err := dispatch.Supervise(context.Background(), chaosConfig(t, scenarioPath, specs, dir, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +272,11 @@ func TestSuperviseKillsStalledShard(t *testing.T) {
 	}
 	// The stall sleeps far beyond the deadline: only the supervisor's
 	// kill, not the injector's patience, can end the attempt promptly.
-	plan := fault.Plan{1: {{Kind: fault.Stall, After: 1, For: 5 * time.Minute}}}
+	plan := shardFaults(map[int][]fault.Fault{1: {{Kind: fault.Stall, After: 1, For: 5 * time.Minute}}})
 	cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), plan)
 	cfg.Stall = 500 * time.Millisecond
 	start := time.Now()
-	sum, err := supervise(context.Background(), cfg)
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

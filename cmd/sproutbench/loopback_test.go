@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -19,14 +21,14 @@ import (
 )
 
 // loopbackConfig is chaosConfig rewired onto a loopback host pool.
-func loopbackConfig(t *testing.T, tr dispatch.Transport, hosts []string) superviseConfig {
+func loopbackConfig(t *testing.T, tr dispatch.Transport, hosts []string) dispatch.Config {
 	t.Helper()
 	scenarioPath := chaosScenario(t)
 	specs, _, err := loadScenarioSpecs(scenarioPath, chaosOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), nil)
+	cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), fault.Plan{})
 	cfg.Transport = tr
 	cfg.Hosts = hosts
 	return cfg
@@ -37,7 +39,7 @@ func loopbackConfig(t *testing.T, tr dispatch.Transport, hosts []string) supervi
 // across a two-host pool, with no recovery machinery involved.
 func TestSuperviseLoopbackClean(t *testing.T) {
 	cfg := loopbackConfig(t, dispatch.NewLoopback(), []string{"h0", "h1"})
-	sum, err := supervise(context.Background(), cfg)
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestSuperviseLoopbackDeadHostFailover(t *testing.T) {
 	lb := dispatch.NewLoopback()
 	lb.KillHost("h0")
 	cfg := loopbackConfig(t, lb, []string{"h0", "h1"})
-	sum, err := supervise(context.Background(), cfg)
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +97,21 @@ func TestSuperviseLoopbackDeadHostFailover(t *testing.T) {
 // rescue: the mirror plus re-dispatch carry the whole recovery.
 func TestSuperviseLoopbackMidSweepKill(t *testing.T) {
 	lb := dispatch.NewLoopback()
-	plan := fault.NetPlan{"h0": {{Kind: fault.HostDown, After: 3}}}
-	cfg := loopbackConfig(t, dispatch.WithNetFaults(lb, plan, lb.KillHost), []string{"h0", "h1"})
+	cfg := loopbackConfig(t, lb, []string{"h0", "h1"})
 	// Three shards across two hosts: the kill strands work wherever the
 	// pool placed it. Simulated jobs outrun wall-clock polling, so a
 	// mid-stream stall holds each worker in flight long enough that pull
 	// 3 lands mid-sweep.
 	cfg.Shards = 3
-	cfg.Plan = fault.Plan{
-		0: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
-		1: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
-		2: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
+	cfg.Faults = fault.Plan{
+		Shards: map[int][]fault.Fault{
+			0: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
+			1: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
+			2: {{Kind: fault.Stall, After: 1, For: 300 * time.Millisecond}},
+		},
+		Hosts: map[string][]fault.Fault{"h0": {{Kind: fault.HostDown, After: 3}}},
 	}
-	sum, err := supervise(context.Background(), cfg)
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +143,12 @@ func TestSuperviseLoopbackMidSweepKill(t *testing.T) {
 // rescue (the documented last resort) recomputes what the mirrors do
 // not hold, still byte-identically.
 func TestSuperviseLoopbackTotalLossRescue(t *testing.T) {
-	lb := dispatch.NewLoopback()
-	plan := fault.NetPlan{
+	cfg := loopbackConfig(t, dispatch.NewLoopback(), []string{"h0", "h1"})
+	cfg.Faults = fault.Plan{Hosts: map[string][]fault.Fault{
 		"h0": {{Kind: fault.HostDown, After: 0}},
 		"h1": {{Kind: fault.HostDown, After: 0}},
-	}
-	cfg := loopbackConfig(t, dispatch.WithNetFaults(lb, plan, lb.KillHost), []string{"h0", "h1"})
-	sum, err := supervise(context.Background(), cfg)
+	}}
+	sum, err := dispatch.Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +195,24 @@ func TestSuperviseLoopbackNetChaosSoak(t *testing.T) {
 	for seed := int64(1); seed <= soakRuns; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			netPlan := fault.NewNetPlan(seed, hosts, 1)
-			for k := range netPlan.Kinds() {
-				kindsDrawn[k] = true
+			plan := fault.NewPlan(seed, 2, hosts, 3, 1500*time.Millisecond)
+			for _, fs := range plan.Hosts {
+				for _, f := range fs {
+					kindsDrawn[f.Kind] = true
+				}
 			}
-			procPlan := fault.NewPlan(seed, 2, 3, 1500*time.Millisecond)
-			lb := dispatch.NewLoopback()
-			cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), procPlan)
-			cfg.Transport = dispatch.WithNetFaults(lb, netPlan, lb.KillHost)
+			cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), plan)
+			cfg.Transport = dispatch.NewLoopback()
 			cfg.Hosts = hosts
-			sum, err := supervise(context.Background(), cfg)
+			sum, err := dispatch.Supervise(context.Background(), cfg)
 			if err != nil {
-				t.Fatalf("seed %d (net %s; proc %s): %v", seed, netPlan, procPlan, err)
+				t.Fatalf("seed %d (%s): %v", seed, plan, err)
 			}
 			if len(sum.Missing) > 0 {
-				t.Fatalf("seed %d (net %s; proc %s): missing %v", seed, netPlan, procPlan, sum.Missing)
+				t.Fatalf("seed %d (%s): missing %v", seed, plan, sum.Missing)
 			}
 			if got := chaosMergedBytes(t, sum.Results); !bytes.Equal(got, ref) {
-				t.Fatalf("seed %d (net %s; proc %s): merged bytes differ from the fault-free run", seed, netPlan, procPlan)
+				t.Fatalf("seed %d (%s): merged bytes differ from the fault-free run", seed, plan)
 			}
 		})
 	}
@@ -234,13 +237,13 @@ func TestSuperviseTimeout(t *testing.T) {
 	cfg := loopbackConfig(t, nil, nil) // default LocalExec, implicit host
 	// Hold each worker mid-shard well past the deadline, so the sweep is
 	// guaranteed to be cut short with work genuinely outstanding.
-	cfg.Plan = fault.Plan{
+	cfg.Faults = shardFaults(map[int][]fault.Fault{
 		0: {{Kind: fault.Stall, After: 1, For: 5 * time.Second}},
 		1: {{Kind: fault.Stall, After: 1, For: 5 * time.Second}},
-	}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	sum, err := supervise(ctx, cfg)
+	sum, err := dispatch.Supervise(ctx, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired sweep returned %v, want DeadlineExceeded", err)
 	}
@@ -267,30 +270,29 @@ func TestSuperviseTimeout(t *testing.T) {
 	}
 }
 
-// TestSuperviseRetriesZeroClamp: -retries 0 means the default at the CLI,
-// but a zero reaching supervise clamps to one attempt — the shard gets
-// exactly one try, dies on its crash, and rescue still completes the
-// grid.
-func TestSuperviseRetriesZeroClamp(t *testing.T) {
-	scenarioPath := chaosScenario(t)
-	specs, _, err := loadScenarioSpecs(scenarioPath, chaosOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := fault.Plan{0: {{Kind: fault.Crash, After: 0}}}
-	cfg := chaosConfig(t, scenarioPath, specs, t.TempDir(), plan)
-	cfg.Retries = 0
-	sum, err := supervise(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Outcomes[0]; !got.Dead || got.Attempts != 1 {
-		t.Fatalf("retries=0 outcome %+v, want dead after exactly 1 attempt", got)
-	}
-	if len(sum.Missing) > 0 {
-		t.Fatalf("missing after rescue: %v", sum.Missing)
-	}
-	if got := chaosMergedBytes(t, sum.Results); !bytes.Equal(got, chaosReference(t, specs)) {
-		t.Fatal("merge differs from the fault-free bytes")
+// TestSuperviseRejectsBadBounds: -retries 0 and -stall 0 mean the
+// default at the CLI, which parseShardFlags applies; a zero or negative
+// bound reaching Supervise is a caller bug, refused before any worker
+// starts rather than silently re-defaulted.
+func TestSuperviseRejectsBadBounds(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		retries int
+		stall   time.Duration
+	}{
+		{"zero retries", 0, time.Second},
+		{"zero stall", 3, 0},
+		{"negative stall", 3, -time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := loopbackConfig(t, nil, nil)
+			cfg.Retries, cfg.Stall = c.retries, c.stall
+			if _, err := dispatch.Supervise(context.Background(), cfg); err == nil {
+				t.Fatal("Supervise accepted the bound")
+			}
+			if _, err := os.Stat(filepath.Join(cfg.Dir, "manifest.json")); !os.IsNotExist(err) {
+				t.Fatalf("a rejected sweep touched its checkpoint directory (stat: %v)", err)
+			}
+		})
 	}
 }

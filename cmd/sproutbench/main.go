@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"sprout/internal/cell"
+	"sprout/internal/dispatch"
 	"sprout/internal/engine"
 	"sprout/internal/harness"
 	"sprout/internal/scenario"
@@ -58,10 +59,10 @@ func main() {
 	checkpointFlag := flag.String("checkpoint", "", "checkpoint directory for -shards: a killed sweep rerun resumes from the shard logs here")
 	hostsFlag := flag.String("hosts", "", "comma-separated host pool for -shards: shards are dispatched across these hosts with health scoring and failover")
 	transportFlag := flag.String("transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
-	retriesFlag := flag.Int("retries", 3, "attempts per shard before the supervisor declares it dead (with -shards; 0 = default)")
-	stallFlag := flag.Duration("stall", 2*time.Minute, "kill a shard child whose checkpoint log stops growing for this long (with -shards; 0 = default)")
+	retriesFlag := flag.Int("retries", 0, "attempts per shard before the supervisor declares it dead (with -shards; 0 = 3)")
+	stallFlag := flag.Duration("stall", 0, "kill a shard child whose checkpoint log stops growing for this long (with -shards; 0 = 2m)")
 	timeoutFlag := flag.Duration("timeout", 0, "sweep-wide deadline for -shards: an expired sweep terminates its children and exits via the -partial path with the exact missing-index report (0 = none)")
-	chaosFlag := flag.Int64("chaos", 0, "seed a deterministic fault-injection plan into the supervised children (with -shards; 0 = off); the merged output must be unchanged")
+	chaosFlag := flag.Int64("chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
 	partialFlag := flag.Bool("partial", false, "with -shards: merge whatever completed and report the exact missing job indexes instead of failing")
 	rescueFlag := flag.Bool("rescue", true, "with -shards: recompute dead shards' remaining jobs in-process instead of failing the sweep")
 	abFlag := flag.String("ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; sharded sweeps with p50/p95/p99 rollups and a verdict")
@@ -118,7 +119,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(exitUsage)
+		fatalExit(dispatch.ExitUsage)
 	}
 	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed}
 	eng := engine.New(*parallel)
@@ -151,7 +152,7 @@ func main() {
 	rows, err := harness.Select(*runFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(exitUsage)
+		fatalExit(dispatch.ExitUsage)
 	}
 	labeled("suite", func() { runSuite(rows, opt, eng) })
 }

@@ -1,7 +1,7 @@
 // Sharded sweeps from the CLI: -shard i/n runs one partition of a
 // -scenario grid and streams JSONL; -shards n supervises n child
-// processes (liveness tracking, classified retries, rescue of dead
-// shards' jobs) and merges their logs; -ab a.json,b.json fans two
+// processes through dispatch.Supervise (liveness tracking, classified
+// retries, rescue of dead shards' jobs) and merges their logs; -ab a.json,b.json fans two
 // variant grids across shards and reports per-variant p50/p95/p99
 // rollups with a verdict. See DESIGN.md §9–10.
 package main
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -157,6 +158,7 @@ func parseShardFlags(in shardFlagInputs) (shardMode, error) {
 			}
 		}
 		m.Transport = in.Transport
+		// "0 = default" for -retries and -stall is set here and only here.
 		m.Retries = in.Retries
 		if m.Retries == 0 {
 			m.Retries = 3
@@ -204,9 +206,10 @@ func loadScenarioSpecs(path string, opt harness.Options) ([]scenario.Spec, int, 
 // grid, run the owned partition, append records to the JSONL log. An
 // existing log resumes — completed indexes are skipped, a torn tail from
 // a killed predecessor is truncated — so the supervisor's retries never
-// recompute finished jobs. Permanent conditions exit with exitPermanent
-// so the supervisor fails the shard fast instead of burning retries: an
-// unloadable grid, or a corrupt (terminated-garbage) checkpoint log.
+// recompute finished jobs. Permanent conditions exit with
+// dispatch.ExitPermanent so the supervisor fails the shard fast instead
+// of burning retries: an unloadable grid, or a corrupt
+// (terminated-garbage) checkpoint log.
 // Faults a chaos supervisor injected via SPROUT_FAULT are wired around
 // the log writer here — the recovery machinery upstream cannot tell an
 // injected failure from a real one.
@@ -217,7 +220,7 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 	specs, _, err := loadScenarioSpecs(scenarioFile, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(exitPermanent)
+		fatalExit(dispatch.ExitPermanent)
 	}
 	var done []int
 	var w *engine.RecordWriter
@@ -227,7 +230,7 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 		recs, f, err := engine.OpenShardLog(out)
 		if errors.Is(err, engine.ErrCorruptLog) {
 			fmt.Fprintln(os.Stderr, "sproutbench:", err)
-			fatalExit(exitPermanent)
+			fatalExit(dispatch.ExitPermanent)
 		}
 		check(err)
 		defer f.Close()
@@ -240,15 +243,15 @@ func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harnes
 		sh, sh.Size(len(specs)), len(specs), len(done), st)
 }
 
-// runShardParent runs a supervised multi-process sweep: stamp the
-// checkpoint directory, supervise one child per shard (liveness
-// tracking, classified retries with capped jittered backoff, host
-// failover when a -hosts pool is given), salvage and rescue what dead
-// shards left behind, merge by global index and print the standard
-// scenario table. With -checkpoint the directory persists, so a killed
-// parent rerun resumes instead of recomputing. With -chaos a seeded
-// fault plan is injected into the children — the merged output must not
-// change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly: every
+// runShardParent runs a supervised multi-process sweep through
+// dispatch.Supervise (one child per shard, liveness tracking, classified
+// retries with capped jittered backoff, host failover when a -hosts pool
+// is given, salvage and rescue of what dead shards left behind, merge by
+// global index) and prints the standard scenario table. With -checkpoint
+// the directory persists, so a killed parent rerun resumes instead of
+// recomputing. With -chaos a seeded fault plan is injected into the
+// children and, over a -hosts pool, into the pulls — the merged output
+// must not change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly: every
 // child is terminated, the fsynced logs are merged, and the parent
 // exits through the partial-report path with the exact missing-index
 // list. See DESIGN.md §10.
@@ -263,55 +266,42 @@ func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, pa
 	}
 	exe, err := os.Executable()
 	check(err)
-	var tr dispatch.Transport = dispatch.LocalExec{}
+	var tr dispatch.Transport
 	if mode.Transport != "" {
 		tr, err = dispatch.NewCmdTransport(mode.Transport)
 		check(err)
 	}
 	var plan fault.Plan
 	if mode.Chaos != 0 {
-		plan = fault.NewPlan(mode.Chaos, mode.Shards, mode.Retries, mode.Stall*3/2)
+		plan = fault.NewPlan(mode.Chaos, mode.Shards, mode.Hosts, mode.Retries, mode.Stall*3/2)
 		fmt.Fprintf(os.Stderr, "sproutbench: chaos seed %d: %s\n", mode.Chaos, plan)
 	}
 
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if mode.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, mode.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
 	// A signal cancels the sweep's context: every attempt's select sees
 	// Done, kills its child, and supervision falls through to the
 	// partial merge. The logs are fsynced per record, so nothing the
 	// children completed is lost to the termination.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	go func() {
-		s, ok := <-sigc
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "sproutbench: %v: terminating shard children, merging what completed\n", s)
-		cancel()
-	}()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if mode.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, mode.Timeout)
+		defer cancel()
+	}
 
 	start := time.Now()
-	sum, err := supervise(ctx, superviseConfig{
-		Exe:       exe,
-		Scenario:  scenarioFile,
+	sum, err := dispatch.Supervise(ctx, dispatch.Config{
+		Worker:    workerPrefix(exe, scenarioFile, opt),
 		Specs:     specs,
+		Seed:      opt.Seed,
 		Dir:       dir,
 		Shards:    mode.Shards,
+		Parallel:  parallel,
 		Transport: tr,
 		Hosts:     mode.Hosts,
 		Retries:   mode.Retries,
 		Stall:     mode.Stall,
-		Opt:       opt,
-		Parallel:  parallel,
-		Plan:      plan,
+		Faults:    plan,
 		Rescue:    mode.Rescue,
 		Log:       os.Stderr,
 	})
@@ -356,6 +346,21 @@ func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, pa
 		fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
 	}
 	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards)", scenarioFile, mode.Shards), sum.Results)
+}
+
+// workerPrefix is the command every shard worker of a sweep shares: the
+// binary, the grid and the per-run options the grid leaves unset.
+func workerPrefix(exe, scenarioFile string, opt harness.Options) []string {
+	return []string{exe, "-scenario", scenarioFile,
+		"-duration", opt.Duration.String(), "-skip", opt.Skip.String()}
+}
+
+// formatMissing renders a missing-index report in full — the -partial
+// contract is the exact job list, not a sample.
+func formatMissing(missing []int) string {
+	sorted := append([]int{}, missing...)
+	sort.Ints(sorted)
+	return fmt.Sprint(sorted)
 }
 
 // abVariant is one side of an A/B comparison after its sweep completes.

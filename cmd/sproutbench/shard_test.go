@@ -169,3 +169,9 @@ func TestVerdict(t *testing.T) {
 		}
 	}
 }
+
+func TestFormatMissing(t *testing.T) {
+	if got := formatMissing([]int{5, 1, 3}); got != "[1 3 5]" {
+		t.Fatalf("formatMissing = %q", got)
+	}
+}

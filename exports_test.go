@@ -33,12 +33,8 @@ var exportAllow = map[string]string{
 	"internal/linktest.SendSchedulesNoEvent":         "differential driver shared by the link and cell tests",
 
 	// Fault harnesses the supervisor and dispatch tests drive.
-	"internal/dispatch.NewLoopback":         "in-process multi-host transport for the supervisor tests",
-	"internal/dispatch.WithNetFaults":       "network fault injection seam",
-	"internal/dispatch.(Loopback).KillHost": "host death, as the HostDown fault draws it",
-	"internal/dispatch.(Loopback).Revive":   "host reboot",
-	"internal/fault.NewNetPlan":             "seeded network fault plans for the soak",
-	"internal/fault.(NetPlan).Kinds":        "the soak asserts which fault kinds it drew",
+	"internal/dispatch.NewLoopback":       "in-process multi-host transport for the supervisor tests",
+	"internal/dispatch.(Loopback).Revive": "host reboot",
 
 	// State tests read as their oracle: the posterior, and counters of
 	// what an endpoint did.
@@ -46,7 +42,6 @@ var exportAllow = map[string]string{
 	"internal/core.(Model).Distribution":          "posterior inspection, public through sprout.Model; the naive reference filter reads it",
 	"internal/core.(Model).Quantile":              "posterior inspection, public through sprout.Model",
 	"internal/stats.(IntervalSet).Contiguous":     "the quick-check model compares the set's contiguous prefix",
-	"internal/dispatch.(PullState).Offset":        "torn-chunk tests assert the pull offset held back",
 	"internal/network.(Pool).Allocated":           "arena high-water mark the leak and allocation guards read",
 	"internal/app.(Sender).Decreases":             "rate-cut count the app-model tests assert",
 	"internal/tcp.(Sender).SRTT":                  "end state compared by the segment-ring differential",

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"sprout/internal/engine"
+	"sprout/internal/fault"
 )
 
 func rec(i int) engine.Record {
@@ -30,9 +32,9 @@ func recLine(t *testing.T, i int) []byte {
 
 // --- HostPool ---
 
-func mustPool(t *testing.T, hosts ...string) *HostPool {
+func mustPool(t *testing.T, hosts ...string) *hostPool {
 	t.Helper()
-	p, err := NewHostPool(hosts)
+	p, err := newHostPool(hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +43,8 @@ func mustPool(t *testing.T, hosts ...string) *HostPool {
 
 func TestHostPoolValidation(t *testing.T) {
 	for _, hosts := range [][]string{nil, {}, {""}, {"a", "a"}} {
-		if _, err := NewHostPool(hosts); err == nil {
-			t.Errorf("NewHostPool(%q) accepted an invalid pool", hosts)
+		if _, err := newHostPool(hosts); err == nil {
+			t.Errorf("newHostPool(%q) accepted an invalid pool", hosts)
 		}
 	}
 }
@@ -52,21 +54,21 @@ func TestHostPoolValidation(t *testing.T) {
 // evenly among equals.
 func TestHostPoolAcquireOrder(t *testing.T) {
 	p := mustPool(t, "a", "b", "c")
-	if h, _ := p.Acquire(); h != "a" {
+	if h, _ := p.acquire(); h != "a" {
 		t.Fatalf("first acquire = %q, want declaration-order a", h)
 	}
 	// a now carries load 1; equals b and c are lighter.
-	if h, _ := p.Acquire(); h != "b" {
+	if h, _ := p.acquire(); h != "b" {
 		t.Fatalf("second acquire = %q, want b (lighter than a)", h)
 	}
 	// A pull error on c makes it worse than the loaded a and b.
-	p.PullError("c")
-	if h, _ := p.Acquire(); h != "a" {
+	p.pullError("c")
+	if h, _ := p.acquire(); h != "a" {
 		t.Fatalf("acquire after c's pull error picked %q, want healthy a", h)
 	}
 	// c recovers fully on one successful pull.
-	p.PullOK("c")
-	if h, _ := p.Acquire(); h != "c" {
+	p.pullOK("c")
+	if h, _ := p.acquire(); h != "c" {
 		t.Fatalf("acquire after c's recovery = %q, want unloaded c", h)
 	}
 }
@@ -76,24 +78,24 @@ func TestHostPoolAcquireOrder(t *testing.T) {
 func TestHostPoolDeathAndFailoverExhaustion(t *testing.T) {
 	p := mustPool(t, "a", "b")
 	for i := 0; i < maxHostScore; i++ {
-		p.PullError("a")
+		p.pullError("a")
 	}
-	if !p.Dead("a") {
+	if !p.dead("a") {
 		t.Fatal("a not dead after score decayed to zero")
 	}
 	for i := 0; i < 5; i++ {
-		if h, ok := p.Acquire(); !ok || h != "b" {
+		if h, ok := p.acquire(); !ok || h != "b" {
 			t.Fatalf("acquire with a dead = (%q, %v), want b", h, ok)
 		}
 	}
 	// Start errors cost double: three kill b from full health.
-	p.StartError("b")
-	p.StartError("b")
-	p.StartError("b")
-	if !p.Dead("b") {
+	p.startError("b")
+	p.startError("b")
+	p.startError("b")
+	if !p.dead("b") {
 		t.Fatal("b not dead after three start errors")
 	}
-	if _, ok := p.Acquire(); ok {
+	if _, ok := p.acquire(); ok {
 		t.Fatal("Acquire handed out a dead host")
 	}
 }
@@ -103,59 +105,60 @@ func TestHostPoolDeathAndFailoverExhaustion(t *testing.T) {
 func TestHostPoolFlappingHost(t *testing.T) {
 	p := mustPool(t, "a", "b")
 	for i := 0; i < maxHostScore; i++ {
-		p.PullError("a")
+		p.pullError("a")
 	}
-	if h, _ := p.Acquire(); h != "b" {
+	if h, _ := p.acquire(); h != "b" {
 		t.Fatalf("acquire with a down = %q, want b", h)
 	}
-	p.PullOK("a")
-	if p.Dead("a") {
+	p.pullOK("a")
+	if p.dead("a") {
 		t.Fatal("a still dead after revive")
 	}
 	// a is back at full health and unloaded; b carries load.
-	if h, _ := p.Acquire(); h != "a" {
+	if h, _ := p.acquire(); h != "a" {
 		t.Fatal("revived a did not get new work")
 	}
 	// A successful pull for a still-running shard has the same effect.
 	for i := 0; i < maxHostScore; i++ {
-		p.PullError("b")
+		p.pullError("b")
 	}
-	p.PullOK("b")
-	if p.Dead("b") {
+	p.pullOK("b")
+	if p.dead("b") {
 		t.Fatal("b still dead after a successful pull")
 	}
 }
 
 func TestHostPoolUnknownHostIgnored(t *testing.T) {
 	p := mustPool(t, "a")
-	p.PullOK("ghost")
-	p.PullError("ghost")
-	if !p.Dead("ghost") {
+	p.pullOK("ghost")
+	p.pullError("ghost")
+	if !p.dead("ghost") {
 		t.Fatal("unknown host reported alive") // zero score: never acquirable
 	}
-	if h, ok := p.Acquire(); !ok || h != "a" {
+	if h, ok := p.acquire(); !ok || h != "a" {
 		t.Fatalf("pool corrupted by unknown-host feedback: (%q, %v)", h, ok)
 	}
 }
 
 // --- Backoff / Progress ---
 
-// TestBackoffSchedule: delays double from base to cap, and every delay
-// lands in [d/2, d] — jitter spreads retries without shortening the
-// floor below half the nominal delay.
+// TestBackoffSchedule: the schedule a default Config produces doubles
+// from 500 ms to its 8 s cap, and every delay lands in [d/2, d] —
+// jitter spreads retries without shortening the floor below half the
+// nominal delay.
 func TestBackoffSchedule(t *testing.T) {
-	base, cap := 100*time.Millisecond, 800*time.Millisecond
-	b := NewBackoff(base, cap, rand.New(rand.NewSource(1)))
+	b := Config{Seed: 1}.backoff(0)
 	nominal := []time.Duration{
-		100 * time.Millisecond,
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		800 * time.Millisecond,
-		800 * time.Millisecond, // capped
-		800 * time.Millisecond,
+		500 * time.Millisecond, // [250 ms, 500 ms]
+		1 * time.Second,        // [500 ms, 1 s]
+		2 * time.Second,
+		4 * time.Second,
+		8 * time.Second,
+		8 * time.Second, // capped at 16 × base
+		8 * time.Second,
 	}
 	for i, want := range nominal {
-		got := b.Next()
+		got := b.next()
 		if got < want/2 || got > want {
 			t.Fatalf("delay %d = %v, want within [%v, %v]", i, got, want/2, want)
 		}
@@ -166,13 +169,13 @@ func TestBackoffSchedule(t *testing.T) {
 // the cap forever — the schedule saturates instead of overflowing or
 // drifting, however many attempts a flaky shard burns.
 func TestBackoffCapSaturation(t *testing.T) {
-	base, cap := 10*time.Millisecond, 80*time.Millisecond
-	b := NewBackoff(base, cap, rand.New(rand.NewSource(7)))
-	for i := 0; i < 3; i++ {
-		b.Next() // walk up the doubling ramp (10, 20, 40)
+	base, cap := 10*time.Millisecond, 160*time.Millisecond
+	b := newBackoff(base, rand.New(rand.NewSource(7)))
+	for i := 0; i < 4; i++ {
+		b.next() // walk up the doubling ramp (10, 20, 40, 80)
 	}
 	for i := 0; i < 50; i++ {
-		got := b.Next()
+		got := b.next()
 		if got < cap/2 || got > cap {
 			t.Fatalf("saturated delay %d = %v, want within [%v, %v]", i, got, cap/2, cap)
 		}
@@ -183,11 +186,10 @@ func TestBackoffCapSaturation(t *testing.T) {
 // sequence (replayable chaos timing); different seeds diverge.
 func TestBackoffJitterDeterministic(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
-		b := NewBackoff(time.Second, 8*time.Second,
-			rand.New(rand.NewSource(engine.DeriveSeed(seed, "backoff", "0"))))
+		b := Config{Seed: seed}.backoff(0)
 		out := make([]time.Duration, 6)
 		for i := range out {
-			out[i] = b.Next()
+			out[i] = b.next()
 		}
 		return out
 	}
@@ -200,10 +202,12 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 }
 
 func TestBackoffDegenerateBounds(t *testing.T) {
-	// Zero base falls back to the default; cap below base clamps up.
-	b := NewBackoff(0, 0, rand.New(rand.NewSource(1)))
-	if d := b.Next(); d <= 0 {
-		t.Fatalf("degenerate backoff returned %v", d)
+	// A non-positive base falls back to the 500 ms default.
+	for _, base := range []time.Duration{0, -time.Second} {
+		b := newBackoff(base, rand.New(rand.NewSource(1)))
+		if d := b.next(); d < 250*time.Millisecond || d > 500*time.Millisecond {
+			t.Fatalf("base %v: first delay %v, want within the default's [250ms, 500ms]", base, d)
+		}
 	}
 }
 
@@ -211,27 +215,27 @@ func TestBackoffDegenerateBounds(t *testing.T) {
 // growth resets the deadline, silence past the deadline trips it.
 func TestProgress(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	p := NewProgress(t0, 10*time.Second)
+	p := newProgress(t0, 10*time.Second)
 	for i := 1; i <= 100; i++ {
-		if p.Observe(t0.Add(time.Duration(i)*time.Second), true) {
+		if p.observe(t0.Add(time.Duration(i)*time.Second), true) {
 			t.Fatalf("stalled at t+%ds despite growth", i)
 		}
 	}
 	base := t0.Add(100 * time.Second)
-	if p.Observe(base.Add(10*time.Second), false) {
+	if p.observe(base.Add(10*time.Second), false) {
 		t.Fatal("stalled exactly at the deadline; must be strictly past it")
 	}
-	if !p.Observe(base.Add(11*time.Second), false) {
+	if !p.observe(base.Add(11*time.Second), false) {
 		t.Fatal("not stalled past the deadline")
 	}
 	// Growth after near-stall resets the clock.
-	p2 := NewProgress(t0, 10*time.Second)
-	p2.Observe(t0.Add(9*time.Second), false)
-	p2.Observe(t0.Add(10*time.Second), true) // growth at the wire
-	if p2.Observe(t0.Add(19*time.Second), false) {
+	p2 := newProgress(t0, 10*time.Second)
+	p2.observe(t0.Add(9*time.Second), false)
+	p2.observe(t0.Add(10*time.Second), true) // growth at the wire
+	if p2.observe(t0.Add(19*time.Second), false) {
 		t.Fatal("stalled 9s after growth with a 10s deadline")
 	}
-	if !p2.Observe(t0.Add(21*time.Second), false) {
+	if !p2.observe(t0.Add(21*time.Second), false) {
 		t.Fatal("not stalled 11s after the last growth")
 	}
 }
@@ -240,32 +244,32 @@ func TestProgress(t *testing.T) {
 
 func TestShardMirrorDedupAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard-0.jsonl")
-	m, err := OpenShardMirror(path)
+	m, err := openShardMirror(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := m.Absorb([]engine.Record{rec(0), rec(2)}); err != nil || n != 2 {
+	if n, err := m.absorb([]engine.Record{rec(0), rec(2)}); err != nil || n != 2 {
 		t.Fatalf("absorb = (%d, %v), want 2 new", n, err)
 	}
 	// Replays deduplicate by index; genuinely new records append.
-	if n, err := m.Absorb([]engine.Record{rec(0), rec(2), rec(4)}); err != nil || n != 1 {
+	if n, err := m.absorb([]engine.Record{rec(0), rec(2), rec(4)}); err != nil || n != 1 {
 		t.Fatalf("replay absorb = (%d, %v), want 1 new", n, err)
 	}
-	if m.Len() != 3 {
-		t.Fatalf("mirror holds %d records, want 3", m.Len())
+	if len(m.seen) != 3 {
+		t.Fatalf("mirror holds %d records, want 3", len(m.seen))
 	}
-	m.Close()
+	m.close()
 
 	// Reopening resumes the seen-set from disk.
-	m2, err := OpenShardMirror(path)
+	m2, err := openShardMirror(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m2.Close()
-	if m2.Len() != 3 {
-		t.Fatalf("reopened mirror holds %d records, want 3", m2.Len())
+	defer m2.close()
+	if len(m2.seen) != 3 {
+		t.Fatalf("reopened mirror holds %d records, want 3", len(m2.seen))
 	}
-	if n, _ := m2.Absorb([]engine.Record{rec(2)}); n != 0 {
+	if n, _ := m2.absorb([]engine.Record{rec(2)}); n != 0 {
 		t.Fatal("reopened mirror re-absorbed a record it already holds")
 	}
 	recs, err := engine.ReadRecords(mustOpen(t, path))
@@ -321,37 +325,37 @@ func TestPullStateProtocol(t *testing.T) {
 		// 4: the rest.
 		func(o int64) ([]byte, int64, error) { return full[o:], o, nil },
 	}}
-	mirror, err := OpenShardMirror(filepath.Join(t.TempDir(), "shard-0.jsonl"))
+	mirror, err := openShardMirror(filepath.Join(t.TempDir(), "shard-0.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mirror.Close()
-	ps := NewPullState(tr, "h", "remote", mirror, 0)
+	defer mirror.close()
+	ps := newPullState(tr, "h", "remote", mirror, 0)
 
-	grew, err := ps.Poll(context.Background())
+	grew, err := ps.poll(context.Background())
 	if err != nil || !grew {
 		t.Fatalf("poll 1 = (%v, %v), want growth", grew, err)
 	}
-	if ps.Offset() != int64(len(l0)) {
-		t.Fatalf("offset %d after torn chunk, want %d (fragment held back)", ps.Offset(), len(l0))
+	if ps.offset != int64(len(l0)) {
+		t.Fatalf("offset %d after torn chunk, want %d (fragment held back)", ps.offset, len(l0))
 	}
-	if grew, err = ps.Poll(context.Background()); err == nil {
+	if grew, err = ps.poll(context.Background()); err == nil {
 		t.Fatal("dropped pull did not surface its error")
 	}
-	if ps.Offset() != int64(len(l0)) {
+	if ps.offset != int64(len(l0)) {
 		t.Fatal("failed pull advanced the offset")
 	}
-	if grew, err = ps.Poll(context.Background()); err != nil || !grew {
+	if grew, err = ps.poll(context.Background()); err != nil || !grew {
 		t.Fatalf("rewound replay poll = (%v, %v), want growth", grew, err)
 	}
-	if want := int64(len(l0) + len(l1)); ps.Offset() != want {
-		t.Fatalf("offset %d after replay, want %d", ps.Offset(), want)
+	if want := int64(len(l0) + len(l1)); ps.offset != want {
+		t.Fatalf("offset %d after replay, want %d", ps.offset, want)
 	}
-	if grew, err = ps.Poll(context.Background()); err != nil || !grew {
+	if grew, err = ps.poll(context.Background()); err != nil || !grew {
 		t.Fatalf("final poll = (%v, %v), want growth", grew, err)
 	}
-	if mirror.Len() != 3 {
-		t.Fatalf("mirror holds %d records, want 3 exactly-once", mirror.Len())
+	if len(mirror.seen) != 3 {
+		t.Fatalf("mirror holds %d records, want 3 exactly-once", len(mirror.seen))
 	}
 }
 
@@ -359,8 +363,8 @@ func TestPullStateRejectsSkipAhead(t *testing.T) {
 	tr := &scriptedTransport{pulls: []func(int64) ([]byte, int64, error){
 		func(o int64) ([]byte, int64, error) { return []byte("x"), o + 10, nil },
 	}}
-	ps := NewPullState(tr, "h", "remote", nil, 0)
-	if _, err := ps.Poll(context.Background()); err == nil {
+	ps := newPullState(tr, "h", "remote", nil, 0)
+	if _, err := ps.poll(context.Background()); err == nil {
 		t.Fatal("a pull that skipped ahead was accepted")
 	}
 }
@@ -372,18 +376,18 @@ func TestPullStateSurfacesCorruption(t *testing.T) {
 			return append(append([]byte{}, good...), []byte("{\"i\":garbage}\n")...), o, nil
 		},
 	}}
-	mirror, err := OpenShardMirror(filepath.Join(t.TempDir(), "shard-0.jsonl"))
+	mirror, err := openShardMirror(filepath.Join(t.TempDir(), "shard-0.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mirror.Close()
-	ps := NewPullState(tr, "h", "remote", mirror, 0)
-	grew, err := ps.Poll(context.Background())
+	defer mirror.close()
+	ps := newPullState(tr, "h", "remote", mirror, 0)
+	grew, err := ps.poll(context.Background())
 	if !errors.Is(err, engine.ErrCorruptLog) {
 		t.Fatalf("corrupt stream returned %v, want ErrCorruptLog", err)
 	}
-	if !grew || mirror.Len() != 1 {
-		t.Fatalf("valid prefix not absorbed before the corruption verdict (grew=%v, mirrored=%d)", grew, mirror.Len())
+	if !grew || len(mirror.seen) != 1 {
+		t.Fatalf("valid prefix not absorbed before the corruption verdict (grew=%v, mirrored=%d)", grew, len(mirror.seen))
 	}
 }
 
@@ -474,9 +478,8 @@ func TestNewCmdTransportAppendsExe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "ssh {host} -- {exe}"
-	if tr.String() != want {
-		t.Fatalf("template = %q, want %q", tr.String(), want)
+	if want := []string{"ssh", "{host}", "--", "{exe}"}; !reflect.DeepEqual(tr.template, want) {
+		t.Fatalf("template = %q, want %q", tr.template, want)
 	}
 }
 
@@ -539,5 +542,113 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 	data, _, err := l.Pull(ctx, "a", path, 0)
 	if err != nil || string(data) != "x\n" {
 		t.Fatalf("revived host pull = (%q, %v)", data, err)
+	}
+}
+
+// --- Supervision ---
+
+// TestClassifyCode pins the transient/permanent contract: the two
+// contractual codes are terminal, everything else — including the fault
+// injector's distinct codes and signal deaths — retries.
+func TestClassifyCode(t *testing.T) {
+	cases := []struct {
+		code int
+		want failureClass
+	}{
+		{ExitUsage, classUsage},
+		{ExitPermanent, classPermanent},
+		{0, classTransient},
+		{1, classTransient},
+		{fault.ExitCrash, classTransient},
+		{fault.ExitTorn, classTransient},
+		{fault.ExitCorrupt, classTransient},
+		{-1, classTransient}, // killed by signal
+		{137, classTransient},
+	}
+	for _, c := range cases {
+		if got := classifyCode(c.code); got != c.want {
+			t.Errorf("classifyCode(%d) = %v, want %v", c.code, got, c.want)
+		}
+	}
+}
+
+// TestClassify: non-exit errors (stall kills, start failures, context
+// cancellation) are transient, corruption the supervisor's own pull
+// detected is permanent, and real exit statuses route through the code
+// table.
+func TestClassify(t *testing.T) {
+	if got := classify(errors.New("stalled, killed")); got != classTransient {
+		t.Fatalf("plain error classified %v, want transient", got)
+	}
+	// Corruption surfaced by the pull protocol, wrapped however deep.
+	werr := fmt.Errorf("drain shard 1: %w", fmt.Errorf("parse: %w", engine.ErrCorruptLog))
+	if got := classify(werr); got != classPermanent {
+		t.Fatalf("wrapped ErrCorruptLog classified %v, want permanent", got)
+	}
+	// A real child exiting with the permanent code.
+	err := exec.Command("/bin/sh", "-c", "exit 3").Run()
+	if err == nil {
+		t.Skip("no /bin/sh")
+	}
+	if got := classify(err); got != classPermanent {
+		t.Fatalf("exit 3 classified %v, want permanent", got)
+	}
+	err = exec.Command("/bin/sh", "-c", "exit 7").Run()
+	if got := classify(err); got != classTransient {
+		t.Fatalf("exit 7 classified %v, want transient", got)
+	}
+}
+
+// TestPullFaultOrdering pins the pull-counter semantics of a plan's
+// host half: each fault fires on the pull whose 0-based sequence number
+// reaches its After, faults are consumed strictly in order, pulls
+// between boundaries run clean, and a host the plan does not name is
+// never gated.
+func TestPullFaultOrdering(t *testing.T) {
+	ft := newFaultyTransport(LocalExec{}, map[string][]fault.Fault{"h": {
+		{Kind: fault.ConnDrop, After: 0},
+		{Kind: fault.PartialPull, After: 2, Bytes: 5},
+		{Kind: fault.DupRecords, After: 2, Bytes: 16}, // same boundary: fires on the next pull
+		{Kind: fault.HostDown, After: 5},
+	}})
+	want := []fault.Kind{
+		fault.ConnDrop,    // pull 0
+		"",                // pull 1
+		fault.PartialPull, // pull 2
+		fault.DupRecords,  // pull 3 (After=2 already passed)
+		"",                // pull 4
+		fault.HostDown,    // pull 5
+		"",                // pull 6: sequence exhausted
+		"",                // pull 7
+	}
+	for i, w := range want {
+		if f, ok := ft.next("h"); ok != (w != "") || f.Kind != w {
+			t.Fatalf("pull %d: got (%q, %v), want %q", i, f.Kind, ok, w)
+		}
+		if f, ok := ft.next("other"); ok {
+			t.Fatalf("pull %d of an unplanned host fired %v", i, f)
+		}
+	}
+}
+
+// TestFaultyTransportHostDown: an injected HostDown kills the host
+// through the transport's KillHost, so every later operation on it
+// fails the way a dead machine's would.
+func TestFaultyTransportHostDown(t *testing.T) {
+	lb := NewLoopback()
+	ft := newFaultyTransport(lb, map[string][]fault.Fault{"a": {{Kind: fault.HostDown, After: 1}}})
+	path := lb.ShardLogPath("a", t.TempDir(), 0)
+	ctx := context.Background()
+	if _, _, err := ft.Pull(ctx, "a", path, 0); err != nil {
+		t.Fatalf("pull 0 = %v, want clean", err)
+	}
+	if _, _, err := ft.Pull(ctx, "a", path, 0); !errors.Is(err, ErrHostDown) {
+		t.Fatalf("pull 1 = %v, want the injected ErrHostDown", err)
+	}
+	if !lb.Down("a") {
+		t.Fatal("HostDown did not kill the host through KillHost")
+	}
+	if err := ft.Push(ctx, "a", path, nil); !errors.Is(err, ErrHostDown) {
+		t.Fatalf("push to the killed host = %v, want ErrHostDown", err)
 	}
 }

@@ -29,8 +29,6 @@ func NewLoopback() *Loopback {
 	return &Loopback{down: map[string]bool{}, procs: map[string]map[*loopProc]bool{}}
 }
 
-func (l *Loopback) String() string { return "loopback" }
-
 func (l *Loopback) Mirrored() bool { return true }
 
 // ShardLogPath places each host's logs in its own namespace under the

@@ -8,7 +8,7 @@ import (
 	"sprout/internal/engine"
 )
 
-// ShardMirror is the supervisor's locally-durable copy of one remote
+// shardMirror is the supervisor's locally-durable copy of one remote
 // shard's checkpoint log. Records pulled from the remote host are
 // appended here fsync-per-record, so the sweep's durability contract
 // holds at the supervisor even when the shard runs on a machine that can
@@ -20,22 +20,22 @@ import (
 // discards replayed bytes by offset arithmetic, but the mirror is the
 // durability boundary, so it enforces the at-most-once invariant itself
 // rather than trusting the layer above.
-type ShardMirror struct {
+type shardMirror struct {
 	path string
 	f    *os.File
 	w    *engine.RecordWriter
 	seen map[int]bool
 }
 
-// OpenShardMirror opens (resuming if present) the mirror log at path —
+// openShardMirror opens (resuming if present) the mirror log at path —
 // for a supervised sweep, engine.ShardLogPath(dir, shard), so the merge
 // reads mirrors exactly like local shard logs.
-func OpenShardMirror(path string) (*ShardMirror, error) {
+func openShardMirror(path string) (*shardMirror, error) {
 	recs, f, err := engine.OpenShardLog(path)
 	if err != nil {
 		return nil, err
 	}
-	m := &ShardMirror{path: path, f: f,
+	m := &shardMirror{path: path, f: f,
 		w: engine.NewRecordWriterSynced(f, f.Sync), seen: map[int]bool{}}
 	for _, r := range recs {
 		m.seen[r.Index] = true
@@ -43,9 +43,9 @@ func OpenShardMirror(path string) (*ShardMirror, error) {
 	return m, nil
 }
 
-// Absorb appends the records not yet mirrored, in the order given, and
+// absorb appends the records not yet mirrored, in the order given, and
 // returns how many were new.
-func (m *ShardMirror) Absorb(recs []engine.Record) (int, error) {
+func (m *shardMirror) absorb(recs []engine.Record) (int, error) {
 	added := 0
 	for _, r := range recs {
 		if m.seen[r.Index] {
@@ -60,19 +60,16 @@ func (m *ShardMirror) Absorb(recs []engine.Record) (int, error) {
 	return added, nil
 }
 
-// Len reports how many distinct records the mirror holds.
-func (m *ShardMirror) Len() int { return len(m.seen) }
-
-// Bytes returns the mirror's full on-disk contents — what a failover
+// bytes returns the mirror's full on-disk contents — what a failover
 // pushes to the shard's next host.
-func (m *ShardMirror) Bytes() ([]byte, error) { return os.ReadFile(m.path) }
+func (m *shardMirror) bytes() ([]byte, error) { return os.ReadFile(m.path) }
 
-// Close releases the mirror's file handle.
-func (m *ShardMirror) Close() error { return m.f.Close() }
+// close releases the mirror's file handle.
+func (m *shardMirror) close() error { return m.f.Close() }
 
-// PullState drives the offset-based incremental pull of one remote
+// pullState drives the offset-based incremental pull of one remote
 // shard log: it remembers the remote byte offset consumed so far and, on
-// each Poll, pulls from there, parses only the complete records in the
+// each poll, pulls from there, parses only the complete records in the
 // chunk, absorbs them into the mirror, and advances by exactly the
 // parsed bytes.
 //
@@ -82,36 +79,33 @@ func (m *ShardMirror) Close() error { return m.f.Close() }
 // the fragment, so the next poll re-pulls it whole. A transport that
 // re-serves earlier bytes after a retry reports from < offset, and the
 // replayed prefix is discarded arithmetically before parsing; a
-// transport may never skip ahead (from > offset), which Poll enforces.
+// transport may never skip ahead (from > offset), which poll enforces.
 // A failed pull advances nothing — the next poll retries the identical
 // range. The one non-recoverable outcome is a terminated malformed line
 // in the pulled stream (engine.ErrCorruptLog): the remote log itself is
-// damaged, which no re-pull fixes, so Poll surfaces it for the
+// damaged, which no re-pull fixes, so poll surfaces it for the
 // supervisor's quarantine path.
-type PullState struct {
+type pullState struct {
 	transport Transport
 	host      string
 	path      string
-	mirror    *ShardMirror
+	mirror    *shardMirror
 	offset    int64
 }
 
-// NewPullState starts pulling path on host via t from offset — for a
+// newPullState starts pulling path on host via t from offset — for a
 // fresh attempt, the length of the bytes pushed to the host, so the pull
 // resumes exactly past what the supervisor already holds.
-func NewPullState(t Transport, host, path string, mirror *ShardMirror, offset int64) *PullState {
-	return &PullState{transport: t, host: host, path: path, mirror: mirror, offset: offset}
+func newPullState(t Transport, host, path string, mirror *shardMirror, offset int64) *pullState {
+	return &pullState{transport: t, host: host, path: path, mirror: mirror, offset: offset}
 }
 
-// Offset returns the remote byte offset consumed so far.
-func (ps *PullState) Offset() int64 { return ps.offset }
-
-// Poll pulls once and absorbs what arrived. grew reports whether any new
+// poll pulls once and absorbs what arrived. grew reports whether any new
 // record landed — the shard's liveness signal. An error from the
 // transport itself is returned as-is (the caller scores host health and
 // retries next poll); a corrupt stream returns an error wrapping
 // engine.ErrCorruptLog after absorbing the valid prefix.
-func (ps *PullState) Poll(ctx context.Context) (grew bool, err error) {
+func (ps *pullState) poll(ctx context.Context) (grew bool, err error) {
 	data, from, err := ps.transport.Pull(ctx, ps.host, ps.path, ps.offset)
 	if err != nil {
 		return false, err
@@ -126,7 +120,7 @@ func (ps *PullState) Poll(ctx context.Context) (grew bool, err error) {
 	recs, good, perr := engine.ParseRecords(data[skip:])
 	if good > 0 {
 		if ps.mirror != nil {
-			if _, aerr := ps.mirror.Absorb(recs); aerr != nil {
+			if _, aerr := ps.mirror.absorb(recs); aerr != nil {
 				return false, aerr
 			}
 		}

@@ -21,27 +21,26 @@ var ErrHostDown = errors.New("dispatch: host down")
 // host that stops answering decays to 0 within a few poll intervals.
 const maxHostScore = 5
 
-// HostPool tracks which hosts are worth giving work to. Health is
+// hostPool tracks which hosts are worth giving work to. Health is
 // inferred entirely from transport outcomes — the pull stream doubles as
 // the host heartbeat — so no separate health-check protocol exists to
-// disagree with the data path. Score 0 means dead: Acquire skips the
-// host until something (a successful pull for a still-running shard, or
-// an explicit Revive) restores it, which is how a flapping host rejoins
-// the pool and gets new work.
-type HostPool struct {
+// disagree with the data path. Score 0 means dead: acquire skips the
+// host until a successful pull for a still-running shard restores it,
+// which is how a flapping host rejoins the pool and gets new work.
+type hostPool struct {
 	mu    sync.Mutex
 	hosts []string
 	score map[string]int
 	load  map[string]int
 }
 
-// NewHostPool builds a pool over hosts, all initially healthy. Host
+// newHostPool builds a pool over hosts, all initially healthy. Host
 // names must be unique and non-empty.
-func NewHostPool(hosts []string) (*HostPool, error) {
+func newHostPool(hosts []string) (*hostPool, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("dispatch: empty host pool")
 	}
-	p := &HostPool{score: map[string]int{}, load: map[string]int{}}
+	p := &hostPool{score: map[string]int{}, load: map[string]int{}}
 	for _, h := range hosts {
 		if h == "" {
 			return nil, fmt.Errorf("dispatch: empty host name in pool")
@@ -55,16 +54,13 @@ func NewHostPool(hosts []string) (*HostPool, error) {
 	return p, nil
 }
 
-// Hosts returns the pool's host names in declaration order.
-func (p *HostPool) Hosts() []string { return append([]string{}, p.hosts...) }
-
-// Acquire picks the best live host for a new shard attempt — highest
+// acquire picks the best live host for a new shard attempt — highest
 // score, then lightest load, then declaration order, so work converges
 // onto the healthiest machines and spreads evenly among equals — and
 // charges it one unit of load. It reports false when every host is dead,
 // which is the supervisor's signal that failover is exhausted and rescue
 // is the only path left.
-func (p *HostPool) Acquire() (string, bool) {
+func (p *hostPool) acquire() (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	best := -1
@@ -90,8 +86,8 @@ func (p *HostPool) Acquire() (string, bool) {
 	return h, true
 }
 
-// Release returns the load unit a prior Acquire charged to host.
-func (p *HostPool) Release(host string) {
+// release returns the load unit a prior acquire charged to host.
+func (p *hostPool) release(host string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.load[host] > 0 {
@@ -99,10 +95,10 @@ func (p *HostPool) Release(host string) {
 	}
 }
 
-// PullOK records a successful pull: host answered on the data path, so
+// pullOK records a successful pull: host answered on the data path, so
 // its health resets to the maximum regardless of past sins — the pool
 // forgives as fast as it condemns.
-func (p *HostPool) PullOK(host string) {
+func (p *hostPool) pullOK(host string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.score[host]; ok {
@@ -110,14 +106,14 @@ func (p *HostPool) PullOK(host string) {
 	}
 }
 
-// PullError records a failed pull against host.
-func (p *HostPool) PullError(host string) { p.penalize(host, 1) }
+// pullError records a failed pull against host.
+func (p *hostPool) pullError(host string) { p.penalize(host, 1) }
 
-// StartError records a failed worker launch against host — a stronger
+// startError records a failed worker launch against host — a stronger
 // signal than a dropped pull, since launches retry less often.
-func (p *HostPool) StartError(host string) { p.penalize(host, 2) }
+func (p *hostPool) startError(host string) { p.penalize(host, 2) }
 
-func (p *HostPool) penalize(host string, cost int) {
+func (p *hostPool) penalize(host string, cost int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if s, ok := p.score[host]; ok {
@@ -129,16 +125,16 @@ func (p *HostPool) penalize(host string, cost int) {
 	}
 }
 
-// Dead reports whether host's score has decayed to zero.
-func (p *HostPool) Dead(host string) bool {
+// dead reports whether host's score has decayed to zero.
+func (p *hostPool) dead(host string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.score[host] == 0
 }
 
-// String renders the pool state for supervisor logs: "a:5/1 b:0/0"
+// state renders the pool for supervisor logs: "a:5/1 b:0/0"
 // (score/load), hosts sorted by name.
-func (p *HostPool) String() string {
+func (p *hostPool) state() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	hosts := append([]string{}, p.hosts...)

@@ -1,11 +1,12 @@
-// Package dispatch runs shard workers on a pool of hosts — the local
-// machine, remote machines behind a command template (ssh), or loopback
-// test hosts — and moves their checkpoint-log bytes back to the
-// supervisor. It is the transport half of remote shard dispatch: the
-// shard contract (pure ownership by global index, append-only JSONL
-// checkpoint logs, byte-identical merge) already makes a shard's work
-// location-independent, so all this package adds is a way to start the
-// worker somewhere and to stream its log home.
+// Package dispatch supervises multi-process sweeps: Supervise runs shard
+// workers on a pool of hosts — the local machine, remote machines behind
+// a command template (ssh), or loopback test hosts — moves their
+// checkpoint-log bytes back, retries and fails over what dies, and
+// merges. The shard contract (pure ownership by global index,
+// append-only JSONL checkpoint logs, byte-identical merge) already makes
+// a shard's work location-independent, so all this package adds is a
+// way to start the worker somewhere, stream its log home, and decide
+// what to do when either fails. See DESIGN.md §10.
 //
 // The supervisor's side of the contract is the offset-based pull: the
 // parent repeatedly asks a Transport for the remote log's bytes from the
@@ -13,7 +14,7 @@
 // chunk, appends the new ones to a locally-durable mirror, and advances
 // by exactly the parsed bytes. Torn chunk tails are re-pulled, replayed
 // records deduplicate by index, and pull progress doubles as the remote
-// liveness signal. See ShardMirror and PullState.
+// liveness signal. Supervise drives it.
 package dispatch
 
 import (
@@ -43,8 +44,6 @@ type Proc interface {
 // checkpoint-log bytes between them and the supervisor. Implementations
 // must be safe for concurrent use — one supervisor drives many shards.
 type Transport interface {
-	// String names the transport for logs.
-	String() string
 	// Mirrored reports whether the supervisor must keep local mirrors of
 	// the workers' checkpoint logs: true when workers write somewhere
 	// other than the supervisor's own checkpoint directory (remote and
@@ -78,8 +77,6 @@ type Transport interface {
 // this machine — and nothing is mirrored: the worker's log already is
 // the supervisor's durable copy.
 type LocalExec struct{}
-
-func (LocalExec) String() string { return "local" }
 
 func (LocalExec) Mirrored() bool { return false }
 
@@ -198,8 +195,6 @@ func NewCmdTransport(template string) (*CmdTransport, error) {
 	return &CmdTransport{template: fields}, nil
 }
 
-func (t *CmdTransport) String() string { return strings.Join(t.template, " ") }
-
 func (t *CmdTransport) Mirrored() bool { return true }
 
 func (t *CmdTransport) ShardLogPath(_, dir string, shard int) string {
@@ -270,17 +265,15 @@ func shellQuote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
 }
 
-// WorkerArgv assembles the standard shard-worker command line every
-// transport launches: the sproutbench worker flags for one shard of a
-// scenario grid, writing its checkpoint log to out.
-func WorkerArgv(exe, scenario string, shard engine.Shard, out string, duration, skip string, seed int64, workers int) []string {
-	return []string{exe,
-		"-scenario", scenario,
+// workerArgv completes a shard worker's command line: the caller's
+// prefix (the sproutbench binary and the flags every shard shares) plus
+// the flags that place this worker — its shard, its checkpoint log, the
+// sweep seed and its engine width.
+func workerArgv(prefix []string, shard engine.Shard, out string, seed int64, workers int) []string {
+	return append(append([]string{}, prefix...),
 		"-shard", shard.String(),
 		"-out", out,
-		"-duration", duration,
-		"-skip", skip,
 		"-seed", strconv.FormatInt(seed, 10),
 		"-parallel", strconv.Itoa(workers),
-	}
+	)
 }

@@ -18,16 +18,17 @@
 //
 // Faults and plans serialize to short strings ("torn:after=2,bytes=9"),
 // so they cross the process boundary through one env var and read well
-// in supervisor logs. Plan generation (NewPlan) is a pure function of a
-// seed, which is what lets CI re-run a failing chaos seed locally and
-// get the identical failure schedule.
+// in supervisor logs. One Plan holds both halves of a chaos run — the
+// per-attempt faults of each shard child and the pull faults of each
+// host — and its generation (NewPlan) is a pure function of a seed,
+// which is what lets CI re-run a failing chaos seed locally and get the
+// identical failure schedule.
 package fault
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -60,9 +61,9 @@ const (
 
 // Network-shaped kinds: faults on the supervisor's side of a remote
 // dispatch — the offset-based pull stream that mirrors a remote shard's
-// checkpoint log. They are executed by a NetInjector wrapped around a
-// transport's Pull, not by the shard child, so After counts pulls, not
-// records. See internal/dispatch.
+// checkpoint log. The supervisor executes them on the pulls they gate,
+// not the shard child, so After counts pulls, not records. See
+// dispatch.Supervise.
 const (
 	// ConnDrop fails pull number After outright — a dropped connection
 	// the puller must retry, and the host-health scoring must not treat a
@@ -303,48 +304,4 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 		in.n++
 	}
 	return n, err
-}
-
-// Plan maps shard index → the fault each successive attempt of that
-// shard executes (attempt 1 runs Plan[shard][0], and so on; attempts past
-// the end run clean). A nil Plan injects nothing.
-type Plan map[int][]Fault
-
-// For returns the fault shard's attempt (1-based) should execute, if the
-// plan schedules one.
-func (p Plan) For(shard, attempt int) (Fault, bool) {
-	fs := p[shard]
-	if attempt < 1 || attempt > len(fs) {
-		return Fault{}, false
-	}
-	if fs[attempt-1].IsZero() {
-		return Fault{}, false
-	}
-	return fs[attempt-1], true
-}
-
-// String renders the plan for supervisor logs, shards in ascending order.
-func (p Plan) String() string {
-	if len(p) == 0 {
-		return "clean (no faults)"
-	}
-	shards := make([]int, 0, len(p))
-	for s := range p {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	var b strings.Builder
-	for _, s := range shards {
-		if b.Len() > 0 {
-			b.WriteString("; ")
-		}
-		fmt.Fprintf(&b, "shard %d:", s)
-		for i, f := range p[s] {
-			if i > 0 {
-				b.WriteString(" →")
-			}
-			b.WriteString(" " + f.String())
-		}
-	}
-	return b.String()
 }

@@ -166,14 +166,14 @@ func TestNilInjectorSafe(t *testing.T) {
 
 // TestNewPlanDeterministic: plans are pure functions of the seed.
 func TestNewPlanDeterministic(t *testing.T) {
-	a := NewPlan(42, 4, 3, 10*time.Second)
-	b := NewPlan(42, 4, 3, 10*time.Second)
+	a := NewPlan(42, 4, nil, 3, 10*time.Second)
+	b := NewPlan(42, 4, nil, 3, 10*time.Second)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different plans:\n%v\n%v", a, b)
 	}
 	seen := map[string]bool{}
 	for seed := int64(1); seed <= 8; seed++ {
-		seen[NewPlan(seed, 4, 3, 10*time.Second).String()] = true
+		seen[NewPlan(seed, 4, nil, 3, 10*time.Second).String()] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("eight seeds produced one plan; generation is not seed-driven")
@@ -187,8 +187,8 @@ func TestNewPlanDeterministic(t *testing.T) {
 func TestNewPlanRecoverable(t *testing.T) {
 	const retries = 3
 	for seed := int64(1); seed <= 200; seed++ {
-		plan := NewPlan(seed, 3, retries, 10*time.Second)
-		for shard, fs := range plan {
+		plan := NewPlan(seed, 3, nil, retries, 10*time.Second)
+		for shard, fs := range plan.Shards {
 			stalls := 0
 			for _, f := range fs {
 				if f.Kind == Stall {
@@ -221,7 +221,7 @@ func TestNewPlanRecoverable(t *testing.T) {
 
 // TestPlanFor covers attempt addressing and the nil plan.
 func TestPlanFor(t *testing.T) {
-	p := Plan{1: {{Kind: Crash, After: 1}, {Kind: Slow, For: time.Second}}}
+	p := Plan{Shards: map[int][]Fault{1: {{Kind: Crash, After: 1}, {Kind: Slow, For: time.Second}}}}
 	if f, ok := p.For(1, 1); !ok || f.Kind != Crash {
 		t.Fatalf("For(1,1) = %+v, %v", f, ok)
 	}

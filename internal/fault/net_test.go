@@ -1,68 +1,73 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
 
-// TestNetInjectorOrdering pins the pull-counter semantics: each fault
-// fires on the pull whose 0-based sequence number reaches its After,
-// faults are consumed strictly in order, and pulls between boundaries
-// run clean.
-func TestNetInjectorOrdering(t *testing.T) {
-	ni := NewNetInjector([]Fault{
-		{Kind: ConnDrop, After: 0},
-		{Kind: PartialPull, After: 2, Bytes: 5},
-		{Kind: DupRecords, After: 2, Bytes: 16}, // same boundary: fires on the next pull
-		{Kind: HostDown, After: 5},
-	})
-	want := []struct {
-		kind Kind
-		ok   bool
-	}{
-		{ConnDrop, true},    // pull 0
-		{"", false},         // pull 1
-		{PartialPull, true}, // pull 2
-		{DupRecords, true},  // pull 3 (After=2 already passed)
-		{"", false},         // pull 4
-		{HostDown, true},    // pull 5
-		{"", false},         // pull 6: sequence exhausted
-		{"", false},         // pull 7
+// hostPlan draws only a plan's network half: pull faults over hosts, no
+// shards.
+func hostPlan(seed int64, hosts []string) Plan {
+	return NewPlan(seed, 0, hosts, 3, 0)
+}
+
+// kinds returns the distinct fault kinds a plan's network half draws.
+func kinds(p Plan) map[Kind]bool {
+	out := map[Kind]bool{}
+	for _, fs := range p.Hosts {
+		for _, f := range fs {
+			out[f.Kind] = true
+		}
 	}
-	for i, w := range want {
-		f, ok := ni.Next()
-		if ok != w.ok || f.Kind != w.kind {
-			t.Fatalf("pull %d: got (%q, %v), want (%q, %v)", i, f.Kind, ok, w.kind, w.ok)
+	return out
+}
+
+// TestPlanPinsChaosSchedules: the schedules the soaks replay are pinned.
+// The shard half for seeds 1–20 (2 shards, 3 retries, 1.5 s stalls) and
+// the host half for seeds 1–12 over {h0,h1,h2} hash to the values
+// recorded when the two halves were drawn by separate generators, and
+// drawing both at once changes neither half.
+func TestPlanPinsChaosSchedules(t *testing.T) {
+	hosts := []string{"h0", "h1", "h2"}
+	h := sha256.New()
+	for seed := int64(1); seed <= 20; seed++ {
+		fmt.Fprintln(h, NewPlan(seed, 2, nil, 3, 1500*time.Millisecond).String())
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "9609ea6abfa93b33cec3c38a33c41966e5430b5a2fe1cd8bc9c8d6ec4ad0fc83"; got != want {
+		t.Fatalf("shard schedules hash %s, want %s", got, want)
+	}
+	h = sha256.New()
+	for seed := int64(1); seed <= 12; seed++ {
+		fmt.Fprintln(h, hostPlan(seed, hosts).String())
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "257c16fe2f42ba1f45b88bff30cca0f85a8ffe7c5fcf9297f4c918f85efd7d6e"; got != want {
+		t.Fatalf("host schedules hash %s, want %s", got, want)
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		both := NewPlan(seed, 2, hosts, 3, 1500*time.Millisecond)
+		if shards := NewPlan(seed, 2, nil, 3, 1500*time.Millisecond).Shards; !reflect.DeepEqual(both.Shards, shards) {
+			t.Fatalf("seed %d: naming hosts moved the shard half:\n%v\n%v", seed, both.Shards, shards)
+		}
+		if !reflect.DeepEqual(both.Hosts, hostPlan(seed, hosts).Hosts) {
+			t.Fatalf("seed %d: drawing shards moved the host half", seed)
 		}
 	}
 }
 
-// TestNetInjectorNil: the nil injector (clean host) gates nothing and
-// never panics.
-func TestNetInjectorNil(t *testing.T) {
-	if ni := NewNetInjector(nil); ni != nil {
-		t.Fatal("empty sequence should build a nil injector")
-	}
-	var ni *NetInjector
-	for i := 0; i < 3; i++ {
-		if f, ok := ni.Next(); ok || !f.IsZero() {
-			t.Fatalf("nil injector fired %v", f)
-		}
-	}
-}
-
-// TestNetPlanDeterminism: the plan is a pure function of the seed — the
-// CI-replay property — and different seeds genuinely vary.
+// TestNetPlanDeterminism: the network half is a pure function of the
+// seed — the CI-replay property — and different seeds genuinely vary.
 func TestNetPlanDeterminism(t *testing.T) {
 	hosts := []string{"a", "b", "c"}
-	p1 := NewNetPlan(42, hosts, 1)
-	p2 := NewNetPlan(42, hosts, 1)
-	if p1.String() != p2.String() {
+	p1 := hostPlan(42, hosts)
+	if p2 := hostPlan(42, hosts); p1.String() != p2.String() {
 		t.Fatalf("same seed, different plans:\n%s\n%s", p1, p2)
 	}
 	varied := false
 	for seed := int64(1); seed <= 10; seed++ {
-		if NewNetPlan(seed, hosts, 1).String() != p1.String() {
+		if hostPlan(seed, hosts).String() != p1.String() {
 			varied = true
 			break
 		}
@@ -72,48 +77,49 @@ func TestNetPlanDeterminism(t *testing.T) {
 	}
 }
 
-// TestNetPlanKillBound: kills never cover the whole pool — the plan must
-// always leave at least one survivor for failover — and a maxKills of 0
-// draws no HostDown at all.
+// TestNetPlanKillBound: a pool of two or more hosts loses exactly one —
+// always leaving survivors for failover — and a single host is never
+// killed.
 func TestNetPlanKillBound(t *testing.T) {
-	hosts := []string{"a", "b", "c"}
-	for seed := int64(1); seed <= 50; seed++ {
-		p := NewNetPlan(seed, hosts, len(hosts)+5) // deliberately over-asking
-		killed := 0
-		for _, h := range hosts {
-			for _, f := range p.For(h) {
-				if f.Kind == HostDown {
-					killed++
+	for _, hosts := range [][]string{{"a", "b"}, {"a", "b", "c"}} {
+		for seed := int64(1); seed <= 50; seed++ {
+			p := hostPlan(seed, hosts)
+			killed := 0
+			for _, fs := range p.Hosts {
+				for _, f := range fs {
+					if f.Kind == HostDown {
+						killed++
+					}
 				}
 			}
-		}
-		if killed >= len(hosts) {
-			t.Fatalf("seed %d killed all %d hosts: %s", seed, killed, p)
+			if killed != 1 {
+				t.Fatalf("seed %d over %v killed %d hosts, want 1: %s", seed, hosts, killed, p)
+			}
 		}
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		if NewNetPlan(seed, hosts, 0).Kinds()[HostDown] {
-			t.Fatalf("seed %d drew a kill with maxKills=0", seed)
+		if kinds(hostPlan(seed, []string{"solo"}))[HostDown] {
+			t.Fatalf("seed %d killed the only host", seed)
 		}
 	}
 }
 
 // TestNetPlanOrderingAndCoverage: every generated sequence is ordered by
-// ascending After (the NetInjector consumption contract), and across a
+// ascending After (the pull gate's consumption contract), and across a
 // band of seeds the generator draws every network fault kind.
 func TestNetPlanOrderingAndCoverage(t *testing.T) {
 	hosts := []string{"a", "b", "c", "d"}
 	seen := map[Kind]bool{}
 	for seed := int64(1); seed <= 40; seed++ {
-		p := NewNetPlan(seed, hosts, 2)
-		for h, fs := range p {
+		p := hostPlan(seed, hosts)
+		for h, fs := range p.Hosts {
 			for i := 1; i < len(fs); i++ {
 				if fs[i].After < fs[i-1].After {
 					t.Fatalf("seed %d host %s: sequence out of order: %s", seed, h, p)
 				}
 			}
 		}
-		for k := range p.Kinds() {
+		for k := range kinds(p) {
 			seen[k] = true
 		}
 	}
@@ -124,18 +130,20 @@ func TestNetPlanOrderingAndCoverage(t *testing.T) {
 	}
 }
 
-// TestNetPlanString covers the log rendering both empty and populated.
+// TestNetPlanString covers the log rendering: shards first, then hosts,
+// each in ascending order.
 func TestNetPlanString(t *testing.T) {
-	if got := (NetPlan)(nil).String(); got != "clean (no network faults)" {
-		t.Fatalf("nil plan renders %q", got)
-	}
-	p := NetPlan{
+	p := Plan{Hosts: map[string][]Fault{
 		"b": {{Kind: ConnDrop, After: 1}},
-		"a": {{Kind: HostDown, After: 0}, {Kind: SlowStream, After: 2, For: SlowPull}},
-	}
+		"a": {{Kind: HostDown, After: 0}, {Kind: SlowStream, After: 2, For: slowPull}},
+	}}
 	want := "host a: hostdown:after=0 → slowstream:after=2,for=50ms; host b: conndrop:after=1"
 	if got := p.String(); got != want {
 		t.Fatalf("plan renders %q, want %q", got, want)
+	}
+	p.Shards = map[int][]Fault{1: {{Kind: Crash, After: 0}}}
+	if got := p.String(); got != "shard 1: crash:after=0; "+want {
+		t.Fatalf("plan renders %q", got)
 	}
 }
 
