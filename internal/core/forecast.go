@@ -128,7 +128,7 @@ type tableKey struct {
 }
 
 // tableCacheLimit bounds the process-wide forecast-table cache: a table at
-// the default parameters holds ~250k float64s (~2 MB) and takes ~35 CPU-ms
+// the default parameters holds ~250k float64s (~2 MB) and takes ~24 CPU-ms
 // to fold, and entries are never evicted, so a library consumer sweeping a
 // table-shaping parameter (Sigma and OutageEscape among them) past this
 // many distinct values gets uncached (per-forecaster) tables rather than

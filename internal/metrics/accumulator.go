@@ -23,9 +23,9 @@ type flowStream struct {
 	cursor  time.Duration
 	segs    []stats.Segment
 
-	// delay95 is the sealed stream's 95th-percentile delay: a ~31-pass
-	// bisection over segs that the aggregate result, Delay95 and Flow all
-	// ask for. Valid from finish until reset.
+	// delay95 is the sealed stream's 95th-percentile delay: a bisection of
+	// up to 100 passes over segs, two levels a pass, that the aggregate
+	// result, Delay95 and Flow all ask for. Valid from finish until reset.
 	delay95 time.Duration
 }
 

@@ -67,6 +67,50 @@ func TestReservePassedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCallbackTakesOverFiringSlot: a timer that re-arms itself from its
+// callback, among 64 background timers doing the same, gets its firing
+// slot back every time (the root takeover), so the arena never grows and
+// no firing allocates; the handle that fired cannot stop the re-armed one.
+func TestCallbackTakesOverFiringSlot(t *testing.T) {
+	l := New()
+	for i := 0; i < 64; i++ {
+		period := time.Duration(1000+7*i) * time.Microsecond
+		var fn func()
+		fn = func() { l.After(period, fn) }
+		l.After(period, fn)
+	}
+	var tm Timer
+	firings, misses := 0, 0
+	var tick func()
+	tick = func() {
+		firings++
+		held, old := l.held, tm
+		tm = l.Reschedule(tm, 300*time.Microsecond, tick)
+		if held == nil || tm.s != held || old.Stop() {
+			misses++
+		}
+	}
+	tm = l.After(0, tick)
+	arena := len(l.heap) + len(l.free)
+	step := func() {
+		for before := firings; firings == before; {
+			l.Step()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("a firing allocates %v times, want 0", allocs)
+	}
+	for firings < 10000 {
+		step()
+	}
+	if misses != 0 {
+		t.Errorf("%d of %d re-arms missed the firing slot or left the old handle live", misses, firings)
+	}
+	if got := len(l.heap) + len(l.free); got != arena {
+		t.Errorf("arena grew from %d to %d slots", arena, got)
+	}
+}
+
 func TestRescheduleReusesSlotInPlace(t *testing.T) {
 	l := New()
 	var fired []string

@@ -9,8 +9,8 @@
 //
 // The loop is allocation-free in steady state: events live in a pooled
 // arena of slots recycled through a free list, the priority queue is a
-// hand-rolled min-heap over those slots (no container/heap, no interface
-// boxing), and Timer handles are small values whose generation counter
+// hand-rolled min-heap of inline keys over those slots (no container/heap,
+// no interface boxing), and Timer handles are small values whose generation counter
 // keeps Stop safe after a slot has been reused. Periodic callers re-arm
 // one timer with Reschedule instead of allocating a new one every firing.
 package sim
@@ -87,14 +87,22 @@ func Reschedule(c Clock, t Timer, d time.Duration, fn func()) Timer {
 
 // slot is one pooled event in the loop's arena. Slots are allocated in
 // blocks, recycled through a free list, and never individually freed, so
-// pointers to them stay valid for the life of the loop.
+// pointers to them stay valid for the life of the loop. The event's key
+// lives in its heap entry, not here.
 type slot struct {
 	loop *Loop
-	at   time.Duration
-	seq  uint64 // FIFO tie-break for equal times
 	fn   func()
 	gen  uint32 // bumped on every retire/re-arm; validates Timer handles
 	idx  int32  // position in the heap; -1 when not queued
+}
+
+// entry is one element of the heap: the event's key inline, so a sift
+// compares keys that sit next to each other in the array instead of
+// loading each through a pointer, and the slot that holds its callback.
+type entry struct {
+	at  time.Duration
+	seq uint64 // FIFO tie-break for equal times
+	s   *slot
 }
 
 // slotBlock is how many slots are allocated at once when the free list
@@ -129,11 +137,21 @@ type Sequencer interface {
 }
 
 // Loop is a discrete-event simulation loop. The zero value is ready to use.
+//
+// The loop is not reentrant: a callback may schedule, re-arm, stop,
+// reserve and even Reset, but calling Run or Step from inside one panics.
 type Loop struct {
 	now  time.Duration
 	seq  uint64
-	heap []*slot // min-heap on (at, seq); every entry is live
+	heap []entry // min-heap on (at, seq); every entry but held is live
 	free []*slot // retired slots awaiting reuse
+
+	// held is the firing event's slot while its callback runs, until the
+	// callback's first At takes it over (nil otherwise). It stays at the
+	// heap root the whole time: its key sorts before every key scheduled
+	// since, so nothing can displace it.
+	held *slot
+	busy bool // inside Run or Step; guards against reentry
 
 	// firing bounds the events of the current instant that have fired:
 	// those with a smaller sequence number. It is the firing event's own
@@ -169,7 +187,7 @@ func (l *Loop) alloc() *slot {
 	return &block[0]
 }
 
-// retire returns a fired or cancelled slot to the free list, invalidating
+// retire returns a cancelled slot to the free list, invalidating
 // outstanding Timer handles via the generation counter.
 func (l *Loop) retire(s *slot) {
 	s.fn = nil
@@ -180,14 +198,30 @@ func (l *Loop) retire(s *slot) {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // fires the event at the current time instead (events never run backward).
+//
+// The first At a callback makes takes over the firing event's slot, which
+// is still the heap root: it gets the new key and sinks to its place, one
+// sift where a pop and a push would be two.
 func (l *Loop) At(t time.Duration, fn func()) Timer {
 	if t < l.now {
 		t = l.now
 	}
-	s := l.alloc()
-	s.at, s.seq, s.fn = t, l.seq, fn
+	e := entry{at: t, seq: l.seq}
 	l.seq++
-	l.push(s)
+	if s := l.held; s != nil {
+		l.held = nil
+		s.fn = fn
+		e.s = s
+		l.heap[0] = e
+		l.siftDown(0)
+		return Timer{s: s, gen: s.gen}
+	}
+	s := l.alloc()
+	s.fn = fn
+	e.s = s
+	s.idx = int32(len(l.heap))
+	l.heap = append(l.heap, e)
+	l.siftUp(len(l.heap) - 1)
 	return Timer{s: s, gen: s.gen}
 }
 
@@ -207,15 +241,17 @@ func (l *Loop) Reschedule(t Timer, d time.Duration, fn func()) Timer {
 	}
 	if s := t.s; s != nil && s.loop == l {
 		if s.gen == t.gen && s.idx >= 0 {
-			s.at, s.seq, s.fn = at, l.seq, fn
+			e := &l.heap[s.idx]
+			e.at, e.seq, s.fn = at, l.seq, fn
 			l.seq++
 			s.gen++ // invalidate the old handle
 			l.fix(int(s.idx))
 			return Timer{s: s, gen: s.gen}
 		}
 		// A stale handle on this loop (the periodic pattern: the event
-		// fired, retiring its slot, before the callback re-armed it) has
-		// nothing to stop — schedule fresh without the Stop round trip.
+		// fired, invalidating its handles, before the callback re-armed it)
+		// has nothing to stop — schedule fresh without the Stop round trip,
+		// which takes over the firing slot if this is the callback's first.
 		return l.At(at, fn)
 	}
 	t.Stop()
@@ -261,53 +297,24 @@ func (l *Loop) stopSlot(s *slot, gen uint32) bool {
 // Step runs the single earliest pending event, advancing the clock to its
 // time. It reports whether an event was run.
 func (l *Loop) Step() bool {
-	if len(l.heap) == 0 {
-		return false
+	l.enter()
+	ran := len(l.heap) > 0
+	if ran {
+		l.fire()
 	}
-	s := l.heap[0]
-	l.remove(0)
-	l.now, l.firing = s.at, s.seq
-	l.fired++
-	fn := s.fn
-	l.retire(s) // before fn so a re-arm inside fn can reuse the hot slot
-	fn()
-	return true
+	l.busy = false
+	return ran
 }
 
 // Run executes events in order until the event queue is empty or the next
 // event is later than until. The clock finishes at until (or at the last
 // event time if that is later — it never rewinds).
-//
-// The root pop is inlined rather than delegated to Step/remove: Run is the
-// innermost driver of every experiment, and removing the root never needs
-// the general fix() — the tail element moved there can only sift down.
 func (l *Loop) Run(until time.Duration) {
-	for {
-		h := l.heap
-		n := len(h) - 1
-		if n < 0 {
-			break
-		}
-		s := h[0]
-		if s.at > until {
-			break
-		}
-		if n > 0 {
-			t := h[n]
-			h[0] = t
-			t.idx = 0
-		}
-		h[n] = nil
-		l.heap = h[:n]
-		if n > 1 {
-			l.siftDown(0)
-		}
-		l.now, l.firing = s.at, s.seq
-		l.fired++
-		fn := s.fn
-		l.retire(s) // before fn so a re-arm inside fn can reuse the hot slot
-		fn()
+	l.enter()
+	for len(l.heap) > 0 && l.heap[0].at <= until {
+		l.fire()
 	}
+	l.busy = false
 	if until >= l.now {
 		// Every event up to the horizon has fired, whatever its sequence
 		// number. (An earlier horizon than the clock ran nothing.)
@@ -315,61 +322,89 @@ func (l *Loop) Run(until time.Duration) {
 	}
 }
 
+// enter marks the loop busy for one Run or Step, panicking if it already
+// is: a callback that drove the loop would fire the held root's nil fn.
+func (l *Loop) enter() {
+	if l.busy {
+		panic("sim: Run or Step called from an event callback; the loop is not reentrant")
+	}
+	l.busy = true
+}
+
+// fire runs the root event; it is the one fire path of Run and Step. The
+// slot's generation is bumped before the callback, so the event's handles
+// are stale inside it, and the slot stays at the root as held until the
+// callback's first At takes it over. If the callback schedules nothing
+// (and does not Reset), the root is popped after it returns.
+func (l *Loop) fire() {
+	e := l.heap[0]
+	s := e.s
+	l.now, l.firing = e.at, e.seq
+	l.fired++
+	fn := s.fn
+	s.fn = nil
+	s.gen++
+	l.held = s
+	fn()
+	if l.held != nil {
+		l.held = nil
+		l.remove(0)
+		s.idx = -1
+		l.free = append(l.free, s)
+	}
+}
+
 // Fired returns the number of events run since Reset (or New).
 func (l *Loop) Fired() uint64 { return l.fired }
 
-// Pending returns the number of scheduled events. Cancellation removes
-// events from the heap eagerly, so this is an exact O(1) count.
-func (l *Loop) Pending() int { return len(l.heap) }
+// Pending returns the number of scheduled events; inside a callback the
+// firing event is not one of them. Cancellation removes events from the
+// heap eagerly, so this is an exact O(1) count.
+func (l *Loop) Pending() int {
+	if l.held != nil {
+		return len(l.heap) - 1
+	}
+	return len(l.heap)
+}
 
 // Reset restores the loop to its initial state — virtual time zero, empty
 // event queue, sequence and fired-event counters zero — without freeing the
 // slot arena, so a reused loop schedules its first events with no
 // allocation. Every pending event is cancelled and every outstanding Timer
 // handle invalidated (Stop on one returns false, exactly as after firing),
-// and no reservation has passed. A reset loop is
+// and no reservation has passed. Called from a callback, it also recycles
+// the firing event's held slot. A reset loop is
 // indistinguishable from a fresh one to its callers: the (time, sequence)
 // priorities handed out after Reset replay those of a new Loop, which is
 // what keeps reused-world experiment runs byte-identical to fresh-world
 // runs.
 func (l *Loop) Reset() {
-	for _, s := range l.heap {
-		s.fn = nil
-		s.gen++
-		s.idx = -1
-		l.free = append(l.free, s)
+	for _, e := range l.heap {
+		l.retire(e.s)
 	}
 	l.heap = l.heap[:0]
+	l.held = nil
 	l.now, l.seq = 0, 0
 	l.firing, l.fired = 0, 0
 }
 
-// --- min-heap on (at, seq), indices tracked in the slots ---
+// --- min-heap on (at, seq), keys inline, indices tracked in the slots ---
 
-func slotLess(a, b *slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (l *Loop) push(s *slot) {
-	s.idx = int32(len(l.heap))
-	l.heap = append(l.heap, s)
-	l.siftUp(len(l.heap) - 1)
+// before reports whether x's key sorts before (at, seq). Keys are unique,
+// so the order is strict and total: the pop sequence is fixed whatever
+// the heap's layout.
+func (x *entry) before(at time.Duration, seq uint64) bool {
+	return x.at < at || x.at == at && x.seq < seq
 }
 
 // remove deletes the entry at heap index i, restoring the heap property.
 func (l *Loop) remove(i int) {
 	h := l.heap
 	n := len(h) - 1
-	if i != n {
-		h[i] = h[n]
-		h[i].idx = int32(i)
-	}
-	h[n] = nil
 	l.heap = h[:n]
 	if i != n {
+		h[i] = h[n]
+		h[i].s.idx = int32(i)
 		l.fix(i)
 	}
 }
@@ -382,53 +417,63 @@ func (l *Loop) fix(i int) {
 }
 
 // siftUp moves the entry at i toward the root. Callers guarantee
-// h[i] == s with s.idx == i on entry, so an unmoved entry needs no
-// stores at all — the common case for events scheduled in time order.
+// h[i].s.idx == i on entry, so an unmoved entry needs no stores at all —
+// the common case for events scheduled in time order.
 func (l *Loop) siftUp(i int) {
 	h := l.heap
-	s := h[i]
+	e := h[i]
 	start := i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !slotLess(s, h[parent]) {
+		if h[parent].before(e.at, e.seq) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].idx = int32(i)
+		h[i].s.idx = int32(i)
 		i = parent
 	}
 	if i != start {
-		h[i] = s
-		s.idx = int32(i)
+		h[i] = e
+		e.s.idx = int32(i)
 	}
 }
 
 // siftDown moves the entry at i toward the leaves; it reports whether the
-// entry moved.
+// entry moved. Which sibling is smaller is a coin flip no predictor
+// learns, so that choice is arithmetic (child += d) rather than a branch.
 func (l *Loop) siftDown(i int) bool {
 	h := l.heap
 	n := len(h)
-	s := h[i]
+	e := h[i]
 	start := i
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && slotLess(h[r], h[child]) {
-			child = r
+		if r := child + 1; r < n {
+			a, b := &h[child], &h[r]
+			child += b2i(b.at < a.at) | b2i(b.at == a.at)&b2i(b.seq < a.seq)
 		}
-		if !slotLess(h[child], s) {
+		if !h[child].before(e.at, e.seq) {
 			break
 		}
 		h[i] = h[child]
-		h[i].idx = int32(i)
+		h[i].s.idx = int32(i)
 		i = child
 	}
 	if i == start {
 		return false
 	}
-	h[i] = s
-	s.idx = int32(i)
+	h[i] = e
+	e.s.idx = int32(i)
 	return true
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it as a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

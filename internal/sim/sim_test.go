@@ -149,6 +149,26 @@ func TestStep(t *testing.T) {
 	}
 }
 
+// TestNestedRunPanics: the loop is not reentrant. A callback that drives it
+// gets a clear panic rather than firing its own held slot.
+func TestNestedRunPanics(t *testing.T) {
+	for name, nested := range map[string]func(*Loop){
+		"Run":  func(l *Loop) { l.Run(time.Second) },
+		"Step": func(l *Loop) { l.Step() },
+	} {
+		l := New()
+		var got any
+		l.After(time.Millisecond, func() {
+			defer func() { got = recover() }()
+			nested(l)
+		})
+		l.Run(time.Second)
+		if msg, _ := got.(string); msg != "sim: Run or Step called from an event callback; the loop is not reentrant" {
+			t.Errorf("%s from a callback: recovered %v, want the reentrancy panic", name, got)
+		}
+	}
+}
+
 func BenchmarkLoopThroughput(b *testing.B) {
 	l := New()
 	var tick func()
