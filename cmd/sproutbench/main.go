@@ -52,20 +52,21 @@ func main() {
 	parallel := flag.Int("parallel", 0, "experiment workers: 0 = all cores, 1 = serial (results are identical either way)")
 	downFile := flag.String("down", "", "run every scheme on this mahimahi trace (data direction) instead of the canonical suite")
 	upFile := flag.String("up", "", "reverse-direction mahimahi trace (with -down)")
-	scenarioFile := flag.String("scenario", "", "run the experiment specs in this JSON scenario file instead of the canonical suite")
-	shardFlag := flag.String("shard", "", "worker mode: run shard i/n of the -scenario grid and stream JSONL records to -out")
-	outFlag := flag.String("out", "", "JSONL destination for -shard (default stdout); an existing log is resumed, not recomputed")
-	shardsFlag := flag.Int("shards", 0, "parent mode: fan the -scenario grid across this many child processes and merge their JSONL")
-	checkpointFlag := flag.String("checkpoint", "", "checkpoint directory for -shards: a killed sweep rerun resumes from the shard logs here")
-	hostsFlag := flag.String("hosts", "", "comma-separated host pool for -shards: shards are dispatched across these hosts with health scoring and failover")
-	transportFlag := flag.String("transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
-	retriesFlag := flag.Int("retries", 0, "attempts per shard before the supervisor declares it dead (with -shards; 0 = 3)")
-	stallFlag := flag.Duration("stall", 0, "kill a shard child whose checkpoint log stops growing for this long (with -shards; 0 = 2m)")
-	timeoutFlag := flag.Duration("timeout", 0, "sweep-wide deadline for -shards: an expired sweep terminates its children and exits via the -partial path with the exact missing-index report (0 = none)")
-	chaosFlag := flag.Int64("chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
-	partialFlag := flag.Bool("partial", false, "with -shards: merge whatever completed and report the exact missing job indexes instead of failing")
-	rescueFlag := flag.Bool("rescue", true, "with -shards: recompute dead shards' remaining jobs in-process instead of failing the sweep")
-	abFlag := flag.String("ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; sharded sweeps with p50/p95/p99 rollups and a verdict")
+	var sf shardFlags
+	flag.StringVar(&sf.Scenario, "scenario", "", "run the experiment specs in this JSON scenario file instead of the canonical suite")
+	flag.StringVar(&sf.Shard, "shard", "", "worker mode: run shard i/n of the -scenario grid and stream JSONL records to -out")
+	flag.StringVar(&sf.Out, "out", "", "JSONL destination for -shard (default stdout); an existing log is resumed, not recomputed")
+	flag.IntVar(&sf.Shards, "shards", 0, "parent mode: fan the -scenario grid across this many child processes and merge their JSONL")
+	flag.StringVar(&sf.Checkpoint, "checkpoint", "", "checkpoint directory for -shards: a killed sweep rerun resumes from the shard logs here")
+	flag.StringVar(&sf.Hosts, "hosts", "", "comma-separated host pool for -shards: shards are dispatched across these hosts with health scoring and failover")
+	flag.StringVar(&sf.Transport, "transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
+	flag.IntVar(&sf.Retries, "retries", 0, "attempts per shard before the supervisor declares it dead (with -shards; 0 = 3)")
+	flag.DurationVar(&sf.Stall, "stall", 0, "kill a shard child whose checkpoint log stops growing for this long (with -shards; 0 = 2m)")
+	flag.DurationVar(&sf.Timeout, "timeout", 0, "sweep-wide deadline for -shards: an expired sweep terminates its children and exits via the -partial path with the exact missing-index report (0 = none)")
+	flag.Int64Var(&sf.Chaos, "chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
+	flag.BoolVar(&sf.Partial, "partial", false, "with -shards: merge whatever completed and report the exact missing job indexes instead of failing")
+	flag.BoolVar(&sf.Rescue, "rescue", true, "with -shards: recompute dead shards' remaining jobs in-process instead of failing the sweep")
+	flag.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; sharded sweeps with p50/p95/p99 rollups and a verdict")
 	listSchemes := flag.Bool("list-schemes", false, "list every registered scheme and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -101,44 +102,28 @@ func main() {
 		runListSchemes()
 		return
 	}
-	mode, err := parseShardFlags(shardFlagInputs{
-		Shard:      *shardFlag,
-		Shards:     *shardsFlag,
-		AB:         *abFlag,
-		Scenario:   *scenarioFile,
-		Out:        *outFlag,
-		Checkpoint: *checkpointFlag,
-		Hosts:      *hostsFlag,
-		Transport:  *transportFlag,
-		Retries:    *retriesFlag,
-		Stall:      *stallFlag,
-		Timeout:    *timeoutFlag,
-		Chaos:      *chaosFlag,
-		Partial:    *partialFlag,
-		Rescue:     *rescueFlag,
-	})
-	if err != nil {
+	if err := parseShardFlags(&sf); err != nil {
 		fmt.Fprintln(os.Stderr, "sproutbench:", err)
 		fatalExit(dispatch.ExitUsage)
 	}
 	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed}
 	eng := engine.New(*parallel)
 
-	if mode.Shard != nil {
-		labeled("shard", func() { runShardWorker(*scenarioFile, *mode.Shard, mode.Out, opt, eng) })
+	if sf.worker != nil {
+		labeled("shard", func() { runShardWorker(&sf, opt, eng) })
 		return
 	}
-	if len(mode.AB) == 2 {
-		labeled("ab", func() { runAB(mode, opt, *parallel) })
+	if len(sf.variants) == 2 {
+		labeled("ab", func() { runAB(&sf, opt, *parallel) })
 		return
 	}
-	if mode.Shards > 1 {
-		labeled("sharded", func() { runShardParent(*scenarioFile, mode, opt, *parallel) })
+	if sf.Shards > 1 {
+		labeled("sharded", func() { runShardParent(&sf, opt, *parallel) })
 		return
 	}
 
-	if *scenarioFile != "" {
-		labeled("scenario", func() { runScenarioFile(*scenarioFile, opt, eng) })
+	if sf.Scenario != "" {
+		labeled("scenario", func() { runScenarioFile(sf.Scenario, opt, eng) })
 		return
 	}
 	if *downFile != "" || *upFile != "" {

@@ -1,9 +1,10 @@
 // Sharded sweeps from the CLI: -shard i/n runs one partition of a
-// -scenario grid and streams JSONL; -shards n supervises n child
-// processes through dispatch.Supervise (liveness tracking, classified
-// retries, rescue of dead shards' jobs) and merges their logs; -ab a.json,b.json fans two
-// variant grids across shards and reports per-variant p50/p95/p99
-// rollups with a verdict. See DESIGN.md §9–10.
+// -scenario grid and streams JSONL (dispatch.ShardWorker); -shards n
+// supervises n child processes through dispatch.Supervise (liveness
+// tracking, classified retries, rescue of dead shards' jobs) and merges
+// their logs; -ab a.json,b.json fans two variant grids across shards and
+// reports per-variant p50/p95/p99 rollups with a verdict. See DESIGN.md
+// §9–10.
 package main
 
 import (
@@ -25,154 +26,99 @@ import (
 	"sprout/internal/stats"
 )
 
-// shardMode is the validated sharding configuration parsed from flags.
-type shardMode struct {
-	// Shard is set in worker mode (-shard i/n): run one partition.
-	Shard *engine.Shard
-	// Out is the worker's JSONL destination ("" = stdout).
-	Out string
-	// Shards > 1 is parent mode: supervise child processes and merge.
-	Shards int
-	// Checkpoint is the shard-log directory ("" = temp, discarded).
-	Checkpoint string
-	// AB holds the two variant scenario files in A/B mode.
-	AB []string
-	// Hosts is the dispatch pool for parent mode (empty = one implicit
-	// local host); Transport the remote command template ("" = local
-	// child processes).
-	Hosts     []string
-	Transport string
-	// Retries bounds attempts per shard; Stall is the liveness deadline.
-	Retries int
-	Stall   time.Duration
-	// Timeout is the sweep-wide deadline (0 = none); an expired sweep
-	// exits via the -partial path with the exact missing-index report.
-	Timeout time.Duration
-	// Chaos, when nonzero, seeds a deterministic fault plan.
-	Chaos int64
-	// Partial tolerates an incomplete merge (report + degrade, exit 0);
-	// Rescue recomputes dead shards' jobs in-process.
-	Partial bool
-	Rescue  bool
-}
+// shardFlags holds the sharding flags, each documented where main binds
+// it. parseShardFlags checks the combination and fills the parsed fields
+// and parent mode's defaults in place.
+type shardFlags struct {
+	Shard, Out, Scenario, Checkpoint, Hosts, Transport, AB string
+	Shards, Retries                                        int
+	Stall, Timeout                                         time.Duration
+	Chaos                                                  int64
+	Partial, Rescue                                        bool
 
-// shardFlagInputs carries the raw sharding flag values into validation.
-type shardFlagInputs struct {
-	Shard      string
-	Shards     int
-	AB         string
-	Scenario   string
-	Out        string
-	Checkpoint string
-	Hosts      string
-	Transport  string
-	Retries    int
-	Stall      time.Duration
-	Timeout    time.Duration
-	Chaos      int64
-	Partial    bool
-	Rescue     bool
+	worker   *engine.Shard // parsed -shard
+	pool     []string      // -hosts, trimmed
+	variants []string      // the two -ab files
 }
 
 // parseShardFlags validates the sharding flag combination, returning a
 // one-line error (never panicking) on anything malformed — the CLI turns
 // that into exit code 2.
-func parseShardFlags(in shardFlagInputs) (shardMode, error) {
-	var m shardMode
-	if in.Shards < 0 {
-		return m, fmt.Errorf("-shards must be >= 0, got %d", in.Shards)
+func parseShardFlags(f *shardFlags) error {
+	switch {
+	case f.Shards < 0:
+		return fmt.Errorf("-shards must be >= 0, got %d", f.Shards)
+	case f.Retries < 0:
+		return fmt.Errorf("-retries must be >= 0, got %d", f.Retries)
+	case f.Stall < 0:
+		return fmt.Errorf("-stall must be >= 0, got %v", f.Stall)
+	case f.Timeout < 0:
+		return fmt.Errorf("-timeout must be >= 0, got %v", f.Timeout)
 	}
-	if in.Retries < 0 {
-		return m, fmt.Errorf("-retries must be >= 0, got %d", in.Retries)
-	}
-	if in.Stall < 0 {
-		return m, fmt.Errorf("-stall must be >= 0, got %v", in.Stall)
-	}
-	if in.Timeout < 0 {
-		return m, fmt.Errorf("-timeout must be >= 0, got %v", in.Timeout)
-	}
-	parent := in.AB == "" && in.Shard == "" && in.Shards > 1
-	if !parent {
-		if in.Chaos != 0 {
-			return m, fmt.Errorf("-chaos injects faults into supervised children; it requires parent mode (-shards > 1)")
-		}
-		if in.Partial {
-			return m, fmt.Errorf("-partial degrades a supervised merge; it requires parent mode (-shards > 1)")
-		}
-		if in.Hosts != "" {
-			return m, fmt.Errorf("-hosts names a dispatch pool for supervised shards; it requires parent mode (-shards > 1)")
-		}
-		if in.Transport != "" {
-			return m, fmt.Errorf("-transport dispatches supervised shards; it requires parent mode (-shards > 1)")
-		}
-		if in.Timeout != 0 {
-			return m, fmt.Errorf("-timeout bounds a supervised sweep; it requires parent mode (-shards > 1)")
+	if f.AB != "" || f.Shard != "" || f.Shards <= 1 {
+		switch {
+		case f.Chaos != 0:
+			return fmt.Errorf("-chaos injects faults into supervised children; it requires parent mode (-shards > 1)")
+		case f.Partial:
+			return fmt.Errorf("-partial degrades a supervised merge; it requires parent mode (-shards > 1)")
+		case f.Hosts != "":
+			return fmt.Errorf("-hosts names a dispatch pool for supervised shards; it requires parent mode (-shards > 1)")
+		case f.Transport != "":
+			return fmt.Errorf("-transport dispatches supervised shards; it requires parent mode (-shards > 1)")
+		case f.Timeout != 0:
+			return fmt.Errorf("-timeout bounds a supervised sweep; it requires parent mode (-shards > 1)")
 		}
 	}
-	if in.Transport != "" && in.Hosts == "" {
-		return m, fmt.Errorf("-transport runs shards on the machines named by -hosts; -hosts is required")
+	if f.Transport != "" && f.Hosts == "" {
+		return fmt.Errorf("-transport runs shards on the machines named by -hosts; -hosts is required")
 	}
-	if in.AB != "" {
-		parts := strings.Split(in.AB, ",")
+	switch {
+	case f.AB != "":
+		parts := strings.Split(f.AB, ",")
 		if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
-			return m, fmt.Errorf("-ab wants exactly two scenario files as \"specA.json,specB.json\", got %q", in.AB)
+			return fmt.Errorf("-ab wants exactly two scenario files as \"specA.json,specB.json\", got %q", f.AB)
 		}
-		if in.Shard != "" {
-			return m, fmt.Errorf("-ab and -shard are mutually exclusive")
+		if f.Shard != "" {
+			return fmt.Errorf("-ab and -shard are mutually exclusive")
 		}
-		if in.Scenario != "" {
-			return m, fmt.Errorf("-ab replaces -scenario; give the variant files to -ab only")
+		if f.Scenario != "" {
+			return fmt.Errorf("-ab replaces -scenario; give the variant files to -ab only")
 		}
-		m.AB = []string{strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])}
-		m.Shards = in.Shards
-		return m, nil
-	}
-	if in.Shard != "" {
-		sh, err := engine.ParseShard(in.Shard)
+		f.variants = []string{strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])}
+	case f.Shard != "":
+		sh, err := engine.ParseShard(f.Shard)
 		if err != nil {
-			return m, err
+			return err
 		}
-		if in.Scenario == "" {
-			return m, fmt.Errorf("-shard runs one partition of a -scenario grid; -scenario is required")
+		if f.Scenario == "" {
+			return fmt.Errorf("-shard runs one partition of a -scenario grid; -scenario is required")
 		}
-		if in.Shards > 0 {
-			return m, fmt.Errorf("-shard (worker mode) and -shards (parent mode) are mutually exclusive")
+		if f.Shards > 0 {
+			return fmt.Errorf("-shard (worker mode) and -shards (parent mode) are mutually exclusive")
 		}
-		m.Shard = &sh
-		m.Out = in.Out
-		return m, nil
-	}
-	if in.Shards > 1 {
-		if in.Scenario == "" {
-			return m, fmt.Errorf("-shards fans a -scenario grid across child processes; -scenario is required")
+		f.worker = &sh
+	case f.Shards > 1:
+		if f.Scenario == "" {
+			return fmt.Errorf("-shards fans a -scenario grid across child processes; -scenario is required")
 		}
-		m.Shards = in.Shards
-		m.Checkpoint = in.Checkpoint
-		if in.Hosts != "" {
-			for _, h := range strings.Split(in.Hosts, ",") {
+		if f.Hosts != "" {
+			for _, h := range strings.Split(f.Hosts, ",") {
 				h = strings.TrimSpace(h)
 				if h == "" {
-					return m, fmt.Errorf("-hosts has an empty host name in %q", in.Hosts)
+					return fmt.Errorf("-hosts has an empty host name in %q", f.Hosts)
 				}
-				m.Hosts = append(m.Hosts, h)
+				f.pool = append(f.pool, h)
 			}
 		}
-		m.Transport = in.Transport
 		// "0 = default" for -retries and -stall is set here and only here.
-		m.Retries = in.Retries
-		if m.Retries == 0 {
-			m.Retries = 3
+		if f.Retries == 0 {
+			f.Retries = 3
 		}
-		m.Stall = in.Stall
-		if m.Stall == 0 {
-			m.Stall = 2 * time.Minute
+		if f.Stall == 0 {
+			f.Stall = 2 * time.Minute
 		}
-		m.Timeout = in.Timeout
-		m.Chaos = in.Chaos
-		m.Partial = in.Partial
-		m.Rescue = in.Rescue
 	}
-	return m, nil
+	return nil
 }
 
 // loadScenarioSpecs loads a scenario file and fills unset per-spec fields
@@ -202,63 +148,45 @@ func loadScenarioSpecs(path string, opt harness.Options) ([]scenario.Spec, int, 
 	return specs, streaming, nil
 }
 
-// runShardWorker is the child half of a multi-process sweep: compile the
-// grid, run the owned partition, append records to the JSONL log. An
-// existing log resumes — completed indexes are skipped, a torn tail from
-// a killed predecessor is truncated — so the supervisor's retries never
-// recompute finished jobs. Permanent conditions exit with
-// dispatch.ExitPermanent so the supervisor fails the shard fast instead
-// of burning retries: an unloadable grid, or a corrupt
-// (terminated-garbage) checkpoint log.
-// Faults a chaos supervisor injected via SPROUT_FAULT are wired around
-// the log writer here — the recovery machinery upstream cannot tell an
-// injected failure from a real one.
-func runShardWorker(scenarioFile string, sh engine.Shard, out string, opt harness.Options, eng *engine.Engine) {
-	inj, err := fault.FromEnv()
+// runShardWorker is the child half of a multi-process sweep:
+// dispatch.ShardWorker over the -scenario grid, with the fault a chaos
+// supervisor injected through SPROUT_FAULT.
+func runShardWorker(sf *shardFlags, opt harness.Options, eng *engine.Engine) {
+	f, err := fault.Parse(os.Getenv(fault.EnvVar))
 	check(err)
-	inj.Start()
-	specs, _, err := loadScenarioSpecs(scenarioFile, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(dispatch.ExitPermanent)
+	w := dispatch.ShardWorker{
+		Shard: *sf.worker,
+		Load: func() ([]scenario.Spec, error) {
+			specs, _, err := loadScenarioSpecs(sf.Scenario, opt)
+			return specs, err
+		},
+		Out:    sf.Out,
+		Engine: eng,
+		Fault:  fault.New(f, time.Sleep, os.Exit),
+		Stdout: os.Stdout,
+		Stderr: os.Stderr,
 	}
-	var done []int
-	var w *engine.RecordWriter
-	if out == "" {
-		w = engine.NewRecordWriter(inj.Writer(os.Stdout))
-	} else {
-		recs, f, err := engine.OpenShardLog(out)
-		if errors.Is(err, engine.ErrCorruptLog) {
-			fmt.Fprintln(os.Stderr, "sproutbench:", err)
-			fatalExit(dispatch.ExitPermanent)
-		}
-		check(err)
-		defer f.Close()
-		done = engine.CompletedIndexes(recs)
-		w = engine.NewRecordWriterSynced(inj.Writer(f), f.Sync)
+	if code := w.Run(context.Background()); code != 0 {
+		fatalExit(code)
 	}
-	st, err := scenario.RunShard(context.Background(), eng, specs, sh, done, w)
-	check(err)
-	fmt.Fprintf(os.Stderr, "shard %s: %d of %d jobs (%d resumed); %s\n",
-		sh, sh.Size(len(specs)), len(specs), len(done), st)
 }
 
 // runShardParent runs a supervised multi-process sweep through
 // dispatch.Supervise (one child per shard, liveness tracking, classified
 // retries with capped jittered backoff, host failover when a -hosts pool
-// is given, salvage and rescue of what dead shards left behind, merge by
-// global index) and prints the standard scenario table. With -checkpoint
-// the directory persists, so a killed parent rerun resumes instead of
+// is given, rescue of what dead shards left behind, merge by global
+// index) and prints the standard scenario table. With -checkpoint the
+// directory persists, so a killed parent rerun resumes instead of
 // recomputing. With -chaos a seeded fault plan is injected into the
 // children and, over a -hosts pool, into the pulls — the merged output
-// must not change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly: every
-// child is terminated, the fsynced logs are merged, and the parent
-// exits through the partial-report path with the exact missing-index
-// list. See DESIGN.md §10.
-func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, parallel int) {
-	specs, streaming, err := loadScenarioSpecs(scenarioFile, opt)
+// must not change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly:
+// every child is terminated, its log drained into the checkpoint, and
+// the parent exits through the partial-report path with the exact
+// missing-index list. See DESIGN.md §10.
+func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
+	specs, streaming, err := loadScenarioSpecs(sf.Scenario, opt)
 	check(err)
-	dir := mode.Checkpoint
+	dir := sf.Checkpoint
 	if dir == "" {
 		dir, err = os.MkdirTemp("", "sproutbench-shards-*")
 		check(err)
@@ -267,56 +195,55 @@ func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, pa
 	exe, err := os.Executable()
 	check(err)
 	var tr dispatch.Transport
-	if mode.Transport != "" {
-		tr, err = dispatch.NewCmdTransport(mode.Transport)
+	if sf.Transport != "" {
+		tr, err = dispatch.NewCmdTransport(sf.Transport)
 		check(err)
 	}
 	var plan fault.Plan
-	if mode.Chaos != 0 {
-		plan = fault.NewPlan(mode.Chaos, mode.Shards, mode.Hosts, mode.Retries, mode.Stall*3/2)
-		fmt.Fprintf(os.Stderr, "sproutbench: chaos seed %d: %s\n", mode.Chaos, plan)
+	if sf.Chaos != 0 {
+		plan = fault.NewPlan(sf.Chaos, sf.Shards, sf.pool, sf.Retries, sf.Stall*3/2)
+		fmt.Fprintf(os.Stderr, "sproutbench: chaos seed %d: %s\n", sf.Chaos, plan)
 	}
 
-	// A signal cancels the sweep's context: every attempt's select sees
-	// Done, kills its child, and supervision falls through to the
-	// partial merge. The logs are fsynced per record, so nothing the
-	// children completed is lost to the termination.
+	// A signal cancels the sweep's context: every attempt kills its
+	// child, drains its log into the checkpoint, and supervision falls
+	// through to the partial merge.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if mode.Timeout > 0 {
+	if sf.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, mode.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, sf.Timeout)
 		defer cancel()
 	}
 
 	start := time.Now()
 	sum, err := dispatch.Supervise(ctx, dispatch.Config{
-		Worker:    workerPrefix(exe, scenarioFile, opt),
+		Worker:    workerPrefix(exe, sf.Scenario, opt),
 		Specs:     specs,
 		Seed:      opt.Seed,
 		Dir:       dir,
-		Shards:    mode.Shards,
+		Shards:    sf.Shards,
 		Parallel:  parallel,
 		Transport: tr,
-		Hosts:     mode.Hosts,
-		Retries:   mode.Retries,
-		Stall:     mode.Stall,
+		Hosts:     sf.pool,
+		Retries:   sf.Retries,
+		Stall:     sf.Stall,
 		Faults:    plan,
-		Rescue:    mode.Rescue,
+		Rescue:    sf.Rescue,
 		Log:       os.Stderr,
 	})
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		reason := "interrupted"
 		if errors.Is(err, context.DeadlineExceeded) {
-			reason = fmt.Sprintf("timed out after %v", mode.Timeout)
+			reason = fmt.Sprintf("timed out after %v", sf.Timeout)
 		}
 		fmt.Fprintf(os.Stderr, "sproutbench: sweep %s; %d of %d jobs completed (resume with the same -checkpoint)\n",
 			reason, len(specs)-len(sum.Missing), len(specs))
 		if len(sum.Missing) > 0 {
 			fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
 		}
-		printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards, partial)", scenarioFile, mode.Shards), sum.Results)
-		if !mode.Partial && len(sum.Missing) > 0 {
+		printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards, partial)", sf.Scenario, sf.Shards), sum.Results)
+		if !sf.Partial && len(sum.Missing) > 0 {
 			fatalExit(1)
 		}
 		return
@@ -332,20 +259,20 @@ func runShardParent(scenarioFile string, mode shardMode, opt harness.Options, pa
 		}
 	}
 	if retried > 0 || sum.Rescued > 0 {
-		fmt.Fprintf(os.Stderr, "sproutbench: recovery: %d shard(s) retried or failed, %d dead, %d log(s) quarantined, %d job(s) rescued\n",
-			retried, dead, sum.Quarantined, sum.Rescued)
+		fmt.Fprintf(os.Stderr, "sproutbench: recovery: %d shard(s) retried or failed, %d dead, %d job(s) rescued\n",
+			retried, dead, sum.Rescued)
 	}
-	if len(sum.Missing) > 0 && !mode.Partial {
+	if len(sum.Missing) > 0 && !sf.Partial {
 		fmt.Fprintf(os.Stderr, "sproutbench: %d of %d jobs missing after supervision: %s (rerun with the same -checkpoint to resume, or -partial to merge what completed)\n",
 			len(sum.Missing), len(specs), formatMissing(sum.Missing))
 		fatalExit(1)
 	}
 	fmt.Fprintf(os.Stderr, "sharded: %d jobs across %d supervised child processes in %v; %d streaming scenario(s)\n",
-		len(specs), mode.Shards, time.Since(start).Round(time.Millisecond), streaming)
+		len(specs), sf.Shards, time.Since(start).Round(time.Millisecond), streaming)
 	if len(sum.Missing) > 0 {
 		fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
 	}
-	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards)", scenarioFile, mode.Shards), sum.Results)
+	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards)", sf.Scenario, sf.Shards), sum.Results)
 }
 
 // workerPrefix is the command every shard worker of a sweep shares: the
@@ -419,13 +346,10 @@ func pctDelta(a, b float64) float64 {
 // shards; each variant's records round-trip the same JSONL codec the
 // multi-process path uses) and prints the p50/p95/p99 rollup plus the
 // verdict line.
-func runAB(mode shardMode, opt harness.Options, workers int) {
-	shards := mode.Shards
-	if shards < 2 {
-		shards = 2
-	}
+func runAB(sf *shardFlags, opt harness.Options, workers int) {
+	shards := max(sf.Shards, 2)
 	variants := make([]abVariant, 2)
-	for i, file := range mode.AB {
+	for i, file := range sf.variants {
 		name := string(rune('A' + i))
 		specs, _, err := loadScenarioSpecs(file, opt)
 		check(err)
@@ -438,7 +362,7 @@ func runAB(mode shardMode, opt harness.Options, workers int) {
 		fmt.Fprintf(os.Stderr, "variant %s (%s): %s\n", name, file, st)
 		variants[i] = rollup(name, file, results, elapsed)
 	}
-	header(fmt.Sprintf("A/B: %s vs %s (%d in-process shards)", mode.AB[0], mode.AB[1], shards))
+	header(fmt.Sprintf("A/B: %s vs %s (%d in-process shards)", sf.variants[0], sf.variants[1], shards))
 	fmt.Printf("%-2s %-32s %5s %27s %27s %10s\n",
 		"", "variant", "runs", "tput p50/p95/p99 (kbps)", "delay95 p50/p95/p99 (ms)", "wall")
 	for _, v := range variants {

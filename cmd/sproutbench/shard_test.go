@@ -14,52 +14,53 @@ import (
 func TestParseShardFlags(t *testing.T) {
 	cases := []struct {
 		name                           string
-		in                             shardFlagInputs
+		in                             shardFlags
 		wantErr                        string // substring, "" = success
 		wantWorker, wantParent, wantAB bool
 	}{
 		{name: "default", wantErr: ""},
-		{name: "worker", in: shardFlagInputs{Shard: "1/4", Scenario: "s.json", Out: "x.jsonl"}, wantWorker: true},
-		{name: "worker stdout", in: shardFlagInputs{Shard: "0/2", Scenario: "s.json"}, wantWorker: true},
-		{name: "parent", in: shardFlagInputs{Shards: 4, Scenario: "s.json"}, wantParent: true},
-		{name: "parent checkpointed", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Checkpoint: "ck"}, wantParent: true},
-		{name: "parent chaos partial", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Chaos: 7, Partial: true}, wantParent: true},
-		{name: "parent hosts", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Hosts: "a,b"}, wantParent: true},
-		{name: "parent hosts transport", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}"}, wantParent: true},
-		{name: "parent timeout", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Timeout: time.Minute}, wantParent: true},
-		{name: "single shard is direct", in: shardFlagInputs{Shards: 1, Scenario: "s.json"}},
-		{name: "ab", in: shardFlagInputs{AB: "a.json,b.json"}, wantAB: true},
-		{name: "ab sharded", in: shardFlagInputs{AB: "a.json,b.json", Shards: 4}, wantAB: true},
+		{name: "worker", in: shardFlags{Shard: "1/4", Scenario: "s.json", Out: "x.jsonl"}, wantWorker: true},
+		{name: "worker stdout", in: shardFlags{Shard: "0/2", Scenario: "s.json"}, wantWorker: true},
+		{name: "parent", in: shardFlags{Shards: 4, Scenario: "s.json"}, wantParent: true},
+		{name: "parent checkpointed", in: shardFlags{Shards: 2, Scenario: "s.json", Checkpoint: "ck"}, wantParent: true},
+		{name: "parent chaos partial", in: shardFlags{Shards: 2, Scenario: "s.json", Chaos: 7, Partial: true}, wantParent: true},
+		{name: "parent hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b"}, wantParent: true},
+		{name: "parent hosts transport", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}"}, wantParent: true},
+		{name: "parent timeout", in: shardFlags{Shards: 2, Scenario: "s.json", Timeout: time.Minute}, wantParent: true},
+		{name: "single shard is direct", in: shardFlags{Shards: 1, Scenario: "s.json"}},
+		{name: "ab", in: shardFlags{AB: "a.json,b.json"}, wantAB: true},
+		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantAB: true},
 
-		{name: "bad shard syntax", in: shardFlagInputs{Shard: "nope", Scenario: "s.json"}, wantErr: "shard"},
-		{name: "shard out of range", in: shardFlagInputs{Shard: "4/4", Scenario: "s.json"}, wantErr: "outside"},
-		{name: "shard needs scenario", in: shardFlagInputs{Shard: "0/2"}, wantErr: "-scenario is required"},
-		{name: "shard vs shards", in: shardFlagInputs{Shard: "0/2", Shards: 2, Scenario: "s.json"}, wantErr: "mutually exclusive"},
-		{name: "negative shards", in: shardFlagInputs{Shards: -1}, wantErr: ">= 0"},
-		{name: "negative retries", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Retries: -1}, wantErr: "-retries"},
-		{name: "negative stall", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Stall: -time.Second}, wantErr: "-stall"},
-		{name: "shards need scenario", in: shardFlagInputs{Shards: 2}, wantErr: "-scenario is required"},
-		{name: "chaos needs parent", in: shardFlagInputs{Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
-		{name: "chaos in worker", in: shardFlagInputs{Shard: "0/2", Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
-		{name: "partial needs parent", in: shardFlagInputs{Scenario: "s.json", Partial: true}, wantErr: "parent mode"},
-		{name: "hosts need parent", in: shardFlagInputs{Scenario: "s.json", Hosts: "a,b"}, wantErr: "parent mode"},
-		{name: "hosts in worker", in: shardFlagInputs{Shard: "0/2", Scenario: "s.json", Hosts: "a"}, wantErr: "parent mode"},
-		{name: "transport needs parent", in: shardFlagInputs{Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "parent mode"},
-		{name: "timeout needs parent", in: shardFlagInputs{Scenario: "s.json", Timeout: time.Second}, wantErr: "parent mode"},
-		{name: "timeout in ab", in: shardFlagInputs{AB: "a.json,b.json", Shards: 2, Timeout: time.Second}, wantErr: "parent mode"},
-		{name: "transport needs hosts", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "-hosts is required"},
-		{name: "empty host name", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Hosts: "a,,b"}, wantErr: "empty host"},
-		{name: "negative timeout", in: shardFlagInputs{Shards: 2, Scenario: "s.json", Timeout: -time.Second}, wantErr: "-timeout"},
-		{name: "chaos in ab", in: shardFlagInputs{AB: "a.json,b.json", Shards: 2, Chaos: 7}, wantErr: "parent mode"},
-		{name: "ab wants two files", in: shardFlagInputs{AB: "a.json"}, wantErr: "exactly two"},
-		{name: "ab three files", in: shardFlagInputs{AB: "a,b,c"}, wantErr: "exactly two"},
-		{name: "ab empty side", in: shardFlagInputs{AB: "a.json,"}, wantErr: "exactly two"},
-		{name: "ab vs shard", in: shardFlagInputs{AB: "a.json,b.json", Shard: "0/2"}, wantErr: "mutually exclusive"},
-		{name: "ab vs scenario", in: shardFlagInputs{AB: "a.json,b.json", Scenario: "s.json"}, wantErr: "-ab replaces -scenario"},
+		{name: "bad shard syntax", in: shardFlags{Shard: "nope", Scenario: "s.json"}, wantErr: "shard"},
+		{name: "shard out of range", in: shardFlags{Shard: "4/4", Scenario: "s.json"}, wantErr: "outside"},
+		{name: "shard needs scenario", in: shardFlags{Shard: "0/2"}, wantErr: "-scenario is required"},
+		{name: "shard vs shards", in: shardFlags{Shard: "0/2", Shards: 2, Scenario: "s.json"}, wantErr: "mutually exclusive"},
+		{name: "negative shards", in: shardFlags{Shards: -1}, wantErr: ">= 0"},
+		{name: "negative retries", in: shardFlags{Shards: 2, Scenario: "s.json", Retries: -1}, wantErr: "-retries"},
+		{name: "negative stall", in: shardFlags{Shards: 2, Scenario: "s.json", Stall: -time.Second}, wantErr: "-stall"},
+		{name: "shards need scenario", in: shardFlags{Shards: 2}, wantErr: "-scenario is required"},
+		{name: "chaos needs parent", in: shardFlags{Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
+		{name: "chaos in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
+		{name: "partial needs parent", in: shardFlags{Scenario: "s.json", Partial: true}, wantErr: "parent mode"},
+		{name: "hosts need parent", in: shardFlags{Scenario: "s.json", Hosts: "a,b"}, wantErr: "parent mode"},
+		{name: "hosts in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Hosts: "a"}, wantErr: "parent mode"},
+		{name: "transport needs parent", in: shardFlags{Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "parent mode"},
+		{name: "timeout needs parent", in: shardFlags{Scenario: "s.json", Timeout: time.Second}, wantErr: "parent mode"},
+		{name: "timeout in ab", in: shardFlags{AB: "a.json,b.json", Shards: 2, Timeout: time.Second}, wantErr: "parent mode"},
+		{name: "transport needs hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "-hosts is required"},
+		{name: "empty host name", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,,b"}, wantErr: "empty host"},
+		{name: "negative timeout", in: shardFlags{Shards: 2, Scenario: "s.json", Timeout: -time.Second}, wantErr: "-timeout"},
+		{name: "chaos in ab", in: shardFlags{AB: "a.json,b.json", Shards: 2, Chaos: 7}, wantErr: "parent mode"},
+		{name: "ab wants two files", in: shardFlags{AB: "a.json"}, wantErr: "exactly two"},
+		{name: "ab three files", in: shardFlags{AB: "a,b,c"}, wantErr: "exactly two"},
+		{name: "ab empty side", in: shardFlags{AB: "a.json,"}, wantErr: "exactly two"},
+		{name: "ab vs shard", in: shardFlags{AB: "a.json,b.json", Shard: "0/2"}, wantErr: "mutually exclusive"},
+		{name: "ab vs scenario", in: shardFlags{AB: "a.json,b.json", Scenario: "s.json"}, wantErr: "-ab replaces -scenario"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			mode, err := parseShardFlags(c.in)
+			mode := c.in
+			err := parseShardFlags(&mode)
 			if c.wantErr != "" {
 				if err == nil {
 					t.Fatalf("got mode %+v, want error containing %q", mode, c.wantErr)
@@ -75,13 +76,13 @@ func TestParseShardFlags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mode.Shard != nil; got != c.wantWorker {
+			if got := mode.worker != nil; got != c.wantWorker {
 				t.Errorf("worker mode = %v, want %v", got, c.wantWorker)
 			}
-			if got := mode.Shards > 1 && mode.AB == nil; got != c.wantParent {
+			if got := mode.Shards > 1 && mode.variants == nil; got != c.wantParent {
 				t.Errorf("parent mode = %v, want %v", got, c.wantParent)
 			}
-			if got := len(mode.AB) == 2; got != c.wantAB {
+			if got := len(mode.variants) == 2; got != c.wantAB {
 				t.Errorf("ab mode = %v, want %v", got, c.wantAB)
 			}
 		})
@@ -89,12 +90,12 @@ func TestParseShardFlags(t *testing.T) {
 }
 
 func TestParseShardFlagsWorkerFields(t *testing.T) {
-	mode, err := parseShardFlags(shardFlagInputs{Shard: "2/3", Scenario: "s.json", Out: "out.jsonl"})
-	if err != nil {
+	mode := shardFlags{Shard: "2/3", Scenario: "s.json", Out: "out.jsonl"}
+	if err := parseShardFlags(&mode); err != nil {
 		t.Fatal(err)
 	}
-	if *mode.Shard != (engine.Shard{Index: 2, Count: 3}) {
-		t.Fatalf("shard = %v, want 2/3", mode.Shard)
+	if *mode.worker != (engine.Shard{Index: 2, Count: 3}) {
+		t.Fatalf("shard = %v, want 2/3", mode.worker)
 	}
 	if mode.Out != "out.jsonl" {
 		t.Fatalf("out = %q", mode.Out)
@@ -105,8 +106,8 @@ func TestParseShardFlagsWorkerFields(t *testing.T) {
 // supervision knobs so zero values never mean "no retries" or "no stall
 // deadline".
 func TestParseShardFlagsParentDefaults(t *testing.T) {
-	mode, err := parseShardFlags(shardFlagInputs{Shards: 2, Scenario: "s.json", Rescue: true})
-	if err != nil {
+	mode := shardFlags{Shards: 2, Scenario: "s.json", Rescue: true}
+	if err := parseShardFlags(&mode); err != nil {
 		t.Fatal(err)
 	}
 	if mode.Retries != 3 {
@@ -118,8 +119,8 @@ func TestParseShardFlagsParentDefaults(t *testing.T) {
 	if !mode.Rescue {
 		t.Fatal("Rescue flag not carried into parent mode")
 	}
-	mode, err = parseShardFlags(shardFlagInputs{Shards: 2, Scenario: "s.json", Retries: 5, Stall: 7 * time.Second})
-	if err != nil {
+	mode = shardFlags{Shards: 2, Scenario: "s.json", Retries: 5, Stall: 7 * time.Second}
+	if err := parseShardFlags(&mode); err != nil {
 		t.Fatal(err)
 	}
 	if mode.Retries != 5 || mode.Stall != 7*time.Second {
@@ -131,14 +132,14 @@ func TestParseShardFlagsParentDefaults(t *testing.T) {
 // mode struct with host names trimmed of the whitespace a hand-typed
 // -hosts list accumulates.
 func TestParseShardFlagsDispatchFields(t *testing.T) {
-	mode, err := parseShardFlags(shardFlagInputs{
+	mode := shardFlags{
 		Shards: 2, Scenario: "s.json",
 		Hosts: " alpha , beta,gamma ", Transport: "ssh {host} -- {exe}", Timeout: 90 * time.Second,
-	})
-	if err != nil {
+	}
+	if err := parseShardFlags(&mode); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(mode.Hosts, "|"), "alpha|beta|gamma"; got != want {
+	if got, want := strings.Join(mode.pool, "|"), "alpha|beta|gamma"; got != want {
 		t.Fatalf("hosts = %q, want %q", got, want)
 	}
 	if mode.Transport != "ssh {host} -- {exe}" {

@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// TestMain lets the test binary serve as the CLI: with SPROUTBENCH_CHILD
+// set it runs main(), so the interrupt test below drives a real parent
+// whose children are real processes.
+func TestMain(m *testing.M) {
+	if os.Getenv("SPROUTBENCH_CHILD") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
 // TestShardParentInterruptPartial drives the real CLI: a supervised
 // sweep interrupted by SIGINT must terminate its children, merge what
 // their fsynced logs hold, print the exact missing-index report, and —

@@ -33,7 +33,6 @@ var exportAllow = map[string]string{
 	"internal/linktest.SendSchedulesNoEvent":         "differential driver shared by the link and cell tests",
 
 	// Fault harnesses the supervisor and dispatch tests drive.
-	"internal/dispatch.NewLoopback":       "in-process multi-host transport for the supervisor tests",
 	"internal/dispatch.(Loopback).Revive": "host reboot",
 
 	// State tests read as their oracle: the posterior, and counters of

@@ -16,12 +16,8 @@ type backoff struct {
 	rng    *rand.Rand
 }
 
-// newBackoff builds the schedule. A non-positive base defaults to
-// 500 ms.
+// newBackoff builds the schedule starting at base.
 func newBackoff(base time.Duration, rng *rand.Rand) *backoff {
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
 	return &backoff{d: base, cap: 16 * base, rng: rng}
 }
 

@@ -201,16 +201,6 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	}
 }
 
-func TestBackoffDegenerateBounds(t *testing.T) {
-	// A non-positive base falls back to the 500 ms default.
-	for _, base := range []time.Duration{0, -time.Second} {
-		b := newBackoff(base, rand.New(rand.NewSource(1)))
-		if d := b.next(); d < 250*time.Millisecond || d > 500*time.Millisecond {
-			t.Fatalf("base %v: first delay %v, want within the default's [250ms, 500ms]", base, d)
-		}
-	}
-}
-
 // TestProgress drives the liveness state machine with a fake clock:
 // growth resets the deadline, silence past the deadline trips it.
 func TestProgress(t *testing.T) {
@@ -294,7 +284,7 @@ func mustOpen(t *testing.T, path string) *os.File {
 // scriptedTransport serves Pull from a scripted response list, so the
 // pull protocol's edge cases are driven deterministically.
 type scriptedTransport struct {
-	LocalExec
+	Transport
 	pulls []func(offset int64) ([]byte, int64, error)
 	n     int
 }
@@ -363,7 +353,12 @@ func TestPullStateRejectsSkipAhead(t *testing.T) {
 	tr := &scriptedTransport{pulls: []func(int64) ([]byte, int64, error){
 		func(o int64) ([]byte, int64, error) { return []byte("x"), o + 10, nil },
 	}}
-	ps := newPullState(tr, "h", "remote", nil, 0)
+	mirror, err := openShardMirror(filepath.Join(t.TempDir(), "shard-0.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mirror.close()
+	ps := newPullState(tr, "h", "remote", mirror, 0)
 	if _, err := ps.poll(context.Background()); err == nil {
 		t.Fatal("a pull that skipped ahead was accepted")
 	}
@@ -391,12 +386,12 @@ func TestPullStateSurfacesCorruption(t *testing.T) {
 	}
 }
 
-// --- LocalExec / CmdTransport ---
+// --- Loopback / CmdTransport ---
 
-func TestLocalExecPullPush(t *testing.T) {
+func TestLoopbackPullPush(t *testing.T) {
 	ctx := context.Background()
-	var tr LocalExec
-	path := filepath.Join(t.TempDir(), "sub", "log.jsonl")
+	tr := NewLoopback()
+	path := hostLogPath(t.TempDir(), "local", 0)
 	// Missing file pulls empty, not an error.
 	data, from, err := tr.Pull(ctx, "local", path, 5)
 	if err != nil || len(data) != 0 || from != 5 {
@@ -413,9 +408,6 @@ func TestLocalExecPullPush(t *testing.T) {
 	data, from, err = tr.Pull(ctx, "local", path, 999)
 	if err != nil || from != 0 || string(data) != "hello world\n" {
 		t.Fatalf("shrunk-file pull = (%q, %d, %v), want honest from=0", data, from, err)
-	}
-	if tr.Mirrored() {
-		t.Fatal("LocalExec claims mirroring; the worker log is the local file")
 	}
 }
 
@@ -439,10 +431,7 @@ func TestCmdTransportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Mirrored() {
-		t.Fatal("CmdTransport must be mirrored; remote logs are not local files")
-	}
-	path := filepath.Join(t.TempDir(), "ckpt", "shard-0.jsonl")
+	path := hostLogPath(filepath.Join(t.TempDir(), "ckpt"), "hostA", 0)
 	if err := tr.Push(ctx, "hostA", path, []byte("abcdef\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +451,8 @@ func TestCmdTransportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.Wait(); err != nil {
+	<-proc.Done()
+	if err := proc.Err(); err != nil {
 		t.Fatalf("remote worker failed: %v", err)
 	}
 	if _, err := os.Stat(marker); err != nil {
@@ -491,13 +481,22 @@ func TestShellQuote(t *testing.T) {
 
 // --- Loopback ---
 
+// TestLoopbackHostNamespaces: every worker log lives in its host's
+// directory, never at the mirror's path, so two hosts can hold one
+// shard's log across a failover and no worker writes the supervisor's
+// copy.
 func TestLoopbackHostNamespaces(t *testing.T) {
-	l := NewLoopback()
 	dir := t.TempDir()
-	pa := l.ShardLogPath("a", dir, 1)
-	pb := l.ShardLogPath("b", dir, 1)
+	pa := hostLogPath(dir, "a", 1)
+	pb := hostLogPath(dir, "b", 1)
 	if pa == pb {
 		t.Fatal("two hosts share one shard-log path; failover would collide")
+	}
+	if want := filepath.Join(dir, "host-a", "shard-1.jsonl"); pa != want {
+		t.Fatalf("worker log at %s, want %s", pa, want)
+	}
+	if pa == engine.ShardLogPath(dir, 1) {
+		t.Fatal("the worker log is the mirror")
 	}
 }
 
@@ -505,7 +504,7 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 	ctx := context.Background()
 	l := NewLoopback()
 	dir := t.TempDir()
-	path := l.ShardLogPath("a", dir, 0)
+	path := hostLogPath(dir, "a", 0)
 	if err := l.Push(ctx, "a", path, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -514,15 +513,13 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- proc.Wait() }()
 	l.KillHost("a")
 	select {
-	case err := <-done:
-		if err == nil {
+	case <-proc.Done():
+		if proc.Err() == nil {
 			t.Fatal("killed worker reported success")
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(10 * time.Second): // safety timeout
 		t.Fatal("worker survived its host's death")
 	}
 	if _, _, err := l.Pull(ctx, "a", path, 0); !errors.Is(err, ErrHostDown) {
@@ -535,7 +532,7 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 		t.Fatalf("start on dead host = %v, want ErrHostDown", err)
 	}
 	// Other hosts are unaffected; a revived host serves its old bytes.
-	if _, _, err := l.Pull(ctx, "b", l.ShardLogPath("b", dir, 0), 0); err != nil {
+	if _, _, err := l.Pull(ctx, "b", hostLogPath(dir, "b", 0), 0); err != nil {
 		t.Fatalf("healthy host affected by sibling's death: %v", err)
 	}
 	l.Revive("a")
@@ -585,6 +582,10 @@ func TestClassify(t *testing.T) {
 	if got := classify(werr); got != classPermanent {
 		t.Fatalf("wrapped ErrCorruptLog classified %v, want permanent", got)
 	}
+	// An in-process worker's exit status reads the same way.
+	if got := classify(fmt.Errorf("attempt: %w", exitStatus(ExitPermanent))); got != classPermanent {
+		t.Fatalf("in-process exit 3 classified %v, want permanent", got)
+	}
 	// A real child exiting with the permanent code.
 	err := exec.Command("/bin/sh", "-c", "exit 3").Run()
 	if err == nil {
@@ -605,12 +606,12 @@ func TestClassify(t *testing.T) {
 // between boundaries run clean, and a host the plan does not name is
 // never gated.
 func TestPullFaultOrdering(t *testing.T) {
-	ft := newFaultyTransport(LocalExec{}, map[string][]fault.Fault{"h": {
+	ft := newFaultyTransport(NewLoopback(), map[string][]fault.Fault{"h": {
 		{Kind: fault.ConnDrop, After: 0},
 		{Kind: fault.PartialPull, After: 2, Bytes: 5},
 		{Kind: fault.DupRecords, After: 2, Bytes: 16}, // same boundary: fires on the next pull
 		{Kind: fault.HostDown, After: 5},
-	}})
+	}}, wallClock{})
 	want := []fault.Kind{
 		fault.ConnDrop,    // pull 0
 		"",                // pull 1
@@ -636,8 +637,8 @@ func TestPullFaultOrdering(t *testing.T) {
 // fails the way a dead machine's would.
 func TestFaultyTransportHostDown(t *testing.T) {
 	lb := NewLoopback()
-	ft := newFaultyTransport(lb, map[string][]fault.Fault{"a": {{Kind: fault.HostDown, After: 1}}})
-	path := lb.ShardLogPath("a", t.TempDir(), 0)
+	ft := newFaultyTransport(lb, map[string][]fault.Fault{"a": {{Kind: fault.HostDown, After: 1}}}, wallClock{})
+	path := hostLogPath(t.TempDir(), "a", 0)
 	ctx := context.Background()
 	if _, _, err := ft.Pull(ctx, "a", path, 0); err != nil {
 		t.Fatalf("pull 0 = %v, want clean", err)

@@ -4,85 +4,63 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 )
 
-// Loopback simulates a multi-host pool on one machine: each named host
-// gets its own filesystem namespace (dir/host-<name>/...) and its own
-// set of tracked worker processes, and a host can be killed — every
-// process on it dies, every later transport operation against it fails
-// with ErrHostDown — and later revived. Workers really are separate
-// processes writing to files the supervisor can only reach through the
-// transport, so the full remote protocol (push, start, offset pull,
-// failover) runs for real; only the network is simulated. This is the
-// test and CI transport.
+// Loopback runs a pool of named hosts on this machine — the default
+// transport, one host per sweep unless -hosts names more. Each host's
+// workers are child processes writing in the host's own directory
+// (hostLogPath), reached only through Pull and Push, so the sweep runs
+// the same remote protocol (push, start, offset pull, mirror, failover)
+// as over ssh. A host can be killed: every worker on it dies, and every
+// later transport operation against it fails with ErrHostDown until
+// Revive.
 type Loopback struct {
 	mu    sync.Mutex
 	down  map[string]bool
-	procs map[string]map[*loopProc]bool
+	procs map[string][]Proc
+	// start launches one worker; a Loopback runs child processes
+	// (startLocal), and the supervisor's tests run goroutines.
+	start func(ctx context.Context, argv, env []string, stderr io.Writer) (Proc, error)
 }
 
 // NewLoopback builds an empty loopback fabric; hosts exist implicitly
 // the moment they are named.
 func NewLoopback() *Loopback {
-	return &Loopback{down: map[string]bool{}, procs: map[string]map[*loopProc]bool{}}
-}
-
-func (l *Loopback) Mirrored() bool { return true }
-
-// ShardLogPath places each host's logs in its own namespace under the
-// checkpoint dir, so two hosts can hold the same shard's log (one stale,
-// one live, across a failover) without colliding — exactly the situation
-// separate machines' filesystems give for free.
-func (l *Loopback) ShardLogPath(host, dir string, shard int) string {
-	return filepath.Join(dir, "host-"+host, fmt.Sprintf("shard-%d.jsonl", shard))
+	return &Loopback{down: map[string]bool{}, procs: map[string][]Proc{}, start: startLocal}
 }
 
 func (l *Loopback) Start(ctx context.Context, host string, argv, env []string, stderr io.Writer) (Proc, error) {
-	l.mu.Lock()
-	if l.down[host] {
-		l.mu.Unlock()
+	if l.Down(host) {
 		return nil, fmt.Errorf("%w: start on %s", ErrHostDown, host)
 	}
-	l.mu.Unlock()
-	inner, err := startLocal(ctx, argv, env, stderr)
+	p, err := l.start(ctx, argv, env, stderr)
 	if err != nil {
 		return nil, err
 	}
-	p := &loopProc{l: l, host: host, inner: inner}
 	l.mu.Lock()
 	// The host may have died between the check and the launch; kill the
-	// straggler rather than leak a process on a dead host.
+	// straggler rather than leak a worker on a dead host.
 	if l.down[host] {
 		l.mu.Unlock()
-		inner.Kill()
-		inner.Wait()
+		p.Kill()
+		<-p.Done()
 		return nil, fmt.Errorf("%w: start on %s", ErrHostDown, host)
 	}
-	if l.procs[host] == nil {
-		l.procs[host] = map[*loopProc]bool{}
-	}
-	l.procs[host][p] = true
+	l.procs[host] = append(l.procs[host], p) // killing an exited worker is a no-op
 	l.mu.Unlock()
 	return p, nil
 }
 
 func (l *Loopback) Pull(_ context.Context, host, path string, offset int64) ([]byte, int64, error) {
-	l.mu.Lock()
-	dead := l.down[host]
-	l.mu.Unlock()
-	if dead {
+	if l.Down(host) {
 		return nil, 0, fmt.Errorf("%w: pull from %s", ErrHostDown, host)
 	}
 	return pullLocal(path, offset)
 }
 
 func (l *Loopback) Push(_ context.Context, host, path string, data []byte) error {
-	l.mu.Lock()
-	dead := l.down[host]
-	l.mu.Unlock()
-	if dead {
+	if l.Down(host) {
 		return fmt.Errorf("%w: push to %s", ErrHostDown, host)
 	}
 	return pushLocal(path, data)
@@ -96,13 +74,11 @@ func (l *Loopback) Push(_ context.Context, host, path string, data []byte) error
 func (l *Loopback) KillHost(host string) {
 	l.mu.Lock()
 	l.down[host] = true
-	victims := make([]*loopProc, 0, len(l.procs[host]))
-	for p := range l.procs[host] {
-		victims = append(victims, p)
-	}
+	victims := l.procs[host]
+	l.procs[host] = nil
 	l.mu.Unlock()
 	for _, p := range victims {
-		p.inner.Kill()
+		p.Kill()
 	}
 }
 
@@ -119,21 +95,3 @@ func (l *Loopback) Down(host string) bool {
 	defer l.mu.Unlock()
 	return l.down[host]
 }
-
-// loopProc tracks one worker so KillHost can find it; it untracks itself
-// when reaped.
-type loopProc struct {
-	l     *Loopback
-	host  string
-	inner Proc
-}
-
-func (p *loopProc) Wait() error {
-	err := p.inner.Wait()
-	p.l.mu.Lock()
-	delete(p.l.procs[p.host], p)
-	p.l.mu.Unlock()
-	return err
-}
-
-func (p *loopProc) Kill() error { return p.inner.Kill() }

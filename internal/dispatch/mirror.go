@@ -29,7 +29,9 @@ type shardMirror struct {
 
 // openShardMirror opens (resuming if present) the mirror log at path —
 // for a supervised sweep, engine.ShardLogPath(dir, shard), so the merge
-// reads mirrors exactly like local shard logs.
+// reads mirrors exactly like local shard logs. A mirror only ever holds
+// whole parsed records; one that is already corrupt fails with
+// engine.ErrCorruptLog naming the file.
 func openShardMirror(path string) (*shardMirror, error) {
 	recs, f, err := engine.OpenShardLog(path)
 	if err != nil {
@@ -83,8 +85,8 @@ func (m *shardMirror) close() error { return m.f.Close() }
 // A failed pull advances nothing — the next poll retries the identical
 // range. The one non-recoverable outcome is a terminated malformed line
 // in the pulled stream (engine.ErrCorruptLog): the remote log itself is
-// damaged, which no re-pull fixes, so poll surfaces it for the
-// supervisor's quarantine path.
+// damaged, which no re-pull fixes, so poll surfaces it and the
+// supervisor declares the shard dead.
 type pullState struct {
 	transport Transport
 	host      string
@@ -119,10 +121,8 @@ func (ps *pullState) poll(ctx context.Context) (grew bool, err error) {
 	}
 	recs, good, perr := engine.ParseRecords(data[skip:])
 	if good > 0 {
-		if ps.mirror != nil {
-			if _, aerr := ps.mirror.absorb(recs); aerr != nil {
-				return false, aerr
-			}
+		if _, aerr := ps.mirror.absorb(recs); aerr != nil {
+			return false, aerr
 		}
 		ps.offset += good
 		grew = true

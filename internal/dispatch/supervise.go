@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"os/exec"
 	"strconv"
 	"sync"
 	"time"
@@ -42,6 +40,14 @@ const (
 	// grid. Retries would hit the same bytes; the shard is declared dead
 	// immediately and its jobs routed to rescue.
 	ExitPermanent = 3
+)
+
+const (
+	// poll is how often an attempt pulls its worker's log: the liveness
+	// sampling interval.
+	poll = 250 * time.Millisecond
+	// backoffBase is the first retry delay; it doubles to 16× that.
+	backoffBase = 500 * time.Millisecond
 )
 
 // failureClass buckets one worker exit for the retry decision.
@@ -67,16 +73,16 @@ func classifyCode(code int) failureClass {
 
 // classify buckets a shard-attempt error: corruption the supervisor's
 // own pull detected is permanent (the remote bytes will not improve on
-// retry), exit statuses map through classifyCode, and anything else —
-// kill signals (code -1), start failures, stall kills, dropped pulls —
-// is transient.
+// retry), exit statuses (any error with an ExitCode method) map through
+// classifyCode, and anything else — start failures, stall kills, dropped
+// pulls — is transient.
 func classify(err error) failureClass {
 	if errors.Is(err, engine.ErrCorruptLog) || errors.Is(err, engine.ErrManifestMismatch) {
 		return classPermanent
 	}
-	var ee *exec.ExitError
-	if errors.As(err, &ee) {
-		return classifyCode(ee.ExitCode())
+	var exit interface{ ExitCode() int }
+	if errors.As(err, &exit) {
+		return classifyCode(exit.ExitCode())
 	}
 	return classTransient
 }
@@ -98,18 +104,15 @@ type Config struct {
 	Dir      string
 	Shards   int
 	Parallel int
-	// Transport launches workers and moves checkpoint bytes (nil =
-	// LocalExec); Hosts is the pool (nil = one implicit "local" host).
+	// Transport launches workers and moves checkpoint bytes (nil = a
+	// Loopback: child processes of this one); Hosts is the pool (nil =
+	// one host, "local").
 	Transport Transport
 	Hosts     []string
 	// Retries bounds attempts per shard and must be at least 1; Stall is
-	// the liveness deadline and must be positive; Poll is the liveness
-	// sampling interval (0 = 250 ms); BackoffBase is the first retry
-	// delay (0 = 500 ms), doubling to 16× that.
-	Retries     int
-	Stall       time.Duration
-	Poll        time.Duration
-	BackoffBase time.Duration
+	// the liveness deadline and must be positive.
+	Retries int
+	Stall   time.Duration
 	// Faults is the chaos plan: each attempt runs its shard's fault
 	// through fault.EnvVar, and each pull passes its host's pull faults.
 	// The zero Plan injects nothing.
@@ -124,7 +127,7 @@ type Config struct {
 // backoff is shard's retry delay schedule, its jitter seeded from the
 // sweep seed.
 func (cfg Config) backoff(shard int) *backoff {
-	return newBackoff(cfg.BackoffBase,
+	return newBackoff(backoffBase,
 		rand.New(rand.NewSource(engine.DeriveSeed(cfg.Seed, "backoff", strconv.Itoa(shard)))))
 }
 
@@ -150,18 +153,18 @@ type Summary struct {
 	// unless rescue is disabled or failed, or the sweep was cancelled).
 	Missing  []int
 	Outcomes []Outcome
-	// Rescued counts jobs recomputed in-process; Quarantined counts
-	// shard logs whose damaged tail was moved aside.
-	Rescued     int
-	Quarantined int
+	// Rescued counts jobs recomputed in-process.
+	Rescued int
 }
 
 // supervisor is one sweep's runtime state: the validated Config plus the
-// transport (with the plan's pull faults applied) and the host pool.
+// transport (with the plan's pull faults applied), the host pool and the
+// clock every wait reads.
 type supervisor struct {
 	Config
 	transport Transport
 	pool      *hostPool
+	clock     clock
 }
 
 func (s *supervisor) logf(format string, args ...any) {
@@ -171,15 +174,19 @@ func (s *supervisor) logf(format string, args ...any) {
 }
 
 // Supervise runs the sweep: stamp the checkpoint identity, run every
-// shard under the retry/failover state machine, salvage dead shards'
-// logs, merge, rescue what is missing, and re-merge. The merged bytes
-// are byte-identical to a fault-free run whenever the grid ends
-// complete — records are pure functions of (index, spec), resume never
-// recomputes a completed job, and the merge orders by global index
-// alone. A cancelled context (signal, -timeout) still salvages and
-// merges what completed — the partial report the caller prints — but
-// skips rescue and returns the context's error alongside the summary.
+// shard under the retry/failover state machine, merge the mirrors,
+// rescue what is missing, and re-merge. The merged bytes are
+// byte-identical to a fault-free run whenever the grid ends complete —
+// records are pure functions of (index, spec), resume never recomputes a
+// completed job, and the merge orders by global index alone. A cancelled
+// context (signal, -timeout) still merges what completed — the partial
+// report the caller prints — but skips rescue and returns the context's
+// cause alongside the summary.
 func Supervise(ctx context.Context, cfg Config) (Summary, error) {
+	return supervise(ctx, cfg, wallClock{})
+}
+
+func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 	n := cfg.Shards
 	switch {
 	case n < 1:
@@ -189,9 +196,6 @@ func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 	case cfg.Stall <= 0:
 		return Summary{}, fmt.Errorf("supervise: stall deadline %v; liveness needs a positive one", cfg.Stall)
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 250 * time.Millisecond
-	}
 	hosts := cfg.Hosts
 	if len(hosts) == 0 {
 		hosts = []string{"local"}
@@ -200,12 +204,12 @@ func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	s := &supervisor{Config: cfg, transport: cfg.Transport, pool: pool}
+	s := &supervisor{Config: cfg, transport: cfg.Transport, pool: pool, clock: clk}
 	if s.transport == nil {
-		s.transport = LocalExec{}
+		s.transport = NewLoopback()
 	}
 	if len(cfg.Faults.Hosts) > 0 {
-		s.transport = newFaultyTransport(s.transport, cfg.Faults.Hosts)
+		s.transport = newFaultyTransport(s.transport, cfg.Faults.Hosts, clk)
 	}
 	if err := engine.EnsureManifest(cfg.Dir, engine.Manifest{
 		Fingerprint: scenario.Fingerprint(cfg.Specs, n), Shards: n, Jobs: len(cfg.Specs),
@@ -213,14 +217,17 @@ func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 		return Summary{}, err
 	}
 
+	// First placement is in shard order, before any shard runs, so the
+	// same sweep puts the same shard on the same host every time.
 	sum := Summary{Outcomes: make([]Outcome, n)}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		host, _ := pool.acquire() // a fresh pool has every host alive
 		wg.Add(1)
-		go func() {
+		clk.spawn(func() {
 			defer wg.Done()
-			sum.Outcomes[i] = s.superviseShard(ctx, i)
-		}()
+			sum.Outcomes[i] = s.superviseShard(ctx, i, host)
+		})
 	}
 	wg.Wait()
 	cancelled := ctx.Err() != nil
@@ -229,26 +236,6 @@ func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 			if o.usage {
 				return sum, o.Err
 			}
-		}
-	}
-
-	// Salvage: a dead (or interrupted) shard's log may end in a torn or
-	// corrupt tail. Quarantining rewrites it down to the valid record
-	// prefix, so the merge below reads every survivable record.
-	for _, o := range sum.Outcomes {
-		if !o.Dead && !cancelled {
-			continue
-		}
-		path := engine.ShardLogPath(cfg.Dir, o.Shard)
-		if _, err := engine.QuarantineShardLog(path); err != nil {
-			if os.IsNotExist(err) {
-				continue // died before writing anything
-			}
-			return sum, err
-		}
-		if _, err := os.Stat(path + ".corrupt"); err == nil {
-			sum.Quarantined++
-			s.logf("sproutbench: shard %d: damaged log tail quarantined to %s.corrupt", o.Shard, path)
 		}
 	}
 
@@ -277,7 +264,7 @@ func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 	}
 	sum.Results, sum.Missing = results, missing
 	if cancelled {
-		return sum, ctx.Err()
+		return sum, context.Cause(ctx)
 	}
 	return sum, nil
 }
@@ -298,33 +285,38 @@ func (s *supervisor) runRescue(ctx context.Context, missing []int) error {
 	return err
 }
 
-// superviseShard drives one shard through the attempt state machine:
-// acquire a host, launch, watch the pulled checkpoint stream, classify,
-// back off, retry. A host that dies mid-attempt costs a failover, not a
-// retry — the shard's budget measures the shard's own health, and host
-// loss is a placement problem the pool absorbs (bounded by the pool
-// size, since each failover needs a host that has not already died).
-// The shard is declared dead when a permanent failure appears, the
-// retry budget runs out, or no live hosts remain.
-func (s *supervisor) superviseShard(ctx context.Context, shard int) Outcome {
+// superviseShard drives one shard, first placed on host, through the
+// attempt state machine: launch, watch the pulled checkpoint stream,
+// classify, back off, acquire a host, retry. A host that dies
+// mid-attempt costs a failover, not a retry — the shard's budget
+// measures the shard's own health, and host loss is a placement problem
+// the pool absorbs (bounded by the pool size, since each failover needs
+// a host that has not already died). The shard is declared dead when a
+// permanent failure appears, the retry budget runs out, or no live hosts
+// remain.
+func (s *supervisor) superviseShard(ctx context.Context, shard int, host string) Outcome {
 	o := Outcome{Shard: shard}
 	bo := s.backoff(shard)
 	for o.Attempts < s.Retries {
 		if ctx.Err() != nil {
-			return o
+			return o // a cancelled sweep's pool is not used again
 		}
-		host, ok := s.pool.acquire()
-		if !ok {
-			o.Dead = true
-			if o.Err == nil {
-				o.Err = fmt.Errorf("shard %d/%d: every host in the pool is dead", shard, s.Shards)
+		if host == "" {
+			var ok bool
+			if host, ok = s.pool.acquire(); !ok {
+				o.Dead = true
+				if o.Err == nil {
+					o.Err = fmt.Errorf("shard %d/%d: every host in the pool is dead", shard, s.Shards)
+				}
+				s.logf("sproutbench: shard %d: no live hosts left (pool %s), shard dead", shard, s.pool.state())
+				return o
 			}
-			s.logf("sproutbench: shard %d: no live hosts left (pool %s), shard dead", shard, s.pool.state())
-			return o
 		}
 		attempt := o.Attempts + 1
 		err := s.runAttempt(ctx, shard, attempt, host)
 		s.pool.release(host)
+		on := host
+		host = ""
 		if err == nil {
 			o.Attempts, o.Err = attempt, nil
 			return o
@@ -335,7 +327,7 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int) Outcome {
 		}
 		if errors.Is(err, ErrHostDown) {
 			o.Failovers++
-			o.Err = fmt.Errorf("shard %d/%d on host %s: %w", shard, s.Shards, host, err)
+			o.Err = fmt.Errorf("shard %d/%d on host %s: %w", shard, s.Shards, on, err)
 			if o.Failovers > len(s.pool.hosts) {
 				o.Dead = true
 				s.logf("sproutbench: %v: failover budget exhausted, shard dead", o.Err)
@@ -345,7 +337,7 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int) Outcome {
 			continue
 		}
 		o.Attempts = attempt
-		o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, s.Retries, host, err)
+		o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, s.Retries, on, err)
 		switch classify(err) {
 		case classUsage:
 			o.usage, o.Dead = true, true
@@ -358,9 +350,7 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int) Outcome {
 		if o.Attempts < s.Retries {
 			delay := bo.next()
 			s.logf("sproutbench: %v: retrying in %v", o.Err, delay.Round(time.Millisecond))
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
+			if !s.clock.sleep(ctx, delay, nil) {
 				return o
 			}
 		}
@@ -371,43 +361,33 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int) Outcome {
 }
 
 // runAttempt runs one shard attempt on host and supervises it to exit
-// through the uniform pull protocol: push the locally-durable mirror to
-// the host (so the worker resumes past everything already safe), start
-// the worker, and poll the remote log by offset — absorbing records
-// into the mirror, scoring host health from pull outcomes, and treating
-// record arrival as liveness. A worker whose stream stops growing past
-// the stall deadline is killed (transient — the next attempt resumes
-// from the mirror); a host whose health decays to zero mid-attempt
-// yields ErrHostDown (failover); a terminated malformed line in the
-// stream is permanent corruption.
+// through the pull protocol: push the locally-durable mirror to the host
+// (so the worker resumes past everything already safe), start the
+// worker, and poll its log by offset — absorbing records into the
+// mirror, scoring host health from pull outcomes, and treating record
+// arrival as liveness. A worker whose stream stops growing past the
+// stall deadline is killed (transient — the next attempt resumes from
+// the mirror); a host whose health decays to zero mid-attempt yields
+// ErrHostDown (failover); a terminated malformed line in the stream is
+// permanent corruption. A cancelled attempt kills its worker and still
+// drains the log, so the mirror keeps every record the worker flushed.
 func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host string) error {
 	sh := engine.Shard{Index: shard, Count: s.Shards}
 	tr := s.transport
-	localPath := engine.ShardLogPath(s.Dir, shard)
-	remotePath := tr.ShardLogPath(host, s.Dir, shard)
+	remotePath := hostLogPath(s.Dir, host, shard)
 
-	// On a mirrored transport the supervisor's copy is authoritative:
-	// seed the host with it before launch, then pull from just past it.
-	// On LocalExec the worker writes localPath itself and the "pull" is
-	// a local read — same protocol, trivial transport.
-	var mirror *shardMirror
-	var offset int64
-	if tr.Mirrored() {
-		m, err := openShardMirror(localPath)
-		if err != nil {
-			return err
-		}
-		defer m.close()
-		mirror = m
-		data, err := m.bytes()
-		if err != nil {
-			return err
-		}
-		if err := tr.Push(ctx, host, remotePath, data); err != nil {
-			s.pool.startError(host)
-			return fmt.Errorf("push checkpoint to %s: %w", host, err)
-		}
-		offset = int64(len(data))
+	mirror, err := openShardMirror(engine.ShardLogPath(s.Dir, shard))
+	if err != nil {
+		return err
+	}
+	defer mirror.close()
+	data, err := mirror.bytes()
+	if err != nil {
+		return err
+	}
+	if err := tr.Push(ctx, host, remotePath, data); err != nil {
+		s.pool.startError(host)
+		return fmt.Errorf("push checkpoint to %s: %w", host, err)
 	}
 
 	// The fault variable is always set — cleared when no fault is
@@ -424,43 +404,40 @@ func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host st
 		s.pool.startError(host)
 		return fmt.Errorf("start on %s: %w", host, err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- proc.Wait() }()
+	kill := func() error {
+		proc.Kill()
+		<-proc.Done()
+		return proc.Err()
+	}
 
-	ps := newPullState(tr, host, remotePath, mirror, offset)
-	prog := newProgress(time.Now(), s.Stall)
-	ticker := time.NewTicker(s.Poll)
-	defer ticker.Stop()
+	ps := newPullState(tr, host, remotePath, mirror, int64(len(data)))
+	prog := newProgress(s.clock.now(), s.Stall)
 	for {
-		select {
-		case werr := <-done:
-			return s.drainAttempt(ctx, ps, host, werr)
-		case now := <-ticker.C:
-			grew, perr := ps.poll(ctx)
-			switch {
-			case perr == nil:
-				s.pool.pullOK(host)
-			case errors.Is(perr, engine.ErrCorruptLog):
-				proc.Kill()
-				<-done
-				return perr
+		if !s.clock.sleep(ctx, poll, proc.Done()) {
+			select {
+			case <-proc.Done():
+				return s.drainAttempt(ctx, ps, host, proc.Err())
 			default:
-				s.pool.pullError(host)
-				if s.pool.dead(host) {
-					proc.Kill()
-					<-done
-					return fmt.Errorf("%w: %s stopped answering pulls (%v)", ErrHostDown, host, perr)
-				}
 			}
-			if prog.observe(now, grew) {
-				proc.Kill()
-				werr := <-done
-				return fmt.Errorf("stalled (no checkpoint growth in %v) on %s, killed: %v", s.Stall, host, werr)
+			kill()
+			return s.drainAttempt(context.WithoutCancel(ctx), ps, host, context.Cause(ctx))
+		}
+		grew, perr := ps.poll(ctx)
+		switch {
+		case perr == nil:
+			s.pool.pullOK(host)
+		case errors.Is(perr, engine.ErrCorruptLog):
+			kill()
+			return perr
+		default:
+			s.pool.pullError(host)
+			if s.pool.dead(host) {
+				kill()
+				return fmt.Errorf("%w: %s stopped answering pulls (%v)", ErrHostDown, host, perr)
 			}
-		case <-ctx.Done():
-			proc.Kill()
-			<-done
-			return ctx.Err()
+		}
+		if prog.observe(s.clock.now(), grew) {
+			return fmt.Errorf("stalled (no checkpoint growth in %v) on %s, killed: %v", s.Stall, host, kill())
 		}
 	}
 }
@@ -520,13 +497,14 @@ func (s *supervisor) drainAttempt(ctx context.Context, ps *pullState, host strin
 // fails deterministically.
 type faultyTransport struct {
 	Transport
+	clock   clock
 	mu      sync.Mutex
 	pending map[string][]fault.Fault // each host's unfired faults, by After
 	pulls   map[string]int           // each host's pulls so far
 }
 
-func newFaultyTransport(inner Transport, hosts map[string][]fault.Fault) *faultyTransport {
-	t := &faultyTransport{Transport: inner, pending: map[string][]fault.Fault{}, pulls: map[string]int{}}
+func newFaultyTransport(inner Transport, hosts map[string][]fault.Fault, clk clock) *faultyTransport {
+	t := &faultyTransport{Transport: inner, clock: clk, pending: map[string][]fault.Fault{}, pulls: map[string]int{}}
 	for h, fs := range hosts {
 		t.pending[h] = fs
 	}
@@ -557,7 +535,9 @@ func (t *faultyTransport) Pull(ctx context.Context, host, path string, offset in
 	case fault.ConnDrop:
 		return nil, 0, fmt.Errorf("dispatch: injected conndrop on %s", host)
 	case fault.SlowStream:
-		time.Sleep(f.For)
+		if !t.clock.sleep(ctx, f.For, nil) {
+			return nil, 0, fmt.Errorf("dispatch: slowstream on %s: %w", host, context.Cause(ctx))
+		}
 	case fault.PartialPull:
 		data, from, err := t.Transport.Pull(ctx, host, path, offset)
 		if err != nil {

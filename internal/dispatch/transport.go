@@ -1,20 +1,21 @@
 // Package dispatch supervises multi-process sweeps: Supervise runs shard
-// workers on a pool of hosts — the local machine, remote machines behind
-// a command template (ssh), or loopback test hosts — moves their
-// checkpoint-log bytes back, retries and fails over what dies, and
-// merges. The shard contract (pure ownership by global index,
-// append-only JSONL checkpoint logs, byte-identical merge) already makes
-// a shard's work location-independent, so all this package adds is a
-// way to start the worker somewhere, stream its log home, and decide
-// what to do when either fails. See DESIGN.md §10.
+// workers on a pool of hosts — child processes of this one, or remote
+// machines behind a command template (ssh) — moves their checkpoint-log
+// bytes back, retries and fails over what dies, and merges. The shard
+// contract (pure ownership by global index, append-only JSONL checkpoint
+// logs, byte-identical merge) already makes a shard's work
+// location-independent, so all this package adds is a way to start the
+// worker somewhere, stream its log home, and decide what to do when
+// either fails. See DESIGN.md §10.
 //
 // The supervisor's side of the contract is the offset-based pull: the
-// parent repeatedly asks a Transport for the remote log's bytes from the
+// parent repeatedly asks a Transport for the worker log's bytes from the
 // offset it has consumed so far, parses complete records out of each
 // chunk, appends the new ones to a locally-durable mirror, and advances
 // by exactly the parsed bytes. Torn chunk tails are re-pulled, replayed
-// records deduplicate by index, and pull progress doubles as the remote
-// liveness signal. Supervise drives it.
+// records deduplicate by index, and pull progress doubles as the worker's
+// liveness signal. Every transport runs this one path; Supervise drives
+// it.
 package dispatch
 
 import (
@@ -32,28 +33,22 @@ import (
 
 // Proc is one running shard worker, wherever it runs.
 type Proc interface {
-	// Wait blocks until the worker exits and returns its exit error
-	// (nil on success; *exec.ExitError for nonzero exits, so supervisors
-	// can classify real exit codes).
-	Wait() error
+	// Done is closed once the worker has exited.
+	Done() <-chan struct{}
+	// Err is the worker's exit error, valid once Done is closed: nil on
+	// success, otherwise an error whose ExitCode method (*exec.ExitError's,
+	// for a process) reports the status, -1 for a kill.
+	Err() error
 	// Kill terminates the worker immediately.
 	Kill() error
 }
 
 // Transport launches shard workers on named hosts and moves
-// checkpoint-log bytes between them and the supervisor. Implementations
-// must be safe for concurrent use — one supervisor drives many shards.
+// checkpoint-log bytes between them and the supervisor. Paths are in the
+// host's filesystem namespace; the supervisor places every worker log at
+// <dir>/host-<name>/shard-<i>.jsonl. Implementations must be safe for
+// concurrent use — one supervisor drives many shards.
 type Transport interface {
-	// Mirrored reports whether the supervisor must keep local mirrors of
-	// the workers' checkpoint logs: true when workers write somewhere
-	// other than the supervisor's own checkpoint directory (remote and
-	// loopback transports), false when the worker log IS the local file
-	// (LocalExec).
-	Mirrored() bool
-	// ShardLogPath returns the path, in host's filesystem namespace,
-	// where the worker for shard writes its checkpoint log under the
-	// sweep's checkpoint directory dir.
-	ShardLogPath(host, dir string, shard int) string
 	// Start launches argv (argv[0] is the worker binary) on host with the
 	// extra environment env, its stderr streamed to stderr. It returns as
 	// soon as the worker is running.
@@ -66,55 +61,58 @@ type Transport interface {
 	// liveness question, not an I/O error.
 	Pull(ctx context.Context, host, path string, offset int64) (data []byte, from int64, err error)
 	// Push atomically replaces the remote file at path with data,
-	// creating parent directories as needed — how a failover seeds the
-	// next host with the shard's locally-durable checkpoint.
+	// creating parent directories as needed — how every attempt seeds its
+	// host with the shard's locally-durable checkpoint.
 	Push(ctx context.Context, host, path string, data []byte) error
 }
 
-// LocalExec is today's multi-process path as a Transport: workers are
-// child processes of the supervisor, writing their logs directly into
-// the checkpoint directory. The host name is ignored — there is only
-// this machine — and nothing is mirrored: the worker's log already is
-// the supervisor's durable copy.
-type LocalExec struct{}
-
-func (LocalExec) Mirrored() bool { return false }
-
-func (LocalExec) ShardLogPath(_, dir string, shard int) string {
-	return engine.ShardLogPath(dir, shard)
-}
-
-func (LocalExec) Start(ctx context.Context, _ string, argv, env []string, stderr io.Writer) (Proc, error) {
-	return startLocal(ctx, argv, env, stderr)
-}
-
-func (LocalExec) Pull(_ context.Context, _, path string, offset int64) ([]byte, int64, error) {
-	return pullLocal(path, offset)
-}
-
-func (LocalExec) Push(_ context.Context, _, path string, data []byte) error {
-	return pushLocal(path, data)
+// hostLogPath is where shard's worker on host writes its checkpoint log:
+// one directory per host under the sweep's checkpoint dir, so two hosts
+// can hold the same shard's log (one stale, one live, across a failover)
+// without colliding, and no worker log is ever the supervisor's mirror.
+func hostLogPath(dir, host string, shard int) string {
+	return filepath.Join(dir, "host-"+host, fmt.Sprintf("shard-%d.jsonl", shard))
 }
 
 // startLocal launches argv as a child process with env appended to the
 // inherited environment.
-func startLocal(ctx context.Context, argv, env []string, stderr io.Writer) (Proc, error) {
+func startLocal(_ context.Context, argv, env []string, stderr io.Writer) (Proc, error) {
 	if len(argv) == 0 {
 		return nil, fmt.Errorf("dispatch: empty worker argv")
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), env...)
 	cmd.Stderr = stderr
+	return startCmd(cmd)
+}
+
+// cmdProc is a worker running as a child process. Its own goroutine
+// waits on the process and closes done.
+type cmdProc struct {
+	cmd  *exec.Cmd
+	done chan struct{}
+	err  error
+}
+
+func startCmd(cmd *exec.Cmd) (Proc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	return procFunc{wait: cmd.Wait, kill: func() error { return cmd.Process.Kill() }}, nil
+	p := &cmdProc{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		p.err = cmd.Wait()
+		close(p.done)
+	}()
+	return p, nil
 }
 
+func (p *cmdProc) Done() <-chan struct{} { return p.done }
+func (p *cmdProc) Err() error            { return p.err }
+func (p *cmdProc) Kill() error           { return p.cmd.Process.Kill() }
+
 // pullLocal reads a local file from offset. A missing file is an empty
-// pull, and a file shorter than offset (quarantined or replaced
-// underneath us) re-serves from its start — from reports the truth
-// either way.
+// pull, and a file shorter than offset (replaced underneath us)
+// re-serves from its start — from reports the truth either way.
 func pullLocal(path string, offset int64) ([]byte, int64, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -149,15 +147,6 @@ func pushLocal(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// procFunc adapts a wait/kill pair to Proc.
-type procFunc struct {
-	wait func() error
-	kill func() error
-}
-
-func (p procFunc) Wait() error { return p.wait() }
-func (p procFunc) Kill() error { return p.kill() }
-
 // CmdTransport runs workers through a user command template — the
 // ssh/exec dispatch mode. The template is a space-separated command with
 // two placeholders: {host} is replaced by the host name, and {exe} marks
@@ -171,7 +160,9 @@ func (p procFunc) Kill() error { return p.kill() }
 // Paths are used verbatim on the remote host: the checkpoint directory
 // and the scenario file must resolve there (a shared filesystem, or the
 // same layout staged on each host), and the worker binary named by the
-// template must exist remotely.
+// template must exist remotely. On a shared filesystem the worker logs
+// (host-<name>/ subdirectories) and the supervisor's mirrors are
+// distinct files.
 type CmdTransport struct {
 	template []string
 }
@@ -193,12 +184,6 @@ func NewCmdTransport(template string) (*CmdTransport, error) {
 		fields = append(fields, "{exe}")
 	}
 	return &CmdTransport{template: fields}, nil
-}
-
-func (t *CmdTransport) Mirrored() bool { return true }
-
-func (t *CmdTransport) ShardLogPath(_, dir string, shard int) string {
-	return engine.ShardLogPath(dir, shard)
 }
 
 // prefix renders the remote-command prefix for host: the template tokens
@@ -228,10 +213,7 @@ func (t *CmdTransport) Start(ctx context.Context, host string, argv, env []strin
 	remote = append(remote, argv...)
 	cmd := exec.CommandContext(ctx, remote[0], remote[1:]...)
 	cmd.Stderr = stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return procFunc{wait: cmd.Wait, kill: func() error { return cmd.Process.Kill() }}, nil
+	return startCmd(cmd)
 }
 
 func (t *CmdTransport) Pull(ctx context.Context, host, path string, offset int64) ([]byte, int64, error) {

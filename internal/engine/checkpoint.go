@@ -176,41 +176,6 @@ func OpenShardLog(path string) ([]Record, *os.File, error) {
 	return recs, f, nil
 }
 
-// QuarantineShardLog salvages a shard log whose tail is corrupt (a
-// terminated malformed line — see ErrCorruptLog). The damaged log is
-// renamed aside to <path>.corrupt for post-mortem, and <path> is
-// rewritten as just the valid record prefix, fsynced, so later merge
-// and resume passes read a clean log. It returns the salvaged records.
-// A log that parses cleanly is returned unchanged with no rename — the
-// call is idempotent and safe to apply to any dead shard's log.
-func QuarantineShardLog(path string) ([]Record, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	recs, good, perr := parseRecords(raw)
-	if perr == nil && good == int64(len(raw)) {
-		return recs, nil
-	}
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	_, werr := f.Write(raw[:good])
-	serr := f.Sync()
-	cerr := f.Close()
-	if err := firstErr(werr, serr, cerr); err != nil {
-		return nil, fmt.Errorf("engine: rewrite quarantined shard log %s: %w", path, err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
 // syncDir fsyncs a directory, making renames and creations within it
 // durable.
 func syncDir(dir string) error {

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,71 +73,6 @@ func TestReadRecordsSalvagesPrefixOnCorruption(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[0].Index != 0 || recs[1].Index != 2 {
 		t.Fatalf("salvaged %v, want the two-record valid prefix", recs)
-	}
-}
-
-func TestQuarantineShardLog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard-0.jsonl")
-	prefix := `{"i":0,"data":"a"}` + "\n" + `{"i":2,"data":"b"}` + "\n"
-	if err := os.WriteFile(path, []byte(prefix+"{\"i\":corrupt!}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := QuarantineShardLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("salvaged %d records, want 2", len(recs))
-	}
-	// The rewritten log holds exactly the valid prefix, the damage moved
-	// aside for post-mortem.
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(clean) != prefix {
-		t.Fatalf("rewritten log = %q, want %q", clean, prefix)
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("quarantined copy missing: %v", err)
-	}
-
-	// Idempotent: a clean log passes through untouched.
-	recs2, err := QuarantineShardLog(path)
-	if err != nil || len(recs2) != 2 {
-		t.Fatalf("second pass: %v, %d records", err, len(recs2))
-	}
-
-	// The clean log must now resume normally.
-	resumed, f, err := OpenShardLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if len(resumed) != 2 {
-		t.Fatalf("resume after quarantine read %d records", len(resumed))
-	}
-}
-
-func TestQuarantineShardLogTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard-1.jsonl")
-	prefix := `{"i":1,"data":"x"}` + "\n"
-	if err := os.WriteFile(path, []byte(prefix+`{"i":3,"da`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := QuarantineShardLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Index != 1 {
-		t.Fatalf("salvaged %v", recs)
-	}
-	clean, _ := os.ReadFile(path)
-	if string(clean) != prefix {
-		t.Fatalf("rewritten log = %q, want torn tail gone", clean)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // truncated on resume), a corrupt line means the log can no longer be
 // appended to safely — retrying the same shard against it will fail
 // forever. Supervisors test for it with errors.Is and route the shard to
-// quarantine-and-rescue (QuarantineShardLog) instead of retrying.
+// rescue instead of retrying.
 var ErrCorruptLog = errors.New("corrupt shard log")
 
 // Shard identifies one partition of a job grid: shard Index of Count.

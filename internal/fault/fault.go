@@ -28,7 +28,6 @@ package fault
 import (
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -219,28 +218,21 @@ type Injector struct {
 	n     int  // records fully written so far
 	fired bool // Stall triggers once, not on every later record
 
-	// sleep and exit are test seams; production injectors terminate the
-	// process for real.
+	// The worker's two process effects, supplied by its caller: a process
+	// passes time.Sleep and os.Exit.
 	sleep func(time.Duration)
 	exit  func(int)
 }
 
-// New returns an injector executing f, or nil for the zero fault.
-func New(f Fault) *Injector {
+// New returns an injector executing f through the given effects, or nil
+// for the zero fault. An exit that returns (a worker on a goroutine
+// rather than a process) must keep the worker from writing another
+// record.
+func New(f Fault, sleep func(time.Duration), exit func(int)) *Injector {
 	if f.IsZero() {
 		return nil
 	}
-	return &Injector{f: f, sleep: time.Sleep, exit: os.Exit}
-}
-
-// FromEnv builds the injector a supervisor configured for this process
-// via EnvVar; nil (with no error) when the variable is unset.
-func FromEnv() (*Injector, error) {
-	f, err := Parse(os.Getenv(EnvVar))
-	if err != nil {
-		return nil, err
-	}
-	return New(f), nil
+	return &Injector{f: f, sleep: sleep, exit: exit}
 }
 
 // Start executes start-of-run faults (Slow). Call once before the shard
@@ -274,7 +266,7 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 		switch in.f.Kind {
 		case Crash:
 			in.exit(ExitCrash)
-			return 0, nil // test seam fell through; skip the record
+			return 0, nil // exit returned (an in-process worker); skip the record
 		case Torn:
 			cut := in.f.Bytes
 			if cut > len(p)-1 {

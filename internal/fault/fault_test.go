@@ -54,11 +54,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 // fakeInjector returns an injector whose exit/sleep are recorded instead
 // of executed, so a single test process can observe every fault kind.
 func fakeInjector(f Fault) (*Injector, *int, *[]time.Duration) {
-	in := New(f)
 	code := -1
 	var slept []time.Duration
-	in.exit = func(c int) { code = c }
-	in.sleep = func(d time.Duration) { slept = append(slept, d) }
+	in := New(f, func(d time.Duration) { slept = append(slept, d) }, func(c int) { code = c })
 	return in, &code, &slept
 }
 

@@ -450,8 +450,7 @@ func incompleteErr(missing []int, total int) error {
 // its rescue log, for merging. A missing shard log reads as an empty
 // stream — a shard that died before writing anything is a recovery
 // condition, not an I/O error — and a missing rescue log as no rescues.
-// Corrupt logs fail with engine.ErrCorruptLog; run
-// engine.QuarantineShardLog on dead shards' logs first.
+// Corrupt logs fail with engine.ErrCorruptLog, naming the file.
 func ReadShardStreams(dir string, shards int) (streams [][]engine.Record, rescue []engine.Record, err error) {
 	streams = make([][]engine.Record, shards)
 	for i := 0; i < shards; i++ {
