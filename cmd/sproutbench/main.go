@@ -66,7 +66,7 @@ func main() {
 	flag.Int64Var(&sf.Chaos, "chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
 	flag.BoolVar(&sf.Partial, "partial", false, "with -shards: merge whatever completed and report the exact missing job indexes instead of failing")
 	flag.BoolVar(&sf.Rescue, "rescue", true, "with -shards: recompute dead shards' remaining jobs in-process instead of failing the sweep")
-	flag.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; sharded sweeps with p50/p95/p99 rollups and a verdict")
+	flag.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; both grids run with p50/p95/p99 rollups and a verdict")
 	listSchemes := flag.Bool("list-schemes", false, "list every registered scheme and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -114,7 +114,7 @@ func main() {
 		return
 	}
 	if len(sf.variants) == 2 {
-		labeled("ab", func() { runAB(&sf, opt, *parallel) })
+		labeled("ab", func() { runAB(&sf, opt, eng) })
 		return
 	}
 	if sf.Shards > 1 {

@@ -2,9 +2,8 @@
 // -scenario grid and streams JSONL (dispatch.ShardWorker); -shards n
 // supervises n child processes through dispatch.Supervise (liveness
 // tracking, classified retries, rescue of dead shards' jobs) and merges
-// their logs; -ab a.json,b.json fans two variant grids across shards and
-// reports per-variant p50/p95/p99 rollups with a verdict. See DESIGN.md
-// §9–10.
+// their logs; -ab a.json,b.json runs two variant grids and reports
+// per-variant p50/p95/p99 rollups with a verdict. See DESIGN.md §9–10.
 package main
 
 import (
@@ -78,8 +77,8 @@ func parseShardFlags(f *shardFlags) error {
 		if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
 			return fmt.Errorf("-ab wants exactly two scenario files as \"specA.json,specB.json\", got %q", f.AB)
 		}
-		if f.Shard != "" {
-			return fmt.Errorf("-ab and -shard are mutually exclusive")
+		if f.Shard != "" || f.Shards > 0 {
+			return fmt.Errorf("-ab runs both grids in this process; it is mutually exclusive with -shard and -shards")
 		}
 		if f.Scenario != "" {
 			return fmt.Errorf("-ab replaces -scenario; give the variant files to -ab only")
@@ -232,6 +231,7 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 		Rescue:    sf.Rescue,
 		Log:       os.Stderr,
 	})
+	partial := ""
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		reason := "interrupted"
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -239,40 +239,38 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 		}
 		fmt.Fprintf(os.Stderr, "sproutbench: sweep %s; %d of %d jobs completed (resume with the same -checkpoint)\n",
 			reason, len(specs)-len(sum.Missing), len(specs))
-		if len(sum.Missing) > 0 {
-			fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
+		partial = ", partial"
+	} else {
+		check(err)
+		retried, dead := 0, 0
+		for _, o := range sum.Outcomes {
+			if o.Attempts > 1 || o.Err != nil {
+				retried++
+			}
+			if o.Dead {
+				dead++
+			}
 		}
-		printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards, partial)", sf.Scenario, sf.Shards), sum.Results)
-		if !sf.Partial && len(sum.Missing) > 0 {
+		if retried > 0 || sum.Rescued > 0 {
+			fmt.Fprintf(os.Stderr, "sproutbench: recovery: %d shard(s) retried or failed, %d dead, %d job(s) rescued\n",
+				retried, dead, sum.Rescued)
+		}
+		if len(sum.Missing) > 0 && !sf.Partial {
+			fmt.Fprintf(os.Stderr, "sproutbench: %d of %d jobs missing after supervision: %s (rerun with the same -checkpoint to resume, or -partial to merge what completed)\n",
+				len(sum.Missing), len(specs), formatMissing(sum.Missing))
 			fatalExit(1)
 		}
-		return
+		fmt.Fprintf(os.Stderr, "sharded: %d jobs across %d supervised child processes in %v; %d streaming scenario(s)\n",
+			len(specs), sf.Shards, time.Since(start).Round(time.Millisecond), streaming)
 	}
-	check(err)
-	retried, dead := 0, 0
-	for _, o := range sum.Outcomes {
-		if o.Attempts > 1 || o.Err != nil {
-			retried++
-		}
-		if o.Dead {
-			dead++
-		}
-	}
-	if retried > 0 || sum.Rescued > 0 {
-		fmt.Fprintf(os.Stderr, "sproutbench: recovery: %d shard(s) retried or failed, %d dead, %d job(s) rescued\n",
-			retried, dead, sum.Rescued)
-	}
-	if len(sum.Missing) > 0 && !sf.Partial {
-		fmt.Fprintf(os.Stderr, "sproutbench: %d of %d jobs missing after supervision: %s (rerun with the same -checkpoint to resume, or -partial to merge what completed)\n",
-			len(sum.Missing), len(specs), formatMissing(sum.Missing))
-		fatalExit(1)
-	}
-	fmt.Fprintf(os.Stderr, "sharded: %d jobs across %d supervised child processes in %v; %d streaming scenario(s)\n",
-		len(specs), sf.Shards, time.Since(start).Round(time.Millisecond), streaming)
+	// The report: the exact missing list, then the table of what merged.
 	if len(sum.Missing) > 0 {
 		fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
 	}
-	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards)", sf.Scenario, sf.Shards), sum.Results)
+	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards%s)", sf.Scenario, sf.Shards, partial), sum.Results)
+	if len(sum.Missing) > 0 && !sf.Partial { // an interrupted sweep without -partial
+		fatalExit(1)
+	}
 }
 
 // workerPrefix is the command every shard worker of a sweep shares: the
@@ -342,27 +340,22 @@ func pctDelta(a, b float64) float64 {
 	return (a - b) / b * 100
 }
 
-// runAB executes the two variant grids as sharded sweeps (in-process
-// shards; each variant's records round-trip the same JSONL codec the
-// multi-process path uses) and prints the p50/p95/p99 rollup plus the
-// verdict line.
-func runAB(sf *shardFlags, opt harness.Options, workers int) {
-	shards := max(sf.Shards, 2)
+// runAB runs the two variant grids on the invocation's engine and prints
+// the p50/p95/p99 rollup plus the verdict line.
+func runAB(sf *shardFlags, opt harness.Options, eng *engine.Engine) {
 	variants := make([]abVariant, 2)
 	for i, file := range sf.variants {
 		name := string(rune('A' + i))
 		specs, _, err := loadScenarioSpecs(file, opt)
 		check(err)
 		start := time.Now()
-		results, st, err := scenario.RunSharded(context.Background(), specs, scenario.ShardedOptions{
-			Shards: shards, Workers: workers,
-		})
+		results, st, err := scenario.RunOn(context.Background(), eng, specs, nil)
 		check(err)
 		elapsed := time.Since(start)
 		fmt.Fprintf(os.Stderr, "variant %s (%s): %s\n", name, file, st)
 		variants[i] = rollup(name, file, results, elapsed)
 	}
-	header(fmt.Sprintf("A/B: %s vs %s (%d in-process shards)", sf.variants[0], sf.variants[1], shards))
+	header(fmt.Sprintf("A/B: %s vs %s", sf.variants[0], sf.variants[1]))
 	fmt.Printf("%-2s %-32s %5s %27s %27s %10s\n",
 		"", "variant", "runs", "tput p50/p95/p99 (kbps)", "delay95 p50/p95/p99 (ms)", "wall")
 	for _, v := range variants {

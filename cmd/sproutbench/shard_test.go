@@ -29,7 +29,8 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "parent timeout", in: shardFlags{Shards: 2, Scenario: "s.json", Timeout: time.Minute}, wantParent: true},
 		{name: "single shard is direct", in: shardFlags{Shards: 1, Scenario: "s.json"}},
 		{name: "ab", in: shardFlags{AB: "a.json,b.json"}, wantAB: true},
-		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantAB: true},
+		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantErr: "mutually exclusive"},
+		{name: "ab vs one shard", in: shardFlags{AB: "a.json,b.json", Shards: 1}, wantErr: "mutually exclusive"},
 
 		{name: "bad shard syntax", in: shardFlags{Shard: "nope", Scenario: "s.json"}, wantErr: "shard"},
 		{name: "shard out of range", in: shardFlags{Shard: "4/4", Scenario: "s.json"}, wantErr: "outside"},

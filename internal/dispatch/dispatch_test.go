@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -391,7 +392,7 @@ func TestPullStateSurfacesCorruption(t *testing.T) {
 func TestLoopbackPullPush(t *testing.T) {
 	ctx := context.Background()
 	tr := NewLoopback()
-	path := hostLogPath(t.TempDir(), "local", 0)
+	path := engine.ShardLogPath(filepath.Join(t.TempDir(), "host-local"), 0)
 	// Missing file pulls empty, not an error.
 	data, from, err := tr.Pull(ctx, "local", path, 5)
 	if err != nil || len(data) != 0 || from != 5 {
@@ -404,8 +405,29 @@ func TestLoopbackPullPush(t *testing.T) {
 	if err != nil || string(data) != "world\n" || from != 6 {
 		t.Fatalf("offset pull = (%q, %d, %v)", data, from, err)
 	}
-	// A file shorter than the offset re-serves from 0 with an honest from.
-	data, from, err = tr.Pull(ctx, "local", path, 999)
+	// A grown log serves only the growth; a pull at its end, nothing.
+	lf, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lf.WriteString("again\n"); err != nil {
+		t.Fatal(err)
+	}
+	lf.Close()
+	data, from, err = tr.Pull(ctx, "local", path, 12)
+	if err != nil || string(data) != "again\n" || from != 12 {
+		t.Fatalf("pull of the growth = (%q, %d, %v)", data, from, err)
+	}
+	data, from, err = tr.Pull(ctx, "local", path, 18)
+	if err != nil || len(data) != 0 || from != 18 {
+		t.Fatalf("pull at the end = (%q, %d, %v)", data, from, err)
+	}
+	// A file replaced by one shorter than the offset re-serves from 0 with
+	// an honest from.
+	if err := tr.Push(ctx, "local", path, []byte("hello world\n")); err != nil {
+		t.Fatal(err)
+	}
+	data, from, err = tr.Pull(ctx, "local", path, 18)
 	if err != nil || from != 0 || string(data) != "hello world\n" {
 		t.Fatalf("shrunk-file pull = (%q, %d, %v), want honest from=0", data, from, err)
 	}
@@ -431,7 +453,7 @@ func TestCmdTransportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := hostLogPath(filepath.Join(t.TempDir(), "ckpt"), "hostA", 0)
+	path := engine.ShardLogPath(filepath.Join(t.TempDir(), "ckpt", "host-hostA"), 0)
 	if err := tr.Push(ctx, "hostA", path, []byte("abcdef\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -484,19 +506,30 @@ func TestShellQuote(t *testing.T) {
 // TestLoopbackHostNamespaces: every worker log lives in its host's
 // directory, never at the mirror's path, so two hosts can hold one
 // shard's log across a failover and no worker writes the supervisor's
-// copy.
+// copy. First placement is in shard order, so shard i runs on host hi.
 func TestLoopbackHostNamespaces(t *testing.T) {
-	dir := t.TempDir()
-	pa := hostLogPath(dir, "a", 1)
-	pb := hostLogPath(dir, "b", 1)
-	if pa == pb {
-		t.Fatal("two hosts share one shard-log path; failover would collide")
+	f := newFleet(chaosSpecs(t))
+	cfg := chaosConfig(t, f, []string{"h0", "h1"}, fault.Plan{})
+	if _, _, err := f.supervise(t, context.Background(), cfg); err != nil {
+		t.Fatal(err)
 	}
-	if want := filepath.Join(dir, "host-a", "shard-1.jsonl"); pa != want {
-		t.Fatalf("worker log at %s, want %s", pa, want)
-	}
-	if pa == engine.ShardLogPath(dir, 1) {
-		t.Fatal("the worker log is the mirror")
+	for shard := 0; shard < cfg.Shards; shard++ {
+		mirror, err := os.ReadFile(engine.ShardLogPath(cfg.Dir, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < 2; h++ {
+			worker, err := os.ReadFile(engine.ShardLogPath(filepath.Join(cfg.Dir, fmt.Sprintf("host-h%d", h)), shard))
+			if h != shard {
+				if !os.IsNotExist(err) {
+					t.Fatalf("shard %d left a log on host h%d (%v)", shard, h, err)
+				}
+				continue
+			}
+			if err != nil || !bytes.Equal(worker, mirror) {
+				t.Fatalf("shard %d's log on h%d (%v) differs from its mirror", shard, h, err)
+			}
+		}
 	}
 }
 
@@ -504,7 +537,7 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 	ctx := context.Background()
 	l := NewLoopback()
 	dir := t.TempDir()
-	path := hostLogPath(dir, "a", 0)
+	path := engine.ShardLogPath(filepath.Join(dir, "host-a"), 0)
 	if err := l.Push(ctx, "a", path, []byte("x\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +565,7 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 		t.Fatalf("start on dead host = %v, want ErrHostDown", err)
 	}
 	// Other hosts are unaffected; a revived host serves its old bytes.
-	if _, _, err := l.Pull(ctx, "b", hostLogPath(dir, "b", 0), 0); err != nil {
+	if _, _, err := l.Pull(ctx, "b", engine.ShardLogPath(filepath.Join(dir, "host-b"), 0), 0); err != nil {
 		t.Fatalf("healthy host affected by sibling's death: %v", err)
 	}
 	l.Revive("a")
@@ -638,7 +671,7 @@ func TestPullFaultOrdering(t *testing.T) {
 func TestFaultyTransportHostDown(t *testing.T) {
 	lb := NewLoopback()
 	ft := newFaultyTransport(lb, map[string][]fault.Fault{"a": {{Kind: fault.HostDown, After: 1}}}, wallClock{})
-	path := hostLogPath(t.TempDir(), "a", 0)
+	path := engine.ShardLogPath(filepath.Join(t.TempDir(), "host-a"), 0)
 	ctx := context.Background()
 	if _, _, err := ft.Pull(ctx, "a", path, 0); err != nil {
 		t.Fatalf("pull 0 = %v, want clean", err)

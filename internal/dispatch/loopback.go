@@ -10,7 +10,7 @@ import (
 // Loopback runs a pool of named hosts on this machine — the default
 // transport, one host per sweep unless -hosts names more. Each host's
 // workers are child processes writing in the host's own directory
-// (hostLogPath), reached only through Pull and Push, so the sweep runs
+// (<dir>/host-<name>/), reached only through Pull and Push, so the sweep runs
 // the same remote protocol (push, start, offset pull, mirror, failover)
 // as over ssh. A host can be killed: every worker on it dies, and every
 // later transport operation against it fails with ErrHostDown until

@@ -33,14 +33,14 @@ type shardMirror struct {
 // whole parsed records; one that is already corrupt fails with
 // engine.ErrCorruptLog naming the file.
 func openShardMirror(path string) (*shardMirror, error) {
-	recs, f, err := engine.OpenShardLog(path)
+	done, f, err := engine.OpenShardLog(path)
 	if err != nil {
 		return nil, err
 	}
 	m := &shardMirror{path: path, f: f,
 		w: engine.NewRecordWriterSynced(f, f.Sync), seen: map[int]bool{}}
-	for _, r := range recs {
-		m.seen[r.Index] = true
+	for _, i := range done {
+		m.seen[i] = true
 	}
 	return m, nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -211,9 +212,7 @@ func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 	if len(cfg.Faults.Hosts) > 0 {
 		s.transport = newFaultyTransport(s.transport, cfg.Faults.Hosts, clk)
 	}
-	if err := engine.EnsureManifest(cfg.Dir, engine.Manifest{
-		Fingerprint: scenario.Fingerprint(cfg.Specs, n), Shards: n, Jobs: len(cfg.Specs),
-	}); err != nil {
+	if err := engine.EnsureManifest(cfg.Dir, scenario.Manifest(cfg.Specs, n)); err != nil {
 		return Summary{}, err
 	}
 
@@ -239,28 +238,15 @@ func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 		}
 	}
 
-	streams, rescue, err := scenario.ReadShardStreams(cfg.Dir, n)
+	results, missing, err := scenario.ReadCheckpoint(cfg.Dir, cfg.Specs, n)
+	if err == nil && len(missing) > 0 && cfg.Rescue && !cancelled {
+		if err = s.runRescue(ctx, missing); err == nil {
+			sum.Rescued = len(missing)
+			results, missing, err = scenario.ReadCheckpoint(cfg.Dir, cfg.Specs, n)
+		}
+	}
 	if err != nil {
 		return sum, err
-	}
-	results, missing, err := scenario.MergeResults(streams, rescue, cfg.Specs)
-	if err != nil {
-		return sum, err
-	}
-
-	if len(missing) > 0 && cfg.Rescue && !cancelled {
-		if err := s.runRescue(ctx, missing); err != nil {
-			return sum, err
-		}
-		sum.Rescued = len(missing)
-		streams, rescue, err = scenario.ReadShardStreams(cfg.Dir, n)
-		if err != nil {
-			return sum, err
-		}
-		results, missing, err = scenario.MergeResults(streams, rescue, cfg.Specs)
-		if err != nil {
-			return sum, err
-		}
 	}
 	sum.Results, sum.Missing = results, missing
 	if cancelled {
@@ -374,7 +360,10 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int, host string)
 func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host string) error {
 	sh := engine.Shard{Index: shard, Count: s.Shards}
 	tr := s.transport
-	remotePath := hostLogPath(s.Dir, host, shard)
+	// Each host's workers log under their own directory, so two hosts can
+	// hold one shard's log across a failover and no worker writes the
+	// mirror.
+	remotePath := engine.ShardLogPath(filepath.Join(s.Dir, "host-"+host), shard)
 
 	mirror, err := openShardMirror(engine.ShardLogPath(s.Dir, shard))
 	if err != nil {

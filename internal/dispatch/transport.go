@@ -66,14 +66,6 @@ type Transport interface {
 	Push(ctx context.Context, host, path string, data []byte) error
 }
 
-// hostLogPath is where shard's worker on host writes its checkpoint log:
-// one directory per host under the sweep's checkpoint dir, so two hosts
-// can hold the same shard's log (one stale, one live, across a failover)
-// without colliding, and no worker log is ever the supervisor's mirror.
-func hostLogPath(dir, host string, shard int) string {
-	return filepath.Join(dir, "host-"+host, fmt.Sprintf("shard-%d.jsonl", shard))
-}
-
 // startLocal launches argv as a child process with env appended to the
 // inherited environment.
 func startLocal(_ context.Context, argv, env []string, stderr io.Writer) (Proc, error) {
@@ -110,21 +102,31 @@ func (p *cmdProc) Done() <-chan struct{} { return p.done }
 func (p *cmdProc) Err() error            { return p.err }
 func (p *cmdProc) Kill() error           { return p.cmd.Process.Kill() }
 
-// pullLocal reads a local file from offset. A missing file is an empty
-// pull, and a file shorter than offset (replaced underneath us)
-// re-serves from its start — from reports the truth either way.
+// pullLocal reads a local file from offset to its end, so a poll costs
+// what the log grew by. A missing file is an empty pull, and a file
+// shorter than offset (replaced underneath us) re-serves from its start
+// — from reports the truth either way.
 func pullLocal(path string, offset int64) ([]byte, int64, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, offset, nil
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if offset > int64(len(raw)) {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	if offset > fi.Size() {
 		offset = 0
 	}
-	return raw[offset:], offset, nil
+	data, err := io.ReadAll(io.NewSectionReader(f, offset, fi.Size()-offset))
+	if err != nil {
+		return nil, 0, err
+	}
+	return data, offset, nil
 }
 
 // pushLocal atomically replaces a local file (temp + rename), creating

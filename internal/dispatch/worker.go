@@ -47,7 +47,7 @@ func (w ShardWorker) Run(ctx context.Context) int {
 	var sync func() error // stdout is not durable
 	var done []int
 	if w.Out != "" {
-		recs, f, err := engine.OpenShardLog(w.Out)
+		d, f, err := engine.OpenShardLog(w.Out)
 		if err != nil {
 			fmt.Fprintln(w.Stderr, "sproutbench:", err)
 			if errors.Is(err, engine.ErrCorruptLog) {
@@ -56,9 +56,9 @@ func (w ShardWorker) Run(ctx context.Context) int {
 			return 1
 		}
 		defer f.Close()
-		dst, sync, done = f, f.Sync, engine.CompletedIndexes(recs)
+		dst, sync, done = f, f.Sync, d
 	}
-	st, err := scenario.RunShard(ctx, w.Engine, specs, w.Shard, done,
+	st, err := scenario.RunIndexes(ctx, w.Engine, specs, nil, w.Shard.Owned(len(specs), done),
 		engine.NewRecordWriterSynced(w.Fault.Writer(ctxWriter{ctx, dst}), sync))
 	if err != nil {
 		fmt.Fprintln(w.Stderr, "sproutbench:", err)

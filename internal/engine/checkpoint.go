@@ -1,19 +1,20 @@
 // Checkpointing: a sharded sweep's on-disk layout, so a killed run
 // restarts from where it left off instead of recomputing.
 //
-// A checkpoint directory holds one manifest plus one append-only JSONL
-// log per shard:
+// A checkpoint directory holds one manifest plus append-only JSONL logs:
 //
 //	<dir>/manifest.json   — sweep identity (fingerprint, shards, jobs)
 //	<dir>/shard-<i>.jsonl — shard i's completed records, append order
+//	<dir>/rescue.jsonl    — records recomputed for dead shards
 //
 // The logs themselves are the checkpoint: a job is done iff its record
-// is in its shard's log, so there is no separate progress file to fall
-// out of sync. Resume = read the log, skip the completed indexes,
-// truncate the torn tail a kill may have left, append. The manifest
-// only guards identity: resuming a directory recorded for a different
-// spec grid or shard count fails loudly instead of merging apples into
-// oranges.
+// is in a log, so there is no separate progress file to fall out of
+// sync. Resume = read the log, skip the completed indexes, truncate the
+// torn tail a kill may have left, append. The manifest only guards
+// identity: resuming a directory recorded for a different spec grid or
+// shard count fails loudly instead of merging apples into oranges.
+// EnsureManifest stamps or checks it before a sweep writes; ReadCheckpoint
+// is the one reader, checking it the same way before merging the logs.
 //
 // # Durability contract
 //
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // ErrManifestMismatch marks a checkpoint directory recorded for a
@@ -66,15 +68,15 @@ func ShardLogPath(dir string, shard int) string {
 
 // RescueLogPath returns the rescue stream's path inside a checkpoint
 // dir: records recomputed by the supervisor on behalf of dead shards.
-// The rescue log is merged ownership-exempt (MergePartial), because
+// The rescue log is merged ownership-exempt (mergePartial), because
 // holding other shards' indexes is its entire purpose.
 func RescueLogPath(dir string) string {
 	return filepath.Join(dir, "rescue.jsonl")
 }
 
-// LoadManifest reads a checkpoint directory's manifest. A missing file
+// loadManifest reads a checkpoint directory's manifest. A missing file
 // returns os.ErrNotExist (a fresh directory, not an error condition).
-func LoadManifest(dir string) (Manifest, error) {
+func loadManifest(dir string) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return Manifest{}, err
@@ -123,10 +125,18 @@ func EnsureManifest(dir string, want Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	have, err := LoadManifest(dir)
+	err := checkManifest(dir, want)
 	if os.IsNotExist(err) {
 		return want.Write(dir)
 	}
+	return err
+}
+
+// checkManifest is the identity check: the manifest in dir must exist
+// and equal want. A mismatch wraps ErrManifestMismatch and unparseable
+// bytes wrap ErrCorruptLog; a missing manifest returns os.ErrNotExist.
+func checkManifest(dir string, want Manifest) error {
+	have, err := loadManifest(dir)
 	if err != nil {
 		return err
 	}
@@ -137,11 +147,53 @@ func EnsureManifest(dir string, want Manifest) error {
 	return nil
 }
 
+// ReadCheckpoint reads the checkpoint directory of the sweep want names.
+// It checks the manifest without creating it, reads every shard log plus
+// the rescue log — a missing file reads as empty: a shard that died
+// before its first record is a recovery condition, not an I/O error —
+// and merges them (mergePartial), returning the present records in
+// index order and the sorted missing indexes. A corrupt log fails with
+// ErrCorruptLog naming the file.
+func ReadCheckpoint(dir string, want Manifest) (present []Record, missing []int, err error) {
+	if err := checkManifest(dir, want); err != nil {
+		return nil, nil, err
+	}
+	streams := make([][]Record, want.Shards)
+	for i := range streams {
+		if streams[i], err = readLog(ShardLogPath(dir, i)); err != nil {
+			return nil, nil, err
+		}
+	}
+	rescue, err := readLog(RescueLogPath(dir))
+	if err != nil {
+		return nil, nil, err
+	}
+	return mergePartial(streams, rescue, want.Jobs)
+}
+
+// readLog reads one log of a checkpoint directory; a missing file holds
+// no records.
+func readLog(path string) ([]Record, error) {
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	recs, _, err := parseRecords(raw)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", path, err)
+	}
+	return recs, nil
+}
+
 // OpenShardLog opens (creating if absent) a shard's append log for
-// resuming: it returns the records already completed and a file
-// positioned for appending. A torn trailing line from a killed writer is
-// truncated away first, so the appended stream stays well-formed.
-func OpenShardLog(path string) ([]Record, *os.File, error) {
+// resuming: it returns the sorted, deduplicated indexes already completed
+// and a file positioned for appending. A torn trailing line from a killed
+// writer is truncated away first, so the appended stream stays
+// well-formed.
+func OpenShardLog(path string) ([]int, *os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -173,7 +225,12 @@ func OpenShardLog(path string) ([]Record, *os.File, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return recs, f, nil
+	done := make([]int, len(recs))
+	for i, r := range recs {
+		done[i] = r.Index
+	}
+	slices.Sort(done)
+	return slices.Compact(done), f, nil
 }
 
 // syncDir fsyncs a directory, making renames and creations within it

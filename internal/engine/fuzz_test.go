@@ -21,7 +21,7 @@ import (
 //     (no silent loss or mutation in the salvage path);
 //   - a parse error always wraps ErrCorruptLog (so errors.Is
 //     classification in the worker cannot miss a corruption);
-//   - the accepted records never break MergePartial when fed as a
+//   - the accepted records never break mergePartial when fed as a
 //     single-shard stream (bounded to in-range indexes).
 func FuzzReadRecords(f *testing.F) {
 	f.Add([]byte(`{"i":0,"data":"a"}` + "\n" + `{"i":1,"data":"b"}` + "\n"))
@@ -66,7 +66,7 @@ func FuzzReadRecords(f *testing.F) {
 			}
 		}
 
-		// MergePartial must stay panic-free on any accepted stream; feed
+		// mergePartial must stay panic-free on any accepted stream; feed
 		// it only in-range records as a single-shard decomposition.
 		const total = 64
 		var stream []Record
@@ -75,8 +75,8 @@ func FuzzReadRecords(f *testing.F) {
 				stream = append(stream, r)
 			}
 		}
-		if _, _, err := MergePartial([][]Record{stream}, nil, total); err != nil {
-			t.Fatalf("single-shard MergePartial of accepted in-range records: %v", err)
+		if _, _, err := mergePartial([][]Record{stream}, nil, total); err != nil {
+			t.Fatalf("single-shard mergePartial of accepted in-range records: %v", err)
 		}
 	})
 }
@@ -108,6 +108,7 @@ func jsonEqual(a, b json.RawMessage) bool {
 //   - a parseable manifest that names a different identity makes
 //     EnsureManifest fail wrapping ErrManifestMismatch (also permanent),
 //     while a matching identity resumes cleanly;
+//   - ReadCheckpoint classifies the same bytes as EnsureManifest does;
 //   - a manifest written by Manifest.Write always round-trips.
 func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"fingerprint":"abc","shards":2,"jobs":6}`), "abc", 2, 6)
@@ -127,9 +128,9 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		have, lerr := LoadManifest(dir)
+		have, lerr := loadManifest(dir)
 		if lerr != nil && !errors.Is(lerr, ErrCorruptLog) {
-			t.Fatalf("LoadManifest error does not wrap ErrCorruptLog: %v", lerr)
+			t.Fatalf("loadManifest error does not wrap ErrCorruptLog: %v", lerr)
 		}
 
 		want := Manifest{Fingerprint: fp, Shards: shards, Jobs: jobs}
@@ -149,6 +150,15 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("EnsureManifest with matching identity failed: %v", eerr)
 			}
 		}
+		// The reader checks identity the same way (a refused EnsureManifest
+		// wrote nothing); its merge needs a grid it can allocate.
+		if shards >= 1 && shards <= 64 && jobs >= 0 && jobs <= 1024 {
+			_, _, rerr := ReadCheckpoint(dir, want)
+			if (rerr == nil) != (eerr == nil) || errors.Is(rerr, ErrCorruptLog) != errors.Is(eerr, ErrCorruptLog) ||
+				errors.Is(rerr, ErrManifestMismatch) != errors.Is(eerr, ErrManifestMismatch) {
+				t.Fatalf("ReadCheckpoint = %v where EnsureManifest = %v", rerr, eerr)
+			}
+		}
 
 		// A manifest this code wrote always loads back identically, and a
 		// matching resume against it succeeds.
@@ -156,7 +166,7 @@ func FuzzManifest(f *testing.F) {
 		if err := EnsureManifest(fresh, want); err != nil {
 			t.Fatalf("EnsureManifest on a fresh dir: %v", err)
 		}
-		got, err := LoadManifest(fresh)
+		got, err := loadManifest(fresh)
 		if err != nil || got != want {
 			t.Fatalf("round trip = (%+v, %v), want %+v", got, err, want)
 		}

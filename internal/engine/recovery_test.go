@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +16,7 @@ func TestMergePartialReportsMissing(t *testing.T) {
 		{rec(0, "a"), rec(2, "c")}, // shard 0 of 2: missing 4
 		{rec(1, "b")},              // shard 1 of 2: missing 3, 5
 	}
-	present, missing, err := MergePartial(streams, nil, 6)
+	present, missing, err := mergePartial(streams, nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func TestMergePartialRescueFillsAnyShard(t *testing.T) {
 	}
 	// Rescue holds indexes owned by both shards — ownership-exempt.
 	rescue := []Record{rec(2, "c"), rec(3, "d")}
-	present, missing, err := MergePartial(streams, rescue, 4)
+	present, missing, err := mergePartial(streams, rescue, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +55,16 @@ func TestMergePartialRescueFillsAnyShard(t *testing.T) {
 
 func TestMergePartialRejectsBrokenDecomposition(t *testing.T) {
 	// A shard stream holding another shard's index stays a hard error.
-	if _, _, err := MergePartial([][]Record{{rec(1, "x")}, nil}, nil, 2); err == nil || !strings.Contains(err.Error(), "owned by") {
+	if _, _, err := mergePartial([][]Record{{rec(1, "x")}, nil}, nil, 2); err == nil || !strings.Contains(err.Error(), "owned by") {
 		t.Fatalf("ownership violation: err = %v", err)
 	}
-	if _, _, err := MergePartial([][]Record{{rec(9, "x")}}, nil, 2); err == nil || !strings.Contains(err.Error(), "outside") {
+	if _, _, err := mergePartial([][]Record{{rec(9, "x")}}, nil, 2); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("out-of-range shard record: err = %v", err)
 	}
-	if _, _, err := MergePartial([][]Record{nil}, []Record{rec(-1, "x")}, 2); err == nil || !strings.Contains(err.Error(), "rescue") {
+	if _, _, err := mergePartial([][]Record{nil}, []Record{rec(-1, "x")}, 2); err == nil || !strings.Contains(err.Error(), "rescue") {
 		t.Fatalf("out-of-range rescue record: err = %v", err)
 	}
-	if _, _, err := MergePartial(nil, nil, 0); err == nil {
+	if _, _, err := mergePartial(nil, nil, 0); err == nil {
 		t.Fatal("zero streams must error")
 	}
 }
@@ -104,5 +108,85 @@ func TestRecordWriterSynced(t *testing.T) {
 	failing := NewRecordWriterSynced(&sb, func() error { return errors.New("disk gone") })
 	if err := failing.Write(rec(2, "c")); err == nil || !strings.Contains(err.Error(), "sync record 2") {
 		t.Fatalf("sync failure: err = %v", err)
+	}
+}
+
+// TestReadCheckpointToleratesMissingLogs: a shard that died before
+// writing anything reads as an empty stream, not an I/O error, and the
+// rescue log fills any shard's indexes.
+func TestReadCheckpointToleratesMissingLogs(t *testing.T) {
+	dir := t.TempDir()
+	want := Manifest{Fingerprint: "abc", Shards: 3, Jobs: 6}
+	if err := EnsureManifest(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	present, missing, err := ReadCheckpoint(dir, want)
+	if err != nil || len(present) != 0 || !reflect.DeepEqual(missing, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("empty checkpoint = (%v, %v, %v), want every index missing", present, missing, err)
+	}
+	writeLog(t, ShardLogPath(dir, 1), rec(1, "b"), rec(4, "e"))
+	writeLog(t, RescueLogPath(dir), rec(0, "a"), rec(5, "f"))
+	present, missing, err = ReadCheckpoint(dir, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	for _, r := range present {
+		idx = append(idx, r.Index)
+	}
+	if !reflect.DeepEqual(idx, []int{0, 1, 4, 5}) || !reflect.DeepEqual(missing, []int{2, 3}) {
+		t.Fatalf("present %v, missing %v; want [0 1 4 5] and [2 3]", idx, missing)
+	}
+}
+
+// TestReadCheckpointIdentity: the reader checks the manifest exactly as
+// EnsureManifest does, never creates one, and names a corrupt log.
+func TestReadCheckpointIdentity(t *testing.T) {
+	dir := t.TempDir()
+	want := Manifest{Fingerprint: "abc", Shards: 2, Jobs: 4}
+	if _, _, err := ReadCheckpoint(dir, want); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("read without a manifest = %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ReadCheckpoint created a manifest (stat: %v)", err)
+	}
+	if err := EnsureManifest(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []Manifest{
+		{Fingerprint: "other", Shards: 2, Jobs: 4},
+		{Fingerprint: "abc", Shards: 3, Jobs: 4},
+		{Fingerprint: "abc", Shards: 2, Jobs: 5},
+	} {
+		if _, _, err := ReadCheckpoint(dir, other); !errors.Is(err, ErrManifestMismatch) {
+			t.Fatalf("read as %+v = %v, want ErrManifestMismatch", other, err)
+		}
+	}
+	path := ShardLogPath(dir, 1)
+	if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadCheckpoint(dir, want); !errors.Is(err, ErrCorruptLog) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("corrupt log = %v, want ErrCorruptLog naming %s", err, path)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadCheckpoint(dir, want); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("corrupt manifest = %v, want ErrCorruptLog", err)
+	}
+}
+
+func writeLog(t *testing.T, path string, recs ...Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewRecordWriter(&buf)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

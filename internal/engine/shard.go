@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -81,6 +80,22 @@ func (s Shard) Size(total int) int {
 		return 0
 	}
 	return (total-s.Index-1)/s.Count + 1
+}
+
+// Owned lists the indexes of a total-job grid this valid shard owns,
+// ascending, minus those in done (a resumed log's completed jobs).
+func (s Shard) Owned(total int, done []int) []int {
+	skip := make(map[int]bool, len(done))
+	for _, i := range done {
+		skip[i] = true
+	}
+	owned := make([]int, 0, s.Size(total))
+	for i := s.Index; i < total; i += s.Count {
+		if !skip[i] {
+			owned = append(owned, i)
+		}
+	}
+	return owned
 }
 
 // Record is one job's result in a shard's JSONL stream: the global job
@@ -202,7 +217,7 @@ func parseRecords(raw []byte) ([]Record, int64, error) {
 // completion order, so the merged bytes are identical for any
 // decomposition of the same grid.
 func MergeRecords(streams [][]Record, total int) ([]Record, error) {
-	merged, missing, err := MergePartial(streams, nil, total)
+	merged, missing, err := mergePartial(streams, nil, total)
 	if err != nil {
 		return nil, err
 	}
@@ -212,11 +227,11 @@ func MergeRecords(streams [][]Record, total int) ([]Record, error) {
 	return merged, nil
 }
 
-// MergePartial is the merge underneath MergeRecords, split for the two
-// recovery paths a supervisor needs. It tolerates incompleteness —
-// returning the records present (ascending index) plus the sorted list
-// of missing indexes instead of failing — and it accepts an optional
-// rescue stream: records recomputed on behalf of dead shards, exempt
+// mergePartial is the merge underneath MergeRecords and ReadCheckpoint,
+// split for the two recovery paths a supervisor needs. It tolerates
+// incompleteness — returning the records present (ascending index) plus
+// the sorted list of missing indexes instead of failing — and it accepts
+// an optional rescue stream: records recomputed on behalf of dead shards, exempt
 // from the per-stream ownership check because reassignment is exactly
 // the point. The missing list is what makes rescue deterministic: the
 // ownership contract plus the append-only logs make it a pure function
@@ -224,7 +239,7 @@ func MergeRecords(streams [][]Record, total int) ([]Record, error) {
 // reassigns the identical job set. Out-of-range indexes and ownership
 // violations within the shard streams remain hard errors — they mean the
 // decomposition itself is broken, which no amount of recomputing fixes.
-func MergePartial(streams [][]Record, rescue []Record, total int) (present []Record, missing []int, err error) {
+func mergePartial(streams [][]Record, rescue []Record, total int) (present []Record, missing []int, err error) {
 	shards := len(streams)
 	if shards == 0 {
 		return nil, nil, fmt.Errorf("engine: merge of zero shard streams")
@@ -260,19 +275,4 @@ func MergePartial(streams [][]Record, rescue []Record, total int) (present []Rec
 		}
 	}
 	return present, missing, nil
-}
-
-// CompletedIndexes returns the sorted, deduplicated job indexes present
-// in a shard log — the checkpoint set a resuming run skips.
-func CompletedIndexes(recs []Record) []int {
-	seen := map[int]bool{}
-	for _, r := range recs {
-		seen[r.Index] = true
-	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }

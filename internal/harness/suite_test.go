@@ -124,12 +124,12 @@ func TestMatrixSpecsPinned(t *testing.T) {
 		t.Fatalf("grid is %d specs over %d links, want 80 over 8", len(specs), len(links))
 	}
 	const want = "695fb7a175d9a13f4ae3c4b9cb322b8ad9648d8fce81aedd82774e98cf26ac08"
-	if got := scenario.Fingerprint(specs, 1); got != want {
+	if got := scenario.Manifest(specs, 1).Fingerprint; got != want {
 		t.Errorf("MatrixSpecs fingerprint = %s, want %s", got, want)
 	}
 	specs, _ = MatrixSpecs(Options{}, []string{"sprout", "cubic"})
 	const wantDefault = "df02681e83e23a9ec8ab4043fdd2e96e05a0efa27faa478aaac758b59aee7c91"
-	if got := scenario.Fingerprint(specs, 1); got != wantDefault {
+	if got := scenario.Manifest(specs, 1).Fingerprint; got != wantDefault {
 		t.Errorf("default-options fingerprint = %s, want %s", got, wantDefault)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -129,13 +128,14 @@ func DecodeResult(rec engine.Record, specs []Spec) (Result, error) {
 	return res, nil
 }
 
-// Fingerprint identifies a sweep for checkpoint safety: the SHA-256 of
-// the spec grid's canonical JSON plus the shard count. Two invocations
-// may resume one checkpoint directory iff their fingerprints match.
-// Injected traces (Spec.DataTrace) are not part of the JSON form, so
-// checkpointing is only offered for self-describing grids — scenario
-// files and canonical-link grids — which is every sharded entry point.
-func Fingerprint(specs []Spec, shards int) string {
+// Manifest is a sweep's checkpoint identity: the grid's fingerprint, the
+// shard count and the job count. The fingerprint is the SHA-256 of the
+// spec grid's canonical JSON plus the shard count; two invocations may
+// resume one checkpoint directory iff their manifests match. Injected
+// traces (Spec.DataTrace) are not part of the JSON form, so checkpointing
+// is only offered for self-describing grids — scenario files and
+// canonical-link grids — which is every sharded entry point.
+func Manifest(specs []Spec, shards int) engine.Manifest {
 	h := sha256.New()
 	fmt.Fprintf(h, "shards=%d\n", shards)
 	enc := json.NewEncoder(h)
@@ -145,33 +145,7 @@ func Fingerprint(specs []Spec, shards int) string {
 			panic(fmt.Sprintf("scenario: fingerprint: %v", err))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// compileIndexJobs compiles jobs for an explicit list of global indexes —
-// a shard's owned partition (ownedIndexes), or the jobs a supervisor
-// recomputes for a dead shard. Job k of the returned slice is indexes[k];
-// its closure writes through sink(globalIndex, result). Position in the
-// full grid, not in the list, determines a job's identity, name and seed
-// derivation (indexJob), so a record is byte-identical whichever shard or
-// rescue pass produced it. sink is called from engine workers
-// concurrently; writers behind it must lock (see lockedSink). traces may
-// be shared across calls; nil allocates a private cache. Out-of-range
-// indexes are an error: the lists are computed from the grid or from the
-// merge, so a bad index means a broken caller, not a recoverable
-// condition.
-func compileIndexJobs(specs []Spec, traces *engine.Cache, indexes []int, sink func(int, Result) error) ([]engine.Job, error) {
-	if traces == nil {
-		traces = engine.NewCache()
-	}
-	jobs := make([]engine.Job, len(indexes))
-	for k, i := range indexes {
-		if i < 0 || i >= len(specs) {
-			return nil, fmt.Errorf("scenario: job index %d outside spec grid [0, %d)", i, len(specs))
-		}
-		jobs[k] = indexJob(specs[i], i, traces, sink)
-	}
-	return jobs, nil
+	return engine.Manifest{Fingerprint: hex.EncodeToString(h.Sum(nil)), Shards: shards, Jobs: len(specs)}
 }
 
 // indexJob compiles the job for one global index: the one body every
@@ -199,27 +173,24 @@ func indexJob(spec Spec, i int, traces *engine.Cache, sink func(int, Result) err
 	}
 }
 
-// ownedIndexes lists the global indexes of an n-job grid that shard owns,
-// ascending, minus those in done (a resumed checkpoint's completed jobs).
-func ownedIndexes(n int, shard engine.Shard, done []int) []int {
-	skip := make(map[int]bool, len(done))
-	for _, i := range done {
-		skip[i] = true
+// RunIndexes runs an explicit list of global job indexes on eng,
+// streaming each record to w as it completes (completion order; the
+// merge reorders by index). It is the one shard body: a shard's owned
+// partition (engine.Shard.Owned) in RunSharded and dispatch.ShardWorker,
+// and the jobs a supervisor rescues for a dead shard. Position in the
+// full grid, not in the list, determines a job's identity, name and seed
+// derivation (indexJob), so a record is byte-identical whichever shard or
+// rescue pass produced it. traces may be shared across calls; nil
+// allocates a private cache. Out-of-range indexes are an error: the
+// lists are computed from the grid or from the merge, so a bad index
+// means a broken caller, not a recoverable condition.
+func RunIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache, indexes []int, w *engine.RecordWriter) (engine.Stats, error) {
+	if traces == nil {
+		traces = engine.NewCache()
 	}
-	owned := make([]int, 0, shard.Size(n))
-	for i := 0; i < n; i++ {
-		if shard.Owns(i) && !skip[i] {
-			owned = append(owned, i)
-		}
-	}
-	return owned
-}
-
-// lockedSink serializes record emission from one shard's concurrent
-// workers onto its single JSONL writer.
-func lockedSink(w *engine.RecordWriter) func(int, Result) error {
+	// The engine's workers finish concurrently onto one writer.
 	var mu sync.Mutex
-	return func(idx int, res Result) error {
+	sink := func(idx int, res Result) error {
 		rec, err := EncodeResult(idx, res)
 		if err != nil {
 			return err
@@ -228,37 +199,16 @@ func lockedSink(w *engine.RecordWriter) func(int, Result) error {
 		defer mu.Unlock()
 		return w.Write(rec)
 	}
-}
-
-// RunShard executes one shard of the grid on the given engine, streaming
-// each completed run to w as it finishes (completion order; the merge
-// reorders by index). done lists already-completed global indexes to
-// skip — pass the records read from an existing shard log to resume.
-func RunShard(ctx context.Context, eng *engine.Engine, specs []Spec, shard engine.Shard, done []int, w *engine.RecordWriter) (engine.Stats, error) {
-	if err := shard.Validate(); err != nil {
-		return engine.Stats{}, err
-	}
-	return runIndexes(ctx, eng, specs, nil, ownedIndexes(len(specs), shard, done), w, "shard "+shard.String())
-}
-
-// RunIndexes recomputes an explicit set of global job indexes, streaming
-// each record to w as it completes — the supervisor's rescue engine for
-// jobs whose shard died. Records are byte-identical to what the owning
-// shard would have produced (see compileIndexJobs).
-func RunIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache, indexes []int, w *engine.RecordWriter) (engine.Stats, error) {
-	return runIndexes(ctx, eng, specs, traces, indexes, w, "rescue")
-}
-
-// runIndexes compiles and runs the listed jobs into w; what names the
-// pass in its error.
-func runIndexes(ctx context.Context, eng *engine.Engine, specs []Spec, traces *engine.Cache, indexes []int, w *engine.RecordWriter, what string) (engine.Stats, error) {
-	jobs, err := compileIndexJobs(specs, traces, indexes, lockedSink(w))
-	if err != nil {
-		return engine.Stats{}, err
+	jobs := make([]engine.Job, len(indexes))
+	for k, i := range indexes {
+		if i < 0 || i >= len(specs) {
+			return engine.Stats{}, fmt.Errorf("scenario: job index %d outside spec grid [0, %d)", i, len(specs))
+		}
+		jobs[k] = indexJob(specs[i], i, traces, sink)
 	}
 	st, err := eng.Run(ctx, jobs)
 	if err != nil {
-		return st, fmt.Errorf("scenario: %s: %w", what, err)
+		return st, fmt.Errorf("scenario: %w", err)
 	}
 	return st, nil
 }
@@ -301,15 +251,13 @@ func ShardWorkers(workers, shard, shards int) int {
 }
 
 // RunSharded executes the spec grid as opt.Shards concurrent in-process
-// shards, each on its own engine, streaming per-shard JSONL and merging
-// by global index. Results are byte-identical to RunAll's for any shard
-// count and worker count. The returned stats are the shards' merged via
-// Stats.Merge (aggregate compute, not elapsed time).
+// shards, each running its partition through RunIndexes on its own
+// engine into its own JSONL stream, and merges by global index. Results
+// are byte-identical to RunAll's for any shard count and worker count.
+// The returned stats are the shards' merged via Stats.Merge (aggregate
+// compute, not elapsed time).
 func RunSharded(ctx context.Context, specs []Spec, opt ShardedOptions) ([]Result, engine.Stats, error) {
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(opt.Shards, 1)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	traces := opt.Traces
@@ -321,39 +269,37 @@ func RunSharded(ctx context.Context, specs []Spec, opt ShardedOptions) ([]Result
 	// in-memory buffers — the same JSONL codec either way, so the
 	// in-process path exercises (and the benchmark measures) exactly
 	// what the multi-process path ships.
-	ios := make([]shardIO, shards)
+	writers := make([]*engine.RecordWriter, shards)
+	done := make([][]int, shards)
+	bufs := make([]bytes.Buffer, shards)
 	if opt.Checkpoint != "" {
-		want := engine.Manifest{Fingerprint: Fingerprint(specs, shards), Shards: shards, Jobs: len(specs)}
-		if err := engine.EnsureManifest(opt.Checkpoint, want); err != nil {
+		if err := engine.EnsureManifest(opt.Checkpoint, Manifest(specs, shards)); err != nil {
 			return nil, engine.Stats{}, err
 		}
-		for i := range ios {
-			recs, f, err := engine.OpenShardLog(engine.ShardLogPath(opt.Checkpoint, i))
+		for i := range writers {
+			d, f, err := engine.OpenShardLog(engine.ShardLogPath(opt.Checkpoint, i))
 			if err != nil {
-				closeShardFiles(ios[:i])
 				return nil, engine.Stats{}, err
 			}
-			ios[i] = shardIO{w: engine.NewRecordWriterSynced(f, f.Sync), file: f, done: engine.CompletedIndexes(recs)}
+			defer f.Close()
+			writers[i], done[i] = engine.NewRecordWriterSynced(f, f.Sync), d
 		}
 	} else {
-		for i := range ios {
-			buf := &bytes.Buffer{}
-			ios[i] = shardIO{w: engine.NewRecordWriter(buf), buf: buf}
+		for i := range writers {
+			writers[i] = engine.NewRecordWriter(&bufs[i])
 		}
 	}
-	defer closeShardFiles(ios)
 
 	var wg sync.WaitGroup
 	stats := make([]engine.Stats, shards)
 	errs := make([]error, shards)
-	for i := 0; i < shards; i++ {
-		i := i
+	for i := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sh := engine.Shard{Index: i, Count: shards}
 			eng := engine.New(ShardWorkers(opt.Workers, i, shards))
-			stats[i], errs[i] = runIndexes(ctx, eng, specs, traces, ownedIndexes(len(specs), sh, ios[i].done), ios[i].w, "shard "+sh.String())
+			stats[i], errs[i] = RunIndexes(ctx, eng, specs, traces, sh.Owned(len(specs), done[i]), writers[i])
 			if errs[i] != nil {
 				cancel()
 			}
@@ -370,140 +316,62 @@ func RunSharded(ctx context.Context, specs []Spec, opt ShardedOptions) ([]Result
 			return nil, merged, err
 		}
 	}
-
-	// Reload every shard's full stream (a resumed checkpoint holds
-	// records from before this call) and merge by global index.
+	if opt.Checkpoint != "" {
+		// The logs also hold what a resumed sweep completed before this call.
+		results, err := MergeShardLogs(opt.Checkpoint, specs, shards)
+		return results, merged, err
+	}
 	streams := make([][]engine.Record, shards)
-	for i := range ios {
+	for i := range bufs {
 		var err error
-		if ios[i].file != nil {
-			if _, serr := ios[i].file.Seek(0, 0); serr != nil {
-				return nil, merged, serr
-			}
-			streams[i], err = engine.ReadRecords(ios[i].file)
-		} else {
-			streams[i], err = engine.ReadRecords(bytes.NewReader(ios[i].buf.Bytes()))
-		}
-		if err != nil {
+		if streams[i], err = engine.ReadRecords(&bufs[i]); err != nil {
 			return nil, merged, err
 		}
 	}
-	results, missing, err := MergeResults(streams, nil, specs)
-	if err == nil {
-		err = incompleteErr(missing, len(specs))
-	}
+	recs, err := engine.MergeRecords(streams, len(specs))
 	if err != nil {
 		return nil, merged, err
 	}
-	return results, merged, nil
+	results, err := decodeResults(recs, specs)
+	return results, merged, err
 }
 
-// shardIO is one shard's record destination inside RunSharded: a
-// checkpoint log on disk, or an in-memory buffer.
-type shardIO struct {
-	w    *engine.RecordWriter
-	buf  *bytes.Buffer // in-memory mode
-	file *os.File      // checkpoint mode
-	done []int
-}
-
-func closeShardFiles(ios []shardIO) {
-	for i := range ios {
-		if ios[i].file != nil {
-			ios[i].file.Close()
-			ios[i].file = nil
-		}
-	}
-}
-
-// MergeResults merges per-shard record streams (stream i = shard i of
-// len(streams)) plus an ownership-exempt rescue stream (records a
-// supervisor recomputed for dead shards; nil for none) into index-ordered
-// Results, decoding whatever completed and reporting the sorted missing
-// global indexes — callers that need the whole grid check them with
-// incompleteErr, the -partial path prints them. Decomposition errors
-// (ownership violations, out-of-range indexes) are hard failures.
-func MergeResults(streams [][]engine.Record, rescue []engine.Record, specs []Spec) ([]Result, []int, error) {
-	recs, missing, err := engine.MergePartial(streams, rescue, len(specs))
-	if err != nil {
-		return nil, nil, err
-	}
+// decodeResults decodes merged records, in their order.
+func decodeResults(recs []engine.Record, specs []Spec) ([]Result, error) {
 	results := make([]Result, len(recs))
 	for i, rec := range recs {
+		var err error
 		if results[i], err = DecodeResult(rec, specs); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return results, missing, nil
+	return results, nil
 }
 
-// incompleteErr is the error of a merge that had to be complete and is
-// missing these indexes; nil when none are.
-func incompleteErr(missing []int, total int) error {
-	if len(missing) == 0 {
-		return nil
-	}
-	return fmt.Errorf("scenario: merge incomplete: %d of %d jobs missing (first: %v)", len(missing), total, missing[:min(len(missing), 8)])
-}
-
-// ReadShardStreams reads a checkpoint directory's per-shard logs plus
-// its rescue log, for merging. A missing shard log reads as an empty
-// stream — a shard that died before writing anything is a recovery
-// condition, not an I/O error — and a missing rescue log as no rescues.
-// Corrupt logs fail with engine.ErrCorruptLog, naming the file.
-func ReadShardStreams(dir string, shards int) (streams [][]engine.Record, rescue []engine.Record, err error) {
-	streams = make([][]engine.Record, shards)
-	for i := 0; i < shards; i++ {
-		streams[i], err = readRecordFile(engine.ShardLogPath(dir, i))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	rescue, err = readRecordFile(engine.RescueLogPath(dir))
+// ReadCheckpoint decodes the checkpoint directory of the sweep of specs
+// across shards, read by engine.ReadCheckpoint: the Results present, in
+// index order, plus the sorted missing global indexes. A directory
+// recorded for another sweep fails wrapping engine.ErrManifestMismatch.
+func ReadCheckpoint(dir string, specs []Spec, shards int) ([]Result, []int, error) {
+	recs, missing, err := engine.ReadCheckpoint(dir, Manifest(specs, shards))
 	if err != nil {
 		return nil, nil, err
 	}
-	return streams, rescue, nil
-}
-
-func readRecordFile(path string) ([]engine.Record, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	recs, err := engine.ReadRecords(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", path, err)
-	}
-	return recs, nil
+	results, err := decodeResults(recs, specs)
+	return results, missing, err
 }
 
 // MergeShardLogs reads a checkpoint directory written by a completed
 // sweep (in-process or child processes) and reconstructs the results,
-// folding in any rescue log a supervisor left.
+// folding in any rescue log a supervisor left. A job missing from every
+// log is an error.
 func MergeShardLogs(dir string, specs []Spec, shards int) ([]Result, error) {
-	want := engine.Manifest{Fingerprint: Fingerprint(specs, shards), Shards: shards, Jobs: len(specs)}
-	have, err := engine.LoadManifest(dir)
+	results, missing, err := ReadCheckpoint(dir, specs, shards)
 	if err != nil {
 		return nil, err
 	}
-	if have != want {
-		return nil, fmt.Errorf("scenario: checkpoint %s does not match this sweep (manifest %+v)", dir, have)
-	}
-	streams, rescue, err := ReadShardStreams(dir, shards)
-	if err != nil {
-		return nil, err
-	}
-	results, missing, err := MergeResults(streams, rescue, specs)
-	if err == nil {
-		err = incompleteErr(missing, len(specs))
-	}
-	if err != nil {
-		return nil, err
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("scenario: merge incomplete: %d of %d jobs missing (first: %v)", len(missing), len(specs), missing[:min(len(missing), 8)])
 	}
 	return results, nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -142,9 +143,7 @@ func TestRunShardedCheckpointResume(t *testing.T) {
 	// record plus a torn tail from the writer that died mid-line, and no
 	// log at all for shard 1 (killed before its first record).
 	killDir := t.TempDir()
-	if err := engine.EnsureManifest(killDir, engine.Manifest{
-		Fingerprint: Fingerprint(specs, shards), Shards: shards, Jobs: len(specs),
-	}); err != nil {
+	if err := engine.EnsureManifest(killDir, Manifest(specs, shards)); err != nil {
 		t.Fatal(err)
 	}
 	fullLog, err := os.ReadFile(engine.ShardLogPath(fullDir, 0))
@@ -182,7 +181,8 @@ func TestRunShardedCheckpointResume(t *testing.T) {
 }
 
 // TestRunShardedCheckpointIdentity checks that a checkpoint directory
-// refuses a sweep it does not belong to.
+// refuses a sweep it does not belong to, resumed or merged, with the
+// permanent ErrManifestMismatch a supervisor fails fast on.
 func TestRunShardedCheckpointIdentity(t *testing.T) {
 	specs := shardTestSpecs(t)
 	dir := t.TempDir()
@@ -194,12 +194,12 @@ func TestRunShardedCheckpointIdentity(t *testing.T) {
 	// Different grid size → different fingerprint and job count.
 	if _, _, err := RunSharded(context.Background(), specs, ShardedOptions{
 		Shards: 2, Workers: 1, Checkpoint: dir,
-	}); err == nil {
-		t.Fatal("resume with a different grid: want error")
+	}); !errors.Is(err, engine.ErrManifestMismatch) {
+		t.Fatalf("resume with a different grid = %v, want ErrManifestMismatch", err)
 	}
 	// Different shard count over the same grid is also refused.
-	if _, err := MergeShardLogs(dir, specs[:2], 3); err == nil {
-		t.Fatal("merge with wrong shard count: want error")
+	if _, err := MergeShardLogs(dir, specs[:2], 3); !errors.Is(err, engine.ErrManifestMismatch) {
+		t.Fatalf("merge with wrong shard count = %v, want ErrManifestMismatch", err)
 	}
 }
 
