@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestModelTickAllocs: the per-20ms inference update (evolve + observe)
 // must not allocate — it runs millions of times per experiment grid —
@@ -23,7 +26,9 @@ func TestModelTickAllocs(t *testing.T) {
 }
 
 // TestForecastAllocs: a full cautious forecast into a reused buffer must
-// not allocate.
+// not allocate — warm, on rows an earlier forecast folded, and cold, where
+// every measured forecast reads a table no forecast has read yet and folds
+// its rows on first use into the model's scratch.
 func TestForecastAllocs(t *testing.T) {
 	f := NewDeliveryForecaster(NewModel(Params{}))
 	for i := 0; i < 50; i++ {
@@ -34,7 +39,28 @@ func TestForecastAllocs(t *testing.T) {
 		buf = f.Forecast(buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("Forecast allocates %v allocs/op, want 0", allocs)
+		t.Errorf("warm Forecast allocates %v allocs/op, want 0", allocs)
+	}
+
+	// The cold case swaps unfolded tables in under the sized scratch;
+	// AllocsPerRun runs once more than it measures.
+	const runs = 4
+	cold := make([]*forecastTable, runs+1)
+	for i := range cold {
+		cold[i] = buildForecastTable(f.model)
+	}
+	raw := slices.Clone(cold[runs].flat)
+	next := 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		f.tbl = cold[next]
+		next++
+		buf = f.Forecast(buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("cold Forecast allocates %v allocs/op, want 0", allocs)
+	}
+	if slices.Equal(cold[runs].flat, raw) {
+		t.Error("cold Forecast folded no row")
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -219,20 +222,91 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 	}
 }
 
-// TestFoldIndependentOfWorkerCount: rows are folded independently, so the
-// table's bits must not depend on GOMAXPROCS.
-func TestFoldIndependentOfWorkerCount(t *testing.T) {
-	m := NewModel(Params{})
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := buildForecastTable(m)
-	runtime.GOMAXPROCS(4)
-	four := buildForecastTable(m)
-	if len(one.flat) != len(four.flat) {
-		t.Fatalf("table sizes differ: %d vs %d", len(one.flat), len(four.flat))
+// TestFoldOnFirstUseIsExact: rows are independent and each folds once,
+// single-flight, so four goroutines folding every row of a table, each in
+// its own shuffled order, must leave the bits the eager whole-table fold
+// left. The SHA-256 of flat's float64 bits (little-endian, index order) is
+// pinned per parameter set; CI runs this under the race detector.
+func TestFoldOnFirstUseIsExact(t *testing.T) {
+	for _, c := range []struct {
+		p   Params
+		sum string
+	}{
+		{Params{}, "75590faefa279495540bb9647ebbee7f4154e79f88c533ddff14f28b56e513dc"},
+		{Params{NumBins: 64, Sigma: 300}, "31f78271ab985ded8f6b1580af415a19e2fffbcefc2f54d6811e11ac6653192b"},
+		{Params{MaxRate: 400, OutageEscape: 2}, "3b8b6bb9f92f7eb0245fa2a201cbbfe2745afef7dc4993042584bc8eb793ace4"},
+	} {
+		tbl := buildForecastTable(NewModel(c.p))
+		var rows [][2]int
+		for i := range tbl.off {
+			for k := 0; k <= tbl.maxK[i]; k++ {
+				rows = append(rows, [2]int{i, k})
+			}
+		}
+		var wg sync.WaitGroup
+		for g := int64(0); g < 4; g++ {
+			order := slices.Clone(rows)
+			rand.New(rand.NewSource(g)).Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tmp := make([]float64, tbl.bins)
+				for _, r := range order {
+					tbl.fold(tbl.off[r[0]]+r[1], r[0], tmp)
+				}
+			}()
+		}
+		wg.Wait()
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range tbl.flat {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sum {
+			t.Errorf("%+v: table sha256 %s, want %s", c.p, got, c.sum)
+		}
 	}
-	for i := range one.flat {
-		if math.Float64bits(one.flat[i]) != math.Float64bits(four.flat[i]) {
-			t.Fatalf("entry %d: %v on 1 worker, %v on 4", i, one.flat[i], four.flat[i])
+}
+
+// TestConcurrentFirstForecasts: eight clones of one forecaster make their
+// first forecasts at once on an unfolded table, so their probes fold its
+// rows concurrently; each clone's integers must equal what a forecaster on
+// a table of its own returns for the same history, run serially.
+func TestConcurrentFirstForecasts(t *testing.T) {
+	freshTableCache(t)
+	const clones = 8
+	confs := []float64{0.95, 0.75, 0.50, 0.25, 0.05}
+	p := Params{NumBins: 160, Sigma: 240}
+	history := func(f *DeliveryForecaster, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		rate := 40 * float64(seed+1)
+		var out []float64
+		for tick := 0; tick < 60; tick++ {
+			f.Tick(float64(poissonSample(rng, rate*f.TickDuration().Seconds())), ObsExact)
+			if tick%3 == 0 {
+				out = f.ForecastAll(out, confs)
+			}
+		}
+		return out
+	}
+	base := NewDeliveryForecaster(NewModel(p))
+	got := make([][]float64, clones)
+	var wg sync.WaitGroup
+	for i := range got {
+		f := base.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = history(f, int64(i))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		ref := NewDeliveryForecaster(NewModel(p))
+		ref.tbl = buildForecastTable(ref.model)
+		if want := history(ref, int64(i)); !slices.Equal(got[i], want) {
+			t.Fatalf("clone %d: %v, serial %v", i, got[i], want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,11 +9,11 @@ import (
 	"sprout/internal/stats"
 )
 
-// forecastTable is the precomputed table behind the cautious forecast. It
-// is immutable once built, so one table is shared by every forecaster (and
-// every Clone) whose model has the same table-shaping parameters; a
-// process running thousands of parallel experiments builds it exactly
-// once per parameter set.
+// forecastTable is the precomputed table behind the cautious forecast.
+// Each row is written once, by its fold, and never again, so one table is
+// shared by every forecaster (and every Clone) whose model has the same
+// table-shaping parameters; a process running thousands of parallel
+// experiments builds it exactly once per parameter set.
 //
 // Row (i, k) starts from the Poisson CDF cdf_i[k][j] = P(C <= k | λ = bin
 // j for (i+1)·τ) and stores G_i[k] = (Eᵀ)^(i+1)·cdf_i[k], where E is the
@@ -29,88 +28,75 @@ import (
 // evaluation at a fixed (tick, count) reads the bin dimension
 // consecutively:
 //
-//	flat[off[i] + k*bins + j] = row (i, k) at bin j
+//	flat[(off[i] + k)*bins + j] = row (i, k) at bin j
 //
 // Each tick has its own count bound maxK[i] ≈ MaxRate·(i+1)·τ (padded 25%
 // plus a constant so quantile scans never clip): early ticks store and
 // scan far fewer counts than the horizon tick needs.
+//
+// The build stores the raw CDF rows, and fold folds each in place on its
+// first use, single-flight per row like obsTable's rows, so a process pays
+// only for the rows its forecasts read. Rows are independent, so a row's
+// bits do not depend on which caller folds it, or when.
 type forecastTable struct {
-	bins int
-	flat []float64
-	off  []int
-	maxK []int
+	bins   int
+	flat   []float64
+	off    []int // tick i's first row
+	maxK   []int
+	adj    *evolveAdjoint
+	folds  []sync.Once   // per row: its single-flight fold
+	folded []atomic.Bool // per row: set when its fold is done; lockstep's check, inlined
 }
 
-// row returns the bins-long slice at (tick, count k).
+// fold folds row r (of tick) in place on its first call, single-flight:
+// (Eᵀ)^(tick+1) applied with tmp (bins long, overwritten) as the buffer.
+func (t *forecastTable) fold(r, tick int, tmp []float64) {
+	t.folds[r].Do(func() {
+		row := t.flat[r*t.bins : (r+1)*t.bins]
+		for n := 0; n <= tick; n++ {
+			t.adj.apply(tmp, row)
+			copy(row, tmp)
+		}
+		t.folded[r].Store(true)
+	})
+}
+
+// row returns the folded bins-long slice at (tick, count k).
 func (t *forecastTable) row(tick, k int) []float64 {
-	base := t.off[tick] + k*t.bins
-	return t.flat[base : base+t.bins]
+	r := t.off[tick] + k
+	t.fold(r, tick, make([]float64, t.bins))
+	return t.flat[r*t.bins : (r+1)*t.bins]
 }
 
-// buildForecastTable builds the table for m's parameters, m's evolution
-// folded into the rows. It only reads m.
+// buildForecastTable builds the table for m's parameters: the raw CDF rows
+// and m's evolution, to be folded into each row on its first use. It only
+// reads m.
 func buildForecastTable(m *Model) *forecastTable {
 	tau, ticks := m.p.Tick.Seconds(), m.p.ForecastTicks
 	t := &forecastTable{
 		bins: len(m.binRate),
 		off:  make([]int, ticks),
 		maxK: make([]int, ticks),
+		adj:  m.evolveAdjoint(),
 	}
-	total := 0
+	rows := 0
 	for i := 0; i < ticks; i++ {
-		t.off[i] = total
+		t.off[i] = rows
 		t.maxK[i] = int(m.p.MaxRate*tau*float64(i+1)*1.25) + 10
-		total += (t.maxK[i] + 1) * t.bins
+		rows += t.maxK[i] + 1
 	}
-	t.flat = make([]float64, total)
+	t.flat = make([]float64, rows*t.bins)
+	t.folds, t.folded = make([]sync.Once, rows), make([]atomic.Bool, rows)
 	for i := 0; i < ticks; i++ {
 		horizon := float64(i+1) * tau
 		for j, r := range m.binRate {
 			cdf := stats.PoissonCDFTable(r*horizon, t.maxK[i])
 			for k, v := range cdf {
-				t.flat[t.off[i]+k*t.bins+j] = v
+				t.flat[(t.off[i]+k)*t.bins+j] = v
 			}
 		}
 	}
-	t.fold(m.evolveAdjoint())
 	return t
-}
-
-// fold replaces every row (i, k) by (Eᵀ)^(i+1) applied to it, in place, so
-// only one table's worth of memory is ever resident. Rows are independent,
-// so they are handed out to GOMAXPROCS workers and the resulting bits do
-// not depend on how many there are.
-func (t *forecastTable) fold(adj *evolveAdjoint) {
-	rows := len(t.flat) / t.bins
-	var next atomic.Int64
-	work := func() {
-		tmp := make([]float64, t.bins)
-		for {
-			r := int(next.Add(1)) - 1
-			if r >= rows {
-				return
-			}
-			tick := 0
-			for tick+1 < len(t.off) && t.off[tick+1] <= r*t.bins {
-				tick++
-			}
-			row := t.flat[r*t.bins : (r+1)*t.bins]
-			for n := 0; n <= tick; n++ {
-				adj.apply(tmp, row)
-				copy(row, tmp)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := runtime.GOMAXPROCS(0); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }
 
 // tableKey captures exactly the parameters the table depends on: the bin
@@ -128,11 +114,11 @@ type tableKey struct {
 }
 
 // tableCacheLimit bounds the process-wide forecast-table cache: a table at
-// the default parameters holds ~250k float64s (~2 MB) and takes ~24 CPU-ms
-// to fold, and entries are never evicted, so a library consumer sweeping a
-// table-shaping parameter (Sigma and OutageEscape among them) past this
-// many distinct values gets uncached (per-forecaster) tables rather than
-// unbounded retained memory.
+// the default parameters holds ~250k float64s (~2 MB) and takes ~3.5 ms to
+// build (its rows then fold on first use), and entries are never evicted,
+// so a library consumer sweeping a table-shaping parameter (Sigma and
+// OutageEscape among them) past this many distinct values gets uncached
+// (per-forecaster) tables rather than unbounded retained memory.
 const tableCacheLimit = 16
 
 // tableEntry is one cache slot; once makes the build single-flight.
@@ -193,10 +179,10 @@ func forecastTableFor(m *Model) *forecastTable {
 //
 // As in the paper, the steps are precomputed: the table indexed by (tick,
 // count, rate bin) holds the Poisson CDFs with the observation-free
-// evolution of the posterior already folded in, built once per parameter
-// set (including σ and λz, which shape the evolution) and shared
-// process-wide, so a runtime forecast is only weighted sums of table rows
-// over the live bins of the current posterior.
+// evolution of the posterior folded in (each row on its first read), built
+// once per parameter set (including σ and λz, which shape the evolution)
+// and shared process-wide, so a runtime forecast is only weighted sums of
+// table rows over the live bins of the current posterior.
 //
 // The cumulative count by future tick i, conditioned on the rate path, is a
 // Poisson with mean ∫λ dt. Following the paper's "sum over each λ" step we
@@ -205,7 +191,7 @@ func forecastTableFor(m *Model) *forecastTable {
 // evolution itself carries the uncertainty between ticks.
 //
 // A DeliveryForecaster is not safe for concurrent use, but Clone returns
-// an independent copy (sharing only the immutable table) so each worker in
+// an independent copy (sharing only the table) so each worker in
 // a parallel experiment owns its own filter state.
 type DeliveryForecaster struct {
 	model *Model
@@ -225,14 +211,14 @@ type DeliveryForecaster struct {
 }
 
 // NewDeliveryForecaster builds the forecaster for the model, reusing the
-// process-wide folded table when one with matching parameters exists.
+// process-wide table when one with matching parameters exists.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m)}
 }
 
 // Clone returns an independent forecaster: the model is deep-copied, the
 // scratch (search starts included) is the clone's own from its first
-// forecast, and the immutable table is shared. The clone may be Ticked
+// forecast, and the table is shared. The clone may be Ticked
 // concurrently with the original.
 func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
 	return &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
@@ -347,7 +333,7 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 		}
 	}
 	f.live = live
-	tbl.lockstep(ss, live, m.probs[m.lo:m.hi], m.lo)
+	tbl.lockstep(ss, live, m.probs[m.lo:m.hi], m.lo, m.scratch)
 
 	for s := range f.sweepP {
 		ci := f.sweepIdx[s]
@@ -413,9 +399,10 @@ func (s *search) observe(v float64, maxK int) bool {
 
 // lockstep runs the searches ss[j] for j in live to resolution against
 // the posterior window w, which starts at bin lo: every pass takes one
-// probe from each unresolved search, probeLanes per mixturePass. live is
-// overwritten.
-func (t *forecastTable) lockstep(ss []search, live []int, w []float64, lo int) {
+// probe from each unresolved search, probeLanes per mixturePass, each
+// probe's row folded first if it is the row's first use (tmp, bins long,
+// is the fold's buffer). live is overwritten.
+func (t *forecastTable) lockstep(ss []search, live []int, w []float64, lo int, tmp []float64) {
 	var at [probeLanes]int
 	var sums [probeLanes]float64
 	for len(live) > 0 {
@@ -426,7 +413,11 @@ func (t *forecastTable) lockstep(ss []search, live []int, w []float64, lo int) {
 		for c := 0; c < len(live); c += probeLanes {
 			chunk := live[c:min(c+probeLanes, len(live))]
 			for x, j := range chunk {
-				at[x] = t.off[ss[j].tick] + ss[j].k*t.bins + lo
+				r := t.off[ss[j].tick] + ss[j].k
+				if !t.folded[r].Load() {
+					t.fold(r, ss[j].tick, tmp)
+				}
+				at[x] = r*t.bins + lo
 			}
 			mixturePass(sums[:len(chunk)], w, t.flat, at[:len(chunk)])
 			for x, j := range chunk {
@@ -505,10 +496,10 @@ func mixturePass(sums, w, flat []float64, at []int) {
 		r3 := flat[at[min(g+3, n-1)]+done:][:len(tail)]
 		s0, s1, s2, s3 := acc[g], acc[g+1], acc[g+2], acc[g+3]
 		for j, wj := range tail {
-			s0 += wj * r0[j]
-			s1 += wj * r1[j]
-			s2 += wj * r2[j]
-			s3 += wj * r3[j]
+			s0 += float64(wj * r0[j])
+			s1 += float64(wj * r1[j])
+			s2 += float64(wj * r2[j])
+			s3 += float64(wj * r3[j])
 		}
 		acc[g], acc[g+1], acc[g+2], acc[g+3] = s0, s1, s2, s3
 	}
@@ -552,7 +543,7 @@ func (e *EWMAForecaster) Tick(observed float64, mode Observation) {
 		e.primed = true
 		return
 	}
-	e.rate += ewmaGain * (observed - e.rate)
+	e.rate += float64(ewmaGain * (observed - e.rate))
 }
 
 // Rate returns the current smoothed rate estimate in packets per tick.

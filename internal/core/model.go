@@ -30,7 +30,7 @@ type Model struct {
 	binRate  []float64 // λ value of each bin, packets/s
 	binWidth float64   // packets/s between adjacent bins
 	probs    []float64 // current posterior over bins, sums to 1
-	scratch  []float64 // Evolve's destination; between evolutions, Observe's own row
+	scratch  []float64 // Evolve's destination; between evolutions, Observe's own row and a forecast's fold buffer
 	obs      *obsTable // observation rows of this λ grid, shared process-wide
 
 	kernel     []float64 // Brownian transition kernel per tick, by bin offset
@@ -180,8 +180,9 @@ func gatherGroup(dst, src, kernelPad []float64, k, radius, jlo, hi int) {
 // the oracle the kernel is tested against. On both paths every destination
 // receives its terms in ascending source-bin order — exactly the order the
 // scatter produced — each term a multiply rounded before its add (unfused
-// by contract: the kernel has no FMA, and the Go compiler fuses none on
-// amd64), and the only extra terms are the padding's exact zeros added to
+// on every platform: the kernel has no FMA, and each Go product is an
+// explicit float64 conversion, which the spec rounds before the add), and
+// the only extra terms are the padding's exact zeros added to
 // non-negative sums, so every floating-point result is bit-identical to
 // the scatter form (TestEvolveGatherMatchesScatter and
 // TestGatherSIMDMatchesPortable pin this). The two boundary bins keep
@@ -222,7 +223,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 			pj := src[j]
 			row := kernel[:radius-j+1]
 			for _, w := range row {
-				d0 += pj * w
+				d0 += float64(pj * w)
 			}
 		}
 		dst[0] = d0
@@ -262,36 +263,36 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		for ; j+1 <= j1; j += 2 {
 			pj := src[j]
 			w := kernelPad[base-j : base-j+gatherLanes]
-			a0 += pj * w[0]
-			a1 += pj * w[1]
-			a2 += pj * w[2]
-			a3 += pj * w[3]
-			a4 += pj * w[4]
-			a5 += pj * w[5]
-			a6 += pj * w[6]
-			a7 += pj * w[7]
+			a0 += float64(pj * w[0])
+			a1 += float64(pj * w[1])
+			a2 += float64(pj * w[2])
+			a3 += float64(pj * w[3])
+			a4 += float64(pj * w[4])
+			a5 += float64(pj * w[5])
+			a6 += float64(pj * w[6])
+			a7 += float64(pj * w[7])
 			pq := src[j+1]
 			v := kernelPad[base-j-1 : base-j-1+gatherLanes]
-			a0 += pq * v[0]
-			a1 += pq * v[1]
-			a2 += pq * v[2]
-			a3 += pq * v[3]
-			a4 += pq * v[4]
-			a5 += pq * v[5]
-			a6 += pq * v[6]
-			a7 += pq * v[7]
+			a0 += float64(pq * v[0])
+			a1 += float64(pq * v[1])
+			a2 += float64(pq * v[2])
+			a3 += float64(pq * v[3])
+			a4 += float64(pq * v[4])
+			a5 += float64(pq * v[5])
+			a6 += float64(pq * v[6])
+			a7 += float64(pq * v[7])
 		}
 		for ; j <= j1; j++ {
 			pj := src[j]
 			w := kernelPad[base-j : base-j+gatherLanes]
-			a0 += pj * w[0]
-			a1 += pj * w[1]
-			a2 += pj * w[2]
-			a3 += pj * w[3]
-			a4 += pj * w[4]
-			a5 += pj * w[5]
-			a6 += pj * w[6]
-			a7 += pj * w[7]
+			a0 += float64(pj * w[0])
+			a1 += float64(pj * w[1])
+			a2 += float64(pj * w[2])
+			a3 += float64(pj * w[3])
+			a4 += float64(pj * w[4])
+			a5 += float64(pj * w[5])
+			a6 += float64(pj * w[6])
+			a7 += float64(pj * w[7])
 		}
 		dst[k], dst[k+1], dst[k+2], dst[k+3] = a0, a1, a2, a3
 		dst[k+4], dst[k+5], dst[k+6], dst[k+7] = a4, a5, a6, a7
@@ -308,7 +309,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		base := k + radius
 		var acc float64
 		for j := j0; j <= j1; j++ {
-			acc += src[j] * kernel[base-j]
+			acc += float64(src[j] * kernel[base-j])
 		}
 		dst[k] = acc
 	}
@@ -325,7 +326,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 			pj := src[j]
 			row := kernel[n-1-j+radius:]
 			for _, w := range row {
-				dn += pj * w
+				dn += float64(pj * w)
 			}
 		}
 		dst[n-1] = dn
@@ -336,16 +337,16 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 	// making outages even stickier, as observed on real links).
 	p0 := src[0]
 	if p0 > 0 {
-		dst[0] += p0 * outageStay
+		dst[0] += float64(p0 * outageStay)
 		esc := p0 * (1 - outageStay)
 		for k := -radius; k <= radius; k++ {
 			w := kernel[k+radius]
 			if k <= 0 {
-				dst[0] += esc * w
+				dst[0] += float64(esc * w)
 			} else if k < n {
-				dst[k] += esc * w
+				dst[k] += float64(esc * w)
 			} else {
-				dst[n-1] += esc * w
+				dst[n-1] += float64(esc * w)
 			}
 		}
 	}
@@ -393,13 +394,13 @@ func (a *evolveAdjoint) apply(dst, c []float64) {
 		var s0, s1, s2, s3 float64
 		k := 0
 		for ; k+3 < len(col); k += 4 {
-			s0 += col[k] * cc[k]
-			s1 += col[k+1] * cc[k+1]
-			s2 += col[k+2] * cc[k+2]
-			s3 += col[k+3] * cc[k+3]
+			s0 += float64(col[k] * cc[k])
+			s1 += float64(col[k+1] * cc[k+1])
+			s2 += float64(col[k+2] * cc[k+2])
+			s3 += float64(col[k+3] * cc[k+3])
 		}
 		for ; k < len(col); k++ {
-			s0 += col[k] * cc[k]
+			s0 += float64(col[k] * cc[k])
 		}
 		dst[j] = (s0 + s1) + (s2 + s3)
 	}
@@ -480,7 +481,7 @@ func (t *obsTable) fill(dst []float64, mode Observation, k float64, lo, hi int) 
 	}
 	max := math.Inf(-1)
 	for j := lo; j < hi; j++ {
-		dst[j] = k*t.logRateTau[j] - t.rateTau[j]
+		dst[j] = float64(k*t.logRateTau[j]) - t.rateTau[j]
 		if dst[j] > max {
 			max = dst[j]
 		}
@@ -539,7 +540,7 @@ func (m *Model) multiply(row []float64) {
 	row = row[m.lo:m.hi]
 	var sum float64
 	for j, w := range row {
-		p[j] *= w
+		p[j] = float64(p[j] * w)
 		sum += p[j]
 	}
 	if !(sum >= 0x1p-1022) { // zero, subnormal (1/sum may overflow) or NaN
@@ -591,7 +592,7 @@ func (m *Model) tick(packets float64, mode Observation) {
 func (m *Model) Mean() float64 {
 	var s float64
 	for j := m.lo; j < m.hi; j++ {
-		s += m.probs[j] * m.binRate[j]
+		s += float64(m.probs[j] * m.binRate[j])
 	}
 	return s
 }

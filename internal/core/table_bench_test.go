@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// BenchmarkBuildForecastTable is the cold cost of the folded table (CDF
-// rows plus the adjoint evolution applied to each) — paid once per process
-// per parameter set.
+// BenchmarkBuildForecastTable is the cold cost of a table's eager part,
+// the raw CDF rows and the adjoint evolution, paid once per process per
+// parameter set; each row's fold is paid on the row's first use.
 func BenchmarkBuildForecastTable(b *testing.B) {
 	m := NewModel(Params{})
 	for i := 0; i < b.N; i++ {

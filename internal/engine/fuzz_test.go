@@ -178,3 +178,25 @@ func FuzzManifest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShard drives the CLI shard parser with arbitrary strings: it
+// never panics, and a shard it accepts is valid and renders to a string
+// that parses back to the same shard.
+func FuzzParseShard(f *testing.F) {
+	for _, s := range []string{"0/1", "3/4", " 1 / 2 ", "+1/2", "4/4", "-1/4", "0/0", "1/2/3", "0.5/2", "", "/"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if err := sh.Validate(); err != nil {
+			t.Fatalf("ParseShard(%q) = %v, which is invalid: %v", s, sh, err)
+		}
+		again, err := ParseShard(sh.String())
+		if err != nil || again != sh {
+			t.Fatalf("ParseShard(%q) = %v, but ParseShard(%q) = %v, %v", s, sh, sh.String(), again, err)
+		}
+	})
+}

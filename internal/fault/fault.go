@@ -28,6 +28,7 @@ package fault
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,7 +111,7 @@ type Fault struct {
 	Bytes int
 	// For is the Stall or Slow sleep duration.
 	For time.Duration
-	// Code is the Exit status (defaults to 1 if unset).
+	// Code is the Exit status, 1…255 (defaults to 1 if unset).
 	Code int
 }
 
@@ -147,18 +148,34 @@ func (f Fault) String() string {
 	return ""
 }
 
+// params lists the parameters each kind reads: exactly the ones String
+// writes.
+var params = map[Kind][]string{
+	Crash:       {"after"},
+	Stall:       {"after", "for"},
+	Torn:        {"after", "bytes"},
+	Corrupt:     {"after"},
+	Exit:        {"after", "code"},
+	Slow:        {"for"},
+	ConnDrop:    {"after"},
+	SlowStream:  {"after", "for"},
+	PartialPull: {"after", "bytes"},
+	DupRecords:  {"after", "bytes"},
+	HostDown:    {"after"},
+}
+
 // Parse decodes the String form. An empty string is the zero (no-op)
-// fault.
+// fault. A parameter the kind does not read is an error, as is an exit
+// code a process cannot exit with (outside 1…255), so every fault Parse
+// accepts survives String → Parse unchanged.
 func Parse(s string) (Fault, error) {
 	if s == "" {
 		return Fault{}, nil
 	}
 	kindStr, rest, _ := strings.Cut(s, ":")
 	f := Fault{Kind: Kind(kindStr), Code: 1}
-	switch f.Kind {
-	case Crash, Stall, Torn, Corrupt, Exit, Slow,
-		ConnDrop, SlowStream, PartialPull, DupRecords, HostDown:
-	default:
+	keys, ok := params[f.Kind]
+	if !ok {
 		return Fault{}, fmt.Errorf("fault: unknown kind in %q", s)
 	}
 	if rest != "" {
@@ -166,6 +183,9 @@ func Parse(s string) (Fault, error) {
 			key, val, ok := strings.Cut(kv, "=")
 			if !ok {
 				return Fault{}, fmt.Errorf("fault: malformed parameter %q in %q", kv, s)
+			}
+			if !slices.Contains(keys, key) {
+				return Fault{}, fmt.Errorf("fault: %s takes no parameter %q in %q", f.Kind, key, s)
 			}
 			var err error
 			switch key {
@@ -177,8 +197,6 @@ func Parse(s string) (Fault, error) {
 				f.Code, err = strconv.Atoi(val)
 			case "for":
 				f.For, err = time.ParseDuration(val)
-			default:
-				return Fault{}, fmt.Errorf("fault: unknown parameter %q in %q", key, s)
 			}
 			if err != nil {
 				return Fault{}, fmt.Errorf("fault: bad %s in %q: %v", key, s, err)
@@ -202,8 +220,8 @@ func Parse(s string) (Fault, error) {
 			f.Bytes = 64
 		}
 	case Exit:
-		if f.Code == 0 {
-			return Fault{}, fmt.Errorf("fault: exit code must be nonzero in %q", s)
+		if f.Code < 1 || f.Code > 255 {
+			return Fault{}, fmt.Errorf("fault: exit code must be in 1…255 in %q", s)
 		}
 	}
 	return f, nil

@@ -35,15 +35,23 @@ func TestFaultStringParseRoundTrip(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, s := range []string{
-		"meteor:after=1",      // unknown kind
-		"crash:after",         // missing value
-		"crash:volume=11",     // unknown parameter
-		"crash:after=x",       // non-numeric
-		"crash:after=-1",      // negative
-		"stall:after=1",       // stall without duration
-		"slow:",               // slow without duration
-		"exit:after=1,code=0", // exit with zero status
-		"torn:after=1,for=x",  // bad duration
+		"meteor:after=1",           // unknown kind
+		"crash:after",              // missing value
+		"crash:volume=11",          // unknown parameter
+		"crash:after=x",            // non-numeric
+		"crash:after=-1",           // negative
+		"stall:after=1",            // stall without duration
+		"slow:",                    // slow without duration
+		"exit:after=1,code=0",      // exit with zero status
+		"torn:after=1,for=x",       // bad duration
+		"slowstream:after=1,for=x", // bad duration
+		"exit:after=1,code=256",    // a process would exit 0
+		"exit:after=1,code=258",    // a process would exit 2 (usage)
+		"exit:after=1,code=-1",     // negative status
+		"crash:code=5",             // a parameter crash never reads
+		"slow:after=3,for=1s",      // a parameter slow never reads
+		"hostdown:after=1,bytes=9", // a parameter hostdown never reads
+		"conndrop:after=1,for=1s",  // a parameter conndrop never reads
 	} {
 		if f, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) = %+v, want error", s, f)
@@ -238,4 +246,29 @@ func TestPlanFor(t *testing.T) {
 	if s := nilPlan.String(); !strings.Contains(s, "clean") {
 		t.Fatalf("nil plan String = %q", s)
 	}
+}
+
+// FuzzParse drives the SPROUT_FAULT codec with arbitrary strings: Parse
+// never panics, and a fault it accepts renders to a string that parses
+// back to the same fault — so a parameter String would drop, or an exit
+// code a process cannot exit with, is refused rather than changed in
+// transit.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", "crash", "crash:after=2", "stall:after=1,for=30s", "torn:after=0,bytes=9", "corrupt:after=3",
+		"exit:after=1,code=7", "exit:code=256", "slow:for=300ms", "conndrop:after=3", "slowstream:after=1,for=250ms",
+		"partialpull:after=2,bytes=7", "duprecords:after=0", "hostdown:after=4", "crash:code=5", "slow:after=3,for=1s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		flt, err := Parse(s)
+		if err != nil {
+			return
+		}
+		again, err := Parse(flt.String())
+		if err != nil || again != flt {
+			t.Fatalf("Parse(%q) = %+v, but Parse(%q) = %+v, %v", s, flt, flt.String(), again, err)
+		}
+	})
 }
