@@ -28,16 +28,21 @@ var exportAllow = map[string]string{
 	"internal/metrics.FilterFlow":      "per-flow split of the batch reference",
 	"internal/trace.NewReplay":         "replays a materialized trace as the oracle for every streaming process",
 
-	"internal/linktest.AdmitMatchesPerArrivalEvents": "differential driver shared by the link and cell tests",
-	"internal/linktest.AccessorsAdmitFirst":          "differential driver shared by the link and cell tests",
-	"internal/linktest.SendSchedulesNoEvent":         "differential driver shared by the link and cell tests",
-
 	// Fault harnesses the supervisor and dispatch tests drive.
 	"internal/dispatch.(Loopback).Revive": "host reboot",
 
 	// State tests read as their oracle: the posterior, and counters of
 	// what an endpoint did.
 	"internal/core.(Model).BinRate":               "posterior inspection, public through sprout.Model; the naive reference filter reads it",
+	"internal/codel.(CoDel).Drops":                "drop count the CoDel tests assert",
+	"internal/link.(Link).Drops":                  "drop counts the admit differential and the link tests compare",
+	"internal/link.(Link).StaleDrops":             "stale-arrival count the admit differential and the tower tests compare",
+	"internal/link.(Link).WastedOpportunities":    "wasted-opportunity count the admit differential compares",
+	"internal/link.(Link).QueueLen":               "standing-slot queue length the admit differential and the link tests read",
+	"internal/link.(Link).Slots":                  "slot high-water mark the admit differential walks",
+	"internal/network.(Pool).InUse":               "live-packet count the leak and release tests assert",
+	"internal/sim.(Loop).Fired":                   "event count the no-event-per-packet tests assert",
+	"internal/sim.(Loop).Pending":                 "pending-event count the loop and link tests assert",
 	"internal/core.(Model).Distribution":          "posterior inspection, public through sprout.Model; the naive reference filter reads it",
 	"internal/core.(Model).Quantile":              "posterior inspection, public through sprout.Model",
 	"internal/stats.(IntervalSet).Contiguous":     "the quick-check model compares the set's contiguous prefix",

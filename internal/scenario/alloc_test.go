@@ -82,129 +82,6 @@ func TestPooledWorldRerunAllocsMultiFlow(t *testing.T) {
 	}
 }
 
-// TestPooledWorldRerunMatchesFresh asserts reuse changes nothing: the same
-// normalized spec run on a warm world and on a fresh world produce
-// identical results.
-func TestPooledWorldRerunMatchesFresh(t *testing.T) {
-	spec := Spec{
-		Scheme:   "sprout",
-		Link:     "T-Mobile 3G (UMTS)",
-		Duration: Duration(2 * time.Second),
-		Skip:     Duration(500 * time.Millisecond),
-		Seed:     9,
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := engine.NewCache()
-	w := newWorld()
-	if _, err := runNormalized(norm, traces, w); err != nil {
-		t.Fatal(err) // warm the world on the same spec
-	}
-	warm, err := runNormalized(norm, traces, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := runNormalized(norm, traces, newWorld())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Metrics != fresh.Metrics {
-		t.Errorf("reused world diverged:\nwarm  %+v\nfresh %+v", warm.Metrics, fresh.Metrics)
-	}
-	if warm.Delay95 != fresh.Delay95 || warm.JainIndex != fresh.JainIndex {
-		t.Errorf("aggregates diverged: %v/%v vs %v/%v",
-			warm.Delay95, warm.JainIndex, fresh.Delay95, fresh.JainIndex)
-	}
-	if len(warm.Flows) != len(fresh.Flows) {
-		t.Fatalf("flow counts differ: %d vs %d", len(warm.Flows), len(fresh.Flows))
-	}
-	for i := range warm.Flows {
-		if warm.Flows[i] != fresh.Flows[i] {
-			t.Errorf("flow %d differs: %+v vs %+v", i, warm.Flows[i], fresh.Flows[i])
-		}
-	}
-}
-
-// TestPooledWorldSchemeSwitch asserts the endpoint memo keeps schemes
-// apart: alternating schemes (the matrix's scheme-major job order) on one
-// world still matches fresh-world results.
-func TestPooledWorldSchemeSwitch(t *testing.T) {
-	mk := func(scheme string) Spec {
-		return Spec{
-			Scheme:   scheme,
-			Link:     "Verizon LTE",
-			Duration: Duration(2 * time.Second),
-			Skip:     Duration(500 * time.Millisecond),
-			Seed:     4,
-		}
-	}
-	traces := engine.NewCache()
-	w := newWorld()
-	schemes := []string{"sprout", "cubic", "skype", "sprout", "cubic", "skype"}
-	got := make([]Result, len(schemes))
-	for i, s := range schemes {
-		norm, err := mk(s).Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i], err = runNormalized(norm, traces, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if got[i].Metrics != got[i+3].Metrics {
-			t.Errorf("%s: first run %+v != repeat %+v", schemes[i], got[i].Metrics, got[i+3].Metrics)
-		}
-		norm, _ := mk(schemes[i]).Normalize()
-		fresh, err := runNormalized(norm, traces, newWorld())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Metrics != fresh.Metrics {
-			t.Errorf("%s: pooled %+v != fresh %+v", schemes[i], got[i].Metrics, fresh.Metrics)
-		}
-	}
-}
-
-// TestPooledWorldLossSwitch: a lossless job leaves the world's loss RNGs
-// where the last lossy job left them (its links never draw), so a warm
-// world alternating lossy and lossless specs must still match fresh
-// worlds, job for job.
-func TestPooledWorldLossSwitch(t *testing.T) {
-	traces := engine.NewCache()
-	w := newWorld()
-	for _, c := range []struct {
-		scheme string
-		loss   float64
-	}{{"sprout", 0.05}, {"sprout", 0}, {"cubic", 0.1}, {"cubic", 0}, {"sprout", 0.05}, {"cubic", 0.02}} {
-		norm, err := Spec{
-			Scheme:   c.scheme,
-			Link:     "Verizon LTE",
-			Duration: Duration(2 * time.Second),
-			Skip:     Duration(500 * time.Millisecond),
-			Seed:     6,
-			Loss:     c.loss,
-		}.Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := runNormalized(norm, traces, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := runNormalized(norm, traces, newWorld())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Metrics != fresh.Metrics || !reflect.DeepEqual(warm.Flows, fresh.Flows) {
-			t.Errorf("%s loss %v: warm %+v != fresh %+v", c.scheme, c.loss, warm.Metrics, fresh.Metrics)
-		}
-	}
-}
-
 // TestRecordCodecAllocs pins what one record costs through the shard
 // codec — EncodeResult → RecordWriter → ReadRecords → DecodeResult, all a
 // sharded sweep adds to a run beside a second engine. The Result is

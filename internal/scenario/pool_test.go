@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -174,9 +173,7 @@ func TestHandlersDoNotRetainPackets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(plain, scribbled) {
-				t.Errorf("results differ once delivered packets are scribbled over:\nplain     %+v\nscribbled %+v", plain, scribbled)
-			}
+			sameResult(t, scribbled, plain)
 			if len(plain.Flows) == 0 || plain.Delay95 == 0 {
 				t.Errorf("run delivered nothing: %+v", plain)
 			}

@@ -2,6 +2,7 @@ package sprout_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -67,8 +68,11 @@ func TestPublicAPIExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if named.Metrics != injected.Metrics {
-		t.Errorf("named link: %+v\ninjected pair: %+v", named.Metrics, injected.Metrics)
+	if named.Metrics != injected.Metrics || !reflect.DeepEqual(named.Flows, injected.Flows) ||
+		named.Delay95 != injected.Delay95 || named.JainIndex != injected.JainIndex {
+		t.Errorf("named link: %+v %+v delay95 %v Jain %v\ninjected pair: %+v %+v delay95 %v Jain %v",
+			named.Metrics, named.Flows, named.Delay95, named.JainIndex,
+			injected.Metrics, injected.Flows, injected.Delay95, injected.JainIndex)
 	}
 }
 
