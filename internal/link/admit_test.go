@@ -239,17 +239,16 @@ func driveLink(c admitCase, seed int64, perArrivalEvents bool) (log []string, en
 	return log, end
 }
 
-// TestLinkAdmitMatchesPerArrivalEvents: on each seed, a link that admits
-// arrivals when its queues are next looked at is indistinguishable from
-// one that schedules an event per arrival — same deliveries to the same
-// slots at the same instants with the same EnqueuedAt, the scheduler told
-// of the same Backlog edges between the same grants, same loss draws
-// against the same packets, same tail, CoDel and stale drops, same accessor
-// readings wherever they are taken — for the dedicated link's shapes and
-// for towers whose users leave and arrive with packets queued and in
-// flight. The summed drops show that the traffic exercised each case.
-func TestLinkAdmitMatchesPerArrivalEvents(t *testing.T) {
-	for _, c := range append(append([]admitCase(nil), linkCases...), towerCases...) {
+// admitMatchesPerArrivalEvents: on each seed, a link that admits arrivals
+// when its queues are next looked at is indistinguishable from one that
+// schedules an event per arrival — same deliveries to the same slots at
+// the same instants with the same EnqueuedAt, the scheduler told of the
+// same Backlog edges between the same grants, same loss draws against the
+// same packets, same tail, CoDel and stale drops, same accessor readings
+// wherever they are taken. The summed drops show that the traffic
+// exercised each case.
+func admitMatchesPerArrivalEvents(t *testing.T, cases []admitCase) {
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			seeds := int64(8)
 			if c.scheduler != nil {
@@ -277,6 +276,18 @@ func TestLinkAdmitMatchesPerArrivalEvents(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLinkAdmitMatchesPerArrivalEvents runs the differential on the
+// dedicated link's shapes.
+func TestLinkAdmitMatchesPerArrivalEvents(t *testing.T) {
+	admitMatchesPerArrivalEvents(t, linkCases)
+}
+
+// TestTowerAdmitMatchesPerArrivalEvents runs it on towers whose users
+// leave and arrive with packets queued and in flight.
+func TestTowerAdmitMatchesPerArrivalEvents(t *testing.T) {
+	admitMatchesPerArrivalEvents(t, towerCases)
 }
 
 // accessorsAdmitFirst pins what the accessors and the slot operations see
