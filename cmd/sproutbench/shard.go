@@ -1,5 +1,5 @@
 // Sharded sweeps from the CLI: -shard i/n runs one partition of a
-// -scenario grid and streams JSONL (dispatch.ShardWorker); -shards n
+// -scenario grid into its -out log (dispatch.ShardWorker); -shards n
 // supervises n child processes through dispatch.Supervise (liveness
 // tracking, classified retries, rescue of dead shards' jobs) and merges
 // their logs; -ab a.json,b.json runs two variant grids and reports
@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -25,19 +26,36 @@ import (
 	"sprout/internal/stats"
 )
 
-// shardFlags holds the sharding flags, each documented where main binds
-// it. parseShardFlags checks the combination and fills the parsed fields
-// and parent mode's defaults in place.
+// shardFlags holds the sharding flags, each documented where
+// bindShardFlags binds it. parseShardFlags checks the combination and
+// fills the parsed fields in place.
 type shardFlags struct {
 	Shard, Out, Scenario, Checkpoint, Hosts, Transport, AB string
-	Shards, Retries                                        int
-	Stall, Timeout                                         time.Duration
+	Shards                                                 int
+	Stall                                                  time.Duration
 	Chaos                                                  int64
-	Partial, Rescue                                        bool
+	Partial                                                bool
 
 	worker   *engine.Shard // parsed -shard
 	pool     []string      // -hosts, trimmed
 	variants []string      // the two -ab files
+}
+
+// bindShardFlags defines the sharding flags on fs.
+func bindShardFlags(fs *flag.FlagSet) *shardFlags {
+	sf := &shardFlags{}
+	fs.StringVar(&sf.Scenario, "scenario", "", "run the experiment specs in this JSON scenario file instead of the canonical suite")
+	fs.StringVar(&sf.Shard, "shard", "", "worker mode: run shard i/n of the -scenario grid and append its JSONL records to -out")
+	fs.StringVar(&sf.Out, "out", "", "JSONL log for -shard (required); an existing log is resumed, not recomputed")
+	fs.IntVar(&sf.Shards, "shards", 0, "parent mode: fan the -scenario grid across this many child processes and merge their JSONL")
+	fs.StringVar(&sf.Checkpoint, "checkpoint", "", "checkpoint directory for -shards: a killed sweep rerun resumes from the shard logs here")
+	fs.StringVar(&sf.Hosts, "hosts", "", "comma-separated host pool for -shards: shards are dispatched across these hosts with health scoring and failover")
+	fs.StringVar(&sf.Transport, "transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
+	fs.DurationVar(&sf.Stall, "stall", 2*time.Minute, "kill a shard child whose checkpoint log stops growing for this long (with -shards)")
+	fs.Int64Var(&sf.Chaos, "chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
+	fs.BoolVar(&sf.Partial, "partial", false, "with -shards: an interrupted sweep merges what completed, reports the exact missing job indexes and exits 0 instead of 1")
+	fs.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; both grids run with p50/p95/p99 rollups and a verdict")
+	return sf
 }
 
 // parseShardFlags validates the sharding flag combination, returning a
@@ -47,12 +65,8 @@ func parseShardFlags(f *shardFlags) error {
 	switch {
 	case f.Shards < 0:
 		return fmt.Errorf("-shards must be >= 0, got %d", f.Shards)
-	case f.Retries < 0:
-		return fmt.Errorf("-retries must be >= 0, got %d", f.Retries)
 	case f.Stall < 0:
 		return fmt.Errorf("-stall must be >= 0, got %v", f.Stall)
-	case f.Timeout < 0:
-		return fmt.Errorf("-timeout must be >= 0, got %v", f.Timeout)
 	}
 	if f.AB != "" || f.Shard != "" || f.Shards <= 1 {
 		switch {
@@ -64,8 +78,6 @@ func parseShardFlags(f *shardFlags) error {
 			return fmt.Errorf("-hosts names a dispatch pool for supervised shards; it requires parent mode (-shards > 1)")
 		case f.Transport != "":
 			return fmt.Errorf("-transport dispatches supervised shards; it requires parent mode (-shards > 1)")
-		case f.Timeout != 0:
-			return fmt.Errorf("-timeout bounds a supervised sweep; it requires parent mode (-shards > 1)")
 		}
 	}
 	if f.Transport != "" && f.Hosts == "" {
@@ -95,6 +107,9 @@ func parseShardFlags(f *shardFlags) error {
 		if f.Shards > 0 {
 			return fmt.Errorf("-shard (worker mode) and -shards (parent mode) are mutually exclusive")
 		}
+		if f.Out == "" {
+			return fmt.Errorf("-shard appends its records to a resumable log; -out is required")
+		}
 		f.worker = &sh
 	case f.Shards > 1:
 		if f.Scenario == "" {
@@ -108,13 +123,6 @@ func parseShardFlags(f *shardFlags) error {
 				}
 				f.pool = append(f.pool, h)
 			}
-		}
-		// "0 = default" for -retries and -stall is set here and only here.
-		if f.Retries == 0 {
-			f.Retries = 3
-		}
-		if f.Stall == 0 {
-			f.Stall = 2 * time.Minute
 		}
 	}
 	return nil
@@ -162,7 +170,6 @@ func runShardWorker(sf *shardFlags, opt harness.Options, eng *engine.Engine) {
 		Out:    sf.Out,
 		Engine: eng,
 		Fault:  fault.New(f, time.Sleep, os.Exit),
-		Stdout: os.Stdout,
 		Stderr: os.Stderr,
 	}
 	if code := w.Run(context.Background()); code != 0 {
@@ -178,10 +185,10 @@ func runShardWorker(sf *shardFlags, opt harness.Options, eng *engine.Engine) {
 // directory persists, so a killed parent rerun resumes instead of
 // recomputing. With -chaos a seeded fault plan is injected into the
 // children and, over a -hosts pool, into the pulls — the merged output
-// must not change. SIGINT/SIGTERM and -timeout cancel the sweep cleanly:
-// every child is terminated, its log drained into the checkpoint, and
-// the parent exits through the partial-report path with the exact
-// missing-index list. See DESIGN.md §10.
+// must not change. SIGINT and SIGTERM (what timeout(1) sends) cancel the
+// sweep cleanly: every child is terminated, its log drained into the
+// checkpoint, and the parent exits through the partial-report path with
+// the exact missing-index list. See DESIGN.md §10.
 func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 	specs, streaming, err := loadScenarioSpecs(sf.Scenario, opt)
 	check(err)
@@ -200,7 +207,7 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 	}
 	var plan fault.Plan
 	if sf.Chaos != 0 {
-		plan = fault.NewPlan(sf.Chaos, sf.Shards, sf.pool, sf.Retries, sf.Stall*3/2)
+		plan = fault.NewPlan(sf.Chaos, sf.Shards, sf.pool, sf.Stall*3/2)
 		fmt.Fprintf(os.Stderr, "sproutbench: chaos seed %d: %s\n", sf.Chaos, plan)
 	}
 
@@ -209,11 +216,6 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 	// through to the partial merge.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if sf.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sf.Timeout)
-		defer cancel()
-	}
 
 	start := time.Now()
 	sum, err := dispatch.Supervise(ctx, dispatch.Config{
@@ -225,20 +227,14 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 		Parallel:  parallel,
 		Transport: tr,
 		Hosts:     sf.pool,
-		Retries:   sf.Retries,
 		Stall:     sf.Stall,
 		Faults:    plan,
-		Rescue:    sf.Rescue,
 		Log:       os.Stderr,
 	})
 	partial := ""
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		reason := "interrupted"
-		if errors.Is(err, context.DeadlineExceeded) {
-			reason = fmt.Sprintf("timed out after %v", sf.Timeout)
-		}
-		fmt.Fprintf(os.Stderr, "sproutbench: sweep %s; %d of %d jobs completed (resume with the same -checkpoint)\n",
-			reason, len(specs)-len(sum.Missing), len(specs))
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintf(os.Stderr, "sproutbench: sweep interrupted; %d of %d jobs completed (resume with the same -checkpoint)\n",
+			len(specs)-len(sum.Missing), len(specs))
 		partial = ", partial"
 	} else {
 		check(err)
@@ -254,11 +250,6 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 		if retried > 0 || sum.Rescued > 0 {
 			fmt.Fprintf(os.Stderr, "sproutbench: recovery: %d shard(s) retried or failed, %d dead, %d job(s) rescued\n",
 				retried, dead, sum.Rescued)
-		}
-		if len(sum.Missing) > 0 && !sf.Partial {
-			fmt.Fprintf(os.Stderr, "sproutbench: %d of %d jobs missing after supervision: %s (rerun with the same -checkpoint to resume, or -partial to merge what completed)\n",
-				len(sum.Missing), len(specs), formatMissing(sum.Missing))
-			fatalExit(1)
 		}
 		fmt.Fprintf(os.Stderr, "sharded: %d jobs across %d supervised child processes in %v; %d streaming scenario(s)\n",
 			len(specs), sf.Shards, time.Since(start).Round(time.Millisecond), streaming)

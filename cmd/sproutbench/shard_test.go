@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -20,13 +22,11 @@ func TestParseShardFlags(t *testing.T) {
 	}{
 		{name: "default", wantErr: ""},
 		{name: "worker", in: shardFlags{Shard: "1/4", Scenario: "s.json", Out: "x.jsonl"}, wantWorker: true},
-		{name: "worker stdout", in: shardFlags{Shard: "0/2", Scenario: "s.json"}, wantWorker: true},
 		{name: "parent", in: shardFlags{Shards: 4, Scenario: "s.json"}, wantParent: true},
 		{name: "parent checkpointed", in: shardFlags{Shards: 2, Scenario: "s.json", Checkpoint: "ck"}, wantParent: true},
 		{name: "parent chaos partial", in: shardFlags{Shards: 2, Scenario: "s.json", Chaos: 7, Partial: true}, wantParent: true},
 		{name: "parent hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b"}, wantParent: true},
 		{name: "parent hosts transport", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}"}, wantParent: true},
-		{name: "parent timeout", in: shardFlags{Shards: 2, Scenario: "s.json", Timeout: time.Minute}, wantParent: true},
 		{name: "single shard is direct", in: shardFlags{Shards: 1, Scenario: "s.json"}},
 		{name: "ab", in: shardFlags{AB: "a.json,b.json"}, wantAB: true},
 		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantErr: "mutually exclusive"},
@@ -35,9 +35,9 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "bad shard syntax", in: shardFlags{Shard: "nope", Scenario: "s.json"}, wantErr: "shard"},
 		{name: "shard out of range", in: shardFlags{Shard: "4/4", Scenario: "s.json"}, wantErr: "outside"},
 		{name: "shard needs scenario", in: shardFlags{Shard: "0/2"}, wantErr: "-scenario is required"},
+		{name: "worker stdout", in: shardFlags{Shard: "0/2", Scenario: "s.json"}, wantErr: "-out is required"},
 		{name: "shard vs shards", in: shardFlags{Shard: "0/2", Shards: 2, Scenario: "s.json"}, wantErr: "mutually exclusive"},
 		{name: "negative shards", in: shardFlags{Shards: -1}, wantErr: ">= 0"},
-		{name: "negative retries", in: shardFlags{Shards: 2, Scenario: "s.json", Retries: -1}, wantErr: "-retries"},
 		{name: "negative stall", in: shardFlags{Shards: 2, Scenario: "s.json", Stall: -time.Second}, wantErr: "-stall"},
 		{name: "shards need scenario", in: shardFlags{Shards: 2}, wantErr: "-scenario is required"},
 		{name: "chaos needs parent", in: shardFlags{Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
@@ -46,11 +46,8 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "hosts need parent", in: shardFlags{Scenario: "s.json", Hosts: "a,b"}, wantErr: "parent mode"},
 		{name: "hosts in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Hosts: "a"}, wantErr: "parent mode"},
 		{name: "transport needs parent", in: shardFlags{Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "parent mode"},
-		{name: "timeout needs parent", in: shardFlags{Scenario: "s.json", Timeout: time.Second}, wantErr: "parent mode"},
-		{name: "timeout in ab", in: shardFlags{AB: "a.json,b.json", Shards: 2, Timeout: time.Second}, wantErr: "parent mode"},
 		{name: "transport needs hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "-hosts is required"},
 		{name: "empty host name", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,,b"}, wantErr: "empty host"},
-		{name: "negative timeout", in: shardFlags{Shards: 2, Scenario: "s.json", Timeout: -time.Second}, wantErr: "-timeout"},
 		{name: "chaos in ab", in: shardFlags{AB: "a.json,b.json", Shards: 2, Chaos: 7}, wantErr: "parent mode"},
 		{name: "ab wants two files", in: shardFlags{AB: "a.json"}, wantErr: "exactly two"},
 		{name: "ab three files", in: shardFlags{AB: "a,b,c"}, wantErr: "exactly two"},
@@ -103,29 +100,30 @@ func TestParseShardFlagsWorkerFields(t *testing.T) {
 	}
 }
 
-// TestParseShardFlagsParentDefaults: parent mode normalizes the
-// supervision knobs so zero values never mean "no retries" or "no stall
-// deadline".
+// TestParseShardFlagsParentDefaults: parent mode's supervision knobs are
+// the flags' own defaults, with no zero-means-default rewrite, and the
+// retry budget, rescue and deadline are not flags at all.
 func TestParseShardFlagsParentDefaults(t *testing.T) {
-	mode := shardFlags{Shards: 2, Scenario: "s.json", Rescue: true}
-	if err := parseShardFlags(&mode); err != nil {
+	parse := func(args ...string) (*shardFlags, error) {
+		fs := flag.NewFlagSet("sproutbench", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		mode := bindShardFlags(fs)
+		return mode, fs.Parse(args)
+	}
+	mode, err := parse("-shards", "2", "-scenario", "s.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mode.Retries != 3 {
-		t.Fatalf("Retries = %d, want default 3", mode.Retries)
+	if err := parseShardFlags(mode); err != nil {
+		t.Fatal(err)
 	}
 	if mode.Stall != 2*time.Minute {
 		t.Fatalf("Stall = %v, want default 2m", mode.Stall)
 	}
-	if !mode.Rescue {
-		t.Fatal("Rescue flag not carried into parent mode")
-	}
-	mode = shardFlags{Shards: 2, Scenario: "s.json", Retries: 5, Stall: 7 * time.Second}
-	if err := parseShardFlags(&mode); err != nil {
-		t.Fatal(err)
-	}
-	if mode.Retries != 5 || mode.Stall != 7*time.Second {
-		t.Fatalf("explicit knobs not forwarded: %+v", mode)
+	for _, gone := range []string{"-retries=5", "-rescue=false", "-timeout=1m"} {
+		if _, err := parse(gone); err == nil {
+			t.Errorf("%s parsed; the flag should not exist", gone)
+		}
 	}
 }
 
@@ -135,7 +133,7 @@ func TestParseShardFlagsParentDefaults(t *testing.T) {
 func TestParseShardFlagsDispatchFields(t *testing.T) {
 	mode := shardFlags{
 		Shards: 2, Scenario: "s.json",
-		Hosts: " alpha , beta,gamma ", Transport: "ssh {host} -- {exe}", Timeout: 90 * time.Second,
+		Hosts: " alpha , beta,gamma ", Transport: "ssh {host} -- {exe}",
 	}
 	if err := parseShardFlags(&mode); err != nil {
 		t.Fatal(err)
@@ -145,9 +143,6 @@ func TestParseShardFlagsDispatchFields(t *testing.T) {
 	}
 	if mode.Transport != "ssh {host} -- {exe}" {
 		t.Fatalf("transport = %q", mode.Transport)
-	}
-	if mode.Timeout != 90*time.Second {
-		t.Fatalf("timeout = %v", mode.Timeout)
 	}
 }
 

@@ -22,14 +22,20 @@ func TestMain(m *testing.M) {
 }
 
 // TestShardParentInterruptPartial drives the real CLI: a supervised
-// sweep interrupted by SIGINT must terminate its children, merge what
-// their fsynced logs hold, print the exact missing-index report, and —
-// under -partial — exit 0. The test binary serves as the parent (and,
-// transitively, its children) through the TestMain reroute.
+// sweep interrupted by SIGINT, or by the SIGTERM that timeout(1) sends,
+// must terminate its children, merge what their fsynced logs hold, print
+// the exact missing-index report, and — under -partial — exit 0. The test
+// binary serves as the parent (and, transitively, its children) through
+// the TestMain reroute.
 func TestShardParentInterruptPartial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs a supervised sweep and waits on signal delivery; skipped with -short")
 	}
+	t.Run("SIGINT", func(t *testing.T) { interruptPartial(t, syscall.SIGINT) })
+	t.Run("SIGTERM", func(t *testing.T) { interruptPartial(t, syscall.SIGTERM) })
+}
+
+func interruptPartial(t *testing.T, sig syscall.Signal) {
 	// No duration in the file: the CLI's -duration sets it, and a long
 	// virtual duration keeps the sweep busy until the signal lands.
 	spec := `{
@@ -62,7 +68,7 @@ func TestShardParentInterruptPartial(t *testing.T) {
 	// the 600 ms below, so 600 s — the value this test once used — was
 	// finished before the signal unless something else loaded the box).
 	time.Sleep(600 * time.Millisecond)
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+	if err := cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -74,7 +80,7 @@ func TestShardParentInterruptPartial(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatalf("parent never exited after SIGINT\nstderr:\n%s", stderr.String())
+		t.Fatalf("parent never exited after %v\nstderr:\n%s", sig, stderr.String())
 	}
 	if !bytes.Contains(stderr.Bytes(), []byte("interrupted")) {
 		t.Fatalf("stderr does not report the interruption:\n%s", stderr.String())

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -254,4 +255,103 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 	t.Logf("exported names (root + internal/, non-test files): %d", len(decls))
+}
+
+// fieldAllow lists the exported struct fields under internal/ that only
+// tests set, each with the reason it stays. Keys are "dir.Type.Field".
+var fieldAllow = map[string]string{
+	"internal/scenario.ShardedOptions.Traces":       "tests observe the shared trace cache through it",
+	"internal/transport.ReceiverConfig.LiteralSkip": "TestAblations' literal-skip variant (DESIGN §6.1)",
+}
+
+// TestNoTestOnlyFields holds internal/ to one value per setting: an
+// exported field of a non-test struct that no non-test file sets is a
+// setting only tests turn, so it becomes a constant, goes, or is
+// allowlisted in fieldAllow with its reason. A field is set by a
+// composite-literal key, an assignment or inc/dec target, or &x.F, matched
+// by field name alone (so it can miss a test-only field that shares a set
+// one's name, never flag a set one). Fields with a json tag other than
+// "-" are exempt: input from outside the program sets them. It logs the
+// field count so a PR's delta is a number.
+func TestNoTestOnlyFields(t *testing.T) {
+	files := parseModule(t)
+	set := map[string]bool{}
+	for _, pf := range files {
+		ast.Inspect(pf.file, func(n ast.Node) bool {
+			var targets []ast.Expr
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					set[id.Name] = true
+				}
+			case *ast.AssignStmt:
+				targets = x.Lhs
+			case *ast.IncDecStmt:
+				targets = []ast.Expr{x.X}
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					targets = []ast.Expr{x.X}
+				}
+			}
+			for _, e := range targets {
+				if sel, ok := e.(*ast.SelectorExpr); ok {
+					set[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	fields := 0
+	seen := map[string]bool{}
+	for _, pf := range files {
+		if !strings.HasPrefix(pf.dir, "internal/") {
+			continue
+		}
+		for _, decl := range pf.file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					if f.Tag != nil {
+						tag, _ := strconv.Unquote(f.Tag.Value)
+						if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
+							continue
+						}
+					}
+					for _, id := range f.Names {
+						if !id.IsExported() {
+							continue
+						}
+						fields++
+						key := pf.dir + "." + ts.Name.Name + "." + id.Name
+						seen[key] = true
+						reason, allowed := fieldAllow[key]
+						switch {
+						case set[id.Name] && allowed:
+							t.Errorf("%s is allowlisted (%s) but non-test code sets it: drop it from fieldAllow", key, reason)
+						case !set[id.Name] && !allowed:
+							t.Errorf("%s is exported but only tests set it: make it a constant, delete it, or allowlist it with a reason", key)
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range fieldAllow {
+		if !seen[key] {
+			t.Errorf("fieldAllow names %s, which does not exist", key)
+		}
+	}
+	t.Logf("exported struct fields without a json tag (internal/, non-test files): %d", fields)
 }

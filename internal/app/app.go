@@ -51,11 +51,12 @@ type Profile struct {
 	// LossThreshold is the report loss fraction above which a report is
 	// congested.
 	LossThreshold float64
-	// ReportInterval is the receiver-report cadence.
-	ReportInterval time.Duration
 	// PacketSize is the media packet wire size.
 	PacketSize int
 }
+
+// reportInterval is every application's receiver-report cadence.
+const reportInterval = 500 * time.Millisecond
 
 // Skype returns the Skype-like profile: the highest ceiling of the three
 // (the paper measured Skype around 1-1.5 Mb/s on LTE paths even though it
@@ -66,8 +67,7 @@ func Skype() Profile {
 		MinRate: 64_000, MaxRate: 2_000_000, StartRate: 500_000,
 		Decrease: 0.7, Increase: 1.05, LagReports: 4,
 		DelayThreshold: 400 * time.Millisecond, LossThreshold: 0.02,
-		ReportInterval: 500 * time.Millisecond,
-		PacketSize:     network.MTU,
+		PacketSize: network.MTU,
 	}
 }
 
@@ -80,8 +80,7 @@ func Hangout() Profile {
 		MinRate: 48_000, MaxRate: 1_000_000, StartRate: 300_000,
 		Decrease: 0.75, Increase: 1.04, LagReports: 5,
 		DelayThreshold: 500 * time.Millisecond, LossThreshold: 0.03,
-		ReportInterval: 500 * time.Millisecond,
-		PacketSize:     network.MTU,
+		PacketSize: network.MTU,
 	}
 }
 
@@ -93,8 +92,7 @@ func Facetime() Profile {
 		MinRate: 64_000, MaxRate: 900_000, StartRate: 400_000,
 		Decrease: 0.7, Increase: 1.08, LagReports: 3,
 		DelayThreshold: 300 * time.Millisecond, LossThreshold: 0.02,
-		ReportInterval: 500 * time.Millisecond,
-		PacketSize:     network.MTU,
+		PacketSize: network.MTU,
 	}
 }
 
@@ -140,17 +138,12 @@ func parseReport(b []byte) (report, bool) {
 	}, true
 }
 
-// Conn carries packets toward the peer.
-type Conn interface {
-	Send(pkt *network.Packet)
-}
-
 // Sender is the application's media sender: a paced constant-bit-rate
 // stream whose rate adapts on receiver reports.
 type Sender struct {
 	profile Profile
 	clock   sim.Clock
-	conn    Conn
+	conn    network.Conn
 	flow    uint32
 	pool    *network.Pool
 
@@ -169,7 +162,7 @@ type Sender struct {
 }
 
 // NewSender starts a media sender with the given profile.
-func NewSender(flow uint32, profile Profile, clock sim.Clock, conn Conn) *Sender {
+func NewSender(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) *Sender {
 	s := &Sender{}
 	s.emitFn = s.emit
 	s.Reset(flow, profile, clock, conn)
@@ -183,7 +176,7 @@ func (s *Sender) UsePool(p *network.Pool) { s.pool = p }
 // Reset restores the sender to its freshly constructed state for a new
 // run. Must be called at a world boundary (clock reset); the first pacing
 // event is scheduled exactly as NewSender schedules it.
-func (s *Sender) Reset(flow uint32, profile Profile, clock sim.Clock, conn Conn) {
+func (s *Sender) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) {
 	if clock == nil || conn == nil {
 		panic("app: Sender requires clock and conn")
 	}
@@ -267,7 +260,7 @@ func (s *Sender) Receive(pkt *network.Packet) {
 type Receiver struct {
 	profile Profile
 	clock   sim.Clock
-	conn    Conn
+	conn    network.Conn
 	flow    uint32
 	pool    *network.Pool
 
@@ -284,7 +277,7 @@ type Receiver struct {
 }
 
 // NewReceiver starts the media receiver; conn carries reports back.
-func NewReceiver(flow uint32, profile Profile, clock sim.Clock, conn Conn) *Receiver {
+func NewReceiver(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) *Receiver {
 	r := &Receiver{}
 	r.reportFn = r.report
 	r.Reset(flow, profile, clock, conn)
@@ -298,7 +291,7 @@ func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
 // Reset restores the receiver to its freshly constructed state for a new
 // run. Must be called at a world boundary (clock reset); the report timer
 // is re-armed exactly as NewReceiver arms it.
-func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn Conn) {
+func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) {
 	if clock == nil || conn == nil {
 		panic("app: Receiver requires clock and conn")
 	}
@@ -310,7 +303,7 @@ func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn Con
 	r.havePkt = false
 	r.reports = 0
 	r.reportTimer.Stop() // no-op after a clock reset (stale handle)
-	r.reportTimer = clock.After(profile.ReportInterval, r.reportFn)
+	r.reportTimer = clock.After(reportInterval, r.reportFn)
 }
 
 // Received returns the number of media packets received.
@@ -340,7 +333,7 @@ func (r *Receiver) Receive(pkt *network.Packet) {
 }
 
 func (r *Receiver) report() {
-	r.reportTimer = sim.Reschedule(r.clock, r.reportTimer, r.profile.ReportInterval, r.reportFn)
+	r.reportTimer = sim.Reschedule(r.clock, r.reportTimer, reportInterval, r.reportFn)
 	if !r.havePkt {
 		return
 	}

@@ -296,7 +296,7 @@ func TestTowerFIFOAndCounters(t *testing.T) {
 	tw.Send(s1, &pkts[3])
 	tw.Detach(s1)
 	loop.Run(20 * time.Millisecond)
-	if loss, _, _ := tw.Drops(); loss != 0 || tw.StaleDrops() != 1 {
+	if loss, _ := tw.Drops(); loss != 0 || tw.StaleDrops() != 1 {
 		t.Errorf("drops = (%d, %d), want (0, 1)", loss, tw.StaleDrops())
 	}
 	if len(got) != 3 {
@@ -345,7 +345,7 @@ func TestTowerReleasesEveryPacket(t *testing.T) {
 	tw.Detach(s1)
 	loop.Run(200 * time.Millisecond)
 
-	loss, _, _ := tw.Drops()
+	loss, _ := tw.Drops()
 	stale := tw.StaleDrops()
 	if loss == 0 || stale != 5 || delivered == 0 {
 		t.Fatalf("want every fate exercised: %d lost, %d stale, %d delivered", loss, stale, delivered)

@@ -15,15 +15,14 @@ import "math/bits"
 // presentation order.
 func SchedulerNames() []string { return []string{"round-robin", "proportional-fair"} }
 
-// NewScheduler builds a scheduler by registry name. gain is the
-// proportional-fair EWMA gain (zero means the DefaultPFGain); round-robin
-// ignores it. Unknown names return nil.
-func NewScheduler(name string, gain float64) Scheduler {
+// NewScheduler builds a scheduler by registry name; proportional-fair runs
+// at DefaultPFGain. Unknown names return nil.
+func NewScheduler(name string) Scheduler {
 	switch name {
 	case "round-robin":
 		return NewRoundRobin()
 	case "proportional-fair":
-		return NewPropFair(gain)
+		return NewPropFair(0)
 	}
 	return nil
 }
@@ -124,9 +123,9 @@ func (r *RoundRobin) scan(from, to int) int {
 	}
 }
 
-// DefaultPFGain is the proportional-fair EWMA gain when a spec does not
-// pick one: 1/16 per opportunity weights roughly the last hundred
-// milliseconds of service on an LTE-class cell.
+// DefaultPFGain is the proportional-fair EWMA gain of every cell: 1/16
+// per opportunity weights roughly the last hundred milliseconds of
+// service on an LTE-class cell.
 const DefaultPFGain = 1.0 / 16
 
 // pfFloor triggers renormalization of the global decay scale before it

@@ -34,7 +34,7 @@ func (tl timeline) String() string {
 func soak(t *testing.T, n int, hosts []string) []fault.Plan {
 	plans := make([]fault.Plan, n)
 	for seed := int64(1); seed <= int64(n); seed++ {
-		plan := fault.NewPlan(seed, 2, hosts, 3, 3*time.Minute)
+		plan := fault.NewPlan(seed, 2, hosts, 3*time.Minute)
 		plans[seed-1] = plan
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -107,32 +107,6 @@ func TestSuperviseRescueReassignsDeadShard(t *testing.T) {
 		t.Fatalf("rescued %d jobs, want %d", sum.Rescued, want)
 	}
 	checkSweep(t, cfg, sum, took)
-}
-
-// TestSupervisePartialReportsMissing is the -partial acceptance: with
-// rescue disabled, a dead shard's jobs surface as the exact missing
-// global indexes, and everything else still merges.
-func TestSupervisePartialReportsMissing(t *testing.T) {
-	f := newFleet(chaosSpecs(t))
-	cfg := chaosConfig(t, f, nil, shardFaults(map[int][]fault.Fault{0: {
-		{Kind: fault.Crash, After: 0},
-		{Kind: fault.Crash, After: 0},
-		{Kind: fault.Crash, After: 0},
-	}}))
-	cfg.Rescue = false
-	sum, _, err := f.supervise(t, context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 2, 4}; !reflect.DeepEqual(sum.Missing, want) {
-		t.Fatalf("missing = %v, want exactly shard 0's job set %v", sum.Missing, want)
-	}
-	if sum.Rescued != 0 {
-		t.Fatalf("rescued %d jobs with rescue disabled", sum.Rescued)
-	}
-	if len(sum.Results) != len(cfg.Specs)-3 {
-		t.Fatalf("partial merge carried %d results, want %d", len(sum.Results), len(cfg.Specs)-3)
-	}
 }
 
 // TestSuperviseCorruptLogIsPermanent: a corrupt record is caught by the

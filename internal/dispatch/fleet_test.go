@@ -325,7 +325,7 @@ func mergedBytes(t *testing.T, results []scenario.Result) []byte {
 }
 
 // chaosConfig is the supervision every suite shares, at the CLI's
-// defaults (3 attempts, 2 min stall; poll and backoff are constants),
+// default 2 min stall (attempts, poll and backoff are constants),
 // over the fleet's hosts (nil = the one implicit host).
 func chaosConfig(t *testing.T, f *fleet, hosts []string, plan fault.Plan) Config {
 	return Config{
@@ -337,10 +337,8 @@ func chaosConfig(t *testing.T, f *fleet, hosts []string, plan fault.Plan) Config
 		Parallel:  1,
 		Transport: f.Loopback,
 		Hosts:     hosts,
-		Retries:   3,
 		Stall:     2 * time.Minute,
 		Faults:    plan,
-		Rescue:    true,
 		Log:       testLogWriter{t},
 	}
 }

@@ -250,24 +250,20 @@ func TestSuperviseResumeRejectsCorruptMirror(t *testing.T) {
 	}
 }
 
-// TestSuperviseRejectsBadBounds: -retries 0 and -stall 0 mean the
-// default at the CLI, which parseShardFlags applies; a zero or negative
-// bound reaching Supervise is a caller bug, refused before any worker
-// starts rather than silently re-defaulted.
+// TestSuperviseRejectsBadBounds: a stall deadline that is not positive
+// is refused before any worker starts rather than silently re-defaulted.
 func TestSuperviseRejectsBadBounds(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		retries int
-		stall   time.Duration
+		name  string
+		stall time.Duration
 	}{
-		{"zero retries", 0, time.Second},
-		{"zero stall", 3, 0},
-		{"negative stall", 3, -time.Second},
+		{"zero stall", 0},
+		{"negative stall", -time.Second},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFleet(chaosSpecs(t))
 			cfg := chaosConfig(t, f, nil, fault.Plan{})
-			cfg.Retries, cfg.Stall = c.retries, c.stall
+			cfg.Stall = c.stall
 			if _, _, err := f.supervise(t, context.Background(), cfg); err == nil {
 				t.Fatal("Supervise accepted the bound")
 			}

@@ -110,17 +110,13 @@ type Config struct {
 	// one host, "local").
 	Transport Transport
 	Hosts     []string
-	// Retries bounds attempts per shard and must be at least 1; Stall is
-	// the liveness deadline and must be positive.
-	Retries int
-	Stall   time.Duration
+	// Stall is the liveness deadline and must be positive. Each shard
+	// gets fault.Retries attempts.
+	Stall time.Duration
 	// Faults is the chaos plan: each attempt runs its shard's fault
 	// through fault.EnvVar, and each pull passes its host's pull faults.
 	// The zero Plan injects nothing.
 	Faults fault.Plan
-	// Rescue recomputes dead shards' jobs in-process; false leaves them
-	// missing for the caller (-partial or a hard failure).
-	Rescue bool
 	// Log receives supervision events (nil = silent).
 	Log io.Writer
 }
@@ -151,7 +147,7 @@ type Outcome struct {
 type Summary struct {
 	Results []scenario.Result
 	// Missing lists global job indexes absent from the merge (empty
-	// unless rescue is disabled or failed, or the sweep was cancelled).
+	// unless the sweep was cancelled).
 	Missing  []int
 	Outcomes []Outcome
 	// Rescued counts jobs recomputed in-process.
@@ -180,9 +176,9 @@ func (s *supervisor) logf(format string, args ...any) {
 // byte-identical to a fault-free run whenever the grid ends complete —
 // records are pure functions of (index, spec), resume never recomputes a
 // completed job, and the merge orders by global index alone. A cancelled
-// context (signal, -timeout) still merges what completed — the partial
+// context (a signal) still merges what completed — the partial
 // report the caller prints — but skips rescue and returns the context's
-// cause alongside the summary.
+// cause alongside the summary. Only a cancelled sweep has missing jobs.
 func Supervise(ctx context.Context, cfg Config) (Summary, error) {
 	return supervise(ctx, cfg, wallClock{})
 }
@@ -192,8 +188,6 @@ func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 	switch {
 	case n < 1:
 		return Summary{}, fmt.Errorf("supervise: %d shards", n)
-	case cfg.Retries < 1:
-		return Summary{}, fmt.Errorf("supervise: %d retries; every shard needs at least one attempt", cfg.Retries)
 	case cfg.Stall <= 0:
 		return Summary{}, fmt.Errorf("supervise: stall deadline %v; liveness needs a positive one", cfg.Stall)
 	}
@@ -239,7 +233,7 @@ func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 	}
 
 	results, missing, err := scenario.ReadCheckpoint(cfg.Dir, cfg.Specs, n)
-	if err == nil && len(missing) > 0 && cfg.Rescue && !cancelled {
+	if err == nil && len(missing) > 0 && !cancelled {
 		if err = s.runRescue(ctx, missing); err == nil {
 			sum.Rescued = len(missing)
 			results, missing, err = scenario.ReadCheckpoint(cfg.Dir, cfg.Specs, n)
@@ -283,7 +277,7 @@ func (s *supervisor) runRescue(ctx context.Context, missing []int) error {
 func (s *supervisor) superviseShard(ctx context.Context, shard int, host string) Outcome {
 	o := Outcome{Shard: shard}
 	bo := s.backoff(shard)
-	for o.Attempts < s.Retries {
+	for o.Attempts < fault.Retries {
 		if ctx.Err() != nil {
 			return o // a cancelled sweep's pool is not used again
 		}
@@ -323,7 +317,7 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int, host string)
 			continue
 		}
 		o.Attempts = attempt
-		o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, s.Retries, on, err)
+		o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, fault.Retries, on, err)
 		switch classify(err) {
 		case classUsage:
 			o.usage, o.Dead = true, true
@@ -333,7 +327,7 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int, host string)
 			s.logf("sproutbench: %v: permanent, not retrying", o.Err)
 			return o
 		}
-		if o.Attempts < s.Retries {
+		if o.Attempts < fault.Retries {
 			delay := bo.next()
 			s.logf("sproutbench: %v: retrying in %v", o.Err, delay.Round(time.Millisecond))
 			if !s.clock.sleep(ctx, delay, nil) {

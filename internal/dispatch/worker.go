@@ -18,15 +18,14 @@ type ShardWorker struct {
 	Shard engine.Shard
 	// Load compiles the grid; a grid that does not load is permanent.
 	Load func() ([]scenario.Spec, error)
-	// Out is the checkpoint log, resumed if it exists; "" streams the
-	// records to Stdout instead.
+	// Out is the checkpoint log, resumed if it exists.
 	Out    string
 	Engine *engine.Engine
 	// Fault is the fault the supervisor injected (nil = none), wired
 	// around the record writer: the recovery machinery upstream cannot
 	// tell an injected failure from a real one.
-	Fault          *fault.Injector
-	Stdout, Stderr io.Writer
+	Fault  *fault.Injector
+	Stderr io.Writer
 }
 
 // Run runs the worker's partition and returns its exit status. An
@@ -43,23 +42,17 @@ func (w ShardWorker) Run(ctx context.Context) int {
 		fmt.Fprintln(w.Stderr, "sproutbench:", err)
 		return ExitPermanent
 	}
-	dst := w.Stdout
-	var sync func() error // stdout is not durable
-	var done []int
-	if w.Out != "" {
-		d, f, err := engine.OpenShardLog(w.Out)
-		if err != nil {
-			fmt.Fprintln(w.Stderr, "sproutbench:", err)
-			if errors.Is(err, engine.ErrCorruptLog) {
-				return ExitPermanent
-			}
-			return 1
+	done, f, err := engine.OpenShardLog(w.Out)
+	if err != nil {
+		fmt.Fprintln(w.Stderr, "sproutbench:", err)
+		if errors.Is(err, engine.ErrCorruptLog) {
+			return ExitPermanent
 		}
-		defer f.Close()
-		dst, sync, done = f, f.Sync, d
+		return 1
 	}
+	defer f.Close()
 	st, err := scenario.RunIndexes(ctx, w.Engine, specs, nil, w.Shard.Owned(len(specs), done),
-		engine.NewRecordWriterSynced(w.Fault.Writer(ctxWriter{ctx, dst}), sync))
+		engine.NewRecordWriterSynced(w.Fault.Writer(ctxWriter{ctx, f}), f.Sync))
 	if err != nil {
 		fmt.Fprintln(w.Stderr, "sproutbench:", err)
 		return 1

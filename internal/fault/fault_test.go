@@ -172,28 +172,27 @@ func TestNilInjectorSafe(t *testing.T) {
 
 // TestNewPlanDeterministic: plans are pure functions of the seed.
 func TestNewPlanDeterministic(t *testing.T) {
-	a := NewPlan(42, 4, nil, 3, 10*time.Second)
-	b := NewPlan(42, 4, nil, 3, 10*time.Second)
+	a := NewPlan(42, 4, nil, 10*time.Second)
+	b := NewPlan(42, 4, nil, 10*time.Second)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different plans:\n%v\n%v", a, b)
 	}
 	seen := map[string]bool{}
 	for seed := int64(1); seed <= 8; seed++ {
-		seen[NewPlan(seed, 4, nil, 3, 10*time.Second).String()] = true
+		seen[NewPlan(seed, 4, nil, 10*time.Second).String()] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("eight seeds produced one plan; generation is not seed-driven")
 	}
 }
 
-// TestNewPlanRecoverable: under a supervisor with R retries and rescue,
-// every generated schedule must terminate — transient sequences leave a
-// clean attempt, and killer sequences are exactly the two dead-shard
-// shapes (corruption, or R crashes).
+// TestNewPlanRecoverable: under a supervisor with Retries attempts and
+// rescue, every generated schedule must terminate — transient sequences
+// leave a clean attempt, and killer sequences are exactly the two
+// dead-shard shapes (corruption, or Retries crashes).
 func TestNewPlanRecoverable(t *testing.T) {
-	const retries = 3
 	for seed := int64(1); seed <= 200; seed++ {
-		plan := NewPlan(seed, 3, nil, retries, 10*time.Second)
+		plan := NewPlan(seed, 3, nil, 10*time.Second)
 		for shard, fs := range plan.Shards {
 			stalls := 0
 			for _, f := range fs {
@@ -208,11 +207,11 @@ func TestNewPlanRecoverable(t *testing.T) {
 				t.Fatalf("seed %d shard %d: %d stalls, want <= 1", seed, shard, stalls)
 			}
 			switch {
-			case len(fs) < retries && fs[len(fs)-1].Kind != Corrupt:
+			case len(fs) < Retries && fs[len(fs)-1].Kind != Corrupt:
 				// transient: a clean attempt remains
 			case len(fs) == 1 && fs[0].Kind == Corrupt:
 				// permanent: dead on next resume
-			case len(fs) == retries:
+			case len(fs) == Retries:
 				for _, f := range fs {
 					if f.Kind != Crash {
 						t.Fatalf("seed %d shard %d: exhaustion sequence holds %v, want all crashes", seed, shard, f)

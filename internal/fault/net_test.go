@@ -11,7 +11,7 @@ import (
 // hostPlan draws only a plan's network half: pull faults over hosts, no
 // shards.
 func hostPlan(seed int64, hosts []string) Plan {
-	return NewPlan(seed, 0, hosts, 3, 0)
+	return NewPlan(seed, 0, hosts, 0)
 }
 
 // kinds returns the distinct fault kinds a plan's network half draws.
@@ -34,7 +34,7 @@ func TestPlanPinsChaosSchedules(t *testing.T) {
 	hosts := []string{"h0", "h1", "h2"}
 	h := sha256.New()
 	for seed := int64(1); seed <= 20; seed++ {
-		fmt.Fprintln(h, NewPlan(seed, 2, nil, 3, 1500*time.Millisecond).String())
+		fmt.Fprintln(h, NewPlan(seed, 2, nil, 1500*time.Millisecond).String())
 	}
 	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "9609ea6abfa93b33cec3c38a33c41966e5430b5a2fe1cd8bc9c8d6ec4ad0fc83"; got != want {
 		t.Fatalf("shard schedules hash %s, want %s", got, want)
@@ -47,8 +47,8 @@ func TestPlanPinsChaosSchedules(t *testing.T) {
 		t.Fatalf("host schedules hash %s, want %s", got, want)
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		both := NewPlan(seed, 2, hosts, 3, 1500*time.Millisecond)
-		if shards := NewPlan(seed, 2, nil, 3, 1500*time.Millisecond).Shards; !reflect.DeepEqual(both.Shards, shards) {
+		both := NewPlan(seed, 2, hosts, 1500*time.Millisecond)
+		if shards := NewPlan(seed, 2, nil, 1500*time.Millisecond).Shards; !reflect.DeepEqual(both.Shards, shards) {
 			t.Fatalf("seed %d: naming hosts moved the shard half:\n%v\n%v", seed, both.Shards, shards)
 		}
 		if !reflect.DeepEqual(both.Hosts, hostPlan(seed, hosts).Hosts) {

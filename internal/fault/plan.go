@@ -75,6 +75,10 @@ const SlowStart = 300 * time.Millisecond
 // a trace, far below any stall deadline.
 const slowPull = 50 * time.Millisecond
 
+// Retries is the supervisor's attempt budget per shard. Generated plans
+// are drawn against it, so the supervisor reads the same constant.
+const Retries = 3
+
 // maxKills bounds how many hosts a generated plan takes down. It is
 // also kept below the pool size, so failover, not rescue, is the path
 // under test.
@@ -88,16 +92,15 @@ const maxKills = 1
 // failing chaos seed in CI replays exactly locally. No hosts means no
 // pull faults.
 //
-// The shard distribution is tuned for a supervisor with `retries`
-// attempts per shard: most shards draw either nothing or a short
-// transient sequence (strictly fewer faults than retries, so a later
-// attempt runs clean), and a minority draw a "killer" — a permanent
-// corruption, or `retries` consecutive crashes — that forces the shard
-// to be declared dead and its remaining jobs reassigned to the rescue
-// path. stallFor is the sleep a Stall fault injects; callers set it
-// comfortably above the supervisor's stall deadline (so detection, not
-// patience, ends the stall) while keeping the worst case bounded if
-// detection is broken.
+// The shard distribution is tuned for a supervisor with Retries attempts
+// per shard: most shards draw either nothing or a short transient
+// sequence (strictly fewer faults than Retries, so a later attempt runs
+// clean), and a minority draw a "killer" — a permanent corruption, or
+// Retries consecutive crashes — that forces the shard to be declared dead
+// and its remaining jobs reassigned to the rescue path. stallFor is the
+// sleep a Stall fault injects; callers set it comfortably above the
+// supervisor's stall deadline (so detection, not patience, ends the
+// stall) while keeping the worst case bounded if detection is broken.
 //
 // Every recoverable pull fault exercises a distinct puller obligation:
 // conndrop → retry without declaring the host dead, slowstream →
@@ -105,14 +108,11 @@ const maxKills = 1
 // duprecords → deduplicate the replayed records by index. With two or
 // more hosts, one of them also draws a HostDown, which exercises
 // failover itself.
-func NewPlan(seed int64, shards int, hosts []string, retries int, stallFor time.Duration) Plan {
-	if retries < 1 {
-		retries = 1
-	}
+func NewPlan(seed int64, shards int, hosts []string, stallFor time.Duration) Plan {
 	p := Plan{Shards: map[int][]Fault{}, Hosts: map[string][]Fault{}}
 	for s := 0; s < shards; s++ {
 		r := rand.New(rand.NewSource(engine.DeriveSeed(seed, "chaos", strconv.Itoa(s))))
-		if fs := shardFaults(r, retries, stallFor); len(fs) > 0 {
+		if fs := shardFaults(r, stallFor); len(fs) > 0 {
 			p.Shards[s] = fs
 		}
 	}
@@ -133,17 +133,14 @@ func NewPlan(seed int64, shards int, hosts []string, retries int, stallFor time.
 	return p
 }
 
-func shardFaults(r *rand.Rand, retries int, stallFor time.Duration) []Fault {
+func shardFaults(r *rand.Rand, stallFor time.Duration) []Fault {
 	switch roll := r.Float64(); {
 	case roll < 0.30:
 		return nil // this shard runs clean
 	case roll < 0.80:
 		// Transient: fewer faults than attempts, so the shard recovers
 		// by itself (every fault still exercises resume-from-log).
-		n := 1 + r.Intn(2)
-		if n > retries-1 {
-			n = retries - 1
-		}
+		n := min(1+r.Intn(2), Retries-1)
 		fs := make([]Fault, 0, n)
 		stalls := 0
 		for len(fs) < n {
@@ -157,7 +154,7 @@ func shardFaults(r *rand.Rand, retries int, stallFor time.Duration) []Fault {
 	default:
 		// Exhaustion: every attempt crashes, so retries run out and the
 		// shard's remaining jobs must be rescued.
-		fs := make([]Fault, retries)
+		fs := make([]Fault, Retries)
 		for i := range fs {
 			fs[i] = Fault{Kind: Crash, After: r.Intn(3)}
 		}

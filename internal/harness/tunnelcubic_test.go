@@ -57,10 +57,10 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 	rcvUp = transport.NewReceiver(transport.ReceiverConfig{Flow: sessUp, Clock: loop, Conn: fwd, Deliver: egressUp.Deliver})
 	sndUp = transport.NewSender(transport.SenderConfig{Flow: sessUp, Clock: loop, Conn: rev, Source: ingressUp})
 	ingressUp.Bind(sndUp)
-	tcpRcv = tcp.NewReceiver(flowCubic, loop, transport.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) }))
+	tcpRcv = tcp.NewReceiver(flowCubic, loop, network.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) }))
 	tcpSnd = tcp.NewSender(tcp.SenderConfig{
 		Flow: flowCubic, Clock: loop,
-		Conn: transport.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) }),
+		Conn: network.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) }),
 		CC:   tcp.NewCubic(loop.Now), MSS: scenario.TunnelClientMSS,
 	})
 	for ts := time.Second; ts <= 15*time.Second; ts += time.Second {

@@ -74,10 +74,6 @@ type Config struct {
 	// LossRate, if positive, drops each arriving packet with this
 	// probability before it joins the queue (§5.6).
 	LossRate float64
-	// QueueBytes, if positive, bounds each slot's queue; packets arriving
-	// to a full queue are dropped (tail drop). Zero means unbounded
-	// ("bufferbloated" base station).
-	QueueBytes int
 	// Dequeuer selects packets at transmission time; nil means plain FIFO
 	// order with no AQM.
 	Dequeuer Dequeuer
@@ -89,8 +85,8 @@ type Config struct {
 	Rand *rand.Rand
 	// Pool, if non-nil, is the arena the link's packets came from. The
 	// link releases each packet when it leaves the network — after the
-	// delivery handler returns, where it is dropped (random loss, tail
-	// drop, arrival at a slot detached mid-flight), or when Detach
+	// delivery handler returns, where it is dropped (random loss or
+	// arrival at a slot detached mid-flight), or when Detach
 	// flushes a vacated slot's queue — so the handler must not keep the
 	// packet or its payload. An AQM Dequeuer releases its own drops.
 	// Reset releases nothing: Pool.Reset reclaims the arena at the world
@@ -169,7 +165,6 @@ type Link struct {
 	onOpportunity func(at time.Duration) // see OnOpportunity
 	delivered     int64                  // bytes
 	dropsLoss     int64                  // packets dropped by random loss
-	dropsQueue    int64                  // packets dropped by the queue bound
 	dropsAQM      int64                  // packets dropped by the AQM
 	dropsStale    int64                  // arrivals whose slot was detached mid-flight
 	wasted        int64                  // opportunities that found no backlog
@@ -243,7 +238,7 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	l.arrivals.reset()
 	l.deliveries = l.deliveries[:0]
 	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
-	l.delivered, l.dropsLoss, l.dropsQueue, l.dropsAQM, l.dropsStale, l.wasted = 0, 0, 0, 0, 0, 0
+	l.delivered, l.dropsLoss, l.dropsAQM, l.dropsStale, l.wasted = 0, 0, 0, 0, 0
 	if cfg.Scheduler == nil {
 		l.Attach() // the standing slot
 	}
@@ -330,11 +325,10 @@ func (l *Link) TakeDeliveries() []Delivery {
 // slots.
 func (l *Link) DeliveredBytes() int64 { return l.delivered }
 
-// Drops returns packet drop counts by cause (random loss, queue overflow,
-// AQM decision).
-func (l *Link) Drops() (loss, queue, aqm int64) {
+// Drops returns packet drop counts by cause (random loss, AQM decision).
+func (l *Link) Drops() (loss, aqm int64) {
 	l.admit()
-	return l.dropsLoss, l.dropsQueue, l.dropsAQM
+	return l.dropsLoss, l.dropsAQM
 }
 
 // StaleDrops returns how many packets arrived at a slot detached while
@@ -372,7 +366,7 @@ func (l *Link) Send(pkt *network.Packet) { l.SendTo(0, pkt) }
 // SendTo submits a packet toward slot at the current virtual time. The
 // packet experiences the propagation delay, then joins the slot's queue.
 // On a virtual-time loop this schedules nothing: the packet lands — queued,
-// or lost, tail-dropped or stale and only then released to the pool — when
+// or lost or stale and only then released to the pool — when
 // the queues are next looked at, as if at its arrival instant.
 func (l *Link) SendTo(slot int, pkt *network.Packet) {
 	gen := l.slots[slot].gen
@@ -403,8 +397,6 @@ func (l *Link) enqueue(slot int, gen uint32, pkt *network.Packet, at time.Durati
 		l.dropsStale++
 	case l.cfg.LossRate > 0 && l.cfg.Rand.Float64() < l.cfg.LossRate:
 		l.dropsLoss++
-	case l.cfg.QueueBytes > 0 && s.bytes()+pkt.Size > l.cfg.QueueBytes:
-		l.dropsQueue++
 	default:
 		pkt.EnqueuedAt = at
 		was := s.backlogged()

@@ -160,31 +160,12 @@ func TestLinkLoss(t *testing.T) {
 		l.Send(pkt(network.MTU, int64(i)))
 	}
 	loop.Run(2 * time.Second)
-	loss, _, _ := l.Drops()
+	loss, _ := l.Drops()
 	if loss < 400 || loss > 600 {
 		t.Errorf("loss drops = %d, want ~500", loss)
 	}
 	if n+int(loss) != 1000 {
 		t.Errorf("delivered %d + dropped %d != 1000", n, loss)
-	}
-}
-
-func TestLinkQueueBound(t *testing.T) {
-	loop := sim.New()
-	l := New(loop, Config{
-		Trace:      mkTrace(time.Second),
-		QueueBytes: 3 * network.MTU,
-	}, nil)
-	for i := 0; i < 10; i++ {
-		l.Send(pkt(network.MTU, int64(i)))
-	}
-	loop.Run(500 * time.Millisecond)
-	_, qdrops, _ := l.Drops()
-	if qdrops != 7 {
-		t.Errorf("queue drops = %d, want 7", qdrops)
-	}
-	if l.QueueBytes() != 3*network.MTU {
-		t.Errorf("QueueBytes = %d, want %d", l.QueueBytes(), 3*network.MTU)
 	}
 }
 
@@ -275,8 +256,7 @@ func TestLinkPanicsOnIdlePick(t *testing.T) {
 }
 
 // TestLinkReleasesEveryPacket is the link's half of the ownership rule:
-// every packet it takes — delivered, lost at random or tail-dropped —
-// goes back to the pool exactly once (a second release would panic), and
+// every packet it takes — delivered or lost at random — goes back to the pool exactly once (a second release would panic), and
 // delivered packets are still live while their handler runs.
 func TestLinkReleasesEveryPacket(t *testing.T) {
 	ops := make([]time.Duration, 2000)
@@ -291,7 +271,6 @@ func TestLinkReleasesEveryPacket(t *testing.T) {
 		PropagationDelay: 5 * time.Millisecond,
 		LossRate:         0.2,
 		Rand:             rand.New(rand.NewSource(3)),
-		QueueBytes:       20 * network.MTU,
 		Pool:             &pool,
 	}, func(p *network.Packet) {
 		if p.Size != 700 || len(p.Payload) != 4 {
@@ -300,7 +279,7 @@ func TestLinkReleasesEveryPacket(t *testing.T) {
 		delivered++
 	})
 	// Bursts of 60 packets every 25 ms: 700-byte packets leave two per
-	// opportunity, so each burst overflows the 20-MTU queue.
+	// opportunity, so a queue stands behind each burst.
 	var burst func()
 	burst = func() {
 		for i := 0; i < 60; i++ {
@@ -317,12 +296,12 @@ func TestLinkReleasesEveryPacket(t *testing.T) {
 	burst()
 	loop.Run(1900 * time.Millisecond) // the last burst has long drained
 
-	loss, queue, _ := l.Drops()
-	if loss == 0 || queue == 0 || delivered == 0 {
-		t.Fatalf("want all three fates exercised: %d lost, %d tail-dropped, %d delivered", loss, queue, delivered)
+	loss, _ := l.Drops()
+	if loss == 0 || delivered == 0 {
+		t.Fatalf("want both fates exercised: %d lost, %d delivered", loss, delivered)
 	}
-	if loss+queue+delivered != sent {
-		t.Errorf("%d sent != %d lost + %d tail-dropped + %d delivered", sent, loss, queue, delivered)
+	if loss+delivered != sent {
+		t.Errorf("%d sent != %d lost + %d delivered", sent, loss, delivered)
 	}
 	if got := pool.InUse(); got != 0 {
 		t.Errorf("%d packets still live after the link drained, want 0", got)

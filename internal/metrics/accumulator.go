@@ -127,14 +127,13 @@ type Accumulator struct {
 	flowWindows      bool
 	flowFrom, flowTo []time.Duration
 
-	omniSegs []stats.Segment // scratch for the omniscient bound
 	finished bool
 
-	// Online omniscient/capacity stream, for runs that count the
-	// opportunities the link served rather than a trace's (every scenario
-	// run): the link reports each opportunity instant through
-	// ObserveOpportunity, and these replay exactly the cursor/base
-	// recurrence of omniscientSegments plus the CapacityBits window count.
+	// Online omniscient/capacity stream: the link (or Evaluate, from a
+	// trace) reports each opportunity instant through ObserveOpportunity,
+	// and these replay exactly the cursor/base recurrence of
+	// OmniscientDelay plus the CapacityBits window count.
+	omniSegs    []stats.Segment
 	trackOps    bool
 	prop        time.Duration
 	omniCursor  time.Duration
@@ -253,8 +252,8 @@ func (a *Accumulator) TrackOpportunities(prop time.Duration) {
 // ObserveOpportunity folds one delivery-opportunity instant into the
 // omniscient/capacity stream. Instants must arrive in nondecreasing
 // order (the order the link services them). The recurrence is the same
-// arithmetic omniscientSegments applies to a materialized opportunity
-// slice, so the finished bound is bit-identical to the post-hoc path.
+// arithmetic the batch reference OmniscientDelay applies to a
+// materialized opportunity slice, so the finished bound is bit-identical.
 func (a *Accumulator) ObserveOpportunity(at time.Duration) {
 	if at < a.from {
 		// Before the window: only anchors the bound at d(from).
@@ -291,34 +290,47 @@ func (a *Accumulator) seal() {
 		}
 		a.flows[i].finish(to)
 	}
-	if a.trackOps && a.omniHave && a.to > a.omniCursor {
+}
+
+// Evaluate returns the full §5.1 metric set against the trace that drove
+// the link: it feeds the trace's opportunities through ObserveOpportunity,
+// so a trace and a served opportunity stream share one recurrence.
+func (a *Accumulator) Evaluate(tr *trace.Trace, prop time.Duration) Result {
+	a.TrackOpportunities(prop)
+	for _, at := range tr.Opportunities {
+		if at >= a.to {
+			break
+		}
+		a.ObserveOpportunity(at)
+	}
+	return a.EvaluateStreaming()
+}
+
+// EvaluateStreaming returns the full §5.1 metric set with the omniscient
+// bound and offered capacity taken from the opportunity stream fed through
+// ObserveOpportunity. Fed the instants a link served, it also counts the
+// loops of a trace shorter than the run.
+func (a *Accumulator) EvaluateStreaming() Result {
+	if !a.trackOps {
+		panic("metrics: EvaluateStreaming without TrackOpportunities")
+	}
+	a.seal()
+	if a.omniHave && a.to > a.omniCursor {
+		// Close the bound's tail; moving the cursor to the window's end
+		// makes a second call append nothing.
 		a.omniSegs = append(a.omniSegs, stats.Segment{
 			Start: (a.omniCursor - a.omniBase + a.prop).Seconds(),
 			Width: (a.to - a.omniCursor).Seconds(),
 		})
+		a.omniCursor = a.to
 	}
-}
-
-// Evaluate returns the full §5.1 metric set against the trace that drove
-// the link, exactly as the package-level Evaluate computes it from a log.
-func (a *Accumulator) Evaluate(tr *trace.Trace, prop time.Duration) Result {
-	a.seal()
-	a.omniSegs = omniscientSegments(tr, prop, a.from, a.to, a.omniSegs[:0])
-	return a.finishResult(prop, tr.CapacityBits(a.from, a.to))
-}
-
-// finishResult assembles the Result from the sealed aggregate stream plus
-// the omniscient segments and offered capacity — one block of arithmetic
-// shared by the materialized and streaming paths, so they cannot drift
-// apart.
-func (a *Accumulator) finishResult(prop time.Duration, capBits int64) Result {
 	r := Result{
 		ThroughputBps: a.agg.throughputBps(a.from, a.to),
 		Delay95:       a.agg.delay95,
 		MeanDelay:     a.agg.meanDelay(),
 	}
 	if len(a.omniSegs) == 0 {
-		r.Omniscient95 = prop
+		r.Omniscient95 = a.prop
 	} else {
 		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(a.omniSegs, 0.95))
 	}
@@ -326,26 +338,11 @@ func (a *Accumulator) finishResult(prop time.Duration, capBits int64) Result {
 	if r.SelfInflicted95 < 0 {
 		r.SelfInflicted95 = 0
 	}
-	if capBits > 0 {
+	if capBits := a.opsInWindow * trace.MTU * 8; capBits > 0 {
 		r.Utilization = r.ThroughputBps * (a.to - a.from).Seconds() / float64(capBits)
 	}
 	r.DeliveredBytes = a.agg.bytes
 	return r
-}
-
-// EvaluateStreaming returns the full §5.1 metric set with the omniscient
-// bound and offered capacity taken from the opportunity stream fed through
-// ObserveOpportunity instead of a materialized trace. Fed the same
-// opportunity instants a trace holds, it returns bit-identical results to
-// Evaluate on that trace (TestStreamingOpportunitiesMatchSlicePath); fed
-// the instants a link served, it also counts the loops of a trace shorter
-// than the run, which Evaluate cannot see.
-func (a *Accumulator) EvaluateStreaming() Result {
-	if !a.trackOps {
-		panic("metrics: EvaluateStreaming without TrackOpportunities")
-	}
-	a.seal()
-	return a.finishResult(a.prop, a.opsInWindow*trace.MTU*8)
 }
 
 // Delay95 returns the aggregate 95% end-to-end delay over all deliveries.

@@ -116,16 +116,6 @@ func MeanDelay(deliveries []link.Delivery, from, to time.Duration) time.Duration
 // delay, so d(t) resets to prop at each opportunity and grows at 1 s/s
 // through delivery gaps (outages still cost delay; §5.1).
 func OmniscientDelay(tr *trace.Trace, prop, from, to time.Duration, p float64) time.Duration {
-	segs := omniscientSegments(tr, prop, from, to, nil)
-	if len(segs) == 0 {
-		return prop
-	}
-	return secondsToDuration(stats.SegmentPercentile(segs, p))
-}
-
-// omniscientSegments builds the omniscient protocol's d(t) segments over
-// [from, to), appending to segs (pass a reused buffer to avoid allocation).
-func omniscientSegments(tr *trace.Trace, prop, from, to time.Duration, segs []stats.Segment) []stats.Segment {
 	ops := tr.Opportunities
 	lo := sort.Search(len(ops), func(i int) bool { return ops[i] >= from })
 	cursor := from
@@ -134,6 +124,7 @@ func omniscientSegments(tr *trace.Trace, prop, from, to time.Duration, segs []st
 	if haveBase {
 		base = ops[lo-1]
 	}
+	var segs []stats.Segment
 	for i := lo; i < len(ops) && ops[i] < to; i++ {
 		if ops[i] > cursor && haveBase {
 			segs = append(segs, stats.Segment{
@@ -151,7 +142,10 @@ func omniscientSegments(tr *trace.Trace, prop, from, to time.Duration, segs []st
 			Width: (to - cursor).Seconds(),
 		})
 	}
-	return segs
+	if len(segs) == 0 {
+		return prop
+	}
+	return secondsToDuration(stats.SegmentPercentile(segs, p))
 }
 
 // Result aggregates the paper's metrics for one experiment run.

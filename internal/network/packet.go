@@ -32,3 +32,15 @@ type Packet struct {
 
 // Handler consumes delivered packets.
 type Handler func(pkt *Packet)
+
+// Conn carries packets toward a peer: an emulated link, a tunnel ingress,
+// a UDP socket adapter, or any function via ConnFunc.
+type Conn interface {
+	Send(pkt *Packet)
+}
+
+// ConnFunc adapts a function to Conn.
+type ConnFunc func(pkt *Packet)
+
+// Send implements Conn.
+func (f ConnFunc) Send(pkt *Packet) { f(pkt) }

@@ -35,11 +35,6 @@ const (
 // initialWindow is the starting packets-in-flight target.
 const initialWindow = 10
 
-// Conn carries packets toward the peer.
-type Conn interface {
-	Send(pkt *network.Packet)
-}
-
 // wire format: kind(1) + seq(8) + echoSeq(8).
 const (
 	kindProbe = 1
@@ -67,7 +62,7 @@ func unmarshal(b []byte) (kind byte, seq, echo int64, ok bool) {
 // should travel a separate low-delay path).
 type Sender struct {
 	clock sim.Clock
-	conn  Conn
+	conn  network.Conn
 	flow  uint32
 	pool  *network.Pool
 
@@ -88,7 +83,7 @@ type Sender struct {
 // SenderConfig configures a saturator sender.
 type SenderConfig struct {
 	Clock sim.Clock
-	Conn  Conn
+	Conn  network.Conn
 	Flow  uint32
 	// Pool, if non-nil, is the packet arena probes draw from (world
 	// reuse); nil allocates from the heap.
@@ -213,7 +208,7 @@ func (s *Sender) pumpOnce() {
 // chose to deliver — and echoes each probe on the feedback path.
 type Receiver struct {
 	clock sim.Clock
-	conn  Conn
+	conn  network.Conn
 	flow  uint32
 	pool  *network.Pool
 
@@ -224,7 +219,7 @@ type Receiver struct {
 // NewReceiver creates the recording endpoint; conn carries echoes back
 // (ideally over a separate, unloaded path, like the paper's feedback
 // phone).
-func NewReceiver(flow uint32, clock sim.Clock, conn Conn) *Receiver {
+func NewReceiver(flow uint32, clock sim.Clock, conn network.Conn) *Receiver {
 	r := &Receiver{}
 	r.Reset(flow, clock, conn)
 	return r
@@ -236,7 +231,7 @@ func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
 
 // Reset restores the receiver to its freshly constructed state for a new
 // run, retaining the arrival log's capacity.
-func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn Conn) {
+func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn network.Conn) {
 	if clock == nil || conn == nil {
 		panic("saturator: Receiver requires clock and conn")
 	}

@@ -221,11 +221,6 @@ func TestCellSpecErrors(t *testing.T) {
 		{"negative handover rate", func(s *Spec) { s.Cell.HandoverRate = -0.5 }, "negative handover_rate"},
 		{"handover on one cell", func(s *Spec) { s.Cell.HandoverRate = 1 }, "at least 2 cells"},
 		{"cell index out of range", func(s *Spec) { s.Cell.Groups[0].Cell = 1 }, "outside [0, 1)"},
-		{"pf gain without pf", func(s *Spec) { s.Cell.PFGain = 0.5 }, "pf_gain only applies"},
-		{"pf gain out of range", func(s *Spec) {
-			s.Cell.Scheduler = "proportional-fair"
-			s.Cell.PFGain = 1.5
-		}, "outside (0, 1)"},
 		{"cell with top-level scheme", func(s *Spec) { s.Scheme = "sprout" }, "top-level scheme"},
 		{"cell with tunnel", func(s *Spec) { s.Tunnel = true }, "mutually exclusive"},
 		{"cell without process", func(s *Spec) { s.Process, s.FeedbackProcess = nil, nil; s.Link = "Verizon LTE" }, "declare a process"},

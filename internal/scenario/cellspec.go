@@ -50,9 +50,6 @@ type CellSpec struct {
 	// Scheduler names the opportunity scheduler ("round-robin",
 	// "proportional-fair"); empty means round-robin.
 	Scheduler string `json:"scheduler,omitempty"`
-	// PFGain overrides the proportional-fair served-throughput EWMA gain
-	// (must be in (0,1); zero keeps cell.DefaultPFGain).
-	PFGain float64 `json:"pf_gain,omitempty"`
 	// Cells is the number of towers (default 1).
 	Cells int `json:"cells,omitempty"`
 	// Groups lists the statically attached users.
@@ -90,15 +87,6 @@ func (c *CellSpec) label() string {
 	return l
 }
 
-// totalInitialFlows sums the static groups' counts.
-func (c *CellSpec) totalInitialFlows() int {
-	n := 0
-	for _, g := range c.Groups {
-		n += g.Flows
-	}
-	return n
-}
-
 // normalizeCell validates the spec's cell grammar and resolves its
 // defaults in place. Every rejection is a one-line error naming the bad
 // field.
@@ -120,16 +108,8 @@ func (s *Spec) normalizeCell() error {
 	if c.Scheduler == "" {
 		c.Scheduler = "round-robin"
 	}
-	if cell.NewScheduler(c.Scheduler, 0) == nil {
+	if cell.NewScheduler(c.Scheduler) == nil {
 		return fmt.Errorf("scenario: unknown cell scheduler %q (have %v)", c.Scheduler, cell.SchedulerNames())
-	}
-	if c.PFGain != 0 {
-		if c.Scheduler != "proportional-fair" {
-			return fmt.Errorf("scenario: pf_gain only applies to the proportional-fair scheduler")
-		}
-		if c.PFGain < 0 || c.PFGain >= 1 {
-			return fmt.Errorf("scenario: pf_gain %v outside (0, 1)", c.PFGain)
-		}
 	}
 	if c.Cells == 0 {
 		c.Cells = 1

@@ -112,7 +112,7 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 			up.Process, _ = spec.FeedbackProcess.compile()
 		}
 		if c := spec.Cell; c != nil {
-			down.Scheduler = cell.NewScheduler(c.Scheduler, c.PFGain)
+			down.Scheduler = cell.NewScheduler(c.Scheduler)
 		}
 		if spec.useCoDel() {
 			down.Dequeuer, up.Dequeuer = codel.New(), codel.New()
@@ -217,8 +217,8 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 	loop.Run(dur)
 
 	for _, l := range append(downs, ups...) {
-		loss, tail, aqm := l.Drops()
-		held := l.sent - l.delivered - loss - tail - aqm - l.StaleDrops() - l.inFlight
+		loss, aqm := l.Drops()
+		held := l.sent - l.delivered - loss - aqm - l.StaleDrops() - l.inFlight
 		var busy, bytes int64
 		for s := 0; s < l.Slots(); s++ {
 			if b := l.SlotBytes(s); b > 0 {
@@ -226,8 +226,8 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 			}
 		}
 		if held < busy || !l.detached && held > bytes {
-			t.Errorf("packets not conserved: %d sent = %d delivered + %d/%d/%d/%d dropped + %d in flight + %d held, but %d slots hold %d B",
-				l.sent, l.delivered, loss, tail, aqm, l.StaleDrops(), l.inFlight, held, busy, bytes)
+			t.Errorf("packets not conserved: %d sent = %d delivered + %d/%d/%d dropped + %d in flight + %d held, but %d slots hold %d B",
+				l.sent, l.delivered, loss, aqm, l.StaleDrops(), l.inFlight, held, busy, bytes)
 		}
 	}
 
@@ -310,7 +310,7 @@ func genSpec(seed int64) Spec {
 	}
 	c := &CellSpec{Cells: 1}
 	if (u/2)%2 == 1 {
-		c.Scheduler, c.PFGain = "proportional-fair", pick(0, 0.3)
+		c.Scheduler = "proportional-fair"
 	}
 	if (u/4)%2 == 1 {
 		c.Cells, c.HandoverRate = 2, pick(1, 2)

@@ -23,13 +23,11 @@ import (
 
 	"sprout/internal/network"
 	"sprout/internal/sim"
-	"sprout/internal/transport"
 )
 
-// Conn carries packets toward a peer. It matches the transport, tcp and
-// app packages' structurally identical Conn interfaces, so an emulated
-// link, a tunnel ingress or any ConnFunc satisfies it.
-type Conn = transport.Conn
+// Conn carries packets toward a peer: the one packet-sink interface every
+// endpoint package takes.
+type Conn = network.Conn
 
 // Endpoint is one flow's pair of packet handlers, as returned by a scheme
 // constructor: Data handles packets delivered over the data link (the

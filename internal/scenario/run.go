@@ -360,8 +360,8 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	})
 	ingressUp.Bind(sndUp)
 
-	submitDown := transport.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) })
-	submitUp := transport.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) })
+	submitDown := network.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) })
+	submitUp := network.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) })
 
 	w.buildRoster(spec)
 	if err := w.attachRoster(spec, AttachConfig{DataConn: submitDown, FeedbackConn: submitUp, MSS: TunnelClientMSS}); err != nil {

@@ -446,9 +446,11 @@ func (s Spec) merged(def Spec) Spec {
 }
 
 // Parse reads a scenario file: either a {"defaults": ..., "scenarios":
-// [...]} object or a bare JSON array of specs. Defaults are merged, and
-// every spec is validated via Normalize (the returned specs are the
-// un-normalized merged forms, so Run re-derives defaults consistently).
+// [...]} object or a bare JSON array of specs. A key the grammar does not
+// have is an error naming it, so a misspelling cannot silently run the
+// default. Defaults are merged, and every spec is validated via Normalize
+// (the returned specs are the un-normalized merged forms, so Run
+// re-derives defaults consistently).
 func Parse(r io.Reader) ([]Spec, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -458,12 +460,17 @@ func Parse(r io.Reader) ([]Spec, error) {
 	// inside a spec surfaces as itself rather than as a shape mismatch
 	// against the other form.
 	var f File
+	var dst any = &f
 	if bytes.HasPrefix(bytes.TrimLeftFunc(raw, unicode.IsSpace), []byte("[")) {
-		if err := json.Unmarshal(raw, &f.Scenarios); err != nil {
-			return nil, fmt.Errorf("scenario: parse: %w", err)
-		}
-	} else if err := json.Unmarshal(raw, &f); err != nil {
+		dst = &f.Scenarios
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: parse: data after the top-level value")
 	}
 	if len(f.Scenarios) == 0 {
 		return nil, fmt.Errorf("scenario: no scenarios in file")

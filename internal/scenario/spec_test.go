@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -203,6 +204,31 @@ func TestParseForms(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader(`{`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestParseRejectsUnknownKeys: a key the grammar does not have fails the
+// parse with the key named, at every level and in both file forms, so a
+// misspelling — or the removed pf_gain — cannot silently run the default.
+func TestParseRejectsUnknownKeys(t *testing.T) {
+	for _, c := range []struct{ name, js, key string }{
+		{"top level, bare array", `[{"scheme": "cubic", "link": "Verizon LTE", "los": 0.5}]`, "los"},
+		{"top level, object form", `{"scenarios": [{"scheme": "cubic", "link": "Verizon LTE", "los": 0.5}]}`, "los"},
+		{"file level", `{"defualts": {"link": "Verizon LTE"}, "scenarios": [{"scheme": "cubic"}]}`, "defualts"},
+		{"defaults", `{"defaults": {"link": "Verizon LTE", "sede": 3}, "scenarios": [{"scheme": "cubic"}]}`, "sede"},
+		{"cell", `[{"process": {"model": "Verizon-LTE-down"}, "feedback_process": {"model": "Verizon-LTE-up"},
+		            "cell": {"schedular": "round-robin", "groups": [{"scheme": "cubic", "flows": 2}]}}]`, "schedular"},
+		{"removed pf_gain", `[{"process": {"model": "Verizon-LTE-down"}, "feedback_process": {"model": "Verizon-LTE-up"},
+		            "cell": {"scheduler": "proportional-fair", "pf_gain": 0.1, "groups": [{"scheme": "cubic", "flows": 2}]}}]`, "pf_gain"},
+		{"process", `[{"scheme": "cubic", "process": {"model": "Verizon-LTE-down", "scael": 2},
+		               "feedback_process": {"model": "Verizon-LTE-up"}}]`, "scael"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(c.js))
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.key)) {
+				t.Fatalf("Parse = %v, want an error naming %q", err, c.key)
+			}
+		})
 	}
 }
 

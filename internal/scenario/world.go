@@ -43,7 +43,6 @@ type world struct {
 	// grown lazily. A dedicated-path or tunnel spec uses cells[0] alone.
 	cells     []cellNet
 	schedName string // what the cells' schedulers were built from
-	schedGain float64
 
 	// Per-run dispatch targets, late-bound so links and endpoints can
 	// reference each other; the standing handler closures are built once.
@@ -238,9 +237,9 @@ func (w *world) begin() {
 // data direction draws the stream a "down" trace generation would, the
 // feedback direction the "up" one. A pure-model process spec is therefore
 // byte-identical to the equivalent materialized down-direction link spec
-// (TestStreamingMatchesMaterialized); an "up" materialized spec swaps
-// which model gets which stream, so its streaming counterpart matches in
-// distribution but not bit-for-bit.
+// (TestEquivalentRuns' "streaming vs materialized" rows); an "up"
+// materialized spec swaps which model gets which stream, so its streaming
+// counterpart matches in distribution but not bit-for-bit.
 func processSeeds(seed int64) (data, feedback int64) {
 	return seed*31 + 7, seed*31 + 8
 }
@@ -267,15 +266,15 @@ func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handl
 		w.cells = append(w.cells, cellNet{name: strconv.Itoa(len(w.cells))})
 	}
 	if c := spec.Cell; c != nil {
-		if w.schedName != c.Scheduler || w.schedGain != c.PFGain {
+		if w.schedName != c.Scheduler {
 			for i := range w.cells {
 				w.cells[i].sched = nil
 			}
-			w.schedName, w.schedGain = c.Scheduler, c.PFGain
+			w.schedName = c.Scheduler
 		}
 		for i := range w.cells[:n] {
 			if w.cells[i].sched == nil {
-				w.cells[i].sched = cell.NewScheduler(c.Scheduler, c.PFGain) // named at Normalize
+				w.cells[i].sched = cell.NewScheduler(c.Scheduler) // named at Normalize
 			}
 		}
 	}

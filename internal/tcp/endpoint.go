@@ -11,7 +11,7 @@ import (
 type SenderConfig struct {
 	Flow  uint32
 	Clock sim.Clock
-	Conn  Conn
+	Conn  network.Conn
 	// CC is the congestion-control policy. Required.
 	CC CongestionControl
 	// MSS is the on-wire segment size; zero means network.MTU.
@@ -276,7 +276,7 @@ func (s *Sender) updateRTT(rtt time.Duration) {
 type Receiver struct {
 	flow    uint32
 	clock   sim.Clock
-	conn    Conn
+	conn    network.Conn
 	pool    *network.Pool
 	rcvNxt  segnum
 	ooo     seqRing[bool] // segments held above rcvNxt, based at rcvNxt
@@ -287,7 +287,7 @@ type Receiver struct {
 }
 
 // NewReceiver creates a TCP receiver; conn carries ACKs back to the sender.
-func NewReceiver(flow uint32, clock sim.Clock, conn Conn) *Receiver {
+func NewReceiver(flow uint32, clock sim.Clock, conn network.Conn) *Receiver {
 	r := &Receiver{}
 	r.Reset(flow, clock, conn)
 	return r
@@ -299,7 +299,7 @@ func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
 
 // Reset restores the receiver to its freshly constructed state for a new
 // run, retaining its reorder table. Must be called at a world boundary.
-func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn Conn) {
+func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn network.Conn) {
 	if clock == nil || conn == nil {
 		panic("tcp: Receiver requires clock and conn")
 	}

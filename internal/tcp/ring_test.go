@@ -196,7 +196,7 @@ func (s *mapSender) updateRTT(rtt time.Duration) {
 type mapReceiver struct {
 	flow   uint32
 	clock  sim.Clock
-	conn   Conn
+	conn   network.Conn
 	rcvNxt segnum
 	ooo    map[segnum]bool
 	segsIn int64

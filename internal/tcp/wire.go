@@ -49,11 +49,6 @@ func (h *wireHeader) unmarshal(src []byte) error {
 	return nil
 }
 
-// Conn transmits packets toward the peer (an emulated link in simulation).
-type Conn interface {
-	Send(pkt *network.Packet)
-}
-
 func dataPacket(pool *network.Pool, flow uint32, seq segnum, mss int, now time.Duration) *network.Packet {
 	h := wireHeader{kind: kindData, flow: flow, seq: seq}
 	pkt := pool.Get()

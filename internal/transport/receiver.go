@@ -17,7 +17,7 @@ type ReceiverConfig struct {
 	// Clock supplies time and timers. Required.
 	Clock sim.Clock
 	// Conn carries feedback packets back toward the sender. Required.
-	Conn Conn
+	Conn network.Conn
 	// Forecaster is the link model: Sprout's Bayesian
 	// core.DeliveryForecaster, or core.EWMAForecaster for Sprout-EWMA.
 	// Nil builds a default Bayesian forecaster.

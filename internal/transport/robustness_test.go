@@ -100,7 +100,7 @@ func TestReceiverIgnoresCorruptPackets(t *testing.T) {
 	loop := sim.New()
 	rcv := NewReceiver(ReceiverConfig{
 		Clock: loop,
-		Conn:  ConnFunc(func(p *network.Packet) {}),
+		Conn:  network.ConnFunc(func(p *network.Packet) {}),
 	})
 	rcv.Receive(&network.Packet{Payload: []byte{0xFF, 0x01}, Size: 2})
 	rcv.Receive(&network.Packet{Payload: nil, Size: 0})

@@ -15,7 +15,7 @@ type SenderConfig struct {
 	// Clock supplies time and timers. Required.
 	Clock sim.Clock
 	// Conn carries packets toward the receiver. Required.
-	Conn Conn
+	Conn network.Conn
 	// Source provides application data; nil means an infinite backlog.
 	Source Source
 	// Tick is the cadence at which the sender re-derives its window and

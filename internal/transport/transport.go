@@ -5,7 +5,7 @@
 // estimate into a window of bytes that are safe to transmit — bytes that
 // will clear the bottleneck queue within 100 ms with 95% probability.
 //
-// Endpoints are written against the sim.Clock interface and a minimal Conn,
+// Endpoints are written against the sim.Clock interface and network.Conn,
 // so the same code drives both the virtual-time experiments and the
 // real-UDP adapter in internal/udp.
 package transport
@@ -13,21 +13,8 @@ package transport
 import (
 	"time"
 
-	"sprout/internal/network"
 	"sprout/internal/sim"
 )
-
-// Conn transmits packets toward the peer endpoint. In simulation this is an
-// emulated link; over the real network it is a UDP socket adapter.
-type Conn interface {
-	Send(pkt *network.Packet)
-}
-
-// ConnFunc adapts a function to the Conn interface.
-type ConnFunc func(pkt *network.Packet)
-
-// Send implements Conn.
-func (f ConnFunc) Send(pkt *network.Packet) { f(pkt) }
 
 // Source provides application data to a Sender.
 //

@@ -134,7 +134,7 @@ func TestHeartbeatsWhenIdle(t *testing.T) {
 	var sentPkts []*network.Packet
 	snd := NewSender(SenderConfig{
 		Clock:  loop,
-		Conn:   ConnFunc(func(p *network.Packet) { sentPkts = append(sentPkts, p) }),
+		Conn:   network.ConnFunc(func(p *network.Packet) { sentPkts = append(sentPkts, p) }),
 		Source: emptySource{},
 	})
 	loop.Run(time.Second)
@@ -241,7 +241,7 @@ func TestSenderWindowAccounting(t *testing.T) {
 	var out []*network.Packet
 	snd := NewSender(SenderConfig{
 		Clock: loop,
-		Conn:  ConnFunc(func(p *network.Packet) { out = append(out, p) }),
+		Conn:  network.ConnFunc(func(p *network.Packet) { out = append(out, p) }),
 	})
 	// Hand-deliver a feedback packet: 30 kB drain forecast over 8 ticks,
 	// receiver has everything so far.

@@ -102,9 +102,9 @@ type (
 	Packet = network.Packet
 	// Conn carries packets toward a peer (an emulated link, a UDP
 	// socket adapter, or any function via ConnFunc).
-	Conn = transport.Conn
+	Conn = network.Conn
 	// ConnFunc adapts a function to Conn.
-	ConnFunc = transport.ConnFunc
+	ConnFunc = network.ConnFunc
 	// Clock abstracts time: the simulation loop or a real-time clock.
 	Clock = sim.Clock
 	// Sender is the Sprout sending endpoint.
