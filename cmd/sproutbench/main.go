@@ -135,7 +135,7 @@ func runSuite(rows []harness.Experiment, opt harness.Options, eng *engine.Engine
 	sections, stats, err := harness.Run(context.Background(), eng, traces, rows, opt)
 	check(err)
 	if stats.Jobs > 0 { // Figure 2 alone runs none
-		hits, misses := traces.Counts()
+		hits, misses, _ := traces.Counts()
 		fmt.Fprintf(os.Stderr, "suite: %s; trace pairs: %d generated, %d served from cache\n", stats, misses, hits)
 	}
 	for _, section := range sections {

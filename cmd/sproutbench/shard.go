@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -34,7 +33,6 @@ type shardFlags struct {
 	Shards                                                 int
 	Stall                                                  time.Duration
 	Chaos                                                  int64
-	Partial                                                bool
 
 	worker   *engine.Shard // parsed -shard
 	pool     []string      // -hosts, trimmed
@@ -53,7 +51,6 @@ func bindShardFlags(fs *flag.FlagSet) *shardFlags {
 	fs.StringVar(&sf.Transport, "transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
 	fs.DurationVar(&sf.Stall, "stall", 2*time.Minute, "kill a shard child whose checkpoint log stops growing for this long (with -shards)")
 	fs.Int64Var(&sf.Chaos, "chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
-	fs.BoolVar(&sf.Partial, "partial", false, "with -shards: an interrupted sweep merges what completed, reports the exact missing job indexes and exits 0 instead of 1")
 	fs.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; both grids run with p50/p95/p99 rollups and a verdict")
 	return sf
 }
@@ -66,14 +63,14 @@ func parseShardFlags(f *shardFlags) error {
 	case f.Shards < 0:
 		return fmt.Errorf("-shards must be >= 0, got %d", f.Shards)
 	case f.Stall < 0:
-		return fmt.Errorf("-stall must be >= 0, got %v", f.Stall)
+		return fmt.Errorf("-stall must be positive, got %v", f.Stall)
 	}
 	if f.AB != "" || f.Shard != "" || f.Shards <= 1 {
 		switch {
 		case f.Chaos != 0:
 			return fmt.Errorf("-chaos injects faults into supervised children; it requires parent mode (-shards > 1)")
-		case f.Partial:
-			return fmt.Errorf("-partial degrades a supervised merge; it requires parent mode (-shards > 1)")
+		case f.Checkpoint != "":
+			return fmt.Errorf("-checkpoint keeps a supervised sweep's shard logs for a rerun to resume; it requires parent mode (-shards > 1)")
 		case f.Hosts != "":
 			return fmt.Errorf("-hosts names a dispatch pool for supervised shards; it requires parent mode (-shards > 1)")
 		case f.Transport != "":
@@ -123,6 +120,9 @@ func parseShardFlags(f *shardFlags) error {
 				}
 				f.pool = append(f.pool, h)
 			}
+		}
+		if f.Stall == 0 {
+			return fmt.Errorf("-stall must be positive in parent mode, got 0s")
 		}
 	}
 	return nil
@@ -254,12 +254,13 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 		fmt.Fprintf(os.Stderr, "sharded: %d jobs across %d supervised child processes in %v; %d streaming scenario(s)\n",
 			len(specs), sf.Shards, time.Since(start).Round(time.Millisecond), streaming)
 	}
-	// The report: the exact missing list, then the table of what merged.
+	// The report: the exact missing list (sorted, as the checkpoint
+	// reader returns it), then the table of what merged.
 	if len(sum.Missing) > 0 {
-		fmt.Printf("partial: missing %d of %d jobs: %s\n", len(sum.Missing), len(specs), formatMissing(sum.Missing))
+		fmt.Printf("partial: missing %d of %d jobs: %v\n", len(sum.Missing), len(specs), sum.Missing)
 	}
 	printScenarioResults(fmt.Sprintf("Scenarios from %s (%d shards%s)", sf.Scenario, sf.Shards, partial), sum.Results)
-	if len(sum.Missing) > 0 && !sf.Partial { // an interrupted sweep without -partial
+	if len(sum.Missing) > 0 {
 		fatalExit(1)
 	}
 }
@@ -269,14 +270,6 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 func workerPrefix(exe, scenarioFile string, opt harness.Options) []string {
 	return []string{exe, "-scenario", scenarioFile,
 		"-duration", opt.Duration.String(), "-skip", opt.Skip.String()}
-}
-
-// formatMissing renders a missing-index report in full — the -partial
-// contract is the exact job list, not a sample.
-func formatMissing(missing []int) string {
-	sorted := append([]int{}, missing...)
-	sort.Ints(sorted)
-	return fmt.Sprint(sorted)
 }
 
 // abVariant is one side of an A/B comparison after its sweep completes.

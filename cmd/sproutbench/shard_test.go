@@ -14,6 +14,7 @@ import (
 // combination yields a one-line error (for exit 2), never a panic, and
 // the valid combinations select the right mode.
 func TestParseShardFlags(t *testing.T) {
+	const stall = 2 * time.Minute // the flag's default
 	cases := []struct {
 		name                           string
 		in                             shardFlags
@@ -22,11 +23,11 @@ func TestParseShardFlags(t *testing.T) {
 	}{
 		{name: "default", wantErr: ""},
 		{name: "worker", in: shardFlags{Shard: "1/4", Scenario: "s.json", Out: "x.jsonl"}, wantWorker: true},
-		{name: "parent", in: shardFlags{Shards: 4, Scenario: "s.json"}, wantParent: true},
-		{name: "parent checkpointed", in: shardFlags{Shards: 2, Scenario: "s.json", Checkpoint: "ck"}, wantParent: true},
-		{name: "parent chaos partial", in: shardFlags{Shards: 2, Scenario: "s.json", Chaos: 7, Partial: true}, wantParent: true},
-		{name: "parent hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b"}, wantParent: true},
-		{name: "parent hosts transport", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}"}, wantParent: true},
+		{name: "parent", in: shardFlags{Shards: 4, Scenario: "s.json", Stall: stall}, wantParent: true},
+		{name: "parent checkpointed", in: shardFlags{Shards: 2, Scenario: "s.json", Checkpoint: "ck", Stall: stall}, wantParent: true},
+		{name: "parent chaos", in: shardFlags{Shards: 2, Scenario: "s.json", Chaos: 7, Stall: stall}, wantParent: true},
+		{name: "parent hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Stall: stall}, wantParent: true},
+		{name: "parent hosts transport", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}", Stall: stall}, wantParent: true},
 		{name: "single shard is direct", in: shardFlags{Shards: 1, Scenario: "s.json"}},
 		{name: "ab", in: shardFlags{AB: "a.json,b.json"}, wantAB: true},
 		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantErr: "mutually exclusive"},
@@ -39,10 +40,13 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "shard vs shards", in: shardFlags{Shard: "0/2", Shards: 2, Scenario: "s.json"}, wantErr: "mutually exclusive"},
 		{name: "negative shards", in: shardFlags{Shards: -1}, wantErr: ">= 0"},
 		{name: "negative stall", in: shardFlags{Shards: 2, Scenario: "s.json", Stall: -time.Second}, wantErr: "-stall"},
+		{name: "zero stall", in: shardFlags{Shards: 2, Scenario: "s.json"}, wantErr: "-stall must be positive"},
 		{name: "shards need scenario", in: shardFlags{Shards: 2}, wantErr: "-scenario is required"},
 		{name: "chaos needs parent", in: shardFlags{Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
 		{name: "chaos in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Chaos: 7}, wantErr: "parent mode"},
-		{name: "partial needs parent", in: shardFlags{Scenario: "s.json", Partial: true}, wantErr: "parent mode"},
+		{name: "checkpoint needs parent", in: shardFlags{Scenario: "s.json", Checkpoint: "ck"}, wantErr: "parent mode"},
+		{name: "checkpoint in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Out: "x.jsonl", Checkpoint: "ck"}, wantErr: "parent mode"},
+		{name: "checkpoint with one shard", in: shardFlags{Shards: 1, Scenario: "s.json", Checkpoint: "ck"}, wantErr: "parent mode"},
 		{name: "hosts need parent", in: shardFlags{Scenario: "s.json", Hosts: "a,b"}, wantErr: "parent mode"},
 		{name: "hosts in worker", in: shardFlags{Shard: "0/2", Scenario: "s.json", Hosts: "a"}, wantErr: "parent mode"},
 		{name: "transport needs parent", in: shardFlags{Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "parent mode"},
@@ -132,7 +136,7 @@ func TestParseShardFlagsParentDefaults(t *testing.T) {
 // -hosts list accumulates.
 func TestParseShardFlagsDispatchFields(t *testing.T) {
 	mode := shardFlags{
-		Shards: 2, Scenario: "s.json",
+		Shards: 2, Scenario: "s.json", Stall: time.Minute,
 		Hosts: " alpha , beta,gamma ", Transport: "ssh {host} -- {exe}",
 	}
 	if err := parseShardFlags(&mode); err != nil {
@@ -164,11 +168,5 @@ func TestVerdict(t *testing.T) {
 		if got := verdict(c.a, c.b); !strings.Contains(got, c.want) {
 			t.Errorf("verdict(%v, %v) = %q, want %q", c.a.TputP[0], c.b.TputP[0], got, c.want)
 		}
-	}
-}
-
-func TestFormatMissing(t *testing.T) {
-	if got := formatMissing([]int{5, 1, 3}); got != "[1 3 5]" {
-		t.Fatalf("formatMissing = %q", got)
 	}
 }

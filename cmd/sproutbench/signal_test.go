@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
+
+	"sprout/internal/harness"
+	"sprout/internal/scenario"
 )
 
 // TestMain lets the test binary serve as the CLI: with SPROUTBENCH_CHILD
@@ -24,9 +29,9 @@ func TestMain(m *testing.M) {
 // TestShardParentInterruptPartial drives the real CLI: a supervised
 // sweep interrupted by SIGINT, or by the SIGTERM that timeout(1) sends,
 // must terminate its children, merge what their fsynced logs hold, print
-// the exact missing-index report, and — under -partial — exit 0. The test
-// binary serves as the parent (and, transitively, its children) through
-// the TestMain reroute.
+// the exact missing-index list and the table of what merged, and exit 1.
+// The test binary serves as the parent (and, transitively, its children)
+// through the TestMain reroute.
 func TestShardParentInterruptPartial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("execs a supervised sweep and waits on signal delivery; skipped with -short")
@@ -55,7 +60,7 @@ func interruptPartial(t *testing.T, sig syscall.Signal) {
 
 	cmd := exec.Command(os.Args[0],
 		"-scenario", scenarioPath, "-shards", "2", "-checkpoint", dir,
-		"-partial", "-duration", "6000s", "-parallel", "1")
+		"-duration", "6000s", "-parallel", "1")
 	cmd.Env = append(os.Environ(), "SPROUTBENCH_CHILD=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -75,8 +80,9 @@ func interruptPartial(t *testing.T, sig syscall.Signal) {
 	go func() { done <- cmd.Wait() }()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("interrupted -partial sweep exited %v\nstderr:\n%s", err, stderr.String())
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("interrupted sweep exited %v, want exit status 1\nstderr:\n%s", err, stderr.String())
 		}
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
@@ -85,7 +91,31 @@ func interruptPartial(t *testing.T, sig syscall.Signal) {
 	if !bytes.Contains(stderr.Bytes(), []byte("interrupted")) {
 		t.Fatalf("stderr does not report the interruption:\n%s", stderr.String())
 	}
-	if !bytes.Contains(stdout.Bytes(), []byte("partial: missing")) {
-		t.Fatalf("stdout lacks the missing-index report:\nstdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+	// The report must name exactly the jobs the checkpoint lacks, and the
+	// table must list every job it holds.
+	specs, _, err := loadScenarioSpecs(scenarioPath, harness.Options{Duration: 6000 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, missing, err := scenario.ReadCheckpoint(dir, specs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) == 0 {
+		t.Fatalf("every job finished before the %v; nothing was interrupted", sig)
+	}
+	report := fmt.Sprintf("partial: missing %d of %d jobs: %v\n", len(missing), len(specs), missing)
+	if !bytes.Contains(stdout.Bytes(), []byte(report)) {
+		t.Fatalf("stdout lacks %q:\nstdout:\n%s\nstderr:\n%s", report, stdout.String(), stderr.String())
+	}
+	for _, r := range results {
+		if !bytes.Contains(stdout.Bytes(), []byte(r.Spec.Label())) {
+			t.Errorf("table lacks merged job %q:\n%s", r.Spec.Label(), stdout.String())
+		}
+	}
+	for _, i := range missing {
+		if label := specs[i].Label(); bytes.Contains(stdout.Bytes(), []byte(label)) {
+			t.Errorf("table lists missing job %q:\n%s", label, stdout.String())
+		}
 	}
 }

@@ -1,9 +1,13 @@
 package sprout_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"reflect"
@@ -261,28 +265,116 @@ func TestNoUnusedExports(t *testing.T) {
 // tests set, each with the reason it stays. Keys are "dir.Type.Field".
 var fieldAllow = map[string]string{
 	"internal/scenario.ShardedOptions.Traces":       "tests observe the shared trace cache through it",
+	"internal/scenario.ShardedOptions.Workers":      "the shard-determinism tests vary the per-shard engine width through it",
 	"internal/transport.ReceiverConfig.LiteralSkip": "TestAblations' literal-skip variant (DESIGN §6.1)",
+}
+
+// checkedModule is the module's non-test code, type-checked.
+type checkedModule struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	pkgs  map[string]*types.Package // by import path
+	files []*ast.File
+	info  *types.Info
+}
+
+// checkModule type-checks every non-test package of the module from
+// source: the files go/build selects for this platform, importing the
+// standard library from GOROOT's sources with cgo off, so nothing but the
+// toolchain is read and nothing is downloaded.
+func checkModule(t *testing.T) *checkedModule {
+	t.Helper()
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false // the source importer reads build.Default
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	fset := token.NewFileSet()
+	m := &checkedModule{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		_, err = m.ImportFrom(filepath.ToSlash(filepath.Join("sprout", path)), path, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func (m *checkedModule) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, ".", 0)
+}
+
+// ImportFrom type-checks a package of the module on first import, with
+// function bodies, into the shared Info; any other path is the standard
+// library's.
+func (m *checkedModule) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, "sprout")
+	if !ok || (rel != "" && rel[0] != '/') {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	if pkg := m.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	bp, err := build.Default.ImportDir("."+rel, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = pkg
+	m.files = append(m.files, files...)
+	return pkg, nil
 }
 
 // TestNoTestOnlyFields holds internal/ to one value per setting: an
 // exported field of a non-test struct that no non-test file sets is a
 // setting only tests turn, so it becomes a constant, goes, or is
 // allowlisted in fieldAllow with its reason. A field is set by a
-// composite-literal key, an assignment or inc/dec target, or &x.F, matched
-// by field name alone (so it can miss a test-only field that shares a set
-// one's name, never flag a set one). Fields with a json tag other than
-// "-" are exempt: input from outside the program sets them. It logs the
-// field count so a PR's delta is a number.
+// composite-literal key, an assignment or inc/dec target, or &x.F, each
+// resolved with go/types to the field it names, so a test-only field
+// cannot hide behind a set field of the same name. Fields with a json tag
+// other than "-" are exempt: input from outside the program sets them. It
+// logs the field count so a PR's delta is a number.
 func TestNoTestOnlyFields(t *testing.T) {
-	files := parseModule(t)
-	set := map[string]bool{}
-	for _, pf := range files {
-		ast.Inspect(pf.file, func(n ast.Node) bool {
+	m := checkModule(t)
+	set := map[*types.Var]bool{}
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			set[v.Origin()] = true
+		}
+	}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
 			var targets []ast.Expr
 			switch x := n.(type) {
 			case *ast.KeyValueExpr:
 				if id, ok := x.Key.(*ast.Ident); ok {
-					set[id.Name] = true
+					mark(m.info.Uses[id])
 				}
 			case *ast.AssignStmt:
 				targets = x.Lhs
@@ -294,8 +386,10 @@ func TestNoTestOnlyFields(t *testing.T) {
 				}
 			}
 			for _, e := range targets {
-				if sel, ok := e.(*ast.SelectorExpr); ok {
-					set[sel.Sel.Name] = true
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					if s := m.info.Selections[sel]; s != nil {
+						mark(s.Obj())
+					}
 				}
 			}
 			return true
@@ -304,46 +398,37 @@ func TestNoTestOnlyFields(t *testing.T) {
 
 	fields := 0
 	seen := map[string]bool{}
-	for _, pf := range files {
-		if !strings.HasPrefix(pf.dir, "internal/") {
+	for path, pkg := range m.pkgs {
+		dir := strings.TrimPrefix(path, "sprout/")
+		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
-		for _, decl := range pf.file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
 					continue
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
+				if json, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok && json != "-" {
 					continue
 				}
-				for _, f := range st.Fields.List {
-					if f.Tag != nil {
-						tag, _ := strconv.Unquote(f.Tag.Value)
-						if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
-							continue
-						}
-					}
-					for _, id := range f.Names {
-						if !id.IsExported() {
-							continue
-						}
-						fields++
-						key := pf.dir + "." + ts.Name.Name + "." + id.Name
-						seen[key] = true
-						reason, allowed := fieldAllow[key]
-						switch {
-						case set[id.Name] && allowed:
-							t.Errorf("%s is allowlisted (%s) but non-test code sets it: drop it from fieldAllow", key, reason)
-						case !set[id.Name] && !allowed:
-							t.Errorf("%s is exported but only tests set it: make it a constant, delete it, or allowlist it with a reason", key)
-						}
-					}
+				fields++
+				key := dir + "." + name + "." + f.Name()
+				seen[key] = true
+				reason, allowed := fieldAllow[key]
+				switch {
+				case set[f] && allowed:
+					t.Errorf("%s is allowlisted (%s) but non-test code sets it: drop it from fieldAllow", key, reason)
+				case !set[f] && !allowed:
+					t.Errorf("%s is exported but only tests set it: make it a constant, delete it, or allowlist it with a reason", key)
 				}
 			}
 		}

@@ -178,7 +178,7 @@ func TestForecastTableCacheBounded(t *testing.T) {
 	// Sweeping a table-shaping parameter past the cache limit must keep
 	// working (uncached builds), not retain a table per value forever.
 	freshTableCache(t)
-	_, _, before := tableCacheStats()
+	_, _, before := tables.Counts()
 	var fs []*DeliveryForecaster
 	for i := 0; i < tableCacheLimit+4; i++ {
 		f := NewDeliveryForecaster(NewModel(Params{NumBins: 32, MaxRate: 100 + float64(i)}))
@@ -188,19 +188,17 @@ func TestForecastTableCacheBounded(t *testing.T) {
 		}
 		fs = append(fs, f)
 	}
-	tableMu.Lock()
-	n := len(tableCache)
-	tableMu.Unlock()
+	n := 0
+	tables.Range(func(tableKey, *forecastTable) { n++ })
 	if n > tableCacheLimit {
 		t.Errorf("table cache grew to %d entries, limit %d", n, tableCacheLimit)
 	}
-	obsMu.Lock()
-	n = len(obsTables)
-	obsMu.Unlock()
+	n = 0
+	obsTables.Range(func(obsKey, *obsTable) { n++ })
 	if n > tableCacheLimit {
 		t.Errorf("observation-row cache grew to %d grids, limit %d", n, tableCacheLimit)
 	}
-	if _, _, after := tableCacheStats(); after-before != 4 {
+	if _, _, after := tables.Counts(); after-before != 4 {
 		t.Errorf("uncached builds = %d, want 4", after-before)
 	}
 	_ = fs

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"sprout/internal/memo"
 	"sprout/internal/stats"
 )
 
@@ -18,30 +19,10 @@ import (
 // asserts about sharing does not depend on which tests filled the 16 slots
 // of either before it.
 func freshTableCache(t testing.TB) {
-	tableMu.Lock()
-	saved := tableCache
-	tableCache = map[tableKey]*tableEntry{}
-	tableMu.Unlock()
-	obsMu.Lock()
-	savedObs := obsTables
-	obsTables = map[obsKey]*obsTable{}
-	obsMu.Unlock()
-	t.Cleanup(func() {
-		tableMu.Lock()
-		tableCache = saved
-		tableMu.Unlock()
-		obsMu.Lock()
-		obsTables = savedObs
-		obsMu.Unlock()
-	})
-}
-
-// tableCacheStats reads the table cache's hit, miss and uncached-build
-// counters.
-func tableCacheStats() (hits, misses, uncached int64) {
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	return tableHits, tableMisses, tableUncached
+	savedTables, savedObs := tables, obsTables
+	tables = memo.New[tableKey, *forecastTable](tableCacheLimit)
+	obsTables = memo.New[obsKey, *obsTable](tableCacheLimit)
+	t.Cleanup(func() { tables, obsTables = savedTables, savedObs })
 }
 
 // evolveForecaster is the reference the folded path is compared against:
@@ -334,7 +315,7 @@ func TestFoldedRowsMonotoneInCount(t *testing.T) {
 func TestTableBuildSingleFlight(t *testing.T) {
 	freshTableCache(t)
 	const users = 8
-	h0, m0, u0 := tableCacheStats()
+	h0, m0, u0 := tables.Counts()
 	tbls := make([]*forecastTable, users)
 	var wg sync.WaitGroup
 	for i := range tbls {
@@ -350,7 +331,7 @@ func TestTableBuildSingleFlight(t *testing.T) {
 			t.Fatalf("user %d got table %p, user 0 got %p", i, tbl, tbls[0])
 		}
 	}
-	h1, m1, u1 := tableCacheStats()
+	h1, m1, u1 := tables.Counts()
 	if m1-m0 != 1 || h1-h0 != users-1 || u1 != u0 {
 		t.Errorf("hits +%d misses +%d uncached +%d, want +%d +1 +0", h1-h0, m1-m0, u1-u0, users-1)
 	}

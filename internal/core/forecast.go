@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sprout/internal/memo"
 	"sprout/internal/stats"
 )
 
@@ -121,30 +122,12 @@ type tableKey struct {
 // (per-forecaster) tables rather than unbounded retained memory.
 const tableCacheLimit = 16
 
-// tableEntry is one cache slot; once makes the build single-flight.
-type tableEntry struct {
-	once sync.Once
-	tbl  *forecastTable
-}
+// tables is the process-wide forecast-table cache; the tests read its
+// Counts to check the sharing.
+var tables = memo.New[tableKey, *forecastTable](tableCacheLimit)
 
-// The process-wide forecast-table cache and its counters, which the tests
-// read under tableMu: hits (a forecaster reused a cached table, waiting for
-// its one builder if the build was still running), misses (a build that
-// was stored — one per key, however many forecasters asked at once), and
-// uncached builds (the cache was already at its size limit, so the build
-// could not be stored and every further forecaster at those parameters
-// rebuilds its own ~2 MB table).
-var (
-	tableMu       sync.Mutex
-	tableCache    = map[tableKey]*tableEntry{}
-	tableHits     int64
-	tableMisses   int64
-	tableUncached int64
-)
-
-// forecastTableFor returns the table for m's parameters. The first user of
-// a key builds it (outside the lock, so different keys build in parallel);
-// concurrent users of the same key wait for that one build.
+// forecastTableFor returns the table for m's parameters, built once by the
+// first user of its key.
 func forecastTableFor(m *Model) *forecastTable {
 	key := tableKey{
 		bins:         m.NumBins(),
@@ -154,22 +137,7 @@ func forecastTableFor(m *Model) *forecastTable {
 		sigma:        m.p.Sigma,
 		outageEscape: m.p.OutageEscape,
 	}
-	tableMu.Lock()
-	e, ok := tableCache[key]
-	switch {
-	case ok:
-		tableHits++
-	case len(tableCache) < tableCacheLimit:
-		e = &tableEntry{}
-		tableCache[key] = e
-		tableMisses++
-	default:
-		e = &tableEntry{} // this caller's own, never stored
-		tableUncached++
-	}
-	tableMu.Unlock()
-	e.once.Do(func() { e.tbl = buildForecastTable(m) })
-	return e.tbl
+	return tables.Get(key, func() *forecastTable { return buildForecastTable(m) })
 }
 
 // DeliveryForecaster produces Sprout's cautious packet-delivery forecast

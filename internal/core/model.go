@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"sprout/internal/memo"
 	"sprout/internal/stats"
 )
 
@@ -432,39 +433,30 @@ type obsKey struct {
 	tick    time.Duration
 }
 
-var (
-	obsMu     sync.Mutex
-	obsTables = map[obsKey]*obsTable{}
-)
+// obsTables is the process-wide observation-table cache, one per λ grid.
+var obsTables = memo.New[obsKey, *obsTable](tableCacheLimit)
 
-// obsTableFor returns the process-wide table of p's grid. Rows cover counts
-// up to twice what the top bin delivers per tick; rarer counts are computed
-// per observation. Like the forecast-table cache it stops storing at
-// tableCacheLimit grids, past which each model gets a table of its own.
+// obsTableFor returns the process-wide table of p's grid, built by its
+// first user. Rows cover counts up to twice what the top bin delivers per
+// tick; rarer counts are computed per observation. Like the forecast-table
+// cache it stops storing at tableCacheLimit grids, past which each model
+// gets a table of its own.
 func obsTableFor(p Params, binRate []float64) *obsTable {
-	key := obsKey{p.NumBins, p.MaxRate, p.Tick}
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	t, ok := obsTables[key]
-	if ok {
-		return t
-	}
-	tau := p.Tick.Seconds()
-	t = &obsTable{rateTau: make([]float64, len(binRate)), logRateTau: make([]float64, len(binRate))}
-	for j, rate := range binRate {
-		if rate < likelihoodRateFloor {
-			rate = likelihoodRateFloor
+	return obsTables.Get(obsKey{p.NumBins, p.MaxRate, p.Tick}, func() *obsTable {
+		tau := p.Tick.Seconds()
+		t := &obsTable{rateTau: make([]float64, len(binRate)), logRateTau: make([]float64, len(binRate))}
+		for j, rate := range binRate {
+			if rate < likelihoodRateFloor {
+				rate = likelihoodRateFloor
+			}
+			t.rateTau[j] = rate * tau
+			t.logRateTau[j] = math.Log(rate * tau)
 		}
-		t.rateTau[j] = rate * tau
-		t.logRateTau[j] = math.Log(rate * tau)
-	}
-	for mode := range t.rows {
-		t.rows[mode] = make([]obsRow, int(2*p.MaxRate*tau)+16)
-	}
-	if len(obsTables) < tableCacheLimit {
-		obsTables[key] = t
-	}
-	return t
+		for mode := range t.rows {
+			t.rows[mode] = make([]obsRow, int(2*p.MaxRate*tau)+16)
+		}
+		return t
+	})
 }
 
 // fill computes dst[lo:hi] of the row for count k. The likelihood

@@ -30,8 +30,9 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"sprout/internal/memo"
 )
 
 // Job is one unit of work: a self-contained simulation. Run must not
@@ -265,113 +266,10 @@ func DeriveSeed(base int64, parts ...string) int64 {
 }
 
 // Cache memoizes expensive shared inputs across jobs — canonically the
-// generated traces, which every scheme on a link shares (by reference:
-// cached values are immutable and one instance serves every job that asks).
-// Concurrent Get calls with the same key run gen exactly once (single
-// flight) and all receive the same value; values must therefore be treated
-// as read-only by every job.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	hits    int
-	misses  int
-}
-
-type cacheEntry struct {
-	once sync.Once
-	key  string // for diagnostics; set at insertion
-	val  any
-	ok   bool        // gen returned normally; false means it panicked
-	done atomic.Bool // set after gen completes; gates Range visibility
-}
+// generated traces, which every scheme on a link shares by reference. It is
+// memo's single-flight cache keyed by string and unbounded; cached values
+// are immutable and one instance serves every job that asks.
+type Cache = memo.Cache[string, any]
 
 // NewCache returns an empty, unbounded cache.
-func NewCache() *Cache { return &Cache{entries: map[string]*cacheEntry{}} }
-
-// Get returns the cached value for key, running gen to produce it if
-// this is the first request. gen runs outside the cache lock, so slow
-// generations for different keys proceed in parallel.
-func (c *Cache) Get(key string, gen func() any) any {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		e = &cacheEntry{key: key}
-		c.entries[key] = e
-	} else {
-		c.hits++
-	}
-	c.mu.Unlock()
-	return c.wait(e, gen)
-}
-
-// GetBytes is Get with the key passed as bytes: the lookup converts in
-// place (no allocation on the hit path), and only a miss materializes the
-// string and falls through to Get, so the insertion lives in one place.
-// Hot per-job lookups build their key into a reused buffer and stay
-// allocation-free once the cache is warm.
-func (c *Cache) GetBytes(key []byte, gen func() any) any {
-	c.mu.Lock()
-	if e, ok := c.entries[string(key)]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return c.wait(e, gen)
-	}
-	c.mu.Unlock()
-	return c.Get(string(key), gen)
-}
-
-func (c *Cache) wait(e *cacheEntry, gen func() any) any {
-	e.once.Do(func() {
-		e.val = gen()
-		e.ok = true
-		e.done.Store(true)
-	})
-	if !e.ok {
-		// gen panicked (in this goroutine the panic is already
-		// propagating; this is for the waiters that were blocked in
-		// once.Do): fail loudly rather than silently handing out nil.
-		panic(fmt.Sprintf("engine: cache generator for key %q panicked", e.key))
-	}
-	return e.val
-}
-
-// Range calls fn for every entry whose value has been produced, in
-// unspecified order, under the cache lock — fn must be quick and must not
-// call back into the cache. Entries still generating are skipped (their
-// values do not exist yet). Like Counts, Range is advisory: it exists so
-// callers can report what the cache retains (e.g. materialized-trace
-// memory in experiment summaries), not for synchronization.
-func (c *Cache) Range(fn func(key string, val any)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if e.done.Load() {
-			fn(k, e.val)
-		}
-	}
-}
-
-// NoteHit records an externally served hit: a caller that keeps its own
-// worker-local memo of values originally produced by this cache calls it
-// so Counts still reflects every request served without generation.
-func (c *Cache) NoteHit() {
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-}
-
-// Counts reports cache traffic: misses is how many Gets had to generate
-// (distinct keys on an unbounded cache; keys refused by the entry bound
-// count on every request, since each one regenerates), hits how many Gets
-// were served from an existing entry. The counts are advisory only:
-// they are read under the cache lock, but a Get that is concurrently past
-// its bookkeeping and still generating is already counted, so Counts taken
-// while jobs are in flight can disagree with the number of values actually
-// handed out. Read it for diagnostics after Run returns, not for
-// synchronization.
-func (c *Cache) Counts() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
+func NewCache() *Cache { return memo.New[string, any](0) }

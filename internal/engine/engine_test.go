@@ -229,7 +229,7 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got %v", i, v)
 		}
 	}
-	hits, misses := c.Counts()
+	hits, misses, _ := c.Counts()
 	if misses != 1 || hits != 31 {
 		t.Errorf("counts = %d hits, %d misses; want 31/1", hits, misses)
 	}
@@ -308,22 +308,12 @@ func TestWorkerStateNilSafe(t *testing.T) {
 	}
 }
 
-func TestCacheGetBytesSharesNamespace(t *testing.T) {
-	c := NewCache()
-	if got := c.GetBytes([]byte("k"), func() any { return "v1" }); got != "v1" {
-		t.Fatalf("GetBytes = %v", got)
-	}
-	if got := c.Get("k", func() any { return "v2" }); got != "v1" {
-		t.Errorf("string and byte keys are separate namespaces: %v", got)
-	}
-}
-
 // TestCacheRange: Range visits exactly the entries whose values exist,
 // and never an entry still mid-generation.
 func TestCacheRange(t *testing.T) {
 	c := NewCache()
 	c.Get("a", func() any { return 1 })
-	c.GetBytes([]byte("b"), func() any { return 2 })
+	c.Get("b", func() any { return 2 })
 
 	// An entry whose generator is still running must be invisible.
 	started := make(chan struct{})

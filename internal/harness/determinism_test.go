@@ -50,7 +50,7 @@ func TestRunMatrixTraceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, generated := traces.Counts()
+	reused, generated, _ := traces.Counts()
 	if generated != 4 {
 		t.Errorf("generated %d trace pairs, want 4 (one per network, shared across directions)", generated)
 	}

@@ -35,7 +35,7 @@ func TestMatrixGoldenHashSharded(t *testing.T) {
 			}
 			// The shared trace cache generates each canonical network's
 			// pair once, counted once — not once per shard.
-			_, generated := traces.Counts()
+			_, generated, _ := traces.Counts()
 			if want := len(trace.CanonicalNetworks()); generated != want {
 				t.Errorf("shards=%d workers=%d: %d trace pairs generated, want %d",
 					shards, workers, generated, want)

@@ -31,7 +31,7 @@ func TestSuiteIsOneRun(t *testing.T) {
 	if st.Jobs != 106 || st.Completed != 106 {
 		t.Errorf("all ran %d jobs (%d completed), want 106", st.Jobs, st.Completed)
 	}
-	if _, misses := traces.Counts(); misses != 4 {
+	if _, misses, _ := traces.Counts(); misses != 4 {
 		t.Errorf("all generated %d trace pairs, want 4", misses)
 	}
 	for i, row := range Suite {

@@ -64,7 +64,6 @@ type Sender struct {
 	clock sim.Clock
 	conn  network.Conn
 	flow  uint32
-	pool  *network.Pool
 
 	window   int // packets in flight target
 	inFlight int
@@ -85,47 +84,35 @@ type SenderConfig struct {
 	Clock sim.Clock
 	Conn  network.Conn
 	Flow  uint32
-	// Pool, if non-nil, is the packet arena probes draw from (world
-	// reuse); nil allocates from the heap.
-	Pool *network.Pool
 }
 
 // NewSender starts saturating immediately.
 func NewSender(cfg SenderConfig) *Sender {
-	s := &Sender{sentAt: make(map[int64]time.Duration)}
-	s.pumpFn = s.pump
-	s.pumpOnceFn = s.pumpOnce
-	s.Reset(cfg)
-	return s
-}
-
-// Reset restores the sender to its freshly constructed state under a new
-// configuration, retaining its map. Must be called at a world boundary
-// (clock reset); the first pump is scheduled exactly as NewSender does.
-func (s *Sender) Reset(cfg SenderConfig) {
 	if cfg.Clock == nil || cfg.Conn == nil {
 		panic("saturator: SenderConfig requires Clock and Conn")
 	}
-	s.clock, s.conn, s.flow, s.pool = cfg.Clock, cfg.Conn, cfg.Flow, cfg.Pool
-	s.window = initialWindow
-	s.inFlight, s.nextSeq = 0, 0
-	clear(s.sentAt)
-	s.pumpTimer.Stop() // no-op after a clock reset (stale handle)
-	s.pumpTimer = sim.Timer{}
-	s.rttEWMA = 0
-	s.sent, s.echoes = 0, 0
+	s := &Sender{
+		clock:  cfg.Clock,
+		conn:   cfg.Conn,
+		flow:   cfg.Flow,
+		window: initialWindow,
+		sentAt: make(map[int64]time.Duration),
+	}
+	s.pumpFn = s.pump
+	s.pumpOnceFn = s.pumpOnce
 	s.clock.After(0, s.pumpFn)
+	return s
 }
 
 // probe builds one MTU probe packet.
 func (s *Sender) probe(now time.Duration) *network.Packet {
-	pkt := s.pool.Get()
-	pkt.Flow = s.flow
-	pkt.Seq = s.nextSeq
-	pkt.Size = network.MTU
-	pkt.Payload = appendMarshal(pkt.Payload[:0], kindProbe, s.nextSeq, 0)
-	pkt.SentAt = now
-	return pkt
+	return &network.Packet{
+		Flow:    s.flow,
+		Seq:     s.nextSeq,
+		Size:    network.MTU,
+		Payload: appendMarshal(nil, kindProbe, s.nextSeq, 0),
+		SentAt:  now,
+	}
 }
 
 // Window returns the current packets-in-flight target.
@@ -210,7 +197,6 @@ type Receiver struct {
 	clock sim.Clock
 	conn  network.Conn
 	flow  uint32
-	pool  *network.Pool
 
 	arrivals []time.Duration
 	received int64
@@ -220,24 +206,10 @@ type Receiver struct {
 // (ideally over a separate, unloaded path, like the paper's feedback
 // phone).
 func NewReceiver(flow uint32, clock sim.Clock, conn network.Conn) *Receiver {
-	r := &Receiver{}
-	r.Reset(flow, clock, conn)
-	return r
-}
-
-// UsePool directs the receiver's echo packets to the given arena (world
-// reuse); nil reverts to heap allocation.
-func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
-
-// Reset restores the receiver to its freshly constructed state for a new
-// run, retaining the arrival log's capacity.
-func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn network.Conn) {
 	if clock == nil || conn == nil {
 		panic("saturator: Receiver requires clock and conn")
 	}
-	r.clock, r.conn, r.flow = clock, conn, flow
-	r.arrivals = r.arrivals[:0]
-	r.received = 0
+	return &Receiver{clock: clock, conn: conn, flow: flow}
 }
 
 // Received returns the number of probes recorded.
@@ -251,13 +223,13 @@ func (r *Receiver) Receive(pkt *network.Packet) {
 	}
 	r.received++
 	r.arrivals = append(r.arrivals, r.clock.Now())
-	echo := r.pool.Get()
-	echo.Flow = r.flow
-	echo.Seq = seq
-	echo.Size = 100 // small feedback packet
-	echo.Payload = appendMarshal(echo.Payload[:0], kindEcho, 0, seq)
-	echo.SentAt = r.clock.Now()
-	r.conn.Send(echo)
+	r.conn.Send(&network.Packet{
+		Flow:    r.flow,
+		Seq:     seq,
+		Size:    100, // small feedback packet
+		Payload: appendMarshal(nil, kindEcho, 0, seq),
+		SentAt:  r.clock.Now(),
+	})
 }
 
 // Trace exports the recorded arrivals as a Cellsim trace, rebased to start

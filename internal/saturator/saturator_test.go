@@ -165,64 +165,3 @@ func TestReceiverTraceRebased(t *testing.T) {
 type connFunc func(*network.Packet)
 
 func (f connFunc) Send(p *network.Packet) { f(p) }
-
-// TestResetReplaysFreshRun pins the world-reuse contract for the
-// saturator: after resetting the clock, links and both endpoints (with a
-// shared packet pool), a rerun records exactly the trace a fresh session
-// records.
-func TestResetReplaysFreshRun(t *testing.T) {
-	m, _ := trace.CanonicalLink("TMobile-3G-down")
-	dur := 20 * time.Second
-	ground := m.Generate(dur+5*time.Second, rand.New(rand.NewSource(2)))
-	fbModel := trace.LinkModel{Name: "fb", MeanRate: 2000, Sigma: 1, Reversion: 1, MaxRate: 3000}
-	fbTrace := fbModel.Generate(dur+5*time.Second, rand.New(rand.NewSource(99)))
-
-	loop := sim.New()
-	var pool network.Pool
-	var rcv *Receiver
-	var snd *Sender
-	fwd := link.New(loop, link.Config{
-		Trace: ground, PropagationDelay: 20 * time.Millisecond, Pool: &pool,
-	}, func(p *network.Packet) { rcv.Receive(p) })
-	fb := link.New(loop, link.Config{
-		Trace: fbTrace, PropagationDelay: 10 * time.Millisecond, Pool: &pool,
-	}, func(p *network.Packet) { snd.Receive(p) })
-	rcv = NewReceiver(1, loop, fb)
-	rcv.UsePool(&pool)
-	snd = NewSender(SenderConfig{Clock: loop, Conn: fwd, Flow: 1, Pool: &pool})
-	loop.Run(dur)
-	fresh := rcv.Trace("fresh")
-	// The links release what they deliver, so the arena holds the packets
-	// in flight (a window's worth), not the thousands the run sent.
-	arena := pool.Allocated()
-	if live := pool.InUse(); live <= 0 || live > arena || arena > fresh.Count()/4 {
-		t.Errorf("pool: %d live in an arena of %d after %d deliveries", live, arena, fresh.Count())
-	}
-
-	// World boundary: reset everything in construction order, rerun.
-	loop.Reset()
-	pool.Reset()
-	fwd.Reset(link.Config{Trace: ground, PropagationDelay: 20 * time.Millisecond, Pool: &pool},
-		func(p *network.Packet) { rcv.Receive(p) })
-	fb.Reset(link.Config{Trace: fbTrace, PropagationDelay: 10 * time.Millisecond, Pool: &pool},
-		func(p *network.Packet) { snd.Receive(p) })
-	rcv.Reset(1, loop, fb)
-	snd.Reset(SenderConfig{Clock: loop, Conn: fwd, Flow: 1, Pool: &pool})
-	loop.Run(dur)
-	reused := rcv.Trace("reused")
-	if got := pool.Allocated(); got != arena {
-		t.Errorf("rerun grew the arena from %d to %d packets", arena, got)
-	}
-
-	if fresh.Count() == 0 {
-		t.Fatal("fresh run recorded nothing")
-	}
-	if fresh.Count() != reused.Count() {
-		t.Fatalf("reused run recorded %d arrivals, fresh %d", reused.Count(), fresh.Count())
-	}
-	for i, at := range fresh.Opportunities {
-		if reused.Opportunities[i] != at {
-			t.Fatalf("arrival %d: reused %v != fresh %v", i, reused.Opportunities[i], at)
-		}
-	}
-}

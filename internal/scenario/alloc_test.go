@@ -27,10 +27,10 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := engine.NewCache()
+	job, traces := compile(norm), engine.NewCache()
 	w := newWorld()
 	run := func() {
-		if _, err := runNormalized(norm, traces, w); err != nil {
+		if _, err := job.run(traces, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,10 +67,10 @@ func TestPooledWorldRerunAllocsMultiFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces := engine.NewCache()
+		job, traces := compile(norm), engine.NewCache()
 		w := newWorld()
 		run := func() {
-			if _, err := runNormalized(norm, traces, w); err != nil {
+			if _, err := job.run(traces, w); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -133,7 +133,7 @@ func TestChurnedReceiverFeedsBackOnItsOwnTick(t *testing.T) {
 			h(p)
 		}
 	}
-	if _, err := runNormalized(norm, nil, w); err != nil {
+	if _, err := compile(norm).run(nil, w); err != nil {
 		t.Fatal(err)
 	}
 	offGrid, packets := 0, 0
@@ -174,7 +174,7 @@ func TestCellWorldReuse(t *testing.T) {
 	}
 	w := newWorld()
 	run := func() {
-		if _, err := runNormalized(norm, nil, w); err != nil {
+		if _, err := compile(norm).run(nil, w); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -159,7 +159,7 @@ func TestEquivalentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runNormalized(norm, traces, w)
+		res, err := compile(norm).run(traces, w)
 		if err != nil {
 			t.Fatal(err)
 		}

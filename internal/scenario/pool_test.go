@@ -16,7 +16,7 @@ func poolHighWater(t *testing.T, spec Spec) int {
 		t.Fatal(err)
 	}
 	w := newWorld()
-	if _, err := runNormalized(norm, nil, w); err != nil {
+	if _, err := compile(norm).run(nil, w); err != nil {
 		t.Fatal(err)
 	}
 	return w.pool.Allocated()
@@ -163,13 +163,13 @@ func TestHandlersDoNotRetainPackets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := runNormalized(norm, nil, newWorld())
+			plain, err := compile(norm).run(nil, newWorld())
 			if err != nil {
 				t.Fatal(err)
 			}
 			w := newWorld()
 			w.tap = scribbleAfter
-			scribbled, err := runNormalized(norm, nil, w)
+			scribbled, err := compile(norm).run(nil, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -338,7 +338,7 @@ func matchesReference(t *testing.T, w *world, traces *engine.Cache, seed int64) 
 	if err != nil {
 		t.Fatalf("seed %d: generated spec does not normalize: %v", seed, err)
 	}
-	got, err := runNormalized(norm, traces, w)
+	got, err := compile(norm).run(traces, w)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

@@ -83,7 +83,7 @@ func (cfg AttachConfig) Memoized(kind string, salt float64) (any, bool) {
 
 // endpointMemoLimit bounds the per-worker endpoint memo (a Sprout bundle
 // retains a whole forecaster); past it the memo is dropped wholesale and
-// rebuilt from the working set, like the world's trace memo.
+// rebuilt from the working set, like the world's process memo.
 const endpointMemoLimit = 256
 
 // Memoize stores an endpoint bundle for later jobs on this worker. It is a

@@ -74,21 +74,55 @@ func Run(spec Spec, traces *engine.Cache) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runNormalized(norm, traces, newWorld())
+	return compile(norm).run(traces, newWorld())
 }
 
-// runNormalized executes a pre-normalized spec on the given pooled world
-// (the per-worker reuse path; CompileJobs normalizes once at compile time
-// so the hot job body does only simulation work). Streaming specs skip
-// trace resolution entirely: no materialized trace exists anywhere in
-// their run, and the engine cache is never consulted.
-func runNormalized(norm Spec, traces *engine.Cache, w *world) (Result, error) {
-	if norm.Process == nil {
-		data, feedback, err := norm.resolveTraces(traces, w)
-		if err != nil {
-			return Result{}, err
+// compiled is a normalized spec ready to run on any world. A spec on a
+// canonical link carries its trace pair's cache key and generator, built
+// once here, so every run's lookup is one Get that allocates nothing.
+type compiled struct {
+	spec Spec
+	key  string     // the pair's cache key; unused when gen is nil
+	gen  func() any // the direction-free tracePair; nil when the spec needs none
+}
+
+// compile prepares a normalized spec (Normalize has resolved its link).
+// The trace cache is keyed per (network, duration, seed): direction is only
+// a view, since GenerateTracePair derives both directions from the same
+// per-link seeds, so the §5.5 sweep, both loss-table directions and
+// multi-scheme grids all share one immutable pair per (link, seed), by
+// reference. Streaming specs and specs with injected traces need no pair.
+func compile(norm Spec) compiled {
+	c := compiled{spec: norm}
+	if norm.Process != nil || norm.DataTrace != nil {
+		return c
+	}
+	pair, _ := LookupNetwork(norm.Link)
+	d, seed := time.Duration(norm.Duration), norm.Seed
+	c.key = fmt.Sprintf("%s/%d/%d", pair.Name, int64(d), seed)
+	c.gen = func() any {
+		down, up := GenerateTracePair(pair, "down", d, seed)
+		return tracePair{down, up}
+	}
+	return c
+}
+
+// run executes the compiled spec on w, a fresh world or a worker's pooled
+// one. traces may be nil, in which case the pair is generated for this run
+// alone.
+func (c compiled) run(traces *engine.Cache, w *world) (Result, error) {
+	norm := c.spec
+	if c.gen != nil {
+		var tp tracePair
+		if traces == nil {
+			tp = c.gen().(tracePair)
+		} else {
+			tp = traces.Get(c.key, c.gen).(tracePair)
 		}
-		norm.DataTrace, norm.FeedbackTrace = data, feedback
+		norm.DataTrace, norm.FeedbackTrace = tp.down, tp.up
+		if norm.Direction == "up" {
+			norm.DataTrace, norm.FeedbackTrace = tp.up, tp.down
+		}
 	}
 	if norm.Tunnel {
 		return runTunnel(norm, w)

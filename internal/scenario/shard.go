@@ -161,10 +161,11 @@ func indexJob(spec Spec, i int, traces *engine.Cache, sink func(int, Result) err
 			return err
 		}}
 	}
+	c := compile(norm)
 	return engine.Job{
 		Name: name,
 		Run: func(_ context.Context, ws *engine.WorkerState) error {
-			res, err := runNormalized(norm, traces, worldFor(ws))
+			res, err := c.run(traces, worldFor(ws))
 			if err != nil {
 				return err
 			}

@@ -112,7 +112,7 @@ func TestRunShardedSharedCache(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := traces.Counts()
+	hits, misses, _ := traces.Counts()
 	if misses != 1 {
 		t.Errorf("trace generations = %d, want 1 (shards must share the cache)", misses)
 	}

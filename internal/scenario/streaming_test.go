@@ -32,7 +32,7 @@ func TestStreamingWorldReuse(t *testing.T) {
 	}
 	w := newWorld()
 	run := func() {
-		if _, err := runNormalized(norm, nil, w); err != nil {
+		if _, err := compile(norm).run(nil, w); err != nil {
 			t.Fatal(err)
 		}
 	}

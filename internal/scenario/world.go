@@ -75,13 +75,7 @@ type world struct {
 	// each packet once its handler has returned).
 	tap func(network.Handler) network.Handler
 
-	memo   map[endpointKey]any
-	keyBuf []byte // trace-cache key scratch
-
-	// traceMemo short-circuits the shared engine.Cache for trace pairs
-	// this worker has already resolved: the shared lookup costs a
-	// generator closure per call, the worker-local hit costs nothing.
-	traceMemo map[string]tracePair
+	memo map[endpointKey]any
 
 	// procMemo holds this worker's compiled streaming-process instances,
 	// keyed by the normalized spec's *ProcessSpec identity (stable across
@@ -154,12 +148,11 @@ type procKey struct {
 
 func newWorld() *world {
 	w := &world{
-		loop:      sim.New(),
-		memo:      map[endpointKey]any{},
-		traceMemo: map[string]tracePair{},
-		procMemo:  map[procKey]trace.DeliveryProcess{},
-		byData:    map[uint32]network.Handler{},
-		byFB:      map[uint32]network.Handler{},
+		loop:     sim.New(),
+		memo:     map[endpointKey]any{},
+		procMemo: map[procKey]trace.DeliveryProcess{},
+		byData:   map[uint32]network.Handler{},
+		byFB:     map[uint32]network.Handler{},
 	}
 	w.fwdHandler = func(p *network.Packet) {
 		if w.onFwd != nil {

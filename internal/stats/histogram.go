@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // LogHistogram is a histogram with logarithmically spaced bins, used to
 // reproduce the interarrival-time distribution in Figure 2 of the paper
@@ -103,39 +100,4 @@ func linearFit(x, y []float64) (slope, intercept float64) {
 	slope = (n*sxy - sx*sy) / den
 	intercept = (sy - slope*sx) / n
 	return slope, intercept
-}
-
-// Quantiles returns the q-quantiles of a sample (convenience wrapper around
-// Percentile for several probabilities at once, sorting only once).
-func Quantiles(sample []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(sample) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	for i, p := range ps {
-		if p <= 0 {
-			out[i] = s[0]
-			continue
-		}
-		if p >= 1 {
-			out[i] = s[len(s)-1]
-			continue
-		}
-		pos := p * float64(len(s)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		if lo == hi {
-			out[i] = s[lo]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = s[lo]*(1-frac) + s[hi]*frac
-	}
-	return out
 }

@@ -5,30 +5,46 @@ import (
 	"sort"
 )
 
-// Percentile returns the p-quantile (p in [0,1]) of the given sample using
-// linear interpolation between order statistics. It copies and sorts the
-// input. An empty sample returns NaN.
+// Percentile returns the p-quantile (p in [0,1]) of the given sample; see
+// Quantiles.
 func Percentile(sample []float64, p float64) float64 {
+	return Quantiles(sample, p)[0]
+}
+
+// Quantiles returns the ps-quantiles (each in [0,1]) of the given sample
+// using linear interpolation between order statistics. It copies and sorts
+// the input once. An empty sample returns NaN for every p.
+func Quantiles(sample []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(sample) == 0 {
-		return math.NaN()
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
 	}
 	s := make([]float64, len(sample))
 	copy(s, sample)
 	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
+	for i, p := range ps {
+		if p <= 0 {
+			out[i] = s[0]
+			continue
+		}
+		if p >= 1 {
+			out[i] = s[len(s)-1]
+			continue
+		}
+		pos := p * float64(len(s)-1)
+		lo := int(math.Floor(pos))
+		hi := int(math.Ceil(pos))
+		if lo == hi {
+			out[i] = s[lo]
+			continue
+		}
+		frac := pos - float64(lo)
+		out[i] = s[lo]*(1-frac) + s[hi]*frac
 	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	pos := p * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return out
 }
 
 // Segment is one piece of a piecewise-linear function of time: over a span
