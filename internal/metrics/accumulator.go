@@ -23,9 +23,11 @@ type flowStream struct {
 	cursor  time.Duration
 	segs    []stats.Segment
 
-	// delay95 is the sealed stream's 95th-percentile delay: a bisection of
-	// up to 100 passes over segs, two levels a pass, that the aggregate
-	// result, Delay95 and Flow all ask for. Valid from finish until reset.
+	// delay95 is the sealed stream's 95th-percentile delay, computed once
+	// in finish for the aggregate result, Delay95 and Flow: one pass over
+	// segs collects the segments near the answer, and a further pass runs
+	// only for a level their bound leaves open. Valid from finish until
+	// reset.
 	delay95 time.Duration
 }
 
@@ -70,9 +72,9 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 }
 
 // finish appends the tail segment up to the window end and fixes the
-// stream's 95th-percentile delay. Must be called exactly once, after the
-// last observe.
-func (f *flowStream) finish(to time.Duration) {
+// stream's 95th-percentile delay, reusing sc's buffers. Must be called
+// exactly once, after the last observe.
+func (f *flowStream) finish(to time.Duration, sc *stats.SegmentScratch) {
 	if f.maxSent >= 0 && to > f.cursor {
 		f.segs = append(f.segs, stats.Segment{
 			Start: (f.cursor - f.maxSent).Seconds(),
@@ -80,7 +82,7 @@ func (f *flowStream) finish(to time.Duration) {
 		})
 	}
 	if len(f.segs) > 0 {
-		f.delay95 = secondsToDuration(stats.SegmentPercentile(f.segs, 0.95))
+		f.delay95 = secondsToDuration(stats.SegmentPercentile(f.segs, 0.95, sc))
 	}
 }
 
@@ -140,6 +142,10 @@ type Accumulator struct {
 	omniBase    time.Duration
 	omniHave    bool
 	opsInWindow int64
+
+	// pct is the percentile scratch every stream's finish shares, sized by
+	// the largest.
+	pct stats.SegmentScratch
 }
 
 // Start arms the accumulator for one run over [from, to), clearing per-run
@@ -282,13 +288,13 @@ func (a *Accumulator) seal() {
 		return
 	}
 	a.finished = true
-	a.agg.finish(a.to)
+	a.agg.finish(a.to, &a.pct)
 	for i := range a.flows {
 		to := a.to
 		if a.flowWindows {
 			to = a.flowTo[i]
 		}
-		a.flows[i].finish(to)
+		a.flows[i].finish(to, &a.pct)
 	}
 }
 
@@ -332,7 +338,7 @@ func (a *Accumulator) EvaluateStreaming() Result {
 	if len(a.omniSegs) == 0 {
 		r.Omniscient95 = a.prop
 	} else {
-		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(a.omniSegs, 0.95))
+		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(a.omniSegs, 0.95, &a.pct))
 	}
 	r.SelfInflicted95 = r.Delay95 - r.Omniscient95
 	if r.SelfInflicted95 < 0 {

@@ -225,3 +225,37 @@ func TestAccumulatorObserveAllocs(t *testing.T) {
 		t.Errorf("warmed accumulator run allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestOpportunityWindowIsHalfOpen: the capacity window is [from, to), as
+// the delivery window is. An opportunity at exactly to changes neither the
+// utilization nor the omniscient bound EvaluateStreaming reports; one at
+// exactly from counts.
+func TestOpportunityWindowIsHalfOpen(t *testing.T) {
+	from, to := time.Second, 3*time.Second
+	log := randomLog(rand.New(rand.NewSource(17)), 300, []uint32{1})
+	run := func(ops ...time.Duration) Result {
+		var a Accumulator
+		a.Start(from, to, nil)
+		a.TrackOpportunities(20 * time.Millisecond)
+		for _, d := range log {
+			a.Observe(d)
+		}
+		for _, at := range ops {
+			a.ObserveOpportunity(at)
+		}
+		return a.EvaluateStreaming()
+	}
+	ms := time.Millisecond
+	base := run(500*ms, 1500*ms, 2000*ms)
+	if base.Utilization == 0 {
+		t.Fatal("the log delivers nothing in the window")
+	}
+	atTo := run(500*ms, 1500*ms, 2000*ms, to)
+	if atTo.Utilization != base.Utilization || atTo.Omniscient95 != base.Omniscient95 {
+		t.Errorf("an opportunity at to moved the window's metrics: utilization %v -> %v, omniscient %v -> %v",
+			base.Utilization, atTo.Utilization, base.Omniscient95, atTo.Omniscient95)
+	}
+	if atFrom := run(500*ms, from, 1500*ms, 2000*ms); atFrom.Utilization == base.Utilization {
+		t.Errorf("an opportunity at from is not counted: utilization %v both ways", base.Utilization)
+	}
+}

@@ -98,7 +98,7 @@ func EndToEndDelay(deliveries []link.Delivery, from, to time.Duration, p float64
 	if len(segs) == 0 {
 		return 0
 	}
-	return secondsToDuration(stats.SegmentPercentile(segs, p))
+	return secondsToDuration(stats.SegmentPercentile(segs, p, nil))
 }
 
 // MeanDelay returns the time-weighted mean of the delay function.
@@ -145,7 +145,7 @@ func OmniscientDelay(tr *trace.Trace, prop, from, to time.Duration, p float64) t
 	if len(segs) == 0 {
 		return prop
 	}
-	return secondsToDuration(stats.SegmentPercentile(segs, p))
+	return secondsToDuration(stats.SegmentPercentile(segs, p, nil))
 }
 
 // Result aggregates the paper's metrics for one experiment run.

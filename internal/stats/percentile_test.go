@@ -1,12 +1,14 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPercentileBasics(t *testing.T) {
@@ -50,7 +52,7 @@ func TestSegmentPercentileUniform(t *testing.T) {
 	segs := []Segment{{Start: 0, Width: 10}}
 	for _, p := range []float64{0.1, 0.5, 0.95} {
 		want := 10 * p
-		if got := SegmentPercentile(segs, p); math.Abs(got-want) > 1e-6 {
+		if got := SegmentPercentile(segs, p, nil); math.Abs(got-want) > 1e-6 {
 			t.Errorf("p=%v: got %v, want %v", p, got, want)
 		}
 	}
@@ -61,8 +63,8 @@ func TestSegmentPercentileSawtooth(t *testing.T) {
 	one := []Segment{{0, 5}}
 	two := []Segment{{0, 5}, {0, 5}}
 	for _, p := range []float64{0.25, 0.5, 0.9} {
-		a := SegmentPercentile(one, p)
-		b := SegmentPercentile(two, p)
+		a := SegmentPercentile(one, p, nil)
+		b := SegmentPercentile(two, p, nil)
 		if math.Abs(a-b) > 1e-6 {
 			t.Errorf("p=%v: one=%v two=%v", p, a, b)
 		}
@@ -76,7 +78,7 @@ func TestSegmentPercentileOffsetTeeth(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		segs = append(segs, Segment{Start: 0.2, Width: 0.01})
 	}
-	got := SegmentPercentile(segs, 0.95)
+	got := SegmentPercentile(segs, 0.95, nil)
 	if got < 0.2 || got > 0.21 {
 		t.Errorf("got %v, want in [0.2, 0.21]", got)
 	}
@@ -89,9 +91,9 @@ func TestSegmentPercentileOutageTail(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		segs = append(segs, Segment{Start: 0.02, Width: 0.05})
 	}
-	base := SegmentPercentile(segs, 0.95)
+	base := SegmentPercentile(segs, 0.95, nil)
 	segs = append(segs, Segment{Start: 0.02, Width: 5})
-	withOutage := SegmentPercentile(segs, 0.95)
+	withOutage := SegmentPercentile(segs, 0.95, nil)
 	if withOutage <= base {
 		t.Errorf("outage did not raise p95: %v <= %v", withOutage, base)
 	}
@@ -101,10 +103,10 @@ func TestSegmentPercentileOutageTail(t *testing.T) {
 }
 
 func TestSegmentPercentileEmpty(t *testing.T) {
-	if got := SegmentPercentile(nil, 0.95); !math.IsNaN(got) {
+	if got := SegmentPercentile(nil, 0.95, nil); !math.IsNaN(got) {
 		t.Errorf("got %v, want NaN", got)
 	}
-	if got := SegmentPercentile([]Segment{{1, 0}}, 0.5); !math.IsNaN(got) {
+	if got := SegmentPercentile([]Segment{{1, 0}}, 0.5, nil); !math.IsNaN(got) {
 		t.Errorf("zero-width segments should be ignored; got %v", got)
 	}
 }
@@ -228,10 +230,14 @@ func TestMeasureBelow3MatchesSingleProbe(t *testing.T) {
 	}
 }
 
-// TestSegmentPercentileMatchesOracle: measuring three probes per pass
-// changes no bit of any result — random sawtooths with zero-width segments
-// and an outage tail, a single segment, a range already narrower than the
-// tolerance (lo == hi up to 1e-9), and the NaN cases.
+// TestSegmentPercentileMatchesOracle: certifying levels from the segments
+// near the answer changes no bit of any result — random sawtooths with
+// zero-width segments and an outage tail, delivery and omniscient streams
+// (with an outage long enough to move the quantile), quantized starts and
+// widths (probes land on segment ends), one start or width NaN or
+// infinite in a long stream, a single segment, a range already narrower
+// than the tolerance (lo == hi up to 1e-9), and the empty cases —
+// with a fresh scratch and one reused across calls of every size.
 func TestSegmentPercentileMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := map[string][]Segment{
@@ -245,15 +251,125 @@ func TestSegmentPercentileMatchesOracle(t *testing.T) {
 		cases[fmt.Sprintf("sawtooth n=%d", n)] = segs
 		cases[fmt.Sprintf("outage tail n=%d", n)] = append(segs[:n:n], Segment{Start: 0.02, Width: 5})
 	}
+	for _, n := range []int{300, 5000, 40000} {
+		cases[fmt.Sprintf("delivery n=%d", n)] = deliverySawtooth(rng, n)
+		cases[fmt.Sprintf("omniscient n=%d", n)] = omniscientStream(rng, n)
+		heavy := omniscientStream(rng, n)
+		heavy[n/3].Width = float64(n) / 1000 // as long as every other gap together
+		cases[fmt.Sprintf("omniscient, long outage n=%d", n)] = heavy
+		quantized := make([]Segment, n)
+		for i := range quantized {
+			quantized[i] = Segment{Start: float64(rng.Intn(64)) / 1024, Width: float64(rng.Intn(4)) / 1024}
+		}
+		cases[fmt.Sprintf("quantized n=%d", n)] = quantized
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		start, width := deliverySawtooth(rng, 5000), deliverySawtooth(rng, 5000)
+		start[2500].Start, width[2500].Width = v, v
+		cases[name+" start n=5000"], cases[name+" width n=5000"] = start, width
+	}
+	var sc SegmentScratch
 	for name, segs := range cases {
 		for _, p := range []float64{0, 0.05, 0.5, 0.95, 0.999, 1} {
-			got, want := SegmentPercentile(segs, p), segmentPercentileOracle(segs, p)
-			if !sameFloat(got, want) {
-				t.Errorf("%s, p=%v: got %v, the single-probe bisection gives %v (Δ %g)",
-					name, p, got, want, got-want)
+			want := segmentPercentileOracle(segs, p)
+			for _, scratch := range []*SegmentScratch{nil, &sc} {
+				if got := SegmentPercentile(segs, p, scratch); !sameFloat(got, want) {
+					t.Errorf("%s, p=%v: got %v, the single-probe bisection gives %v (Δ %g)",
+						name, p, got, want, got-want)
+				}
 			}
 		}
 	}
+}
+
+// decodeSegments reads a fuzz input: a mode byte, a repeat count, and a
+// pattern of segments that repeats. Mode 0 reads raw float64 pairs, so
+// NaN, infinities and any magnitude; mode 1 dyadic starts and widths, so
+// probes land exactly on segment ends; mode 2 milliseconds as a run
+// records them; mode 3 an omniscient stream, every start the propagation
+// delay, byte 255 a 3 s outage. Repeats stop past 2^14 segments.
+func decodeSegments(data []byte) []Segment {
+	if len(data) < 2 {
+		return nil
+	}
+	mode, repeat, body := data[0]%4, int(data[1])+1, data[2:]
+	var pattern []Segment
+	switch mode {
+	case 0:
+		for ; len(body) >= 16; body = body[16:] {
+			pattern = append(pattern, Segment{
+				Start: math.Float64frombits(binary.LittleEndian.Uint64(body)),
+				Width: math.Float64frombits(binary.LittleEndian.Uint64(body[8:])),
+			})
+		}
+	case 1, 2:
+		q := 1.0 / 1024
+		if mode == 2 {
+			q = time.Millisecond.Seconds()
+		}
+		for ; len(body) >= 2; body = body[2:] {
+			pattern = append(pattern, Segment{Start: float64(body[0]) * q, Width: float64(body[1]%16) * q})
+		}
+	case 3:
+		for _, b := range body {
+			w := float64(b) * 0.0001
+			if b == 255 {
+				w = 3
+			}
+			pattern = append(pattern, Segment{Start: 0.02, Width: w})
+		}
+	}
+	if len(pattern) > 0 {
+		repeat = min(repeat, 1<<14/len(pattern)+1)
+	}
+	segs := make([]Segment, 0, repeat*len(pattern))
+	for range repeat {
+		segs = append(segs, pattern...)
+	}
+	return segs
+}
+
+// FuzzSegmentPercentile: on any segments and any p, the certified
+// bisection returns the single-probe bisection's bits.
+func FuzzSegmentPercentile(f *testing.F) {
+	raw := func(segs ...Segment) []byte {
+		b := []byte{0, 0}
+		for _, s := range segs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Start))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.Width))
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(41))
+	omni := []byte{3, 7}
+	for i := 0; i < 300; i++ {
+		omni = append(omni, byte(rng.Intn(40)))
+	}
+	omni[150] = 255
+	f.Add(omni, 0.95)
+	quantized := []byte{1, 3}
+	for i := 0; i < 400; i++ {
+		quantized = append(quantized, byte(rng.Intn(64)), byte(rng.Intn(4)))
+	}
+	f.Add(quantized, 0.95)
+	f.Add(quantized, 0.5)
+	ms := []byte{2, 1}
+	for i := 0; i < 400; i++ {
+		ms = append(ms, byte(100+rng.Intn(50)), byte(rng.Intn(16)))
+	}
+	f.Add(ms, 0.95)
+	f.Add(raw(Segment{0.25, 1e-18}, Segment{0.25, 1e-18}, Segment{0.2, 0.001}), 0.95)
+	f.Add(raw(Segment{math.NaN(), 1}, Segment{0.1, math.Inf(1)}, Segment{0.2, 0.3}), 0.95)
+	f.Add(raw(Segment{math.Inf(-1), math.Inf(1)}, Segment{0.2, math.NaN()}), 0.5)
+	f.Add(raw(Segment{0.02, 3.5}), math.NaN())
+	var sc SegmentScratch
+	f.Fuzz(func(t *testing.T, data []byte, p float64) {
+		segs := decodeSegments(data)
+		got, want := SegmentPercentile(segs, p, &sc), segmentPercentileOracle(segs, p)
+		if !sameFloat(got, want) {
+			t.Fatalf("%d segments, p=%v: got %v, the single-probe bisection gives %v", len(segs), p, got, want)
+		}
+	})
 }
 
 func TestSegmentMean(t *testing.T) {
@@ -279,7 +395,7 @@ func TestSegmentPercentileMonotone(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for p := 0.05; p < 1; p += 0.1 {
-			v := SegmentPercentile(segs, p)
+			v := SegmentPercentile(segs, p, nil)
 			if v < prev-1e-9 {
 				return false
 			}
@@ -301,5 +417,51 @@ func TestQuantiles(t *testing.T) {
 	qs = Quantiles(nil, 0.5)
 	if !math.IsNaN(qs[0]) {
 		t.Errorf("Quantiles(nil) = %v, want NaN", qs)
+	}
+}
+
+// deliverySawtooth returns a delivery stream's d(t): each tooth starts at a
+// queueing delay that wanders over tens of milliseconds and lasts an
+// exponential inter-arrival gap of 1 ms on average.
+func deliverySawtooth(rng *rand.Rand, n int) []Segment {
+	segs := make([]Segment, n)
+	q := 0.05
+	for i := range segs {
+		q = math.Abs(q + 0.002*rng.NormFloat64())
+		segs[i] = Segment{Start: 0.02 + q, Width: 0.001 * rng.ExpFloat64()}
+	}
+	return segs
+}
+
+// omniscientStream returns the omniscient protocol's d(t): every tooth
+// starts at the propagation delay and lasts an exponential gap between
+// opportunities, with one 3 s outage in the middle.
+func omniscientStream(rng *rand.Rand, n int) []Segment {
+	segs := make([]Segment, n)
+	for i := range segs {
+		segs[i] = Segment{Start: 0.02, Width: 0.001 * rng.ExpFloat64()}
+	}
+	segs[n/2].Width = 3
+	return segs
+}
+
+// BenchmarkSegmentPercentile times the 95th percentile of the two shapes
+// every run computes, on a warm scratch, at a short and a long run's size.
+func BenchmarkSegmentPercentile(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		make func(*rand.Rand, int) []Segment
+	}{{"delivery", deliverySawtooth}, {"omniscient", omniscientStream}} {
+		for _, n := range []int{4_000, 400_000} {
+			segs := shape.make(rand.New(rand.NewSource(1)), n)
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				var sc SegmentScratch
+				SegmentPercentile(segs, 0.95, &sc)
+				b.ReportAllocs()
+				for b.Loop() {
+					SegmentPercentile(segs, 0.95, &sc)
+				}
+			})
+		}
 	}
 }
