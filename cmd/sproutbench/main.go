@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,16 +33,6 @@ import (
 	"sprout/internal/scenario"
 	"sprout/internal/trace"
 )
-
-// labeled runs fn with a pprof "experiment" label, so -cpuprofile output
-// attributes forecast and event-loop samples to the mode that drove them
-// (`pprof -tagfocus experiment=suite`, or Graph > Tag views). Engine
-// workers are spawned under fn, so their goroutines inherit the label.
-func labeled(name string, fn func()) {
-	pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
-		fn()
-	})
-}
 
 func main() {
 	runFlag := flag.String("run", "all",
@@ -89,43 +80,34 @@ func main() {
 		return
 	}
 	if err := parseShardFlags(sf); err != nil {
-		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(dispatch.ExitUsage)
+		usage(err)
+	}
+	custom := *downFile != "" || *upFile != ""
+	switch {
+	case custom && (*downFile == "" || *upFile == ""):
+		usage(errors.New("-down and -up must be given together"))
+	case custom && (sf.Scenario != "" || sf.Shard != "" || sf.Shards > 0):
+		usage(errors.New("-down/-up replace the suite with a trace pair; they do not combine with -scenario, -shard or -shards"))
 	}
 	opt := harness.Options{Duration: *duration, Skip: *skip, Seed: *seed}
 	eng := engine.New(*parallel)
 
-	if sf.worker != nil {
-		labeled("shard", func() { runShardWorker(sf, opt, eng) })
-		return
-	}
-	if len(sf.variants) == 2 {
-		labeled("ab", func() { runAB(sf, opt, eng) })
-		return
-	}
-	if sf.Shards > 1 {
-		labeled("sharded", func() { runShardParent(sf, opt, *parallel) })
-		return
-	}
-
-	if sf.Scenario != "" {
-		labeled("scenario", func() { runScenarioFile(sf.Scenario, opt, eng) })
-		return
-	}
-	if *downFile != "" || *upFile != "" {
-		if *downFile == "" || *upFile == "" {
-			fmt.Fprintln(os.Stderr, "sproutbench: -down and -up must be given together")
-			fatalExit(2)
+	switch {
+	case sf.worker != nil:
+		runShardWorker(sf, opt, eng)
+	case sf.Shards > 1:
+		runShardParent(sf, opt, *parallel)
+	case sf.Scenario != "":
+		runScenarioFile(sf.Scenario, opt, eng)
+	case custom:
+		runCustomTraces(*downFile, *upFile, opt, eng)
+	default:
+		rows, err := harness.Select(*runFlag)
+		if err != nil {
+			usage(err)
 		}
-		labeled("custom", func() { runCustomTraces(*downFile, *upFile, opt, eng) })
-		return
+		runSuite(rows, opt, eng)
 	}
-	rows, err := harness.Select(*runFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sproutbench:", err)
-		fatalExit(dispatch.ExitUsage)
-	}
-	labeled("suite", func() { runSuite(rows, opt, eng) })
 }
 
 // runSuite runs the selected rows of the paper's evaluation as one job set
@@ -158,7 +140,7 @@ func runCustomTraces(downPath, upPath string, opt harness.Options, eng *engine.E
 	data, fb := load(downPath), load(upPath)
 	fmt.Fprintf(os.Stderr, "sproutbench: %s (%.0f kbps mean) with feedback on %s (%.0f kbps mean)\n",
 		data.Name, data.MeanRateBps()/1000, fb.Name, fb.MeanRateBps()/1000)
-	schemes := harness.Schemes()
+	schemes := scenario.PaperSchemes()
 	specs := make([]scenario.Spec, len(schemes))
 	for i, s := range schemes {
 		specs[i] = scenario.Spec{
@@ -224,6 +206,12 @@ var flushProfiles = func() {}
 func fatalExit(code int) {
 	flushProfiles()
 	os.Exit(code)
+}
+
+// usage reports a malformed invocation on one line and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "sproutbench:", err)
+	fatalExit(dispatch.ExitUsage)
 }
 
 func check(err error) {

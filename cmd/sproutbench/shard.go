@@ -2,8 +2,7 @@
 // -scenario grid into its -out log (dispatch.ShardWorker); -shards n
 // supervises n child processes through dispatch.Supervise (liveness
 // tracking, classified retries, rescue of dead shards' jobs) and merges
-// their logs; -ab a.json,b.json runs two variant grids and reports
-// per-variant p50/p95/p99 rollups with a verdict. See DESIGN.md §9–10.
+// their logs. See DESIGN.md §9–10.
 package main
 
 import (
@@ -29,14 +28,13 @@ import (
 // bindShardFlags binds it. parseShardFlags checks the combination and
 // fills the parsed fields in place.
 type shardFlags struct {
-	Shard, Out, Scenario, Checkpoint, Hosts, Transport, AB string
-	Shards                                                 int
-	Stall                                                  time.Duration
-	Chaos                                                  int64
+	Shard, Out, Scenario, Checkpoint, Hosts, Transport string
+	Shards                                             int
+	Stall                                              time.Duration
+	Chaos                                              int64
 
-	worker   *engine.Shard // parsed -shard
-	pool     []string      // -hosts, trimmed
-	variants []string      // the two -ab files
+	worker *engine.Shard // parsed -shard
+	pool   []string      // -hosts, trimmed
 }
 
 // bindShardFlags defines the sharding flags on fs.
@@ -51,7 +49,6 @@ func bindShardFlags(fs *flag.FlagSet) *shardFlags {
 	fs.StringVar(&sf.Transport, "transport", "", "remote dispatch command template for -hosts, e.g. \"ssh {host} -- {exe}\"; {exe} marks where the worker command goes")
 	fs.DurationVar(&sf.Stall, "stall", 2*time.Minute, "kill a shard child whose checkpoint log stops growing for this long (with -shards)")
 	fs.Int64Var(&sf.Chaos, "chaos", 0, "seed a deterministic fault-injection plan into the supervised children, and into their pulls over a -hosts pool (with -shards; 0 = off); the merged output must be unchanged")
-	fs.StringVar(&sf.AB, "ab", "", "A/B mode: two scenario files \"specA.json,specB.json\"; both grids run with p50/p95/p99 rollups and a verdict")
 	return sf
 }
 
@@ -65,7 +62,7 @@ func parseShardFlags(f *shardFlags) error {
 	case f.Stall < 0:
 		return fmt.Errorf("-stall must be positive, got %v", f.Stall)
 	}
-	if f.AB != "" || f.Shard != "" || f.Shards <= 1 {
+	if f.Shard != "" || f.Shards <= 1 {
 		switch {
 		case f.Chaos != 0:
 			return fmt.Errorf("-chaos injects faults into supervised children; it requires parent mode (-shards > 1)")
@@ -81,18 +78,6 @@ func parseShardFlags(f *shardFlags) error {
 		return fmt.Errorf("-transport runs shards on the machines named by -hosts; -hosts is required")
 	}
 	switch {
-	case f.AB != "":
-		parts := strings.Split(f.AB, ",")
-		if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
-			return fmt.Errorf("-ab wants exactly two scenario files as \"specA.json,specB.json\", got %q", f.AB)
-		}
-		if f.Shard != "" || f.Shards > 0 {
-			return fmt.Errorf("-ab runs both grids in this process; it is mutually exclusive with -shard and -shards")
-		}
-		if f.Scenario != "" {
-			return fmt.Errorf("-ab replaces -scenario; give the variant files to -ab only")
-		}
-		f.variants = []string{strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])}
 	case f.Shard != "":
 		sh, err := engine.ParseShard(f.Shard)
 		if err != nil {
@@ -270,86 +255,6 @@ func runShardParent(sf *shardFlags, opt harness.Options, parallel int) {
 func workerPrefix(exe, scenarioFile string, opt harness.Options) []string {
 	return []string{exe, "-scenario", scenarioFile,
 		"-duration", opt.Duration.String(), "-skip", opt.Skip.String()}
-}
-
-// abVariant is one side of an A/B comparison after its sweep completes.
-type abVariant struct {
-	Name    string
-	File    string
-	Runs    int
-	TputP   []float64 // p50/p95/p99 throughput, kbps
-	DelayP  []float64 // p50/p95/p99 delay95, ms
-	Elapsed time.Duration
-}
-
-// rollup computes the per-variant quantiles from merged results.
-func rollup(name, file string, results []scenario.Result, elapsed time.Duration) abVariant {
-	tput := make([]float64, len(results))
-	delay := make([]float64, len(results))
-	for i, r := range results {
-		tput[i] = r.Metrics.ThroughputBps / 1000
-		delay[i] = float64(r.Delay95) / float64(time.Millisecond)
-	}
-	return abVariant{
-		Name: name, File: file, Runs: len(results),
-		TputP:   stats.Quantiles(tput, 0.5, 0.95, 0.99),
-		DelayP:  stats.Quantiles(delay, 0.5, 0.95, 0.99),
-		Elapsed: elapsed,
-	}
-}
-
-// verdict renders the one-line comparison: A wins if its median
-// throughput is no lower and its median delay no higher than B's (with at
-// least one strict), and symmetrically for B; anything else is mixed.
-func verdict(a, b abVariant) string {
-	dt := pctDelta(a.TputP[0], b.TputP[0])
-	dd := pctDelta(a.DelayP[0], b.DelayP[0])
-	rel := fmt.Sprintf("A vs B: %+.1f%% p50 throughput, %+.1f%% p50 delay95", dt, dd)
-	switch {
-	case dt == 0 && dd == 0:
-		return rel + " — tie"
-	case dt >= 0 && dd <= 0:
-		return rel + " — A wins"
-	case dt <= 0 && dd >= 0:
-		return rel + " — B wins"
-	default:
-		return rel + " — mixed (throughput and delay disagree)"
-	}
-}
-
-func pctDelta(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b * 100
-}
-
-// runAB runs the two variant grids on the invocation's engine and prints
-// the p50/p95/p99 rollup plus the verdict line.
-func runAB(sf *shardFlags, opt harness.Options, eng *engine.Engine) {
-	variants := make([]abVariant, 2)
-	for i, file := range sf.variants {
-		name := string(rune('A' + i))
-		specs, _, err := loadScenarioSpecs(file, opt)
-		check(err)
-		start := time.Now()
-		results, st, err := scenario.RunOn(context.Background(), eng, specs, nil)
-		check(err)
-		elapsed := time.Since(start)
-		fmt.Fprintf(os.Stderr, "variant %s (%s): %s\n", name, file, st)
-		variants[i] = rollup(name, file, results, elapsed)
-	}
-	header(fmt.Sprintf("A/B: %s vs %s", sf.variants[0], sf.variants[1]))
-	fmt.Printf("%-2s %-32s %5s %27s %27s %10s\n",
-		"", "variant", "runs", "tput p50/p95/p99 (kbps)", "delay95 p50/p95/p99 (ms)", "wall")
-	for _, v := range variants {
-		fmt.Printf("%-2s %-32s %5d %9.0f %8.0f %8.0f %9.0f %8.0f %8.0f %10v\n",
-			v.Name, v.File, v.Runs,
-			v.TputP[0], v.TputP[1], v.TputP[2],
-			v.DelayP[0], v.DelayP[1], v.DelayP[2],
-			v.Elapsed.Round(time.Millisecond))
-	}
-	fmt.Printf("verdict: %s\n", verdict(variants[0], variants[1]))
 }
 
 // printScenarioResults renders the standard scenario table — shared by

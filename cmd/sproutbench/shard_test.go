@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -16,10 +20,10 @@ import (
 func TestParseShardFlags(t *testing.T) {
 	const stall = 2 * time.Minute // the flag's default
 	cases := []struct {
-		name                           string
-		in                             shardFlags
-		wantErr                        string // substring, "" = success
-		wantWorker, wantParent, wantAB bool
+		name                   string
+		in                     shardFlags
+		wantErr                string // substring, "" = success
+		wantWorker, wantParent bool
 	}{
 		{name: "default", wantErr: ""},
 		{name: "worker", in: shardFlags{Shard: "1/4", Scenario: "s.json", Out: "x.jsonl"}, wantWorker: true},
@@ -29,9 +33,6 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "parent hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Stall: stall}, wantParent: true},
 		{name: "parent hosts transport", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,b", Transport: "ssh {host} -- {exe}", Stall: stall}, wantParent: true},
 		{name: "single shard is direct", in: shardFlags{Shards: 1, Scenario: "s.json"}},
-		{name: "ab", in: shardFlags{AB: "a.json,b.json"}, wantAB: true},
-		{name: "ab sharded", in: shardFlags{AB: "a.json,b.json", Shards: 4}, wantErr: "mutually exclusive"},
-		{name: "ab vs one shard", in: shardFlags{AB: "a.json,b.json", Shards: 1}, wantErr: "mutually exclusive"},
 
 		{name: "bad shard syntax", in: shardFlags{Shard: "nope", Scenario: "s.json"}, wantErr: "shard"},
 		{name: "shard out of range", in: shardFlags{Shard: "4/4", Scenario: "s.json"}, wantErr: "outside"},
@@ -52,12 +53,6 @@ func TestParseShardFlags(t *testing.T) {
 		{name: "transport needs parent", in: shardFlags{Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "parent mode"},
 		{name: "transport needs hosts", in: shardFlags{Shards: 2, Scenario: "s.json", Transport: "ssh {host} {exe}"}, wantErr: "-hosts is required"},
 		{name: "empty host name", in: shardFlags{Shards: 2, Scenario: "s.json", Hosts: "a,,b"}, wantErr: "empty host"},
-		{name: "chaos in ab", in: shardFlags{AB: "a.json,b.json", Shards: 2, Chaos: 7}, wantErr: "parent mode"},
-		{name: "ab wants two files", in: shardFlags{AB: "a.json"}, wantErr: "exactly two"},
-		{name: "ab three files", in: shardFlags{AB: "a,b,c"}, wantErr: "exactly two"},
-		{name: "ab empty side", in: shardFlags{AB: "a.json,"}, wantErr: "exactly two"},
-		{name: "ab vs shard", in: shardFlags{AB: "a.json,b.json", Shard: "0/2"}, wantErr: "mutually exclusive"},
-		{name: "ab vs scenario", in: shardFlags{AB: "a.json,b.json", Scenario: "s.json"}, wantErr: "-ab replaces -scenario"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -81,11 +76,8 @@ func TestParseShardFlags(t *testing.T) {
 			if got := mode.worker != nil; got != c.wantWorker {
 				t.Errorf("worker mode = %v, want %v", got, c.wantWorker)
 			}
-			if got := mode.Shards > 1 && mode.variants == nil; got != c.wantParent {
+			if got := mode.Shards > 1; got != c.wantParent {
 				t.Errorf("parent mode = %v, want %v", got, c.wantParent)
-			}
-			if got := len(mode.variants) == 2; got != c.wantAB {
-				t.Errorf("ab mode = %v, want %v", got, c.wantAB)
 			}
 		})
 	}
@@ -150,23 +142,33 @@ func TestParseShardFlagsDispatchFields(t *testing.T) {
 	}
 }
 
-func TestVerdict(t *testing.T) {
-	v := func(tput, delay float64) abVariant {
-		return abVariant{TputP: []float64{tput, tput, tput}, DelayP: []float64{delay, delay, delay}}
-	}
-	cases := []struct {
-		a, b abVariant
-		want string
-	}{
-		{v(1100, 90), v(1000, 100), "A wins"},
-		{v(900, 110), v(1000, 100), "B wins"},
-		{v(1100, 110), v(1000, 100), "mixed"},
-		{v(1000, 100), v(1000, 100), "tie"},
-		{v(1100, 100), v(1000, 100), "A wins"}, // delay tied, throughput decides
-	}
-	for _, c := range cases {
-		if got := verdict(c.a, c.b); !strings.Contains(got, c.want) {
-			t.Errorf("verdict(%v, %v) = %q, want %q", c.a.TputP[0], c.b.TputP[0], got, c.want)
+// TestTracePairUsage: -down/-up name a trace pair to run instead of the
+// suite, so beside a -scenario grid or a sharded mode they are a one-line
+// usage error (exit 2), never silently dropped. The test binary serves as
+// the CLI through the TestMain reroute; the files need not exist, since
+// the check precedes any load.
+func TestTracePairUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "x.json", "-down", "a", "-up", "b"},
+		{"-scenario", "x.json", "-down", "a"},
+		{"-scenario", "x.json", "-shard", "0/2", "-out", "x.jsonl", "-down", "a", "-up", "b"},
+		{"-scenario", "x.json", "-shards", "2", "-down", "a", "-up", "b"},
+		{"-shards", "1", "-down", "a", "-up", "b"},
+		{"-down", "a"},
+		{"-up", "b"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SPROUTBENCH_CHILD=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exited %v, want exit status 2\nstderr:\n%s", args, err, stderr.String())
+			continue
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-down") || stdout.Len() != 0 {
+			t.Errorf("%v: want one usage line naming -down and no output, got stderr %q, stdout %q", args, msg, stdout.String())
 		}
 	}
 }

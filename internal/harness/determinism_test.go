@@ -13,7 +13,7 @@ import (
 // the full 8-link matrix is byte-identical whether run serially or on a
 // parallel worker pool.
 func TestRunMatrixDeterministicAcrossWorkers(t *testing.T) {
-	schemes := Schemes()
+	schemes := scenario.PaperSchemes()
 	dur, skip := 20*time.Second, 5*time.Second
 	if testing.Short() {
 		schemes = []string{"sprout", "cubic", "skype"}

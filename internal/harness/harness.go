@@ -52,10 +52,6 @@ func (o Options) baseSpec() scenario.Spec {
 	}
 }
 
-// Schemes returns the paper's scheme names, in the order its figures list
-// them, from the scenario registry.
-func Schemes() []string { return scenario.PaperSchemes() }
-
 // Experiment is one row of the suite: a table or figure of the paper.
 type Experiment struct {
 	// Key selects the row from sproutbench's -run list.
@@ -64,14 +60,17 @@ type Experiment struct {
 	Title string
 	// specs builds the row's jobs. Every spec names its link (Link,
 	// Direction), never an injected trace, so one trace cache serves the
-	// whole suite. Nil for Figure 2, which is trace statistics.
+	// whole suite.
 	specs func(Options) []scenario.Spec
 	// grid, when set, names a job list several rows render from; Run
 	// compiles it once for all of them.
 	grid string
 	// render turns the results of the row's specs, in spec order, into
 	// the section body.
-	render func(Options, []scenario.Result) (string, error)
+	render func([]scenario.Result) string
+	// noJobs renders the one row with no specs, Figure 2 (trace
+	// statistics), from the options alone; it fails on an empty trace.
+	noJobs func(Options) (string, error)
 }
 
 // Suite is the paper's evaluation in print order. Tables 1/2 and Figures
@@ -80,7 +79,7 @@ var Suite = []Experiment{
 	{Key: "fig1", Title: "Figure 1: Skype vs Sprout on the Verizon LTE downlink (per-second series)",
 		specs: fig1Specs, render: renderFig1},
 	{Key: "fig2", Title: "Figure 2: interarrival distribution, saturated Verizon LTE downlink",
-		render: renderFig2},
+		noJobs: renderFig2},
 	{Key: "table1", Title: "Table 1: average speedup and delay reduction of Sprout vs each scheme",
 		specs: matrixGrid, grid: "matrix", render: renderTable1},
 	{Key: "table2", Title: "Table 2: Sprout-EWMA vs Sprout, Cubic, Cubic-CoDel",
@@ -155,9 +154,13 @@ func Run(ctx context.Context, eng *engine.Engine, traces *engine.Cache, rows []E
 	}
 	sections := make([]string, len(rows))
 	for i, row := range rows {
-		body, err := row.render(opt, results[spans[i][0]:spans[i][1]])
-		if err != nil {
-			return nil, stats, fmt.Errorf("%s: %w", row.Key, err)
+		body := ""
+		if row.noJobs != nil {
+			if body, err = row.noJobs(opt); err != nil {
+				return nil, stats, fmt.Errorf("%s: %w", row.Key, err)
+			}
+		} else {
+			body = row.render(results[spans[i][0]:spans[i][1]])
 		}
 		sections[i] = fmt.Sprintf("\n==== %s ====\n%s", row.Title, body)
 	}

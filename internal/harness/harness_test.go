@@ -36,14 +36,14 @@ func runMatrix(t testing.TB, opt Options, schemes []string, workers int) (*matri
 
 func runAllOnLTE(t *testing.T) map[string]Cell {
 	t.Helper()
-	specs := make([]scenario.Spec, len(Schemes()))
-	for i, s := range Schemes() {
+	specs := make([]scenario.Spec, len(scenario.PaperSchemes()))
+	for i, s := range scenario.PaperSchemes() {
 		specs[i] = shortOpt.withDefaults().baseSpec()
 		specs[i].Scheme, specs[i].Link = s, verizonLTE
 	}
 	results, _ := runSpecs(t, specs, 0)
 	out := make(map[string]Cell)
-	for i, s := range Schemes() {
+	for i, s := range scenario.PaperSchemes() {
 		out[s] = CellOf(results[i], s)
 		t.Logf("%-12s tput=%7.0f kbps self95=%7.0f ms util=%.2f",
 			s, out[s].ThroughputKbps, out[s].SelfInflictedMs, out[s].Utilization)
@@ -269,7 +269,7 @@ func TestFormatCells(t *testing.T) {
 // and vegas on the 3G downlink of an 8 s run, bit for bit) print in scheme
 // order, whatever order the results reach the renderer's lookup in.
 func TestFig7TieOrder(t *testing.T) {
-	schemes, links := Schemes(), linkNames()
+	schemes, links := scenario.PaperSchemes(), linkNames()
 	results := make([]scenario.Result, len(schemes)*len(links))
 	for si := range schemes {
 		for li := range links {
@@ -281,15 +281,12 @@ func TestFig7TieOrder(t *testing.T) {
 	for li := range links {
 		results[6*len(links)+li].Metrics.SelfInflicted95 = results[4*len(links)+li].Metrics.SelfInflicted95
 	}
-	want, err := renderFig7(Options{}, results)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := renderFig7(results)
 	if a, b := strings.Index(want, "\n"+schemes[4]+" "), strings.Index(want, "\n"+schemes[6]+" "); a < 0 || a > b {
 		t.Fatalf("%s should print before %s:\n%s", schemes[4], schemes[6], want)
 	}
 	for i := 0; i < 50; i++ {
-		if got, _ := renderFig7(Options{}, results); got != want {
+		if got := renderFig7(results); got != want {
 			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
 		}
 	}

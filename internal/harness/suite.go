@@ -99,7 +99,7 @@ func MatrixSpecs(opt Options, schemes []string) ([]scenario.Spec, []string) {
 // matrixGrid is the grid behind Tables 1/2 and Figures 7/8: every paper
 // scheme on every canonical link.
 func matrixGrid(opt Options) []scenario.Spec {
-	specs, _ := MatrixSpecs(opt, Schemes())
+	specs, _ := MatrixSpecs(opt, scenario.PaperSchemes())
 	return specs
 }
 
@@ -181,21 +181,21 @@ func renderSummary(ref string, rows []summaryRow) string {
 	return b.String()
 }
 
-func renderTable1(_ Options, rs []scenario.Result) (string, error) {
-	m := matrixOf(Schemes(), rs)
-	return renderSummary("sprout", m.summarize("sprout", Schemes())), nil
+func renderTable1(rs []scenario.Result) string {
+	schemes := scenario.PaperSchemes()
+	return renderSummary("sprout", matrixOf(schemes, rs).summarize("sprout", schemes))
 }
 
-func renderTable2(_ Options, rs []scenario.Result) (string, error) {
-	m := matrixOf(Schemes(), rs)
+func renderTable2(rs []scenario.Result) string {
+	m := matrixOf(scenario.PaperSchemes(), rs)
 	rows := m.summarize("sprout-ewma", []string{"sprout-ewma", "sprout", "cubic", "cubic-codel"})
-	return renderSummary("sprout-ewma", rows), nil
+	return renderSummary("sprout-ewma", rows)
 }
 
 // renderFig7 prints one chart per link. Cells go to FormatCells in scheme
 // order, so schemes that tie on delay print in that order.
-func renderFig7(_ Options, rs []scenario.Result) (string, error) {
-	links, schemes := linkNames(), Schemes()
+func renderFig7(rs []scenario.Result) string {
+	links, schemes := linkNames(), scenario.PaperSchemes()
 	var b strings.Builder
 	for li, l := range links {
 		cells := make([]Cell, len(schemes))
@@ -204,7 +204,7 @@ func renderFig7(_ Options, rs []scenario.Result) (string, error) {
 		}
 		b.WriteString("\n" + FormatCells(l, cells))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // fig8Row is one scheme's point in Figure 8: utilization vs delay averaged
@@ -235,14 +235,14 @@ func (m *matrix) fig8(schemes []string) []fig8Row {
 	return rows
 }
 
-func renderFig8(_ Options, rs []scenario.Result) (string, error) {
-	m := matrixOf(Schemes(), rs)
+func renderFig8(rs []scenario.Result) string {
+	m := matrixOf(scenario.PaperSchemes(), rs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %12s %18s\n", "scheme", "util (%)", "self-delay (ms)")
 	for _, r := range m.fig8([]string{"sprout", "sprout-ewma", "cubic", "cubic-codel"}) {
 		fmt.Fprintf(&b, "%-14s %12.0f %18.0f\n", r.scheme, r.avgUtilizationPct, r.avgSelfInflictedMs)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // fig9Specs is the confidence-parameter sweep on the T-Mobile 3G uplink
@@ -256,7 +256,7 @@ func fig9Specs(opt Options) []scenario.Spec {
 	if err != nil {
 		panic(err) // constants above; cannot fail
 	}
-	for _, s := range Schemes() {
+	for _, s := range scenario.PaperSchemes() {
 		if s == "sprout" {
 			continue
 		}
@@ -278,8 +278,8 @@ func fig9Cells(rs []scenario.Result) []Cell {
 	return cells
 }
 
-func renderFig9(_ Options, rs []scenario.Result) (string, error) {
-	return FormatCells("", fig9Cells(rs)), nil
+func renderFig9(rs []scenario.Result) string {
+	return FormatCells("", fig9Cells(rs))
 }
 
 // lossSpecs runs Sprout over the Verizon LTE trace pair with 0%, 5% and
@@ -299,7 +299,7 @@ func lossSpecs(opt Options) []scenario.Spec {
 	return specs
 }
 
-func renderLoss(_ Options, rs []scenario.Result) (string, error) {
+func renderLoss(rs []scenario.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %6s %14s %16s\n", "direction", "loss", "tput (kbps)", "self-delay (ms)")
 	for _, r := range rs {
@@ -307,7 +307,7 @@ func renderLoss(_ Options, rs []scenario.Result) (string, error) {
 			dirName[r.Spec.Direction], int(r.Spec.Loss*100),
 			r.Metrics.ThroughputBps/1000, ms(r.Metrics.SelfInflicted95))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // fig1Specs is the paper's opening figure: Sprout and Skype over the same
@@ -356,7 +356,7 @@ func fig1Series(rs []scenario.Result) []fig1Point {
 	return pts
 }
 
-func renderFig1(_ Options, rs []scenario.Result) (string, error) {
+func renderFig1(rs []scenario.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%4s %10s %10s %10s %12s %12s\n",
 		"sec", "capacity", "sprout", "skype", "sproutDelay", "skypeDelay")
@@ -364,7 +364,7 @@ func renderFig1(_ Options, rs []scenario.Result) (string, error) {
 		fmt.Fprintf(&b, "%4d %10.0f %10.0f %10.0f %12.0f %12.0f\n",
 			p.second, p.capacityKbps, p.sproutKbps, p.skypeKbps, p.sproutDelayMs, p.skypeDelayMs)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 func perSecondKbps(dl []link.Delivery, from, to time.Duration) float64 {
@@ -440,7 +440,7 @@ func fig2(opt Options) (fig2Data, error) {
 	}, nil
 }
 
-func renderFig2(opt Options, _ []scenario.Result) (string, error) {
+func renderFig2(opt Options) (string, error) {
 	d, err := fig2(opt)
 	if err != nil {
 		return "", err
@@ -483,7 +483,7 @@ func tunnelSpecs(opt Options) []scenario.Spec {
 }
 
 // renderTunnel reads each run's two flows in flow-id order: Cubic, Skype.
-func renderTunnel(_ Options, rs []scenario.Result) (string, error) {
+func renderTunnel(rs []scenario.Result) string {
 	direct, tunneled := rs[0], rs[1]
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %12s %12s %8s\n", "metric", "direct", "via sprout", "change")
@@ -498,7 +498,7 @@ func renderTunnel(_ Options, rs []scenario.Result) (string, error) {
 	row("skype tput (kbps)", 0, direct.Flows[1].ThroughputBps/1000, tunneled.Flows[1].ThroughputBps/1000)
 	row("skype 95% delay (s)", 2, direct.Flows[1].Delay95.Seconds(), tunneled.Flows[1].Delay95.Seconds())
 	fmt.Fprintf(&b, "tunnel head drops: %d\n", tunneled.HeadDrops)
-	return b.String(), nil
+	return b.String()
 }
 
 // multiSpecs is the configuration §7 of the paper leaves unevaluated ("We
@@ -517,23 +517,18 @@ func multiSpecs(opt Options) []scenario.Spec {
 	return specs
 }
 
-func renderMulti(_ Options, rs []scenario.Result) (string, error) {
+func renderMulti(rs []scenario.Result) string {
 	solo, shared := rs[0], rs[1]
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-26s %10.0f kbps   95%% delay %v\n", "solo session",
 		solo.Flows[0].ThroughputBps/1000, solo.Delay95.Round(time.Millisecond))
-	var sum, sumSq float64
+	var sum float64
 	for i, f := range shared.Flows {
 		kbps := f.ThroughputBps / 1000
 		fmt.Fprintf(&b, "%-26s %10.0f kbps\n", fmt.Sprintf("shared, flow %d", i+1), kbps)
 		sum += kbps
-		sumSq += kbps * kbps
-	}
-	jain := 0.0
-	if sumSq > 0 {
-		jain = sum * sum / (float64(len(shared.Flows)) * sumSq)
 	}
 	fmt.Fprintf(&b, "%-26s %10.0f kbps   95%% delay %v   Jain fairness %.3f\n",
-		"shared, aggregate", sum, shared.Delay95.Round(time.Millisecond), jain)
-	return b.String(), nil
+		"shared, aggregate", sum, shared.Delay95.Round(time.Millisecond), shared.JainIndex)
+	return b.String()
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -24,12 +26,16 @@ func runSuite(t *testing.T, rows []Experiment, workers int) ([]string, engine.St
 }
 
 // TestSuiteIsOneRun: `all` is one job set of 106 specs over the four
-// canonical trace pairs, and a row renders the same text from its slice of
-// that run as from a run of its own.
+// canonical trace pairs, its text is pinned, and a row renders the same
+// text from its slice of that run as from a run of its own.
 func TestSuiteIsOneRun(t *testing.T) {
 	all, st, traces := runSuite(t, Suite, 0)
 	if st.Jobs != 106 || st.Completed != 106 {
 		t.Errorf("all ran %d jobs (%d completed), want 106", st.Jobs, st.Completed)
+	}
+	const wantText = "1d3ff8b00b83a706a317a4e3eba22cafea31502dbab928f29ab533a8b0a180ff"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(all, "")))); got != wantText {
+		t.Errorf("suite text sha256 = %s, want %s", got, wantText)
 	}
 	if _, misses, _ := traces.Counts(); misses != 4 {
 		t.Errorf("all generated %d trace pairs, want 4", misses)
@@ -119,7 +125,7 @@ func TestSelect(t *testing.T) {
 // their index in this grid, so the list is pinned field for field through
 // its checkpoint fingerprint.
 func TestMatrixSpecsPinned(t *testing.T) {
-	specs, links := MatrixSpecs(suiteOpt, Schemes())
+	specs, links := MatrixSpecs(suiteOpt, scenario.PaperSchemes())
 	if len(specs) != 80 || len(links) != 8 {
 		t.Fatalf("grid is %d specs over %d links, want 80 over 8", len(specs), len(links))
 	}
