@@ -6,6 +6,7 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -132,6 +133,25 @@ func TestSuperviseCorruptLogIsPermanent(t *testing.T) {
 	checkSweep(t, cfg, sum, took)
 }
 
+// TestSuperviseUsageIsFatal: a worker that rejects its flags (exit 2)
+// fails the whole sweep on its first attempt — every sibling would
+// fail the same way — with nothing rescued and no results.
+func TestSuperviseUsageIsFatal(t *testing.T) {
+	f := newFleet(chaosSpecs(t))
+	cfg := chaosConfig(t, f, nil, shardFaults(map[int][]fault.Fault{0: {{Kind: fault.Exit, Code: ExitUsage}}}))
+	sum, _, err := f.supervise(t, context.Background(), cfg)
+	var exit interface{ ExitCode() int }
+	if !errors.As(err, &exit) || exit.ExitCode() != ExitUsage {
+		t.Fatalf("sweep returned %v, want the worker's exit %d", err, ExitUsage)
+	}
+	if o := sum.Outcomes[0]; o.Attempts != 1 || !o.Dead {
+		t.Fatalf("shard 0: %+v, want dead after one attempt", o)
+	}
+	if sum.Rescued != 0 || len(sum.Results) != 0 {
+		t.Fatalf("a fatal sweep rescued %d jobs and returned %d results, want none", sum.Rescued, len(sum.Results))
+	}
+}
+
 // TestSuperviseKillsStalledShard: a worker alive but frozen past the
 // stall deadline is killed and the retry resumes from its checkpoint.
 func TestSuperviseKillsStalledShard(t *testing.T) {
@@ -152,11 +172,33 @@ func TestSuperviseKillsStalledShard(t *testing.T) {
 	checkSweep(t, cfg, sum, took)
 }
 
+// cost is what a sweep spent on its faulted shard: the shard's attempts
+// and failovers, and the jobs the sweep rescued.
+type cost struct{ attempts, failovers, rescued int }
+
+// checkCost pins a single-fault sweep's cost: want for the faulted shard
+// (dead exactly when it left jobs to rescue), one clean attempt for the
+// other.
+func checkCost(t *testing.T, sum Summary, shard int, want cost) {
+	t.Helper()
+	o := sum.Outcomes[shard]
+	if got := (cost{o.Attempts, o.Failovers, sum.Rescued}); got != want || o.Dead != (want.rescued > 0) {
+		t.Errorf("shard %d cost %+v (dead %v), want %+v", shard, got, o.Dead, want)
+	}
+	if o := sum.Outcomes[1-shard]; o.Attempts != 1 || o.Failovers != 0 || o.Dead {
+		t.Errorf("unfaulted shard %d: %+v, want one clean attempt", o.Shard, o)
+	}
+}
+
 // TestSingleFaults enumerates one fault at a time: each process fault
 // kind at records 0–3 of each shard's first attempt, then each pull
 // fault kind at pulls 0–6 of each of two hosts. For the pull faults each
 // shard's first attempt pauses 1 s after its first record, so the pulls
-// land mid-stream as well as in the drain.
+// land mid-stream as well as in the drain. Each sweep's cost is pinned:
+// with three records per shard, a crash, stall, torn or exit fault
+// within them costs one retry, a corrupt one kills the shard and leaves
+// its unmirrored records to rescue, a host death that fired costs one
+// failover, and every other fault costs nothing.
 func TestSingleFaults(t *testing.T) {
 	process := []fault.Fault{
 		{Kind: fault.Crash},
@@ -180,6 +222,16 @@ func TestSingleFaults(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkSweep(t, cfg, sum, took)
+					want := cost{1, 0, 0}
+					if after < 3 {
+						switch flt.Kind {
+						case fault.Crash, fault.Stall, fault.Torn, fault.Exit:
+							want.attempts = 2
+						case fault.Corrupt:
+							want.rescued = 3 - after
+						}
+					}
+					checkCost(t, sum, shard, want)
 				})
 			}
 		}
@@ -195,7 +247,7 @@ func TestSingleFaults(t *testing.T) {
 	hosts := []string{"h0", "h1"}
 	for _, base := range pull {
 		for after := 0; after <= 6; after++ {
-			for _, host := range hosts {
+			for shard, host := range hosts { // the first placement puts shard i on hosts[i]
 				flt := base
 				flt.After = after
 				t.Run(fmt.Sprintf("%s/%s", host, flt), func(t *testing.T) {
@@ -210,6 +262,11 @@ func TestSingleFaults(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkSweep(t, cfg, sum, took)
+					want := cost{1, 0, 0}
+					if f.Down(host) {
+						want.failovers = 1
+					}
+					checkCost(t, sum, shard, want)
 				})
 			}
 		}

@@ -577,59 +577,71 @@ func TestLoopbackKillAndRevive(t *testing.T) {
 
 // --- Supervision ---
 
-// TestClassifyCode pins the transient/permanent contract: the two
-// contractual codes are terminal, everything else — including the fault
-// injector's distinct codes and signal deaths — retries.
+// TestClassifyCode pins the exit-status rows of judge: the two
+// contractual codes are terminal (usage fatal, permanent dead), and
+// everything else — including the fault injector's distinct codes and
+// signal deaths — retries.
 func TestClassifyCode(t *testing.T) {
 	cases := []struct {
 		code int
-		want failureClass
+		want verdict
 	}{
-		{ExitUsage, classUsage},
-		{ExitPermanent, classPermanent},
-		{0, classTransient},
-		{1, classTransient},
-		{fault.ExitCrash, classTransient},
-		{fault.ExitTorn, classTransient},
-		{fault.ExitCorrupt, classTransient},
-		{-1, classTransient}, // killed by signal
-		{137, classTransient},
+		{ExitUsage, fatal},
+		{ExitPermanent, dead},
+		{0, retry},
+		{1, retry},
+		{fault.ExitCrash, retry},
+		{fault.ExitTorn, retry},
+		{fault.ExitCorrupt, retry},
+		{-1, retry}, // killed by signal
+		{137, retry},
 	}
 	for _, c := range cases {
-		if got := classifyCode(c.code); got != c.want {
-			t.Errorf("classifyCode(%d) = %v, want %v", c.code, got, c.want)
+		if got := judge(exitStatus(c.code)); got != c.want {
+			t.Errorf("judge(exit %d) = %v, want %v", c.code, got, c.want)
 		}
 	}
 }
 
-// TestClassify: non-exit errors (stall kills, start failures, context
-// cancellation) are transient, corruption the supervisor's own pull
-// detected is permanent, and real exit statuses route through the code
-// table.
+// TestClassify: a clean attempt completes, non-exit errors (stall kills,
+// start failures, context cancellation) retry, a dead host fails over,
+// corruption or a manifest mismatch the supervisor's own pull or resume
+// detected kills the shard, and real exit statuses route through the
+// code rows.
 func TestClassify(t *testing.T) {
-	if got := classify(errors.New("stalled, killed")); got != classTransient {
-		t.Fatalf("plain error classified %v, want transient", got)
+	if got := judge(nil); got != complete {
+		t.Fatalf("nil error judged %v, want complete", got)
+	}
+	if got := judge(errors.New("stalled, killed")); got != retry {
+		t.Fatalf("plain error judged %v, want retry", got)
 	}
 	// Corruption surfaced by the pull protocol, wrapped however deep.
 	werr := fmt.Errorf("drain shard 1: %w", fmt.Errorf("parse: %w", engine.ErrCorruptLog))
-	if got := classify(werr); got != classPermanent {
-		t.Fatalf("wrapped ErrCorruptLog classified %v, want permanent", got)
+	if got := judge(werr); got != dead {
+		t.Fatalf("wrapped ErrCorruptLog judged %v, want dead", got)
+	}
+	if got := judge(fmt.Errorf("resume: %w", engine.ErrManifestMismatch)); got != dead {
+		t.Fatalf("wrapped ErrManifestMismatch judged %v, want dead", got)
+	}
+	// A dead host is a failover, whatever exit status rides along.
+	if got := judge(fmt.Errorf("%w: h0 stopped answering pulls (%v)", ErrHostDown, exitStatus(-1))); got != failover {
+		t.Fatalf("wrapped ErrHostDown judged %v, want failover", got)
 	}
 	// An in-process worker's exit status reads the same way.
-	if got := classify(fmt.Errorf("attempt: %w", exitStatus(ExitPermanent))); got != classPermanent {
-		t.Fatalf("in-process exit 3 classified %v, want permanent", got)
+	if got := judge(fmt.Errorf("attempt: %w", exitStatus(ExitPermanent))); got != dead {
+		t.Fatalf("in-process exit 3 judged %v, want dead", got)
 	}
 	// A real child exiting with the permanent code.
 	err := exec.Command("/bin/sh", "-c", "exit 3").Run()
 	if err == nil {
 		t.Skip("no /bin/sh")
 	}
-	if got := classify(err); got != classPermanent {
-		t.Fatalf("exit 3 classified %v, want permanent", got)
+	if got := judge(err); got != dead {
+		t.Fatalf("exit 3 judged %v, want dead", got)
 	}
 	err = exec.Command("/bin/sh", "-c", "exit 7").Run()
-	if got := classify(err); got != classTransient {
-		t.Fatalf("exit 7 classified %v, want transient", got)
+	if got := judge(err); got != retry {
+		t.Fatalf("exit 7 judged %v, want retry", got)
 	}
 }
 

@@ -230,7 +230,7 @@ func (p *goProc) Err() error {
 	return exitStatus(p.code)
 }
 
-// exitStatus is an in-process worker's nonzero status, read by classify
+// exitStatus is an in-process worker's nonzero status, read by judge
 // through ExitCode like an *exec.ExitError.
 type exitStatus int
 

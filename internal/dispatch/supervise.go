@@ -4,8 +4,8 @@
 // stream — the supervisor pulls the shard's log incrementally by offset,
 // mirrors it to locally-durable storage, and treats record arrival as
 // the liveness heartbeat — so one protocol covers process death, stalls,
-// network faults and whole-host loss. Failures are classified
-// transient/permanent and retried with capped jittered backoff; a dead
+// network faults and whole-host loss. Each attempt is judged once, and
+// a transient failure is retried with capped jittered backoff; a dead
 // host triggers failover (the mirror is pushed to a healthy host, whose
 // worker resumes from it) without consuming the shard's retry budget;
 // and jobs stranded when every path is exhausted are recomputed
@@ -51,41 +51,40 @@ const (
 	backoffBase = 500 * time.Millisecond
 )
 
-// failureClass buckets one worker exit for the retry decision.
-type failureClass int
+// verdict is how one attempt ended: a row of DESIGN §10's state machine.
+type verdict int
 
 const (
-	classTransient failureClass = iota
-	classPermanent
-	classUsage
+	complete verdict = iota // the shard is done
+	retry                   // transient: spends one of fault.Retries attempts
+	failover                // the host died: spends one of pool-size failovers
+	dead                    // permanent: the shard goes to rescue
+	fatal                   // the worker rejected its flags: the sweep fails
 )
 
-// classifyCode maps a worker exit status to its failure class.
-func classifyCode(code int) failureClass {
-	switch code {
-	case ExitUsage:
-		return classUsage
-	case ExitPermanent:
-		return classPermanent
-	default:
-		return classTransient
-	}
-}
-
-// classify buckets a shard-attempt error: corruption the supervisor's
-// own pull detected is permanent (the remote bytes will not improve on
-// retry), exit statuses (any error with an ExitCode method) map through
-// classifyCode, and anything else — start failures, stall kills, dropped
-// pulls — is transient.
-func classify(err error) failureClass {
-	if errors.Is(err, engine.ErrCorruptLog) || errors.Is(err, engine.ErrManifestMismatch) {
-		return classPermanent
-	}
+// judge reads an attempt's error as its verdict: a dead host fails over
+// whatever the worker's status; corruption or a manifest mismatch is
+// permanent (the bytes will not improve on retry); exit statuses (any
+// error with an ExitCode method) read ExitUsage as fatal and
+// ExitPermanent as dead; anything else — other exits and signals, start
+// failures, stall kills, dropped pulls — retries.
+func judge(err error) verdict {
 	var exit interface{ ExitCode() int }
-	if errors.As(err, &exit) {
-		return classifyCode(exit.ExitCode())
+	switch {
+	case err == nil:
+		return complete
+	case errors.Is(err, ErrHostDown):
+		return failover
+	case errors.Is(err, engine.ErrCorruptLog) || errors.Is(err, engine.ErrManifestMismatch):
+		return dead
+	case !errors.As(err, &exit):
+		return retry
+	case exit.ExitCode() == ExitUsage:
+		return fatal
+	case exit.ExitCode() == ExitPermanent:
+		return dead
 	}
-	return classTransient
+	return retry
 }
 
 // Config parameterizes one supervised multi-process sweep.
@@ -139,8 +138,6 @@ type Outcome struct {
 	// failure, or no live hosts); its unfinished jobs need rescue.
 	Dead bool
 	Err  error
-	// usage: the worker rejected its flags — a supervisor bug, fatal.
-	usage bool
 }
 
 // Summary is a supervised sweep's result.
@@ -226,7 +223,7 @@ func supervise(ctx context.Context, cfg Config, clk clock) (Summary, error) {
 	cancelled := ctx.Err() != nil
 	if !cancelled {
 		for _, o := range sum.Outcomes {
-			if o.usage {
+			if judge(o.Err) == fatal {
 				return sum, o.Err
 			}
 		}
@@ -265,22 +262,16 @@ func (s *supervisor) runRescue(ctx context.Context, missing []int) error {
 	return err
 }
 
-// superviseShard drives one shard, first placed on host, through the
-// attempt state machine: launch, watch the pulled checkpoint stream,
-// classify, back off, acquire a host, retry. A host that dies
-// mid-attempt costs a failover, not a retry — the shard's budget
-// measures the shard's own health, and host loss is a placement problem
-// the pool absorbs (bounded by the pool size, since each failover needs
-// a host that has not already died). The shard is declared dead when a
-// permanent failure appears, the retry budget runs out, or no live hosts
-// remain.
+// superviseShard drives one shard, first placed on host: acquire a host,
+// run an attempt, judge it, and spend the budget the verdict names — a
+// retry one of fault.Retries attempts (after a backoff), a failover one
+// of pool-size failovers, since host loss is a placement problem and not
+// the shard's own health. The shard is declared dead on a permanent
+// failure, an exhausted budget, or a pool with no live host.
 func (s *supervisor) superviseShard(ctx context.Context, shard int, host string) Outcome {
 	o := Outcome{Shard: shard}
 	bo := s.backoff(shard)
-	for o.Attempts < fault.Retries {
-		if ctx.Err() != nil {
-			return o // a cancelled sweep's pool is not used again
-		}
+	for ctx.Err() == nil { // a cancelled sweep's pool is not used again
 		if host == "" {
 			var ok bool
 			if host, ok = s.pool.acquire(); !ok {
@@ -295,62 +286,58 @@ func (s *supervisor) superviseShard(ctx context.Context, shard int, host string)
 		attempt := o.Attempts + 1
 		err := s.runAttempt(ctx, shard, attempt, host)
 		s.pool.release(host)
-		on := host
-		host = ""
-		if err == nil {
+		v := judge(err)
+		switch {
+		case v == complete:
 			o.Attempts, o.Err = attempt, nil
 			return o
-		}
-		if ctx.Err() != nil {
+		case ctx.Err() != nil:
 			o.Err = err
 			return o
-		}
-		if errors.Is(err, ErrHostDown) {
+		case v == failover:
 			o.Failovers++
-			o.Err = fmt.Errorf("shard %d/%d on host %s: %w", shard, s.Shards, on, err)
-			if o.Failovers > len(s.pool.hosts) {
-				o.Dead = true
-				s.logf("sproutbench: %v: failover budget exhausted, shard dead", o.Err)
-				return o
-			}
+			o.Err = fmt.Errorf("shard %d/%d on host %s: %w", shard, s.Shards, host, err)
+		default:
+			o.Attempts = attempt
+			o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, fault.Retries, host, err)
+		}
+		host = ""
+		switch {
+		case v == fatal: // Supervise fails the sweep with o.Err
+		case v == dead:
+			s.logf("sproutbench: %v: permanent, not retrying", o.Err)
+		case o.Failovers > len(s.pool.hosts):
+			s.logf("sproutbench: %v: failover budget exhausted, shard dead", o.Err)
+		case o.Attempts == fault.Retries:
+			s.logf("sproutbench: %v: retries exhausted, shard dead", o.Err)
+		case v == failover:
 			s.logf("sproutbench: %v: failing over (pool %s)", o.Err, s.pool.state())
 			continue
-		}
-		o.Attempts = attempt
-		o.Err = fmt.Errorf("shard %d/%d attempt %d/%d on host %s: %w", shard, s.Shards, attempt, fault.Retries, on, err)
-		switch classify(err) {
-		case classUsage:
-			o.usage, o.Dead = true, true
-			return o
-		case classPermanent:
-			o.Dead = true
-			s.logf("sproutbench: %v: permanent, not retrying", o.Err)
-			return o
-		}
-		if o.Attempts < fault.Retries {
+		default:
 			delay := bo.next()
 			s.logf("sproutbench: %v: retrying in %v", o.Err, delay.Round(time.Millisecond))
-			if !s.clock.sleep(ctx, delay, nil) {
-				return o
-			}
+			s.clock.sleep(ctx, delay, nil) // cut short only by a cancelled sweep
+			continue
 		}
+		o.Dead = true
+		return o
 	}
-	o.Dead = true
-	s.logf("sproutbench: %v: retries exhausted, shard dead", o.Err)
 	return o
 }
 
-// runAttempt runs one shard attempt on host and supervises it to exit
-// through the pull protocol: push the locally-durable mirror to the host
-// (so the worker resumes past everything already safe), start the
-// worker, and poll its log by offset — absorbing records into the
-// mirror, scoring host health from pull outcomes, and treating record
-// arrival as liveness. A worker whose stream stops growing past the
-// stall deadline is killed (transient — the next attempt resumes from
-// the mirror); a host whose health decays to zero mid-attempt yields
-// ErrHostDown (failover); a terminated malformed line in the stream is
-// permanent corruption. A cancelled attempt kills its worker and still
-// drains the log, so the mirror keeps every record the worker flushed.
+// runAttempt runs one shard attempt on host: push the locally-durable
+// mirror (so the worker resumes past everything already safe), start the
+// worker, and poll its log by offset into the mirror, scoring host
+// health from each pull and reading record arrival as liveness. A stream
+// frozen past the stall deadline is killed (transient); a pull that
+// finds the host dead, or a host scored down to zero, is ErrHostDown
+// (failover) whether or not the worker still runs; a terminated
+// malformed line is permanent corruption. Once the worker has exited, or
+// been killed because the sweep was cancelled, the same loop drains the
+// log without waiting until it is clean-dry twice (at most 20 polls), so
+// every flushed record is mirrored before the attempt is judged. A
+// failed worker's drain is salvage: its status stands unless the host is
+// dead or the stream corrupt, and a failed pull ends it.
 func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host string) error {
 	sh := engine.Shard{Index: shard, Count: s.Shards}
 	tr := s.transport
@@ -395,15 +382,18 @@ func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host st
 
 	ps := newPullState(tr, host, remotePath, mirror, int64(len(data)))
 	prog := newProgress(s.clock.now(), s.Stall)
-	for {
-		if !s.clock.sleep(ctx, poll, proc.Done()) {
+	var werr error // the worker's status, once it has exited or been killed
+	exited, dry := false, 0
+	for drains := 0; drains < 20 && dry < 2; {
+		if !exited && !s.clock.sleep(ctx, poll, proc.Done()) {
+			exited = true
 			select {
 			case <-proc.Done():
-				return s.drainAttempt(ctx, ps, host, proc.Err())
+				werr = proc.Err()
 			default:
+				kill()
+				werr, ctx = context.Cause(ctx), context.WithoutCancel(ctx)
 			}
-			kill()
-			return s.drainAttempt(context.WithoutCancel(ctx), ps, host, context.Cause(ctx))
 		}
 		grew, perr := ps.poll(ctx)
 		switch {
@@ -414,48 +404,26 @@ func (s *supervisor) runAttempt(ctx context.Context, shard, attempt int, host st
 			return perr
 		default:
 			s.pool.pullError(host)
-			if s.pool.dead(host) {
+			if errors.Is(perr, ErrHostDown) || s.pool.dead(host) {
 				kill()
 				return fmt.Errorf("%w: %s stopped answering pulls (%v)", ErrHostDown, host, perr)
 			}
-		}
-		if prog.observe(s.clock.now(), grew) {
-			return fmt.Errorf("stalled (no checkpoint growth in %v) on %s, killed: %v", s.Stall, host, kill())
-		}
-	}
-}
-
-// drainAttempt finishes an attempt after its worker exited: pull the
-// stream to EOF so every record the worker flushed is locally durable
-// before the attempt is judged. Pulls can still misbehave here (a
-// dropped or truncated final pull), so the drain runs until the stream
-// is clean-dry twice in a row. For a failed worker the drain is
-// best-effort salvage — the worker's own error is the verdict — except
-// that corruption found in the stream upgrades the verdict to permanent.
-func (s *supervisor) drainAttempt(ctx context.Context, ps *pullState, host string, werr error) error {
-	dry := 0
-	for tries := 0; dry < 2 && tries < 20; tries++ {
-		grew, perr := ps.poll(ctx)
-		if perr != nil {
-			if errors.Is(perr, engine.ErrCorruptLog) {
-				return perr
-			}
-			s.pool.pullError(host)
 			if werr != nil {
 				return werr
 			}
-			if s.pool.dead(host) {
-				return fmt.Errorf("%w: %s stopped answering pulls (%v)", ErrHostDown, host, perr)
+		}
+		switch {
+		case !exited:
+			if prog.observe(s.clock.now(), grew) {
+				return fmt.Errorf("stalled (no checkpoint growth in %v) on %s, killed: %v", s.Stall, host, kill())
 			}
-			dry = 0
 			continue
-		}
-		s.pool.pullOK(host)
-		if grew {
-			dry = 0
-		} else {
+		case perr == nil && !grew:
 			dry++
+		default:
+			dry = 0
 		}
+		drains++
 	}
 	if werr != nil {
 		return werr

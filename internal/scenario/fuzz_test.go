@@ -52,6 +52,10 @@ func FuzzSpec(f *testing.F) {
 		                {"scheme": "cubic", "feedback_process": {"model": "Verizon-LTE-up"}},
 		                {"scheme": "cubic", "process": {"model": "Verizon-LTE-down"}}]}`,
 		smokeGridJSON,
+		// prop_delay out of range: refused, not run
+		`[{"scheme": "cubic", "link": "Verizon LTE", "prop_delay": -0.02}]`,
+		`[{"scheme": "sprout", "link": "Verizon LTE", "prop_delay": "-20ms"}]`,
+		`[{"scheme": "cubic", "link": "Verizon LTE", "prop_delay": 1e12}]`,
 	} {
 		f.Add([]byte(js))
 	}

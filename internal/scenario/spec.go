@@ -38,7 +38,11 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &secs); err != nil {
 		return fmt.Errorf("scenario: duration must be a string like \"150s\" or a number of seconds, got %s", b)
 	}
-	*d = Duration(secs * float64(time.Second))
+	ns := secs * float64(time.Second)
+	if ns < math.MinInt64 || ns >= math.MaxInt64 {
+		return fmt.Errorf("scenario: duration %s seconds overflows int64 nanoseconds", b)
+	}
+	*d = Duration(ns)
 	return nil
 }
 
@@ -216,6 +220,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Duration < 0 {
 		return Spec{}, fmt.Errorf("scenario: negative duration %v", time.Duration(out.Duration))
 	}
+	if out.PropDelay < 0 {
+		return Spec{}, fmt.Errorf("scenario: negative prop_delay %v", time.Duration(out.PropDelay))
+	}
 	if out.Skip < 0 || out.Skip > out.Duration {
 		return Spec{}, fmt.Errorf("scenario: skip %v outside run duration %v",
 			time.Duration(out.Skip), time.Duration(out.Duration))
@@ -361,8 +368,10 @@ func (s Spec) Normalize() (Spec, error) {
 }
 
 // Sweep expands the spec's Confidences into one spec per value — each a
-// copy with Confidence set and named "<label>-<pct>%", the §5.5 sweep
-// convention (Fig9's "sprout-95%" ... "sprout-5%"). A spec without
+// copy with Confidence set and named "<label>-<pct>%" by the nearest
+// whole percent, the §5.5 sweep convention (Fig9's "sprout-95%" ...
+// "sprout-5%"). Two confidences that round to one name are an error: no
+// report could tell their runs apart. A spec without
 // Confidences expands to itself. Every expanded spec shares the parent's
 // traces, so a suite can hand the whole sweep to RunAll and the runs
 // proceed in parallel over one trace pair.
@@ -382,7 +391,12 @@ func (s Spec) Sweep() ([]Spec, error) {
 		e := s
 		e.Confidences = nil
 		e.Confidence = conf
-		e.Name = fmt.Sprintf("%s-%d%%", base, int(conf*100))
+		e.Name = fmt.Sprintf("%s-%d%%", base, int(math.Round(conf*100)))
+		for _, prev := range out {
+			if prev.Name == e.Name {
+				return nil, fmt.Errorf("scenario: sweep confidences %v and %v are both named %q", prev.Confidence, conf, e.Name)
+			}
+		}
 		out = append(out, e)
 	}
 	return out, nil

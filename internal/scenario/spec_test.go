@@ -58,6 +58,16 @@ func TestDurationForms(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"duration": "abc"}`), &s); err == nil {
 		t.Error("bad duration string accepted")
 	}
+	// Numeric seconds past the int64-nanosecond range must not wrap.
+	for _, secs := range []string{"1e12", "-1e12", "9223372037"} {
+		err := json.Unmarshal([]byte(`{"prop_delay": `+secs+`}`), &s)
+		if err == nil || !strings.Contains(err.Error(), secs) {
+			t.Errorf("prop_delay %s seconds: error %v, want one naming the value", secs, err)
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"prop_delay": 9223372036}`), &s); err != nil {
+		t.Errorf("prop_delay just inside the int64 range: %v", err)
+	}
 }
 
 // TestNormalizeDefaults checks the resolved defaults of a minimal spec.
@@ -118,6 +128,8 @@ func TestNormalizeErrors(t *testing.T) {
 		{"unknown link", Spec{Scheme: "sprout", Link: "Starlink"}, "unknown link"},
 		{"no link or traces", Spec{Scheme: "sprout"}, "no link"},
 		{"negative duration", Spec{Scheme: "sprout", Link: "Verizon LTE", Duration: Duration(-time.Second)}, "negative duration"},
+		{"negative prop delay", Spec{Scheme: "sprout", Link: "Verizon LTE", PropDelay: Duration(-20 * time.Millisecond)}, "negative prop_delay -20ms"},
+		{"negative cubic prop delay", Spec{Scheme: "cubic", Link: "Verizon LTE", PropDelay: Duration(-time.Nanosecond)}, "negative prop_delay -1ns"},
 		{"loss out of range", Spec{Scheme: "sprout", Link: "Verizon LTE", Loss: 1.5}, "loss rate"},
 		{"negative flows", Spec{Scheme: "sprout", Link: "Verizon LTE", Flows: -2}, "negative flow count"},
 		{"bad direction", Spec{Scheme: "sprout", Link: "Verizon LTE", Direction: "sideways"}, "direction"},
@@ -300,6 +312,20 @@ func TestConfidenceSweep(t *testing.T) {
 	bad.Confidences = []float64{1.0}
 	if _, err := bad.Sweep(); err == nil {
 		t.Error("Sweep accepted confidence 1.0")
+	}
+
+	// Names take the nearest whole percent, and two that round alike
+	// are refused.
+	near := s
+	near.Confidences = []float64{0.28, 0.29, 0.57}
+	if got, err := near.Sweep(); err != nil || len(got) != 3 ||
+		got[0].Name != "sprout-28%" || got[1].Name != "sprout-29%" || got[2].Name != "sprout-57%" {
+		t.Errorf("Sweep of 0.28, 0.29, 0.57 = %+v, %v; want 28, 29 and 57%%", got, err)
+	}
+	bad = s
+	bad.Confidences = []float64{0.95, 0.951}
+	if _, err := bad.Sweep(); err == nil || !strings.Contains(err.Error(), "sprout-95%") {
+		t.Errorf("Sweep of 0.95, 0.951: error %v, want one naming sprout-95%%", err)
 	}
 
 	// Parse expands sweeps (inherited from defaults) into separate specs.
