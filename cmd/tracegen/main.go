@@ -80,7 +80,8 @@ func analyze(path string) {
 	fmt.Printf("trace:                   %s\n", path)
 	fmt.Printf("opportunities:           %d over %v\n", s.Opportunities, s.Duration.Round(time.Second))
 	fmt.Printf("mean rate:               %.0f kbps\n", s.MeanRateBps/1000)
-	fmt.Printf("interarrival p50 / p99:  %v / %v\n", s.InterarrivalP50, s.InterarrivalP99)
+	fmt.Printf("interarrival p50 / p99:  %v / %v\n",
+		s.InterarrivalP50.Round(time.Microsecond), s.InterarrivalP99.Round(time.Microsecond))
 	fmt.Printf("within 20 ms:            %.4f\n", s.FracWithin20ms)
 	fmt.Printf("tail exponent (>20ms):   %.2f\n", s.TailExponent)
 	fmt.Printf("longest gap:             %v\n", s.MaxGap.Round(time.Millisecond))

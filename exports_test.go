@@ -11,7 +11,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,20 +20,31 @@ import (
 // package-level names and "dir.(Type).Name" for methods.
 var exportAllow = map[string]string{
 	// Interfaces the standard library calls.
+	"internal/cell.(eventsByTime).Len":           "sort.Interface",
 	"internal/cell.(eventsByTime).Less":          "sort.Interface",
 	"internal/cell.(eventsByTime).Swap":          "sort.Interface",
 	"internal/scenario.(Duration).MarshalJSON":   "json.Marshaler",
 	"internal/scenario.(Duration).UnmarshalJSON": "json.Unmarshaler",
+	"internal/engine.(Stats).String":             "fmt.Stringer",
+	"internal/fault.(Plan).String":               "fmt.Stringer",
 
 	// Reference implementations that optimized code is tested against.
 	"internal/metrics.Throughput":      "batch reference for the online Accumulator",
 	"internal/metrics.EndToEndDelay":   "batch reference for the online Accumulator",
 	"internal/metrics.OmniscientDelay": "batch reference for the online Accumulator",
+	"internal/metrics.MeanDelay":       "batch reference for the online Accumulator",
 	"internal/metrics.FilterFlow":      "per-flow split of the batch reference",
 	"internal/trace.NewReplay":         "replays a materialized trace as the oracle for every streaming process",
 
 	// Fault harnesses the supervisor and dispatch tests drive.
 	"internal/dispatch.(Loopback).Revive": "host reboot",
+
+	// Lifecycle the commands leave to process exit.
+	"internal/udp.(Conn).Close": "unblocks Serve; the UDP and end-to-end tests stop their endpoints with it",
+
+	// Facade surface that only tests exercise.
+	"internal/core.(DeliveryForecaster).Clone": "public through sprout.DeliveryForecaster; the clone tests tick copies concurrently",
+	"internal/trace.(Trace).Slice":             "public through sprout.Trace; the saturator test windows its ground truth with it",
 
 	// State tests read as their oracle: the posterior, and counters of
 	// what an endpoint did.
@@ -54,6 +64,7 @@ var exportAllow = map[string]string{
 	"internal/network.(Pool).Allocated":           "arena high-water mark the leak and allocation guards read",
 	"internal/app.(Sender).Decreases":             "rate-cut count the app-model tests assert",
 	"internal/tcp.(Sender).SRTT":                  "end state compared by the segment-ring differential",
+	"internal/tcp.(Sender).Stats":                 "transmission counters the segment-ring differential and the tunnel-Cubic test compare",
 	"internal/tcp.(Receiver).Segments":            "end state compared by the segment-ring differential",
 	"internal/tcp.(Receiver).NextExpected":        "in-order progress the TCP tests assert",
 	"internal/transport.(Receiver).FeedbacksSent": "feedback count the transport tests assert",
@@ -61,196 +72,106 @@ var exportAllow = map[string]string{
 	"internal/tunnel.(Egress).BadFrames":          "malformed-frame count the tunnel tests assert",
 }
 
-// exportedDecl is one exported name declared in a non-test file.
-type exportedDecl struct {
-	dir, key, name string
-	method         bool
-}
-
-// parsedFile is one non-test Go file of the module.
-type parsedFile struct {
-	dir  string
-	file *ast.File
-}
-
-// parseModule parses every non-test .go file under the module root,
-// skipping dot-directories and testdata.
-func parseModule(t *testing.T) []parsedFile {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []parsedFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, parsedFile{dir: filepath.ToSlash(filepath.Dir(path)), file: f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
-// recvName returns the receiver's type name, pointer and type parameters
-// stripped.
-func recvName(fd *ast.FuncDecl) string {
-	e := fd.Recv.List[0].Type
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// exportedDecls lists the exported funcs, methods, types, consts and vars
-// a file declares.
-func exportedDecls(pf parsedFile) []exportedDecl {
-	var out []exportedDecl
-	add := func(id *ast.Ident) {
-		if id.IsExported() {
-			out = append(out, exportedDecl{dir: pf.dir, key: pf.dir + "." + id.Name, name: id.Name})
-		}
-	}
-	for _, decl := range pf.file.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				add(d.Name)
-			} else if d.Name.IsExported() {
-				out = append(out, exportedDecl{
-					dir: pf.dir, name: d.Name.Name, method: true,
-					key: pf.dir + ".(" + recvName(d) + ")." + d.Name.Name,
-				})
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					add(s.Name)
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						add(id)
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // TestNoUnusedExports holds internal/ to its callers: an exported name that
 // only tests reference is either deleted, moved beside its test, or listed
-// in exportAllow with its reason. It works from syntax alone (go/parser,
-// nothing to download). A name counts as referenced by a selector on an
-// import of its package from another package's non-test code, by a
-// selector of a method's name there, or by any further occurrence of the
-// identifier in its own package's non-test code — an interface method it
-// satisfies, a signature it appears in, a call. So it can miss an unused
-// name that shares a used one's spelling, never flag a used one. It logs
-// the exported-name count over the root package and internal/ so a PR's
+// in exportAllow with its reason. Names resolve with go/types
+// (checkModule), so a name that shares a used one's spelling is still
+// caught. A name counts as used when non-test code outside its own
+// declaration refers to its object, or when it is a method that satisfies
+// a method of an interface non-test code calls through. It logs the
+// exported-name count over the root package and internal/ so a PR's
 // surface delta is a number.
 func TestNoUnusedExports(t *testing.T) {
-	files := parseModule(t)
+	m := checkModule(t)
 
-	// pkgRefs[dir][Name]: Name selected on an import of dir from another
-	// package. selRefs[Name]: dirs whose files select .Name on anything
-	// else. idents[dir][Name]: occurrences of the identifier in dir.
-	pkgRefs := map[string]map[string]bool{}
-	selRefs := map[string]map[string]bool{}
-	idents := map[string]map[string]int{}
-	mark := func(m map[string]map[string]bool, a, b string) {
-		if m[a] == nil {
-			m[a] = map[string]bool{}
-		}
-		m[a][b] = true
-	}
-	for _, pf := range files {
-		imports := map[string]string{} // local name -> dir
-		for _, im := range pf.file.Imports {
-			path, _ := strconv.Unquote(im.Path.Value)
-			dir, ok := strings.CutPrefix(path, "sprout/")
-			if !ok {
-				continue
-			}
-			local := dir[strings.LastIndex(dir, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = dir
-		}
-		if idents[pf.dir] == nil {
-			idents[pf.dir] = map[string]int{}
-		}
-		ast.Inspect(pf.file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				idents[pf.dir][x.Name]++
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-					if dir := imports[pkg.Name]; dir != pf.dir {
-						mark(pkgRefs, dir, x.Sel.Name)
+	// decl[pos]: the span of the declaration whose name sits at pos.
+	type span struct{ from, to token.Pos }
+	decl := map[token.Pos]span{}
+	for _, f := range m.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				decl[d.Name.Pos()] = span{d.Pos(), d.End()}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						decl[s.Name.Pos()] = span{s.Pos(), s.End()}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							decl[id.Pos()] = span{s.Pos(), s.End()}
+						}
 					}
-				} else {
-					mark(selRefs, x.Sel.Name, pf.dir)
 				}
 			}
-			return true
-		})
+		}
+	}
+	used := map[types.Object]bool{}
+	called := map[*types.Interface]bool{} // interfaces non-test code calls through
+	for id, obj := range m.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[recv.Type().Underlying().(*types.Interface)] = true
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if sp, ok := decl[obj.Pos()]; !ok || id.Pos() < sp.from || id.Pos() >= sp.to {
+			used[obj] = true
+		}
+	}
+	satisfies := func(fn *types.Func, recv types.Type) bool {
+		for iface := range called {
+			m, _, _ := types.LookupFieldOrMethod(iface, false, fn.Pkg(), fn.Name())
+			if m != nil && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
+				return true
+			}
+		}
+		return false
 	}
 
-	var decls []exportedDecl
-	declared := map[string]int{} // "dir.Name" -> declarations of that spelling
-	for _, pf := range files {
-		if pf.dir == "." || strings.HasPrefix(pf.dir, "internal/") {
-			for _, d := range exportedDecls(pf) {
-				decls = append(decls, d)
-				declared[d.dir+"."+d.name]++
-			}
-		}
-	}
+	names := 0
 	seen := map[string]bool{}
-	for _, d := range decls {
-		if d.dir == "." {
-			continue // the facade is the module's public surface
-		}
-		seen[d.key] = true
-		used := idents[d.dir][d.name] > declared[d.dir+"."+d.name]
-		if d.method {
-			for dir := range selRefs[d.name] {
-				used = used || dir != d.dir
-			}
-		} else {
-			used = used || pkgRefs[d.dir][d.name]
-		}
-		reason, allowed := exportAllow[d.key]
+	check := func(key string, used bool) {
+		seen[key] = true
+		reason, allowed := exportAllow[key]
 		switch {
 		case used && allowed:
-			t.Errorf("%s is allowlisted (%s) but non-test code references it: drop it from exportAllow", d.key, reason)
+			t.Errorf("%s is allowlisted (%s) but non-test code references it: drop it from exportAllow", key, reason)
 		case !used && !allowed:
-			t.Errorf("%s is exported but only tests reference it: delete it, move it beside its test, or allowlist it with a reason", d.key)
+			t.Errorf("%s is exported but only tests reference it: delete it, move it beside its test, or allowlist it with a reason", key)
+		}
+	}
+	for path, pkg := range m.pkgs {
+		dir := strings.TrimPrefix(path, "sprout/")
+		facade := path == "sprout" // the module's public surface
+		if !facade && !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				names++
+				if !facade {
+					check(dir+"."+name, used[obj])
+				}
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				fn := named.Method(i)
+				if fn.Exported() {
+					names++
+					if !facade {
+						check(dir+".("+name+")."+fn.Name(), used[fn] || satisfies(fn, named))
+					}
+				}
+			}
 		}
 	}
 	for key := range exportAllow {
@@ -258,7 +179,7 @@ func TestNoUnusedExports(t *testing.T) {
 			t.Errorf("exportAllow names %s, which does not exist", key)
 		}
 	}
-	t.Logf("exported names (root + internal/, non-test files): %d", len(decls))
+	t.Logf("exported names (root + internal/, non-test files): %d", names)
 }
 
 // fieldAllow lists the exported struct fields under internal/ that only

@@ -191,9 +191,6 @@ func (s *Sender) Reset(flow uint32, profile Profile, clock sim.Clock, conn netwo
 	s.scheduleNext()
 }
 
-// Rate returns the current encode rate in bits/s.
-func (s *Sender) Rate() float64 { return s.rate }
-
 // Decreases returns how many times the rate was cut.
 func (s *Sender) Decreases() int64 { return s.decreases }
 
@@ -305,9 +302,6 @@ func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn net
 	r.reportTimer.Stop() // no-op after a clock reset (stale handle)
 	r.reportTimer = clock.After(reportInterval, r.reportFn)
 }
-
-// Received returns the number of media packets received.
-func (r *Receiver) Received() uint64 { return r.received }
 
 // Receive processes arriving media packets.
 func (r *Receiver) Receive(pkt *network.Packet) {

@@ -90,7 +90,7 @@ func TestAppRampsUpOnCleanLink(t *testing.T) {
 	// MaxRate.
 	sess := newAppSession(Skype(), steadyTrace(800, 70*time.Second, 1))
 	sess.loop.Run(60 * time.Second)
-	if got := sess.snd.Rate(); got < 1_500_000 {
+	if got := sess.snd.rate; got < 1_500_000 {
 		t.Errorf("rate after 60s on clean 9.6 Mb/s link = %.0f, want near the 2 Mb/s ceiling", got)
 	}
 	if sess.snd.Decreases() > 3 {
@@ -101,7 +101,7 @@ func TestAppRampsUpOnCleanLink(t *testing.T) {
 func TestAppRespectsCeiling(t *testing.T) {
 	sess := newAppSession(Facetime(), steadyTrace(800, 70*time.Second, 2))
 	sess.loop.Run(60 * time.Second)
-	if got := sess.snd.Rate(); got > Facetime().MaxRate {
+	if got := sess.snd.rate; got > Facetime().MaxRate {
 		t.Errorf("rate %v exceeds ceiling %v", got, Facetime().MaxRate)
 	}
 }
@@ -115,7 +115,7 @@ func TestAppBacksOffOnCongestion(t *testing.T) {
 	if sess.snd.Decreases() == 0 {
 		t.Fatal("no rate decreases despite overloaded link")
 	}
-	if got := sess.snd.Rate(); got > 600_000 {
+	if got := sess.snd.rate; got > 600_000 {
 		t.Errorf("rate after sustained congestion = %.0f, want throttled", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestAppLossTriggersBackoff(t *testing.T) {
 	if snd.Decreases() == 0 {
 		t.Error("10% loss should trigger rate decreases")
 	}
-	if snd.Rate() > 2_000_000 {
-		t.Errorf("rate %.0f too high under 10%% loss", snd.Rate())
+	if snd.rate > 2_000_000 {
+		t.Errorf("rate %.0f too high under 10%% loss", snd.rate)
 	}
 }

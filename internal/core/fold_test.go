@@ -14,6 +14,13 @@ import (
 	"sprout/internal/stats"
 )
 
+// row returns the folded bins-long slice at (tick, count k).
+func (t *forecastTable) row(tick, k int) []float64 {
+	r := t.off[tick] + k
+	t.fold(r, tick, make([]float64, t.bins))
+	return t.flat[r*t.bins : (r+1)*t.bins]
+}
+
 // freshTableCache gives the test empty process-wide caches (forecast tables
 // and observation rows) and puts the old ones back afterwards, so what it
 // asserts about sharing does not depend on which tests filled the 16 slots

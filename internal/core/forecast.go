@@ -62,13 +62,6 @@ func (t *forecastTable) fold(r, tick int, tmp []float64) {
 	})
 }
 
-// row returns the folded bins-long slice at (tick, count k).
-func (t *forecastTable) row(tick, k int) []float64 {
-	r := t.off[tick] + k
-	t.fold(r, tick, make([]float64, t.bins))
-	return t.flat[r*t.bins : (r+1)*t.bins]
-}
-
 // buildForecastTable builds the table for m's parameters: the raw CDF rows
 // and m's evolution, to be folded into each row on its first use. It only
 // reads m.

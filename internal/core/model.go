@@ -560,9 +560,6 @@ func (m *Model) trim() {
 	m.lo, m.hi = lo, hi
 }
 
-// Tick performs one full inference update: evolve then observe.
-func (m *Model) Tick(packets float64) { m.tick(packets, ObsExact) }
-
 // tick evolves one tick, then applies the observation in the given mode.
 // Every mode ends in trim — a tick that multiplies nothing in (a skip, or
 // a censored count of zero) too, so the window never grows on idle links.

@@ -9,6 +9,10 @@ import (
 	"sprout/internal/stats"
 )
 
+// Tick performs one full inference update: evolve, then observe packets
+// exactly.
+func (m *Model) Tick(packets float64) { m.tick(packets, ObsExact) }
+
 func almostOne(s float64) bool { return math.Abs(s-1) < 1e-9 }
 
 func sum(xs []float64) float64 {

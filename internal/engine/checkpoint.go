@@ -181,7 +181,7 @@ func readLog(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, _, err := parseRecords(raw)
+	recs, _, err := ParseRecords(raw)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", path, err)
 	}
@@ -203,7 +203,7 @@ func OpenShardLog(path string) ([]int, *os.File, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	recs, good, err := parseRecords(raw)
+	recs, good, err := ParseRecords(raw)
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("engine: shard log %s: %w", path, err)

@@ -62,16 +62,7 @@ type Job struct {
 // cmd/sproutbench invocation, the bench child's repeated passes) reuse
 // their worlds instead of rebuilding them.
 type WorkerState struct {
-	id   int
 	vals map[any]any
-}
-
-// ID returns the worker's index in the pool, in [0, Workers).
-func (ws *WorkerState) ID() int {
-	if ws == nil {
-		return 0
-	}
-	return ws.id
 }
 
 // Value returns the worker-local value for key, building it with mk on
@@ -163,9 +154,6 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // Run executes the jobs and blocks until all have finished or been
 // skipped. The first error in job order is returned, wrapped with the
 // job's name, and cancels the jobs that have not yet started; jobs that
@@ -192,7 +180,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (Stats, error) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for len(e.states) < workers {
-		e.states = append(e.states, &WorkerState{id: len(e.states), vals: map[any]any{}})
+		e.states = append(e.states, &WorkerState{vals: map[any]any{}})
 	}
 	for w := 0; w < workers; w++ {
 		ws := e.states[w]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -167,10 +168,21 @@ func TestRunHonoursContext(t *testing.T) {
 }
 
 func TestWorkersDefault(t *testing.T) {
-	if New(0).Workers() < 1 {
-		t.Error("default pool must have at least one worker")
+	jobs := make([]Job, 64)
+	for i := range jobs {
+		jobs[i].Run = func(context.Context, *WorkerState) error { return nil }
 	}
-	if got := New(3).Workers(); got != 3 {
+	workers := func(e *Engine) int {
+		st, err := e.Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Workers
+	}
+	if got, want := workers(New(0)), min(runtime.GOMAXPROCS(0), len(jobs)); got != want {
+		t.Errorf("default pool ran %d workers, want GOMAXPROCS (%d)", got, want)
+	}
+	if got := workers(New(3)); got != 3 {
 		t.Errorf("workers = %d, want 3", got)
 	}
 }
@@ -302,9 +314,6 @@ func TestWorkerStateNilSafe(t *testing.T) {
 	}
 	if got := ws.Value("k", mk); got != 2 {
 		t.Errorf("nil state must not cache, got %v", got)
-	}
-	if ws.ID() != 0 {
-		t.Errorf("nil ID = %d", ws.ID())
 	}
 }
 

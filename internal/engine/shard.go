@@ -164,27 +164,22 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, _, err := parseRecords(raw)
+	recs, _, err := ParseRecords(raw)
 	return recs, err
 }
 
 // ParseRecords parses a chunk of shard-log bytes, returning the records
 // it holds plus the byte offset just past the last complete, valid
-// record. An unterminated trailing fragment is not an error — it is the
-// torn tail of a killed writer, or the mid-record cut of a partial
-// network pull, and the returned offset stops before it so the caller
-// can resume from exactly there. A terminated malformed line is an error
-// wrapping ErrCorruptLog, with the valid prefix still returned. This is
-// the incremental half of ReadRecords: remote-dispatch pullers feed it
-// successive chunks and advance their offset by the good bytes of each.
-func ParseRecords(raw []byte) ([]Record, int64, error) { return parseRecords(raw) }
-
-// parseRecords returns the records in raw plus the byte offset just past
-// the last complete, valid record — the truncation point a resuming
-// writer must seek to. On a corrupt (terminated malformed) line it
-// returns the valid prefix records and offset alongside the error, so
-// salvage paths need no second parse.
-func parseRecords(raw []byte) ([]Record, int64, error) {
+// record: the truncation point a resuming writer must seek to. An
+// unterminated trailing fragment is not an error — it is the torn tail of
+// a killed writer, or the mid-record cut of a partial network pull, and
+// the returned offset stops before it so the caller can resume from
+// exactly there. A terminated malformed line is an error wrapping
+// ErrCorruptLog, returned alongside the valid prefix records and offset,
+// so salvage paths need no second parse. This is the incremental half of
+// ReadRecords: remote-dispatch pullers feed it successive chunks and
+// advance their offset by the good bytes of each.
+func ParseRecords(raw []byte) ([]Record, int64, error) {
 	var recs []Record
 	var good int64
 	for lineNo := 1; len(raw) > 0; lineNo++ {

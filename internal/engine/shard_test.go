@@ -111,7 +111,7 @@ func TestReadRecordsTornTail(t *testing.T) {
 	goodLen := buf.Len()
 	buf.WriteString(`{"i":2,"dat`) // killed mid-write
 
-	recs, good, err := parseRecords(buf.Bytes())
+	recs, good, err := ParseRecords(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,23 +199,23 @@ func TestFig1Timeseries(t *testing.T) {
 }
 
 func TestFig2Distribution(t *testing.T) {
-	d, err := fig2(Options{Duration: 60 * time.Second}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	s := fig2Stats(Options{Duration: 60 * time.Second}.withDefaults())
+	if s.Opportunities < 2 {
+		t.Fatal("empty trace")
 	}
-	t.Logf("fig2: n=%d p50=%.0fus p99=%.0fus frac<20ms=%.4f tail=%.2f (bins=%d) maxgap=%.1fs",
-		d.count, d.p50us, d.p99us, d.fracWithin20, d.tailExponent, d.tailBinsUsed, d.maxGapSeconds)
+	t.Logf("fig2: n=%d p50=%v p99=%v frac<20ms=%.4f tail=%.2f (bins=%d) maxgap=%v",
+		s.Opportunities-1, s.InterarrivalP50, s.InterarrivalP99, s.FracWithin20ms, s.TailExponent, s.TailBins, s.MaxGap)
 	// Figure 2's qualitative content: the vast majority of interarrivals
 	// are short, but the distribution has a heavy tail with multi-second
 	// gaps and a negative power-law exponent.
-	if d.fracWithin20 < 0.95 {
-		t.Errorf("frac within 20ms = %v, want > 0.95", d.fracWithin20)
+	if s.FracWithin20ms < 0.95 {
+		t.Errorf("frac within 20ms = %v, want > 0.95", s.FracWithin20ms)
 	}
-	if d.maxGapSeconds < 1 {
-		t.Errorf("max gap = %vs, want outage-scale gaps", d.maxGapSeconds)
+	if s.MaxGap < time.Second {
+		t.Errorf("max gap = %v, want outage-scale gaps", s.MaxGap)
 	}
-	if d.tailExponent >= -1 {
-		t.Errorf("tail exponent = %v, want steep negative slope", d.tailExponent)
+	if s.TailExponent >= -1 {
+		t.Errorf("tail exponent = %v, want steep negative slope", s.TailExponent)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sprout/internal/engine"
 	"sprout/internal/link"
 	"sprout/internal/scenario"
-	"sprout/internal/stats"
 	"sprout/internal/trace"
 )
 
@@ -387,72 +386,34 @@ func perSecondDelayMs(dl []link.Delivery, from, to time.Duration) float64 {
 	return ms(worst)
 }
 
-// fig2Data summarizes the saturated-link interarrival distribution
-// (Figure 2): quantiles, the fraction of interarrivals under 20 ms, and
-// the fitted power-law tail exponent.
-type fig2Data struct {
-	count         int
-	p50us         float64
-	p99us         float64
-	fracWithin20  float64 // fraction of interarrivals < 20 ms
-	tailExponent  float64 // fitted slope of log-density vs log-time
-	tailBinsUsed  int
-	maxGapSeconds float64
-}
-
-// fig2 generates a long saturated Verizon LTE downlink trace and fits its
-// interarrival distribution, reproducing the analysis behind Figure 2
-// (the paper fits t^-3.27 on its 1.2M-packet trace).
-func fig2(opt Options) (fig2Data, error) {
+// fig2Stats generates a long saturated Verizon LTE downlink trace and
+// analyses its interarrivals with trace.ComputeStats, the analysis behind
+// Figure 2 (the paper fits t^-3.27 on its 1.2M-packet trace) and the one
+// `tracegen -info` runs on a trace file.
+func fig2Stats(opt Options) trace.Stats {
 	model, _ := trace.CanonicalLink("Verizon-LTE-down")
 	// Longer than the experiment runs: Figure 2 is about distribution
 	// tails, which need samples. The trace RNG derives through
 	// engine.DeriveSeed like every other job's randomness, so seed
 	// derivation stays uniform and auditable across the suite.
 	rng := rand.New(rand.NewSource(engine.DeriveSeed(opt.Seed, "fig2", model.Name)))
-	tr := model.Generate(10*opt.Duration, rng)
-	gaps := tr.Interarrivals()
-	if len(gaps) == 0 {
-		return fig2Data{}, fmt.Errorf("empty trace")
-	}
-	h := stats.NewLogHistogram(0.05, 10_000, 120) // 0.05 ms .. 10 s, log bins (ms)
-	var within20 int
-	var maxGap time.Duration
-	us := make([]float64, len(gaps))
-	for i, g := range gaps {
-		h.Observe(ms(g))
-		if g < 20*time.Millisecond {
-			within20++
-		}
-		maxGap = max(maxGap, g)
-		us[i] = float64(g) / float64(time.Microsecond)
-	}
-	qs := stats.Quantiles(us, 0.5, 0.99)
-	slope, used := h.PowerLawTailFit(20) // fit the >20 ms tail as the paper does
-	return fig2Data{
-		count:         len(gaps),
-		p50us:         qs[0],
-		p99us:         qs[1],
-		fracWithin20:  float64(within20) / float64(len(gaps)),
-		tailExponent:  slope,
-		tailBinsUsed:  used,
-		maxGapSeconds: maxGap.Seconds(),
-	}, nil
+	return model.Generate(10*opt.Duration, rng).ComputeStats()
 }
 
 func renderFig2(opt Options) (string, error) {
-	d, err := fig2(opt)
-	if err != nil {
-		return "", err
+	s := fig2Stats(opt)
+	if s.Opportunities < 2 {
+		return "", fmt.Errorf("empty trace")
 	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "interarrivals analysed:        %d\n", d.count)
-	fmt.Fprintf(&b, "median interarrival:           %.0f us\n", d.p50us)
-	fmt.Fprintf(&b, "99th percentile interarrival:  %.0f us\n", d.p99us)
-	fmt.Fprintf(&b, "fraction within 20 ms:         %.4f (paper: 99.99%%)\n", d.fracWithin20)
+	fmt.Fprintf(&b, "interarrivals analysed:        %d\n", s.Opportunities-1)
+	fmt.Fprintf(&b, "median interarrival:           %.0f us\n", us(s.InterarrivalP50))
+	fmt.Fprintf(&b, "99th percentile interarrival:  %.0f us\n", us(s.InterarrivalP99))
+	fmt.Fprintf(&b, "fraction within 20 ms:         %.4f (paper: 99.99%%)\n", s.FracWithin20ms)
 	fmt.Fprintf(&b, "power-law tail exponent:       %.2f over %d bins (paper: -3.27)\n",
-		d.tailExponent, d.tailBinsUsed)
-	fmt.Fprintf(&b, "longest gap (outage):          %.2f s\n", d.maxGapSeconds)
+		s.TailExponent, s.TailBins)
+	fmt.Fprintf(&b, "longest gap (outage):          %.2f s\n", s.MaxGap.Seconds())
 	return b.String(), nil
 }
 

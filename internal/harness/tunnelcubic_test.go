@@ -71,7 +71,7 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 			ingressDown.Backlog(), ingressUp.Backlog(), sndDown.Window(), sndUp.Window(), sndDown.ForecastTotal())
 	}
 	loop.Run(opt.Duration)
-	kbps = metrics.Throughput(egressDown.Deliveries(), opt.Skip, opt.Duration) / 1000
+	kbps = metrics.Throughput(egressDown.TakeDeliveries(), opt.Skip, opt.Duration) / 1000
 	_, _, to, _ := tcpSnd.Stats()
 	return kbps, to, ingressDown.HeadDrops()
 }

@@ -464,3 +464,61 @@ func TestLinkLogMatchesParent(t *testing.T) {
 		}
 	}
 }
+
+// countingSource counts the draws a rand.Rand takes from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+
+// TestStaleArrivalsDrawNoLoss: on a lossy link, an arrival at a slot that
+// was detached while it was in flight is dropped as stale before any loss
+// draw, so it takes no randomness and the loss stream the slot's next user
+// sees does not depend on what was in flight at the Detach. Then a packet
+// that lands on the reattached slot takes exactly one draw.
+func TestStaleArrivalsDrawNoLoss(t *testing.T) {
+	ops := make([]time.Duration, 100)
+	for i := range ops {
+		ops[i] = time.Duration(i+1) * time.Millisecond
+	}
+	for _, sched := range []link.Scheduler{nil, roundRobin()} {
+		name := "dedicated"
+		if sched != nil {
+			name = "tower"
+		}
+		src := &countingSource{Source: rand.NewSource(1)}
+		loop := sim.New()
+		l := link.New(loop, link.Config{
+			Trace:            &trace.Trace{Name: "steady", Opportunities: ops},
+			PropagationDelay: 10 * time.Millisecond,
+			LossRate:         0.5,
+			Rand:             rand.New(src),
+			Scheduler:        sched,
+		}, nil)
+		slot := 0
+		if sched != nil {
+			slot = l.Attach()
+		}
+		for i := 0; i < 10; i++ {
+			l.SendTo(slot, &network.Packet{Seq: int64(i), Size: 100})
+		}
+		l.Detach(slot)
+		if got := l.Attach(); got != slot {
+			t.Fatalf("%s: Attach = slot %d, want the vacated slot %d", name, got, slot)
+		}
+		loop.Run(30 * time.Millisecond)
+		if got := l.StaleDrops(); got != 10 {
+			t.Errorf("%s: %d stale drops, want the 10 packets in flight at the Detach", name, got)
+		}
+		if src.draws != 0 {
+			t.Errorf("%s: stale arrivals took %d loss draws, want none", name, src.draws)
+		}
+		l.SendTo(slot, &network.Packet{Seq: 10, Size: 100})
+		loop.Run(60 * time.Millisecond)
+		if src.draws != 1 {
+			t.Errorf("%s: a live arrival took %d loss draws, want 1", name, src.draws)
+		}
+	}
+}

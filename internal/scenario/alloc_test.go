@@ -46,8 +46,8 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 // else — so a multi-group roster allocates exactly what its schemes'
 // constructors do per flow: nothing for Sprout (the memoized forecaster
 // is Reset in place) and for an application flow (its profile was resolved
-// when the scheme registered), two per TCP flow (tcpConstructor asks
-// tcp.NewCC for a fresh congestion controller bound to the clock's Now).
+// when the scheme registered), two per TCP flow (tcpConstructor builds a
+// fresh congestion controller bound to the clock's Now).
 func TestPooledWorldRerunAllocsMultiFlow(t *testing.T) {
 	cases := []struct {
 		groups []FlowGroup

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"sprout/internal/app"
 	"sprout/internal/core"
@@ -13,8 +14,8 @@ import (
 // The built-in registrations cover the paper's ten schemes in figure order
 // plus one extra, plain Reno. Each family shares one constructor shape:
 // Sprout variants differ only in their Forecaster, TCP baselines in their
-// CongestionControl (via tcp.NewCC), and the interactive applications in
-// their app.Profile (from app.Profiles).
+// CongestionControl and receive-window cap, and the interactive
+// applications in their app.Profile (from app.Profiles).
 
 func init() {
 	// Sprout family.
@@ -45,32 +46,37 @@ func init() {
 		Name:        "cubic",
 		Description: "TCP Cubic, the Linux default (§5)",
 		BaseFlow:    1,
-		New:         tcpConstructor("cubic"),
+		New:         tcpConstructor("cubic", newCubic, 0),
 	})
 	Register(Scheme{
 		Name:        "cubic-codel",
 		Description: "TCP Cubic with CoDel AQM at the bottleneck (§5.4)",
 		UsesCoDel:   true,
 		BaseFlow:    1,
-		New:         tcpConstructor("cubic"),
+		New:         tcpConstructor("cubic", newCubic, 0),
 	})
 	Register(Scheme{
 		Name:        "vegas",
 		Description: "TCP Vegas, delay-based congestion avoidance (§5)",
 		BaseFlow:    1,
-		New:         tcpConstructor("vegas"),
+		New:         tcpConstructor("vegas", clockless(tcp.NewVegas), 0),
 	})
 	Register(Scheme{
 		Name:        "compound",
 		Description: "Compound TCP, the Windows default (§5)",
 		BaseFlow:    1,
-		New:         tcpConstructor("compound"),
+		// The paper's Compound endpoint is Windows 7, whose receive-window
+		// autotuning is far more conservative than Linux's (~256 kB vs
+		// ~4 MB): without the 170-segment cap the deep-buffer queue is
+		// receive-window-bound and Compound would be indistinguishable
+		// from Cubic.
+		New: tcpConstructor("compound", clockless(tcp.NewCompound), 170),
 	})
 	Register(Scheme{
 		Name:        "ledbat",
 		Description: "LEDBAT scavenger transport (§5)",
 		BaseFlow:    1,
-		New:         tcpConstructor("ledbat"),
+		New:         tcpConstructor("ledbat", clockless(tcp.NewLEDBAT), 0),
 	})
 
 	// Extras beyond the paper's grid.
@@ -79,7 +85,7 @@ func init() {
 		Description: "TCP NewReno, the loss-recovery base of the TCP substrate",
 		Extra:       true,
 		BaseFlow:    1,
-		New:         tcpConstructor("reno"),
+		New:         tcpConstructor("reno", clockless(tcp.NewRenoCC), 0),
 	})
 }
 
@@ -139,26 +145,26 @@ type tcpEndpoints struct {
 	ep  Endpoint
 }
 
-// tcpConstructor builds a TCP-baseline constructor around a registered
-// congestion controller.
-func tcpConstructor(cc string) Constructor {
-	kind := "tcp/" + cc
+// newCubic builds Cubic on the flow's clock: its window grows in real
+// (here virtual) time.
+func newCubic(now func() time.Duration) tcp.CongestionControl { return tcp.NewCubic(now) }
+
+// clockless adapts the constructor of a controller that keeps no clock.
+func clockless[C tcp.CongestionControl](f func() C) func(now func() time.Duration) tcp.CongestionControl {
+	return func(func() time.Duration) tcp.CongestionControl { return f() }
+}
+
+// tcpConstructor builds a TCP-baseline constructor: each attach gets a fresh
+// controller from newCC, bound to the flow's clock, and a receive window
+// capped at maxWindow segments (0: the sender's default). kind tags the
+// controller in the endpoint memo, so schemes that share one share
+// endpoints.
+func tcpConstructor(kind string, newCC func(now func() time.Duration) tcp.CongestionControl, maxWindow int) Constructor {
+	kind = "tcp/" + kind
 	return func(cfg AttachConfig) (Endpoint, error) {
-		ctrl, ok := tcp.NewCC(cc, cfg.Clock.Now)
-		if !ok {
-			return Endpoint{}, fmt.Errorf("scenario: no congestion controller %q (have %v)", cc, tcp.CCNames())
-		}
 		sc := tcp.SenderConfig{
-			Flow: cfg.Flow, Clock: cfg.Clock, Conn: cfg.DataConn, CC: ctrl, MSS: cfg.MSS,
-			Pool: cfg.Packets,
-		}
-		if cc == "compound" {
-			// The paper's Compound endpoint is Windows 7, whose
-			// receive-window autotuning is far more conservative
-			// than Linux's (~256 kB vs ~4 MB); without this the
-			// deep-buffer queue is receive-window-bound and
-			// Compound would be indistinguishable from Cubic.
-			sc.MaxWindow = 170
+			Flow: cfg.Flow, Clock: cfg.Clock, Conn: cfg.DataConn, CC: newCC(cfg.Clock.Now), MSS: cfg.MSS,
+			MaxWindow: maxWindow, Pool: cfg.Packets,
 		}
 		if v, ok := cfg.Memoized(kind, 0); ok {
 			te := v.(*tcpEndpoints)

@@ -6,13 +6,11 @@ import "math"
 // reproduce the interarrival-time distribution in Figure 2 of the paper
 // (which is plotted on log-log axes and fit with a power-law tail).
 type LogHistogram struct {
-	lo, hi    float64 // value range covered by the log bins
-	bins      []int64
-	logLo     float64
-	logWidth  float64
-	underflow int64
-	overflow  int64
-	count     int64
+	lo, hi   float64 // value range covered by the log bins
+	bins     []int64
+	logLo    float64
+	logWidth float64
+	count    int64 // every observation, in range or not
 }
 
 // NewLogHistogram creates a histogram over [lo, hi) with n log-spaced bins.
@@ -31,12 +29,7 @@ func NewLogHistogram(lo, hi float64, n int) *LogHistogram {
 // Observe records one value.
 func (h *LogHistogram) Observe(v float64) {
 	h.count++
-	if v < h.lo {
-		h.underflow++
-		return
-	}
-	if v >= h.hi {
-		h.overflow++
+	if v < h.lo || v >= h.hi {
 		return
 	}
 	i := int((math.Log(v) - h.logLo) / h.logWidth)
@@ -46,18 +39,12 @@ func (h *LogHistogram) Observe(v float64) {
 	h.bins[i]++
 }
 
-// Count returns the total number of observations.
-func (h *LogHistogram) Count() int64 { return h.count }
-
 // Bin returns the lower edge, upper edge and count of bin i.
 func (h *LogHistogram) Bin(i int) (lo, hi float64, n int64) {
 	lo = math.Exp(h.logLo + float64(i)*h.logWidth)
 	hi = math.Exp(h.logLo + float64(i+1)*h.logWidth)
 	return lo, hi, h.bins[i]
 }
-
-// NumBins returns the number of log-spaced bins.
-func (h *LogHistogram) NumBins() int { return len(h.bins) }
 
 // PowerLawTailFit fits log(density) = a + slope*log(x) over the bins whose
 // lower edge is >= from, using least squares on the nonempty bins' midpoint

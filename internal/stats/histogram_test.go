@@ -13,8 +13,8 @@ func TestLogHistogramBinning(t *testing.T) {
 	h.Observe(500)
 	h.Observe(0.5)  // underflow
 	h.Observe(2000) // overflow
-	if h.Count() != 5 {
-		t.Errorf("Count = %d, want 5", h.Count())
+	if h.count != 5 {
+		t.Errorf("count = %d, want 5", h.count)
 	}
 	for i := 0; i < 3; i++ {
 		_, _, n := h.Bin(i)

@@ -71,9 +71,6 @@ func (s *IntervalSet) Reset() {
 	s.floor = 0
 }
 
-// Floor returns the current received-or-lost floor.
-func (s *IntervalSet) Floor() int64 { return s.floor }
-
 // Total returns floor + total length of intervals above the floor: the
 // number of bytes received or written off as lost.
 func (s *IntervalSet) Total() int64 {
@@ -98,7 +95,3 @@ func (s *IntervalSet) Contiguous() int64 {
 	}
 	return c
 }
-
-// Len returns the number of disjoint intervals above the floor (useful to
-// bound memory in tests).
-func (s *IntervalSet) Len() int { return len(s.ivs) }

@@ -31,8 +31,8 @@ func TestIntervalSetGap(t *testing.T) {
 	if got := s.Contiguous(); got != 300 {
 		t.Errorf("Contiguous = %d, want 300", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1 after merge", s.Len())
+	if len(s.ivs) != 1 {
+		t.Errorf("Len = %d, want 1 after merge", len(s.ivs))
 	}
 }
 
@@ -44,8 +44,8 @@ func TestIntervalSetOverlapMerge(t *testing.T) {
 	if got := s.Total(); got != 25 {
 		t.Errorf("Total = %d, want 25", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if len(s.ivs) != 1 {
+		t.Errorf("Len = %d, want 1", len(s.ivs))
 	}
 }
 
@@ -62,7 +62,7 @@ func TestIntervalSetFloor(t *testing.T) {
 	}
 	// Floor never goes backward.
 	s.AdvanceFloor(50)
-	if got := s.Floor(); got != 150 {
+	if got := s.floor; got != 150 {
 		t.Errorf("Floor = %d, want 150", got)
 	}
 }

@@ -261,15 +261,15 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		inFlightAtTheEnd int
 	}
 	const runFor = 60 * time.Second
-	runRing := func(cc string, seed int64) outcome {
+	type newCC func(now func() time.Duration) CongestionControl
+	runRing := func(newCC newCC, seed int64) outcome {
 		loop := sim.New()
 		var snd *Sender
 		var rcv *Receiver
 		fwd, rev := lossyPath(loop, seed,
 			func(p *network.Packet) { rcv.Receive(p) }, func(p *network.Packet) { snd.Receive(p) })
-		ctrl, _ := NewCC(cc, loop.Now)
 		rcv = NewReceiver(1, loop, rev)
-		snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: ctrl, MaxWindow: 300})
+		snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: newCC(loop.Now), MaxWindow: 300})
 		loop.Run(runFor)
 		var o outcome
 		o.stats[0], o.stats[1], o.stats[2], o.stats[3] = snd.Stats()
@@ -278,15 +278,14 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		o.srtt, o.inFlightAtTheEnd = snd.SRTT(), snd.InFlight()
 		return o
 	}
-	runMap := func(cc string, seed int64) outcome {
+	runMap := func(newCC newCC, seed int64) outcome {
 		loop := sim.New()
 		var snd *mapSender
 		rcv := &mapReceiver{flow: 1, clock: loop, ooo: map[segnum]bool{}}
 		fwd, rev := lossyPath(loop, seed,
 			func(p *network.Packet) { rcv.Receive(p) }, func(p *network.Packet) { snd.Receive(p) })
 		rcv.conn = rev
-		ctrl, _ := NewCC(cc, loop.Now)
-		snd = newMapSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: ctrl, MaxWindow: 300})
+		snd = newMapSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: newCC(loop.Now), MaxWindow: 300})
 		loop.Run(runFor)
 		var o outcome
 		o.stats[0], o.stats[1], o.stats[2], o.stats[3] = snd.Stats()
@@ -307,10 +306,18 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		}
 		return true
 	}
-	for _, cc := range []string{"cubic", "vegas", "reno"} {
+	for _, c := range []struct {
+		name string
+		new  newCC
+	}{
+		{"cubic", func(now func() time.Duration) CongestionControl { return NewCubic(now) }},
+		{"vegas", func(func() time.Duration) CongestionControl { return NewVegas() }},
+		{"reno", func(func() time.Duration) CongestionControl { return NewRenoCC() }},
+	} {
+		cc := c.name
 		belowUna := 0
 		for seed := int64(1); seed <= 3; seed++ {
-			got, want := runRing(cc, seed), runMap(cc, seed)
+			got, want := runRing(c.new, seed), runMap(c.new, seed)
 			belowUna += want.belowUna
 			if want.stats[2] < 2 || want.stats[3] == 0 {
 				t.Errorf("%s seed %d: %d timeouts, %d fast recoveries; the path should force both",

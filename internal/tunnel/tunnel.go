@@ -230,9 +230,6 @@ func (e *Egress) OnDelivery(fn func(link.Delivery)) { e.onDelivery = fn }
 // once the handler returns, so the handler must not keep it.
 func (e *Egress) UsePool(p *network.Pool) { e.pool = p }
 
-// Deliveries returns the recorded client-packet delivery log.
-func (e *Egress) Deliveries() []link.Delivery { return e.deliveries }
-
 // TakeDeliveries returns the recorded log and transfers ownership to the
 // caller (mirroring link.TakeDeliveries).
 func (e *Egress) TakeDeliveries() []link.Delivery {

@@ -142,7 +142,7 @@ func TestEgressRecordsDeliveries(t *testing.T) {
 	if len(handled) != 1 {
 		t.Fatalf("handler got %d packets", len(handled))
 	}
-	dl := eg.Deliveries()
+	dl := eg.deliveries
 	if len(dl) != 1 || dl[0].Flow != 3 || dl[0].SentAt != 5*time.Millisecond ||
 		dl[0].DeliveredAt != 50*time.Millisecond || dl[0].Size != 800 {
 		t.Errorf("delivery log = %+v", dl)
@@ -239,7 +239,7 @@ func TestTunnelEndToEnd(t *testing.T) {
 
 	byFlow := map[uint32]int{}
 	var worstDelay time.Duration
-	for _, d := range eg.Deliveries() {
+	for _, d := range eg.deliveries {
 		byFlow[d.Flow]++
 		if delay := d.DeliveredAt - d.SentAt; delay > worstDelay && d.DeliveredAt > 10*time.Second {
 			worstDelay = delay

@@ -23,7 +23,7 @@ type Conn struct {
 	// learned from the first inbound datagram.
 	peer atomic.Pointer[net.UDPAddr]
 
-	sent, received atomic.Int64
+	sent, received atomic.Int64 // datagrams
 }
 
 // Dial creates a connected adapter sending to addr.
@@ -57,11 +57,6 @@ func Listen(clock *realtime.Clock, laddr string) (*Conn, error) {
 
 // LocalAddr returns the bound address.
 func (c *Conn) LocalAddr() net.Addr { return c.sock.LocalAddr() }
-
-// Stats returns datagram counters.
-func (c *Conn) Stats() (sent, received int64) {
-	return c.sent.Load(), c.received.Load()
-}
 
 // Send implements the endpoint Conn interface. The datagram is padded to
 // pkt.Size bytes (headers first, zero padding after), so the wire profile
