@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -199,15 +200,32 @@ type checkedModule struct {
 	info  *types.Info
 }
 
-// checkModule type-checks every non-test package of the module from
+// checkModule returns the module type-checked once per test binary
+// (typeCheckModule): TestNoUnusedExports and TestNoTestOnlyFields share
+// the one result, which both only read.
+func checkModule(t *testing.T) *checkedModule {
+	t.Helper()
+	moduleOnce.Do(func() { module, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
+}
+
+var (
+	moduleOnce sync.Once
+	module     *checkedModule
+	moduleErr  error
+)
+
+// typeCheckModule type-checks every non-test package of the module from
 // source: the files go/build selects for this platform, importing the
 // standard library from GOROOT's sources with cgo off, so nothing but the
 // toolchain is read and nothing is downloaded.
-func checkModule(t *testing.T) *checkedModule {
-	t.Helper()
+func typeCheckModule() (*checkedModule, error) {
 	cgo := build.Default.CgoEnabled
 	build.Default.CgoEnabled = false // the source importer reads build.Default
-	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	defer func() { build.Default.CgoEnabled = cgo }()
 	fset := token.NewFileSet()
 	m := &checkedModule{
 		fset: fset,
@@ -229,10 +247,7 @@ func checkModule(t *testing.T) *checkedModule {
 		}
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return m, err
 }
 
 func (m *checkedModule) Import(path string) (*types.Package, error) {

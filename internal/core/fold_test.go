@@ -2,8 +2,8 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"math/rand"
 	"slices"
@@ -214,45 +214,164 @@ func TestFoldedForecastMatchesEvolvePath(t *testing.T) {
 // single-flight, so four goroutines folding every row of a table, each in
 // its own shuffled order, must leave the bits the eager whole-table fold
 // left. The SHA-256 of flat's float64 bits (little-endian, index order) is
-// pinned per parameter set; CI runs this under the race detector.
+// pinned per parameter set, and holds with the fold's SIMD kernels on and
+// off (eachGather); CI runs this under the race detector.
 func TestFoldOnFirstUseIsExact(t *testing.T) {
-	for _, c := range []struct {
-		p   Params
-		sum string
-	}{
-		{Params{}, "75590faefa279495540bb9647ebbee7f4154e79f88c533ddff14f28b56e513dc"},
-		{Params{NumBins: 64, Sigma: 300}, "31f78271ab985ded8f6b1580af415a19e2fffbcefc2f54d6811e11ac6653192b"},
-		{Params{MaxRate: 400, OutageEscape: 2}, "3b8b6bb9f92f7eb0245fa2a201cbbfe2745afef7dc4993042584bc8eb793ace4"},
-	} {
-		tbl := buildForecastTable(NewModel(c.p))
-		var rows [][2]int
-		for i := range tbl.off {
-			for k := 0; k <= tbl.maxK[i]; k++ {
-				rows = append(rows, [2]int{i, k})
+	eachGather(t, func(t *testing.T, digest hash.Hash) {
+		for _, c := range []struct {
+			p   Params
+			sum string
+		}{
+			{Params{}, "75590faefa279495540bb9647ebbee7f4154e79f88c533ddff14f28b56e513dc"},
+			{Params{NumBins: 64, Sigma: 300}, "31f78271ab985ded8f6b1580af415a19e2fffbcefc2f54d6811e11ac6653192b"},
+			{Params{MaxRate: 400, OutageEscape: 2}, "3b8b6bb9f92f7eb0245fa2a201cbbfe2745afef7dc4993042584bc8eb793ace4"},
+		} {
+			tbl := buildForecastTable(NewModel(c.p))
+			var rows [][2]int
+			for i := range tbl.off {
+				for k := 0; k <= tbl.maxK[i]; k++ {
+					rows = append(rows, [2]int{i, k})
+				}
+			}
+			var wg sync.WaitGroup
+			for g := int64(0); g < 4; g++ {
+				order := slices.Clone(rows)
+				rand.New(rand.NewSource(g)).Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tmp := make([]float64, tbl.bins)
+					for _, r := range order {
+						tbl.fold(tbl.off[r[0]]+r[1], r[0], tmp)
+					}
+				}()
+			}
+			wg.Wait()
+			h := sha256.New()
+			hashFloats(h, tbl.flat)
+			sum := h.Sum(nil)
+			if got := hex.EncodeToString(sum); got != c.sum {
+				t.Errorf("%+v: table sha256 %s, want %s", c.p, got, c.sum)
+			}
+			digest.Write(sum)
+		}
+	})
+}
+
+// foldRow is a row to fold: each bin zero with probability 1/8, else a
+// uniform draw scaled by 10^e, e uniform in [−spread, spread], so one
+// column's terms span up to 2·spread decades.
+func foldRow(n int, rng *rand.Rand, spread float64) []float64 {
+	c := make([]float64, n)
+	for j := range c {
+		if rng.Intn(8) > 0 {
+			c[j] = rng.Float64() * math.Pow(10, spread*(2*rng.Float64()-1))
+		}
+	}
+	return c
+}
+
+// checkFold applies adj to c with the fold's SIMD kernels (where this
+// machine has them) and with the portable loop, and requires every bin to
+// be equal bit for bit, with guard words either side of dst untouched.
+func checkFold(t *testing.T, adj *evolveAdjoint, c []float64) {
+	t.Helper()
+	n := len(c)
+	const guard = 8
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0002)
+	run := func(simd bool) []float64 {
+		if !simd {
+			defer portableGather()()
+		}
+		buf := make([]float64, n+2*guard)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		dst := buf[guard : guard+n : guard+n]
+		adj.apply(dst, c)
+		for i, v := range buf {
+			if (i < guard || i >= guard+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
+				t.Fatalf("simd=%v wrote outside dst at offset %d (n=%d)", simd, i-guard, n)
 			}
 		}
-		var wg sync.WaitGroup
-		for g := int64(0); g < 4; g++ {
-			order := slices.Clone(rows)
-			rand.New(rand.NewSource(g)).Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tmp := make([]float64, tbl.bins)
-				for _, r := range order {
-					tbl.fold(tbl.off[r[0]]+r[1], r[0], tmp)
+		return dst
+	}
+	got, want := run(true), run(false)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("column %d of %d (interior [%d,%d)): simd %x, portable %x", j, n, adj.jA, adj.jB, got[j], want[j])
+		}
+	}
+}
+
+// TestFoldSIMDMatchesPortable is the fold kernels' differential: Eᵀ·c with
+// fold8/fold1 and with apply's portable loop, bit for bit, over every model
+// of gatherModels and rows whose magnitudes span from none to 40 decades.
+func TestFoldSIMDMatchesPortable(t *testing.T) {
+	if !gatherSIMD {
+		t.Log("no AVX2 on this machine: both sides are the portable loop")
+	}
+	rng := rand.New(rand.NewSource(44))
+	wide := false
+	for _, m := range gatherModels() {
+		adj := m.evolveAdjoint()
+		wide = wide || adj.jB-adj.jA >= foldLanes
+		for i := 0; i < 500; i++ {
+			checkFold(t, &adj, foldRow(m.NumBins(), rng, float64(i%21)))
+		}
+	}
+	if !wide {
+		t.Fatal("no model has an interior run of eight columns: fold8 is untested")
+	}
+}
+
+// FuzzFoldApply holds the same equality on whatever model, row and spread
+// of magnitudes the fuzzer reaches.
+func FuzzFoldApply(f *testing.F) {
+	models := gatherModels()
+	adjs := make([]evolveAdjoint, len(models))
+	for i, m := range models {
+		adjs[i] = m.evolveAdjoint()
+		f.Add(uint8(i), int64(i), uint8(0))
+		f.Add(uint8(i), int64(-i), uint8(20))
+	}
+	f.Fuzz(func(t *testing.T, model uint8, seed int64, spread uint8) {
+		i := int(model) % len(models)
+		checkFold(t, &adjs[i], foldRow(models[i].NumBins(), rand.New(rand.NewSource(seed)), float64(spread%40)))
+	})
+}
+
+// TestBuildMatchesPerBin: the build steps every bin's CDF recurrence
+// together, count by count; each raw row must hold, bin for bin, the bits
+// stats.PoissonCDFTable gives that bin alone — on the default grid, two
+// small ones, and a grid (MaxRate 50000) whose top bins' exp(−mean)
+// underflows, so they take PoissonCDFTable's normal approximation.
+func TestBuildMatchesPerBin(t *testing.T) {
+	for _, p := range []Params{
+		{},
+		{NumBins: 16, MaxRate: 100},
+		{NumBins: 40, MaxRate: 2500, ForecastTicks: 3},
+		{NumBins: 16, MaxRate: 50000},
+	} {
+		m := NewModel(p)
+		tbl := buildForecastTable(m)
+		tau := m.p.Tick.Seconds()
+		underflows := 0
+		for i := range tbl.off {
+			horizon := float64(i+1) * tau
+			for j, r := range m.binRate {
+				if math.Exp(-r*horizon) == 0 {
+					underflows++
 				}
-			}()
+				for k, want := range stats.PoissonCDFTable(r*horizon, tbl.maxK[i]) {
+					if got := tbl.flat[(tbl.off[i]+k)*tbl.bins+j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%+v: tick %d bin %d count %d: built %v, per bin %v", p, i, j, k, got, want)
+					}
+				}
+			}
 		}
-		wg.Wait()
-		h := sha256.New()
-		var b [8]byte
-		for _, v := range tbl.flat {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.sum {
-			t.Errorf("%+v: table sha256 %s, want %s", c.p, got, c.sum)
+		if p.MaxRate == 50000 && underflows == 0 {
+			t.Fatalf("%+v: no bin's exp(−mean) underflows, so the fallback is untested", p)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type forecastTable struct {
 	flat   []float64
 	off    []int // tick i's first row
 	maxK   []int
-	adj    *evolveAdjoint
+	adj    evolveAdjoint
 	folds  []sync.Once   // per row: its single-flight fold
 	folded []atomic.Bool // per row: set when its fold is done; lockstep's check, inlined
 }
@@ -67,10 +67,11 @@ func (t *forecastTable) fold(r, tick int, tmp []float64) {
 // reads m.
 func buildForecastTable(m *Model) *forecastTable {
 	tau, ticks := m.p.Tick.Seconds(), m.p.ForecastTicks
+	ks := make([]int, 2*ticks) // off, then maxK
 	t := &forecastTable{
 		bins: len(m.binRate),
-		off:  make([]int, ticks),
-		maxK: make([]int, ticks),
+		off:  ks[:ticks:ticks],
+		maxK: ks[ticks:],
 		adj:  m.evolveAdjoint(),
 	}
 	rows := 0
@@ -81,11 +82,40 @@ func buildForecastTable(m *Model) *forecastTable {
 	}
 	t.flat = make([]float64, rows*t.bins)
 	t.folds, t.folded = make([]sync.Once, rows), make([]atomic.Bool, rows)
+	// Every bin steps stats.PoissonCDFTable's recurrence together, count by
+	// count, so each raw row is written whole and in order: per bin the same
+	// operations in the same order, hence the same bits
+	// (TestBuildMatchesPerBin). A bin with mean 0 starts at sum 1 with no
+	// term, which keeps PoissonCDFTable's all-ones row.
+	buf := make([]float64, 3*t.bins)
+	mean, term, sum := buf[:t.bins], buf[t.bins:2*t.bins], buf[2*t.bins:]
 	for i := 0; i < ticks; i++ {
 		horizon := float64(i+1) * tau
+		nb := t.bins // the bins whose exp(−mean) is positive: binRate ascends, so the rest is a suffix
 		for j, r := range m.binRate {
-			cdf := stats.PoissonCDFTable(r*horizon, t.maxK[i])
-			for k, v := range cdf {
+			mean[j] = r * horizon
+			term[j], sum[j] = math.Exp(-mean[j]), 0
+			if mean[j] <= 0 {
+				term[j], sum[j] = 0, 1
+			} else if term[j] == 0 && nb == t.bins {
+				nb = j
+			}
+		}
+		for k := 0; k <= t.maxK[i]; k++ {
+			row := t.flat[(t.off[i]+k)*t.bins:][:nb]
+			d := float64(k + 1)
+			for j := range row {
+				s := sum[j] + term[j]
+				if s > 1 {
+					s = 1
+				}
+				sum[j], row[j] = s, s
+				term[j] *= mean[j] / d
+			}
+		}
+		// Where exp(−mean) underflows, PoissonCDFTable's normal approximation.
+		for j := nb; j < t.bins; j++ {
+			for k, v := range stats.PoissonCDFTable(m.binRate[j]*horizon, t.maxK[i]) {
 				t.flat[(t.off[i]+k)*t.bins+j] = v
 			}
 		}
@@ -108,7 +138,7 @@ type tableKey struct {
 }
 
 // tableCacheLimit bounds the process-wide forecast-table cache: a table at
-// the default parameters holds ~250k float64s (~2 MB) and takes ~3.5 ms to
+// the default parameters holds ~250k float64s (~2 MB) and takes ~1 ms to
 // build (its rows then fold on first use), and entries are never evicted,
 // so a library consumer sweeping a table-shaping parameter (Sigma and
 // OutageEscape among them) past this many distinct values gets uncached

@@ -134,6 +134,137 @@ block:
 	VZEROUPPER
 	RET
 
+// func fold8(dst, c, kernel []float64)
+//
+// dst[m] = Σ_t kernel[t]·c[t+m] for the eight interior columns m = 0…7 of
+// the adjoint fold, each sum taken exactly as evolveAdjoint.apply's scalar
+// loop takes it: four partial sums S_q over the terms t ≡ q (mod 4) of the
+// whole blocks, ascending, the tail terms t ≥ 4⌊L/4⌋ into S0, and
+// (S0+S1)+(S2+S3) last, with a separate multiply and add per term (VMULPD,
+// VADDPD — never FMA). A YMM lane is a column: S_q is Y(2q) for columns
+// 0–3 and Y(2q+1) for columns 4–7, and one term is one broadcast of the
+// kernel and two unaligned loads of c.
+// Requires len(dst) == 8 and len(c) == len(kernel)+7.
+TEXT ·fold8(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ c_base+24(FP), SI
+	MOVQ kernel_base+48(FP), DX
+	MOVQ kernel_len+56(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ CX, BX
+	SHRQ $2, BX // whole blocks of four terms
+	JZ tail
+
+block:
+	VBROADCASTSD 0(DX), Y8
+	VMULPD 0(SI), Y8, Y9
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y9, Y0, Y0
+	VADDPD Y10, Y1, Y1
+	VBROADCASTSD 8(DX), Y8
+	VMULPD 8(SI), Y8, Y9
+	VMULPD 40(SI), Y8, Y10
+	VADDPD Y9, Y2, Y2
+	VADDPD Y10, Y3, Y3
+	VBROADCASTSD 16(DX), Y8
+	VMULPD 16(SI), Y8, Y9
+	VMULPD 48(SI), Y8, Y10
+	VADDPD Y9, Y4, Y4
+	VADDPD Y10, Y5, Y5
+	VBROADCASTSD 24(DX), Y8
+	VMULPD 24(SI), Y8, Y9
+	VMULPD 56(SI), Y8, Y10
+	VADDPD Y9, Y6, Y6
+	VADDPD Y10, Y7, Y7
+	ADDQ $32, DX
+	ADDQ $32, SI
+	DECQ BX
+	JNZ block
+
+tail:
+	ANDQ $3, CX
+	JZ sum
+
+tailterm:
+	VBROADCASTSD (DX), Y8
+	VMULPD (SI), Y8, Y9
+	VMULPD 32(SI), Y8, Y10
+	VADDPD Y9, Y0, Y0 // the tail goes into S0
+	VADDPD Y10, Y1, Y1
+	ADDQ $8, DX
+	ADDQ $8, SI
+	DECQ CX
+	JNZ tailterm
+
+sum:
+	VADDPD Y2, Y0, Y0 // S0+S1
+	VADDPD Y3, Y1, Y1
+	VADDPD Y6, Y4, Y4 // S2+S3
+	VADDPD Y7, Y5, Y5
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func fold1(col, c []float64) float64
+//
+// Σ_t col[t]·c[t] for one column of the adjoint fold, of any length L,
+// summed exactly as evolveAdjoint.apply's scalar loop sums it: one YMM
+// register holds its four partial sums [s0 s1 s2 s3] over the whole blocks,
+// the tail terms t ≥ 4⌊L/4⌋ go into s0, and the result is (s0+s1)+(s2+s3),
+// with a separate multiply and add per term (never FMA). The high half
+// [s2 s3] is extracted before the tail because a VEX scalar add zeroes bits
+// 128–255 of its destination.
+// Requires len(c) >= len(col).
+TEXT ·fold1(SB), NOSPLIT, $0-56
+	MOVQ col_base+0(FP), SI
+	MOVQ col_len+8(FP), CX
+	MOVQ c_base+24(FP), DX
+	VXORPD Y0, Y0, Y0
+	MOVQ CX, BX
+	SHRQ $2, BX // whole blocks of four terms
+	JZ half
+
+quad:
+	VMOVUPD (SI), Y1
+	VMULPD (DX), Y1, Y1
+	VADDPD Y1, Y0, Y0
+	ADDQ $32, SI
+	ADDQ $32, DX
+	DECQ BX
+	JNZ quad
+
+half:
+	VEXTRACTF128 $1, Y0, X2 // [s2 s3]
+	ANDQ $3, CX
+	JZ hsum
+
+tailterm:
+	VMOVSD (SI), X1
+	VMULSD (DX), X1, X1
+	VADDSD X1, X0, X0 // s0 += term; s1 stays in bits 64–127
+	ADDQ $8, SI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ tailterm
+
+hsum:
+	VHADDPD X0, X0, X0 // s0+s1
+	VHADDPD X2, X2, X2 // s2+s3
+	VADDSD X2, X0, X0
+	VMOVSD X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // func osAVX2() bool
 //
 // CPUID.1:ECX says the CPU has AVX and the OS uses XSAVE, XCR0 that the OS

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -360,23 +361,38 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 // unit mass (so every boundary rule is E's by construction: the
 // below-grid fold into bin 0, the above-grid fold into the top bin, the
 // sticky-outage stay/escape of bin 0), and it is nonzero only on
-// [lo[j], hi[j]), at most one kernel radius either side of j.
+// [lo[j], hi[j]), at most one kernel radius either side of j. Columns
+// [jA, jB) are the interior: each one's band is exactly kernel, starting
+// one radius below its bin (at the defaults, 196 of 256 columns).
 type evolveAdjoint struct {
 	lo, hi []int
 	w      []float64 // column j's band starts at w[j*stride]
 	stride int
+	kernel []float64
+	jA, jB int
 }
 
-func (m *Model) evolveAdjoint() *evolveAdjoint {
+func (m *Model) evolveAdjoint() evolveAdjoint {
 	n := len(m.probs)
-	a := &evolveAdjoint{lo: make([]int, n), hi: make([]int, n), stride: 2*m.radius + 1}
+	a := evolveAdjoint{lo: make([]int, n), hi: make([]int, n), stride: 2*m.radius + 1, kernel: m.kernel}
 	a.w = make([]float64, n*a.stride)
-	unit, col := make([]float64, n), make([]float64, n)
+	buf := make([]float64, 2*n)
+	unit, col := buf[:n], buf[n:]
 	for j := range unit {
 		unit[j] = 1
 		a.lo[j], a.hi[j] = evolveWindow(col, unit, m.kernel, m.kernelPad, m.radius, m.outageStay, j, j+1)
-		copy(a.w[j*a.stride:], col[a.lo[j]:a.hi[j]])
+		band := col[a.lo[j]:a.hi[j]]
+		copy(a.w[j*a.stride:], band)
 		unit[j] = 0
+		// The weights are non-negative, so == is bit equality. The columns
+		// are compared, not predicted: which edge columns still carry the
+		// plain kernel depends on the boundary rules.
+		if a.lo[j] == j-m.radius && slices.Equal(band, m.kernel) {
+			if a.jB != j {
+				a.jA = j
+			}
+			a.jB = j + 1
+		}
 	}
 	return a
 }
@@ -387,8 +403,14 @@ func (m *Model) evolveAdjoint() *evolveAdjoint {
 // non-negative and each dst[j] sums its terms in an order that does not
 // depend on c, so c ≤ c' pointwise implies dst ≤ dst' pointwise in
 // floating point too (multiply and add are monotone). The four partial
-// sums only break the serial add chain.
+// sums only break the serial add chain. Where gatherSIMD is set the AVX2
+// kernels compute the same sums (applySIMD); this loop is every other
+// platform's path and their oracle.
 func (a *evolveAdjoint) apply(dst, c []float64) {
+	if gatherSIMD {
+		a.applySIMD(dst, c)
+		return
+	}
 	for j := range dst {
 		col := a.w[j*a.stride:][:a.hi[j]-a.lo[j]]
 		cc := c[a.lo[j]:a.hi[j]]
@@ -404,6 +426,28 @@ func (a *evolveAdjoint) apply(dst, c []float64) {
 			s0 += float64(col[k] * cc[k])
 		}
 		dst[j] = (s0 + s1) + (s2 + s3)
+	}
+}
+
+// foldLanes is how many interior columns one call of fold8 computes.
+const foldLanes = 8
+
+// applySIMD is apply on the AVX2 kernels: fold8 for the interior columns
+// eight at a time, fold1 for the edge columns and the interior's remainder.
+// Both kernels take each column's terms in apply's order — four strided
+// partial sums, the tail in the first, (s0+s1)+(s2+s3) last — so dst is
+// apply's bit for bit (TestFoldSIMDMatchesPortable). The slice expressions
+// are the kernels' bounds checks.
+func (a *evolveAdjoint) applySIMD(dst, c []float64) {
+	j := 0
+	for ; j < a.jA; j++ {
+		dst[j] = fold1(a.w[j*a.stride:][:a.hi[j]-a.lo[j]], c[a.lo[j]:a.hi[j]])
+	}
+	for ; j+foldLanes <= a.jB; j += foldLanes {
+		fold8(dst[j:j+foldLanes], c[a.lo[j]:a.lo[j]+len(a.kernel)+foldLanes-1], a.kernel)
+	}
+	for ; j < len(dst); j++ {
+		dst[j] = fold1(a.w[j*a.stride:][:a.hi[j]-a.lo[j]], c[a.lo[j]:a.hi[j]])
 	}
 }
 

@@ -16,6 +16,28 @@ func BenchmarkBuildForecastTable(b *testing.B) {
 	}
 }
 
+// BenchmarkFoldApply is one application of Eᵀ at the default parameters,
+// the step a row's fold repeats once per tick of its horizon: "simd" with
+// the fold's AVX2 kernels, "portable" with apply's loop.
+func BenchmarkFoldApply(b *testing.B) {
+	m := NewModel(Params{})
+	adj := m.evolveAdjoint()
+	c := foldRow(m.NumBins(), rand.New(rand.NewSource(1)), 10)
+	dst := make([]float64, len(c))
+	for _, name := range []string{"simd", "portable"} {
+		b.Run(name, func(b *testing.B) {
+			if name == "portable" {
+				PortableGather(b)
+			} else if !gatherSIMD {
+				b.Skip("no AVX2 on this machine")
+			}
+			for i := 0; i < b.N; i++ {
+				adj.apply(dst, c)
+			}
+		})
+	}
+}
+
 // BenchmarkForecastPosterior times one cautious forecast against a
 // posterior that moves as a run's does: 64 consecutive posteriors of a
 // filter fed a wandering Poisson link, replayed in order, so each

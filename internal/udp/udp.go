@@ -22,8 +22,6 @@ type Conn struct {
 	// peer is the destination address; for a listening endpoint it is
 	// learned from the first inbound datagram.
 	peer atomic.Pointer[net.UDPAddr]
-
-	sent, received atomic.Int64 // datagrams
 }
 
 // Dial creates a connected adapter sending to addr.
@@ -72,9 +70,7 @@ func (c *Conn) Send(pkt *network.Packet) {
 		copy(padded, buf)
 		buf = padded
 	}
-	if _, err := c.sock.WriteToUDP(buf, peer); err == nil {
-		c.sent.Add(1)
-	}
+	_, _ = c.sock.WriteToUDP(buf, peer) // a failed write is a lost datagram (UDP semantics)
 }
 
 // Serve reads datagrams and hands them to handler inside the clock's
@@ -98,7 +94,6 @@ func (c *Conn) Serve(handler network.Handler) error {
 			SentAt:  c.clock.Now(), // receive-side stamp; senders embed their own timing in headers
 		}
 		c.clock.Do(func() { handler(pkt) })
-		c.received.Add(1)
 	}
 }
 

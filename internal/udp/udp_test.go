@@ -44,6 +44,31 @@ func TestDatagramRoundTrip(t *testing.T) {
 	}
 }
 
+// received returns a handler that passes each datagram's payload to a
+// channel of the given capacity, dropping what does not fit.
+func received(n int) (network.Handler, chan string) {
+	ch := make(chan string, n)
+	return func(p *network.Packet) {
+		select {
+		case ch <- string(p.Payload):
+		default:
+		}
+	}, ch
+}
+
+// next returns the next payload from ch, failing the test after two
+// seconds without one.
+func next(t *testing.T, ch chan string, what string) string {
+	t.Helper()
+	select {
+	case s := <-ch:
+		return s
+	case <-time.After(2 * time.Second):
+		t.Fatal(what)
+		return ""
+	}
+}
+
 func TestListenerLearnsPeer(t *testing.T) {
 	clock := realtime.New()
 	server, err := Listen(clock, "127.0.0.1:0")
@@ -57,34 +82,19 @@ func TestListenerLearnsPeer(t *testing.T) {
 	}
 	defer client.Close()
 
-	fromServer := make(chan struct{}, 1)
-	go client.Serve(func(p *network.Packet) { fromServer <- struct{}{} })
-	atServer := make(chan struct{}, 1)
-	go server.Serve(func(p *network.Packet) {
-		select {
-		case atServer <- struct{}{}:
-		default:
-		}
-	})
+	atClient, fromServer := received(4)
+	go client.Serve(atClient)
+	atServer, fromClient := received(4)
+	go server.Serve(atServer)
 
-	// Server has no peer yet: its sends drop silently.
-	server.Send(&network.Packet{Size: 10, Payload: []byte("x")})
 	// Client speaks first; server learns the peer and can reply.
-	client.Send(&network.Packet{Size: 10, Payload: []byte("syn")})
-	select {
-	case <-atServer:
-	case <-time.After(2 * time.Second):
-		t.Fatal("server never heard client")
+	client.Send(&network.Packet{Size: 3, Payload: []byte("syn")})
+	if got := next(t, fromClient, "server never heard client"); got != "syn" {
+		t.Errorf("server heard %q, want \"syn\"", got)
 	}
-	server.Send(&network.Packet{Size: 10, Payload: []byte("ack")})
-	select {
-	case <-fromServer:
-	case <-time.After(2 * time.Second):
-		t.Fatal("client never heard server reply")
-	}
-	sent, recv := client.sent.Load(), client.received.Load()
-	if sent == 0 || recv == 0 {
-		t.Errorf("client stats sent=%d recv=%d", sent, recv)
+	server.Send(&network.Packet{Size: 3, Payload: []byte("ack")})
+	if got := next(t, fromServer, "client never heard server reply"); got != "ack" {
+		t.Errorf("client heard %q, want \"ack\"", got)
 	}
 }
 
@@ -108,6 +118,9 @@ func TestCloseUnblocksServe(t *testing.T) {
 	}
 }
 
+// TestSendWithoutPeerDrops: a send before the peer is known is dropped,
+// not held for the peer learned later: the peer's first datagram is the
+// one sent after it spoke.
 func TestSendWithoutPeerDrops(t *testing.T) {
 	clock := realtime.New()
 	conn, err := Listen(clock, "127.0.0.1:0")
@@ -115,9 +128,21 @@ func TestSendWithoutPeerDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Send(&network.Packet{Size: 10, Payload: []byte("x")}) // must not panic
-	sent := conn.sent.Load()
-	if sent != 0 {
-		t.Errorf("sent = %d without a peer", sent)
+	conn.Send(&network.Packet{Size: 1, Payload: []byte("x")}) // must not panic
+
+	peer, err := Dial(clock, conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	atPeer, fromConn := received(4)
+	go peer.Serve(atPeer)
+	atConn, fromPeer := received(4)
+	go conn.Serve(atConn)
+	peer.Send(&network.Packet{Size: 3, Payload: []byte("syn")})
+	next(t, fromPeer, "conn never heard its peer")
+	conn.Send(&network.Packet{Size: 3, Payload: []byte("ack")})
+	if got := next(t, fromConn, "peer never heard conn"); got != "ack" {
+		t.Errorf("peer's first datagram is %q, want \"ack\"", got)
 	}
 }

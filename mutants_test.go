@@ -53,6 +53,20 @@ var mutants = []struct {
 		to:   "clockless(tcp.NewCompound), 0)",
 		pkg:  "internal/harness", test: "TestSuiteIsOneRun",
 	},
+	{
+		name: "the eight-column fold adds its tail into the second partial sum",
+		file: "internal/core/gather_amd64.s",
+		from: "\tVADDPD Y9, Y0, Y0 // the tail goes into S0\n\tVADDPD Y10, Y1, Y1\n",
+		to:   "\tVADDPD Y9, Y2, Y2 // the tail goes into S0\n\tVADDPD Y10, Y3, Y3\n",
+		pkg:  "internal/core", test: "TestFoldOnFirstUseIsExact",
+	},
+	{
+		name: "the bin-parallel table build stops clamping its CDF at 1",
+		file: "internal/core/forecast.go",
+		from: "\t\t\t\tif s > 1 {\n\t\t\t\t\ts = 1\n\t\t\t\t}\n",
+		to:   "",
+		pkg:  "internal/core", test: "TestBuildMatchesPerBin",
+	},
 }
 
 // TestMutants copies the module to a temporary directory and, row by row,
