@@ -164,9 +164,9 @@ func forecastTableFor(m *Model) *forecastTable {
 }
 
 // DeliveryForecaster produces Sprout's cautious packet-delivery forecast
-// (§3.3): for each of the next HorizonTicks ticks, a lower bound Q_i such
-// that the cumulative number of packets delivered by tick i meets or
-// exceeds Q_i with probability at least Confidence.
+// (§3.3): for each of the next Params.ForecastTicks ticks, a lower bound
+// Q_i such that the cumulative number of packets delivered by tick i meets
+// or exceeds Q_i with probability at least Confidence.
 //
 // As in the paper, the steps are precomputed: the table indexed by (tick,
 // count, rate bin) holds the Poisson CDFs with the observation-free
@@ -233,9 +233,6 @@ func (f *DeliveryForecaster) Tick(observed float64, mode Observation) {
 	f.model.tick(observed, mode)
 }
 
-// HorizonTicks implements Forecaster.
-func (f *DeliveryForecaster) HorizonTicks() int { return f.model.p.ForecastTicks }
-
 // TickDuration implements Forecaster.
 func (f *DeliveryForecaster) TickDuration() time.Duration { return f.model.p.Tick }
 
@@ -268,7 +265,7 @@ func clampP(confidence float64) float64 {
 }
 
 // ForecastAll appends the cautious forecast at every requested confidence
-// to dst: confidences[0]'s HorizonTicks values first, then
+// to dst: confidences[0]'s ForecastTicks values first, then
 // confidences[1]'s, and so on — each block exactly what ForecastAt at
 // that confidence appends (bit-identical, any order, duplicates allowed).
 //
@@ -423,7 +420,7 @@ func (t *forecastTable) lockstep(ss []search, live []int, w []float64, lo int, t
 }
 
 // ForecastBatch appends, for each forecaster in fs, its cautious forecast
-// at its own configured confidence — fs[0]'s HorizonTicks values, then
+// at its own configured confidence — fs[0]'s ForecastTicks values, then
 // fs[1]'s, and so on — exactly as if each had run Forecast independently
 // (bit-identical). The forecasters must be distinct (they keep per-call
 // scratch); they may differ in parameters, including horizon. This is the
@@ -542,9 +539,6 @@ func (e *EWMAForecaster) Rate() float64 { return e.rate }
 
 // Reset implements Forecaster: back to the unprimed zero-rate state.
 func (e *EWMAForecaster) Reset() { e.rate, e.primed = 0, false }
-
-// HorizonTicks implements Forecaster.
-func (e *EWMAForecaster) HorizonTicks() int { return DefaultForecastTicks }
 
 // TickDuration implements Forecaster.
 func (e *EWMAForecaster) TickDuration() time.Duration { return DefaultTick }

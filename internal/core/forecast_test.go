@@ -163,8 +163,8 @@ func TestForecasterInterfaceCompliance(t *testing.T) {
 
 func TestEWMAForecasterTracksRate(t *testing.T) {
 	e := NewEWMAForecaster()
-	if e.TickDuration() != 20*time.Millisecond || e.HorizonTicks() != 8 {
-		t.Fatalf("defaults wrong: %v %v", e.TickDuration(), e.HorizonTicks())
+	if e.TickDuration() != 20*time.Millisecond || DefaultForecastTicks != 8 {
+		t.Fatalf("defaults wrong: %v %v", e.TickDuration(), DefaultForecastTicks)
 	}
 	for i := 0; i < 200; i++ {
 		e.Tick(6, ObsExact)

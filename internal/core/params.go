@@ -118,10 +118,9 @@ type Forecaster interface {
 	// be fractional), interpreted according to mode.
 	Tick(observed float64, mode Observation)
 	// Forecast appends the cumulative cautious delivery forecast, in
-	// MTU-packets, for each of the next HorizonTicks ticks, to dst.
+	// MTU-packets, for each of the next Params.ForecastTicks ticks, to
+	// dst.
 	Forecast(dst []float64) []float64
-	// HorizonTicks returns the forecast length in ticks.
-	HorizonTicks() int
 	// TickDuration returns τ.
 	TickDuration() time.Duration
 	// Reset restores the forecaster to its freshly constructed state

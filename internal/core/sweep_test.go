@@ -36,7 +36,7 @@ func TestForecastAllMatchesForecastAt(t *testing.T) {
 			}
 		}
 		all := fc.ForecastAll(nil, confs)
-		ticks := fc.HorizonTicks()
+		ticks := fc.model.p.ForecastTicks
 		if len(all) != nc*ticks {
 			t.Logf("len(all) = %d, want %d", len(all), nc*ticks)
 			return false
@@ -77,7 +77,7 @@ func (f *DeliveryForecaster) mixtureCDF(tick, k int) float64 {
 // linear scan from the previous tick's answer for the first count whose
 // mixtureCDF exceeds p, stopping at the tick's count bound.
 func (f *DeliveryForecaster) linearForecast(confidences []float64) []float64 {
-	ticks := f.HorizonTicks()
+	ticks := f.model.p.ForecastTicks
 	out := make([]float64, len(confidences)*ticks)
 	for ci, conf := range confidences {
 		q := 0
@@ -146,7 +146,7 @@ func setPosterior(f *DeliveryForecaster, lo, width int, seed int64, keep uint8) 
 // at a random count from below zero to past the bound ("random"); "none"
 // clears them as Reset does.
 func setHints(f *DeliveryForecaster, nconf int, mode string, shift int, rng *rand.Rand) {
-	ticks := f.HorizonTicks()
+	ticks := f.model.p.ForecastTicks
 	for len(f.searches) < nconf*ticks {
 		f.searches = append(f.searches, search{})
 	}
@@ -174,7 +174,7 @@ func checkForecast(t *testing.T, f *DeliveryForecaster, confs, want []float64, w
 		if got[i] != want[i] {
 			m := f.model
 			t.Fatalf("%s: bins %d ticks %d window [%d,%d) confs %v slot %d: ForecastAll %v, linear scan %v\n got %v\nwant %v",
-				what, m.NumBins(), f.HorizonTicks(), m.lo, m.hi, confs, i, got[i], want[i], got, want)
+				what, m.NumBins(), f.model.p.ForecastTicks, m.lo, m.hi, confs, i, got[i], want[i], got, want)
 		}
 	}
 }
@@ -315,8 +315,8 @@ func TestForecastAllAppendSemantics(t *testing.T) {
 	fc := trainedForecaster(t, 100, 14)
 	prefix := []float64{-1, -2}
 	out := fc.ForecastAll(prefix, []float64{0.95, 0.5})
-	if len(out) != 2+2*fc.HorizonTicks() {
-		t.Fatalf("len = %d, want %d", len(out), 2+2*fc.HorizonTicks())
+	if len(out) != 2+2*fc.model.p.ForecastTicks {
+		t.Fatalf("len = %d, want %d", len(out), 2+2*fc.model.p.ForecastTicks)
 	}
 	if out[0] != -1 || out[1] != -2 {
 		t.Fatalf("prefix clobbered: %v", out[:2])

@@ -146,7 +146,7 @@ type Link struct {
 	// order they were submitted, and the queues they join drain only at
 	// opportunities: nothing can tell when, between two looks at the
 	// queues, an arrival joined one. On a virtual-time loop a packet in
-	// flight is therefore not an event. Send reserves the (time, sequence)
+	// flight is therefore not an event. Send reserves the (time, key)
 	// priority its arrival event would have had and parks the packet in a
 	// ring; admit, run before anything reads or changes slot or scheduler
 	// state, moves in every packet whose reservation has passed — the same
@@ -154,6 +154,16 @@ type Link struct {
 	// packet, so experiment outputs are byte-identical (DESIGN.md §3.3).
 	seqr     sim.Sequencer // nil on real-time clocks: fall back to After
 	arrivals ring[arrival]
+
+	// Opportunities are keyed by the link's rank, not by when they were
+	// armed (DESIGN.md §2), so a dedicated link with nothing to serve can
+	// pass over every opportunity before the earliest instant a packet
+	// could land without moving any event's place: skipIdle counts them
+	// wasted, and WastedOpportunities counts those the loop has reached.
+	ranker  sim.Ranker // nil on real-time clocks: plain Reschedule
+	rank    uint32
+	batch   bool            // dedicated link on a Sequencer and Ranker
+	skipped []time.Duration // passed over since the last opportunity fired
 
 	opTimer sim.Timer
 	opFn    func() // built once for the delivery-opportunity schedule
@@ -186,6 +196,9 @@ type arrival struct {
 func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 	l := &Link{clock: clock}
 	l.seqr, _ = clock.(sim.Sequencer)
+	if l.ranker, _ = clock.(sim.Ranker); l.ranker != nil {
+		l.rank = l.ranker.NewRank()
+	}
 	l.opFn = l.opportunity
 	l.Reset(cfg, deliver)
 	return l
@@ -236,6 +249,8 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	l.nslots, l.backlogged = 0, 0
 	l.free = l.free[:0]
 	l.arrivals.reset()
+	l.batch = cfg.Scheduler == nil && l.seqr != nil && l.ranker != nil
+	l.skipped = l.skipped[:0]
 	l.deliveries = l.deliveries[:0]
 	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
 	l.delivered, l.dropsLoss, l.dropsAQM, l.dropsStale, l.wasted = 0, 0, 0, 0, 0
@@ -243,7 +258,7 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 		l.Attach() // the standing slot
 	}
 	l.opTimer = sim.Timer{} // any old handle is stale on the reset clock
-	l.scheduleNextOpportunity()
+	l.arm(l.proc.Next())
 }
 
 // Attach claims a slot for a user (reusing the most recently detached
@@ -307,6 +322,14 @@ func (l *Link) OnDelivery(fn func(Delivery)) { l.onDelivery = fn }
 // Streaming runs use this to accumulate the omniscient-protocol bound and
 // offered capacity online — the role the materialized trace's opportunity
 // slice plays in metrics.Evaluate. nil removes the observer.
+//
+// The instants come in nondecreasing order, but not always at their
+// instant: a dedicated link that passes over opportunities it can see are
+// wasted reports them when it does, ahead of the clock. So fn must be
+// pure — fold the instant into state nothing reads before the run ends,
+// schedule nothing, send nothing — and registered before the run;
+// metrics.Accumulator.ObserveOpportunity is such an observer, and ignores
+// instants at or past its window's end, which is the run's horizon.
 func (l *Link) OnOpportunity(fn func(at time.Duration)) { l.onOpportunity = fn }
 
 // Deliveries returns the recorded delivery log.
@@ -339,9 +362,18 @@ func (l *Link) StaleDrops() int64 {
 	return l.dropsStale
 }
 
-// WastedOpportunities returns how many delivery opportunities found no
-// backlogged slot.
-func (l *Link) WastedOpportunities() int64 { return l.wasted }
+// WastedOpportunities returns how many of the delivery opportunities the
+// loop has reached found no backlogged slot.
+func (l *Link) WastedOpportunities() int64 {
+	n := l.wasted
+	for _, at := range l.skipped {
+		if !l.seqr.Passed(sim.Ranked(at, l.rank)) {
+			break
+		}
+		n++
+	}
+	return n
+}
 
 // SlotBytes returns slot's queue occupancy in bytes (including any
 // partially transmitted packet's untransmitted remainder).
@@ -420,24 +452,56 @@ func (l *Link) setBacklog(slot int, on bool) {
 	l.sched.Backlog(slot, on)
 }
 
-// scheduleNextOpportunity pulls the next delivery opportunity from the
-// active process and re-arms the standing timer for it. An exhausted
-// process simply stops the schedule (a wrapped trace never exhausts
-// unless it cannot advance time).
-func (l *Link) scheduleNextOpportunity() {
-	at, ok := l.proc.Next()
+// arm re-arms the standing timer for the delivery opportunity at, the
+// next one the active process gave. An exhausted process (ok false)
+// simply stops the schedule (a wrapped trace never exhausts unless it
+// cannot advance time).
+func (l *Link) arm(at time.Duration, ok bool) {
 	if !ok {
+		return
+	}
+	if l.ranker != nil {
+		l.opTimer = l.ranker.RescheduleAt(l.opTimer, sim.Ranked(at, l.rank), l.opFn)
 		return
 	}
 	l.opTimer = sim.Reschedule(l.clock, l.opTimer, at-l.clock.Now(), l.opFn)
 }
 
+// skipIdle passes over, without an event, every opportunity from at on
+// that falls strictly before the earliest instant a packet could land on
+// a dedicated link with nothing queued: the head of the arrival ring, or,
+// with nothing in flight, a propagation delay from now (a packet sent from
+// now on lands no sooner). Each one would have found the queue empty; an
+// arrival at exactly an opportunity's instant lands before it (DESIGN.md
+// §2), so that opportunity is armed. The standing scheduler is told of
+// each (a no-op) and the observer sees each, ahead of the clock. It
+// returns the first opportunity left to arm.
+func (l *Link) skipIdle(at time.Duration, ok bool) (time.Duration, bool) {
+	horizon := l.clock.Now() + l.cfg.PropagationDelay
+	if !l.arrivals.empty() {
+		horizon = l.arrivals.peek().res.Time()
+	}
+	for ok && at < horizon {
+		l.skipped = append(l.skipped, at)
+		l.standing.Opportunity()
+		if l.onOpportunity != nil {
+			l.onOpportunity(at)
+		}
+		at, ok = l.proc.Next()
+	}
+	return at, ok
+}
+
 // opportunity releases up to MTU bytes (per-byte accounting, footnote 6)
 // to scheduler-picked slots: the picked slot is served until its queue
 // drains or the budget ends; a drained slot hands the remaining budget to
-// the next pick.
+// the next pick. A dedicated link left with nothing to serve then skips
+// its idle opportunities.
 func (l *Link) opportunity() {
 	l.admit()
+	// Every opportunity the last batch skipped came before this one.
+	l.wasted += int64(len(l.skipped))
+	l.skipped = l.skipped[:0]
 	budget := network.MTU
 	now := l.clock.Now()
 	if l.onOpportunity != nil {
@@ -511,5 +575,9 @@ func (l *Link) opportunity() {
 	if !progress {
 		l.wasted++
 	}
-	l.scheduleNextOpportunity()
+	at, ok := l.proc.Next()
+	if l.batch && l.backlogged == 0 {
+		at, ok = l.skipIdle(at, ok)
+	}
+	l.arm(at, ok)
 }

@@ -147,6 +147,18 @@ func equivalences() []equivalence {
 		equivalence{name: "streaming world reuse, sprout", prior: []Spec{stream}, a: stream},
 		equivalence{name: "cell world reuse, proportional-fair churn", prior: []Spec{churn}, a: churn},
 	)
+	// A link's rank is its creation order on the world's loop, and
+	// worlds create links in (cell, downlink, uplink) order whatever ran
+	// before: a direct spec after a two-cell one ranks cell 0's links as
+	// a fresh world does, and so does a two-cell spec after a direct one.
+	twoCells := cellSpec(&CellSpec{Cells: 2, Groups: []CellGroup{
+		{Scheme: "cubic", Flows: 2}, {Scheme: "sprout", Flows: 2, Cell: 1},
+	}}, 2*time.Second, 500*time.Millisecond, 5)
+	direct := streamSpec("cubic", 2*time.Second, 500*time.Millisecond, 5)
+	rows = append(rows,
+		equivalence{name: "direct after two cells", prior: []Spec{twoCells}, a: direct},
+		equivalence{name: "two cells after direct", prior: []Spec{direct}, a: twoCells},
+	)
 	return rows
 }
 

@@ -18,15 +18,24 @@ import (
 
 // The reference world (DESIGN.md §8.7) runs a direct or cell spec with
 // none of runFlows' optimisations: a fresh loop, one After event per
-// arrival, heap packets, fresh endpoints, and batch metrics over the whole
-// delivery log. It shares with runFlows only the contract: seed
+// arrival, an event per opportunity, heap packets, fresh endpoints, and
+// batch metrics over the whole delivery log. It shares with runFlows only the contract: seed
 // derivations, roster order, Scheme.New and cell.Schedule.
 
-// refClock is the run's loop seen through sim.Clock alone.
+// refClock is the run's loop seen through sim.Clock and sim.Ranker
+// alone: no Sequencer, so its links schedule an event per arrival, at the
+// priority Reserve gives an arrival, and fire every opportunity at their
+// rank's priority — the same order of an instant's events as the world's.
 type refClock struct{ loop *sim.Loop }
 
-func (c refClock) Now() time.Duration                         { return c.loop.Now() }
-func (c refClock) After(d time.Duration, fn func()) sim.Timer { return c.loop.After(d, fn) }
+func (c refClock) Now() time.Duration { return c.loop.Now() }
+func (c refClock) After(d time.Duration, fn func()) sim.Timer {
+	return c.loop.RescheduleAt(sim.Timer{}, c.loop.Reserve(d), fn)
+}
+func (c refClock) NewRank() uint32 { return c.loop.NewRank() }
+func (c refClock) RescheduleAt(t sim.Timer, r sim.Reservation, fn func()) sim.Timer {
+	return c.loop.RescheduleAt(t, r, fn)
+}
 
 // refLink is one direction of one cell with the counts its packet
 // conservation check reads.

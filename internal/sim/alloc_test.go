@@ -162,22 +162,27 @@ func TestRescheduleInvalidatesOldHandle(t *testing.T) {
 	}
 }
 
-// TestReservedPriorityOrder: a reservation holds the position in the event
-// order at which it was taken — after the events scheduled for its instant
-// before it, ahead of those scheduled after it.
+// TestReservedPriorityOrder: a reservation holds its place by class, not
+// by when it was taken: behind the reservations for its instant taken
+// before it, ahead of every ranked and At event of that instant, whether
+// scheduled before or after it.
 func TestReservedPriorityOrder(t *testing.T) {
 	l := New()
 	var res Reservation
-	var before, after bool
-	l.At(time.Millisecond, func() { before = l.Passed(res) })
+	var early, earlier, ranked, late bool
+	l.At(time.Millisecond, func() { early = l.Passed(res) })
+	first := l.Reserve(time.Millisecond)
 	res = l.Reserve(time.Millisecond)
-	l.At(time.Millisecond, func() { after = l.Passed(res) })
+	l.RescheduleAt(Timer{}, first, func() { earlier = l.Passed(res) })
+	l.RescheduleAt(Timer{}, Ranked(time.Millisecond, l.NewRank()), func() { ranked = l.Passed(res) })
+	l.At(time.Millisecond, func() { late = l.Passed(res) })
 	if l.Passed(res) {
 		t.Error("reservation passed before its instant")
 	}
 	l.Run(time.Second)
-	if before || !after {
-		t.Errorf("Passed = %v inside the earlier event, %v inside the later; want false, true", before, after)
+	if earlier || !ranked || !early || !late {
+		t.Errorf("Passed = %v inside the earlier reservation's event, %v inside a ranked event, %v and %v inside At events scheduled before and after it; want false, true, true, true",
+			earlier, ranked, early, late)
 	}
 	if !l.Passed(res) {
 		t.Error("reservation not passed after Run went beyond it")

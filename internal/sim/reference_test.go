@@ -8,10 +8,11 @@ import (
 
 // refQueue is the reference the Loop is checked against: the same contract
 // with none of its machinery. Pending events sit in a slice scanned
-// linearly for the minimum (at, seq); a handle is the event's unique id.
+// linearly for the minimum (at, key); a handle is the event's unique id.
 type refQueue struct {
 	now    time.Duration
 	seq    uint64
+	ranks  uint32
 	firing uint64
 	fired  uint64
 	lastID uint64
@@ -20,7 +21,7 @@ type refQueue struct {
 
 type refEvent struct {
 	at  time.Duration
-	seq uint64
+	key uint64
 	id  uint64
 	fn  func()
 }
@@ -30,9 +31,13 @@ func (q *refQueue) Pending() int       { return len(q.events) }
 func (q *refQueue) Fired() uint64      { return q.fired }
 
 func (q *refQueue) At(t time.Duration, fn func()) uint64 {
-	q.lastID++
-	q.events = append(q.events, refEvent{at: max(t, q.now), seq: q.seq, id: q.lastID, fn: fn})
 	q.seq++
+	return q.add(max(t, q.now), classOther|(q.seq-1), fn)
+}
+
+func (q *refQueue) add(at time.Duration, key uint64, fn func()) uint64 {
+	q.lastID++
+	q.events = append(q.events, refEvent{at: at, key: key, id: q.lastID, fn: fn})
 	return q.lastID
 }
 
@@ -53,21 +58,46 @@ func (q *refQueue) Reschedule(id uint64, d time.Duration, fn func()) uint64 {
 	return q.After(d, fn)
 }
 
+// before reports whether (at, key) sorts before the queue's position:
+// the instant now, among its events the one firing (or last fired).
+func (q *refQueue) before(at time.Duration, key uint64) bool {
+	return at < q.now || at == q.now && key < q.firing
+}
+
+// Reserve: an arrival, in reservation order, unless it would sort before
+// the position; then it is the instant's next class-2 event.
 func (q *refQueue) Reserve(d time.Duration) Reservation {
-	r := Reservation{at: max(q.now+d, q.now), seq: q.seq}
+	r := Reservation{at: max(q.now+d, q.now), key: classReserved | q.seq}
+	if q.before(r.at, r.key) {
+		r.key = classOther | q.seq
+	}
 	q.seq++
 	return r
 }
 
-func (q *refQueue) Passed(r Reservation) bool {
-	return r.at < q.now || r.at == q.now && r.seq < q.firing
+func (q *refQueue) Passed(r Reservation) bool { return q.before(r.at, r.key) }
+
+func (q *refQueue) NewRank() uint32 {
+	q.ranks++
+	return q.ranks - 1
+}
+
+// RescheduleAt: at r, unless r sorts before the position; then at the
+// current instant, after everything scheduled for it.
+func (q *refQueue) RescheduleAt(id uint64, r Reservation, fn func()) uint64 {
+	q.Stop(id)
+	if q.before(r.at, r.key) {
+		q.seq++
+		return q.add(q.now, classOther|(q.seq-1), fn)
+	}
+	return q.add(r.at, r.key, fn)
 }
 
 // next returns the index of the earliest pending event, or -1.
 func (q *refQueue) next() int {
 	m := -1
 	for i, e := range q.events {
-		if m < 0 || e.at < q.events[m].at || e.at == q.events[m].at && e.seq < q.events[m].seq {
+		if m < 0 || e.at < q.events[m].at || e.at == q.events[m].at && e.key < q.events[m].key {
 			m = i
 		}
 	}
@@ -77,7 +107,7 @@ func (q *refQueue) next() int {
 func (q *refQueue) fire(i int) {
 	e := q.events[i]
 	q.events = append(q.events[:i], q.events[i+1:]...)
-	q.now, q.firing = e.at, e.seq
+	q.now, q.firing = e.at, e.key
 	q.fired++
 	e.fn()
 }
@@ -95,10 +125,11 @@ func (q *refQueue) Run(until time.Duration) {
 		q.fire(i)
 	}
 	if until >= q.now {
-		q.now, q.firing = until, q.seq
+		q.now, q.firing = until, classOther|q.seq
 	}
 }
 
+// Reset keeps the ranks: they belong to the sources, not the run.
 func (q *refQueue) Reset() {
 	q.events = q.events[:0]
 	q.now, q.seq, q.firing, q.fired = 0, 0, 0, 0
@@ -116,6 +147,8 @@ type queue[H any] interface {
 	Stop(h H) bool
 	Reserve(d time.Duration) Reservation
 	Passed(r Reservation) bool
+	NewRank() uint32
+	RescheduleAt(h H, r Reservation, fn func()) H
 	Step() bool
 	Run(until time.Duration)
 	Reset()
@@ -144,10 +177,20 @@ type program[H any] struct {
 	code   []byte
 	pc     int
 	hs     []H // the handles the program holds
+	srcs   []source[H]
 	res    []Reservation
 	lastID uint64
 	log    []record
 }
+
+// source is a ranked event source: its rank and the handle of its one
+// event, which only the source re-arms.
+type source[H any] struct {
+	rank uint32
+	h    H
+}
+
+const maxSources = 4
 
 const maxHandles = 32
 
@@ -209,6 +252,40 @@ func (p *program[H]) fire(id uint64, k int) {
 	}
 }
 
+// source returns a ranked source's index, making a new one (with a new
+// rank) now and then until there are maxSources.
+func (p *program[H]) source() int {
+	if n := len(p.srcs); n == 0 || n < maxSources && p.next()%4 == 0 {
+		p.srcs = append(p.srcs, source[H]{rank: p.q.NewRank()})
+	}
+	return p.next() % len(p.srcs)
+}
+
+// armSource re-arms source i's event at its rank's priority, past times
+// and the current instant included: only a re-arm at the instant of the
+// source's own firing event keeps that priority; one from an earlier rank's
+// or a later class's event sorts after the event now firing.
+func (p *program[H]) armSource(i int) {
+	p.lastID++
+	id := p.lastID
+	r := Ranked(p.q.Now()+p.delay(), p.srcs[i].rank)
+	p.srcs[i].h = p.q.RescheduleAt(p.srcs[i].h, r, func() { p.fireSource(id, i) })
+}
+
+// fireSource is every ranked event's callback: it logs the firing, then
+// re-arms its source or acts as from outside.
+func (p *program[H]) fireSource(id uint64, i int) {
+	p.log = append(p.log, record{what: "fire ranked", id: id, now: p.q.Now(), pending: p.q.Pending(), fired: p.q.Fired()})
+	var none H
+	for n := p.next() % 4; n > 0 && !p.done(); n-- {
+		if p.next()%3 == 0 {
+			p.armSource(i)
+		} else {
+			p.act(-1, none)
+		}
+	}
+}
+
 // act runs one operation; k < 0 outside callbacks, where "own" means a
 // handle picked at random (the zero handle before the first event).
 func (p *program[H]) act(k int, own H) {
@@ -219,7 +296,7 @@ func (p *program[H]) act(k int, own H) {
 		k = p.pick()
 		own = p.hs[k]
 	}
-	switch p.next() % 16 {
+	switch p.next() % 20 {
 	case 0, 1, 13: // At, past times included
 		p.schedule(p.slot(), func(fn func()) H { return p.q.At(p.q.Now()+p.delay(), fn) })
 	case 2, 14:
@@ -249,6 +326,19 @@ func (p *program[H]) act(k int, own H) {
 		}
 	case 15:
 		p.maybeReset()
+	case 16:
+		p.armSource(p.source())
+	case 17: // an event at a reservation's priority: class 0, or 2 at now
+		var none H
+		p.schedule(p.slot(), func(fn func()) H { return p.q.RescheduleAt(none, p.q.Reserve(p.delay()), fn) })
+	case 18: // re-arm a held timer, pending or not, at a reservation's
+		i := p.pick()
+		p.schedule(i, func(fn func()) H { return p.q.RescheduleAt(p.hs[i], p.q.Reserve(p.delay()), fn) })
+	case 19:
+		if len(p.srcs) > 0 {
+			r := Ranked(p.q.Now()+p.delay(), p.srcs[p.next()%len(p.srcs)].rank)
+			p.observe("passed ranked", p.q.Passed(r))
+		}
 	}
 }
 
@@ -301,7 +391,10 @@ func checkAgainstReference(t *testing.T, code []byte) []record {
 // TestLoopMatchesReference: on seeded random programs, the Loop fires
 // every event where the naive queue does, and answers every question the
 // same: Now, Pending and Fired inside and between callbacks, Stop on
-// pending, fired and own handles, and Passed.
+// pending, fired and own handles, and Passed on reservations and ranked
+// priorities. The programs schedule all three classes: events at
+// reservations, ranked sources' events (re-armed at their own instant,
+// from other events and in the past) and At/Reschedule.
 func TestLoopMatchesReference(t *testing.T) {
 	counts := map[string]int{}
 	for seed := int64(1); seed <= 300; seed++ {
@@ -309,7 +402,7 @@ func TestLoopMatchesReference(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(code)
 		for _, r := range checkAgainstReference(t, code) {
 			switch r.what {
-			case "stop", "stop own", "passed", "step":
+			case "stop", "stop own", "passed", "passed ranked", "step":
 				if r.ok {
 					counts[r.what+" true"]++
 				} else {
@@ -320,7 +413,8 @@ func TestLoopMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, what := range []string{"fire", "stop true", "stop false", "stop own false", "passed true", "passed false", "step true", "step false", "reset", "run"} {
+	for _, what := range []string{"fire", "fire ranked", "stop true", "stop false", "stop own false", "passed true", "passed false",
+		"passed ranked true", "passed ranked false", "step true", "step false", "reset", "run"} {
 		if counts[what] < 20 {
 			t.Errorf("%q observed %d times over all programs; want at least 20", what, counts[what])
 		}

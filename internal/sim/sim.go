@@ -3,9 +3,11 @@
 // run inside a sim.Loop, which replaces the real-time Cellsim PC of the
 // paper's testbed (§4.2) with reproducible virtual time.
 //
-// Events scheduled for the same instant fire in the order they were
-// scheduled (FIFO tie-break), which makes every experiment byte-for-byte
-// reproducible for a given seed.
+// Events of one instant fire in a fixed order (DESIGN.md §2): arrivals
+// reserved with Reserve first, in the order they were reserved; then
+// ranked sources' events (link opportunities), by the source's rank; then
+// every other event, in the order it was scheduled. That makes every
+// experiment byte-for-byte reproducible for a given seed.
 //
 // The loop is allocation-free in steady state: events live in a pooled
 // arena of slots recycled through a free list, the priority queue is a
@@ -101,24 +103,41 @@ type slot struct {
 // loading each through a pointer, and the slot that holds its callback.
 type entry struct {
 	at  time.Duration
-	seq uint64 // FIFO tie-break for equal times
+	key uint64 // tie-break for equal times: class, then sequence or rank
 	s   *slot
 }
+
+// An event's key orders the events of one instant: its class in the top
+// two bits, then a sequence number (classes 0 and 2) or its source's rank
+// (class 1).
+const (
+	classReserved uint64 = 0 << 62 // Reserve: arrivals, by sequence number
+	classRanked   uint64 = 1 << 62 // ranked sources' events, by rank
+	classOther    uint64 = 2 << 62 // At and Reschedule, by sequence number
+)
 
 // slotBlock is how many slots are allocated at once when the free list
 // runs dry. Steady-state experiments stop growing after warmup.
 const slotBlock = 64
 
 // Reservation is a position in the loop's total event order: the (time,
-// sequence) priority an event scheduled now would receive. A component
-// whose callbacks would only move work into a queue that nothing can look
-// at between two of its own events (the link's propagation delay, DESIGN.md
-// §9) can Reserve at submission time, schedule nothing, and ask Passed
-// when it next looks: it then acts on exactly the work whose per-item
-// events would have fired by now, in the order they would have fired.
+// key) priority an event would receive. A component whose callbacks would
+// only move work into a queue that nothing can look at between two of its
+// own events (the link's propagation delay, DESIGN.md §3.3) can Reserve at
+// submission time, schedule nothing, and ask Passed when it next looks: it
+// then acts on exactly the work whose per-item events would have fired by
+// now, in the order they would have fired.
 type Reservation struct {
 	at  time.Duration
-	seq uint64
+	key uint64
+}
+
+// Ranked returns the priority of rank's event at instant at: after every
+// reservation of that instant, before every At and Reschedule of it, and
+// among the other ranked sources' events of it by rank — wherever and
+// whenever it is armed.
+func Ranked(at time.Duration, rank uint32) Reservation {
+	return Reservation{at: at, key: classRanked | uint64(rank)}
 }
 
 // Time returns the virtual time the reservation is for.
@@ -128,12 +147,25 @@ func (r Reservation) Time() time.Duration { return r.at }
 // (the virtual-time Loop). Real-time clocks do not; callers fall back to
 // per-event After.
 type Sequencer interface {
-	// Reserve consumes the priority an event scheduled d from now would
-	// get, without scheduling anything.
+	// Reserve consumes the priority of an arrival d from now, without
+	// scheduling anything.
 	Reserve(d time.Duration) Reservation
 	// Passed reports whether an event scheduled at r would already have
 	// fired.
 	Passed(r Reservation) bool
+}
+
+// Ranker is implemented by clocks that can key an event by its source
+// instead of by when it was scheduled (the virtual-time Loop). A source
+// takes a rank once and arms each of its events at Ranked(at, rank), at
+// most one pending at a time; its events then keep their place among an
+// instant's events however early or late they were armed.
+type Ranker interface {
+	// NewRank returns a rank no source on this clock has had.
+	NewRank() uint32
+	// RescheduleAt cancels t (if still pending) and schedules fn to run
+	// at r's priority, reusing t's resources.
+	RescheduleAt(t Timer, r Reservation, fn func()) Timer
 }
 
 // Loop is a discrete-event simulation loop. The zero value is ready to use.
@@ -141,10 +173,11 @@ type Sequencer interface {
 // The loop is not reentrant: a callback may schedule, re-arm, stop,
 // reserve and even Reset, but calling Run or Step from inside one panics.
 type Loop struct {
-	now  time.Duration
-	seq  uint64
-	heap []entry // min-heap on (at, seq); every entry but held is live
-	free []*slot // retired slots awaiting reuse
+	now   time.Duration
+	seq   uint64
+	ranks uint32  // ranks handed out; Reset keeps it
+	heap  []entry // min-heap on (at, key); every entry but held is live
+	free  []*slot // retired slots awaiting reuse
 
 	// held is the firing event's slot while its callback runs, until the
 	// callback's first At takes it over (nil otherwise). It stays at the
@@ -154,9 +187,9 @@ type Loop struct {
 	busy bool // inside Run or Step; guards against reentry
 
 	// firing bounds the events of the current instant that have fired:
-	// those with a smaller sequence number. It is the firing event's own
-	// number while its handler runs (and after Step returns), seq once
-	// Run has reached its horizon, 0 after Reset. See Passed.
+	// those with a smaller key. It is the firing event's own key while
+	// its handler runs (and after Step returns), the next class-2 key
+	// once Run has reached its horizon, 0 after Reset. See Passed.
 	firing uint64
 	fired  uint64 // events run since Reset
 }
@@ -206,8 +239,15 @@ func (l *Loop) At(t time.Duration, fn func()) Timer {
 	if t < l.now {
 		t = l.now
 	}
-	e := entry{at: t, seq: l.seq}
+	key := classOther | l.seq
 	l.seq++
+	return l.schedule(t, key, fn)
+}
+
+// schedule puts fn in the heap at (at, key), taking over the held firing
+// slot when there is one.
+func (l *Loop) schedule(at time.Duration, key uint64, fn func()) Timer {
+	e := entry{at: at, key: key}
 	if s := l.held; s != nil {
 		l.held = nil
 		s.fn = fn
@@ -239,11 +279,32 @@ func (l *Loop) Reschedule(t Timer, d time.Duration, fn func()) Timer {
 	if at < l.now {
 		at = l.now
 	}
+	key := classOther | l.seq
+	l.seq++
+	return l.rearm(t, at, key, fn)
+}
+
+// RescheduleAt implements Ranker: it re-arms t to fire fn at r's priority,
+// reusing t's slot in place when t is still pending on this loop. A
+// priority that sorts before the loop's position — an earlier instant, or
+// the current one ahead of the event now firing, as a source armed from
+// another event's callback would be — is never taken: the event fires at
+// the current instant after everything already scheduled for it, as At
+// does for a past time. So nothing a callback schedules sorts before it.
+func (l *Loop) RescheduleAt(t Timer, r Reservation, fn func()) Timer {
+	if r.at < l.now || r.at == l.now && r.key < l.firing {
+		r = Reservation{at: l.now, key: classOther | l.seq}
+		l.seq++
+	}
+	return l.rearm(t, r.at, r.key, fn)
+}
+
+// rearm is Reschedule and RescheduleAt once the new key is known.
+func (l *Loop) rearm(t Timer, at time.Duration, key uint64, fn func()) Timer {
 	if s := t.s; s != nil && s.loop == l {
 		if s.gen == t.gen && s.idx >= 0 {
 			e := &l.heap[s.idx]
-			e.at, e.seq, s.fn = at, l.seq, fn
-			l.seq++
+			e.at, e.key, s.fn = at, key, fn
 			s.gen++ // invalidate the old handle
 			l.fix(int(s.idx))
 			return Timer{s: s, gen: s.gen}
@@ -252,20 +313,35 @@ func (l *Loop) Reschedule(t Timer, d time.Duration, fn func()) Timer {
 		// fired, invalidating its handles, before the callback re-armed it)
 		// has nothing to stop — schedule fresh without the Stop round trip,
 		// which takes over the firing slot if this is the callback's first.
-		return l.At(at, fn)
+		return l.schedule(at, key, fn)
 	}
 	t.Stop()
-	return l.At(at, fn)
+	return l.schedule(at, key, fn)
 }
 
-// Reserve implements Sequencer: it consumes the (time, sequence) priority
-// an event scheduled d from now would get, without scheduling anything.
+// NewRank implements Ranker: ranks are handed out in creation order, and
+// Reset does not rewind them, so a component built once and reset for
+// every run keeps its rank (DESIGN.md §8.5).
+func (l *Loop) NewRank() uint32 {
+	l.ranks++
+	return l.ranks - 1
+}
+
+// Reserve implements Sequencer: it consumes the priority of an arrival d
+// from now (class 0, in reservation order), without scheduling anything.
+// One for the current instant taken while a later class fires, or after
+// Run or Step has fired one, would sort before the event now firing; it
+// takes the next class-2 key instead, so it lands after the events of the
+// instant already scheduled, as At would.
 func (l *Loop) Reserve(d time.Duration) Reservation {
 	at := l.now + d
 	if at < l.now {
 		at = l.now
 	}
-	r := Reservation{at: at, seq: l.seq}
+	r := Reservation{at: at, key: classReserved | l.seq}
+	if at == l.now && r.key < l.firing {
+		r.key = classOther | l.seq
+	}
 	l.seq++
 	return r
 }
@@ -279,7 +355,7 @@ func (l *Loop) Passed(r Reservation) bool {
 	if r.at != l.now {
 		return r.at < l.now
 	}
-	return r.seq < l.firing
+	return r.key < l.firing
 }
 
 // stopSlot cancels the event in s if the handle generation still matches.
@@ -316,9 +392,10 @@ func (l *Loop) Run(until time.Duration) {
 	}
 	l.busy = false
 	if until >= l.now {
-		// Every event up to the horizon has fired, whatever its sequence
-		// number. (An earlier horizon than the clock ran nothing.)
-		l.now, l.firing = until, l.seq
+		// Every event up to the horizon has fired, whatever its key;
+		// one scheduled since takes a class-2 key at least this one.
+		// (An earlier horizon than the clock ran nothing.)
+		l.now, l.firing = until, classOther|l.seq
 	}
 }
 
@@ -339,7 +416,7 @@ func (l *Loop) enter() {
 func (l *Loop) fire() {
 	e := l.heap[0]
 	s := e.s
-	l.now, l.firing = e.at, e.seq
+	l.now, l.firing = e.at, e.key
 	l.fired++
 	fn := s.fn
 	s.fn = nil
@@ -373,11 +450,11 @@ func (l *Loop) Pending() int {
 // allocation. Every pending event is cancelled and every outstanding Timer
 // handle invalidated (Stop on one returns false, exactly as after firing),
 // and no reservation has passed. Called from a callback, it also recycles
-// the firing event's held slot. A reset loop is
-// indistinguishable from a fresh one to its callers: the (time, sequence)
-// priorities handed out after Reset replay those of a new Loop, which is
-// what keeps reused-world experiment runs byte-identical to fresh-world
-// runs.
+// the firing event's held slot. Ranks are kept: they belong to sources
+// that outlive the run. A reset loop is indistinguishable from a fresh one
+// to its callers: the priorities handed out after Reset replay those of a
+// new Loop whose sources were created in the same order, which is what
+// keeps reused-world experiment runs byte-identical to fresh-world runs.
 func (l *Loop) Reset() {
 	for _, e := range l.heap {
 		l.retire(e.s)
@@ -388,13 +465,13 @@ func (l *Loop) Reset() {
 	l.firing, l.fired = 0, 0
 }
 
-// --- min-heap on (at, seq), keys inline, indices tracked in the slots ---
+// --- min-heap on (at, key), keys inline, indices tracked in the slots ---
 
-// before reports whether x's key sorts before (at, seq). Keys are unique,
-// so the order is strict and total: the pop sequence is fixed whatever
-// the heap's layout.
-func (x *entry) before(at time.Duration, seq uint64) bool {
-	return x.at < at || x.at == at && x.seq < seq
+// before reports whether x sorts before (at, key). Keys are unique, so the
+// order is strict and total: the pop sequence is fixed whatever the heap's
+// layout.
+func (x *entry) before(at time.Duration, key uint64) bool {
+	return x.at < at || x.at == at && x.key < key
 }
 
 // remove deletes the entry at heap index i, restoring the heap property.
@@ -425,7 +502,7 @@ func (l *Loop) siftUp(i int) {
 	start := i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h[parent].before(e.at, e.seq) {
+		if h[parent].before(e.at, e.key) {
 			break
 		}
 		h[i] = h[parent]
@@ -453,9 +530,9 @@ func (l *Loop) siftDown(i int) bool {
 		}
 		if r := child + 1; r < n {
 			a, b := &h[child], &h[r]
-			child += b2i(b.at < a.at) | b2i(b.at == a.at)&b2i(b.seq < a.seq)
+			child += b2i(b.at < a.at) | b2i(b.at == a.at)&b2i(b.key < a.key)
 		}
-		if !h[child].before(e.at, e.seq) {
+		if !h[child].before(e.at, e.key) {
 			break
 		}
 		h[i] = h[child]

@@ -207,13 +207,16 @@ func TestFiredCountsEvents(t *testing.T) {
 }
 
 // passedProgram runs a seeded random program of loop operations — At,
-// Reschedule, Stop and Reserve with delays small enough to tie, from
-// inside handlers and from outside — and returns the answer to every "has
-// this reservation passed?" it asks: inside handlers, after Run, after a
-// Run whose horizon is behind the clock, after Step, and on a Reset loop.
-// With markers the reservation is a real event scheduled in its place
-// (After consumes the sequence number Reserve would) and the answer is
-// whether that event has fired; without, it is Loop.Passed.
+// Reschedule, Stop, Reserve and ranked priorities with delays small enough
+// to tie, from inside handlers and from outside — and returns the answer
+// to every "has this priority passed?" it asks: inside handlers, after
+// Run, after a Run whose horizon is behind the clock, after Step, and on a
+// Reset loop. The priorities span the three classes: reservations for a
+// later instant (class 0) and for the current one (class 2 once an event
+// of it has fired), and ranked sources' (class 1). With markers the
+// priority is a real event scheduled at it (RescheduleAt, which consumes
+// no sequence number) and the answer is whether that event has fired;
+// without, it is Loop.Passed.
 func passedProgram(seed int64, markers bool) []bool {
 	rng := rand.New(rand.NewSource(seed))
 	l := New()
@@ -229,14 +232,20 @@ func passedProgram(seed int64, markers bool) []bool {
 		return []time.Duration{-1, 0, 0, 1, 1, 2, 3}[rng.Intn(7)] * time.Millisecond
 	}
 	reserve := func() {
-		d := delay()
+		var r Reservation
+		if rng.Intn(3) == 0 {
+			// A ranked source's priority, for a later instant: one at the
+			// current one would sort before the event now firing.
+			r = Ranked(l.Now()+time.Duration(1+rng.Intn(3))*time.Millisecond, l.NewRank())
+		} else {
+			r = l.Reserve(delay())
+		}
 		if markers {
 			fired := false
-			l.After(d, func() { fired = true })
+			l.RescheduleAt(Timer{}, r, func() { fired = true })
 			asks = append(asks, func() bool { return fired })
 			return
 		}
-		r := l.Reserve(d)
 		asks = append(asks, func() bool { return l.Passed(r) })
 	}
 	ask := func() {

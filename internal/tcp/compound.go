@@ -33,9 +33,6 @@ func NewCompound() *Compound {
 	return &Compound{cwnd: initialWindow, ssthresh: 1 << 20}
 }
 
-// Name implements CongestionControl.
-func (c *Compound) Name() string { return "compound" }
-
 // Window implements CongestionControl.
 func (c *Compound) Window() float64 { return c.cwnd + c.dwnd }
 

@@ -34,9 +34,6 @@ func NewCubic(now func() time.Duration) *Cubic {
 	return &Cubic{now: now, cwnd: initialWindow, ssthresh: 1 << 20}
 }
 
-// Name implements CongestionControl.
-func (c *Cubic) Name() string { return "cubic" }
-
 // Window implements CongestionControl.
 func (c *Cubic) Window() float64 { return c.cwnd }
 

@@ -28,9 +28,6 @@ func NewLEDBAT() *LEDBAT {
 	return &LEDBAT{cwnd: initialWindow}
 }
 
-// Name implements CongestionControl.
-func (l *LEDBAT) Name() string { return "ledbat" }
-
 // Window implements CongestionControl.
 func (l *LEDBAT) Window() float64 { return l.cwnd }
 

@@ -18,9 +18,6 @@ func NewRenoCC() *Reno {
 // initialWindow is the RFC 6928 initial congestion window (10 segments).
 const initialWindow = 10
 
-// Name implements CongestionControl.
-func (r *Reno) Name() string { return "reno" }
-
 // Window implements CongestionControl.
 func (r *Reno) Window() float64 { return r.cwnd }
 

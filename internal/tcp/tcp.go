@@ -26,8 +26,6 @@ type segnum = int64
 // CongestionControl is the pluggable congestion-avoidance policy.
 // Windows are measured in segments (may be fractional).
 type CongestionControl interface {
-	// Name identifies the algorithm in reports.
-	Name() string
 	// OnAck is invoked for each newly acknowledged segment, with the
 	// sampled RTT for the ACKed segment and the current smoothed and
 	// minimum RTT estimates.

@@ -23,9 +23,6 @@ func NewVegas() *Vegas {
 	return &Vegas{cwnd: initialWindow, ssthresh: 1 << 20, alpha: 2, beta: 4}
 }
 
-// Name implements CongestionControl.
-func (v *Vegas) Name() string { return "vegas" }
-
 // Window implements CongestionControl.
 func (v *Vegas) Window() float64 { return v.cwnd }
 

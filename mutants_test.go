@@ -40,6 +40,13 @@ var mutants = []struct {
 		pkg:  "internal/link", test: "TestStaleArrivalsDrawNoLoss",
 	},
 	{
+		name: "an idle link skips the opportunity at the first arrival's instant",
+		file: "internal/link/link.go",
+		from: "for ok && at < horizon {",
+		to:   "for ok && at <= horizon {",
+		pkg:  "internal/link", test: "TestLinkAdmitMatchesPerArrivalEvents",
+	},
+	{
 		name: "Figure 2's log bins reach 60 s",
 		file: "internal/trace/stats.go",
 		from: "stats.NewLogHistogram(0.05, 10_000, 120)",
