@@ -86,22 +86,16 @@ func main() {
 		}
 		return link.New(clock, cfg, func(p *network.Packet) { out.Send(p) })
 	}
-	// Links must be created inside the clock lock: their opportunity
-	// timers fire on it.
+	// Links are built on the clock's driver, which fires their
+	// opportunities. udp.Conn.Serve stamps each datagram with its arrival
+	// instant before handing it to its link.
 	var downLink, upLink *link.Link
 	clock.Do(func() {
 		downLink = mkLink(downSrc, connB, 1)
 		upLink = mkLink(upSrc, connA, 2)
 	})
-
-	ingress := func(l *link.Link) network.Handler {
-		return func(p *network.Packet) {
-			p.SentAt = clock.Now()
-			l.Send(p)
-		}
-	}
-	go func() { exitOn(connA.Serve(ingress(downLink))) }()
-	go func() { exitOn(connB.Serve(ingress(upLink))) }()
+	go func() { exitOn(connA.Serve(downLink.Send)) }()
+	go func() { exitOn(connB.Serve(upLink.Send)) }()
 
 	if *stats > 0 {
 		go reportLoop(clock, *stats, downLink, upLink)

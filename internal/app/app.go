@@ -196,7 +196,7 @@ func (s *Sender) Decreases() int64 { return s.decreases }
 
 func (s *Sender) scheduleNext() {
 	gap := time.Duration(float64(s.profile.PacketSize*8) / s.rate * float64(time.Second))
-	s.paceTimer = sim.Reschedule(s.clock, s.paceTimer, gap, s.emitFn)
+	s.paceTimer = s.clock.Reschedule(s.paceTimer, gap, s.emitFn)
 }
 
 func (s *Sender) emit() {
@@ -327,7 +327,7 @@ func (r *Receiver) Receive(pkt *network.Packet) {
 }
 
 func (r *Receiver) report() {
-	r.reportTimer = sim.Reschedule(r.clock, r.reportTimer, reportInterval, r.reportFn)
+	r.reportTimer = r.clock.Reschedule(r.reportTimer, reportInterval, r.reportFn)
 	if !r.havePkt {
 		return
 	}

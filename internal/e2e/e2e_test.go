@@ -4,7 +4,7 @@
 // cmd/sproutcat and cmd/cellsim assemble.
 //
 // Wall-clock tests are inherently jittery; assertions are deliberately
-// loose (orders of magnitude, not percentages).
+// loose (floors well under what a run delivers, not percentages).
 package e2e
 
 import (
@@ -101,10 +101,13 @@ func TestLiveSproutOverUDPThroughCellsim(t *testing.T) {
 		got = rcv.BytesReceived()
 		feedbacks = snd.FeedbacksReceived()
 	})
+	kbps := float64(got) * 8 / 3 / 1000
 	t.Logf("live 3s: sent=%dB received=%dB (%.0f kbps) feedbacks=%d",
-		sent, got, float64(got)*8/3/1000, feedbacks)
-	if got < 50_000 {
-		t.Errorf("received only %d bytes in 3 s over a 3 Mb/s path", got)
+		sent, got, kbps, feedbacks)
+	// The flow delivers 1.5–2.0 Mb/s here, and 2.1 Mb/s on a virtual loop:
+	// the driver's late wakes cost the rest (DESIGN.md §2).
+	if kbps < 1000 {
+		t.Errorf("received %d bytes in 3 s (%.0f kbps) over a 3 Mb/s path, want at least 1 Mb/s", got, kbps)
 	}
 	if feedbacks < 20 {
 		t.Errorf("sender saw %d feedbacks, want dozens", feedbacks)

@@ -22,9 +22,9 @@ import (
 // and once with an event per arrival, and everything observable must
 // match.
 
-// eventClock is a sim.Loop seen through sim.Clock and sim.Ranker alone.
-// It is no Sequencer, so a link built on it schedules one After event per
-// arrival and fires every opportunity — the schedule whose outputs the
+// eventClock is a sim.Loop seen through sim.Clock alone. It is no
+// Sequencer, so a link built on it schedules one After event per arrival
+// and fires every opportunity — the schedule whose outputs the
 // admit rule and the skipping of idle opportunities must reproduce. After
 // schedules at the priority Reserve gives (an arrival, class 0), and the
 // opportunities keep the link's rank, so the two worlds tie identically.
@@ -33,6 +33,9 @@ type eventClock struct{ loop *sim.Loop }
 func (c eventClock) Now() time.Duration { return c.loop.Now() }
 func (c eventClock) After(d time.Duration, fn func()) sim.Timer {
 	return c.loop.RescheduleAt(sim.Timer{}, c.loop.Reserve(d), fn)
+}
+func (c eventClock) Reschedule(t sim.Timer, d time.Duration, fn func()) sim.Timer {
+	return c.loop.Reschedule(t, d, fn)
 }
 func (c eventClock) NewRank() uint32 { return c.loop.NewRank() }
 func (c eventClock) RescheduleAt(t sim.Timer, r sim.Reservation, fn func()) sim.Timer {

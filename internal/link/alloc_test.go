@@ -111,7 +111,7 @@ func TestLinkProcessMatchesTrace(t *testing.T) {
 			p := &network.Packet{Size: 900, Seq: seq, SentAt: loop.Now()}
 			seq++
 			l.Send(p)
-			tm = sim.Reschedule(loop, tm, 7*time.Millisecond, send)
+			tm = loop.Reschedule(tm, 7*time.Millisecond, send)
 		}
 		send()
 		loop.Run(10 * time.Second) // outlasts the trace: exercises the wrap

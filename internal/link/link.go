@@ -145,14 +145,14 @@ type Link struct {
 	// The propagation delay is constant, so packets emerge from it in the
 	// order they were submitted, and the queues they join drain only at
 	// opportunities: nothing can tell when, between two looks at the
-	// queues, an arrival joined one. On a virtual-time loop a packet in
+	// queues, an arrival joined one. On a loop, live or virtual, a packet in
 	// flight is therefore not an event. Send reserves the (time, key)
 	// priority its arrival event would have had and parks the packet in a
 	// ring; admit, run before anything reads or changes slot or scheduler
 	// state, moves in every packet whose reservation has passed — the same
 	// packets, in the same order, against the same state as one event per
 	// packet, so experiment outputs are byte-identical (DESIGN.md §3.3).
-	seqr     sim.Sequencer // nil on real-time clocks: fall back to After
+	seqr     sim.Sequencer // nil on the reference clocks: one After per packet
 	arrivals ring[arrival]
 
 	// Opportunities are keyed by the link's rank, not by when they were
@@ -160,9 +160,8 @@ type Link struct {
 	// pass over every opportunity before the earliest instant a packet
 	// could land without moving any event's place: skipIdle counts them
 	// wasted, and WastedOpportunities counts those the loop has reached.
-	ranker  sim.Ranker // nil on real-time clocks: plain Reschedule
 	rank    uint32
-	batch   bool            // dedicated link on a Sequencer and Ranker
+	batch   bool            // dedicated link on a Sequencer
 	skipped []time.Duration // passed over since the last opportunity fired
 
 	opTimer sim.Timer
@@ -191,14 +190,13 @@ type arrival struct {
 // New creates a link on the given clock and starts its delivery schedule.
 // deliver is invoked, at the instant each packet fully crosses the link,
 // with the delivered packet; on a shared link the caller demuxes on the
-// packet's flow id. The clock may be a virtual-time sim.Loop or the
-// wall-clock adapter in internal/realtime.
+// packet's flow id. The clock is a sim.Loop, virtual or paced by the wall
+// clock (internal/realtime); a clock that is no sim.Sequencer makes the
+// link schedule one event per arrival and fire every opportunity, which
+// is what the tests' reference clocks are for.
 func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
-	l := &Link{clock: clock}
+	l := &Link{clock: clock, rank: clock.NewRank()}
 	l.seqr, _ = clock.(sim.Sequencer)
-	if l.ranker, _ = clock.(sim.Ranker); l.ranker != nil {
-		l.rank = l.ranker.NewRank()
-	}
 	l.opFn = l.opportunity
 	l.Reset(cfg, deliver)
 	return l
@@ -249,7 +247,7 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	l.nslots, l.backlogged = 0, 0
 	l.free = l.free[:0]
 	l.arrivals.reset()
-	l.batch = cfg.Scheduler == nil && l.seqr != nil && l.ranker != nil
+	l.batch = cfg.Scheduler == nil && l.seqr != nil
 	l.skipped = l.skipped[:0]
 	l.deliveries = l.deliveries[:0]
 	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
@@ -397,13 +395,13 @@ func (l *Link) Send(pkt *network.Packet) { l.SendTo(0, pkt) }
 
 // SendTo submits a packet toward slot at the current virtual time. The
 // packet experiences the propagation delay, then joins the slot's queue.
-// On a virtual-time loop this schedules nothing: the packet lands — queued,
-// or lost or stale and only then released to the pool — when
-// the queues are next looked at, as if at its arrival instant.
+// On a loop this schedules nothing: the packet lands — queued, or lost or
+// stale and only then released to the pool — when the queues are next
+// looked at, as if at its arrival instant.
 func (l *Link) SendTo(slot int, pkt *network.Packet) {
 	gen := l.slots[slot].gen
 	if l.seqr == nil {
-		// Real-time clock: no priority reservations, one timer per packet.
+		// A reference clock: no priority reservations, one event per packet.
 		l.clock.After(l.cfg.PropagationDelay, func() { l.enqueue(slot, gen, pkt, l.clock.Now()) })
 		return
 	}
@@ -457,14 +455,9 @@ func (l *Link) setBacklog(slot int, on bool) {
 // simply stops the schedule (a wrapped trace never exhausts unless it
 // cannot advance time).
 func (l *Link) arm(at time.Duration, ok bool) {
-	if !ok {
-		return
+	if ok {
+		l.opTimer = l.clock.RescheduleAt(l.opTimer, sim.Ranked(at, l.rank), l.opFn)
 	}
-	if l.ranker != nil {
-		l.opTimer = l.ranker.RescheduleAt(l.opTimer, sim.Ranked(at, l.rank), l.opFn)
-		return
-	}
-	l.opTimer = sim.Reschedule(l.clock, l.opTimer, at-l.clock.Now(), l.opFn)
 }
 
 // skipIdle passes over, without an event, every opportunity from at on

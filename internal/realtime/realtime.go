@@ -1,83 +1,71 @@
-// Package realtime provides a wall-clock implementation of sim.Clock, so
-// the protocol endpoints and the Cellsim link emulation — written once
-// against the Clock interface — also run live: over real UDP sockets
-// (cmd/sproutcat) or as a real-time trace-driven relay (cmd/cellsim).
+// Package realtime drives a sim.Loop from the wall clock, so the protocol
+// endpoints and the Cellsim link emulation — written once against
+// sim.Clock — also run live: over real UDP sockets (cmd/sproutcat) or as a
+// real-time trace-driven relay (cmd/cellsim). There is one event queue,
+// as in ns-3's real-time simulator; the live tools run the code the
+// experiments run, admit rule and idle batching included.
 //
-// The simulation endpoints are single-threaded by construction; in real
-// time, timer callbacks and socket reads arrive on arbitrary goroutines.
-// The Clock therefore serializes everything through one mutex: timer
-// callbacks acquire it automatically, and external events (socket reads,
-// stdin) must enter through Do.
+// One driver goroutine owns the loop. It runs every event that has fallen
+// due, then sleeps until the next one is due or a message arrives in its
+// inbox. External events (socket reads, stdin, statistics) enter through
+// Do, which hands a function to the driver and waits for it. So the
+// endpoints stay single-threaded: Now, After, Stop and every other use of
+// the clock, or of a component on it, is legal only inside Do or inside a
+// callback the loop fires.
 package realtime
 
 import (
-	"sync"
 	"time"
 
 	"sprout/internal/sim"
 )
 
-// Clock is a wall-clock sim.Clock. Create with New.
+// Clock is a sim.Loop paced by the wall clock: its time is the time since
+// New. Create with New; only its driver runs the loop.
 type Clock struct {
-	mu    sync.Mutex
+	sim.Loop
 	start time.Time
+	inbox chan func()
+	done  chan struct{}
 }
 
-// New returns a Clock whose Now counts from the moment of creation.
+// New returns a Clock whose time counts from the moment of creation, and
+// starts its driver.
 func New() *Clock {
-	return &Clock{start: time.Now()}
+	c := &Clock{start: time.Now(), inbox: make(chan func()), done: make(chan struct{})}
+	go c.drive()
+	return c
 }
 
-// Now implements sim.Clock.
-func (c *Clock) Now() time.Duration { return time.Since(c.start) }
-
-// Do runs fn holding the clock's serialization lock. All interaction with
-// endpoints driven by this clock (packet receipt, application writes) must
-// go through Do so it cannot race with timer callbacks.
+// Do runs fn on the driver, after every event due by the wall instant it
+// is received at, and returns once fn has. All interaction with endpoints
+// on this clock (packet receipt, application writes) must go through Do;
+// a callback must not call it.
 func (c *Clock) Do(fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fn()
+	c.inbox <- fn
+	// The inbox is unbuffered and the driver takes the next message only
+	// after signalling this one done, so the waiter woken is this caller.
+	<-c.done
 }
 
-// After implements sim.Clock: fn runs on the serialization lock after d.
-func (c *Clock) After(d time.Duration, fn func()) sim.Timer {
-	if d < 0 {
-		d = 0
-	}
-	rt := &rtTimer{}
-	rt.t = time.AfterFunc(d, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		rt.mu.Lock()
-		if rt.stopped {
-			rt.mu.Unlock()
-			return
+// drive is the driver: the loop's one goroutine.
+func (c *Clock) drive() {
+	wake := time.NewTimer(time.Hour) // re-armed for the next event before each wait
+	for {
+		var due <-chan time.Time
+		if at, ok := c.NextAt(); ok {
+			wake.Reset(at - time.Since(c.start))
+			due = wake.C
 		}
-		rt.fired = true
-		rt.mu.Unlock()
-		fn()
-	})
-	return sim.ExternalTimer(rt)
-}
-
-type rtTimer struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
-	fired   bool
-}
-
-// Stop implements sim.Stopper.
-func (t *rtTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped || t.fired {
-		return false
+		select {
+		case <-due:
+			c.Run(time.Since(c.start))
+		case fn := <-c.inbox:
+			c.Run(time.Since(c.start))
+			fn()
+			c.done <- struct{}{}
+		}
 	}
-	t.stopped = true
-	t.t.Stop()
-	return true
 }
 
 var _ sim.Clock = (*Clock)(nil)

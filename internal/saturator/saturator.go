@@ -127,7 +127,7 @@ func (s *Sender) Stats() (sent, echoes int64) { return s.sent, s.echoes }
 // pump tops the window up; it reschedules itself so the saturator recovers
 // even if every in-flight packet is lost.
 func (s *Sender) pump() {
-	s.pumpTimer = sim.Reschedule(s.clock, s.pumpTimer, 100*time.Millisecond, s.pumpFn)
+	s.pumpTimer = s.clock.Reschedule(s.pumpTimer, 100*time.Millisecond, s.pumpFn)
 	now := s.clock.Now()
 	for s.inFlight < s.window {
 		pkt := s.probe(now)

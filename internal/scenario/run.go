@@ -9,7 +9,6 @@ import (
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
-	"sprout/internal/sim"
 	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
@@ -272,7 +271,7 @@ func (w *world) runEvents() {
 		}
 	}
 	if w.evIdx < len(evs) {
-		w.evTimer = sim.Reschedule(w.loop, w.evTimer, evs[w.evIdx].At-now, w.evFn)
+		w.evTimer = w.loop.Reschedule(w.evTimer, evs[w.evIdx].At-now, w.evFn)
 	}
 }
 

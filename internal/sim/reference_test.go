@@ -30,6 +30,17 @@ func (q *refQueue) Now() time.Duration { return q.now }
 func (q *refQueue) Pending() int       { return len(q.events) }
 func (q *refQueue) Fired() uint64      { return q.fired }
 
+func (q *refQueue) NextAt() (time.Duration, bool) {
+	if len(q.events) == 0 {
+		return 0, false
+	}
+	at := q.events[0].at
+	for _, e := range q.events[1:] {
+		at = min(at, e.at)
+	}
+	return at, true
+}
+
 func (q *refQueue) At(t time.Duration, fn func()) uint64 {
 	q.seq++
 	return q.add(max(t, q.now), classOther|(q.seq-1), fn)
@@ -141,6 +152,7 @@ type queue[H any] interface {
 	Now() time.Duration
 	Pending() int
 	Fired() uint64
+	NextAt() (time.Duration, bool)
 	At(t time.Duration, fn func()) H
 	After(d time.Duration, fn func()) H
 	Reschedule(h H, d time.Duration, fn func()) H
@@ -163,8 +175,9 @@ func (loopQueue) Stop(t Timer) bool { return t.Stop() }
 type record struct {
 	what    string
 	id      uint64 // the event that fired, for "fire"
-	ok      bool   // the answer of Stop, Passed or Step
+	ok      bool   // the answer of Stop, Passed, Step or NextAt
 	now     time.Duration
+	next    time.Duration // NextAt's time, for "next"
 	pending int
 	fired   uint64
 }
@@ -211,6 +224,13 @@ func (p *program[H]) delay() time.Duration { return delays[p.next()%len(delays)]
 
 func (p *program[H]) observe(what string, ok bool) {
 	p.log = append(p.log, record{what: what, ok: ok, now: p.q.Now(), pending: p.q.Pending(), fired: p.q.Fired()})
+}
+
+// observeNext logs when the next pending event is due, as a driver asks
+// between runs.
+func (p *program[H]) observeNext() {
+	at, ok := p.q.NextAt()
+	p.log = append(p.log, record{what: "next", ok: ok, now: p.q.Now(), next: at, pending: p.q.Pending(), fired: p.q.Fired()})
 }
 
 // slot picks where a new handle goes: appended, or over an old one (whose
@@ -355,11 +375,13 @@ func runProgram[H any](q queue[H], code []byte) []record {
 		case 3:
 			p.q.Run(p.q.Now() + p.delay())
 			p.observe("run", false)
+			p.observeNext()
 		case 4:
 			p.q.Run(p.q.Now() - time.Millisecond) // runs nothing
 			p.observe("run behind", false)
 		case 5:
 			p.observe("step", p.q.Step())
+			p.observeNext()
 		case 6:
 			p.maybeReset()
 		case 7:
@@ -390,9 +412,9 @@ func checkAgainstReference(t *testing.T, code []byte) []record {
 
 // TestLoopMatchesReference: on seeded random programs, the Loop fires
 // every event where the naive queue does, and answers every question the
-// same: Now, Pending and Fired inside and between callbacks, Stop on
-// pending, fired and own handles, and Passed on reservations and ranked
-// priorities. The programs schedule all three classes: events at
+// same: Now, Pending and Fired inside and between callbacks, NextAt
+// between runs, Stop on pending, fired and own handles, and Passed on
+// reservations and ranked priorities. The programs schedule all three classes: events at
 // reservations, ranked sources' events (re-armed at their own instant,
 // from other events and in the past) and At/Reschedule.
 func TestLoopMatchesReference(t *testing.T) {
@@ -402,7 +424,7 @@ func TestLoopMatchesReference(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(code)
 		for _, r := range checkAgainstReference(t, code) {
 			switch r.what {
-			case "stop", "stop own", "passed", "passed ranked", "step":
+			case "stop", "stop own", "passed", "passed ranked", "step", "next":
 				if r.ok {
 					counts[r.what+" true"]++
 				} else {
@@ -414,7 +436,7 @@ func TestLoopMatchesReference(t *testing.T) {
 		}
 	}
 	for _, what := range []string{"fire", "fire ranked", "stop true", "stop false", "stop own false", "passed true", "passed false",
-		"passed ranked true", "passed ranked false", "step true", "step false", "reset", "run"} {
+		"passed ranked true", "passed ranked false", "step true", "step false", "next true", "next false", "reset", "run"} {
 		if counts[what] < 20 {
 			t.Errorf("%q observed %d times over all programs; want at least 20", what, counts[what])
 		}

@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation loop with
 // a virtual clock. All of the trace-driven experiments in this repository
 // run inside a sim.Loop, which replaces the real-time Cellsim PC of the
-// paper's testbed (§4.2) with reproducible virtual time.
+// paper's testbed (§4.2) with reproducible virtual time; the live tools
+// run one too, paced by the wall clock (internal/realtime).
 //
 // Events of one instant fire in a fixed order (DESIGN.md §2): arrivals
 // reserved with Reserve first, in the order they were reserved; then
@@ -21,10 +22,15 @@ import (
 	"time"
 )
 
-// Clock exposes the current virtual time and lets components schedule
-// callbacks. Both the simulation loop and the real-time adapter in
-// internal/realtime implement it, so protocol endpoints are written once
-// and run in either world.
+// Clock exposes the current time and lets components schedule callbacks.
+// The virtual-time Loop implements it, and so does internal/realtime's
+// live clock, which is a Loop paced by the wall clock: protocol endpoints
+// and links are written once and run in either world.
+//
+// A source that needs its events kept in place among an instant's others
+// (a link's opportunities, DESIGN.md §2) takes a rank once and arms each
+// of its events at Ranked(at, rank), at most one pending at a time; its
+// events then keep their place however early or late they were armed.
 type Clock interface {
 	// Now returns the time elapsed since the start of the run.
 	Now() time.Duration
@@ -32,59 +38,34 @@ type Clock interface {
 	// fn at the current instant (but not synchronously). It returns a
 	// handle that can cancel the callback.
 	After(d time.Duration, fn func()) Timer
+	// Reschedule cancels t (if still pending) and schedules fn to run d
+	// from now, reusing t's resources. Periodic callers hold one Timer
+	// and one prebuilt fn and re-arm through it; on the Loop the whole
+	// cycle is allocation-free.
+	Reschedule(t Timer, d time.Duration, fn func()) Timer
+	// NewRank returns a rank no source on this clock has had.
+	NewRank() uint32
+	// RescheduleAt cancels t (if still pending) and schedules fn to run
+	// at r's priority, reusing t's resources.
+	RescheduleAt(t Timer, r Reservation, fn func()) Timer
 }
 
-// Stopper is the cancellation half of an external (non-Loop) timer
-// implementation, wrapped into a Timer by ExternalTimer.
-type Stopper interface {
-	// Stop cancels the callback if it has not fired yet. It reports
-	// whether the call prevented the callback from firing.
-	Stop() bool
-}
-
-// Timer is a handle to a scheduled callback. The zero value is a valid
-// handle to nothing: Stop on it returns false. For the virtual-time Loop
-// the handle is (slot, generation); the generation check makes Stop safe
-// to call after the event has fired and its slot has been recycled for an
-// unrelated event.
+// Timer is a handle to a scheduled callback: (slot, generation). The zero
+// value is a valid handle to nothing: Stop on it returns false. The
+// generation check makes Stop safe to call after the event has fired and
+// its slot has been recycled for an unrelated event.
 type Timer struct {
-	s    *slot
-	gen  uint32
-	impl Stopper // non-Loop clocks (internal/realtime)
+	s   *slot
+	gen uint32
 }
-
-// ExternalTimer wraps a non-Loop timer implementation in a Timer handle.
-func ExternalTimer(s Stopper) Timer { return Timer{impl: s} }
 
 // Stop cancels the callback if it has not fired yet. It reports whether
 // the call prevented the callback from firing.
 func (t Timer) Stop() bool {
-	if t.s != nil {
-		return t.s.loop.stopSlot(t.s, t.gen)
+	if t.s == nil {
+		return false
 	}
-	if t.impl != nil {
-		return t.impl.Stop()
-	}
-	return false
-}
-
-// Rescheduler is implemented by clocks whose timers can be re-armed
-// cheaply in place. The package-level Reschedule helper falls back to
-// Stop+After on clocks that do not implement it.
-type Rescheduler interface {
-	Reschedule(t Timer, d time.Duration, fn func()) Timer
-}
-
-// Reschedule cancels t (if still pending) and schedules fn to run d from
-// now on c, reusing t's resources when the clock supports it. Periodic
-// callers should hold one Timer and one prebuilt fn and re-arm through
-// this helper; on the virtual-time Loop the whole cycle is allocation-free.
-func Reschedule(c Clock, t Timer, d time.Duration, fn func()) Timer {
-	if r, ok := c.(Rescheduler); ok {
-		return r.Reschedule(t, d, fn)
-	}
-	t.Stop()
-	return c.After(d, fn)
+	return t.s.loop.stopSlot(t.s, t.gen)
 }
 
 // slot is one pooled event in the loop's arena. Slots are allocated in
@@ -143,9 +124,11 @@ func Ranked(at time.Duration, rank uint32) Reservation {
 // Time returns the virtual time the reservation is for.
 func (r Reservation) Time() time.Duration { return r.at }
 
-// Sequencer is implemented by clocks that support priority reservations
-// (the virtual-time Loop). Real-time clocks do not; callers fall back to
-// per-event After.
+// Sequencer is implemented by clocks that support priority reservations:
+// the Loop, live or virtual. The reference clocks of the link and
+// scenario tests are not, so a link on one schedules an event per arrival
+// and fires every opportunity: the oracle the admit rule is checked
+// against (DESIGN.md §3.3).
 type Sequencer interface {
 	// Reserve consumes the priority of an arrival d from now, without
 	// scheduling anything.
@@ -153,19 +136,6 @@ type Sequencer interface {
 	// Passed reports whether an event scheduled at r would already have
 	// fired.
 	Passed(r Reservation) bool
-}
-
-// Ranker is implemented by clocks that can key an event by its source
-// instead of by when it was scheduled (the virtual-time Loop). A source
-// takes a rank once and arms each of its events at Ranked(at, rank), at
-// most one pending at a time; its events then keep their place among an
-// instant's events however early or late they were armed.
-type Ranker interface {
-	// NewRank returns a rank no source on this clock has had.
-	NewRank() uint32
-	// RescheduleAt cancels t (if still pending) and schedules fn to run
-	// at r's priority, reusing t's resources.
-	RescheduleAt(t Timer, r Reservation, fn func()) Timer
 }
 
 // Loop is a discrete-event simulation loop. The zero value is ready to use.
@@ -270,7 +240,7 @@ func (l *Loop) After(d time.Duration, fn func()) Timer {
 	return l.At(l.now+d, fn)
 }
 
-// Reschedule implements Rescheduler: it re-arms t to fire fn d from now,
+// Reschedule implements Clock: it re-arms t to fire fn d from now,
 // reusing t's slot in place when t is still pending on this loop. Exactly
 // one sequence number is consumed, the same as After, so replacing a
 // Stop+After pair with Reschedule leaves the event order untouched.
@@ -284,7 +254,7 @@ func (l *Loop) Reschedule(t Timer, d time.Duration, fn func()) Timer {
 	return l.rearm(t, at, key, fn)
 }
 
-// RescheduleAt implements Ranker: it re-arms t to fire fn at r's priority,
+// RescheduleAt implements Clock: it re-arms t to fire fn at r's priority,
 // reusing t's slot in place when t is still pending on this loop. A
 // priority that sorts before the loop's position — an earlier instant, or
 // the current one ahead of the event now firing, as a source armed from
@@ -319,7 +289,7 @@ func (l *Loop) rearm(t Timer, at time.Duration, key uint64, fn func()) Timer {
 	return l.schedule(at, key, fn)
 }
 
-// NewRank implements Ranker: ranks are handed out in creation order, and
+// NewRank implements Clock: ranks are handed out in creation order, and
 // Reset does not rewind them, so a component built once and reset for
 // every run keeps its rank (DESIGN.md §8.5).
 func (l *Loop) NewRank() uint32 {
@@ -433,6 +403,16 @@ func (l *Loop) fire() {
 
 // Fired returns the number of events run since Reset (or New).
 func (l *Loop) Fired() uint64 { return l.fired }
+
+// NextAt returns the time of the earliest pending event, and false when
+// none is pending. It is a driver's question, asked between runs: inside
+// a callback the firing event still holds the heap's root.
+func (l *Loop) NextAt() (time.Duration, bool) {
+	if len(l.heap) == 0 {
+		return 0, false
+	}
+	return l.heap[0].at, true
+}
 
 // Pending returns the number of scheduled events; inside a callback the
 // firing event is not one of them. Cancellation removes events from the

@@ -174,7 +174,7 @@ func (s *Sender) armRTO() {
 	if d > time.Minute {
 		d = time.Minute
 	}
-	s.rtoTimer = sim.Reschedule(s.cfg.Clock, s.rtoTimer, d, s.timeoutFn)
+	s.rtoTimer = s.cfg.Clock.Reschedule(s.rtoTimer, d, s.timeoutFn)
 }
 
 func (s *Sender) onTimeout() {

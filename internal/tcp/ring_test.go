@@ -97,7 +97,7 @@ func (s *mapSender) armRTO() {
 	if d > time.Minute {
 		d = time.Minute
 	}
-	s.rtoTimer = sim.Reschedule(s.cfg.Clock, s.rtoTimer, d, s.onTimeout)
+	s.rtoTimer = s.cfg.Clock.Reschedule(s.rtoTimer, d, s.onTimeout)
 }
 
 func (s *mapSender) onTimeout() {

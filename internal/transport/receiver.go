@@ -177,7 +177,7 @@ func (r *Receiver) Receive(pkt *network.Packet) {
 // tick runs the per-tick inference update (§3.2) and periodic feedback.
 // The tick timer is re-armed in place so the cadence allocates nothing.
 func (r *Receiver) tick() {
-	r.tickTimer = sim.Reschedule(r.cfg.Clock, r.tickTimer, r.cfg.Forecaster.TickDuration(), r.tickFn)
+	r.tickTimer = r.cfg.Clock.Reschedule(r.tickTimer, r.cfg.Forecaster.TickDuration(), r.tickFn)
 	now := r.cfg.Clock.Now()
 
 	observed := float64(r.bytesThisTick) / network.MTU

@@ -220,7 +220,7 @@ func (s *Sender) Receive(pkt *network.Packet) {
 // window allows. The tick timer is re-armed in place, so the steady-state
 // cadence allocates nothing.
 func (s *Sender) tick() {
-	s.tickTimer = sim.Reschedule(s.cfg.Clock, s.tickTimer, s.cfg.Tick, s.tickFn)
+	s.tickTimer = s.cfg.Clock.Reschedule(s.tickTimer, s.cfg.Tick, s.tickFn)
 	s.maybeSend()
 }
 
@@ -236,7 +236,7 @@ func (s *Sender) heartbeat() {
 // rescheduleHeartbeat pushes the idle keepalive to one tick after the
 // packet just sent, re-arming the standing timer in place.
 func (s *Sender) rescheduleHeartbeat() {
-	s.hbTimer = sim.Reschedule(s.cfg.Clock, s.hbTimer, s.cfg.Tick, s.hbFn)
+	s.hbTimer = s.cfg.Clock.Reschedule(s.hbTimer, s.cfg.Tick, s.hbFn)
 }
 
 // advanceForecast walks the sender's position in the 8-tick forecast

@@ -73,9 +73,8 @@ func (c *Conn) Send(pkt *network.Packet) {
 	_, _ = c.sock.WriteToUDP(buf, peer) // a failed write is a lost datagram (UDP semantics)
 }
 
-// Serve reads datagrams and hands them to handler inside the clock's
-// serialization lock, until the socket closes. It blocks; run it on its own
-// goroutine.
+// Serve reads datagrams and hands them to handler through the clock's Do,
+// until the socket closes. It blocks; run it on its own goroutine.
 func (c *Conn) Serve(handler network.Handler) error {
 	buf := make([]byte, 64*1024)
 	for {
@@ -88,12 +87,11 @@ func (c *Conn) Serve(handler network.Handler) error {
 		}
 		payload := make([]byte, n)
 		copy(payload, buf[:n])
-		pkt := &network.Packet{
-			Size:    n,
-			Payload: payload,
-			SentAt:  c.clock.Now(), // receive-side stamp; senders embed their own timing in headers
-		}
-		c.clock.Do(func() { handler(pkt) })
+		pkt := &network.Packet{Size: n, Payload: payload}
+		c.clock.Do(func() {
+			pkt.SentAt = c.clock.Now() // receive-side stamp; senders embed their own timing in headers
+			handler(pkt)
+		})
 	}
 }
 

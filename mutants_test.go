@@ -74,6 +74,27 @@ var mutants = []struct {
 		to:   "",
 		pkg:  "internal/core", test: "TestBuildMatchesPerBin",
 	},
+	{
+		name: "the live clock runs a Do before the events due by its wall instant",
+		file: "internal/realtime/realtime.go",
+		from: "\t\tcase fn := <-c.inbox:\n\t\t\tc.Run(time.Since(c.start))\n",
+		to:   "\t\tcase fn := <-c.inbox:\n",
+		pkg:  "internal/realtime", test: "TestDoRunsAfterDueEvents",
+	},
+	{
+		name: "the live clock steps its loop without waiting for the wall clock",
+		file: "internal/realtime/realtime.go",
+		from: "\t\t\twake.Reset(at - time.Since(c.start))\n\t\t\tdue = wake.C\n\t\t}\n\t\tselect {\n\t\tcase <-due:\n\t\t\tc.Run(time.Since(c.start))\n",
+		to:   "\t\t\twake.Reset(0 * at)\n\t\t\tdue = wake.C\n\t\t}\n\t\tselect {\n\t\tcase <-due:\n\t\t\tc.Step()\n",
+		pkg:  "internal/realtime", test: "TestAfterFires",
+	},
+	{
+		name: "the receiver forecasts at the median",
+		file: "internal/transport/receiver.go",
+		from: "core.NewModel(core.Params{})",
+		to:   "core.NewModel(core.Params{Confidence: 0.5})",
+		pkg:  "internal/transport", test: "TestInWorldCalibration",
+	},
 }
 
 // TestMutants copies the module to a temporary directory and, row by row,

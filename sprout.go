@@ -105,7 +105,8 @@ type (
 	Conn = network.Conn
 	// ConnFunc adapts a function to Conn.
 	ConnFunc = network.ConnFunc
-	// Clock abstracts time: the simulation loop or a real-time clock.
+	// Clock abstracts time: the event loop, on virtual time or paced by
+	// the wall clock.
 	Clock = sim.Clock
 	// Sender is the Sprout sending endpoint.
 	Sender = transport.Sender
