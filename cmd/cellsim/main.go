@@ -21,10 +21,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sprout/internal/codel"
@@ -57,7 +60,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	clock := realtime.New()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	clock := realtime.New(ctx)
 	connA, err := udp.Listen(clock, *addrA)
 	exitOn(err)
 	connB, err := udp.Listen(clock, *addrB)
@@ -100,7 +105,7 @@ func main() {
 	if *stats > 0 {
 		go reportLoop(clock, *stats, downLink, upLink)
 	}
-	select {} // run until killed
+	<-ctx.Done() // run until interrupted
 }
 
 // shaping is one direction's opportunity source: a trace file, or (with

@@ -17,9 +17,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sprout/internal/realtime"
@@ -35,19 +38,38 @@ func main() {
 	stats := flag.Duration("stats", 2*time.Second, "statistics interval")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	clock := realtime.New(ctx)
+	var report, finish func()
+	var deadline <-chan time.Time
 	switch {
 	case *record != "" && *send == "":
-		runRecorder(*record, *out, *dur, *stats)
+		report, finish = runRecorder(clock, *record, *out, *dur, *stats)
+		deadline = time.After(*dur)
 	case *send != "" && *record == "":
-		runSender(*send, *stats)
+		report = runSender(clock, *send)
 	default:
 		fmt.Fprintln(os.Stderr, "saturator: need exactly one of -record or -send")
 		os.Exit(2)
 	}
+	tick := time.Tick(*stats)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick:
+			clock.Do(report)
+		case <-deadline:
+			clock.Do(finish)
+			return
+		}
+	}
 }
 
-func runRecorder(addr, out string, dur, statsEvery time.Duration) {
-	clock := realtime.New()
+// runRecorder starts recording and returns its statistics report and the
+// function that writes the trace.
+func runRecorder(clock *realtime.Clock, addr, out string, dur, statsEvery time.Duration) (report, finish func()) {
 	conn, err := udp.Listen(clock, addr)
 	exitOn(err)
 	fmt.Fprintf(os.Stderr, "saturator: recording on %s for %v\n", conn.LocalAddr(), dur)
@@ -55,43 +77,30 @@ func runRecorder(addr, out string, dur, statsEvery time.Duration) {
 	clock.Do(func() { rcv = saturator.NewReceiver(1, clock, conn) })
 	go conn.Serve(rcv.Receive)
 
-	deadline := time.After(dur)
-	tick := time.Tick(statsEvery)
 	var last int64
-	for {
-		select {
-		case <-tick:
-			clock.Do(func() {
-				n := rcv.Received()
-				fmt.Fprintf(os.Stderr, "saturator: %6.0f kbps (%d probes)\n",
-					float64(n-last)*1500*8/statsEvery.Seconds()/1000, n)
-				last = n
-			})
-		case <-deadline:
-			var err error
-			clock.Do(func() {
-				tr := rcv.Trace("measured")
-				w := os.Stdout
-				if out != "-" {
-					var f *os.File
-					if f, err = os.Create(out); err != nil {
-						return
-					}
-					defer f.Close()
-					w = f
-				}
-				err = tr.Write(w)
-				fmt.Fprintf(os.Stderr, "saturator: wrote %d opportunities over %v\n",
-					tr.Count(), tr.Duration().Round(time.Second))
-			})
-			exitOn(err)
-			return
-		}
+	report = func() {
+		n := rcv.Received()
+		fmt.Fprintf(os.Stderr, "saturator: %6.0f kbps (%d probes)\n",
+			float64(n-last)*1500*8/statsEvery.Seconds()/1000, n)
+		last = n
 	}
+	finish = func() {
+		tr := rcv.Trace("measured")
+		w := os.Stdout
+		if out != "-" {
+			f, err := os.Create(out)
+			exitOn(err)
+			defer f.Close()
+			w = f
+		}
+		exitOn(tr.Write(w))
+		fmt.Fprintf(os.Stderr, "saturator: wrote %d opportunities over %v\n",
+			tr.Count(), tr.Duration().Round(time.Second))
+	}
+	return report, finish
 }
 
-func runSender(addr string, statsEvery time.Duration) {
-	clock := realtime.New()
+func runSender(clock *realtime.Clock, addr string) (report func()) {
 	conn, err := udp.Dial(clock, addr)
 	exitOn(err)
 	fmt.Fprintf(os.Stderr, "saturator: saturating %s\n", addr)
@@ -100,12 +109,10 @@ func runSender(addr string, statsEvery time.Duration) {
 		snd = saturator.NewSender(saturator.SenderConfig{Clock: clock, Conn: conn, Flow: 1})
 	})
 	go conn.Serve(snd.Receive)
-	for range time.Tick(statsEvery) {
-		clock.Do(func() {
-			sent, echoes := snd.Stats()
-			fmt.Fprintf(os.Stderr, "saturator: window %5d  rtt %8v  sent %d  echoed %d\n",
-				snd.Window(), snd.RTT().Round(time.Millisecond), sent, echoes)
-		})
+	return func() {
+		sent, echoes := snd.Stats()
+		fmt.Fprintf(os.Stderr, "saturator: window %5d  rtt %8v  sent %d  echoed %d\n",
+			snd.Window(), snd.RTT().Round(time.Millisecond), sent, echoes)
 	}
 }
 

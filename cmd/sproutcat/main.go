@@ -12,9 +12,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sprout/internal/core"
@@ -31,19 +34,31 @@ func main() {
 	stats := flag.Duration("stats", time.Second, "statistics interval")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	clock := realtime.New(ctx)
+	var report func()
 	switch {
 	case *listen != "" && *connect == "":
-		runReceiver(*listen, *ewma, *confidence, *stats)
+		report = runReceiver(clock, *listen, *ewma, *confidence, *stats)
 	case *connect != "" && *listen == "":
-		runSender(*connect, *stats)
+		report = runSender(clock, *connect, *stats)
 	default:
 		fmt.Fprintln(os.Stderr, "sproutcat: need exactly one of -listen or -connect")
 		os.Exit(2)
 	}
+	tick := time.Tick(*stats)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick:
+			clock.Do(report)
+		}
+	}
 }
 
-func runReceiver(addr string, ewma bool, confidence float64, statsEvery time.Duration) {
-	clock := realtime.New()
+func runReceiver(clock *realtime.Clock, addr string, ewma bool, confidence float64, statsEvery time.Duration) func() {
 	conn, err := udp.Listen(clock, addr)
 	exitOn(err)
 	fmt.Fprintf(os.Stderr, "sproutcat: receiving on %s\n", conn.LocalAddr())
@@ -67,26 +82,23 @@ func runReceiver(addr string, ewma bool, confidence float64, statsEvery time.Dur
 	go func() { exitOn(conn.Serve(rcv.Receive)) }()
 
 	var lastBytes int64
-	for range time.Tick(statsEvery) {
-		clock.Do(func() {
-			b := rcv.BytesReceived()
-			rate := float64(b-lastBytes) * 8 / statsEvery.Seconds() / 1000
-			lastBytes = b
-			var est string
-			if df, ok := fc.(*core.DeliveryForecaster); ok {
-				est = fmt.Sprintf("posterior mean %4.0f pkt/s, P(outage) %.3f",
-					df.Model().Mean(), df.Model().OutageProbability())
-			} else if ew, ok := fc.(*core.EWMAForecaster); ok {
-				est = fmt.Sprintf("ewma rate %5.1f pkt/tick", ew.Rate())
-			}
-			obs, cens, skip := rcv.TickStats()
-			fmt.Printf("recv %8.0f kbps  %s  ticks(e/c/s)=%d/%d/%d\n", rate, est, obs, cens, skip)
-		})
+	return func() {
+		b := rcv.BytesReceived()
+		rate := float64(b-lastBytes) * 8 / statsEvery.Seconds() / 1000
+		lastBytes = b
+		var est string
+		if df, ok := fc.(*core.DeliveryForecaster); ok {
+			est = fmt.Sprintf("posterior mean %4.0f pkt/s, P(outage) %.3f",
+				df.Model().Mean(), df.Model().OutageProbability())
+		} else if ew, ok := fc.(*core.EWMAForecaster); ok {
+			est = fmt.Sprintf("ewma rate %5.1f pkt/tick", ew.Rate())
+		}
+		obs, cens, skip := rcv.TickStats()
+		fmt.Printf("recv %8.0f kbps  %s  ticks(e/c/s)=%d/%d/%d\n", rate, est, obs, cens, skip)
 	}
 }
 
-func runSender(addr string, statsEvery time.Duration) {
-	clock := realtime.New()
+func runSender(clock *realtime.Clock, addr string, statsEvery time.Duration) func() {
 	conn, err := udp.Dial(clock, addr)
 	exitOn(err)
 	fmt.Fprintf(os.Stderr, "sproutcat: sending to %s from %s\n", addr, conn.LocalAddr())
@@ -98,14 +110,12 @@ func runSender(addr string, statsEvery time.Duration) {
 	go func() { exitOn(conn.Serve(snd.Receive)) }()
 
 	var lastBytes uint64
-	for range time.Tick(statsEvery) {
-		clock.Do(func() {
-			b := snd.BytesSent()
-			rate := float64(b-lastBytes) * 8 / statsEvery.Seconds() / 1000
-			lastBytes = b
-			fmt.Printf("send %8.0f kbps  window %7d B  queueEst %7d B  fb %d\n",
-				rate, snd.Window(), snd.QueueEstimate(), snd.FeedbacksReceived())
-		})
+	return func() {
+		b := snd.BytesSent()
+		rate := float64(b-lastBytes) * 8 / statsEvery.Seconds() / 1000
+		lastBytes = b
+		fmt.Printf("send %8.0f kbps  window %7d B  queueEst %7d B  fb %d\n",
+			rate, snd.Window(), snd.QueueEstimate(), snd.FeedbacksReceived())
 	}
 }
 

@@ -15,23 +15,26 @@
 //	sprouttunnel -server -listen :6000 -forward 10.0.0.5:7000
 //	sprouttunnel -client -local :5000 -remote relay.example.org:6000
 //
-// Each local peer (source address) becomes one tunnel flow. Two Sprout
-// sessions run over the same UDP pair, one per direction, demultiplexed by
-// the Sprout flow id.
+// Each local peer (source address) becomes one tunnel flow. Each side is
+// one tunnel.Endpoint, the one the experiments run: two Sprout sessions,
+// one per direction, share its UDP socket, and the endpoint routes each
+// datagram by the session id in its Sprout header. SIGINT or SIGTERM stops
+// the tool.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"sprout/internal/network"
-	"sprout/internal/protocol"
 	"sprout/internal/realtime"
-	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 	"sprout/internal/udp"
 )
@@ -53,76 +56,36 @@ func main() {
 	stats := flag.Duration("stats", 5*time.Second, "statistics interval (0 disables)")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	clock := realtime.New(ctx)
+	var ep *tunnel.Endpoint
 	switch {
 	case *client && !*server && *remote != "":
-		runClient(*local, *remote, *stats)
+		ep = runClient(clock, *local, *remote)
 	case *server && !*client && *forward != "":
-		runServer(*listen, *forward, *stats)
+		ep = runServer(clock, *listen, *forward)
 	default:
 		fmt.Fprintln(os.Stderr, "sprouttunnel: need -client -remote HOST:PORT or -server -forward HOST:PORT")
 		os.Exit(2)
 	}
-}
-
-// endpoint bundles the two Sprout sessions sharing one UDP socket: a
-// sender carrying outbound client traffic and a receiver producing inbound
-// client traffic.
-type endpoint struct {
-	clock   *realtime.Clock
-	sock    *udp.Conn
-	ingress *tunnel.Ingress
-	egress  *tunnel.Egress
-	snd     *transport.Sender
-	rcv     *transport.Receiver
-}
-
-// newEndpoint wires the duplex tunnel endpoint. sendSess/recvSess identify
-// the Sprout session this side transmits on and listens to. deliver
-// receives decapsulated client packets.
-func newEndpoint(clock *realtime.Clock, sock *udp.Conn, sendSess, recvSess uint32, deliver network.Handler) *endpoint {
-	e := &endpoint{clock: clock, sock: sock}
-	e.ingress = tunnel.NewIngress()
-	e.egress = tunnel.NewEgress(clock, deliver)
-	clock.Do(func() {
-		e.rcv = transport.NewReceiver(transport.ReceiverConfig{
-			Flow: recvSess, Clock: clock, Conn: sock, Deliver: e.egress.Deliver,
-		})
-		e.snd = transport.NewSender(transport.SenderConfig{
-			Flow: sendSess, Clock: clock, Conn: sock, Source: e.ingress,
-		})
-		e.ingress.Bind(e.snd)
-	})
-	return e
-}
-
-// dispatch routes one tunnel datagram to the right session endpoint by its
-// Sprout flow id.
-func (e *endpoint) dispatch(p *network.Packet, sendSess uint32) {
-	var h protocol.Header
-	h.Forecast = make([]uint32, 0, protocol.MaxForecastTicks)
-	if err := h.Unmarshal(p.Payload); err != nil {
-		return
-	}
-	if h.Flow == sendSess {
-		e.snd.Receive(p) // feedback for our sender
-	} else {
-		e.rcv.Receive(p) // data (and its flight markers) for our receiver
+	tick := time.Tick(*stats) // nil, so never ready, for -stats 0
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick:
+			clock.Do(func() {
+				fmt.Fprintf(os.Stderr,
+					"sprouttunnel: sent %d pkts (backlog %d B, drops %d)  recv %d pkts  window %d B\n",
+					ep.Sender.PacketsSent(), ep.Ingress.Backlog(), ep.Ingress.HeadDrops(),
+					ep.Receiver.PacketsReceived(), ep.Sender.Window())
+			})
+		}
 	}
 }
 
-// submit queues one client datagram for carriage.
-func (e *endpoint) submit(flow uint32, payload []byte) {
-	pkt := &network.Packet{
-		Flow:    flow,
-		Size:    len(payload),
-		Payload: append([]byte(nil), payload...),
-		SentAt:  e.clock.Now(),
-	}
-	e.ingress.Submit(pkt)
-}
-
-func runClient(local, remote string, statsEvery time.Duration) {
-	clock := realtime.New()
+func runClient(clock *realtime.Clock, local, remote string) *tunnel.Endpoint {
 	tunnelSock, err := udp.Dial(clock, remote)
 	exitOn(err)
 	appAddr, err := net.ResolveUDPAddr("udp", local)
@@ -137,7 +100,7 @@ func runClient(local, remote string, statsEvery time.Duration) {
 	addrByFlow := map[uint32]*net.UDPAddr{}
 	nextFlow := uint32(10)
 
-	ep := newEndpoint(clock, tunnelSock, sessToServer, sessToClient, func(p *network.Packet) {
+	ep := startEndpoint(clock, tunnelSock, sessToServer, sessToClient, func(p *network.Packet) {
 		mu.Lock()
 		addr := addrByFlow[p.Flow]
 		mu.Unlock()
@@ -145,7 +108,6 @@ func runClient(local, remote string, statsEvery time.Duration) {
 			appSock.WriteToUDP(p.Payload, addr)
 		}
 	})
-	go tunnelSock.Serve(func(p *network.Packet) { ep.dispatch(p, sessToServer) })
 
 	// Local app reader.
 	go func() {
@@ -165,15 +127,13 @@ func runClient(local, remote string, statsEvery time.Duration) {
 				addrByFlow[flow] = from
 			}
 			mu.Unlock()
-			payload := append([]byte(nil), buf[:n]...)
-			clock.Do(func() { ep.submit(flow, payload) })
+			submit(clock, ep, flow, buf[:n])
 		}
 	}()
-	reportLoop(clock, statsEvery, ep)
+	return ep
 }
 
-func runServer(listen, forward string, statsEvery time.Duration) {
-	clock := realtime.New()
+func runServer(clock *realtime.Clock, listen, forward string) *tunnel.Endpoint {
 	tunnelSock, err := udp.Listen(clock, listen)
 	exitOn(err)
 	dst, err := net.ResolveUDPAddr("udp", forward)
@@ -184,7 +144,7 @@ func runServer(listen, forward string, statsEvery time.Duration) {
 	var mu sync.Mutex
 	socks := map[uint32]*net.UDPConn{}
 
-	var ep *endpoint
+	var ep *tunnel.Endpoint
 	upstream := func(flow uint32) *net.UDPConn {
 		mu.Lock()
 		defer mu.Unlock()
@@ -203,33 +163,37 @@ func runServer(listen, forward string, statsEvery time.Duration) {
 				if err != nil {
 					return
 				}
-				payload := append([]byte(nil), buf[:n]...)
-				clock.Do(func() { ep.submit(flow, payload) })
+				submit(clock, ep, flow, buf[:n])
 			}
 		}()
 		return c
 	}
-	ep = newEndpoint(clock, tunnelSock, sessToClient, sessToServer, func(p *network.Packet) {
+	ep = startEndpoint(clock, tunnelSock, sessToClient, sessToServer, func(p *network.Packet) {
 		if c := upstream(p.Flow); c != nil {
 			c.Write(p.Payload)
 		}
 	})
-	go tunnelSock.Serve(func(p *network.Packet) { ep.dispatch(p, sessToClient) })
-	reportLoop(clock, statsEvery, ep)
+	return ep
 }
 
-func reportLoop(clock *realtime.Clock, every time.Duration, ep *endpoint) {
-	if every <= 0 {
-		select {}
-	}
-	for range time.Tick(every) {
-		clock.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"sprouttunnel: sent %d pkts (backlog %d B, drops %d)  recv %d pkts  window %d B\n",
-				ep.snd.PacketsSent(), ep.ingress.Backlog(), ep.ingress.HeadDrops(),
-				ep.rcv.PacketsReceived(), ep.snd.Window())
-		})
-	}
+// startEndpoint builds this side's tunnel endpoint on the clock's driver
+// and starts routing the socket's datagrams to it. send is the session
+// this side transmits on, recv the far side's.
+func startEndpoint(clock *realtime.Clock, sock *udp.Conn, send, recv uint32, deliver network.Handler) *tunnel.Endpoint {
+	var ep *tunnel.Endpoint
+	clock.Do(func() {
+		ep = tunnel.New(tunnel.Config{Clock: clock, Conn: sock, Send: send, Recv: recv, Deliver: deliver})
+	})
+	go sock.Serve(ep.Receive)
+	return ep
+}
+
+// submit queues one client datagram for carriage. Submit copies its bytes
+// into a frame before Do returns, so the reader may reuse payload's buffer.
+func submit(clock *realtime.Clock, ep *tunnel.Endpoint, flow uint32, payload []byte) {
+	clock.Do(func() {
+		ep.Ingress.Submit(&network.Packet{Flow: flow, Size: len(payload), Payload: payload, SentAt: clock.Now()})
+	})
 }
 
 func exitOn(err error) {

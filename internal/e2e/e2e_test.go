@@ -1,7 +1,8 @@
 // Package e2e tests the live stack end to end: Sprout endpoints speaking
 // over real UDP sockets on localhost, through an in-process real-time
-// Cellsim relay shaping the path with a cellular trace — the same pieces
-// cmd/sproutcat and cmd/cellsim assemble.
+// Cellsim relay shaping the path with a cellular trace, and the two sides
+// of SproutTunnel on loopback — the same pieces cmd/sproutcat,
+// cmd/cellsim and cmd/sprouttunnel assemble.
 //
 // Wall-clock tests are inherently jittery; assertions are deliberately
 // loose (floors well under what a run delivers, not percentages).
@@ -59,7 +60,7 @@ func TestLiveSproutOverUDPThroughCellsim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
 	}
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	// A calm 3 Mb/s link for 30 s of trace (the test runs ~3 s).
 	m := trace.LinkModel{Name: "calm", MeanRate: 250, Sigma: 20, Reversion: 1, MaxRate: 400}
 	down := m.Generate(30*time.Second, rand.New(rand.NewSource(1)))
@@ -121,7 +122,7 @@ func TestLiveRelayShapesRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
 	}
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	// A very slow link: 20 pkt/s = 240 kb/s. Blasting 2 Mb/s through it
 	// for 2 s must deliver roughly 2 s worth of its capacity, proving
 	// the relay enforces the trace.

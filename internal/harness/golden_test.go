@@ -173,3 +173,29 @@ func TestMatrixGoldenHash(t *testing.T) {
 		}
 	}
 }
+
+// goldenTunnelHash pins the raw result bits (scenario.EncodeResult) of the
+// tunnel row's two specs at 60 s, 10 s skip, seed 1: the options at which
+// `sproutbench -run tunnel` printed sha256 9c754926… when it was recorded.
+// The tunneled run's bits hold through 30 s whichever order a tunnel
+// endpoint builds its Sprout sender and receiver in, and part at 60 s, so
+// this is the golden that pins tunnel.New's receiver-first order.
+const goldenTunnelHash = "c77e14ec90986900df148cdf13a287fa5b1fdb024f150f29410a224cf557f9f8"
+
+func TestTunnelGoldenHash(t *testing.T) {
+	h := sha256.New()
+	for i, spec := range tunnelSpecs(Options{Duration: 60 * time.Second, Skip: 10 * time.Second, Seed: 1}.withDefaults()) {
+		res, err := scenario.Run(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := scenario.EncodeResult(i, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(rec.Data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTunnelHash {
+		t.Errorf("tunnel row hash = %s, want %s (the tunnel's result bits drifted from the recorded baseline)", got, goldenTunnelHash)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"sprout/internal/sim"
 	"sprout/internal/tcp"
 	"sprout/internal/trace"
-	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
 
@@ -25,55 +24,36 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 	data, fb := scenario.GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
 
 	loop := sim.New()
-	const sessDown, sessUp = 1, 2
-	var rcvDown, rcvUp *transport.Receiver
-	var sndDown, sndUp *transport.Sender
+	// Side A sends on session 1 over fwd; side B answers on session 2.
+	var a, b *tunnel.Endpoint
 	fwd := link.New(loop, link.Config{Trace: data, PropagationDelay: 20 * time.Millisecond},
-		func(p *network.Packet) {
-			if p.Flow == sessDown {
-				rcvDown.Receive(p)
-			} else {
-				sndUp.Receive(p)
-			}
-		})
+		func(p *network.Packet) { b.Receive(p) })
 	rev := link.New(loop, link.Config{Trace: fb, PropagationDelay: 20 * time.Millisecond},
-		func(p *network.Packet) {
-			if p.Flow == sessDown {
-				sndDown.Receive(p)
-			} else {
-				rcvUp.Receive(p)
-			}
-		})
-	ingressDown := tunnel.NewIngress()
-	ingressUp := tunnel.NewIngress()
+		func(p *network.Packet) { a.Receive(p) })
 	var tcpRcv *tcp.Receiver
 	var tcpSnd *tcp.Sender
-	egressDown := tunnel.NewEgress(loop, func(p *network.Packet) { tcpRcv.Receive(p) })
-	egressDown.RecordDeliveries(true)
-	egressUp := tunnel.NewEgress(loop, func(p *network.Packet) { tcpSnd.Receive(p) })
-	rcvDown = transport.NewReceiver(transport.ReceiverConfig{Flow: sessDown, Clock: loop, Conn: rev, Deliver: egressDown.Deliver})
-	sndDown = transport.NewSender(transport.SenderConfig{Flow: sessDown, Clock: loop, Conn: fwd, Source: ingressDown})
-	ingressDown.Bind(sndDown)
-	rcvUp = transport.NewReceiver(transport.ReceiverConfig{Flow: sessUp, Clock: loop, Conn: fwd, Deliver: egressUp.Deliver})
-	sndUp = transport.NewSender(transport.SenderConfig{Flow: sessUp, Clock: loop, Conn: rev, Source: ingressUp})
-	ingressUp.Bind(sndUp)
-	tcpRcv = tcp.NewReceiver(flowCubic, loop, network.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) }))
+	a = tunnel.New(tunnel.Config{Clock: loop, Conn: fwd, Send: 1, Recv: 2,
+		Deliver: func(p *network.Packet) { tcpSnd.Receive(p) }})
+	b = tunnel.New(tunnel.Config{Clock: loop, Conn: rev, Send: 2, Recv: 1,
+		Deliver: func(p *network.Packet) { tcpRcv.Receive(p) }})
+	var deliveries []link.Delivery
+	b.Egress.OnDelivery(func(d link.Delivery) { deliveries = append(deliveries, d) })
+	tcpRcv = tcp.NewReceiver(flowCubic, loop, network.ConnFunc(b.Ingress.Submit))
 	tcpSnd = tcp.NewSender(tcp.SenderConfig{
-		Flow: flowCubic, Clock: loop,
-		Conn: network.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) }),
-		CC:   tcp.NewCubic(loop.Now), MSS: scenario.TunnelClientMSS,
+		Flow: flowCubic, Clock: loop, Conn: network.ConnFunc(a.Ingress.Submit),
+		CC: tcp.NewCubic(loop.Now), MSS: scenario.TunnelClientMSS,
 	})
 	for ts := time.Second; ts <= 15*time.Second; ts += time.Second {
 		loop.Run(ts)
 		segs, retx, to, fr := tcpSnd.Stats()
 		t.Logf("t=%v next=%d segs=%d retx=%d to=%d fr=%d inflight=%d blogDown=%d blogUp=%d winDown=%d winUp=%d fcDown=%d",
 			ts, tcpRcv.NextExpected(), segs, retx, to, fr, tcpSnd.InFlight(),
-			ingressDown.Backlog(), ingressUp.Backlog(), sndDown.Window(), sndUp.Window(), sndDown.ForecastTotal())
+			a.Ingress.Backlog(), b.Ingress.Backlog(), a.Sender.Window(), b.Sender.Window(), a.Sender.ForecastTotal())
 	}
 	loop.Run(opt.Duration)
-	kbps = metrics.Throughput(egressDown.TakeDeliveries(), opt.Skip, opt.Duration) / 1000
+	kbps = metrics.Throughput(deliveries, opt.Skip, opt.Duration) / 1000
 	_, _, to, _ := tcpSnd.Stats()
-	return kbps, to, ingressDown.HeadDrops()
+	return kbps, to, a.Ingress.HeadDrops()
 }
 
 func TestTunnelCubicAlone(t *testing.T) {

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzUnmarshal exercises the header parser with arbitrary bytes: it must
-// never panic, and every successfully parsed header must re-marshal to an
-// equivalent wire image (parse → marshal → parse is a fixed point).
+// never panic, every successfully parsed header must re-marshal to an
+// equivalent wire image (parse → marshal → parse is a fixed point), and
+// FlowOf must read the parsed header's flow.
 //
 // Run with `go test -fuzz FuzzUnmarshal ./internal/protocol` for live
 // fuzzing; the seed corpus below runs as a normal test.
@@ -36,8 +37,12 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h Header
 		h.Forecast = make([]uint32, 0, MaxForecastTicks)
+		flow, ok := FlowOf(data)
 		if err := h.Unmarshal(data); err != nil {
 			return // rejected input is fine; panics are not
+		}
+		if !ok || flow != h.Flow {
+			t.Fatalf("FlowOf = %d, %v on a header of flow %d", flow, ok, h.Flow)
 		}
 		// Round-trip stability.
 		out, err := h.Marshal(nil)

@@ -139,3 +139,13 @@ func (h *Header) Unmarshal(src []byte) error {
 	}
 	return nil
 }
+
+// FlowOf reads the session id from the front of a marshaled header without
+// parsing the rest, so a demux can route a packet before its endpoint
+// unmarshals it. It reports false for bytes that hold no header.
+func FlowOf(b []byte) (uint32, bool) {
+	if len(b) < HeaderSize || b[0] != Version {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(b[2:]), true
+}

@@ -15,6 +15,7 @@
 package realtime
 
 import (
+	"context"
 	"time"
 
 	"sprout/internal/sim"
@@ -24,15 +25,16 @@ import (
 // New. Create with New; only its driver runs the loop.
 type Clock struct {
 	sim.Loop
+	ctx   context.Context
 	start time.Time
 	inbox chan func()
 	done  chan struct{}
 }
 
 // New returns a Clock whose time counts from the moment of creation, and
-// starts its driver.
-func New() *Clock {
-	c := &Clock{start: time.Now(), inbox: make(chan func()), done: make(chan struct{})}
+// starts its driver, which returns once ctx is done.
+func New(ctx context.Context) *Clock {
+	c := &Clock{ctx: ctx, start: time.Now(), inbox: make(chan func()), done: make(chan struct{})}
 	go c.drive()
 	return c
 }
@@ -40,12 +42,16 @@ func New() *Clock {
 // Do runs fn on the driver, after every event due by the wall instant it
 // is received at, and returns once fn has. All interaction with endpoints
 // on this clock (packet receipt, application writes) must go through Do;
-// a callback must not call it.
+// a callback must not call it. Once the clock's context is done, Do
+// returns without running fn.
 func (c *Clock) Do(fn func()) {
-	c.inbox <- fn
-	// The inbox is unbuffered and the driver takes the next message only
-	// after signalling this one done, so the waiter woken is this caller.
-	<-c.done
+	select {
+	case c.inbox <- fn:
+		// The inbox is unbuffered and the driver takes the next message only
+		// after signalling this one done, so the waiter woken is this caller.
+		<-c.done
+	case <-c.ctx.Done():
+	}
 }
 
 // drive is the driver: the loop's one goroutine.
@@ -64,6 +70,8 @@ func (c *Clock) drive() {
 			c.Run(time.Since(c.start))
 			fn()
 			c.done <- struct{}{}
+		case <-c.ctx.Done():
+			return
 		}
 	}
 }

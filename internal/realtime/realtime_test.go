@@ -1,6 +1,8 @@
 package realtime
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +12,7 @@ import (
 )
 
 func TestClockNowAdvances(t *testing.T) {
-	c := New()
+	c := New(t.Context())
 	var a, b time.Duration
 	c.Do(func() { a = c.Now() })
 	time.Sleep(5 * time.Millisecond)
@@ -24,7 +26,7 @@ func TestClockNowAdvances(t *testing.T) {
 // callback Now is the event's scheduled instant whenever the driver ran
 // it, so only wall time shows a driver that ran the loop ahead.
 func TestAfterFires(t *testing.T) {
-	c := New()
+	c := New(t.Context())
 	done := make(chan time.Duration, 1)
 	t0 := time.Now()
 	c.Do(func() { c.After(10*time.Millisecond, func() { done <- time.Since(t0) }) })
@@ -38,8 +40,37 @@ func TestAfterFires(t *testing.T) {
 	}
 }
 
+// TestDriverStopsWithContext: once the clock's context is done its driver
+// returns, so a pending timer never fires, a Do returns without running
+// its function, and no goroutine is left behind.
+func TestDriverStopsWithContext(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(t.Context())
+	c := New(ctx)
+	fired := make(chan struct{}, 1)
+	c.Do(func() { c.After(20*time.Millisecond, func() { fired <- struct{}{} }) })
+	cancel()
+	time.Sleep(60 * time.Millisecond)
+	select {
+	case <-fired:
+		t.Error("a timer fired after the context was done")
+	default:
+	}
+	ran := false
+	t0 := time.Now()
+	c.Do(func() { ran = true })
+	if d := time.Since(t0); ran || d > 10*time.Millisecond {
+		t.Errorf("a Do after the context was done ran its function (%v) or blocked %v", ran, d)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after the context was done, %d before New", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 func TestAfterNegativeClamps(t *testing.T) {
-	c := New()
+	c := New(t.Context())
 	done := make(chan struct{}, 1)
 	c.Do(func() { c.After(-time.Second, func() { done <- struct{}{} }) })
 	select {
@@ -50,7 +81,7 @@ func TestAfterNegativeClamps(t *testing.T) {
 }
 
 func TestTimerStop(t *testing.T) {
-	c := New()
+	c := New(t.Context())
 	fired := make(chan struct{}, 1)
 	c.Do(func() {
 		tm := c.After(50*time.Millisecond, func() { fired <- struct{}{} })
@@ -72,7 +103,7 @@ func TestCallbacksSerialized(t *testing.T) {
 	// Many concurrent timers and Do calls must never overlap: guard a
 	// plain int with no atomics and let the race detector plus an
 	// in-critical-section flag catch overlap.
-	c := New()
+	c := New(t.Context())
 	var wg sync.WaitGroup
 	inSection := false
 	counter := 0
@@ -102,7 +133,7 @@ func TestCallbacksSerialized(t *testing.T) {
 // for them is ready too, and which of the two it takes first is a coin
 // flip; the count must not depend on it, so the test flips it 16 times.
 func TestDoRunsAfterDueEvents(t *testing.T) {
-	c := New()
+	c := New(t.Context())
 	for trial := range 16 {
 		fired, seen := 0, -1
 		counted := make(chan struct{})
@@ -133,7 +164,7 @@ func TestIdleLinkWakesOncePerDelay(t *testing.T) {
 	for at := time.Millisecond; at <= time.Second; at += time.Millisecond {
 		grid.Opportunities = append(grid.Opportunities, at)
 	}
-	c := New()
+	c := New(t.Context())
 	var l *link.Link
 	c.Do(func() { l = link.New(c, link.Config{Trace: grid, PropagationDelay: prop}, nil) })
 	time.Sleep(300 * time.Millisecond)

@@ -9,7 +9,6 @@ import (
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
-	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
 
@@ -330,85 +329,51 @@ func runFlows(spec Spec, w *world) (Result, error) {
 }
 
 // runTunnel carries the client flows through SproutTunnel (§4.3): one
-// Sprout session per direction, per-flow queues with round-robin service
-// and forecast-bounded head drops at the ingress.
+// tunnel endpoint per side, each with per-flow queues, round-robin service
+// and forecast-bounded head drops at its ingress.
 func runTunnel(spec Spec, w *world) (Result, error) {
-	// Sprout session 1 carries client data A->B on the data trace;
-	// session 2 carries client feedback B->A on the feedback trace.
-	// The data link also carries session 2's forecast packets, and the
-	// feedback link session 1's; endpoints demux on the Sprout flow id.
-	var rcvDown, rcvUp *transport.Receiver
-	var sndDown, sndUp *transport.Sender
-	err := w.openCells(spec, 1, func(p *network.Packet) {
-		switch p.Flow {
-		case tunnelSessionDown:
-			rcvDown.Receive(p)
-		case tunnelSessionUp:
-			sndUp.Receive(p)
-		}
-	}, func(p *network.Packet) {
-		switch p.Flow {
-		case tunnelSessionDown:
-			sndDown.Receive(p)
-		case tunnelSessionUp:
-			rcvUp.Receive(p)
-		}
-	})
+	// Side A sends client data on Sprout session 1 over the data link;
+	// side B sends client feedback on session 2 over the feedback link.
+	// Each link also carries the other session's forecasts, and each side
+	// routes what arrives by session id.
+	var a, b *tunnel.Endpoint
+	err := w.openCells(spec, 1, func(p *network.Packet) { b.Receive(p) }, func(p *network.Packet) { a.Receive(p) })
 	if err != nil {
 		return Result{}, err
 	}
-	loop := w.loop
-	fwd, rev := w.cells[0].down, w.cells[0].up
-
-	ingressDown := tunnel.NewIngress() // at A, feeds tunnelSessionDown
-	ingressDown.UsePool(&w.pool)
-	ingressUp := tunnel.NewIngress() // at B, feeds tunnelSessionUp
-	ingressUp.UsePool(&w.pool)
-
-	// Client endpoints attach after the tunnel machinery, so the egress
-	// handlers late-bind exactly like the direct path's links.
-	egressDown := tunnel.NewEgress(loop, w.tapped(w.fwdHandler))
-	egressDown.UsePool(&w.pool)
-	egressDown.OnDelivery(w.observe)
-	egressDown.RecordDeliveries(spec.KeepDeliveries)
-	egressUp := tunnel.NewEgress(loop, w.tapped(w.revHandler))
-	egressUp.UsePool(&w.pool)
-
-	rcvDown = transport.NewReceiver(transport.ReceiverConfig{
-		Flow: tunnelSessionDown, Clock: loop, Conn: rev, Deliver: egressDown.Deliver,
-		Pool: &w.pool,
+	// Client endpoints attach after the tunnel's, so the egress handlers
+	// late-bind exactly like the direct path's links. A is built before B:
+	// construction order is part of the determinism contract.
+	a = tunnel.New(tunnel.Config{
+		Clock: w.loop, Conn: w.cells[0].down, Send: tunnelSessionDown, Recv: tunnelSessionUp,
+		Deliver: w.tapped(w.revHandler), Pool: &w.pool,
 	})
-	sndDown = transport.NewSender(transport.SenderConfig{
-		Flow: tunnelSessionDown, Clock: loop, Conn: fwd, Source: ingressDown,
-		Pool: &w.pool,
+	b = tunnel.New(tunnel.Config{
+		Clock: w.loop, Conn: w.cells[0].up, Send: tunnelSessionUp, Recv: tunnelSessionDown,
+		Deliver: w.tapped(w.fwdHandler), Pool: &w.pool,
 	})
-	ingressDown.Bind(sndDown)
-	rcvUp = transport.NewReceiver(transport.ReceiverConfig{
-		Flow: tunnelSessionUp, Clock: loop, Conn: fwd, Deliver: egressUp.Deliver,
-		Pool: &w.pool,
-	})
-	sndUp = transport.NewSender(transport.SenderConfig{
-		Flow: tunnelSessionUp, Clock: loop, Conn: rev, Source: ingressUp,
-		Pool: &w.pool,
-	})
-	ingressUp.Bind(sndUp)
-
-	submitDown := network.ConnFunc(func(p *network.Packet) { ingressDown.Submit(p) })
-	submitUp := network.ConnFunc(func(p *network.Packet) { ingressUp.Submit(p) })
+	var log []link.Delivery
+	if spec.KeepDeliveries {
+		b.Egress.OnDelivery(func(d link.Delivery) {
+			w.observe(d)
+			log = append(log, d)
+		})
+	} else {
+		b.Egress.OnDelivery(w.observe)
+	}
 
 	w.buildRoster(spec)
-	if err := w.attachRoster(spec, AttachConfig{DataConn: submitDown, FeedbackConn: submitUp, MSS: TunnelClientMSS}); err != nil {
+	clients := AttachConfig{
+		DataConn:     network.ConnFunc(a.Ingress.Submit),
+		FeedbackConn: network.ConnFunc(b.Ingress.Submit),
+		MSS:          TunnelClientMSS,
+	}
+	if err := w.attachRoster(spec, clients); err != nil {
 		return Result{}, err
 	}
 
-	loop.Run(time.Duration(spec.Duration))
-	res := Result{
-		Spec:      spec,
-		HeadDrops: ingressDown.HeadDrops(),
-	}
-	if spec.KeepDeliveries {
-		res.Deliveries = egressDown.TakeDeliveries()
-	}
+	w.loop.Run(time.Duration(spec.Duration))
+	res := Result{Spec: spec, HeadDrops: a.Ingress.HeadDrops(), Deliveries: log}
 	res.finishFlows(w)
 	return res, nil
 }

@@ -1,15 +1,17 @@
 // Package tunnel implements SproutTunnel (§4.3 of the paper): a tunnel that
 // carries arbitrary client flows (TCP, videoconference traffic, ...) across
-// a cellular link over a single Sprout session.
+// a cellular link, one Sprout session per direction.
 //
-// The ingress endpoint keeps one FIFO per client flow and fills the Sprout
-// window in round-robin order among flows with pending data. The total
-// buffered backlog across all flows is limited to the receiver's most
-// recent estimate of how many bytes can be delivered over the life of the
-// forecast; when the backlog exceeds that, packets are dropped from the
-// head of the longest queue. This turns the forecast into a dynamic
-// traffic-shaping/AQM policy that isolates interactive flows from bulk
-// transfers.
+// Each side of the tunnel is one Endpoint (New): an Ingress, the Sprout
+// sender it feeds, the Sprout receiver of the far side's session and the
+// Egress that receiver delivers to. The ingress keeps one FIFO per client
+// flow and fills the Sprout window in round-robin order among flows with
+// pending data. The total buffered backlog across all flows is limited to
+// the receiver's most recent estimate of how many bytes can be delivered
+// over the life of the forecast; when the backlog exceeds that, packets are
+// dropped from the head of the longest queue. This turns the forecast into a
+// dynamic traffic-shaping/AQM policy that isolates interactive flows from
+// bulk transfers.
 package tunnel
 
 import (
@@ -69,7 +71,6 @@ type Ingress struct {
 	pool   *network.Pool
 
 	dropsHead int64
-	submitted int64
 }
 
 type flowQueue struct {
@@ -77,20 +78,14 @@ type flowQueue struct {
 	bytes  int
 }
 
-// NewIngress creates an empty ingress. Bind must be called with the Sprout
-// sender before traffic flows (the sender needs the ingress as its Source
-// at construction, hence the two-step wiring).
-func NewIngress() *Ingress {
-	return &Ingress{queues: make(map[uint32]*flowQueue)}
+// newIngress creates an empty ingress. pool is the arena client packets
+// come from: Submit copies each packet into a frame and releases it there;
+// nil leaves submitted packets to the garbage collector. New binds the
+// Sprout sender whose forecast bounds the backlog (the sender needs the
+// ingress as its Source at construction, hence the two-step wiring).
+func newIngress(pool *network.Pool) *Ingress {
+	return &Ingress{queues: make(map[uint32]*flowQueue), pool: pool}
 }
-
-// Bind attaches the Sprout sender whose forecast bounds the backlog.
-func (in *Ingress) Bind(s *transport.Sender) { in.sender = s }
-
-// UsePool names the arena client packets come from: Submit copies each
-// packet into a frame and releases it there. nil leaves submitted packets
-// to the garbage collector.
-func (in *Ingress) UsePool(p *network.Pool) { in.pool = p }
 
 // HeadDrops returns how many client packets were dropped from queue heads.
 func (in *Ingress) HeadDrops() int64 { return in.dropsHead }
@@ -114,7 +109,6 @@ func (in *Ingress) Submit(pkt *network.Packet) {
 	q.frames = append(q.frames, frame)
 	q.bytes += pkt.Size
 	in.backlog += pkt.Size
-	in.submitted++
 	in.pool.Put(pkt)
 	in.enforceLimit()
 	// Wake the sender: client arrivals may fill a currently open window.
@@ -129,9 +123,7 @@ func (in *Ingress) Submit(pkt *network.Packet) {
 func (in *Ingress) enforceLimit() {
 	limit := minBacklog
 	if in.sender != nil {
-		if fc := int(in.sender.ForecastTotal()); fc > limit {
-			limit = fc
-		}
+		limit = max(limit, int(in.sender.ForecastTotal()))
 	}
 	for in.backlog > limit {
 		var longest *flowQueue
@@ -162,7 +154,7 @@ func (in *Ingress) dropHead(q *flowQueue) {
 // length charged to the Sprout window (and consumed on the emulated link)
 // is the client packet's full wire size plus the frame header, so the
 // tunnel occupies exactly what the client traffic would, plus overhead.
-func (in *Ingress) NextPayload(max int) ([]byte, int) {
+func (in *Ingress) NextPayload(maxLen int) ([]byte, int) {
 	n := len(in.order)
 	for i := 0; i < n; i++ {
 		f := in.order[(in.rrNext+i)%n]
@@ -172,11 +164,8 @@ func (in *Ingress) NextPayload(max int) ([]byte, int) {
 		}
 		frame := q.frames[0]
 		size := int(binary.BigEndian.Uint32(frame[12:]))
-		wireLen := size + frameHeaderSize
-		if len(frame) > wireLen {
-			wireLen = len(frame)
-		}
-		if wireLen > max {
+		wireLen := max(size+frameHeaderSize, len(frame))
+		if wireLen > maxLen {
 			// The client's packet exceeds the tunnel MTU. Drop it
 			// (clients are configured with a reduced MTU, as with
 			// any real tunnel).
@@ -195,73 +184,48 @@ func (in *Ingress) NextPayload(max int) ([]byte, int) {
 
 // Egress is the tunnel's receiving side: it unwraps frames delivered by the
 // Sprout receiver and hands the reconstructed client packets to a handler,
-// recording a delivery log for metrics.
+// reporting each one's Delivery record to an observer.
 type Egress struct {
 	clock   sim.Clock
 	handler network.Handler
 	pool    *network.Pool
 
-	deliveries []link.Delivery
-	record     bool
 	onDelivery func(link.Delivery)
 	badFrames  int64
 }
 
-// NewEgress creates the egress; attach its Deliver method as the Sprout
+// newEgress creates the egress whose deliver method is the Sprout
 // receiver's Deliver callback. handler receives reconstructed client
-// packets (may be nil).
-func NewEgress(clock sim.Clock, handler network.Handler) *Egress {
-	if clock == nil {
-		panic("tunnel: Egress requires a clock")
-	}
-	return &Egress{clock: clock, handler: handler}
+// packets (may be nil); they are drawn from pool (nil: the heap) and
+// released again once the handler returns, so the handler must not keep
+// them.
+func newEgress(clock sim.Clock, handler network.Handler, pool *network.Pool) *Egress {
+	return &Egress{clock: clock, handler: handler, pool: pool}
 }
-
-// RecordDeliveries enables the per-client-packet delivery log.
-func (e *Egress) RecordDeliveries(on bool) { e.record = on }
 
 // OnDelivery registers fn to observe each client-packet Delivery record as
 // it is reconstructed (the streaming-metrics hook, mirroring
 // link.OnDelivery). nil removes the observer.
 func (e *Egress) OnDelivery(fn func(link.Delivery)) { e.onDelivery = fn }
 
-// UsePool directs reconstructed client packets to the given arena (world
-// reuse); nil reverts to heap allocation. Each packet is released again
-// once the handler returns, so the handler must not keep it.
-func (e *Egress) UsePool(p *network.Pool) { e.pool = p }
-
-// TakeDeliveries returns the recorded log and transfers ownership to the
-// caller (mirroring link.TakeDeliveries).
-func (e *Egress) TakeDeliveries() []link.Delivery {
-	d := e.deliveries
-	e.deliveries = nil
-	return d
-}
-
 // BadFrames counts undecodable frames.
 func (e *Egress) BadFrames() int64 { return e.badFrames }
 
-// Deliver consumes one Sprout payload (a tunnel frame).
-func (e *Egress) Deliver(payload []byte) {
+// deliver consumes one Sprout payload (a tunnel frame).
+func (e *Egress) deliver(payload []byte) {
 	pkt, ok := unmarshalFrame(e.pool, payload)
 	if !ok {
 		e.badFrames++
 		return
 	}
-	if e.record || e.onDelivery != nil {
-		d := link.Delivery{
+	if e.onDelivery != nil {
+		e.onDelivery(link.Delivery{
 			SentAt:      pkt.SentAt,
 			DeliveredAt: e.clock.Now(),
 			Size:        pkt.Size,
 			Seq:         pkt.Seq,
 			Flow:        pkt.Flow,
-		}
-		if e.record {
-			e.deliveries = append(e.deliveries, d)
-		}
-		if e.onDelivery != nil {
-			e.onDelivery(d)
-		}
+		})
 	}
 	if e.handler != nil {
 		e.handler(pkt)

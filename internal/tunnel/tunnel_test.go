@@ -9,7 +9,6 @@ import (
 	"sprout/internal/network"
 	"sprout/internal/sim"
 	"sprout/internal/trace"
-	"sprout/internal/transport"
 )
 
 func steadyTrace(rate float64, d time.Duration, seed int64) *trace.Trace {
@@ -39,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestIngressRoundRobin(t *testing.T) {
-	in := NewIngress()
+	in := newIngress(nil)
 	mk := func(flow uint32, seq int64) *network.Packet {
 		return &network.Packet{Flow: flow, Seq: seq, Size: 500, Payload: []byte{byte(seq)}}
 	}
@@ -70,7 +69,7 @@ func TestIngressRoundRobin(t *testing.T) {
 }
 
 func TestIngressBacklogLimitDropsLongestHead(t *testing.T) {
-	in := NewIngress()
+	in := newIngress(nil)
 	// No sender bound: limit floor is 8 MTU = 12000 bytes.
 	for i := 0; i < 10; i++ {
 		in.Submit(&network.Packet{Flow: 1, Seq: int64(i), Size: 1300, Payload: nil})
@@ -91,7 +90,7 @@ func TestIngressBacklogLimitDropsLongestHead(t *testing.T) {
 }
 
 func TestIngressDropsFromLongestQueue(t *testing.T) {
-	in := NewIngress()
+	in := newIngress(nil)
 	// Flow 1: small; flow 2: huge. Overflow must hit flow 2 only.
 	in.Submit(&network.Packet{Flow: 1, Seq: 100, Size: 1000})
 	for i := 0; i < 12; i++ {
@@ -118,7 +117,7 @@ func TestIngressDropsFromLongestQueue(t *testing.T) {
 }
 
 func TestIngressOversizedFrameDropped(t *testing.T) {
-	in := NewIngress()
+	in := newIngress(nil)
 	in.Submit(&network.Packet{Flow: 1, Seq: 1, Size: 1450, Payload: make([]byte, 1450)})
 	in.Submit(&network.Packet{Flow: 1, Seq: 2, Size: 100, Payload: nil})
 	frame, n := in.NextPayload(1400) // 1450+26 > 1400: dropped
@@ -134,20 +133,20 @@ func TestIngressOversizedFrameDropped(t *testing.T) {
 func TestEgressRecordsDeliveries(t *testing.T) {
 	loop := sim.New()
 	var handled []*network.Packet
-	eg := NewEgress(loop, func(p *network.Packet) { handled = append(handled, p) })
-	eg.RecordDeliveries(true)
+	var dl []link.Delivery
+	eg := newEgress(loop, func(p *network.Packet) { handled = append(handled, p) }, nil)
+	eg.OnDelivery(func(d link.Delivery) { dl = append(dl, d) })
 	pkt := &network.Packet{Flow: 3, Seq: 9, Size: 800, SentAt: 5 * time.Millisecond}
-	loop.After(50*time.Millisecond, func() { eg.Deliver(marshalFrame(pkt)) })
+	loop.After(50*time.Millisecond, func() { eg.deliver(marshalFrame(pkt)) })
 	loop.Run(time.Second)
 	if len(handled) != 1 {
 		t.Fatalf("handler got %d packets", len(handled))
 	}
-	dl := eg.deliveries
-	if len(dl) != 1 || dl[0].Flow != 3 || dl[0].SentAt != 5*time.Millisecond ||
+	if len(dl) != 1 || dl[0].Flow != 3 || dl[0].Seq != 9 || dl[0].SentAt != 5*time.Millisecond ||
 		dl[0].DeliveredAt != 50*time.Millisecond || dl[0].Size != 800 {
 		t.Errorf("delivery log = %+v", dl)
 	}
-	eg.Deliver([]byte{1})
+	eg.deliver([]byte{1})
 	if eg.BadFrames() != 1 {
 		t.Errorf("bad frames = %d", eg.BadFrames())
 	}
@@ -158,8 +157,7 @@ func TestEgressRecordsDeliveries(t *testing.T) {
 // from the pool and releases it when the handler returns.
 func TestTunnelReleasesPackets(t *testing.T) {
 	var pool network.Pool
-	in := NewIngress()
-	in.UsePool(&pool)
+	in := newIngress(&pool)
 	for i := 0; i < 3; i++ {
 		p := pool.Get()
 		p.Flow, p.Seq, p.Size = 5, int64(i), 1200
@@ -171,21 +169,20 @@ func TestTunnelReleasesPackets(t *testing.T) {
 	}
 
 	loop := sim.New()
-	eg := NewEgress(loop, func(p *network.Packet) {
+	eg := newEgress(loop, func(p *network.Packet) {
 		if p.Flow != 5 || p.Size != 1200 || string(p.Payload) != "client header" {
 			t.Errorf("reconstructed packet = %+v", p)
 		}
 		if pool.InUse() != 1 {
 			t.Errorf("%d packets live inside the handler, want the one it was given", pool.InUse())
 		}
-	})
-	eg.UsePool(&pool)
+	}, &pool)
 	for {
 		frame, _ := in.NextPayload(network.MTU)
 		if frame == nil {
 			break
 		}
-		eg.Deliver(frame)
+		eg.deliver(frame)
 	}
 	if got := pool.InUse(); got != 0 {
 		t.Errorf("%d packets live after the egress handlers returned, want 0", got)
@@ -195,38 +192,31 @@ func TestTunnelReleasesPackets(t *testing.T) {
 	}
 }
 
-// TestTunnelEndToEnd runs a full Sprout session carrying two client flows
-// across an emulated link and verifies both flows arrive.
+// TestTunnelEndToEnd runs the two endpoints of a tunnel across emulated
+// links: side A carries two client flows to side B, and each side routes
+// what arrives by Sprout session id. Both flows must arrive, interactively.
 func TestTunnelEndToEnd(t *testing.T) {
 	loop := sim.New()
-	ingress := NewIngress()
-	var rcv *transport.Receiver
+	var a, b *Endpoint
 	fwd := link.New(loop, link.Config{
 		Trace:            steadyTrace(300, 35*time.Second, 1),
 		PropagationDelay: 20 * time.Millisecond,
-	}, func(p *network.Packet) { rcv.Receive(p) })
-	var snd *transport.Sender
+	}, func(p *network.Packet) { b.Receive(p) })
 	rev := link.New(loop, link.Config{
 		Trace:            steadyTrace(100, 35*time.Second, 2),
 		PropagationDelay: 20 * time.Millisecond,
-	}, func(p *network.Packet) { snd.Receive(p) })
-
-	eg := NewEgress(loop, nil)
-	eg.RecordDeliveries(true)
-	rcv = transport.NewReceiver(transport.ReceiverConfig{
-		Clock: loop, Conn: rev, Deliver: eg.Deliver,
-	})
-	snd = transport.NewSender(transport.SenderConfig{
-		Clock: loop, Conn: fwd, Source: ingress,
-	})
-	ingress.Bind(snd)
+	}, func(p *network.Packet) { a.Receive(p) })
+	a = New(Config{Clock: loop, Conn: fwd, Send: 1, Recv: 2})
+	b = New(Config{Clock: loop, Conn: rev, Send: 2, Recv: 1})
+	var deliveries []link.Delivery
+	b.Egress.OnDelivery(func(d link.Delivery) { deliveries = append(deliveries, d) })
 
 	// Two client flows submit packets periodically.
 	var submit func()
 	seq := int64(0)
 	submit = func() {
-		for flow := uint32(1); flow <= 2; flow++ {
-			ingress.Submit(&network.Packet{
+		for flow := uint32(10); flow <= 11; flow++ {
+			a.Ingress.Submit(&network.Packet{
 				Flow: flow, Seq: seq, Size: 1200,
 				SentAt: loop.Now(),
 			})
@@ -239,18 +229,21 @@ func TestTunnelEndToEnd(t *testing.T) {
 
 	byFlow := map[uint32]int{}
 	var worstDelay time.Duration
-	for _, d := range eg.deliveries {
+	for _, d := range deliveries {
 		byFlow[d.Flow]++
 		if delay := d.DeliveredAt - d.SentAt; delay > worstDelay && d.DeliveredAt > 10*time.Second {
 			worstDelay = delay
 		}
 	}
-	if byFlow[1] < 500 || byFlow[2] < 500 {
+	if byFlow[10] < 500 || byFlow[11] < 500 {
 		t.Errorf("flow deliveries = %v, want both flows served", byFlow)
 	}
 	// Offered load: 2 flows × 1200B / 20ms = 960 kb/s, well under the
 	// 3.6 Mb/s link: tunnel delay must stay interactive.
 	if worstDelay > 500*time.Millisecond {
 		t.Errorf("worst steady-state tunnel delay = %v", worstDelay)
+	}
+	if n := a.Sender.FeedbacksReceived(); n == 0 {
+		t.Error("A's sender heard no forecast from B: the sessions did not cross")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDatagramRoundTrip(t *testing.T) {
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	server, err := Listen(clock, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func next(t *testing.T, ch chan string, what string) string {
 }
 
 func TestListenerLearnsPeer(t *testing.T) {
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	server, err := Listen(clock, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestListenerLearnsPeer(t *testing.T) {
 }
 
 func TestCloseUnblocksServe(t *testing.T) {
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	conn, err := Listen(clock, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestCloseUnblocksServe(t *testing.T) {
 // not held for the peer learned later: the peer's first datagram is the
 // one sent after it spoke.
 func TestSendWithoutPeerDrops(t *testing.T) {
-	clock := realtime.New()
+	clock := realtime.New(t.Context())
 	conn, err := Listen(clock, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

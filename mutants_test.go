@@ -89,6 +89,27 @@ var mutants = []struct {
 		pkg:  "internal/realtime", test: "TestAfterFires",
 	},
 	{
+		name: "the live clock's driver outlives its context",
+		file: "internal/realtime/realtime.go",
+		from: "\t\tcase <-c.ctx.Done():\n\t\t\treturn\n",
+		to:   "",
+		pkg:  "internal/realtime", test: "TestDriverStopsWithContext",
+	},
+	{
+		name: "a tunnel endpoint builds its sender before its receiver",
+		file: "internal/tunnel/endpoint.go",
+		from: "\te.Receiver = transport.NewReceiver(transport.ReceiverConfig{\n\t\tFlow: cfg.Recv, Clock: cfg.Clock, Conn: cfg.Conn, Deliver: e.Egress.deliver, Pool: cfg.Pool,\n\t})\n\te.Sender = transport.NewSender(transport.SenderConfig{\n\t\tFlow: cfg.Send, Clock: cfg.Clock, Conn: cfg.Conn, Source: e.Ingress, Pool: cfg.Pool,\n\t})\n",
+		to:   "\te.Sender = transport.NewSender(transport.SenderConfig{\n\t\tFlow: cfg.Send, Clock: cfg.Clock, Conn: cfg.Conn, Source: e.Ingress, Pool: cfg.Pool,\n\t})\n\te.Receiver = transport.NewReceiver(transport.ReceiverConfig{\n\t\tFlow: cfg.Recv, Clock: cfg.Clock, Conn: cfg.Conn, Deliver: e.Egress.deliver, Pool: cfg.Pool,\n\t})\n",
+		pkg:  "internal/harness", test: "TestTunnelGoldenHash",
+	},
+	{
+		name: "a tunnel endpoint routes on Packet.Flow, which a datagram off a socket leaves 0",
+		file: "internal/tunnel/endpoint.go",
+		from: "protocol.FlowOf(p.Payload)",
+		to:   "p.Flow, len(p.Payload) >= protocol.HeaderSize",
+		pkg:  "internal/e2e", test: "TestLiveTunnelOverUDP",
+	},
+	{
 		name: "the receiver forecasts at the median",
 		file: "internal/transport/receiver.go",
 		from: "core.NewModel(core.Params{})",

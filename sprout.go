@@ -19,7 +19,7 @@
 //     discrete-event simulator or real UDP sockets;
 //   - the Cellsim-style trace-driven link emulator (Link, Trace) and the
 //     synthetic cellular trace generator;
-//   - SproutTunnel (TunnelIngress/TunnelEgress) for carrying arbitrary
+//   - SproutTunnel (TunnelEndpoint, one per side) for carrying arbitrary
 //     flows with per-flow isolation;
 //   - declarative experiments (ScenarioSpec, RunScenario, RunScenarios):
 //     scheme(s), link, loss, tunnel, durations and seed as data, run in
@@ -166,22 +166,16 @@ func CanonicalLink(name string) (LinkModel, bool) { return trace.CanonicalLink(n
 
 // Tunnel (§4.3).
 type (
-	// TunnelIngress queues client flows and feeds a Sprout sender in
-	// round-robin order with forecast-bounded head drops.
-	TunnelIngress = tunnel.Ingress
-	// TunnelEgress unwraps frames at the far end.
-	TunnelEgress = tunnel.Egress
+	// TunnelEndpoint is one side of SproutTunnel: per-flow queues feeding
+	// a Sprout sender, and a Sprout receiver for the far side's session.
+	TunnelEndpoint = tunnel.Endpoint
+	// TunnelConfig wires one TunnelEndpoint.
+	TunnelConfig = tunnel.Config
 )
 
-// NewTunnelIngress creates an empty tunnel ingress; Bind the Sprout sender
-// after construction.
-func NewTunnelIngress() *TunnelIngress { return tunnel.NewIngress() }
-
-// NewTunnelEgress creates the tunnel egress; attach its Deliver method as
-// the Sprout receiver's Deliver callback.
-func NewTunnelEgress(clock Clock, handler func(*Packet)) *TunnelEgress {
-	return tunnel.NewEgress(clock, handler)
-}
+// NewTunnelEndpoint builds one side of the tunnel; attach its Receive as
+// the handler of the path from the far side.
+func NewTunnelEndpoint(cfg TunnelConfig) *TunnelEndpoint { return tunnel.New(cfg) }
 
 // Saturator (§4.1): the trace-capture measurement tool.
 type (
