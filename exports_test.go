@@ -49,28 +49,24 @@ var exportAllow = map[string]string{
 
 	// State tests read as their oracle: the posterior, and counters of
 	// what an endpoint did.
-	"internal/core.(Model).BinRate":               "posterior inspection, public through sprout.Model; the naive reference filter reads it",
-	"internal/codel.(CoDel).Drops":                "drop count the CoDel tests assert",
-	"internal/link.(Link).Drops":                  "drop counts the admit differential and the link tests compare",
-	"internal/link.(Link).StaleDrops":             "stale-arrival count the admit differential and the tower tests compare",
-	"internal/link.(Link).WastedOpportunities":    "wasted-opportunity count the admit differential compares",
-	"internal/link.(Link).QueueLen":               "standing-slot queue length the admit differential and the link tests read",
-	"internal/link.(Link).Slots":                  "slot high-water mark the admit differential walks",
-	"internal/network.(Pool).InUse":               "live-packet count the leak and release tests assert",
-	"internal/sim.(Loop).Fired":                   "event count the no-event-per-packet tests assert",
-	"internal/sim.(Loop).Pending":                 "pending-event count the loop and link tests assert",
-	"internal/core.(Model).Distribution":          "posterior inspection, public through sprout.Model; the naive reference filter reads it",
-	"internal/core.(Model).Quantile":              "posterior inspection, public through sprout.Model",
-	"internal/stats.(IntervalSet).Contiguous":     "the quick-check model compares the set's contiguous prefix",
-	"internal/network.(Pool).Allocated":           "arena high-water mark the leak and allocation guards read",
-	"internal/app.(Sender).Decreases":             "rate-cut count the app-model tests assert",
-	"internal/tcp.(Sender).SRTT":                  "end state compared by the segment-ring differential",
-	"internal/tcp.(Sender).Stats":                 "transmission counters the segment-ring differential and the tunnel-Cubic test compare",
-	"internal/tcp.(Receiver).Segments":            "end state compared by the segment-ring differential",
-	"internal/tcp.(Receiver).NextExpected":        "in-order progress the TCP tests assert",
-	"internal/transport.(Receiver).FeedbacksSent": "feedback count the transport tests assert",
-	"internal/transport.(Sender).Heartbeats":      "heartbeat count the transport tests assert",
-	"internal/tunnel.(Egress).BadFrames":          "malformed-frame count the tunnel tests assert",
+	"internal/core.(Model).BinRate":           "posterior inspection, public through sprout.Model; the naive reference filter reads it",
+	"internal/codel.(CoDel).Drops":            "drop count the CoDel tests assert",
+	"internal/link.(Link).Drops":              "drop counts the admit differential and the link tests compare",
+	"internal/link.(Link).StaleDrops":         "stale-arrival count the admit differential and the tower tests compare",
+	"internal/link.(Link).QueueLen":           "standing-slot queue length the admit differential and the link tests read",
+	"internal/link.(Link).Slots":              "slot high-water mark the admit differential walks",
+	"internal/network.(Pool).InUse":           "live-packet count the leak and release tests assert",
+	"internal/sim.(Loop).Pending":             "pending-event count the loop and link tests assert",
+	"internal/core.(Model).Distribution":      "posterior inspection, public through sprout.Model; the naive reference filter reads it",
+	"internal/core.(Model).Quantile":          "posterior inspection, public through sprout.Model",
+	"internal/stats.(IntervalSet).Contiguous": "the quick-check model compares the set's contiguous prefix",
+	"internal/network.(Pool).Allocated":       "arena high-water mark the leak and allocation guards read",
+	"internal/app.(Sender).Decreases":         "rate-cut count the app-model tests assert",
+	"internal/tcp.(Sender).SRTT":              "end state compared by the segment-ring differential",
+	"internal/tcp.(Sender).Stats":             "transmission counters the segment-ring differential and the tunnel-Cubic test compare",
+	"internal/tcp.(Receiver).Segments":        "end state compared by the segment-ring differential",
+	"internal/tcp.(Receiver).NextExpected":    "in-order progress the TCP tests assert",
+	"internal/tunnel.(Egress).BadFrames":      "malformed-frame count the tunnel tests assert",
 }
 
 // TestNoUnusedExports holds internal/ to its callers: an exported name that

@@ -177,6 +177,7 @@ type Link struct {
 	dropsAQM      int64                  // packets dropped by the AQM
 	dropsStale    int64                  // arrivals whose slot was detached mid-flight
 	wasted        int64                  // opportunities that found no backlog
+	reached       int64                  // opportunities fired or passed over
 }
 
 // arrival is one packet in flight across the propagation delay.
@@ -251,7 +252,7 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	l.skipped = l.skipped[:0]
 	l.deliveries = l.deliveries[:0]
 	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
-	l.delivered, l.dropsLoss, l.dropsAQM, l.dropsStale, l.wasted = 0, 0, 0, 0, 0
+	l.delivered, l.dropsLoss, l.dropsAQM, l.dropsStale, l.wasted, l.reached = 0, 0, 0, 0, 0, 0
 	if cfg.Scheduler == nil {
 		l.Attach() // the standing slot
 	}
@@ -362,8 +363,16 @@ func (l *Link) StaleDrops() int64 {
 
 // WastedOpportunities returns how many of the delivery opportunities the
 // loop has reached found no backlogged slot.
-func (l *Link) WastedOpportunities() int64 {
-	n := l.wasted
+func (l *Link) WastedOpportunities() int64 { return l.wasted + l.passedSkips() }
+
+// Opportunities returns how many delivery opportunities the loop has
+// reached.
+func (l *Link) Opportunities() int64 { return l.reached + l.passedSkips() }
+
+// passedSkips counts the opportunities the last batch passed over that
+// the loop has reached.
+func (l *Link) passedSkips() int64 {
+	var n int64
 	for _, at := range l.skipped {
 		if !l.seqr.Passed(sim.Ranked(at, l.rank)) {
 			break
@@ -494,6 +503,7 @@ func (l *Link) opportunity() {
 	l.admit()
 	// Every opportunity the last batch skipped came before this one.
 	l.wasted += int64(len(l.skipped))
+	l.reached += int64(len(l.skipped)) + 1
 	l.skipped = l.skipped[:0]
 	budget := network.MTU
 	now := l.clock.Now()

@@ -21,7 +21,7 @@ type flowStream struct {
 	// current segment started.
 	maxSent time.Duration
 	cursor  time.Duration
-	segs    []stats.Segment
+	segs    stats.Segments
 
 	// delay95 is the sealed stream's 95th-percentile delay, computed once
 	// in finish for the aggregate result, Delay95 and Flow: one pass over
@@ -35,7 +35,7 @@ func (f *flowStream) reset(from time.Duration) {
 	f.bits, f.bytes = 0, 0
 	f.maxSent = -1
 	f.cursor = from
-	f.segs = f.segs[:0]
+	f.segs.Reset()
 	f.delay95 = 0
 }
 
@@ -60,7 +60,7 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 		// segment for the undefined region.
 		f.cursor = d.DeliveredAt
 	} else if d.DeliveredAt > f.cursor {
-		f.segs = append(f.segs, stats.Segment{
+		f.segs.Append(stats.Segment{
 			Start: (f.cursor - f.maxSent).Seconds(),
 			Width: (d.DeliveredAt - f.cursor).Seconds(),
 		})
@@ -76,13 +76,13 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 // exactly once, after the last observe.
 func (f *flowStream) finish(to time.Duration, sc *stats.SegmentScratch) {
 	if f.maxSent >= 0 && to > f.cursor {
-		f.segs = append(f.segs, stats.Segment{
+		f.segs.Append(stats.Segment{
 			Start: (f.cursor - f.maxSent).Seconds(),
 			Width: (to - f.cursor).Seconds(),
 		})
 	}
-	if len(f.segs) > 0 {
-		f.delay95 = secondsToDuration(stats.SegmentPercentile(f.segs, 0.95, sc))
+	if f.segs.Len() > 0 {
+		f.delay95 = secondsToDuration(stats.SegmentPercentile(&f.segs, 0.95, sc))
 	}
 }
 
@@ -94,10 +94,10 @@ func (f *flowStream) throughputBps(from, to time.Duration) float64 {
 }
 
 func (f *flowStream) meanDelay() time.Duration {
-	if len(f.segs) == 0 {
+	if f.segs.Len() == 0 {
 		return 0
 	}
-	return secondsToDuration(stats.SegmentMean(f.segs))
+	return secondsToDuration(stats.SegmentMean(&f.segs))
 }
 
 // Accumulator builds the §5.1 metrics incrementally as packets are
@@ -109,6 +109,9 @@ func (f *flowStream) meanDelay() time.Duration {
 // it (the aggregate, and the delivery's own flow when flows are tracked),
 // plus one per in-window opportunity when the omniscient bound is tracked
 // online — the percentile needs every segment, so none can be folded away.
+// Each stream keeps them in a stats.Segments, which grows in chunks and
+// never copies what it holds: a fresh accumulator allocates about 16 bytes
+// per segment it stores, where slices grown by append allocated 88.
 //
 // All buffers are retained across Start calls, so a reused accumulator
 // (engine worker-state reuse) runs whole experiments with zero steady-state
@@ -135,7 +138,7 @@ type Accumulator struct {
 	// trace) reports each opportunity instant through ObserveOpportunity,
 	// and these replay exactly the cursor/base recurrence of
 	// OmniscientDelay plus the CapacityBits window count.
-	omniSegs    []stats.Segment
+	omniSegs    stats.Segments
 	trackOps    bool
 	prop        time.Duration
 	omniCursor  time.Duration
@@ -159,6 +162,7 @@ func (a *Accumulator) Start(from, to time.Duration, flows []uint32) {
 	a.agg.reset(from)
 	a.finished = false
 	a.trackOps = false // re-arm per run via TrackOpportunities
+	a.omniSegs.Reset()
 	a.flowIDs = append(a.flowIDs[:0], flows...)
 	a.flowWindows = false
 	a.perFlow = len(flows) > 1
@@ -252,7 +256,7 @@ func (a *Accumulator) TrackOpportunities(prop time.Duration) {
 	a.omniBase = 0
 	a.omniHave = false
 	a.opsInWindow = 0
-	a.omniSegs = a.omniSegs[:0]
+	a.omniSegs.Reset()
 }
 
 // ObserveOpportunity folds one delivery-opportunity instant into the
@@ -272,7 +276,7 @@ func (a *Accumulator) ObserveOpportunity(at time.Duration) {
 	}
 	a.opsInWindow++
 	if at > a.omniCursor && a.omniHave {
-		a.omniSegs = append(a.omniSegs, stats.Segment{
+		a.omniSegs.Append(stats.Segment{
 			Start: (a.omniCursor - a.omniBase + a.prop).Seconds(),
 			Width: (at - a.omniCursor).Seconds(),
 		})
@@ -324,7 +328,7 @@ func (a *Accumulator) EvaluateStreaming() Result {
 	if a.omniHave && a.to > a.omniCursor {
 		// Close the bound's tail; moving the cursor to the window's end
 		// makes a second call append nothing.
-		a.omniSegs = append(a.omniSegs, stats.Segment{
+		a.omniSegs.Append(stats.Segment{
 			Start: (a.omniCursor - a.omniBase + a.prop).Seconds(),
 			Width: (a.to - a.omniCursor).Seconds(),
 		})
@@ -335,10 +339,10 @@ func (a *Accumulator) EvaluateStreaming() Result {
 		Delay95:       a.agg.delay95,
 		MeanDelay:     a.agg.meanDelay(),
 	}
-	if len(a.omniSegs) == 0 {
+	if a.omniSegs.Len() == 0 {
 		r.Omniscient95 = a.prop
 	} else {
-		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(a.omniSegs, 0.95, &a.pct))
+		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(&a.omniSegs, 0.95, &a.pct))
 	}
 	r.SelfInflicted95 = r.Delay95 - r.Omniscient95
 	if r.SelfInflicted95 < 0 {
@@ -355,6 +359,16 @@ func (a *Accumulator) EvaluateStreaming() Result {
 func (a *Accumulator) Delay95() time.Duration {
 	a.seal()
 	return a.agg.delay95
+}
+
+// Segments returns how many sawtooth segments the accumulator stores: every
+// stream's, the omniscient bound's included.
+func (a *Accumulator) Segments() int64 {
+	n := a.agg.segs.Len() + a.omniSegs.Len()
+	for i := range a.flows {
+		n += a.flows[i].segs.Len()
+	}
+	return int64(n)
 }
 
 // FlowCount returns how many flows Start was asked to track.

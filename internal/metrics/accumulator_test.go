@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,6 +224,41 @@ func TestAccumulatorObserveAllocs(t *testing.T) {
 	warm() // grow segment buffers once
 	if avg := testing.AllocsPerRun(20, warm); avg > 0 {
 		t.Errorf("warmed accumulator run allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestAccumulatorGrowsWithoutCopies: a fresh accumulator fed a million
+// in-window deliveries and a million opportunities allocates at most 17
+// bytes per segment it stores (each is 16): its segment streams grow in
+// chunks, never by copying what they hold, as a slice grown by append
+// would (88 bytes a segment). Fed again after Start, it allocates nothing.
+func TestAccumulatorGrowsWithoutCopies(t *testing.T) {
+	const n = 1_000_000
+	var a Accumulator
+	feed := func() {
+		a.Start(0, time.Hour, nil)
+		a.TrackOpportunities(20 * time.Millisecond)
+		for i := range n {
+			at := time.Duration(i+1) * time.Millisecond
+			a.ObserveOpportunity(at)
+			a.Observe(link.Delivery{SentAt: at - 20*time.Millisecond - time.Duration(i%50)*time.Millisecond, DeliveredAt: at, Size: 1500})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	feed()
+	runtime.ReadMemStats(&after)
+	segs := a.Segments()
+	if segs < 2*n-100 {
+		t.Fatalf("the accumulator stores %d segments, want about %d", segs, 2*n)
+	}
+	perSeg := float64(after.TotalAlloc-before.TotalAlloc) / float64(segs)
+	t.Logf("%d segments, %.2f bytes allocated a segment", segs, perSeg)
+	if perSeg > 17 {
+		t.Errorf("a fresh accumulator allocates %.2f bytes a stored segment, want at most 17", perSeg)
+	}
+	if allocs := testing.AllocsPerRun(1, feed); allocs != 0 {
+		t.Errorf("a reused accumulator allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -42,9 +42,10 @@ func Throughput(deliveries []link.Delivery, from, to time.Duration) float64 {
 // delaySegments builds the piecewise-linear d(t) sawtooth over [from, to)
 // from a delivery log (which must be sorted by DeliveredAt; links record it
 // in delivery order).
-func delaySegments(deliveries []link.Delivery, from, to time.Duration) []stats.Segment {
+func delaySegments(deliveries []link.Delivery, from, to time.Duration) *stats.Segments {
+	segs := new(stats.Segments)
 	if to <= from {
-		return nil
+		return segs
 	}
 	// Establish the newest-sent packet delivered before the window, so
 	// d(from) is well defined.
@@ -55,24 +56,23 @@ func delaySegments(deliveries []link.Delivery, from, to time.Duration) []stats.S
 			maxSent = deliveries[i].SentAt
 		}
 	}
-	var segs []stats.Segment
 	cursor := from
 	if maxSent < 0 {
 		// Nothing delivered before the window: d(t) is undefined until
 		// the first in-window arrival; treat the stream as starting at
 		// the first delivery.
 		if i >= len(deliveries) {
-			return nil
+			return segs
 		}
 		cursor = deliveries[i].DeliveredAt
 		if cursor >= to {
-			return nil
+			return segs
 		}
 	}
 	for ; i < len(deliveries) && deliveries[i].DeliveredAt < to; i++ {
 		d := deliveries[i]
 		if d.DeliveredAt > cursor && maxSent >= 0 {
-			segs = append(segs, stats.Segment{
+			segs.Append(stats.Segment{
 				Start: (cursor - maxSent).Seconds(),
 				Width: (d.DeliveredAt - cursor).Seconds(),
 			})
@@ -83,7 +83,7 @@ func delaySegments(deliveries []link.Delivery, from, to time.Duration) []stats.S
 		cursor = d.DeliveredAt
 	}
 	if maxSent >= 0 && to > cursor {
-		segs = append(segs, stats.Segment{
+		segs.Append(stats.Segment{
 			Start: (cursor - maxSent).Seconds(),
 			Width: (to - cursor).Seconds(),
 		})
@@ -95,7 +95,7 @@ func delaySegments(deliveries []link.Delivery, from, to time.Duration) []stats.S
 // function over [from, to). It returns 0 if nothing was delivered.
 func EndToEndDelay(deliveries []link.Delivery, from, to time.Duration, p float64) time.Duration {
 	segs := delaySegments(deliveries, from, to)
-	if len(segs) == 0 {
+	if segs.Len() == 0 {
 		return 0
 	}
 	return secondsToDuration(stats.SegmentPercentile(segs, p, nil))
@@ -104,7 +104,7 @@ func EndToEndDelay(deliveries []link.Delivery, from, to time.Duration, p float64
 // MeanDelay returns the time-weighted mean of the delay function.
 func MeanDelay(deliveries []link.Delivery, from, to time.Duration) time.Duration {
 	segs := delaySegments(deliveries, from, to)
-	if len(segs) == 0 {
+	if segs.Len() == 0 {
 		return 0
 	}
 	return secondsToDuration(stats.SegmentMean(segs))
@@ -124,10 +124,10 @@ func OmniscientDelay(tr *trace.Trace, prop, from, to time.Duration, p float64) t
 	if haveBase {
 		base = ops[lo-1]
 	}
-	var segs []stats.Segment
+	var segs stats.Segments
 	for i := lo; i < len(ops) && ops[i] < to; i++ {
 		if ops[i] > cursor && haveBase {
-			segs = append(segs, stats.Segment{
+			segs.Append(stats.Segment{
 				Start: (cursor - base + prop).Seconds(),
 				Width: (ops[i] - cursor).Seconds(),
 			})
@@ -137,15 +137,15 @@ func OmniscientDelay(tr *trace.Trace, prop, from, to time.Duration, p float64) t
 		haveBase = true
 	}
 	if haveBase && to > cursor {
-		segs = append(segs, stats.Segment{
+		segs.Append(stats.Segment{
 			Start: (cursor - base + prop).Seconds(),
 			Width: (to - cursor).Seconds(),
 		})
 	}
-	if len(segs) == 0 {
+	if segs.Len() == 0 {
 		return prop
 	}
-	return secondsToDuration(stats.SegmentPercentile(segs, p, nil))
+	return secondsToDuration(stats.SegmentPercentile(&segs, p, nil))
 }
 
 // Result aggregates the paper's metrics for one experiment run.

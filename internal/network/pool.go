@@ -128,6 +128,16 @@ func (p *Pool) InUse() int {
 	return p.used - len(p.free)
 }
 
+// HighWater returns the most packets live at once since the last Reset:
+// a Get that finds no released packet takes the next arena packet, so the
+// arena packets handed out since then are that peak.
+func (p *Pool) HighWater() int {
+	if p == nil {
+		return 0
+	}
+	return p.used
+}
+
 // Allocated returns the arena size in packets: the high-water mark of
 // InUse over the pool's life (Reset retains the arena), rounded up to a
 // whole block.

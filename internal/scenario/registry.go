@@ -38,6 +38,9 @@ type Conn = network.Conn
 type Endpoint struct {
 	Data     network.Handler
 	Feedback network.Handler
+
+	// tally, if set, adds the endpoints' counters to a run's Work.
+	tally func(*Work)
 }
 
 // AttachConfig is what a scheme constructor gets to build one flow's

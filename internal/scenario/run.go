@@ -9,6 +9,7 @@ import (
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
+	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
 
@@ -62,6 +63,35 @@ type Result struct {
 	// spec sets KeepDeliveries; the §5.1 metrics accumulate online and
 	// need no retained log.
 	Deliveries []link.Delivery
+	// Work counts what the run did. Records, and so result_digest, leave
+	// it out: a Result decoded from a record (a sharded run, a checkpoint,
+	// a merge) carries a zero Work.
+	Work Work
+}
+
+// Work counts what one run did, layer by layer. Every count is exact and
+// the same at any worker or shard count, so a change that claims less work
+// shows it against TestWorkPinned's pins, where wall time on a shared box
+// cannot resolve it.
+type Work struct {
+	Events        int64 // event-loop callbacks fired (sim.Loop.Fired)
+	Opportunities int64 // delivery opportunities the links reached, both directions
+	Wasted        int64 // of those, the ones that found nothing to serve
+	PoolPeak      int64 // most packets live at once (network.Pool.HighWater)
+	Feedbacks     int64 // forecast packets the Sprout receivers sent
+	Heartbeats    int64 // heartbeats the Sprout senders sent
+	Ticks         int64 // inference ticks the Sprout receivers ran, each a forecaster Tick and Forecast
+	Forecasts     int64 // forecasts the Sprout senders received and applied
+	Segments      int64 // delay-sawtooth segments the metrics accumulator stored
+}
+
+// addSprout adds one Sprout sender's and one Sprout receiver's counters.
+func (wk *Work) addSprout(snd *transport.Sender, rcv *transport.Receiver) {
+	obs, cens, skip := rcv.TickStats()
+	wk.Feedbacks += rcv.FeedbacksSent()
+	wk.Ticks += obs + cens + skip
+	wk.Heartbeats += snd.Heartbeats()
+	wk.Forecasts += snd.FeedbacksReceived()
 }
 
 // Run executes one Spec to completion in virtual time. traces may be nil;
@@ -238,6 +268,7 @@ func (w *world) attachFlow(fi int, ci int32) error {
 		return fmt.Errorf("scenario: attach %s: %w", f.scheme.Name, err)
 	}
 	w.byData[cfg.Flow], w.byFB[cfg.Flow] = ep.Data, ep.Feedback
+	f.tally = ep.tally
 	return nil
 }
 
@@ -325,6 +356,7 @@ func runFlows(spec Spec, w *world) (Result, error) {
 		res.Deliveries = w.cells[0].down.TakeDeliveries()
 	}
 	res.finishFlows(w)
+	res.Work = w.countWork(cells)
 	return res, nil
 }
 
@@ -375,6 +407,9 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	w.loop.Run(time.Duration(spec.Duration))
 	res := Result{Spec: spec, HeadDrops: a.Ingress.HeadDrops(), Deliveries: log}
 	res.finishFlows(w)
+	res.Work = w.countWork(1)
+	res.Work.addSprout(a.Sender, a.Receiver)
+	res.Work.addSprout(b.Sender, b.Receiver)
 	return res, nil
 }
 

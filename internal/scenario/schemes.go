@@ -132,11 +132,15 @@ func sproutConstructor(kind string, forecaster func(core.Params) core.Forecaster
 		rcfg.Forecaster = forecaster(params)
 		rcv := transport.NewReceiver(rcfg)
 		snd := transport.NewSender(scfg)
-		se := &sproutEndpoints{rcv: rcv, snd: snd, ep: Endpoint{Data: rcv.Receive, Feedback: snd.Receive}}
+		se := &sproutEndpoints{rcv: rcv, snd: snd}
+		se.ep = Endpoint{Data: rcv.Receive, Feedback: snd.Receive, tally: se.tally}
 		cfg.Memoize(kind, cfg.Confidence, se)
 		return se.ep, nil
 	}
 }
+
+// tally adds the flow's Sprout counters to a run's Work.
+func (se *sproutEndpoints) tally(wk *Work) { wk.addSprout(se.snd, se.rcv) }
 
 // tcpEndpoints is the memoized bundle of one TCP-baseline flow.
 type tcpEndpoints struct {

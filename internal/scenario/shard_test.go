@@ -38,11 +38,13 @@ func shardTestSpecs(t *testing.T) []Spec {
 }
 
 // stripTraces clears the resolved trace pointers a direct run leaves in
-// Result.Spec, returning a copy comparable with decoded shard results.
+// Result.Spec, and the Work no record carries, returning a copy comparable
+// with decoded shard results.
 func stripTraces(results []Result) []Result {
 	out := append([]Result{}, results...)
 	for i := range out {
 		out[i].Spec.DataTrace, out[i].Spec.FeedbackTrace = nil, nil
+		out[i].Work = Work{}
 	}
 	return out
 }
@@ -90,8 +92,8 @@ func TestRunShardedDeterminism(t *testing.T) {
 			// The reconstructed Results must also match structurally
 			// (specs re-normalized, durations restored), not just as
 			// bytes — modulo the resolved trace pointers a direct run
-			// stashes in its Spec, which (like raw delivery logs) cannot
-			// cross a process boundary and are not part of the outcome.
+			// stashes in its Spec and its Work, which (like raw delivery
+			// logs) do not cross a process boundary.
 			if !reflect.DeepEqual(results, stripTraces(direct)) {
 				t.Errorf("shards=%d workers=%d: decoded results differ from direct run", shards, workers)
 			}

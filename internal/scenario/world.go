@@ -93,6 +93,10 @@ type world struct {
 	// never reused); exhausted blocks are abandoned to their results.
 	flowArena []FlowResult
 	flowUsed  int
+
+	// work is where the endpoints' tallies add up at the end of a run: a
+	// local handed to them would escape, one allocation per run.
+	work Work
 }
 
 // endpointKey identifies one memoized endpoint bundle: the scheme-specific
@@ -120,6 +124,7 @@ type cellNet struct {
 type flow struct {
 	scheme   Scheme
 	down, up port
+	tally    func(*Work) // the attached endpoints' counters; nil if none
 }
 
 // port routes one cell user's packets to its *current* cell, giving
@@ -350,6 +355,26 @@ func reseed(rp **rand.Rand, seed int64) *rand.Rand {
 		(*rp).Seed(seed)
 	}
 	return *rp
+}
+
+// countWork reads the run's counters off the world once the loop has run on
+// its first n cells.
+func (w *world) countWork(n int) Work {
+	w.work = Work{
+		Events:   int64(w.loop.Fired()),
+		PoolPeak: int64(w.pool.HighWater()),
+		Segments: w.acc.Segments(),
+	}
+	for _, c := range w.cells[:n] {
+		w.work.Opportunities += c.down.Opportunities() + c.up.Opportunities()
+		w.work.Wasted += c.down.WastedOpportunities() + c.up.WastedOpportunities()
+	}
+	for _, f := range w.flows {
+		if f.tally != nil {
+			f.tally(&w.work)
+		}
+	}
+	return w.work
 }
 
 // takeFlowResults hands out a fresh n-slot slice from the arena. The

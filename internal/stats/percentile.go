@@ -51,7 +51,8 @@ func Quantiles(sample []float64, ps ...float64) []float64 {
 // of duration Width (seconds), the function rises linearly from Start to
 // Start+Width. Sprout's end-to-end delay metric is exactly this shape: at
 // each packet arrival the delay resets to that packet's delay, then grows at
-// 1 s/s until the next arrival (paper §5.1, footnote 7).
+// 1 s/s until the next arrival (paper §5.1, footnote 7). A stream's
+// segments are kept in a Segments, 16 bytes each.
 type Segment struct {
 	Start float64 // function value at the beginning of the segment (seconds)
 	Width float64 // duration of the segment (seconds); value ends at Start+Width
@@ -68,12 +69,13 @@ type Segment struct {
 // answer, by a sum whose distance from that pass is bounded; see
 // collection. sc holds the buffers reused from call to call; nil lends a
 // fresh one.
-func SegmentPercentile(segs []Segment, p float64, sc *SegmentScratch) float64 {
+func SegmentPercentile(segs *Segments, p float64, sc *SegmentScratch) float64 {
+	n := segs.Len()
 	first := 0
-	for first < len(segs) && segs[first].Width <= 0 {
+	for first < n && segs.at(first).Width <= 0 {
 		first++
 	}
-	if first == len(segs) {
+	if first == n {
 		return math.NaN()
 	}
 	if sc == nil {
@@ -97,7 +99,7 @@ func SegmentPercentile(segs []Segment, p float64, sc *SegmentScratch) float64 {
 	// every sum it enters NaN, which decides nothing.
 	b := bisection{lo: lo, hi: hi}
 	x := math.Max(math.Abs(lo), math.Abs(hi))
-	if total <= 0x1p900 && x <= 0x1p900 && uint64(len(segs)) <= math.MaxUint32 {
+	if total <= 0x1p900 && x <= 0x1p900 && uint64(n) <= math.MaxUint32 {
 		c.levels(segs, &b, target, total, x)
 	}
 	for !b.done {
@@ -132,7 +134,7 @@ func (b *bisection) decide(short bool) {
 // exact decides the next level, and the one after it, from one in-order
 // pass that measures this level's mid and both mids the next level can ask
 // for.
-func (b *bisection) exact(segs []Segment, target float64) {
+func (b *bisection) exact(segs *Segments, target float64) {
 	mid := b.mid()
 	low, high := float64((b.lo+mid)/2), float64((mid+b.hi)/2)
 	mLow, mMid, mHigh := measureBelow3(segs, low, mid, high)
@@ -180,13 +182,13 @@ type bucket struct{ net, sum float64 }
 // heavy segment and of every light one in the sample, scaled by its
 // stride: a stream's few long gaps (an outage, an idle sender) can hold a
 // sixth of its time. A wrong guess costs time, not bits.
-func (sc *SegmentScratch) guess(segs []Segment, first int, p float64) (from, to float64) {
-	n := len(segs)
+func (sc *SegmentScratch) guess(segs *Segments, first int, p float64) (from, to float64) {
+	n := segs.Len()
 	stride := max(n/sampleSize, 8)
 	var sampled, count float64
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := first; i < n; i += stride {
-		if s := segs[i]; s.Width > 0 {
+		if s := segs.at(i); s.Width > 0 {
 			sampled += s.Width
 			count++
 			lo, hi = min(lo, s.Start), max(hi, s.Start+s.Width)
@@ -194,7 +196,7 @@ func (sc *SegmentScratch) guess(segs []Segment, first int, p float64) (from, to 
 	}
 	nb := min(n/8, sampleSize) // 16 bytes a bucket: at most 2 bytes a segment
 	if nb < 4 || !(lo < hi) || hi-lo > math.MaxFloat64 {
-		return segs[first].Start, segs[first].Start
+		return segs.at(first).Start, segs.at(first).Start
 	}
 	if cap(sc.hist) < nb {
 		sc.hist = make([]bucket, nb)
@@ -222,13 +224,17 @@ func (sc *SegmentScratch) guess(segs []Segment, first int, p float64) (from, to 
 		bk[c].sum -= float64(weight * end)
 	}
 	heavy := heavyWidths * sampled / count
-	for _, s := range segs[first:] {
-		if s.Width > heavy {
-			add(s, 1)
+	for i := first; i < n; {
+		run := segs.run(i, n)
+		for _, s := range run {
+			if s.Width > heavy {
+				add(s, 1)
+			}
 		}
+		i += len(run)
 	}
 	for i := first; i < n; i += stride {
-		if s := segs[i]; s.Width > 0 && s.Width <= heavy {
+		if s := segs.at(i); s.Width > 0 && s.Width <= heavy {
 			add(s, float64(stride))
 		}
 	}
@@ -298,46 +304,52 @@ type collection struct {
 // collect is one pass over segs that collects for [from, to] and returns,
 // in the order the exact pass takes them, the total width and the
 // least start and the greatest end, of the segments from index first (the
-// first of positive width) on.
-func (c *collection) collect(segs []Segment, first int, from, to float64) (total, lo, hi float64) {
-	n := len(segs)
+// first of positive width) on. A block of 256 that straddles two chunks
+// is walked as two runs into one sum.
+func (c *collection) collect(segs *Segments, first int, from, to float64) (total, lo, hi float64) {
+	n := segs.Len()
 	limit := n / 2
 	*c = collection{from: from, to: to, keep: c.keep[:0], ok: true}
-	lo, hi = segs[first].Start, segs[first].Start+segs[first].Width
+	s0 := segs.at(first)
+	lo, hi = s0.Start, s0.Start+s0.Width
 	for base := first; base < n; base += 256 {
 		// Every index in the block weighs at most w.
 		var blk float64
 		w := float64(n - base)
-		for i, s := range segs[base:min(base+256, n)] {
-			if s.Width <= 0 {
-				continue
-			}
-			total += s.Width
-			end := s.Start + s.Width
-			if s.Start < lo {
-				lo = s.Start
-			}
-			if end > hi {
-				hi = end
-			}
-			switch {
-			case end <= from:
-				blk += s.Width
-			case s.Start >= to:
-			case s.Start <= from && end >= to:
-				d := from - s.Start
-				c.span++
-				c.spanSum += d
-				c.spanW += w
-				c.spanSub += float64(w * d)
-			case len(c.keep) < limit:
-				if len(c.keep) == cap(c.keep) { // double, up to limit
-					c.keep = append(make([]uint32, 0, min(max(2*cap(c.keep), 1024), limit)), c.keep...)
+		for i, stop := base, min(base+256, n); i < stop; {
+			run := segs.run(i, stop)
+			for j, s := range run {
+				if s.Width <= 0 {
+					continue
 				}
-				c.keep = append(c.keep, uint32(base+i))
-			default:
-				c.ok = false
+				total += s.Width
+				end := s.Start + s.Width
+				if s.Start < lo {
+					lo = s.Start
+				}
+				if end > hi {
+					hi = end
+				}
+				switch {
+				case end <= from:
+					blk += s.Width
+				case s.Start >= to:
+				case s.Start <= from && end >= to:
+					d := from - s.Start
+					c.span++
+					c.spanSum += d
+					c.spanW += w
+					c.spanSub += float64(w * d)
+				case len(c.keep) < limit:
+					if len(c.keep) == cap(c.keep) { // double, up to limit
+						c.keep = append(make([]uint32, 0, min(max(2*cap(c.keep), 1024), limit)), c.keep...)
+					}
+					c.keep = append(c.keep, uint32(i+j))
+				default:
+					c.ok = false
+				}
 			}
+			i += len(run)
 		}
 		c.full += blk
 		c.fullW += float64(w * blk)
@@ -353,13 +365,13 @@ func (c *collection) collect(segs []Segment, first int, from, to float64) (total
 // spanning ones, with lo and hi clipped to [from, to] and widened to x: no
 // later mid, and neither end of [from, to] when a later mid can fall past
 // it, can tell them apart.
-func (c *collection) measure(segs []Segment, x, lo, hi, xmax float64) (g, e float64) {
+func (c *collection) measure(segs *Segments, x, lo, hi, xmax float64) (g, e float64) {
 	lo, hi = min(max(lo, c.from), x), max(min(hi, c.to), x)
-	n := len(segs)
+	n := segs.Len()
 	var part, partW float64
 	k := 0
 	for _, i := range c.keep {
-		s := segs[i]
+		s := segs.at(int(i))
 		end := s.Start + s.Width
 		w := float64(n - int(i))
 		switch {
@@ -392,7 +404,7 @@ func (c *collection) measure(segs []Segment, x, lo, hi, xmax float64) (g, e floa
 }
 
 // atEdge returns measure at from (k = 0) or to (k = 1), computed once.
-func (c *collection) atEdge(segs []Segment, k int, b *bisection, xmax float64) (g, e float64) {
+func (c *collection) atEdge(segs *Segments, k int, b *bisection, xmax float64) (g, e float64) {
 	if v := &c.edges[k]; !v.valid {
 		x := c.from
 		if k == 1 {
@@ -408,8 +420,8 @@ func (c *collection) atEdge(segs []Segment, k int, b *bisection, xmax float64) (
 // bracket, or for its side of the interval the answer has been shown to
 // lie beyond, when a mid falls outside it undecided; a level the bound
 // leaves open, or a bracket too wide to collect, takes the exact pass.
-func (c *collection) levels(segs []Segment, b *bisection, target, total, xmax float64) {
-	n := float64(len(segs))
+func (c *collection) levels(segs *Segments, b *bisection, target, total, xmax float64) {
+	n := float64(segs.Len())
 	drop := float64(float64(2*n*xmax) * unitRoundoff)
 	for !b.done {
 		if !c.ok {
@@ -468,30 +480,32 @@ func (c *collection) levels(segs []Segment, b *bisection, target, total, xmax fl
 // answers for the other two: once low is past a segment's start (so that no
 // probe is at or under it) and at or past its end, all three measure its
 // whole width; while high is at or under its start, none measures anything.
-func measureBelow3(segs []Segment, low, mid, high float64) (mLow, mMid, mHigh float64) {
+func measureBelow3(segs *Segments, low, mid, high float64) (mLow, mMid, mHigh float64) {
 	bottom, top := low, high
 	if !(low <= mid && mid <= high) {
 		// A NaN among the probes: no comparison may answer for another's.
 		bottom, top = math.NaN(), math.NaN()
 	}
-	for _, s := range segs {
-		if s.Width <= 0 {
-			continue
-		}
-		end := s.Start + s.Width
-		if bottom > s.Start {
-			if bottom >= end {
-				mLow += s.Width
-				mMid += s.Width
-				mHigh += s.Width
+	for k := 0; k <= segs.full; k++ {
+		for _, s := range segs.chunk(k) {
+			if s.Width <= 0 {
 				continue
 			}
-		} else if top <= s.Start {
-			continue
+			end := s.Start + s.Width
+			if bottom > s.Start {
+				if bottom >= end {
+					mLow += s.Width
+					mMid += s.Width
+					mHigh += s.Width
+					continue
+				}
+			} else if top <= s.Start {
+				continue
+			}
+			mLow += s.below(end, low)
+			mMid += s.below(end, mid)
+			mHigh += s.below(end, high)
 		}
-		mLow += s.below(end, low)
-		mMid += s.below(end, mid)
-		mHigh += s.below(end, high)
 	}
 	return mLow, mMid, mHigh
 }
@@ -512,14 +526,16 @@ func (s Segment) below(end, x float64) float64 {
 // SegmentMean returns the time-weighted mean of a piecewise-linear sawtooth
 // function. Each segment contributes mean value Start+Width/2 with weight
 // Width. Returns NaN if total width is 0.
-func SegmentMean(segs []Segment) float64 {
+func SegmentMean(segs *Segments) float64 {
 	var total, acc float64
-	for _, s := range segs {
-		if s.Width <= 0 {
-			continue
+	for k := 0; k <= segs.full; k++ {
+		for _, s := range segs.chunk(k) {
+			if s.Width <= 0 {
+				continue
+			}
+			total += s.Width
+			acc += (s.Start + s.Width/2) * s.Width
 		}
-		total += s.Width
-		acc += (s.Start + s.Width/2) * s.Width
 	}
 	if total == 0 {
 		return math.NaN()

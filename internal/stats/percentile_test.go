@@ -52,7 +52,7 @@ func TestSegmentPercentileUniform(t *testing.T) {
 	segs := []Segment{{Start: 0, Width: 10}}
 	for _, p := range []float64{0.1, 0.5, 0.95} {
 		want := 10 * p
-		if got := SegmentPercentile(segs, p, nil); math.Abs(got-want) > 1e-6 {
+		if got := SegmentPercentile(chunked(segs), p, nil); math.Abs(got-want) > 1e-6 {
 			t.Errorf("p=%v: got %v, want %v", p, got, want)
 		}
 	}
@@ -63,8 +63,8 @@ func TestSegmentPercentileSawtooth(t *testing.T) {
 	one := []Segment{{0, 5}}
 	two := []Segment{{0, 5}, {0, 5}}
 	for _, p := range []float64{0.25, 0.5, 0.9} {
-		a := SegmentPercentile(one, p, nil)
-		b := SegmentPercentile(two, p, nil)
+		a := SegmentPercentile(chunked(one), p, nil)
+		b := SegmentPercentile(chunked(two), p, nil)
 		if math.Abs(a-b) > 1e-6 {
 			t.Errorf("p=%v: one=%v two=%v", p, a, b)
 		}
@@ -78,7 +78,7 @@ func TestSegmentPercentileOffsetTeeth(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		segs = append(segs, Segment{Start: 0.2, Width: 0.01})
 	}
-	got := SegmentPercentile(segs, 0.95, nil)
+	got := SegmentPercentile(chunked(segs), 0.95, nil)
 	if got < 0.2 || got > 0.21 {
 		t.Errorf("got %v, want in [0.2, 0.21]", got)
 	}
@@ -91,9 +91,9 @@ func TestSegmentPercentileOutageTail(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		segs = append(segs, Segment{Start: 0.02, Width: 0.05})
 	}
-	base := SegmentPercentile(segs, 0.95, nil)
+	base := SegmentPercentile(chunked(segs), 0.95, nil)
 	segs = append(segs, Segment{Start: 0.02, Width: 5})
-	withOutage := SegmentPercentile(segs, 0.95, nil)
+	withOutage := SegmentPercentile(chunked(segs), 0.95, nil)
 	if withOutage <= base {
 		t.Errorf("outage did not raise p95: %v <= %v", withOutage, base)
 	}
@@ -103,10 +103,10 @@ func TestSegmentPercentileOutageTail(t *testing.T) {
 }
 
 func TestSegmentPercentileEmpty(t *testing.T) {
-	if got := SegmentPercentile(nil, 0.95, nil); !math.IsNaN(got) {
+	if got := SegmentPercentile(chunked(nil), 0.95, nil); !math.IsNaN(got) {
 		t.Errorf("got %v, want NaN", got)
 	}
-	if got := SegmentPercentile([]Segment{{1, 0}}, 0.5, nil); !math.IsNaN(got) {
+	if got := SegmentPercentile(chunked([]Segment{{1, 0}}), 0.5, nil); !math.IsNaN(got) {
 		t.Errorf("zero-width segments should be ignored; got %v", got)
 	}
 }
@@ -173,6 +173,15 @@ func segmentPercentileOracle(segs []Segment, p float64) float64 {
 	return (lo + hi) / 2
 }
 
+// chunked returns segs appended to a fresh Segments.
+func chunked(segs []Segment) *Segments {
+	var out Segments
+	for _, s := range segs {
+		out.Append(s)
+	}
+	return &out
+}
+
 // sameFloat reports whether a and b are the same bits, or both NaN.
 func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
@@ -219,7 +228,7 @@ func TestMeasureBelow3MatchesSingleProbe(t *testing.T) {
 	}
 	for _, list := range [][]Segment{segs, vanishing, odd, nil} {
 		for _, x := range probes {
-			got0, got1, got2 := measureBelow3(list, x[0], x[1], x[2])
+			got0, got1, got2 := measureBelow3(chunked(list), x[0], x[1], x[2])
 			for k, got := range [3]float64{got0, got1, got2} {
 				if want := measureBelowOracle(list, x[k]); !sameFloat(got, want) {
 					t.Errorf("%d segments, probes %v: sum %d = %v, a single-probe pass gives %v",
@@ -273,10 +282,77 @@ func TestSegmentPercentileMatchesOracle(t *testing.T) {
 		for _, p := range []float64{0, 0.05, 0.5, 0.95, 0.999, 1} {
 			want := segmentPercentileOracle(segs, p)
 			for _, scratch := range []*SegmentScratch{nil, &sc} {
-				if got := SegmentPercentile(segs, p, scratch); !sameFloat(got, want) {
+				if got := SegmentPercentile(chunked(segs), p, scratch); !sameFloat(got, want) {
 					t.Errorf("%s, p=%v: got %v, the single-probe bisection gives %v (Δ %g)",
 						name, p, got, want, got-want)
 				}
+			}
+		}
+	}
+}
+
+// TestSegmentPercentileAcrossChunks: at the chunk boundaries of Segments
+// (one short of a chunk, a chunk, one past, three chunks and a few), with
+// leading zero-width segments so that the collection's blocks of 256 start
+// off the chunks' alignment and some straddle a boundary, every percentile
+// is the single-probe bisection's bits, on a fresh sequence and on one
+// reset and refilled. The mean is the in-order sum's too.
+func TestSegmentPercentileAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var reused Segments
+	var sc SegmentScratch
+	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7} {
+		for _, shape := range []struct {
+			name string
+			make func(*rand.Rand, int) []Segment
+		}{{"delivery", deliverySawtooth}, {"omniscient", omniscientStream}, {"sawtooth", sawtooth}} {
+			segs := shape.make(rng, n)
+			for i := range 37 {
+				segs[i].Width = 0
+			}
+			reused.Reset()
+			for _, s := range segs {
+				reused.Append(s)
+			}
+			fresh := chunked(segs)
+			if fresh.Len() != n || reused.Len() != n {
+				t.Fatalf("%s n=%d: Len %d fresh, %d reused", shape.name, n, fresh.Len(), reused.Len())
+			}
+			for i := range segs {
+				if fresh.at(i) != segs[i] || reused.at(i) != segs[i] {
+					t.Fatalf("%s n=%d: segment %d is %v fresh, %v reused, want %v", shape.name, n, i, fresh.at(i), reused.at(i), segs[i])
+				}
+			}
+			var probes []float64
+			for _, p := range []float64{0.05, 0.5, 0.95, 0.999} {
+				want := segmentPercentileOracle(segs, p)
+				probes = append(probes, want)
+				for _, in := range []*Segments{fresh, &reused} {
+					if got := SegmentPercentile(in, p, &sc); !sameFloat(got, want) {
+						t.Errorf("%s n=%d, p=%v: got %v, the single-probe bisection gives %v", shape.name, n, p, got, want)
+					}
+				}
+			}
+			// The exact pass, which the certified levels may never need
+			// here, walks the chunks too.
+			for k := 0; k+2 < len(probes); k++ {
+				sums := [3]float64{}
+				sums[0], sums[1], sums[2] = measureBelow3(fresh, probes[k], probes[k+1], probes[k+2])
+				for j, got := range sums {
+					if want := measureBelowOracle(segs, probes[k+j]); !sameFloat(got, want) {
+						t.Errorf("%s n=%d: the exact pass measures %v below %v, a single-probe pass %v", shape.name, n, got, probes[k+j], want)
+					}
+				}
+			}
+			var total, acc float64
+			for _, s := range segs {
+				if s.Width > 0 {
+					total += s.Width
+					acc += (s.Start + s.Width/2) * s.Width
+				}
+			}
+			if got := SegmentMean(fresh); !sameFloat(got, acc/total) {
+				t.Errorf("%s n=%d: mean %v, the in-order sum gives %v", shape.name, n, got, acc/total)
 			}
 		}
 	}
@@ -363,9 +439,14 @@ func FuzzSegmentPercentile(f *testing.F) {
 	f.Add(raw(Segment{math.Inf(-1), math.Inf(1)}, Segment{0.2, math.NaN()}), 0.5)
 	f.Add(raw(Segment{0.02, 3.5}), math.NaN())
 	var sc SegmentScratch
+	var in Segments // reset and refilled: later inputs land in retained chunks
 	f.Fuzz(func(t *testing.T, data []byte, p float64) {
 		segs := decodeSegments(data)
-		got, want := SegmentPercentile(segs, p, &sc), segmentPercentileOracle(segs, p)
+		in.Reset()
+		for _, s := range segs {
+			in.Append(s)
+		}
+		got, want := SegmentPercentile(&in, p, &sc), segmentPercentileOracle(segs, p)
 		if !sameFloat(got, want) {
 			t.Fatalf("%d segments, p=%v: got %v, the single-probe bisection gives %v", len(segs), p, got, want)
 		}
@@ -374,12 +455,12 @@ func FuzzSegmentPercentile(f *testing.F) {
 
 func TestSegmentMean(t *testing.T) {
 	segs := []Segment{{Start: 0, Width: 10}}
-	if got := SegmentMean(segs); math.Abs(got-5) > 1e-12 {
+	if got := SegmentMean(chunked(segs)); math.Abs(got-5) > 1e-12 {
 		t.Errorf("mean = %v, want 5", got)
 	}
 	segs = []Segment{{Start: 1, Width: 2}, {Start: 3, Width: 2}}
 	// Means: 2 and 4, equal weights -> 3.
-	if got := SegmentMean(segs); math.Abs(got-3) > 1e-12 {
+	if got := SegmentMean(chunked(segs)); math.Abs(got-3) > 1e-12 {
 		t.Errorf("mean = %v, want 3", got)
 	}
 }
@@ -395,7 +476,7 @@ func TestSegmentPercentileMonotone(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for p := 0.05; p < 1; p += 0.1 {
-			v := SegmentPercentile(segs, p, nil)
+			v := SegmentPercentile(chunked(segs), p, nil)
 			if v < prev-1e-9 {
 				return false
 			}
@@ -453,7 +534,7 @@ func BenchmarkSegmentPercentile(b *testing.B) {
 		make func(*rand.Rand, int) []Segment
 	}{{"delivery", deliverySawtooth}, {"omniscient", omniscientStream}} {
 		for _, n := range []int{4_000, 400_000} {
-			segs := shape.make(rand.New(rand.NewSource(1)), n)
+			segs := chunked(shape.make(rand.New(rand.NewSource(1)), n))
 			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
 				var sc SegmentScratch
 				SegmentPercentile(segs, 0.95, &sc)

@@ -110,6 +110,20 @@ var mutants = []struct {
 		pkg:  "internal/e2e", test: "TestLiveTunnelOverUDP",
 	},
 	{
+		name: "metric segments grow as one slice, doubled by copying the way append does",
+		file: "internal/stats/segments.go",
+		from: "\tcase cap(segs.tail) < chunkLen:\n",
+		to:   "\tcase cap(segs.tail) < 1<<40:\n",
+		pkg:  "internal/metrics", test: "TestAccumulatorGrowsWithoutCopies",
+	},
+	{
+		name: "the exact pass skips each chunk's last segment",
+		file: "internal/stats/percentile.go",
+		from: "\tfor k := 0; k <= segs.full; k++ {\n\t\tfor _, s := range segs.chunk(k) {\n\t\t\tif s.Width <= 0 {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tend := s.Start + s.Width\n",
+		to:   "\tfor k := 0; k <= segs.full; k++ {\n\t\tfor _, s := range segs.chunk(k)[:len(segs.chunk(k))-1] {\n\t\t\tif s.Width <= 0 {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tend := s.Start + s.Width\n",
+		pkg:  "internal/stats", test: "TestSegmentPercentileAcrossChunks",
+	},
+	{
 		name: "the receiver forecasts at the median",
 		file: "internal/transport/receiver.go",
 		from: "core.NewModel(core.Params{})",
