@@ -334,12 +334,14 @@ func (l *Link) OnOpportunity(fn func(at time.Duration)) { l.onOpportunity = fn }
 // Deliveries returns the recorded delivery log.
 func (l *Link) Deliveries() []Delivery { return l.deliveries }
 
-// TakeDeliveries returns the recorded delivery log and transfers ownership
-// to the caller: the link forgets the slice, so a later Reset cannot
-// overwrite a log the caller has kept.
+// TakeDeliveries returns an exact-length copy of the recorded delivery log
+// and empties the log. The link keeps the log's storage for its next run,
+// so a reused link grows it once; the caller's copy is its own, and a
+// later Reset cannot overwrite it.
 func (l *Link) TakeDeliveries() []Delivery {
-	d := l.deliveries
-	l.deliveries = nil
+	d := make([]Delivery, len(l.deliveries))
+	copy(d, l.deliveries)
+	l.deliveries = l.deliveries[:0]
 	return d
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,5 +190,34 @@ func TestEquivalentRuns(t *testing.T) {
 			}
 			sameResult(t, run(t, row.a, w), run(t, *b, newWorld()))
 		})
+	}
+}
+
+// TestKeptDeliveriesOutliveWorldReuse: a delivery log a result keeps is
+// its own. The world's link reuses its log's storage on the next run, and
+// the first result's log must not change under it.
+func TestKeptDeliveriesOutliveWorldReuse(t *testing.T) {
+	w := newWorld()
+	run := func(spec Spec) Result {
+		t.Helper()
+		spec.KeepDeliveries = true
+		norm, err := spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := compile(norm).run(nil, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Deliveries) == 0 {
+			t.Fatalf("%s kept no deliveries", spec.Label())
+		}
+		return res
+	}
+	first := run(streamSpec("skype", 3*time.Second, time.Second, 1))
+	kept := slices.Clone(first.Deliveries)
+	run(streamSpec("cubic", 3*time.Second, time.Second, 2))
+	if !slices.Equal(first.Deliveries, kept) {
+		t.Fatal("the second run on the world rewrote the first result's delivery log")
 	}
 }

@@ -120,20 +120,24 @@ func (m *stepper) stepOnce(st *modelState, rng *rand.Rand, scratch []float64) []
 // Generate synthesizes a trace of the given duration using the model and
 // the provided random source. The rate process is stepped on a 10 ms grid;
 // within each step, deliveries are drawn Poisson(λ·dt) and spread uniformly.
+// The opportunities are stepped into a pooled scratch buffer and the trace
+// keeps one exact-length copy of them (see collect), so Generate is safe to
+// call from several goroutines, each with its own rng.
 func (m LinkModel) Generate(d time.Duration, rng *rand.Rand) *Trace {
 	steps := int(d / modelStep)
 	st := modelState{lambda: m.MeanRate}
-	t := &Trace{Name: m.Name}
 	sp := m.stepper()
-	var offsets []float64
-	for s := 0; s < steps; s++ {
-		start := time.Duration(s) * modelStep
-		offsets = sp.stepOnce(&st, rng, offsets)
-		for _, o := range offsets {
-			t.Opportunities = append(t.Opportunities, start+time.Duration(o*float64(modelStep)))
+	opps, _ := collect(func(s *scratch) error { // stepping cannot fail
+		for i := 0; i < steps; i++ {
+			start := time.Duration(i) * modelStep
+			s.offsets = sp.stepOnce(&st, rng, s.offsets)
+			for _, o := range s.offsets {
+				s.opps = append(s.opps, start+time.Duration(o*float64(modelStep)))
+			}
 		}
-	}
-	return t
+		return nil
+	})
+	return &Trace{Name: m.Name, Opportunities: opps}
 }
 
 // poissonDraw samples a Poisson random variate with the given mean using

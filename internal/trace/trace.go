@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -113,36 +114,39 @@ func (t *Trace) Slice(from, to time.Duration) *Trace {
 // through Windows tooling parse unchanged: CRLF line endings, a UTF-8 BOM
 // and trailing blank lines are all tolerated.
 func Parse(r io.Reader, name string) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	t := &Trace{Name: name}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text() // Scanner already strips \n and a trailing \r
-		if lineNo == 1 {
-			line = strings.TrimPrefix(line, "\ufeff") // UTF-8 BOM
+	opps, err := collect(func(s *scratch) error {
+		sc := bufio.NewScanner(r)
+		lineNo := 0
+		for sc.Scan() {
+			lineNo++
+			line := sc.Text() // Scanner already strips \n and a trailing \r
+			if lineNo == 1 {
+				line = strings.TrimPrefix(line, "\ufeff") // UTF-8 BOM
+			}
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			ms, err := strconv.ParseInt(line, 10, 64)
+			if err != nil {
+				return fmt.Errorf("trace %q line %d: %v", name, lineNo, err)
+			}
+			if ms < 0 {
+				return fmt.Errorf("trace %q line %d: negative timestamp %d", name, lineNo, ms)
+			}
+			if ms > math.MaxInt64/int64(time.Millisecond) {
+				// The ms→Duration conversion below would silently wrap
+				// negative.
+				return fmt.Errorf("trace %q line %d: timestamp %d ms overflows", name, lineNo, ms)
+			}
+			s.opps = append(s.opps, time.Duration(ms)*time.Millisecond)
 		}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		ms, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace %q line %d: %v", name, lineNo, err)
-		}
-		if ms < 0 {
-			return nil, fmt.Errorf("trace %q line %d: negative timestamp %d", name, lineNo, ms)
-		}
-		if ms > math.MaxInt64/int64(time.Millisecond) {
-			// The ms→Duration conversion below would silently wrap
-			// negative.
-			return nil, fmt.Errorf("trace %q line %d: timestamp %d ms overflows", name, lineNo, ms)
-		}
-		t.Opportunities = append(t.Opportunities, time.Duration(ms)*time.Millisecond)
-	}
-	if err := sc.Err(); err != nil {
+		return sc.Err()
+	})
+	if err != nil {
 		return nil, err
 	}
+	t := &Trace{Name: name, Opportunities: opps}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -159,4 +163,35 @@ func (t *Trace) Write(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// scratch is the working storage in which Generate and Parse build an
+// opportunity list before the trace keeps its exact-length copy: the list
+// itself, and Generate's per-step delivery offsets.
+type scratch struct {
+	opps    []time.Duration
+	offsets []float64
+}
+
+// scratchPool recycles scratch across calls. Traces are generated on
+// several engine workers at once, so each call borrows its own; the pool
+// drops what sits unused across two garbage collections, so a one-off
+// long parse does not pin its buffer.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// collect lends fill a pooled scratch, its list emptied, to append a
+// trace's opportunities to, and returns an exact-length copy of them (nil
+// when there are none) or fill's error. Grown by append inside the trace,
+// the list would copy itself at every doubling and keep up to half its
+// capacity unused; built here, a trace allocates only what it keeps.
+func collect(fill func(s *scratch) error) ([]time.Duration, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.opps = s.opps[:0]
+	if err := fill(s); err != nil || len(s.opps) == 0 {
+		return nil, err
+	}
+	out := make([]time.Duration, len(s.opps))
+	copy(out, s.opps)
+	return out, nil
 }

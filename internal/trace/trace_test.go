@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -192,6 +195,125 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a.Opportunities {
 		if a.Opportunities[i] != b.Opportunities[i] {
 			t.Fatalf("op[%d] differs", i)
+		}
+	}
+}
+
+// raceEnabled is set in race-detector builds (race_test.go).
+var raceEnabled bool
+
+// TestGenerateAllocatesWhatItKeeps: warm Generate calls step into the
+// pooled scratch and allocate little beyond the exact-length lists they
+// return, 8 bytes per opportunity kept.
+//
+// The heap rounds each kept list up to its size class (up to 12.5 % for the
+// 15–30 KB lists of the 3G links), a cost no way of building the list
+// avoids, so the bound applies to 8 bytes per opportunity plus what
+// Generate allocates beyond the heap's cost of the kept lists themselves,
+// measured by allocating lists of the same lengths.
+func TestGenerateAllocatesWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a random quarter of what it is given")
+	}
+	const calls, horizon = 20, 40 * time.Second
+	// sync.Pool keeps an item per P, and a goroutine moved to another P
+	// may meet an empty pool: measure the steady state on one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, m := range CanonicalLinks() {
+		rngs := make([]*rand.Rand, calls)
+		for i := range rngs {
+			// A first run of the same calls grows the pooled scratch to
+			// the longest of them.
+			m.Generate(horizon, rand.New(rand.NewSource(int64(i+1))))
+			rngs[i] = rand.New(rand.NewSource(int64(i + 1)))
+		}
+		traces := make([]*Trace, calls)
+		generated := allocated(func() {
+			for i, rng := range rngs {
+				traces[i] = m.Generate(horizon, rng)
+			}
+		})
+		lists := make([][]time.Duration, calls)
+		listCost := allocated(func() {
+			for i, tr := range traces {
+				lists[i] = make([]time.Duration, tr.Count())
+			}
+		})
+		kept := 0
+		for _, tr := range traces {
+			kept += tr.Count()
+		}
+		gross := float64(generated) / float64(kept)
+		net := 8 + (float64(generated)-float64(listCost))/float64(kept)
+		t.Logf("%s: %.2f bytes allocated per kept opportunity, %.2f net of the heap's rounding (%d kept)", m.Name, gross, net, kept)
+		if net > 8.5 {
+			t.Errorf("%s: %.2f bytes allocated per kept opportunity net of the heap's rounding, want ≤ 8.5", m.Name, net)
+		}
+		for _, tr := range traces {
+			if cap(tr.Opportunities) != len(tr.Opportunities) {
+				t.Fatalf("%s: a trace of %d opportunities holds room for %d", m.Name, tr.Count(), cap(tr.Opportunities))
+			}
+		}
+	}
+}
+
+// TestGenerateConcurrent: Generate and Parse share the scratch pool, and
+// traces built on several goroutines at once equal the serial ones — no
+// call sees another's scratch, and no trace aliases it.
+func TestGenerateConcurrent(t *testing.T) {
+	const horizon = 20 * time.Second
+	links := CanonicalLinks()
+	generate := func(i int) *Trace {
+		return links[i].Generate(horizon, rand.New(rand.NewSource(int64(i))))
+	}
+	files := make([][]byte, len(links))
+	parse := func(i int) *Trace {
+		tr, err := Parse(bytes.NewReader(files[i]), links[i].Name)
+		if err != nil {
+			t.Error(err)
+			return &Trace{}
+		}
+		return tr
+	}
+	want := make([][2]*Trace, len(links))
+	for i := range links {
+		var buf bytes.Buffer
+		want[i][0] = generate(i)
+		if err := want[i][0].Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = buf.Bytes()
+		want[i][1] = parse(i)
+	}
+	const workers = 4
+	got := make([][][2]*Trace, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		got[w] = make([][2]*Trace, len(links))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range links {
+				i := (k + w) % len(links) // the workers meet different links at once
+				got[w][i] = [2]*Trace{generate(i), parse(i)}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		for i, m := range links {
+			for j, how := range []string{"Generate", "Parse"} {
+				if !slices.Equal(got[w][i][j].Opportunities, want[i][j].Opportunities) {
+					t.Errorf("worker %d, %s: concurrent %s differs from the serial trace", w, m.Name, how)
+				}
+			}
 		}
 	}
 }

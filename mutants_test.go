@@ -124,6 +124,20 @@ var mutants = []struct {
 		pkg:  "internal/stats", test: "TestSegmentPercentileAcrossChunks",
 	},
 	{
+		name: "a kept delivery log is the link's own buffer, which its next run overwrites",
+		file: "internal/link/link.go",
+		from: "\td := make([]Delivery, len(l.deliveries))\n\tcopy(d, l.deliveries)\n",
+		to:   "\td := l.deliveries\n",
+		pkg:  "internal/scenario", test: "TestKeptDeliveriesOutliveWorldReuse",
+	},
+	{
+		name: "Generate appends straight into the trace, growing it by copying",
+		file: "internal/trace/generate.go",
+		from: "\topps, _ := collect(func(s *scratch) error {",
+		to:   "\topps, _ := func(fill func(*scratch) error) ([]time.Duration, error) { s := new(scratch); fill(s); return s.opps, nil }(func(s *scratch) error {",
+		pkg:  "internal/trace", test: "TestGenerateAllocatesWhatItKeeps",
+	},
+	{
 		name: "the receiver forecasts at the median",
 		file: "internal/transport/receiver.go",
 		from: "core.NewModel(core.Params{})",
