@@ -60,7 +60,6 @@ var exportAllow = map[string]string{
 	"internal/core.(Model).Distribution":      "posterior inspection, public through sprout.Model; the naive reference filter reads it",
 	"internal/core.(Model).Quantile":          "posterior inspection, public through sprout.Model",
 	"internal/stats.(IntervalSet).Contiguous": "the quick-check model compares the set's contiguous prefix",
-	"internal/network.(Pool).Allocated":       "arena high-water mark the leak and allocation guards read",
 	"internal/app.(Sender).Decreases":         "rate-cut count the app-model tests assert",
 	"internal/tcp.(Sender).SRTT":              "end state compared by the segment-ring differential",
 	"internal/tcp.(Sender).Stats":             "transmission counters the segment-ring differential and the tunnel-Cubic test compare",

@@ -88,8 +88,8 @@ func TestLinkProcessSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state process-driven delivery allocates %v allocs/op, want 0", allocs)
 	}
-	if pool.InUse() != 0 || pool.Allocated() != 64 {
-		t.Errorf("pool holds %d live packets in an arena of %d, want 0 of 64", pool.InUse(), pool.Allocated())
+	if pool.InUse() != 0 || pool.HighWater() != 1 {
+		t.Errorf("pool holds %d live packets, high-water %d; want 0 of 1", pool.InUse(), pool.HighWater())
 	}
 }
 

@@ -37,8 +37,8 @@ func (f *FIFO) Pop() *network.Packet {
 }
 
 // Reset empties the queue, dropping all packet references while keeping the
-// ring storage for reuse. It does not release the packets to a pool: it
-// runs at a world boundary, where Pool.Reset reclaims the whole arena.
+// ring storage for reuse. It neither releases nor reads the packets: it runs
+// at a world boundary, where Pool.Reset hands the arena on to any world.
 func (f *FIFO) Reset() {
 	f.q.reset()
 	f.bytes = 0

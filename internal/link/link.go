@@ -208,7 +208,7 @@ func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 // is cleared, and the delivery schedule restarts from the source's first
 // opportunity — all without freeing the retained rings, slot array and log
 // capacity. Packets still queued or in flight are forgotten, not released
-// to the pool: Pool.Reset reclaims them at the same boundary.
+// or read: Pool.Reset hands their storage on at the same boundary.
 // It must be called at a world boundary, after the clock itself has been
 // reset (or while no link event is pending): a reset link then behaves
 // byte-identically to one freshly built with New.

@@ -306,8 +306,8 @@ func TestLinkReleasesEveryPacket(t *testing.T) {
 	if got := pool.InUse(); got != 0 {
 		t.Errorf("%d packets still live after the link drained, want 0", got)
 	}
-	if got := pool.Allocated(); got > 128 {
-		t.Errorf("arena grew to %d packets for %d sent; at most 60 in flight + 43 queued are ever live", got, sent)
+	if got := pool.HighWater(); got > 60+43 {
+		t.Errorf("%d packets live at once of %d sent; at most 60 in flight + 43 queued are ever live", got, sent)
 	}
 }
 

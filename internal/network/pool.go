@@ -1,5 +1,7 @@
 package network
 
+import "sync"
+
 // poolBlock is how many packets the pool allocates at once; poolPayloadCap
 // is the payload capacity each of them carries inline, next to its
 // metadata, so a queued packet is 96 contiguous bytes. 32 bytes holds the
@@ -31,8 +33,11 @@ const deadSize = -1
 // from it with Get; whoever takes a packet out of the network hands it
 // back with Put, and the next Get reuses it (LIFO, so a recycled packet is
 // cache-warm). The arena therefore grows to a run's high-water mark of
-// simultaneously live packets and no further, whatever the run's duration;
-// a *reused* world (engine worker-state reuse) allocates nothing at all.
+// simultaneously live packets and no further, whatever the run's duration.
+// Reset hands the blocks to a process-wide stock that every pool's Get
+// draws on first, so a process's arenas hold the most packets live at once
+// across its pools, and a *reused* world (engine worker-state reuse)
+// allocates nothing at all.
 //
 // The ownership rule: a packet belongs to whoever holds it — the endpoint
 // that built it until Conn.Send, then the network. The component that
@@ -44,12 +49,13 @@ const deadSize = -1
 // payload truncated); releasing a dead packet panics, and so does Get when
 // a free-list packet is no longer dead.
 //
-// Reset reclaims everything at a world boundary, when every component that
-// could hold a packet has itself been reset or discarded. Component Reset
-// paths (link, tower, FIFO) drop their references without Put: a release
-// there, followed by Pool.Reset handing the same arena slot out again,
-// would put one packet in two hands. Pools are not safe for concurrent
-// use; each engine worker owns its own.
+// Reset reclaims everything at a world boundary, after the run's last
+// event. Components may still point at packets then, until their own Reset
+// paths (link, tower, FIFO) forget those pointers: without Put, since a
+// release followed by Pool.Reset handing the same arena slot out again
+// would put one packet in two hands, and without reading through them,
+// since another worker's pool may already be writing the block. Pools are
+// not safe for concurrent use; each engine worker owns its own.
 //
 // A nil *Pool is valid: Get allocates from the heap, Put does nothing and
 // the garbage collector reclaims the packet, so components take an
@@ -78,6 +84,14 @@ func (p *Pool) Get() *Packet {
 		}
 	} else {
 		bi, pi := p.used/poolBlock, p.used%poolBlock
+		if bi == len(p.blocks) {
+			stock.Lock()
+			if n := len(stock.blocks); n > 0 {
+				p.blocks = append(p.blocks, stock.blocks[n-1])
+				stock.blocks[n-1], stock.blocks = nil, stock.blocks[:n-1]
+			}
+			stock.Unlock()
+		}
 		if bi == len(p.blocks) {
 			block := make([]pooled, poolBlock)
 			for i := range block {
@@ -110,14 +124,27 @@ func (p *Pool) Put(pkt *Packet) {
 	p.free = append(p.free, pkt)
 }
 
-// Reset reclaims every packet at once, live or released, retaining the
-// arena (and each packet's payload capacity) for the next run. See the
-// type comment for when this is safe.
+// Reset reclaims every packet at once, live or released, and hands the
+// blocks (each packet keeping its payload capacity) to the stock, last
+// first, so a lone pool reuses its storage in the order it carved it. See
+// the type comment for when this is safe.
 func (p *Pool) Reset() {
 	if p != nil {
-		p.used = 0
-		p.free = p.free[:0]
+		stock.Lock()
+		for i := len(p.blocks) - 1; i >= 0; i-- {
+			stock.blocks = append(stock.blocks, p.blocks[i])
+		}
+		stock.Unlock()
+		clear(p.blocks)
+		p.blocks, p.used, p.free = p.blocks[:0], 0, p.free[:0]
 	}
+}
+
+// stock holds the blocks Reset handed back; its mutex orders one world's
+// last write to a block before the next world's first.
+var stock struct {
+	sync.Mutex
+	blocks [][]pooled
 }
 
 // InUse returns the live count: packets handed out and not yet released.
@@ -136,14 +163,4 @@ func (p *Pool) HighWater() int {
 		return 0
 	}
 	return p.used
-}
-
-// Allocated returns the arena size in packets: the high-water mark of
-// InUse over the pool's life (Reset retains the arena), rounded up to a
-// whole block.
-func (p *Pool) Allocated() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.blocks) * poolBlock
 }

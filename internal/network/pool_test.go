@@ -2,6 +2,9 @@ package network
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -33,8 +36,8 @@ func TestPoolRoundTrip(t *testing.T) {
 	if got := p.InUse(); got != 2 {
 		t.Errorf("InUse = %d with two packets out, want 2", got)
 	}
-	if got := p.Allocated(); got != poolBlock {
-		t.Errorf("Allocated = %d after two Gets, want one block of %d", got, poolBlock)
+	if got := p.HighWater(); got != 2 || len(p.blocks) != 1 {
+		t.Errorf("HighWater = %d in %d blocks after two Gets, want 2 in one", got, len(p.blocks))
 	}
 
 	p.Put(a)
@@ -65,15 +68,15 @@ func TestPoolRoundTrip(t *testing.T) {
 		p.Put(x)
 		p.Put(y)
 	}
-	if got := p.Allocated(); got != poolBlock {
-		t.Errorf("Allocated = %d after %d recycled sends, want %d", got, 20*poolBlock, poolBlock)
+	if got := p.HighWater(); got != 2 || len(p.blocks) != 1 {
+		t.Errorf("HighWater = %d in %d blocks after %d recycled sends, want 2 in one", got, len(p.blocks), 20*poolBlock)
 	}
 	// Holding more than a block live does.
 	for i := 0; i < poolBlock+1; i++ {
 		p.Get()
 	}
-	if got, want := p.Allocated(), 2*poolBlock; got != want {
-		t.Errorf("Allocated = %d with %d live, want %d", got, poolBlock+1, want)
+	if got, want := p.HighWater(), poolBlock+1; got != want || len(p.blocks) != 2 {
+		t.Errorf("HighWater = %d in %d blocks with %d live, want %d in two", got, len(p.blocks), want, want)
 	}
 }
 
@@ -84,8 +87,8 @@ func clean(p *Packet) bool {
 		p.SentAt == 0 && p.EnqueuedAt == 0 && len(p.Payload) == 0
 }
 
-// TestPoolReset: Reset reclaims live and released packets alike, keeps the
-// arena, and hands the same storage out again.
+// TestPoolReset: Reset reclaims live and released packets alike, and a
+// lone pool hands the same storage out again, in the same order.
 func TestPoolReset(t *testing.T) {
 	var p Pool
 	first := p.Get()
@@ -99,25 +102,20 @@ func TestPoolReset(t *testing.T) {
 	if got := p.InUse(); got != 0 {
 		t.Errorf("InUse = %d after Reset, want 0", got)
 	}
-	if got := p.Allocated(); got != poolBlock {
-		t.Errorf("Allocated = %d after Reset, want the retained block of %d", got, poolBlock)
+	if got := p.HighWater(); got != 0 || len(p.blocks) != 0 {
+		t.Errorf("HighWater = %d in %d blocks after Reset, want 0 in none", got, len(p.blocks))
 	}
-	seen := map[*Packet]bool{}
-	for i := 0; i < 3; i++ {
+	for i, want := range []*Packet{first, live, released} {
 		pkt := p.Get()
-		if seen[pkt] {
-			t.Fatal("one packet handed out twice after Reset")
+		if pkt != want {
+			t.Fatalf("Get %d after Reset is not the packet the pool first carved there", i)
 		}
-		seen[pkt] = true
 		if !clean(pkt) {
 			t.Errorf("packet %d after Reset not clean: %+v", i, pkt)
 		}
 	}
-	if !seen[first] || !seen[live] || !seen[released] {
-		t.Error("Reset did not hand the same arena storage out again")
-	}
-	if got := p.Allocated(); got != poolBlock {
-		t.Errorf("Allocated = %d, want %d: the re-run must not grow the arena", got, poolBlock)
+	if got := p.HighWater(); got != 3 || len(p.blocks) != 1 {
+		t.Errorf("HighWater = %d in %d blocks, want 3 in one: the re-run must not grow the arena", got, len(p.blocks))
 	}
 }
 
@@ -181,7 +179,7 @@ func TestPoolNil(t *testing.T) {
 		t.Error("nil pool Put touched the packet")
 	}
 	p.Reset()
-	if p.InUse() != 0 || p.Allocated() != 0 {
+	if p.InUse() != 0 || p.HighWater() != 0 {
 		t.Error("nil pool reports packets")
 	}
 }
@@ -208,8 +206,8 @@ func TestPoolAdoptsForeignPackets(t *testing.T) {
 	if got := p.Get(); got != heap || !clean(got) {
 		t.Errorf("adopted packet not recycled clean: %+v", got)
 	}
-	if got := p.Allocated(); got != 0 {
-		t.Errorf("Allocated = %d, want 0: adoption must not grow the arena", got)
+	if got := p.HighWater(); got != 0 || len(p.blocks) != 0 {
+		t.Errorf("HighWater = %d in %d blocks, want 0 in none: adoption must not grow the arena", got, len(p.blocks))
 	}
 }
 
@@ -232,5 +230,102 @@ func TestPoolWarmCycleAllocs(t *testing.T) {
 	cycle()
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Errorf("warm Get+Put cycle allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestPoolBlocksMoveBetweenPools: Reset hands a pool's blocks to the
+// process-wide stock, so another pool's Gets reuse that storage without
+// allocating, and the pool that gave it back takes other blocks from then
+// on: no packet is ever live in two pools.
+func TestPoolBlocksMoveBetweenPools(t *testing.T) {
+	const n = 10 * poolBlock
+	var a, b Pool
+	fromA := map[*Packet]bool{}
+	for i := 0; i < n; i++ {
+		fromA[a.Get()] = true
+	}
+	a.Reset()
+
+	b.blocks = make([][]pooled, 0, n/poolBlock) // B's block list is not the arena
+	got := make([]*Packet, 0, n)
+	warmup := true
+	allocs := testing.AllocsPerRun(1, func() {
+		if warmup { // AllocsPerRun's uncounted first call: B's first Gets are the measured run
+			warmup = false
+			return
+		}
+		for i := 0; i < n; i++ {
+			got = append(got, b.Get())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("B's %d Gets after A's Reset allocate %.0f times, want 0", n, allocs)
+	}
+	inB := map[*Packet]bool{}
+	for i, pkt := range got {
+		if !fromA[pkt] || inB[pkt] {
+			t.Fatalf("B's Get %d is not a fresh packet of the storage A gave back", i)
+		}
+		inB[pkt] = true
+	}
+	for i := 0; i < n; i++ {
+		if pkt := a.Get(); inB[pkt] {
+			t.Fatalf("A's Get %d after its Reset returns a packet live in B", i)
+		}
+	}
+}
+
+// TestPoolConcurrentResets: pools on several goroutines cycle Get, Put and
+// Reset to different high-water marks, so blocks move between them through
+// the stock the whole time. Each stamps the packets it holds and checks
+// the stamps before it lets them go; a block in two pools' hands at once
+// shows up as a foreign stamp here, and as a data race under -race.
+func TestPoolConcurrentResets(t *testing.T) {
+	const workers, cycles = 4, 60
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var p Pool
+			var held []*Packet
+			stamp := func(pkt *Packet, c, i int) {
+				pkt.Flow, pkt.Seq = uint32(g), int64(c<<32|i)
+				pkt.Payload = append(pkt.Payload[:0], byte(g), byte(c), byte(i))
+			}
+			for c := 0; c < cycles; c++ {
+				n := (g+1)*poolBlock + (c%3)*poolBlock/2 + c
+				for i := 0; i < n; i++ {
+					pkt := p.Get()
+					stamp(pkt, c, i)
+					held = append(held, pkt)
+					if i%3 == 2 { // recycle through the free list too
+						p.Put(held[i-1])
+						held[i-1] = p.Get()
+						stamp(held[i-1], c, i-1)
+					}
+				}
+				runtime.Gosched()
+				for i, pkt := range held {
+					if pkt.Flow != uint32(g) || pkt.Seq != int64(c<<32|i) ||
+						!bytes.Equal(pkt.Payload, []byte{byte(g), byte(c), byte(i)}) {
+						errs <- fmt.Errorf("goroutine %d, cycle %d: packet %d carries flow %d seq %#x payload %v, not its own stamp",
+							g, c, i, pkt.Flow, pkt.Seq, pkt.Payload)
+						return
+					}
+					if i%2 == 0 {
+						p.Put(pkt)
+					}
+				}
+				held = held[:0]
+				p.Reset()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -187,8 +187,8 @@ func TestTunnelReleasesPackets(t *testing.T) {
 	if got := pool.InUse(); got != 0 {
 		t.Errorf("%d packets live after the egress handlers returned, want 0", got)
 	}
-	if got := pool.Allocated(); got != 64 {
-		t.Errorf("arena holds %d packets, want one block", got)
+	if got := pool.HighWater(); got != 1 {
+		t.Errorf("%d packets were live at once, want 1: each is released before the next is drawn", got)
 	}
 }
 

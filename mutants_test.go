@@ -138,6 +138,20 @@ var mutants = []struct {
 		pkg:  "internal/trace", test: "TestGenerateAllocatesWhatItKeeps",
 	},
 	{
+		name: "Pool.Reset keeps its arena blocks for its own next run",
+		file: "internal/network/pool.go",
+		from: "\t\tstock.Lock()\n\t\tfor i := len(p.blocks) - 1; i >= 0; i-- {\n\t\t\tstock.blocks = append(stock.blocks, p.blocks[i])\n\t\t}\n\t\tstock.Unlock()\n\t\tclear(p.blocks)\n\t\tp.blocks, p.used, p.free = p.blocks[:0], 0, p.free[:0]\n",
+		to:   "\t\tp.used, p.free = 0, p.free[:0]\n",
+		pkg:  "internal/network", test: "TestPoolBlocksMoveBetweenPools",
+	},
+	{
+		name: "Pool.Reset hands its blocks to the stock and keeps using them",
+		file: "internal/network/pool.go",
+		from: "\t\tclear(p.blocks)\n\t\tp.blocks, p.used, p.free = p.blocks[:0], 0, p.free[:0]\n",
+		to:   "\t\tp.used, p.free = 0, p.free[:0]\n",
+		pkg:  "internal/network", test: "TestPoolConcurrentResets",
+	},
+	{
 		name: "the receiver forecasts at the median",
 		file: "internal/transport/receiver.go",
 		from: "core.NewModel(core.Params{})",
