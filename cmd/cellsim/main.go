@@ -87,7 +87,7 @@ func main() {
 			cfg.Rand = rand.New(rand.NewSource(*seed + seedOff))
 		}
 		if *useCodel {
-			cfg.Dequeuer = codel.New()
+			cfg.Dequeuer = codel.New(nil)
 		}
 		return link.New(clock, cfg, func(p *network.Packet) { out.Send(p) })
 	}
@@ -133,7 +133,7 @@ type shapingArgs struct {
 // draws from that seed.
 func resolveShaping(a shapingArgs) (downSrc, upSrc shaping, err error) {
 	if a.Gen != "" {
-		pair, ok := findNetwork(a.Gen)
+		pair, ok := trace.LookupNetwork(a.Gen)
 		if !ok {
 			return shaping{}, shaping{}, fmt.Errorf("unknown network %q (see sproutbench -list-schemes for canonical links)", a.Gen)
 		}
@@ -156,15 +156,6 @@ func resolveShaping(a shapingArgs) (downSrc, upSrc shaping, err error) {
 	}
 	return shaping{name: down.Name, meanBps: down.MeanRateBps(), trace: down},
 		shaping{name: up.Name, meanBps: up.MeanRateBps(), trace: up}, nil
-}
-
-func findNetwork(name string) (trace.NetworkPair, bool) {
-	for _, p := range trace.CanonicalNetworks() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return trace.NetworkPair{}, false
 }
 
 func readTrace(path string) (*trace.Trace, error) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sprout/internal/engine"
+	"sprout/internal/trace"
 )
 
 // TestResolveShaping is the satellite contract for cellsim: every
@@ -24,6 +25,7 @@ func TestResolveShaping(t *testing.T) {
 		{name: "unknown gen network", args: shapingArgs{Gen: "Carrier Pigeon"}, wantErr: "unknown network"},
 		{name: "missing trace file", args: shapingArgs{DownFile: "/nonexistent/a.trace", UpFile: "/nonexistent/b.trace"}, wantErr: "no such file"},
 		{name: "gen valid", args: shapingArgs{Gen: "Verizon LTE", Seed: 1}},
+		{name: "gen matches case-insensitively", args: shapingArgs{Gen: "verizon lte", Seed: 1}},
 		{name: "stream unknown network", args: shapingArgs{Gen: "Carrier Pigeon", DownFile: "/nonexistent/a.trace", UpFile: "/nonexistent/b.trace"}, wantErr: "unknown network"},
 		{name: "gen wins over trace files", args: shapingArgs{Gen: "AT&T LTE", DownFile: "/nonexistent/a.trace", UpFile: "/nonexistent/b.trace", Seed: 2}},
 	}
@@ -52,14 +54,15 @@ func TestResolveShaping(t *testing.T) {
 				t.Fatal("resolved shaping must carry link names")
 			}
 			// Each direction streams the trace Generate draws from its
-			// DeriveSeed; the downlink's first 2 s are checked.
-			if want := engine.DeriveSeed(c.args.Seed, c.args.Gen, "down"); down.seed != want {
+			// DeriveSeed, taken on the canonical name; the downlink's first
+			// 2 s are checked.
+			pair, _ := trace.LookupNetwork(c.args.Gen)
+			if want := engine.DeriveSeed(c.args.Seed, pair.Name, "down"); down.seed != want {
 				t.Fatalf("down seed %d, want %d", down.seed, want)
 			}
-			if want := engine.DeriveSeed(c.args.Seed, c.args.Gen, "up"); up.seed != want {
+			if want := engine.DeriveSeed(c.args.Seed, pair.Name, "up"); up.seed != want {
 				t.Fatalf("up seed %d, want %d", up.seed, want)
 			}
-			pair, _ := findNetwork(c.args.Gen)
 			tr := pair.Down.Generate(2*time.Second, rand.New(rand.NewSource(down.seed)))
 			down.process.Reset(down.seed)
 			for i, want := range tr.Opportunities {

@@ -161,26 +161,23 @@ type Sender struct {
 	decreases   int64
 }
 
-// NewSender starts a media sender with the given profile.
-func NewSender(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) *Sender {
+// NewSender starts a media sender with the given profile, drawing its
+// media packets from pool (nil: the heap).
+func NewSender(flow uint32, profile Profile, clock sim.Clock, conn network.Conn, pool *network.Pool) *Sender {
 	s := &Sender{}
 	s.emitFn = s.emit
-	s.Reset(flow, profile, clock, conn)
+	s.Reset(flow, profile, clock, conn, pool)
 	return s
 }
-
-// UsePool directs the sender's media packets to the given arena (world
-// reuse); nil reverts to heap allocation.
-func (s *Sender) UsePool(p *network.Pool) { s.pool = p }
 
 // Reset restores the sender to its freshly constructed state for a new
 // run. Must be called at a world boundary (clock reset); the first pacing
 // event is scheduled exactly as NewSender schedules it.
-func (s *Sender) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) {
+func (s *Sender) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn, pool *network.Pool) {
 	if clock == nil || conn == nil {
 		panic("app: Sender requires clock and conn")
 	}
-	s.profile, s.clock, s.conn, s.flow = profile, clock, conn, flow
+	s.profile, s.clock, s.conn, s.flow, s.pool = profile, clock, conn, flow, pool
 	s.rate = profile.StartRate
 	s.nextSeq = 0
 	s.paceTimer.Stop() // no-op after a clock reset (stale handle)
@@ -273,26 +270,23 @@ type Receiver struct {
 	reports int64
 }
 
-// NewReceiver starts the media receiver; conn carries reports back.
-func NewReceiver(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) *Receiver {
+// NewReceiver starts the media receiver; conn carries reports back, drawn
+// from pool (nil: the heap).
+func NewReceiver(flow uint32, profile Profile, clock sim.Clock, conn network.Conn, pool *network.Pool) *Receiver {
 	r := &Receiver{}
 	r.reportFn = r.report
-	r.Reset(flow, profile, clock, conn)
+	r.Reset(flow, profile, clock, conn, pool)
 	return r
 }
-
-// UsePool directs the receiver's report packets to the given arena (world
-// reuse); nil reverts to heap allocation.
-func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
 
 // Reset restores the receiver to its freshly constructed state for a new
 // run. Must be called at a world boundary (clock reset); the report timer
 // is re-armed exactly as NewReceiver arms it.
-func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn) {
+func (r *Receiver) Reset(flow uint32, profile Profile, clock sim.Clock, conn network.Conn, pool *network.Pool) {
 	if clock == nil || conn == nil {
 		panic("app: Receiver requires clock and conn")
 	}
-	r.profile, r.clock, r.conn, r.flow = profile, clock, conn, flow
+	r.profile, r.clock, r.conn, r.flow, r.pool = profile, clock, conn, flow, pool
 	r.maxSeq = -1
 	r.received = 0
 	r.minDelay = time.Hour

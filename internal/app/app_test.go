@@ -35,8 +35,8 @@ func newAppSession(p Profile, fwdTrace *trace.Trace) *appSession {
 		Trace:            steadyTrace(200, fwdTrace.Duration()+5*time.Second, 42),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(pkt *network.Packet) { s.snd.Receive(pkt) })
-	s.rcv = NewReceiver(1, p, loop, rev)
-	s.snd = NewSender(1, p, loop, s.fwd)
+	s.rcv = NewReceiver(1, p, loop, rev, nil)
+	s.snd = NewSender(1, p, loop, s.fwd, nil)
 	return s
 }
 
@@ -71,7 +71,7 @@ func TestProfilesSane(t *testing.T) {
 func TestSenderPacesAtRate(t *testing.T) {
 	loop := sim.New()
 	var count int
-	snd := NewSender(1, Skype(), loop, connFunc(func(p *network.Packet) { count++ }))
+	snd := NewSender(1, Skype(), loop, connFunc(func(p *network.Packet) { count++ }), nil)
 	_ = snd
 	loop.Run(10 * time.Second)
 	// 500 kb/s at 1500-byte packets = ~41.7 pkt/s.
@@ -158,8 +158,8 @@ func TestAppLossTriggersBackoff(t *testing.T) {
 		Trace:            steadyTrace(200, 65*time.Second, 6),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { snd.Receive(p) })
-	rcv = NewReceiver(1, Skype(), loop, rev)
-	snd = NewSender(1, Skype(), loop, fwd)
+	rcv = NewReceiver(1, Skype(), loop, rev, nil)
+	snd = NewSender(1, Skype(), loop, fwd, nil)
 	loop.Run(60 * time.Second)
 	if snd.Decreases() == 0 {
 		t.Error("10% loss should trigger rate decreases")

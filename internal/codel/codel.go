@@ -34,12 +34,9 @@ type CoDel struct {
 }
 
 // New returns a CoDel instance with the RFC's 5 ms target and 100 ms
-// interval.
-func New() *CoDel { return &CoDel{} }
-
-// UsePool directs CoDel's head drops to the given arena (the one the
-// link's packets come from); nil leaves them to the garbage collector.
-func (c *CoDel) UsePool(p *network.Pool) { c.pool = p }
+// interval. Its head drops go back to pool (the arena the link's packets
+// come from); nil leaves them to the garbage collector.
+func New(pool *network.Pool) *CoDel { return &CoDel{pool: pool} }
 
 // Drops returns the number of packets CoDel has dropped.
 func (c *CoDel) Drops() int64 { return c.drops }

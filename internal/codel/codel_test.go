@@ -15,7 +15,7 @@ func fill(q *link.FIFO, n int, enq time.Duration) {
 }
 
 func TestCoDelPassThroughLowDelay(t *testing.T) {
-	c := New()
+	c := New(nil)
 	var q link.FIFO
 	fill(&q, 10, 0)
 	// Sojourn 1ms < target: everything passes.
@@ -30,7 +30,7 @@ func TestCoDelPassThroughLowDelay(t *testing.T) {
 }
 
 func TestCoDelEmptyQueue(t *testing.T) {
-	c := New()
+	c := New(nil)
 	var q link.FIFO
 	if c.Next(time.Second, &q) != nil {
 		t.Error("Next on empty queue should be nil")
@@ -38,7 +38,7 @@ func TestCoDelEmptyQueue(t *testing.T) {
 }
 
 func TestCoDelDropsOnStandingQueue(t *testing.T) {
-	c := New()
+	c := New(nil)
 	var q link.FIFO
 	// A deep standing queue: sojourn always 200ms (> 5ms target).
 	// Dequeue once per 10ms of virtual time; CoDel should enter the
@@ -65,7 +65,7 @@ func TestCoDelDropsOnStandingQueue(t *testing.T) {
 }
 
 func TestCoDelNoDropsWhenQueueNearlyEmpty(t *testing.T) {
-	c := New()
+	c := New(nil)
 	var q link.FIFO
 	// One old packet, but queue bytes <= MTU: CoDel must not drop
 	// (standing queue of one packet is allowed).
@@ -83,7 +83,7 @@ func TestCoDelNoDropsWhenQueueNearlyEmpty(t *testing.T) {
 }
 
 func TestCoDelRecoversWhenDelayFalls(t *testing.T) {
-	c := New()
+	c := New(nil)
 	var q link.FIFO
 	now := time.Duration(0)
 	// Phase 1: standing queue to enter dropping.
@@ -118,7 +118,7 @@ func TestCoDelRecoversWhenDelayFalls(t *testing.T) {
 // for the 100 ms interval; one standing just under the target never drops.
 func TestCoDelDefaults(t *testing.T) {
 	firstDrop := func(sojourn time.Duration) time.Duration {
-		c := New()
+		c := New(nil)
 		for now := time.Duration(0); now <= time.Second; now += time.Millisecond {
 			var q link.FIFO // every packet has waited exactly sojourn
 			for q.Len() < 10 {
@@ -140,7 +140,7 @@ func TestCoDelDefaults(t *testing.T) {
 }
 
 func TestCoDelControlLawAccelerates(t *testing.T) {
-	c := New()
+	c := New(nil)
 	t1 := c.controlLaw(0, 1)
 	t4 := c.controlLaw(0, 4)
 	if t4 != t1/2 {
@@ -153,8 +153,7 @@ func TestCoDelControlLawAccelerates(t *testing.T) {
 // up either returned by Next (the link's to release) or back in the pool.
 func TestCoDelReleasesDrops(t *testing.T) {
 	var pool network.Pool
-	c := New()
-	c.UsePool(&pool)
+	c := New(&pool)
 	var q link.FIFO
 	now := time.Duration(0)
 	var returned int64

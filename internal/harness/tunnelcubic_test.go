@@ -38,7 +38,7 @@ func tunnelOnlyCubic(t *testing.T, dur, skip time.Duration) (kbps float64, timeo
 		Deliver: func(p *network.Packet) { tcpRcv.Receive(p) }})
 	var deliveries []link.Delivery
 	b.Egress.OnDelivery(func(d link.Delivery) { deliveries = append(deliveries, d) })
-	tcpRcv = tcp.NewReceiver(flowCubic, loop, network.ConnFunc(b.Ingress.Submit))
+	tcpRcv = tcp.NewReceiver(flowCubic, loop, network.ConnFunc(b.Ingress.Submit), nil)
 	tcpSnd = tcp.NewSender(tcp.SenderConfig{
 		Flow: flowCubic, Clock: loop, Conn: network.ConnFunc(a.Ingress.Submit),
 		CC: tcp.NewCubic(loop.Now), MSS: scenario.TunnelClientMSS,

@@ -183,9 +183,7 @@ func driveLink(c admitCase, seed int64, perArrivalEvents bool) (log []string, en
 		Pool:             &pool,
 	}
 	if c.codel {
-		cd := codel.New()
-		cd.UsePool(&pool)
-		cfg.Dequeuer = cd
+		cfg.Dequeuer = codel.New(&pool)
 	}
 	if c.scheduler != nil {
 		cfg.Scheduler = traced{c.scheduler(), &log}

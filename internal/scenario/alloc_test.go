@@ -12,9 +12,9 @@ import (
 
 // TestPooledWorldRerunAllocs pins the world-reuse contract at the
 // experiment layer: once a worker's world is warm (arena grown, endpoints
-// memoized, trace pair cached), re-running a job allocates nothing. This
-// is what makes large scenario grids allocation-flat — every per-packet
-// and per-run byte comes from retained state.
+// built in their rows, trace pair cached), re-running a job allocates
+// nothing. This is what makes large scenario grids allocation-flat — every
+// per-packet and per-run byte comes from retained state.
 func TestPooledWorldRerunAllocs(t *testing.T) {
 	spec := Spec{
 		Scheme:   "sprout",
@@ -34,7 +34,7 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // grow the arena, memoize endpoints, fill the trace cache
+	run() // grow the arena, build endpoints, fill the trace cache
 	run() // settle any second-order buffer growth
 	if avg := testing.AllocsPerRun(5, run); avg > 0 {
 		t.Errorf("warm pooled-world re-run allocates %.1f times per run, want 0", avg)
@@ -44,7 +44,7 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 // TestPooledWorldRerunAllocsMultiFlow: sharing the path costs a warm world
 // nothing — the flow table and the demux are retained like everything
 // else — so a multi-group roster allocates exactly what its schemes'
-// constructors do per flow: nothing for Sprout (the memoized forecaster
+// constructors do per flow: nothing for Sprout (the row's forecaster
 // is Reset in place) and for an application flow (its profile was resolved
 // when the scheme registered), two per TCP flow (tcpConstructor builds a
 // fresh congestion controller bound to the clock's Now).

@@ -165,23 +165,38 @@ func cellWorldReuseSpec() Spec {
 }
 
 // TestCellWorldReuse: a warm pooled world re-runs a churning cell spec
-// with zero allocations (TestEquivalentRuns matches it against a fresh
-// world).
+// with zero allocations, and a 300-flow cell with one — the result's own
+// Flows slice, which past 256 flows no shared arena block holds — however
+// many rows its flow table has (TestEquivalentRuns matches reruns against
+// a fresh world).
 func TestCellWorldReuse(t *testing.T) {
-	norm, err := cellWorldReuseSpec().Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWorld()
-	run := func() {
-		if _, err := compile(norm).run(nil, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // compile processes, grow arenas, memoize endpoints
-	run()
-	if avg := testing.AllocsPerRun(5, run); avg > 0 {
-		t.Errorf("warm cell re-run allocates %.1f times per run, want 0", avg)
+	crowd := cellSpec(&CellSpec{Groups: []CellGroup{{Scheme: "facetime", Flows: 300}}},
+		2*time.Second, 500*time.Millisecond, 3)
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want float64
+	}{
+		{"churning pf cell", cellWorldReuseSpec(), 0},
+		{"300 facetime flows", crowd, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			norm, err := c.spec.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newWorld()
+			run := func() {
+				if _, err := compile(norm).run(nil, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // compile processes, grow arenas, build every row's endpoints
+			run()
+			if avg := testing.AllocsPerRun(5, run); avg > c.want {
+				t.Errorf("warm cell re-run allocates %.1f times per run, want at most %.0f", avg, c.want)
+			}
+		})
 	}
 }
 

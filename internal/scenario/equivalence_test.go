@@ -115,8 +115,8 @@ func equivalences() []equivalence {
 	tmobile := verizon("sprout", 2*time.Second, 500*time.Millisecond, 9, 0)
 	tmobile.Link = "T-Mobile 3G (UMTS)"
 	rows = append(rows, equivalence{name: "pooled rerun, sprout on T-Mobile 3G", prior: []Spec{tmobile}, a: tmobile})
-	// The endpoint memo keeps schemes apart in the matrix's scheme-major
-	// job order.
+	// A row that switches schemes builds anew, in the matrix's
+	// scheme-major job order.
 	var switches []Spec
 	for i := 0; i < 6; i++ {
 		switches = append(switches, verizon([]string{"sprout", "cubic", "skype"}[i%3], 2*time.Second, 500*time.Millisecond, 4, 0))

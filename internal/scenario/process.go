@@ -27,10 +27,10 @@ import (
 // at the handover instant: times nested inside a stage — its outage
 // windows and any inner "until" boundaries — are relative to the stage's
 // start, not to the run ({"start": "2s"} inside a stage beginning at 4s
-// means run time 6s). Compiled processes are small and immutable state
-// machines: a run of any duration holds O(1) trace memory, and worker
-// worlds reuse one compiled instance per spec via Reset (the engine cache
-// never sees a materialized trace for streaming specs).
+// means run time 6s). Compiled processes are small state machines: a run
+// of any duration holds O(1) trace memory, and each link of a worker's
+// world keeps the instance it compiled, Resetting it per run (the engine
+// cache never sees a materialized trace for streaming specs).
 type ProcessSpec struct {
 	// Model names a canonical link model (trace.CanonicalLinks), e.g.
 	// "Verizon-LTE-down". Exactly one of Model and Handover must be set.
@@ -70,8 +70,8 @@ func ModelNames() []string {
 }
 
 // compile validates the spec and builds a fresh DeliveryProcess instance.
-// Compiled instances are cheap (no trace is materialized); worker worlds
-// memoize one per spec and Reset it per run.
+// Compiled instances are cheap (no trace is materialized); a world's link
+// keeps the one it compiled until a run brings another spec.
 func (p *ProcessSpec) compile() (trace.DeliveryProcess, error) {
 	var core trace.DeliveryProcess
 	switch {

@@ -95,7 +95,7 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 
 	data, feedback := spec.DataTrace, spec.FeedbackTrace
 	if spec.Process == nil && data == nil {
-		pair, _ := LookupNetwork(spec.Link)
+		pair, _ := trace.LookupNetwork(spec.Link)
 		data, feedback = GenerateTracePair(pair, spec.Direction, dur, spec.Seed)
 	}
 
@@ -127,7 +127,7 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 			down.Scheduler = cell.NewScheduler(c.Scheduler)
 		}
 		if spec.useCoDel() {
-			down.Dequeuer, up.Dequeuer = codel.New(), codel.New()
+			down.Dequeuer, up.Dequeuer = codel.New(nil), codel.New(nil)
 		}
 		downs[ci], ups[ci] = &refLink{loop: loop, horizon: dur - prop}, &refLink{loop: loop, horizon: dur - prop}
 		downs[ci].Link = link.New(refClock{loop}, down, demux(downs[ci], byData))
@@ -288,7 +288,8 @@ func genSpec(seed int64) Spec {
 		schemes[i] = names[rng.Intn(len(names))]
 	}
 	schemes[0] = names[u%uint64(len(names))]
-	pair := canonicalNets[rng.Intn(len(canonicalNets))]
+	nets := trace.CanonicalNetworks()
+	pair := nets[rng.Intn(len(nets))]
 	s := Spec{
 		Duration:   Duration(2*time.Second + time.Duration(rng.Intn(3))*500*time.Millisecond),
 		Skip:       Duration(time.Duration(1+rng.Intn(3)) * 300 * time.Millisecond),

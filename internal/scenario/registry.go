@@ -41,6 +41,12 @@ type Endpoint struct {
 
 	// tally, if set, adds the endpoints' counters to a run's Work.
 	tally func(*Work)
+	// reset, if set, re-arms these endpoints for a new run exactly as
+	// construction with cfg would arm fresh ones; a world calls it instead
+	// of the constructor when the flow-table row that built them attaches
+	// again with the same scheme, confidence and MSS. A scheme registered
+	// from outside leaves it nil and is rebuilt every run.
+	reset func(cfg AttachConfig)
 }
 
 // AttachConfig is what a scheme constructor gets to build one flow's
@@ -65,45 +71,11 @@ type AttachConfig struct {
 	// heap. A scheme that ignores it sends heap packets, which the arena
 	// adopts when the network releases them.
 	Packets *network.Pool
-
-	// world is the attaching worker's pooled world, nil outside engine
-	// world reuse. Constructors access it through Memoize/Memoized.
-	world *world
-}
-
-// Memoized returns the endpoint bundle a previous job on this worker
-// stored under (kind, salt) for this flow and MSS, if any. Constructors
-// use the pair Memoized/Memoize to reuse allocation-heavy endpoint state
-// across jobs: on a hit they Reset the retained endpoints instead of
-// building new ones. Outside world reuse it always misses.
-func (cfg AttachConfig) Memoized(kind string, salt float64) (any, bool) {
-	if cfg.world == nil {
-		return nil, false
-	}
-	v, ok := cfg.world.memo[endpointKey{kind, cfg.Flow, salt, cfg.MSS}]
-	return v, ok
-}
-
-// endpointMemoLimit bounds the per-worker endpoint memo (a Sprout bundle
-// retains a whole forecaster); past it the memo is dropped wholesale and
-// rebuilt from the working set, like the world's process memo.
-const endpointMemoLimit = 256
-
-// Memoize stores an endpoint bundle for later jobs on this worker. It is a
-// no-op outside world reuse.
-func (cfg AttachConfig) Memoize(kind string, salt float64, v any) {
-	if cfg.world == nil {
-		return
-	}
-	if len(cfg.world.memo) >= endpointMemoLimit {
-		clear(cfg.world.memo)
-	}
-	cfg.world.memo[endpointKey{kind, cfg.Flow, salt, cfg.MSS}] = v
 }
 
 // Constructor builds one flow's endpoints on an emulated path. It must be
-// deterministic and must not retain shared mutable state across calls: each
-// experiment job constructs its own endpoints.
+// deterministic and must not retain shared mutable state across calls:
+// each call builds endpoints of their own.
 type Constructor func(cfg AttachConfig) (Endpoint, error)
 
 // Scheme is one registered scheme: metadata plus its constructor.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sprout/internal/cell"
@@ -9,6 +10,7 @@ import (
 	"sprout/internal/link"
 	"sprout/internal/metrics"
 	"sprout/internal/network"
+	"sprout/internal/trace"
 	"sprout/internal/transport"
 	"sprout/internal/tunnel"
 )
@@ -125,7 +127,7 @@ func compile(norm Spec) compiled {
 	if norm.Process != nil || norm.DataTrace != nil {
 		return c
 	}
-	pair, _ := LookupNetwork(norm.Link)
+	pair, _ := trace.LookupNetwork(norm.Link)
 	d, seed := time.Duration(norm.Duration), norm.Seed
 	c.key = fmt.Sprintf("%s/%d/%d", pair.Name, int64(d), seed)
 	c.gen = func() any {
@@ -205,11 +207,16 @@ func (w *world) buildRoster(spec Spec) {
 }
 
 // addFlows appends n rows of one scheme (validated at Normalize) to the
-// flow table; ci >= 0 is the cell the flows attach to at run start.
+// flow table; ci >= 0 is the cell the flows attach to at run start. A row
+// the table held before keeps the endpoints it built and their key; the
+// rest of it starts over.
 func (w *world) addFlows(name string, base uint32, n int, ci int32) {
 	scheme, _ := Lookup(name)
+	w.flows = slices.Grow(w.flows, n)
 	for i := 0; i < n; i++ {
-		w.flows = append(w.flows, flow{scheme: scheme})
+		w.flows = w.flows[:len(w.flows)+1]
+		f := &w.flows[len(w.flows)-1]
+		*f = flow{scheme: scheme, ep: f.ep, built: f.built}
 		w.flowIDs = append(w.flowIDs, base+uint32(i))
 		if ci >= 0 {
 			w.initCells = append(w.initCells, ci)
@@ -226,7 +233,7 @@ func (w *world) addFlows(name string, base uint32, n int, ci int32) {
 // path they all send on (DataConn/FeedbackConn), or none when each flow is
 // a cell user with a slot of its own.
 func (w *world) attachRoster(spec Spec, cfg AttachConfig) error {
-	cfg.Clock, cfg.Confidence, cfg.Packets, cfg.world = w.loop, spec.Confidence, &w.pool, w
+	cfg.Clock, cfg.Confidence, cfg.Packets = w.loop, spec.Confidence, &w.pool
 	w.attach = cfg
 	// Every flow registers up front; churned flows clip their accumulation
 	// to their lifetime window.
@@ -251,8 +258,9 @@ func (w *world) attachRoster(spec Spec, cfg AttachConfig) error {
 	return nil
 }
 
-// attachFlow constructs (or Reset-reuses, via the endpoint memo) flow
-// fi's endpoints on cell ci.
+// attachFlow arms flow fi's endpoints on cell ci: it resets the ones its
+// row last built when they were built for the same scheme, confidence and
+// MSS, and constructs new ones otherwise.
 func (w *world) attachFlow(fi int, ci int32) error {
 	f := &w.flows[fi]
 	cfg := w.attach
@@ -263,12 +271,18 @@ func (w *world) attachFlow(fi int, ci int32) error {
 		f.up = port{pool: &w.pool, link: c.up}
 		cfg.DataConn, cfg.FeedbackConn = &f.down, &f.up
 	}
-	ep, err := f.scheme.New(cfg)
-	if err != nil {
-		return fmt.Errorf("scenario: attach %s: %w", f.scheme.Name, err)
+	key := builtKey{f.scheme.Name, cfg.Confidence, cfg.MSS}
+	if f.ep.reset != nil && f.built == key {
+		f.ep.reset(cfg)
+	} else {
+		ep, err := f.scheme.New(cfg)
+		if err != nil {
+			return fmt.Errorf("scenario: attach %s: %w", f.scheme.Name, err)
+		}
+		f.ep, f.built = ep, key
 	}
-	w.byData[cfg.Flow], w.byFB[cfg.Flow] = ep.Data, ep.Feedback
-	f.tally = ep.tally
+	w.byData[cfg.Flow], w.byFB[cfg.Flow] = f.ep.Data, f.ep.Feedback
+	f.tally = f.ep.tally
 	return nil
 }
 

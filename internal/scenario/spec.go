@@ -306,7 +306,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if out.Link == "" {
 			return Spec{}, fmt.Errorf("scenario: no link named, no traces injected and no process declared")
 		}
-		if _, ok := LookupNetwork(out.Link); !ok {
+		if _, ok := trace.LookupNetwork(out.Link); !ok {
 			return Spec{}, unknownLinkError(out.Link)
 		}
 	}
@@ -331,16 +331,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Link != "" {
 		// The link only supplies the derived feedback model here, but a
 		// typo must fail as loudly as it does on a materialized spec.
-		if _, ok := LookupNetwork(out.Link); !ok {
+		if _, ok := trace.LookupNetwork(out.Link); !ok {
 			return Spec{}, unknownLinkError(out.Link)
 		}
-	}
-	if out.Process == out.FeedbackProcess {
-		// One *ProcessSpec means one compiled instance in the worker
-		// memo; two links interleaving pulls from a single stream would
-		// each see half of a wrong sequence. Distinct (even identical-
-		// valued) specs compile to independent instances.
-		return Spec{}, fmt.Errorf("scenario: process and feedback_process must be distinct ProcessSpec values (each link needs its own stream)")
 	}
 	if err := out.Process.validate(); err != nil {
 		return Spec{}, fmt.Errorf("process: %w", err)
@@ -351,7 +344,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if out.Link == "" {
 			return Spec{}, fmt.Errorf("scenario: process needs a feedback_process, or a link to derive one from")
 		}
-		pair, ok := LookupNetwork(out.Link)
+		pair, ok := trace.LookupNetwork(out.Link)
 		if !ok {
 			return Spec{}, unknownLinkError(out.Link)
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestStreamingWorldReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // compile the process, grow the arena, memoize endpoints
+	run() // compile the process, grow the arena, build endpoints
 	run()
 	if avg := testing.AllocsPerRun(5, run); avg > 0 {
 		t.Errorf("warm streaming re-run allocates %.1f times per run, want 0", avg)
@@ -166,14 +167,29 @@ func TestProcessDefaultsKeepExplicitFeedback(t *testing.T) {
 	}
 }
 
-// TestProcessSharedPointerRejected: one *ProcessSpec for both directions
-// would make two links interleave pulls from a single compiled stream.
-func TestProcessSharedPointerRejected(t *testing.T) {
-	ps := &ProcessSpec{Model: "Verizon-LTE-down"}
-	s := Spec{Scheme: "cubic", Duration: Duration(2 * time.Second), Skip: Duration(time.Second),
-		Process: ps, FeedbackProcess: ps}
-	if _, err := s.Normalize(); err == nil || !strings.Contains(err.Error(), "distinct") {
-		t.Fatalf("shared ProcessSpec pointer accepted (err=%v)", err)
+// TestProcessSharedPointerRunsAsTwoValues: one *ProcessSpec for both
+// directions runs exactly as two equal values do, on a fresh world and on
+// a warm one — each link compiles an instance of its own, so the two never
+// pull from one stream.
+func TestProcessSharedPointerRunsAsTwoValues(t *testing.T) {
+	spec := func(down, up *ProcessSpec) compiled {
+		norm, err := Spec{Scheme: "cubic", Duration: Duration(2 * time.Second), Skip: Duration(500 * time.Millisecond),
+			Seed: 5, Process: down, FeedbackProcess: up}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compile(norm)
+	}
+	ps := &ProcessSpec{Model: "ATT-LTE-down"}
+	shared := spec(ps, ps)
+	twin := spec(&ProcessSpec{Model: "ATT-LTE-down"}, &ProcessSpec{Model: "ATT-LTE-down"})
+	warm := newWorld()
+	for _, w := range []*world{newWorld(), warm, warm} {
+		_, got := encoded(t, shared, w)
+		_, want := encoded(t, twin, newWorld())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shared pointer:\n%s\ntwo values:\n%s", got, want)
+		}
 	}
 }
 

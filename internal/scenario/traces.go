@@ -3,28 +3,11 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"sprout/internal/engine"
 	"sprout/internal/trace"
 )
-
-// canonicalNets caches the canonical network table (built fresh by every
-// trace.CanonicalNetworks call) for the per-job lookup path; it is only
-// ever read.
-var canonicalNets = trace.CanonicalNetworks()
-
-// LookupNetwork resolves a Spec.Link name to a canonical network pair.
-// Matching is case-insensitive on the full name.
-func LookupNetwork(name string) (trace.NetworkPair, bool) {
-	for _, p := range canonicalNets {
-		if strings.EqualFold(p.Name, name) {
-			return p, true
-		}
-	}
-	return trace.NetworkPair{}, false
-}
 
 // NetworkNames lists the canonical networks a Spec.Link can name.
 func NetworkNames() []string {

@@ -21,19 +21,21 @@ type worldKeyType struct{}
 var worldKey worldKeyType
 
 // world is the reusable simulation substrate one engine worker owns: the
-// event loop (slot arena), the cells' links (rings, slots, schedules), the
-// packet arena, the streaming-metrics accumulator, the flat flow table
-// with its demux, the precomputed churn timeline and a memo of resettable
-// endpoints. A worker's jobs reset and reuse this state
-// (see DESIGN.md §8.5) instead of rebuilding a simulation world per job —
-// the difference between ~14k allocations per experiment and roughly none.
+// event loop (slot arena), the cells' links (rings, slots, schedules,
+// compiled processes), the packet arena, the streaming-metrics
+// accumulator, the flat flow table (each row with the endpoints it last
+// built) with its demux, and the precomputed churn timeline. A worker's
+// jobs reset and reuse this state by position (see DESIGN.md §8.5) instead
+// of rebuilding a simulation world per job — the difference between ~14k
+// allocations per experiment and roughly none.
 //
 // Reuse never changes results: sim.Loop.Reset replays the exact (time,
 // sequence) priorities of a fresh loop, link.Reset re-derives the delivery
-// schedule from the trace, every endpoint Reset restores its
-// seed-determined initial state, and each job still derives all randomness
-// from its own spec seed. A reused world is therefore byte-identical to a
-// fresh one, which the golden-hash tests pin at worker counts 1 and 4.
+// schedule from the trace or re-seeds the process, every endpoint reset
+// restores its seed-determined initial state, and each job still derives
+// all randomness from its own spec seed. A reused world is therefore
+// byte-identical to a fresh one, which the golden-hash tests pin at worker
+// counts 1 and 4.
 type world struct {
 	loop *sim.Loop
 	pool network.Pool
@@ -50,11 +52,13 @@ type world struct {
 	onFwd, onRev           network.Handler
 	fwdHandler, revHandler network.Handler
 	observe                func(link.Delivery) // standing acc.Observe ref
+	observeOp              func(time.Duration) // standing acc.ObserveOpportunity ref
 
 	// flows and flowIDs are the run's flat flow table: static flows in
-	// group order, then churned flows in arrival order. byData and byFB
-	// demux delivered packets on their flow id to the flow's endpoints;
-	// demuxData and demuxFB are the standing closures over them.
+	// group order, then churned flows in arrival order. Rows past the
+	// current roster keep their endpoints for a later, longer one. byData
+	// and byFB demux delivered packets on their flow id to the flow's
+	// endpoints; demuxData and demuxFB are the standing closures over them.
 	flows              []flow
 	flowIDs            []uint32
 	byData, byFB       map[uint32]network.Handler
@@ -75,19 +79,6 @@ type world struct {
 	// each packet once its handler has returned).
 	tap func(network.Handler) network.Handler
 
-	memo map[endpointKey]any
-
-	// procMemo holds this worker's compiled streaming-process instances,
-	// keyed by the normalized spec's *ProcessSpec identity (stable across
-	// every run of one compiled job) and the cell that pulls from it: each
-	// link must own a private instance, since interleaved pulls from a
-	// shared one would corrupt both streams. The link Resets the instance
-	// with its seed at run start, so reuse replays the exact stream a
-	// fresh instance would produce — the process-world analogue of the
-	// trace cache, holding state machines instead of opportunity arrays.
-	procMemo  map[procKey]trace.DeliveryProcess
-	observeOp func(time.Duration) // standing acc.ObserveOpportunity ref
-
 	// flowArena amortizes Result.Flows allocations: each result takes a
 	// fresh sub-slice (results outlive the world's runs, so slices are
 	// never reused); exhausted blocks are abandoned to their results.
@@ -99,32 +90,60 @@ type world struct {
 	work Work
 }
 
-// endpointKey identifies one memoized endpoint bundle: the scheme-specific
-// kind tag plus every AttachConfig parameter that shapes construction.
-type endpointKey struct {
-	kind string
-	flow uint32
-	salt float64 // scheme-specific parameter (Sprout: confidence)
-	mss  int
-}
-
-// cellNet is one cell's share of the world: its two links, its
-// opportunity scheduler (built when a cell spec first needs one) and the
-// retained loss RNGs.
+// cellNet is one cell's share of the world: its two links, their
+// compiled processes, its opportunity scheduler (built when a cell spec
+// first needs one) and the retained loss RNGs.
 type cellNet struct {
 	down, up         *link.Link
+	downProc, upProc cellProc
 	sched            cell.Scheduler
 	fwdRand, revRand *rand.Rand
 	name             string // strconv.Itoa of the cell index, for seed derivation
 }
 
+// cellProc is one link's compiled streaming process and the spec it was
+// compiled from. Each link owns its instance — interleaved pulls from a
+// shared one would corrupt both streams — and the link Resets it with the
+// run's seed, so reuse replays the exact stream a fresh instance would
+// produce: the process-world analogue of the trace cache, holding a state
+// machine instead of an opportunity array.
+type cellProc struct {
+	spec *ProcessSpec
+	proc trace.DeliveryProcess
+}
+
+// get returns the instance compiled from ps, recompiling only when ps is
+// not the spec the last run compiled (a compiled job keeps one pointer
+// across all its runs).
+func (cp *cellProc) get(ps *ProcessSpec) (trace.DeliveryProcess, error) {
+	if cp.spec != ps {
+		p, err := ps.compile()
+		if err != nil {
+			return nil, err
+		}
+		cp.spec, cp.proc = ps, p
+	}
+	return cp.proc, nil
+}
+
 // flow is one row of the flow table. The ports are the Conns of a user
 // with a slot of its own (cell specs); flows sharing a path leave them
-// unused.
+// unused. ep and built outlive the run: the next run whose roster reaches
+// this row resets ep in place when it attaches with the same key.
 type flow struct {
 	scheme   Scheme
 	down, up port
-	tally    func(*Work) // the attached endpoints' counters; nil if none
+	tally    func(*Work) // the attached endpoints' counters; nil if none this run
+	ep       Endpoint    // the endpoints this row last built
+	built    builtKey    // what ep was built for
+}
+
+// builtKey is every AttachConfig parameter, beside the wiring a reset
+// takes, that shapes a scheme's construction.
+type builtKey struct {
+	scheme     string
+	confidence float64
+	mss        int
 }
 
 // port routes one cell user's packets to its *current* cell, giving
@@ -146,18 +165,11 @@ func (p *port) Send(pkt *network.Packet) {
 	p.link.SendTo(p.slot, pkt)
 }
 
-type procKey struct {
-	spec *ProcessSpec
-	cell int
-}
-
 func newWorld() *world {
 	w := &world{
-		loop:     sim.New(),
-		memo:     map[endpointKey]any{},
-		procMemo: map[procKey]trace.DeliveryProcess{},
-		byData:   map[uint32]network.Handler{},
-		byFB:     map[uint32]network.Handler{},
+		loop:   sim.New(),
+		byData: map[uint32]network.Handler{},
+		byFB:   map[uint32]network.Handler{},
 	}
 	w.fwdHandler = func(p *network.Packet) {
 		if w.onFwd != nil {
@@ -183,29 +195,6 @@ func newWorld() *world {
 	w.observeOp = w.acc.ObserveOpportunity
 	w.evFn = w.runEvents
 	return w
-}
-
-// worldProcessMemoLimit bounds the per-worker process memo; past it the
-// memo is dropped wholesale (instances are cheap to recompile).
-const worldProcessMemoLimit = 64
-
-// processFor returns the worker's compiled instance of the spec for cell
-// ci, compiling on first use. Reuse is safe because the link Resets the
-// instance with the run's seed before pulling from it.
-func (w *world) processFor(ps *ProcessSpec, ci int) (trace.DeliveryProcess, error) {
-	key := procKey{ps, ci}
-	if p, ok := w.procMemo[key]; ok {
-		return p, nil
-	}
-	p, err := ps.compile()
-	if err != nil {
-		return nil, err
-	}
-	if len(w.procMemo) >= worldProcessMemoLimit {
-		clear(w.procMemo)
-	}
-	w.procMemo[key] = p
-	return p, nil
 }
 
 // worldFor returns the worker's pooled world, or a fresh private one when
@@ -302,10 +291,10 @@ func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handl
 		}
 		if spec.Process != nil {
 			var err error
-			if down.Process, err = w.processFor(spec.Process, ci); err != nil {
+			if down.Process, err = c.downProc.get(spec.Process); err != nil {
 				return err
 			}
-			if up.Process, err = w.processFor(spec.FeedbackProcess, ci); err != nil {
+			if up.Process, err = c.upProc.get(spec.FeedbackProcess); err != nil {
 				return err
 			}
 		}
@@ -313,19 +302,12 @@ func (w *world) openCells(spec Spec, n int, deliverDown, deliverUp network.Handl
 			down.Scheduler = c.sched
 		}
 		if aqm {
-			down.Dequeuer, up.Dequeuer = w.newCoDel(), w.newCoDel()
+			down.Dequeuer, up.Dequeuer = codel.New(&w.pool), codel.New(&w.pool)
 		}
 		resetLink(w.loop, &c.down, down, w.tapped(deliverDown))
 		resetLink(w.loop, &c.up, up, w.tapped(deliverUp))
 	}
 	return nil
-}
-
-// newCoDel builds a CoDel AQM that releases its drops to the world's arena.
-func (w *world) newCoDel() *codel.CoDel {
-	c := codel.New()
-	c.UsePool(&w.pool)
-	return c
 }
 
 // resetLink builds the link on first use and re-arms it thereafter.

@@ -174,7 +174,7 @@ func TestReceiverOutOfOrderBuffering(t *testing.T) {
 		if h.unmarshal(p.Payload) == nil && h.kind == kindAck {
 			acks = append(acks, h.ack)
 		}
-	}))
+	}), nil)
 	deliver := func(seq segnum) {
 		rcv.Receive(dataPacket(nil, 1, seq, 1500, 0))
 	}

@@ -286,24 +286,21 @@ type Receiver struct {
 	highest segnum
 }
 
-// NewReceiver creates a TCP receiver; conn carries ACKs back to the sender.
-func NewReceiver(flow uint32, clock sim.Clock, conn network.Conn) *Receiver {
+// NewReceiver creates a TCP receiver; conn carries ACKs back to the
+// sender, drawn from pool (nil: the heap).
+func NewReceiver(flow uint32, clock sim.Clock, conn network.Conn, pool *network.Pool) *Receiver {
 	r := &Receiver{}
-	r.Reset(flow, clock, conn)
+	r.Reset(flow, clock, conn, pool)
 	return r
 }
 
-// UsePool directs the receiver's ACK packets to the given arena (world
-// reuse); nil reverts to heap allocation.
-func (r *Receiver) UsePool(p *network.Pool) { r.pool = p }
-
 // Reset restores the receiver to its freshly constructed state for a new
 // run, retaining its reorder table. Must be called at a world boundary.
-func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn network.Conn) {
+func (r *Receiver) Reset(flow uint32, clock sim.Clock, conn network.Conn, pool *network.Pool) {
 	if clock == nil || conn == nil {
 		panic("tcp: Receiver requires clock and conn")
 	}
-	r.flow, r.clock, r.conn = flow, clock, conn
+	r.flow, r.clock, r.conn, r.pool = flow, clock, conn, pool
 	r.rcvNxt = 0
 	r.ooo.reset()
 	r.acks, r.segsIn, r.dupsIn = 0, 0, 0

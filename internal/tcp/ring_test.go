@@ -268,7 +268,7 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		var rcv *Receiver
 		fwd, rev := lossyPath(loop, seed,
 			func(p *network.Packet) { rcv.Receive(p) }, func(p *network.Packet) { snd.Receive(p) })
-		rcv = NewReceiver(1, loop, rev)
+		rcv = NewReceiver(1, loop, rev, nil)
 		snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: newCC(loop.Now), MaxWindow: 300})
 		loop.Run(runFor)
 		var o outcome
@@ -391,7 +391,7 @@ func TestResetKeepsRingStorage(t *testing.T) {
 		t.Fatalf("tables never grew (sender %d, receiver %d); the run should have used both", sndCap, rcvCap)
 	}
 	sess.loop.Reset()
-	sess.rcv.Reset(1, sess.loop, sess.rev)
+	sess.rcv.Reset(1, sess.loop, sess.rev, nil)
 	sess.snd.Reset(SenderConfig{Flow: 1, Clock: sess.loop, Conn: sess.fwd, CC: NewRenoCC()})
 	if len(sess.snd.segs.buf) != sndCap || len(sess.rcv.ooo.buf) != rcvCap {
 		t.Errorf("Reset resized the tables: sender %d -> %d, receiver %d -> %d",

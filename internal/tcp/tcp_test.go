@@ -36,7 +36,7 @@ func newTCPSession(cc CongestionControl, fwdTrace *trace.Trace, fwdCfg func(*lin
 		Trace:            steadyTrace(500, fwdTrace.Duration()+5*time.Second, 77),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { s.snd.Receive(p) })
-	s.rcv = NewReceiver(1, loop, s.rev)
+	s.rcv = NewReceiver(1, loop, s.rev, nil)
 	s.snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: s.fwd, CC: cc})
 	return s
 }
@@ -196,7 +196,7 @@ func TestCubicBuildsStandingQueueOnUnboundedBuffer(t *testing.T) {
 		Trace:            steadyTrace(500, 65*time.Second, 3),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { snd.Receive(p) })
-	rcv = NewReceiver(1, loop, rev)
+	rcv = NewReceiver(1, loop, rev, nil)
 	snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: NewCubic(loop.Now)})
 	loop.Run(60 * time.Second)
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"time"
 )
 
@@ -253,4 +254,19 @@ func CanonicalNetworks() []NetworkPair {
 		{Name: "AT&T LTE", Down: links[4], Up: links[5]},
 		{Name: "T-Mobile 3G (UMTS)", Down: links[6], Up: links[7]},
 	}
+}
+
+// canonicalNetworks is the table LookupNetwork reads (CanonicalNetworks
+// builds a fresh one per call); it is only ever read.
+var canonicalNetworks = CanonicalNetworks()
+
+// LookupNetwork returns the canonical network with the given name,
+// matched case-insensitively on the full name, or false.
+func LookupNetwork(name string) (NetworkPair, bool) {
+	for _, p := range canonicalNetworks {
+		if strings.EqualFold(p.Name, name) {
+			return p, true
+		}
+	}
+	return NetworkPair{}, false
 }

@@ -158,6 +158,27 @@ var mutants = []struct {
 		to:   "core.NewModel(core.Params{Confidence: 0.5})",
 		pkg:  "internal/transport", test: "TestInWorldCalibration",
 	},
+	{
+		name: "a flow-table row resets its endpoints whatever their confidence",
+		file: "internal/scenario/run.go",
+		from: "key := builtKey{f.scheme.Name, cfg.Confidence, cfg.MSS}",
+		to:   "key := builtKey{f.scheme.Name, 0, cfg.MSS}",
+		pkg:  "internal/scenario", test: "TestWorldReusesByPosition",
+	},
+	{
+		name: "a link reuses its compiled process whatever its spec",
+		file: "internal/scenario/world.go",
+		from: "if cp.spec != ps {",
+		to:   "if cp.proc == nil {",
+		pkg:  "internal/scenario", test: "TestWorldReusesByPosition",
+	},
+	{
+		name: "a new run zeroes whole flow-table rows",
+		file: "internal/scenario/run.go",
+		from: "*f = flow{scheme: scheme, ep: f.ep, built: f.built}",
+		to:   "*f = flow{scheme: scheme}",
+		pkg:  "internal/scenario", test: "TestCellWorldReuse",
+	},
 }
 
 // TestMutants copies the module to a temporary directory and, row by row,
