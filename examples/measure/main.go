@@ -57,7 +57,8 @@ func main() {
 		Trace:            measured,
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *sprout.Packet) { sproutRcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	var deliveries []sprout.Delivery
+	fwd.OnDelivery(func(d sprout.Delivery) { deliveries = append(deliveries, d) })
 	upModel, _ := sprout.CanonicalLink("TMobile-3G-up")
 	rev := sprout.NewLink(loop2, sprout.LinkConfig{
 		Trace:            upModel.Generate(dur+5*time.Second, rand.New(rand.NewSource(13))),
@@ -67,7 +68,7 @@ func main() {
 	sproutSnd = sprout.NewSender(sprout.SenderConfig{Clock: loop2, Conn: fwd})
 	loop2.Run(dur)
 
-	m := sprout.Evaluate(fwd.Deliveries(), measured, 20*time.Millisecond, 10*time.Second, dur)
+	m := sprout.Evaluate(deliveries, measured, 20*time.Millisecond, 10*time.Second, dur)
 	fmt.Printf("\nSprout over the measured link:\n")
 	fmt.Printf("  throughput:           %6.0f kbps (%.0f%% of measured capacity)\n",
 		m.ThroughputBps/1000, m.Utilization*100)

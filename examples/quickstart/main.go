@@ -31,7 +31,8 @@ func main() {
 		Trace:            dataTrace,
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *sprout.Packet) { rcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	var deliveries []sprout.Delivery
+	fwd.OnDelivery(func(d sprout.Delivery) { deliveries = append(deliveries, d) })
 	rev := sprout.NewLink(loop, sprout.LinkConfig{
 		Trace:            feedbackTrace,
 		PropagationDelay: 20 * time.Millisecond,
@@ -45,7 +46,7 @@ func main() {
 
 	// 4. Run one virtual minute and evaluate.
 	loop.Run(dur)
-	m := sprout.Evaluate(fwd.Deliveries(), dataTrace, 20*time.Millisecond, 10*time.Second, dur)
+	m := sprout.Evaluate(deliveries, dataTrace, 20*time.Millisecond, 10*time.Second, dur)
 
 	fmt.Printf("Sprout over %s (%.1f Mbps average capacity):\n",
 		dataTrace.Name, dataTrace.MeanRateBps()/1e6)

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Flows come back in flow-id order: Cubic, then Skype.
+	// Flows come back in roster (declaration) order: Cubic, then Skype.
 	kbps := func(run, flow int) float64 { return results[run].Flows[flow].ThroughputBps / 1000 }
 	delay := func(run int) float64 { return results[run].Flows[1].Delay95.Seconds() }
 

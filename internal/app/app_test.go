@@ -19,8 +19,16 @@ func steadyTrace(rate float64, d time.Duration, seed int64) *trace.Trace {
 type appSession struct {
 	loop *sim.Loop
 	fwd  *link.Link
+	log  *[]link.Delivery // fwd's deliveries
 	snd  *Sender
 	rcv  *Receiver
+}
+
+// keepDeliveries returns the log an OnDelivery observer on l appends to.
+func keepDeliveries(l *link.Link) *[]link.Delivery {
+	log := new([]link.Delivery)
+	l.OnDelivery(func(d link.Delivery) { *log = append(*log, d) })
+	return log
 }
 
 func newAppSession(p Profile, fwdTrace *trace.Trace) *appSession {
@@ -30,7 +38,7 @@ func newAppSession(p Profile, fwdTrace *trace.Trace) *appSession {
 		Trace:            fwdTrace,
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(pkt *network.Packet) { s.rcv.Receive(pkt) })
-	s.fwd.RecordDeliveries(true)
+	s.log = keepDeliveries(s.fwd)
 	rev := link.New(loop, link.Config{
 		Trace:            steadyTrace(200, fwdTrace.Duration()+5*time.Second, 42),
 		PropagationDelay: 20 * time.Millisecond,
@@ -134,7 +142,7 @@ func TestAppBuildsStandingQueue(t *testing.T) {
 	sess := newAppSession(Skype(), &trace.Trace{Name: "cliff", Opportunities: ops})
 	sess.loop.Run(60 * time.Second)
 	var worst time.Duration
-	for _, d := range sess.fwd.Deliveries() {
+	for _, d := range *sess.log {
 		if delay := d.DeliveredAt - d.SentAt; delay > worst {
 			worst = delay
 		}

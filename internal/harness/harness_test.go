@@ -106,7 +106,7 @@ func TestGenerateTracePairDirections(t *testing.T) {
 
 func TestTunnelComparisonShape(t *testing.T) {
 	results, _ := runSpecs(t, tunnelSpecs(shortOpt.withDefaults()), 0)
-	// Flows are in flow-id order: Cubic (10), Skype (20).
+	// Flows are in roster (declaration) order: Cubic (10), Skype (20).
 	cubicDirect, skypeDirect := results[0].Flows[0], results[0].Flows[1]
 	cubicTunnel, skypeTunnel := results[1].Flows[0], results[1].Flows[1]
 	if cubicDirect.Flow != flowCubic || skypeTunnel.Flow != flowSkype {

@@ -443,7 +443,8 @@ func tunnelSpecs(opt Options) []scenario.Spec {
 	return specs
 }
 
-// renderTunnel reads each run's two flows in flow-id order: Cubic, Skype.
+// renderTunnel reads each run's two flows in roster (declaration) order:
+// Cubic, Skype.
 func renderTunnel(rs []scenario.Result) string {
 	direct, tunneled := rs[0], rs[1]
 	var b strings.Builder

@@ -103,7 +103,7 @@ func TestLinkProcessMatchesTrace(t *testing.T) {
 	run := func(cfg Config) []Delivery {
 		loop := sim.New()
 		l := New(loop, cfg, nil)
-		l.RecordDeliveries(true)
+		log := keepDeliveries(l)
 		var seq int64
 		var send func()
 		var tm sim.Timer
@@ -115,7 +115,7 @@ func TestLinkProcessMatchesTrace(t *testing.T) {
 		}
 		send()
 		loop.Run(10 * time.Second) // outlasts the trace: exercises the wrap
-		return l.TakeDeliveries()
+		return *log
 	}
 
 	proc := trace.NewLoop(trace.NewReplay(tr))

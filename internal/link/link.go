@@ -168,9 +168,7 @@ type Link struct {
 	opFn    func() // built once for the delivery-opportunity schedule
 
 	// Telemetry.
-	deliveries    []Delivery
-	recordLog     bool
-	onDelivery    func(Delivery)         // streaming observer; see OnDelivery
+	onDelivery    func(Delivery)         // see OnDelivery
 	onOpportunity func(at time.Duration) // see OnOpportunity
 	delivered     int64                  // bytes
 	dropsLoss     int64                  // packets dropped by random loss
@@ -204,10 +202,10 @@ func New(clock sim.Clock, cfg Config, deliver network.Handler) *Link {
 }
 
 // Reset re-arms the link for a fresh run on the same clock: the new config
-// and delivery handler replace the old, every slot, queue, counter and log
-// is cleared, and the delivery schedule restarts from the source's first
-// opportunity — all without freeing the retained rings, slot array and log
-// capacity. Packets still queued or in flight are forgotten, not released
+// and delivery handler replace the old, every slot, queue, counter and
+// observer is cleared, and the delivery schedule restarts from the source's
+// first opportunity — all without freeing the retained rings and slot
+// array. Packets still queued or in flight are forgotten, not released
 // or read: Pool.Reset hands their storage on at the same boundary.
 // It must be called at a world boundary, after the clock itself has been
 // reset (or while no link event is pending): a reset link then behaves
@@ -250,8 +248,7 @@ func (l *Link) Reset(cfg Config, deliver network.Handler) {
 	l.arrivals.reset()
 	l.batch = cfg.Scheduler == nil && l.seqr != nil
 	l.skipped = l.skipped[:0]
-	l.deliveries = l.deliveries[:0]
-	l.recordLog, l.onDelivery, l.onOpportunity = false, nil, nil
+	l.onDelivery, l.onOpportunity = nil, nil
 	l.delivered, l.dropsLoss, l.dropsAQM, l.dropsStale, l.wasted, l.reached = 0, 0, 0, 0, 0, 0
 	if cfg.Scheduler == nil {
 		l.Attach() // the standing slot
@@ -305,15 +302,10 @@ func (l *Link) Detach(slot int) {
 // Slots returns the high-water slot count.
 func (l *Link) Slots() int { return l.nslots }
 
-// RecordDeliveries turns on the per-packet delivery log (used by the
-// timeseries experiments that need the raw log after the run).
-func (l *Link) RecordDeliveries(on bool) { l.recordLog = on }
-
 // OnDelivery registers fn to observe each Delivery record at the instant
-// the packet fully crosses the link (before the delivery handler runs, the
-// same point the log would record it). Streaming metrics accumulate through
-// this hook instead of retaining an ever-growing log. nil removes the
-// observer.
+// the packet fully crosses the link, before the delivery handler runs. It
+// is the only way a delivery leaves the link: the link keeps no log, so a
+// caller that wants one appends to its own. nil removes the observer.
 func (l *Link) OnDelivery(fn func(Delivery)) { l.onDelivery = fn }
 
 // OnOpportunity registers fn to observe the instant of every delivery
@@ -330,20 +322,6 @@ func (l *Link) OnDelivery(fn func(Delivery)) { l.onDelivery = fn }
 // metrics.Accumulator.ObserveOpportunity is such an observer, and ignores
 // instants at or past its window's end, which is the run's horizon.
 func (l *Link) OnOpportunity(fn func(at time.Duration)) { l.onOpportunity = fn }
-
-// Deliveries returns the recorded delivery log.
-func (l *Link) Deliveries() []Delivery { return l.deliveries }
-
-// TakeDeliveries returns an exact-length copy of the recorded delivery log
-// and empties the log. The link keeps the log's storage for its next run,
-// so a reused link grows it once; the caller's copy is its own, and a
-// later Reset cannot overwrite it.
-func (l *Link) TakeDeliveries() []Delivery {
-	d := make([]Delivery, len(l.deliveries))
-	copy(d, l.deliveries)
-	l.deliveries = l.deliveries[:0]
-	return d
-}
 
 // DeliveredBytes returns the total bytes delivered so far, across all
 // slots.
@@ -552,20 +530,14 @@ func (l *Link) opportunity() {
 		pkt := s.txPkt
 		s.txPkt, s.txSent = nil, 0
 		l.delivered += int64(pkt.Size)
-		if l.recordLog || l.onDelivery != nil {
-			d := Delivery{
+		if l.onDelivery != nil {
+			l.onDelivery(Delivery{
 				SentAt:      pkt.SentAt,
 				DeliveredAt: now,
 				Size:        pkt.Size,
 				Seq:         pkt.Seq,
 				Flow:        pkt.Flow,
-			}
-			if l.recordLog {
-				l.deliveries = append(l.deliveries, d)
-			}
-			if l.onDelivery != nil {
-				l.onDelivery(d)
-			}
+			})
 		}
 		if l.deliver != nil {
 			l.deliver(pkt)

@@ -169,28 +169,53 @@ func TestLinkLoss(t *testing.T) {
 	}
 }
 
+// keepDeliveries returns the log an OnDelivery observer on l appends to.
+func keepDeliveries(l *Link) *[]Delivery {
+	log := new([]Delivery)
+	l.OnDelivery(func(d Delivery) { *log = append(*log, d) })
+	return log
+}
+
+// TestLinkDeliveryLog: a log kept through OnDelivery sees each delivery
+// once, at the instant the packet crosses, before the delivery handler
+// runs; Reset removes the observer.
 func TestLinkDeliveryLog(t *testing.T) {
 	loop := sim.New()
-	l := New(loop, Config{
+	handled := 0
+	var log *[]Delivery
+	cfg := Config{
 		Trace:            mkTrace(10 * time.Millisecond),
 		PropagationDelay: 2 * time.Millisecond,
-	}, nil)
-	l.RecordDeliveries(true)
+	}
+	l := New(loop, cfg, func(*network.Packet) {
+		if len(*log) != handled+1 {
+			t.Errorf("handler ran with %d deliveries observed, want %d", len(*log), handled+1)
+		}
+		handled++
+	})
+	log = keepDeliveries(l)
 	p := pkt(network.MTU, 42)
 	p.SentAt = loop.Now()
 	p.Flow = 7
 	l.Send(p)
 	loop.Run(20 * time.Millisecond)
-	log := l.Deliveries()
-	if len(log) != 1 {
-		t.Fatalf("log length = %d", len(log))
+	if len(*log) != 1 || handled != 1 {
+		t.Fatalf("observed %d deliveries, handled %d; want 1 each", len(*log), handled)
 	}
-	d := log[0]
+	d := (*log)[0]
 	if d.Seq != 42 || d.Flow != 7 || d.SentAt != 0 || d.DeliveredAt != 10*time.Millisecond || d.Size != network.MTU {
 		t.Errorf("delivery = %+v", d)
 	}
 	if l.DeliveredBytes() != network.MTU {
 		t.Errorf("DeliveredBytes = %d", l.DeliveredBytes())
+	}
+
+	loop.Reset()
+	l.Reset(cfg, nil)
+	l.Send(pkt(network.MTU, 43))
+	loop.Run(20 * time.Millisecond)
+	if len(*log) != 1 || l.DeliveredBytes() != network.MTU {
+		t.Errorf("after Reset the observer saw %d deliveries (want it removed), link delivered %d bytes", len(*log), l.DeliveredBytes())
 	}
 }
 

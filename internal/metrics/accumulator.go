@@ -8,13 +8,14 @@ import (
 	"sprout/internal/trace"
 )
 
-// flowStream accumulates one delivery stream's metrics online: the bit and
-// byte totals over the window plus the d(t) sawtooth segments, built with
-// exactly the arithmetic delaySegments applies to a retained log, so the
-// finished metrics are bit-identical to the post-hoc slice path.
+// flowStream accumulates one delivery stream's metrics online over its
+// window [from, to): the byte total plus the d(t) sawtooth segments,
+// built with exactly the arithmetic Throughput and delaySegments apply to
+// a retained log, so the finished metrics are bit-identical to the
+// post-hoc slice path.
 type flowStream struct {
-	bits  int64
-	bytes int64
+	from, to time.Duration
+	bytes    int64
 
 	// Online sawtooth state (see delaySegments): maxSent is the newest
 	// SentAt delivered so far (-1 until any delivery), cursor the time the
@@ -31,8 +32,9 @@ type flowStream struct {
 	delay95 time.Duration
 }
 
-func (f *flowStream) reset(from time.Duration) {
-	f.bits, f.bytes = 0, 0
+func (f *flowStream) reset(from, to time.Duration) {
+	f.from, f.to = from, to
+	f.bytes = 0
 	f.maxSent = -1
 	f.cursor = from
 	f.segs.Reset()
@@ -41,8 +43,8 @@ func (f *flowStream) reset(from time.Duration) {
 
 // observe folds one delivery into the stream. Deliveries must arrive in
 // DeliveredAt order, the order links produce them.
-func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
-	if d.DeliveredAt < from {
+func (f *flowStream) observe(d link.Delivery) {
+	if d.DeliveredAt < f.from {
 		// Before the window: only establishes the newest-sent packet so
 		// d(from) is well defined.
 		if d.SentAt > f.maxSent {
@@ -50,10 +52,9 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 		}
 		return
 	}
-	if d.DeliveredAt >= to {
+	if d.DeliveredAt >= f.to {
 		return
 	}
-	f.bits += int64(d.Size) * 8
 	f.bytes += int64(d.Size)
 	if f.maxSent < 0 {
 		// Nothing delivered before this: the stream starts here, no
@@ -74,11 +75,11 @@ func (f *flowStream) observe(d link.Delivery, from, to time.Duration) {
 // finish appends the tail segment up to the window end and fixes the
 // stream's 95th-percentile delay, reusing sc's buffers. Must be called
 // exactly once, after the last observe.
-func (f *flowStream) finish(to time.Duration, sc *stats.SegmentScratch) {
-	if f.maxSent >= 0 && to > f.cursor {
+func (f *flowStream) finish(sc *stats.SegmentScratch) {
+	if f.maxSent >= 0 && f.to > f.cursor {
 		f.segs.Append(stats.Segment{
 			Start: (f.cursor - f.maxSent).Seconds(),
-			Width: (to - f.cursor).Seconds(),
+			Width: (f.to - f.cursor).Seconds(),
 		})
 	}
 	if f.segs.Len() > 0 {
@@ -86,11 +87,11 @@ func (f *flowStream) finish(to time.Duration, sc *stats.SegmentScratch) {
 	}
 }
 
-func (f *flowStream) throughputBps(from, to time.Duration) float64 {
-	if to <= from {
+func (f *flowStream) throughputBps() float64 {
+	if f.to <= f.from {
 		return 0
 	}
-	return float64(f.bits) / (to - from).Seconds()
+	return float64(f.bytes*8) / (f.to - f.from).Seconds()
 }
 
 func (f *flowStream) meanDelay() time.Duration {
@@ -125,13 +126,6 @@ type Accumulator struct {
 	index   map[uint32]int32
 	perFlow bool
 
-	// Per-flow measurement windows (cell churn: a flow that exists only
-	// over part of the run is measured over its own lifetime). Engaged by
-	// SetFlowWindow; otherwise every flow uses the run window and the
-	// historical arithmetic is untouched.
-	flowWindows      bool
-	flowFrom, flowTo []time.Duration
-
 	finished bool
 
 	// Online omniscient/capacity stream: the link (or Evaluate, from a
@@ -159,12 +153,11 @@ type Accumulator struct {
 // a lone flow).
 func (a *Accumulator) Start(from, to time.Duration, flows []uint32) {
 	a.from, a.to = from, to
-	a.agg.reset(from)
+	a.agg.reset(from, to)
 	a.finished = false
 	a.trackOps = false // re-arm per run via TrackOpportunities
 	a.omniSegs.Reset()
 	a.flowIDs = append(a.flowIDs[:0], flows...)
-	a.flowWindows = false
 	a.perFlow = len(flows) > 1
 	if !a.perFlow {
 		a.flows = a.flows[:0]
@@ -173,8 +166,8 @@ func (a *Accumulator) Start(from, to time.Duration, flows []uint32) {
 	a.materializeFlows()
 }
 
-// materializeFlows builds the per-flow streams and index for the tracked
-// ids.
+// materializeFlows builds the per-flow streams, each over the run window,
+// and the index for the tracked ids.
 func (a *Accumulator) materializeFlows() {
 	flows := a.flowIDs
 	if cap(a.flows) < len(flows) {
@@ -186,33 +179,19 @@ func (a *Accumulator) materializeFlows() {
 	}
 	clear(a.index)
 	for i, f := range flows {
-		a.flows[i].reset(a.from)
+		a.flows[i].reset(a.from, a.to)
 		a.index[f] = int32(i)
 	}
 }
 
 // SetFlowWindow measures tracked flow i over [from, to) ∩ the run window
 // instead of the full run — the lifetime of a churned cell flow. Call
-// after Start and before any Observe. The first call materializes
-// dedicated per-flow streams (a lone windowed flow no longer shares the
-// aggregate stream) and defaults every other flow to the run window.
+// after Start and before any Observe. A lone tracked flow then gets a
+// stream of its own instead of sharing the aggregate's.
 func (a *Accumulator) SetFlowWindow(i int, from, to time.Duration) {
-	if !a.flowWindows {
-		a.flowWindows = true
-		if !a.perFlow {
-			a.perFlow = true
-			a.materializeFlows()
-		}
-		n := len(a.flowIDs)
-		if cap(a.flowFrom) < n {
-			a.flowFrom = make([]time.Duration, n)
-			a.flowTo = make([]time.Duration, n)
-		}
-		a.flowFrom = a.flowFrom[:n]
-		a.flowTo = a.flowTo[:n]
-		for j := range a.flowFrom {
-			a.flowFrom[j], a.flowTo[j] = a.from, a.to
-		}
+	if !a.perFlow {
+		a.perFlow = true
+		a.materializeFlows()
 	}
 	if from < a.from {
 		from = a.from
@@ -223,22 +202,17 @@ func (a *Accumulator) SetFlowWindow(i int, from, to time.Duration) {
 	if to < from {
 		to = from
 	}
-	a.flowFrom[i], a.flowTo[i] = from, to
-	a.flows[i].reset(from)
+	a.flows[i].reset(from, to)
 }
 
 // Observe folds one delivery in. Deliveries must arrive in DeliveredAt
 // order (the order links and the tunnel egress produce them). Zero
 // allocations in steady state.
 func (a *Accumulator) Observe(d link.Delivery) {
-	a.agg.observe(d, a.from, a.to)
+	a.agg.observe(d)
 	if a.perFlow {
 		if i, ok := a.index[d.Flow]; ok {
-			from, to := a.from, a.to
-			if a.flowWindows {
-				from, to = a.flowFrom[i], a.flowTo[i]
-			}
-			a.flows[i].observe(d, from, to)
+			a.flows[i].observe(d)
 		}
 	}
 }
@@ -292,13 +266,9 @@ func (a *Accumulator) seal() {
 		return
 	}
 	a.finished = true
-	a.agg.finish(a.to, &a.pct)
+	a.agg.finish(&a.pct)
 	for i := range a.flows {
-		to := a.to
-		if a.flowWindows {
-			to = a.flowTo[i]
-		}
-		a.flows[i].finish(to, &a.pct)
+		a.flows[i].finish(&a.pct)
 	}
 }
 
@@ -335,7 +305,7 @@ func (a *Accumulator) EvaluateStreaming() Result {
 		a.omniCursor = a.to
 	}
 	r := Result{
-		ThroughputBps: a.agg.throughputBps(a.from, a.to),
+		ThroughputBps: a.agg.throughputBps(),
 		Delay95:       a.agg.delay95,
 		MeanDelay:     a.agg.meanDelay(),
 	}
@@ -380,12 +350,8 @@ func (a *Accumulator) FlowCount() int { return len(a.flowIDs) }
 func (a *Accumulator) Flow(i int) (flow uint32, throughputBps float64, delay95 time.Duration) {
 	a.seal()
 	s := &a.agg
-	from, to := a.from, a.to
 	if a.perFlow {
 		s = &a.flows[i]
-		if a.flowWindows {
-			from, to = a.flowFrom[i], a.flowTo[i]
-		}
 	}
-	return a.flowIDs[i], s.throughputBps(from, to), s.delay95
+	return a.flowIDs[i], s.throughputBps(), s.delay95
 }

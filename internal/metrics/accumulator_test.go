@@ -181,6 +181,62 @@ func TestAccumulatorSingleFlowUsesAggregate(t *testing.T) {
 	}
 }
 
+// TestAccumulatorFlowWindows: a flow given its own window by SetFlowWindow
+// (a churned cell user's lifetime) is measured over that window clipped to
+// the run's, exactly as the slice primitives measure its filtered log,
+// while the aggregate and the other flows keep the run window. A lone
+// tracked flow with a window of its own stops sharing the aggregate's
+// stream.
+func TestAccumulatorFlowWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tr := testTrace()
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	var a Accumulator
+	for trial := 0; trial < 50; trial++ {
+		flows := []uint32{1, 2, 7}[:1+trial%3]
+		log := randomLog(rng, 30+rng.Intn(400), flows)
+		from, to := ms(rng.Intn(2000)), ms(3000+rng.Intn(5000))
+		// The first flow outlives the run at both ends, the last (the
+		// first too, when it is alone) lives inside it.
+		windows := make([][2]time.Duration, len(flows))
+		for i := range windows {
+			windows[i] = [2]time.Duration{from, to}
+		}
+		windows[0] = [2]time.Duration{from - ms(500), to + ms(500)}
+		in := ms(rng.Intn(9000))
+		windows[len(flows)-1] = [2]time.Duration{in, in + ms(rng.Intn(3000))}
+
+		a.Start(from, to, flows)
+		for i, w := range windows {
+			if w != [2]time.Duration{from, to} {
+				a.SetFlowWindow(i, w[0], w[1])
+			}
+		}
+		for _, d := range log {
+			a.Observe(d)
+		}
+		got := a.Evaluate(tr, 20*time.Millisecond)
+		if tput := Throughput(log, from, to); got.ThroughputBps != tput {
+			t.Fatalf("trial %d: aggregate throughput %v != slice %v", trial, got.ThroughputBps, tput)
+		}
+		if d95 := EndToEndDelay(log, from, to, 0.95); got.Delay95 != d95 {
+			t.Fatalf("trial %d: aggregate delay95 %v != slice %v", trial, got.Delay95, d95)
+		}
+		for i, w := range windows {
+			wf, wt := max(from, w[0]), min(to, w[1])
+			wt = max(wt, wf)
+			flow, tput, d95 := a.Flow(i)
+			sub := FilterFlow(log, flow)
+			if want := Throughput(sub, wf, wt); tput != want {
+				t.Fatalf("trial %d flow %d over [%v, %v): throughput %v != filtered %v", trial, flow, wf, wt, tput, want)
+			}
+			if want := EndToEndDelay(sub, wf, wt, 0.95); d95 != want {
+				t.Fatalf("trial %d flow %d over [%v, %v): delay95 %v != filtered %v", trial, flow, wf, wt, d95, want)
+			}
+		}
+	}
+}
+
 // TestAccumulatorDelay95NotCarriedOver: the percentile fixed when a run's
 // streams are sealed belongs to that run — a reused accumulator whose next
 // run delivers nothing reports no delay, in aggregate and per flow.

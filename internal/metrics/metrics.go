@@ -40,8 +40,8 @@ func Throughput(deliveries []link.Delivery, from, to time.Duration) float64 {
 }
 
 // delaySegments builds the piecewise-linear d(t) sawtooth over [from, to)
-// from a delivery log (which must be sorted by DeliveredAt; links record it
-// in delivery order).
+// from a delivery log (which must be sorted by DeliveredAt; links hand
+// deliveries to their observer in that order).
 func delaySegments(deliveries []link.Delivery, from, to time.Duration) *stats.Segments {
 	segs := new(stats.Segments)
 	if to <= from {

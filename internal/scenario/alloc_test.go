@@ -133,7 +133,7 @@ func TestRecordCodecAllocs(t *testing.T) {
 	// The fewest of many trips is the codec's own count: a trip exceeds
 	// it only when encoding/json misses its sync.Pool (after a GC, or
 	// under the race detector, which drops Puts at random).
-	const want = 36
+	const want = 32
 	fewest := testing.AllocsPerRun(1, trip)
 	for i := 0; i < 64; i++ {
 		fewest = min(fewest, testing.AllocsPerRun(1, trip))

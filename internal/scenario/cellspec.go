@@ -99,9 +99,6 @@ func (s *Spec) normalizeCell() error {
 	if s.CoDel != nil && *s.CoDel {
 		return fmt.Errorf("scenario: CoDel on a cell is not supported (the tower's per-user queues have no AQM)")
 	}
-	if s.KeepDeliveries {
-		return fmt.Errorf("scenario: cell runs do not retain delivery logs")
-	}
 	if s.Process == nil {
 		return fmt.Errorf("scenario: cell worlds stream their opportunities; declare a process")
 	}

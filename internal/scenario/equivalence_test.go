@@ -194,11 +194,12 @@ func TestEquivalentRuns(t *testing.T) {
 }
 
 // TestKeptDeliveriesOutliveWorldReuse: a delivery log a result keeps is
-// its own. The world's link reuses its log's storage on the next run, and
-// the first result's log must not change under it.
+// its own, and holds its run's deliveries alone. The world reuses its log's
+// storage on the next run: a tunnel run's log (from the egress) must not
+// change under a two-cell run, and the two-cell run's log must be a fresh
+// world's, with every flow of both cells in it.
 func TestKeptDeliveriesOutliveWorldReuse(t *testing.T) {
-	w := newWorld()
-	run := func(spec Spec) Result {
+	run := func(spec Spec, w *world) Result {
 		t.Helper()
 		spec.KeepDeliveries = true
 		norm, err := spec.Normalize()
@@ -214,10 +215,115 @@ func TestKeptDeliveriesOutliveWorldReuse(t *testing.T) {
 		}
 		return res
 	}
-	first := run(streamSpec("skype", 3*time.Second, time.Second, 1))
+	tunnel := streamSpec("skype", 3*time.Second, time.Second, 1)
+	tunnel.Tunnel = true
+	twoCells := cellSpec(&CellSpec{Cells: 2, HandoverRate: 1, Groups: []CellGroup{
+		{Scheme: "cubic", Flows: 2}, {Scheme: "skype", Flows: 2, Cell: 1},
+	}}, 3*time.Second, time.Second, 2)
+
+	w := newWorld()
+	first := run(tunnel, w)
 	kept := slices.Clone(first.Deliveries)
-	run(streamSpec("cubic", 3*time.Second, time.Second, 2))
+	second := run(twoCells, w)
 	if !slices.Equal(first.Deliveries, kept) {
 		t.Fatal("the second run on the world rewrote the first result's delivery log")
 	}
+	sameResult(t, second, run(twoCells, newWorld()))
+	delivered := map[uint32]bool{}
+	for _, d := range second.Deliveries {
+		delivered[d.Flow] = true
+	}
+	for _, f := range second.Flows {
+		if !delivered[f.Flow] {
+			t.Errorf("the two-cell log holds no delivery of flow %d (%s)", f.Flow, f.Scheme)
+		}
+	}
+}
+
+// relabel returns a normalized spec with its static groups' flow ids moved
+// to fresh ones in reverse order to the roster: the first group takes the
+// highest ids and the last the lowest, each still ascending within itself.
+func relabel(norm Spec) Spec {
+	next := uint32(5000)
+	if norm.Cell != nil {
+		c := *norm.Cell
+		c.Groups = slices.Clone(c.Groups)
+		for i := range c.Groups {
+			next -= uint32(c.Groups[i].Flows)
+			c.Groups[i].BaseFlow = next
+		}
+		norm.Cell = &c
+	}
+	norm.Groups = slices.Clone(norm.Groups)
+	for i := range norm.Groups {
+		next -= uint32(norm.Groups[i].Count)
+		norm.Groups[i].BaseFlow = next
+	}
+	return norm
+}
+
+// TestFlowIDsAreLabels: a flow id names a flow and does nothing else.
+// Relabeling the static groups with ids in reverse roster order leaves the
+// aggregate metrics, the cross-flow aggregates and every flow's scheme,
+// throughput and delay, in roster order, bit for bit the same. Generated
+// direct and cell specs run on one warm world; tunnel specs, where the ids
+// key the ingress's per-flow queues, run on another.
+func TestFlowIDsAreLabels(t *testing.T) {
+	n := int64(128)
+	if testing.Short() {
+		n = 32
+	}
+	specs := make([]Spec, 0, n+5)
+	for seed := int64(0); seed < n; seed++ {
+		specs = append(specs, genSpec(seed))
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		specs = append(specs, Spec{
+			Link:     "Verizon LTE",
+			Tunnel:   true,
+			Groups:   []FlowGroup{{Scheme: "cubic", Count: 2}, {Scheme: "skype", Count: 1}, {Scheme: "sprout", Count: 1}},
+			Duration: Duration(3 * time.Second),
+			Skip:     Duration(time.Second),
+			Loss:     0.01,
+			Seed:     seed,
+		})
+	}
+	w, traces := newWorld(), engine.NewCache()
+	run := func(spec Spec) Result {
+		t.Helper()
+		norm, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		res, err := compile(norm).run(traces, w)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		return res
+	}
+	flows := 0
+	for _, spec := range specs {
+		a := run(spec)
+		b := run(relabel(a.Spec))
+		name := a.Spec.Label()
+		if a.Metrics != b.Metrics || a.Delay95 != b.Delay95 || a.JainIndex != b.JainIndex || a.HeadDrops != b.HeadDrops {
+			t.Errorf("%s: relabeled aggregates differ\n got %+v delay95 %v jain %v head drops %d\nwant %+v delay95 %v jain %v head drops %d",
+				name, b.Metrics, b.Delay95, b.JainIndex, b.HeadDrops, a.Metrics, a.Delay95, a.JainIndex, a.HeadDrops)
+		}
+		if len(a.Flows) != len(b.Flows) {
+			t.Fatalf("%s: %d flows relabeled, %d before", name, len(b.Flows), len(a.Flows))
+		}
+		for i, fa := range a.Flows {
+			fb := b.Flows[i]
+			if fb.Flow == fa.Flow && fa.Flow < churnFlowBase {
+				t.Fatalf("%s: flow %d kept its id %d", name, i, fa.Flow)
+			}
+			if fa.Scheme != fb.Scheme || fa.ThroughputBps != fb.ThroughputBps || fa.Delay95 != fb.Delay95 {
+				t.Errorf("%s: flow %d (id %d → %d) is %s %v b/s %v relabeled, %s %v b/s %v before",
+					name, i, fa.Flow, fb.Flow, fb.Scheme, fb.ThroughputBps, fb.Delay95, fa.Scheme, fa.ThroughputBps, fa.Delay95)
+			}
+		}
+		flows += len(a.Flows)
+	}
+	t.Logf("%d specs, %d flows", len(specs), flows)
 }

@@ -275,9 +275,10 @@ func referenceRun(t testing.TB, spec Spec) (Result, refStats) {
 
 // genSpec draws one small direct or cell spec from seed: 1–4 flows of any
 // registered scheme, a link or a process pair, loss, CoDel, a scheduler,
-// two cells with handover, churn. The seed's low bits pick the first
-// scheme, the grammar, source or scheduler, CoDel or two cells, and churn,
-// so consecutive seeds cover each.
+// two cells with handover, churn, and a kept delivery log on about half.
+// The seed's low bits pick the first scheme, the grammar, source or
+// scheduler, CoDel or two cells, and churn, so consecutive seeds cover
+// each.
 func genSpec(seed int64) Spec {
 	rng := rand.New(rand.NewSource(seed))
 	u := uint64(seed)
@@ -339,6 +340,7 @@ func genSpec(seed int64) Spec {
 	}
 	s.Cell = c
 	process()
+	s.KeepDeliveries = rng.Intn(2) == 0
 	return s
 }
 
@@ -362,10 +364,11 @@ func matchesReference(t *testing.T, w *world, traces *engine.Cache, seed int64) 
 }
 
 // TestReferenceWorld: on every generated spec, scenario.Run's result
-// equals the reference world's, record for record and delivery for
-// delivery, and satisfies the invariants. The optimized side runs every
-// spec on one warm world, so reuse across scheme, grammar, source and
-// loss switches is checked too. The test asserts its own coverage.
+// equals the reference world's, record for record and, where the spec
+// keeps its log, delivery for delivery across every cell, and satisfies
+// the invariants. The optimized side runs every spec on one warm world,
+// so reuse across scheme, grammar, source and loss switches is checked
+// too. The test asserts its own coverage.
 func TestReferenceWorld(t *testing.T) {
 	n := int64(64)
 	if testing.Short() {
@@ -373,9 +376,13 @@ func TestReferenceWorld(t *testing.T) {
 	}
 	w, traces := newWorld(), engine.NewCache()
 	seen := map[string]bool{}
+	cellLogs, cellDeliveries := 0, 0
 	for seed := int64(0); seed < n; seed++ {
 		res, stats := matchesReference(t, w, traces, seed)
 		s, c := res.Spec, res.Spec.Cell
+		if c != nil && s.KeepDeliveries {
+			cellLogs, cellDeliveries = cellLogs+1, cellDeliveries+len(res.Deliveries)
+		}
 		if t.Failed() {
 			t.Fatalf("seed %d: %s", seed, s.Label())
 		}
@@ -388,12 +395,14 @@ func TestReferenceWorld(t *testing.T) {
 			"loss": s.Loss > 0, "codel": c == nil && s.useCoDel(), "two cells": c != nil && c.Cells == 2,
 			"round-robin": c != nil && c.Scheduler == "round-robin", "handover": stats.handovers > 0,
 			"proportional-fair": c != nil && c.Scheduler == "proportional-fair", "churn": stats.departures > 0,
+			"kept log": c == nil && s.KeepDeliveries, "kept cell log": c != nil && c.Cells == 2 && s.KeepDeliveries,
 		} {
 			seen[what] = seen[what] || ok
 		}
 	}
+	t.Logf("%d cell specs kept their logs: %d deliveries compared", cellLogs, cellDeliveries)
 	want := append(AllSchemes(), "direct", "cell", "link", "process", "loss", "codel", "churn", "handover",
-		"two cells", "round-robin", "proportional-fair")
+		"two cells", "round-robin", "proportional-fair", "kept log", "kept cell log")
 	for _, what := range want {
 		if !seen[what] {
 			t.Errorf("no generated spec covers %s", what)

@@ -29,17 +29,18 @@ const (
 // header (26 B) plus the Sprout header (76 B) must fit the link MTU.
 const TunnelClientMSS = 1300
 
-// FlowResult is one flow's share of a run.
+// FlowResult is one flow's share of a run, in a Result and, under the
+// tags below, in its JSONL record (Delay95 as integer nanoseconds).
 type FlowResult struct {
 	// Flow is the flow id on the shared path; Scheme the scheme that
 	// drove it.
-	Flow   uint32
-	Scheme string
+	Flow   uint32 `json:"flow"`
+	Scheme string `json:"scheme"`
 	// ThroughputBps is the flow's delivered data-direction throughput
 	// over (skip, duration].
-	ThroughputBps float64
+	ThroughputBps float64 `json:"tput_bps"`
 	// Delay95 is the flow's 95th-percentile end-to-end delay.
-	Delay95 time.Duration
+	Delay95 time.Duration `json:"delay95_ns"`
 }
 
 // Result is the outcome of running one Spec.
@@ -50,7 +51,9 @@ type Result struct {
 	// against the driving trace. Unset in tunnel mode, where the link's
 	// raw deliveries are Sprout frames, not client data.
 	Metrics metrics.Result
-	// Flows reports each flow's throughput and delay, in flow-id order.
+	// Flows reports each flow's throughput and delay, in roster order:
+	// static flows in declaration order, then churned flows in arrival
+	// order, whatever their ids.
 	Flows []FlowResult
 	// Delay95 is the 95th-percentile end-to-end delay over all flows.
 	Delay95 time.Duration
@@ -60,10 +63,10 @@ type Result struct {
 	// HeadDrops counts forecast-bounded head drops at the tunnel
 	// ingress (tunnel mode only).
 	HeadDrops int64
-	// Deliveries is the raw data-direction delivery log (from the link,
-	// or from the tunnel egress in tunnel mode), recorded only when the
-	// spec sets KeepDeliveries; the §5.1 metrics accumulate online and
-	// need no retained log.
+	// Deliveries is the raw data-direction delivery log, in delivery
+	// order: every cell's downlink, or the tunnel egress in tunnel mode.
+	// It is kept only when the spec sets KeepDeliveries; the §5.1 metrics
+	// accumulate online and need no retained log.
 	Deliveries []link.Delivery
 	// Work counts what the run did. Records, and so result_digest, leave
 	// it out: a Result decoded from a record (a sharded run, a checkpoint,
@@ -342,20 +345,19 @@ func runFlows(spec Spec, w *world) (Result, error) {
 	}
 	w.buildRoster(spec)
 
-	// Metrics accumulate as packets cross the downlinks; the raw log is
-	// kept only when the spec asks for it. The omniscient bound and the
-	// offered capacity accumulate online too, from the opportunity
-	// instants the links service — a streamed process's and a replayed
-	// trace's alike, so a trace shorter than the run counts every loop it
-	// serves. The instants arrive from every cell in one globally
-	// nondecreasing stream (event-loop order), so the bound and the
-	// utilization are fleet-wide.
+	// Metrics accumulate as packets cross the downlinks; the world keeps
+	// the raw log, every cell's, only when the spec asks for it. The
+	// omniscient bound and the offered capacity accumulate online too,
+	// from the opportunity instants the links service — a streamed
+	// process's and a replayed trace's alike, so a trace shorter than the
+	// run counts every loop it serves. The instants arrive from every
+	// cell in one globally nondecreasing stream (event-loop order), so the
+	// bound and the utilization are fleet-wide.
 	for i := range w.cells[:cells] {
 		down := w.cells[i].down
 		down.OnOpportunity(w.observeOp)
-		down.OnDelivery(w.observe)
+		down.OnDelivery(w.observer(spec.KeepDeliveries))
 	}
-	w.cells[0].down.RecordDeliveries(spec.KeepDeliveries)
 	if err := w.attachRoster(spec, shared); err != nil {
 		return Result{}, err
 	}
@@ -366,9 +368,6 @@ func runFlows(spec Spec, w *world) (Result, error) {
 		return Result{}, w.attachErr
 	}
 	res := Result{Spec: spec, Metrics: w.acc.EvaluateStreaming()}
-	if spec.KeepDeliveries {
-		res.Deliveries = w.cells[0].down.TakeDeliveries()
-	}
 	res.finishFlows(w)
 	res.Work = w.countWork(cells)
 	return res, nil
@@ -398,15 +397,7 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 		Clock: w.loop, Conn: w.cells[0].up, Send: tunnelSessionUp, Recv: tunnelSessionDown,
 		Deliver: w.tapped(w.fwdHandler), Pool: &w.pool,
 	})
-	var log []link.Delivery
-	if spec.KeepDeliveries {
-		b.Egress.OnDelivery(func(d link.Delivery) {
-			w.observe(d)
-			log = append(log, d)
-		})
-	} else {
-		b.Egress.OnDelivery(w.observe)
-	}
+	b.Egress.OnDelivery(w.observer(spec.KeepDeliveries))
 
 	w.buildRoster(spec)
 	clients := AttachConfig{
@@ -419,7 +410,7 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 	}
 
 	w.loop.Run(time.Duration(spec.Duration))
-	res := Result{Spec: spec, HeadDrops: a.Ingress.HeadDrops(), Deliveries: log}
+	res := Result{Spec: spec, HeadDrops: a.Ingress.HeadDrops()}
 	res.finishFlows(w)
 	res.Work = w.countWork(1)
 	res.Work.addSprout(a.Sender, a.Receiver)
@@ -428,8 +419,13 @@ func runTunnel(spec Spec, w *world) (Result, error) {
 }
 
 // finishFlows derives the per-flow and cross-flow aggregates from the
-// accumulator's streams.
+// accumulator's streams and copies out the kept delivery log, if the spec
+// asked for one: an exact-length copy, so the world keeps the storage for
+// its next run and the result's log is its own.
 func (r *Result) finishFlows(w *world) {
+	if r.Spec.KeepDeliveries {
+		r.Deliveries = slices.Clone(w.log)
+	}
 	n := w.acc.FlowCount()
 	if n == 0 {
 		return

@@ -25,14 +25,6 @@ import (
 // results are byte-identical for any shard count (the worker-count
 // determinism contract, one level up).
 
-// FlowRecord is one flow's share of a run in the JSONL stream.
-type FlowRecord struct {
-	Flow          uint32  `json:"flow"`
-	Scheme        string  `json:"scheme"`
-	ThroughputBps float64 `json:"tput_bps"`
-	Delay95       int64   `json:"delay95_ns"`
-}
-
 // ResultRecord is the JSONL payload for one completed run: every numeric
 // outcome a Result carries, durations as integer nanoseconds. Floats
 // survive the trip bit-exactly — encoding/json emits the shortest
@@ -53,12 +45,12 @@ type ResultRecord struct {
 	AggDelay95      int64        `json:"agg_delay95_ns"`
 	JainIndex       float64      `json:"jain"`
 	HeadDrops       int64        `json:"head_drops"`
-	Flows           []FlowRecord `json:"flows,omitempty"`
+	Flows           []FlowResult `json:"flows,omitempty"`
 }
 
 // RecordOf projects a Result to its stream form.
 func RecordOf(r Result) ResultRecord {
-	rec := ResultRecord{
+	return ResultRecord{
 		Label:           r.Spec.Label(),
 		ThroughputBps:   r.Metrics.ThroughputBps,
 		Delay95:         int64(r.Metrics.Delay95),
@@ -70,14 +62,8 @@ func RecordOf(r Result) ResultRecord {
 		AggDelay95:      int64(r.Delay95),
 		JainIndex:       r.JainIndex,
 		HeadDrops:       r.HeadDrops,
+		Flows:           r.Flows,
 	}
-	for _, f := range r.Flows {
-		rec.Flows = append(rec.Flows, FlowRecord{
-			Flow: f.Flow, Scheme: f.Scheme,
-			ThroughputBps: f.ThroughputBps, Delay95: int64(f.Delay95),
-		})
-	}
-	return rec
 }
 
 // EncodeResult renders one completed run as a shard-stream record keyed
@@ -119,11 +105,8 @@ func DecodeResult(rec engine.Record, specs []Spec) (Result, error) {
 	res.Metrics.MeanDelay = time.Duration(rr.MeanDelay)
 	res.Metrics.Utilization = rr.Utilization
 	res.Metrics.DeliveredBytes = rr.DeliveredBytes
-	for _, f := range rr.Flows {
-		res.Flows = append(res.Flows, FlowResult{
-			Flow: f.Flow, Scheme: f.Scheme,
-			ThroughputBps: f.ThroughputBps, Delay95: time.Duration(f.Delay95),
-		})
+	if len(rr.Flows) > 0 { // "flows": [] decodes as no flows, as the record omits them
+		res.Flows = rr.Flows
 	}
 	return res, nil
 }

@@ -52,7 +52,13 @@ type world struct {
 	onFwd, onRev           network.Handler
 	fwdHandler, revHandler network.Handler
 	observe                func(link.Delivery) // standing acc.Observe ref
+	keep                   func(link.Delivery) // observe, then append to log
 	observeOp              func(time.Duration) // standing acc.ObserveOpportunity ref
+
+	// log is the run's data-direction delivery log, appended to by keep
+	// when the spec sets KeepDeliveries. Results take copies; the storage
+	// stays for the next run.
+	log []link.Delivery
 
 	// flows and flowIDs are the run's flat flow table: static flows in
 	// group order, then churned flows in arrival order. Rows past the
@@ -192,6 +198,10 @@ func newWorld() *world {
 		}
 	}
 	w.observe = w.acc.Observe
+	w.keep = func(d link.Delivery) {
+		w.acc.Observe(d)
+		w.log = append(w.log, d)
+	}
 	w.observeOp = w.acc.ObserveOpportunity
 	w.evFn = w.runEvents
 	return w
@@ -211,6 +221,7 @@ func (w *world) begin() {
 	w.loop.Reset()
 	w.pool.Reset()
 	w.onFwd, w.onRev = nil, nil
+	w.log = w.log[:0]
 	w.flows = w.flows[:0]
 	w.flowIDs = w.flowIDs[:0]
 	w.initCells = w.initCells[:0]
@@ -218,6 +229,16 @@ func (w *world) begin() {
 	clear(w.byFB)
 	w.attachErr = nil
 	w.evIdx, w.evTimer = 0, sim.Timer{}
+}
+
+// observer returns the standing observer for a run's data-direction
+// deliveries: it folds each into the accumulator and, when keep is set,
+// appends it to the world's log.
+func (w *world) observer(keep bool) func(link.Delivery) {
+	if keep {
+		return w.keep
+	}
+	return w.observe
 }
 
 // Streaming-process seed derivation, frozen like GenerateTracePair's: the

@@ -237,12 +237,10 @@ func lossyPath(loop *sim.Loop, seed int64, data, acks network.Handler) (fwd, rev
 		Trace: holed, PropagationDelay: 20 * time.Millisecond,
 		LossRate: 0.02, Rand: rand.New(rand.NewSource(seed + 1)),
 	}, data)
-	fwd.RecordDeliveries(true)
 	rev = link.New(loop, link.Config{
 		Trace: steadyTrace(500, 65*time.Second, seed+2), PropagationDelay: 20 * time.Millisecond,
 		LossRate: 0.02, Rand: rand.New(rand.NewSource(seed + 3)),
 	}, acks)
-	rev.RecordDeliveries(true)
 	return fwd, rev
 }
 
@@ -268,13 +266,14 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		var rcv *Receiver
 		fwd, rev := lossyPath(loop, seed,
 			func(p *network.Packet) { rcv.Receive(p) }, func(p *network.Packet) { snd.Receive(p) })
+		dataLog, ackLog := keepDeliveries(fwd), keepDeliveries(rev)
 		rcv = NewReceiver(1, loop, rev, nil)
 		snd = NewSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: newCC(loop.Now), MaxWindow: 300})
 		loop.Run(runFor)
 		var o outcome
 		o.stats[0], o.stats[1], o.stats[2], o.stats[3] = snd.Stats()
 		o.segsIn, o.rcvNxt = rcv.Segments(), rcv.NextExpected()
-		o.dataLog, o.ackLog = fwd.Deliveries(), rev.Deliveries()
+		o.dataLog, o.ackLog = *dataLog, *ackLog
 		o.srtt, o.inFlightAtTheEnd = snd.SRTT(), snd.InFlight()
 		return o
 	}
@@ -284,13 +283,14 @@ func TestRingTablesMatchMapReference(t *testing.T) {
 		rcv := &mapReceiver{flow: 1, clock: loop, ooo: map[segnum]bool{}}
 		fwd, rev := lossyPath(loop, seed,
 			func(p *network.Packet) { rcv.Receive(p) }, func(p *network.Packet) { snd.Receive(p) })
+		dataLog, ackLog := keepDeliveries(fwd), keepDeliveries(rev)
 		rcv.conn = rev
 		snd = newMapSender(SenderConfig{Flow: 1, Clock: loop, Conn: fwd, CC: newCC(loop.Now), MaxWindow: 300})
 		loop.Run(runFor)
 		var o outcome
 		o.stats[0], o.stats[1], o.stats[2], o.stats[3] = snd.Stats()
 		o.segsIn, o.rcvNxt = rcv.segsIn, rcv.rcvNxt
-		o.dataLog, o.ackLog = fwd.Deliveries(), rev.Deliveries()
+		o.dataLog, o.ackLog = *dataLog, *ackLog
 		o.srtt, o.inFlightAtTheEnd = snd.srtt, snd.inFlight()
 		o.belowUna = snd.belowUna
 		return o

@@ -19,8 +19,16 @@ func steadyTrace(rate float64, d time.Duration, seed int64) *trace.Trace {
 type tcpSession struct {
 	loop     *sim.Loop
 	fwd, rev *link.Link
+	log      *[]link.Delivery // fwd's deliveries
 	snd      *Sender
 	rcv      *Receiver
+}
+
+// keepDeliveries returns the log an OnDelivery observer on l appends to.
+func keepDeliveries(l *link.Link) *[]link.Delivery {
+	log := new([]link.Delivery)
+	l.OnDelivery(func(d link.Delivery) { *log = append(*log, d) })
+	return log
 }
 
 func newTCPSession(cc CongestionControl, fwdTrace *trace.Trace, fwdCfg func(*link.Config)) *tcpSession {
@@ -31,7 +39,7 @@ func newTCPSession(cc CongestionControl, fwdTrace *trace.Trace, fwdCfg func(*lin
 		fwdCfg(&fcfg)
 	}
 	s.fwd = link.New(loop, fcfg, func(p *network.Packet) { s.rcv.Receive(p) })
-	s.fwd.RecordDeliveries(true)
+	s.log = keepDeliveries(s.fwd)
 	s.rev = link.New(loop, link.Config{
 		Trace:            steadyTrace(500, fwdTrace.Duration()+5*time.Second, 77),
 		PropagationDelay: 20 * time.Millisecond,
@@ -190,7 +198,7 @@ func TestCubicBuildsStandingQueueOnUnboundedBuffer(t *testing.T) {
 		Trace:            steadyTrace(100, 65*time.Second, 2),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { rcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	fwdLog := keepDeliveries(fwd)
 	var snd *Sender
 	rev := link.New(loop, link.Config{
 		Trace:            steadyTrace(500, 65*time.Second, 3),
@@ -201,7 +209,7 @@ func TestCubicBuildsStandingQueueOnUnboundedBuffer(t *testing.T) {
 	loop.Run(60 * time.Second)
 
 	var worst time.Duration
-	for _, d := range fwd.Deliveries() {
+	for _, d := range *fwdLog {
 		if delay := d.DeliveredAt - d.SentAt; delay > worst {
 			worst = delay
 		}
@@ -217,7 +225,7 @@ func TestVegasKeepsDelayLowerThanCubic(t *testing.T) {
 		sess.loop.Run(40 * time.Second)
 		var sum time.Duration
 		var n int
-		for _, d := range sess.fwd.Deliveries() {
+		for _, d := range *sess.log {
 			if d.DeliveredAt > 10*time.Second {
 				sum += d.DeliveredAt - d.SentAt
 				n++
@@ -266,7 +274,7 @@ func TestTCPTimeoutRecovery(t *testing.T) {
 	sess.loop.Run(15 * time.Second)
 	_, _, timeouts, _ := sess.snd.Stats()
 	var lastDelivery time.Duration
-	for _, d := range sess.fwd.Deliveries() {
+	for _, d := range *sess.log {
 		if d.DeliveredAt > lastDelivery {
 			lastDelivery = d.DeliveredAt
 		}

@@ -19,7 +19,7 @@ func TestDelayGuaranteeSteadyLink(t *testing.T) {
 	within := 0
 	total := 0
 	var worst time.Duration
-	for _, d := range sess.fwd.Deliveries() {
+	for _, d := range *sess.log {
 		if d.DeliveredAt < 15*time.Second {
 			continue
 		}
@@ -53,7 +53,7 @@ func TestDelayGuaranteeVariableLink(t *testing.T) {
 
 	within := 0
 	total := 0
-	for _, d := range sess.fwd.Deliveries() {
+	for _, d := range *sess.log {
 		if d.DeliveredAt < 20*time.Second {
 			continue
 		}

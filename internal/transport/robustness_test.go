@@ -21,7 +21,7 @@ func TestSproutSurvivesLossyFeedback(t *testing.T) {
 		Trace:            steadyTrace(300, 65*time.Second, 1),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { rcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	fwdLog := keepDeliveries(fwd)
 	rev := link.New(loop, link.Config{
 		Trace:            steadyTrace(100, 65*time.Second, 2),
 		PropagationDelay: 20 * time.Millisecond,
@@ -33,7 +33,7 @@ func TestSproutSurvivesLossyFeedback(t *testing.T) {
 	loop.Run(60 * time.Second)
 
 	var bytes int64
-	for _, d := range fwd.Deliveries() {
+	for _, d := range *fwdLog {
 		if d.DeliveredAt > 10*time.Second {
 			bytes += int64(d.Size)
 		}
@@ -59,7 +59,7 @@ func TestSproutTotalFeedbackBlackoutStopsSender(t *testing.T) {
 		Trace:            steadyTrace(300, 45*time.Second, 4),
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *network.Packet) { rcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	fwdLog := keepDeliveries(fwd)
 	rev := link.New(loop, link.Config{
 		Trace:            steadyTrace(100, 45*time.Second, 5),
 		PropagationDelay: 20 * time.Millisecond,
@@ -77,7 +77,7 @@ func TestSproutTotalFeedbackBlackoutStopsSender(t *testing.T) {
 	// collapse to probe/heartbeat levels: well under 100 kbps versus
 	// multi-Mbps before.
 	var before, after int64
-	for _, d := range fwd.Deliveries() {
+	for _, d := range *fwdLog {
 		switch {
 		case d.SentAt > 5*time.Second && d.SentAt < 20*time.Second:
 			before += int64(d.Size)
@@ -126,7 +126,7 @@ func TestSenderConfidenceSweepViaConfig(t *testing.T) {
 			Trace:            steadyTrace(200, 35*time.Second, 6),
 			PropagationDelay: 20 * time.Millisecond,
 		}, func(p *network.Packet) { rcv.Receive(p) })
-		fwd.RecordDeliveries(true)
+		fwdLog := keepDeliveries(fwd)
 		rev := link.New(loop, link.Config{
 			Trace:            steadyTrace(100, 35*time.Second, 7),
 			PropagationDelay: 20 * time.Millisecond,
@@ -136,7 +136,7 @@ func TestSenderConfidenceSweepViaConfig(t *testing.T) {
 		snd = NewSender(SenderConfig{Clock: loop, Conn: fwd})
 		loop.Run(30 * time.Second)
 		var bytes int64
-		for _, d := range fwd.Deliveries() {
+		for _, d := range *fwdLog {
 			if d.DeliveredAt > 8*time.Second {
 				bytes += int64(d.Size)
 			}

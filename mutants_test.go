@@ -124,11 +124,32 @@ var mutants = []struct {
 		pkg:  "internal/stats", test: "TestSegmentPercentileAcrossChunks",
 	},
 	{
-		name: "a kept delivery log is the link's own buffer, which its next run overwrites",
-		file: "internal/link/link.go",
-		from: "\td := make([]Delivery, len(l.deliveries))\n\tcopy(d, l.deliveries)\n",
-		to:   "\td := l.deliveries\n",
+		name: "a kept delivery log is the world's own buffer, which its next run overwrites",
+		file: "internal/scenario/run.go",
+		from: "r.Deliveries = slices.Clone(w.log)",
+		to:   "r.Deliveries = w.log",
 		pkg:  "internal/scenario", test: "TestKeptDeliveriesOutliveWorldReuse",
+	},
+	{
+		name: "a new run appends to the last run's delivery log",
+		file: "internal/scenario/world.go",
+		from: "\tw.log = w.log[:0]\n",
+		to:   "",
+		pkg:  "internal/scenario", test: "TestKeptDeliveriesOutliveWorldReuse",
+	},
+	{
+		name: "only cell 0's downlink keeps its deliveries",
+		file: "internal/scenario/run.go",
+		from: "down.OnDelivery(w.observer(spec.KeepDeliveries))",
+		to:   "down.OnDelivery(w.observer(spec.KeepDeliveries && i == 0))",
+		pkg:  "internal/scenario", test: "TestReferenceWorld",
+	},
+	{
+		name: "a churned flow's window runs past the run's end",
+		file: "internal/metrics/accumulator.go",
+		from: "\tif to > a.to {\n\t\tto = a.to\n\t}\n",
+		to:   "",
+		pkg:  "internal/metrics", test: "TestAccumulatorFlowWindows",
 	},
 	{
 		name: "Generate appends straight into the trace, growing it by copying",

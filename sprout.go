@@ -143,7 +143,8 @@ type (
 	Link = link.Link
 	// LinkConfig configures a Link.
 	LinkConfig = link.Config
-	// Delivery is one delivered-packet record from a Link's log.
+	// Delivery is one delivered-packet record, handed to a Link's OnDelivery
+	// observer.
 	Delivery = link.Delivery
 )
 

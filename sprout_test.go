@@ -29,7 +29,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		Trace:            data,
 		PropagationDelay: 20 * time.Millisecond,
 	}, func(p *sprout.Packet) { rcv.Receive(p) })
-	fwd.RecordDeliveries(true)
+	var deliveries []sprout.Delivery
+	fwd.OnDelivery(func(d sprout.Delivery) { deliveries = append(deliveries, d) })
 	rev := sprout.NewLink(loop, sprout.LinkConfig{
 		Trace:            fbTrace,
 		PropagationDelay: 20 * time.Millisecond,
@@ -38,7 +39,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	snd = sprout.NewSender(sprout.SenderConfig{Clock: loop, Conn: fwd})
 
 	loop.Run(dur)
-	m := sprout.Evaluate(fwd.Deliveries(), data, 20*time.Millisecond, 5*time.Second, dur)
+	m := sprout.Evaluate(deliveries, data, 20*time.Millisecond, 5*time.Second, dur)
 	if m.ThroughputBps < 500_000 {
 		t.Errorf("throughput = %.0f bps, want substantial", m.ThroughputBps)
 	}
