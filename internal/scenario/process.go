@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -120,6 +121,35 @@ func (p *ProcessSpec) compile() (trace.DeliveryProcess, error) {
 		core = o
 	}
 	return core, nil
+}
+
+// equal reports whether q compiles to the process p does: the same core,
+// scale and outages, stage for stage.
+func (p *ProcessSpec) equal(q *ProcessSpec) bool {
+	if p.Model != q.Model || p.Scale != q.Scale || !slices.Equal(p.Outages, q.Outages) ||
+		len(p.Handover) != len(q.Handover) {
+		return false
+	}
+	for i := range p.Handover {
+		a, b := &p.Handover[i], &q.Handover[i]
+		if a.Until != b.Until || !a.ProcessSpec.equal(&b.ProcessSpec) {
+			return false
+		}
+	}
+	return true
+}
+
+// clone returns a copy of p that shares no storage with it.
+func (p *ProcessSpec) clone() ProcessSpec {
+	c := *p
+	c.Outages = slices.Clone(p.Outages)
+	if p.Handover != nil {
+		c.Handover = make([]HandoverStage, len(p.Handover))
+		for i, s := range p.Handover {
+			c.Handover[i] = HandoverStage{ProcessSpec: s.ProcessSpec.clone(), Until: s.Until}
+		}
+	}
+	return c
 }
 
 // validate checks the spec without keeping the compiled instance.

@@ -107,27 +107,28 @@ type cellNet struct {
 	name             string // strconv.Itoa of the cell index, for seed derivation
 }
 
-// cellProc is one link's compiled streaming process and the spec it was
-// compiled from. Each link owns its instance — interleaved pulls from a
-// shared one would corrupt both streams — and the link Resets it with the
-// run's seed, so reuse replays the exact stream a fresh instance would
-// produce: the process-world analogue of the trace cache, holding a state
-// machine instead of an opportunity array.
+// cellProc is one link's compiled streaming process and a copy of the
+// spec it was compiled from. Each link owns its instance — interleaved
+// pulls from a shared one would corrupt both streams — and the link
+// Resets it with the run's seed, so reuse replays the exact stream a fresh
+// instance would produce: the process-world analogue of the trace cache,
+// holding a state machine instead of an opportunity array.
 type cellProc struct {
-	spec *ProcessSpec
+	spec ProcessSpec
 	proc trace.DeliveryProcess
 }
 
-// get returns the instance compiled from ps, recompiling only when ps is
-// not the spec the last run compiled (a compiled job keeps one pointer
-// across all its runs).
+// get returns the instance compiled from a spec equal to ps, recompiling
+// only when ps differs in value from the spec the last run compiled. The
+// copy is kept, not ps: a spec edited in place after its run is a new
+// spec.
 func (cp *cellProc) get(ps *ProcessSpec) (trace.DeliveryProcess, error) {
-	if cp.spec != ps {
+	if cp.proc == nil || !cp.spec.equal(ps) {
 		p, err := ps.compile()
 		if err != nil {
 			return nil, err
 		}
-		cp.spec, cp.proc = ps, p
+		cp.spec, cp.proc = ps.clone(), p
 	}
 	return cp.proc, nil
 }

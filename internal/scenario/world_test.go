@@ -25,7 +25,9 @@ func encoded(t *testing.T, job compiled, w *world) (Result, []byte) {
 // row built and the process each link compiled, and reuses them only for
 // what they were built from. Each pair differs at row 0 in one thing that
 // shapes construction; one world runs A, B, A, B and every result must be
-// a fresh world's, record and Work alike.
+// a fresh world's, record and Work alike. Process specs are compared by
+// value: an edit in place is a new spec, a new pointer to an equal one is
+// not.
 func TestWorldReusesByPosition(t *testing.T) {
 	const d, skip = 3 * time.Second, 500 * time.Millisecond
 	cubic := streamSpec("cubic", d, skip, 4)
@@ -38,6 +40,8 @@ func TestWorldReusesByPosition(t *testing.T) {
 	tunnel.Tunnel = true
 	att := cubic
 	att.Process = &ProcessSpec{Model: "ATT-LTE-down"}
+	scaled := cubic
+	scaled.Process = &ProcessSpec{Model: "Verizon-LTE-down", Scale: 2}
 	pairs := []struct {
 		name string
 		a, b Spec
@@ -46,6 +50,7 @@ func TestWorldReusesByPosition(t *testing.T) {
 		{"sprout confidence", confidence(0.95), confidence(0.5)},
 		{"mss", cubic, tunnel},
 		{"process spec", cubic, att},
+		{"process scale", cubic, scaled},
 	}
 	for _, p := range pairs {
 		t.Run(p.name, func(t *testing.T) {
@@ -78,4 +83,46 @@ func TestWorldReusesByPosition(t *testing.T) {
 			}
 		})
 	}
+
+	// A link's process is kept for a spec equal in value to the one it
+	// compiled, whatever the pointer, and recompiled for a spec edited in
+	// place since its last run.
+	norm, err := cubic.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, w := compile(norm), newWorld()
+	fresh := func(t *testing.T) []byte {
+		_, rec := encoded(t, compile(norm), newWorld())
+		return rec
+	}
+	run := func(t *testing.T, step string, want []byte) {
+		t.Helper()
+		if _, got := encoded(t, job, w); !bytes.Equal(got, want) {
+			t.Fatalf("%s on the reused world:\n%s\nfresh world:\n%s", step, got, want)
+		}
+	}
+	t.Run("edited in place", func(t *testing.T) {
+		verizon := fresh(t)
+		run(t, "first run", verizon)
+		norm.Process.Model = "ATT-LTE-down" // job's spec shares this ProcessSpec
+		att := fresh(t)
+		if bytes.Equal(att, verizon) {
+			t.Fatal("the edit does not change the result: the pair cannot tell a stale instance")
+		}
+		run(t, "after the edit", att)
+		norm.Process.Model = "Verizon-LTE-down"
+		run(t, "after the edit back", verizon)
+	})
+	t.Run("equal value, new pointer", func(t *testing.T) {
+		run(t, "first run", fresh(t))
+		kept := w.cells[0].downProc.proc
+		twin := norm
+		twin.Process = &ProcessSpec{Model: norm.Process.Model}
+		job = compile(twin)
+		run(t, "the equal spec", fresh(t))
+		if w.cells[0].downProc.proc != kept {
+			t.Error("an equal spec behind a new pointer recompiled the link's process")
+		}
+	})
 }

@@ -143,6 +143,11 @@ func (m LinkModel) Generate(d time.Duration, rng *rand.Rand) *Trace {
 
 // poissonDraw samples a Poisson random variate with the given mean using
 // inversion for small means and the normal approximation for large ones.
+// The inversion multiplies uniforms until the product p first reaches
+// p ≤ exp(−mean); each comparison is decided from expBracket's bounds,
+// and math.Exp is called only when a product lands between them, so the
+// draws and the uniforms consumed are those of comparing against
+// math.Exp(−mean) itself.
 func poissonDraw(rng *rand.Rand, mean float64) int {
 	if mean <= 0 {
 		return 0
@@ -154,19 +159,58 @@ func poissonDraw(rng *rand.Rand, mean float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-mean)
+	lo, hi := expBracket(mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= lo {
 			return k
+		}
+		if p <= hi { // undecided: settle the bracket on the exact value
+			lo = math.Exp(-mean)
+			hi = lo
+			if p <= lo {
+				return k
+			}
 		}
 		k++
 		if k > 1000 {
 			return k
 		}
 	}
+}
+
+// expCells holds 2^(−j/64) for j = 0…63.
+var expCells = func() (t [64]float64) {
+	for j := range t {
+		t[j] = math.Exp2(-float64(j) / 64)
+	}
+	return t
+}()
+
+const (
+	cellsPerUnit = 64 / math.Ln2 // expCells cells per unit of mean
+	cellWidth    = math.Ln2 / 64
+	// bracketSlack widens the bracket past the rounding of r, of the
+	// table and of the products (about 1e-14 together for means ≤ 30).
+	bracketSlack = 1e-9
+)
+
+// expBracket returns lo ≤ math.Exp(−mean) ≤ hi for mean in (0, 30]
+// without calling math.Exp; a NaN mean gives NaN bounds. With mean =
+// n·ln2/64 + r and 0 ≤ r < ln2/64, exp(−mean) is the power of two
+// 2^(−⌊n/64⌋), times expCells[n mod 64], times e^(−r), and 1−r ≤ e^(−r)
+// ≤ 1−r+r²/2; so hi/lo − 1 ≤ 6e-5. The float64 conversions keep each
+// product rounded on its own, so no platform fuses them into a
+// multiply-add.
+func expBracket(mean float64) (lo, hi float64) {
+	n := int(float64(mean * cellsPerUnit))
+	r := mean - float64(float64(n)*cellWidth)
+	base := math.Float64frombits(uint64(1023-(n>>6))<<52) * expCells[n&63]
+	lo = float64(base*(1-r)) * (1 - bracketSlack)
+	hi = float64(base*(1-r+float64(r*r/2))) * (1 + bracketSlack)
+	return lo, hi
 }
 
 // CanonicalLinks returns models for the eight links measured in the paper
@@ -228,9 +272,13 @@ func CanonicalLinks() []LinkModel {
 	}
 }
 
+// canonicalLinks is the table CanonicalLink reads (CanonicalLinks builds
+// a fresh one per call); it is only ever read.
+var canonicalLinks = CanonicalLinks()
+
 // CanonicalLink returns the model with the given name, or false.
 func CanonicalLink(name string) (LinkModel, bool) {
-	for _, m := range CanonicalLinks() {
+	for _, m := range canonicalLinks {
 		if m.Name == name {
 			return m, true
 		}

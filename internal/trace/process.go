@@ -81,9 +81,9 @@ type ModelProcess struct {
 	st   modelState
 	step int64 // next 10 ms grid step to advance
 
-	buf     []time.Duration // opportunities of the current step, FIFO
-	pos     int
-	offsets []float64 // per-step scratch shared with the stepper
+	start   time.Duration // the current step's start
+	offsets []float64     // the current step's offsets, from the stepper
+	pos     int           // next offset to emit
 	done    bool
 }
 
@@ -96,52 +96,43 @@ func (m LinkModel) Process() *ModelProcess {
 }
 
 // Reset implements DeliveryProcess: the stream restarts as
-// rand.New(rand.NewSource(seed)) would drive Generate.
+// rand.New(rand.NewSource(seed)) would drive Generate. The generator is
+// this package's copy of math/rand's (source), allocated on the first
+// Reset and re-seeded in place after that.
 func (p *ModelProcess) Reset(seed int64) {
 	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(seed))
-	} else {
-		p.rng.Seed(seed)
+		p.rng = rand.New(new(source))
 	}
+	p.rng.Seed(seed)
 	p.st = modelState{lambda: p.m.MeanRate}
 	p.step = 0
-	p.buf = p.buf[:0]
+	p.offsets = p.offsets[:0]
 	p.pos = 0
 	p.done = false
 }
 
-// Next implements DeliveryProcess.
+// Next implements DeliveryProcess. It emits the current step's offsets in
+// place, each converted as Generate converts it.
 func (p *ModelProcess) Next() (time.Duration, bool) {
 	if p.done {
 		return 0, false
 	}
-	dry := 0
-	for {
-		if p.pos < len(p.buf) {
-			v := p.buf[p.pos]
-			p.pos++
-			return v, true
+	for dry := 0; p.pos == len(p.offsets); dry++ {
+		if dry > maxDrySteps {
+			p.done = true
+			return 0, false
 		}
 		if p.rng == nil {
 			p.Reset(1) // never Reset: the documented default seed
 		}
-		start := time.Duration(p.step) * modelStep
+		p.start = time.Duration(p.step) * modelStep
 		p.step++
 		p.offsets = p.m.stepOnce(&p.st, p.rng, p.offsets)
-		if len(p.offsets) == 0 {
-			if dry++; dry > maxDrySteps {
-				p.done = true
-				return 0, false
-			}
-			continue
-		}
-		dry = 0
-		p.buf = p.buf[:0]
 		p.pos = 0
-		for _, o := range p.offsets {
-			p.buf = append(p.buf, start+time.Duration(o*float64(modelStep)))
-		}
 	}
+	o := p.offsets[p.pos]
+	p.pos++
+	return p.start + time.Duration(o*float64(modelStep)), true
 }
 
 // Replay streams an existing materialized Trace, one opportunity per

@@ -189,9 +189,37 @@ var mutants = []struct {
 	{
 		name: "a link reuses its compiled process whatever its spec",
 		file: "internal/scenario/world.go",
-		from: "if cp.spec != ps {",
+		from: "if cp.proc == nil || !cp.spec.equal(ps) {",
 		to:   "if cp.proc == nil {",
 		pkg:  "internal/scenario", test: "TestWorldReusesByPosition",
+	},
+	{
+		name: "a link keeps its compiled process for a spec of another scale",
+		file: "internal/scenario/process.go",
+		from: "p.Model != q.Model || p.Scale != q.Scale ||",
+		to:   "p.Model != q.Model ||",
+		pkg:  "internal/scenario", test: "TestWorldReusesByPosition",
+	},
+	{
+		name: "the bracket's upper bound loses its second-order term",
+		file: "internal/trace/generate.go",
+		from: "hi = float64(base*(1-r+float64(r*r/2))) * (1 + bracketSlack)",
+		to:   "hi = float64(base*(1-r)) * (1 + bracketSlack)",
+		pkg:  "internal/trace", test: "TestExpBracket",
+	},
+	{
+		name: "an inversion product inside the bracket is taken as below exp(-mean) without calling math.Exp",
+		file: "internal/trace/generate.go",
+		from: "\t\t\tlo = math.Exp(-mean)\n",
+		to:   "\t\t\tlo = hi\n",
+		pkg:  "internal/trace", test: "TestPoissonDrawAtTheBracket",
+	},
+	{
+		name: "the model's generator keeps the seeding chain's first 20 values",
+		file: "internal/trace/source.go",
+		from: "for i := 0; i < 20; i++ {",
+		to:   "for i := 0; i < 0; i++ {",
+		pkg:  "internal/trace", test: "TestSourceMatchesMathRand",
 	},
 	{
 		name: "a new run zeroes whole flow-table rows",
